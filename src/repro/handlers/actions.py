@@ -21,6 +21,7 @@ report.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -100,6 +101,14 @@ class Action:
     def execute(self, context: ActionContext) -> ActionResult:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def output_key(self, key: str) -> str:
+        """The ActionOutput key ``<name>.<key>``.
+
+        Interned: every report an action contributes to holds the same few
+        key strings, so they share one copy instead of one per report.
+        """
+        return sys.intern(f"{self.name}.{key}")
+
     def describe(self) -> str:
         """Human-readable description used by the handler-authoring tools."""
         return f"{self.kind}:{self.name}"
@@ -133,21 +142,22 @@ class ScopeSwitchAction(Action):
             busiest = context.hub.busiest_machine(self.busiest_metric, context.window)
             if busiest is not None:
                 context.target_machine, value = busiest
-                result.output[f"{self.name}.busiest_value"] = f"{value:.1f}"
-        result.output[f"{self.name}.from"] = previous.value
-        result.output[f"{self.name}.to"] = self.target_scope.value
-        result.output[f"{self.name}.target"] = (
+                result.output[self.output_key("busiest_value")] = f"{value:.1f}"
+        result.output[self.output_key("from")] = previous.value
+        result.output[self.output_key("to")] = self.target_scope.value
+        target = (
             context.target_machine
             if self.target_scope is AlertScope.MACHINE
             else context.target_forest
         )
+        result.output[self.output_key("target")] = target
         result.outcome = self.target_scope.value
         result.add_section(
             "Scope switch",
             (
                 f"Collection scope switched from {previous.value} to "
                 f"{self.target_scope.value}; focusing on "
-                f"{result.output[f'{self.name}.target'] or 'whole deployment'}."
+                f"{target or 'whole deployment'}."
             ),
             source="handler",
         )
@@ -211,7 +221,7 @@ class QueryAction(Action):
             raise ValueError(f"unknown query source: {self.source!r}")
 
         for key, value in table.items():
-            result.output[f"{self.name}.{key}"] = value
+            result.output[self.output_key(key)] = value
         if self.classify is not None:
             result.outcome = self.classify(context, table)
         return result
@@ -338,9 +348,9 @@ class MitigationAction(Action):
 
     def execute(self, context: ActionContext) -> ActionResult:
         result = ActionResult(mitigation=self.suggestion)
-        result.output[f"{self.name}.suggestion"] = self.suggestion
+        result.output[self.output_key("suggestion")] = self.suggestion
         if self.engage_team:
-            result.output[f"{self.name}.engage_team"] = self.engage_team
+            result.output[self.output_key("engage_team")] = self.engage_team
         result.add_section(
             "Suggested mitigation",
             self.suggestion

@@ -9,11 +9,14 @@ substring search over messages.
 
 from __future__ import annotations
 
-import bisect
 import re
+import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from .timeindex import TimeColumn
 
 
 class LogLevel(IntEnum):
@@ -74,61 +77,64 @@ class LogRecord:
 
 
 class LogStore:
-    """An append-mostly, time-indexed store of :class:`LogRecord` objects.
+    """A time-indexed, thread-safe store of :class:`LogRecord` objects.
 
-    Records are kept sorted by timestamp so that time-window queries are
-    O(log n + k).  Secondary indices by machine and component accelerate the
-    scoped queries issued by scope-switching handler actions.
+    Layout: one :class:`TimeColumn` of every record plus one per machine and
+    one per component (the postings), each holding the records themselves in
+    timestamp order, equal timestamps in append order.
+
+    Write: ``append`` adds the record to its three columns — O(1) when it is
+    not older than the newest record, a bisect and a list insert when it
+    arrives out of order.  Read: ``query`` bisects the narrowest column the
+    scope names (machine, else component, else all) to the window and filters
+    only the k records inside it: O(log n + k), scoped or not.
+
+    Writers and readers hold the store's lock while they touch the columns,
+    so a query sees the store at one point in time; filtering runs on the
+    query's own copy.  Copies and pickles carry the records and rebuild the
+    columns and the lock.
     """
 
     def __init__(self) -> None:
-        self._records: List[LogRecord] = []
-        self._timestamps: List[float] = []
-        self._by_machine: Dict[str, List[int]] = {}
-        self._by_component: Dict[str, List[int]] = {}
-        self._sorted = True
+        self._lock = threading.Lock()
+        self._all: TimeColumn[LogRecord] = TimeColumn()
+        self._by_machine: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
+        self._by_component: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._all.times)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        self._ensure_sorted()
-        return iter(self._records)
+        return iter(self.query())
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"records": self.query()}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__init__()
+        self.extend(state["records"])
 
     def append(self, record: LogRecord) -> None:
-        """Append a record, maintaining indices."""
-        if self._records and record.timestamp < self._records[-1].timestamp:
-            self._sorted = False
-        index = len(self._records)
-        self._records.append(record)
-        self._timestamps.append(record.timestamp)
-        self._by_machine.setdefault(record.machine, []).append(index)
-        self._by_component.setdefault(record.component, []).append(index)
+        """Add a record to the time column and to its machine/component postings."""
+        with self._lock:
+            self._all.add(record.timestamp, record)
+            self._by_machine[record.machine].add(record.timestamp, record)
+            self._by_component[record.component].add(record.timestamp, record)
 
     def extend(self, records: Iterable[LogRecord]) -> None:
         """Append many records."""
         for record in records:
             self.append(record)
 
-    def _ensure_sorted(self) -> None:
-        if self._sorted:
-            return
-        order = sorted(range(len(self._records)), key=lambda i: self._records[i].timestamp)
-        self._records = [self._records[i] for i in order]
-        self._timestamps = [r.timestamp for r in self._records]
-        remap = {old: new for new, old in enumerate(order)}
-        for index in (self._by_machine, self._by_component):
-            for key, values in index.items():
-                index[key] = sorted(remap[v] for v in values)
-        self._sorted = True
-
     def machines(self) -> List[str]:
         """Return the set of machines that have emitted at least one record."""
-        return sorted(self._by_machine)
+        with self._lock:
+            return sorted(self._by_machine)
 
     def components(self) -> List[str]:
         """Return the set of components that have emitted at least one record."""
-        return sorted(self._by_component)
+        with self._lock:
+            return sorted(self._by_component)
 
     def query(
         self,
@@ -154,40 +160,23 @@ class LogStore:
         Returns:
             Matching records in timestamp order.
         """
-        self._ensure_sorted()
-        candidates = self._candidate_indices(machine, component)
-        lo, hi = self._window(start, end)
-        results: List[LogRecord] = []
-        for index in candidates:
-            if index < lo or index >= hi:
-                continue
-            record = self._records[index]
-            if min_level is not None and record.level < min_level:
-                continue
-            if pattern is not None and not record.matches(pattern):
-                continue
-            results.append(record)
-        if limit is not None and len(results) > limit:
-            results = results[-limit:]
-        return results
-
-    def _candidate_indices(
-        self, machine: Optional[str], component: Optional[str]
-    ) -> Sequence[int]:
+        with self._lock:
+            if machine is not None:
+                column = self._by_machine.get(machine)
+            elif component is not None:
+                column = self._by_component.get(component)
+            else:
+                column = self._all
+            records = column.window(start, end) if column is not None else []
         if machine is not None and component is not None:
-            a = set(self._by_machine.get(machine, []))
-            b = self._by_component.get(component, [])
-            return sorted(a.intersection(b))
-        if machine is not None:
-            return self._by_machine.get(machine, [])
-        if component is not None:
-            return self._by_component.get(component, [])
-        return range(len(self._records))
-
-    def _window(self, start: Optional[float], end: Optional[float]) -> Tuple[int, int]:
-        lo = 0 if start is None else bisect.bisect_left(self._timestamps, start)
-        hi = len(self._timestamps) if end is None else bisect.bisect_right(self._timestamps, end)
-        return lo, hi
+            records = [r for r in records if r.component == component]
+        if min_level is not None:
+            records = [r for r in records if r.level >= min_level]
+        if pattern is not None:
+            records = [r for r in records if r.matches(pattern)]
+        if limit is not None and len(records) > limit:
+            records = records[len(records) - limit :]
+        return records
 
     def count_by_level(
         self, start: Optional[float] = None, end: Optional[float] = None
@@ -219,8 +208,8 @@ class LogStore:
 
     def tail(self, n: int = 20) -> List[LogRecord]:
         """Return the ``n`` most recent records."""
-        self._ensure_sorted()
-        return self._records[-n:]
+        with self._lock:
+            return self._all.items[-n:]
 
 
 _NUMBER_RE = re.compile(r"\b\d+(\.\d+)?\b")

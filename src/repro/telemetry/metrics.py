@@ -6,6 +6,16 @@ series data" (paper Section 2.2).  The store keeps one series per
 monitors and handler query actions need: latest value, mean, max, rate of
 change, and simple threshold/z-score anomaly detection.
 
+Layout: a series is two parallel, time-sorted columns (timestamps, values);
+the store keys its series by (name, machine) and also lists them per metric
+name (ordered by machine) and per machine (ordered by name).  Write: an
+in-order sample is two appends, an out-of-order one a bisect and two list
+inserts; only the first sample of a new series touches the store's indices.
+Read: a windowed aggregate bisects a series to the window and works on that
+slice of the value column — O(log n + k), and no :class:`MetricPoint` is
+built unless the caller asked for points; a per-metric or per-machine query
+walks that metric's or machine's own list of series, not the whole map.
+
 Thread safety: the streaming deployment writes into one shared store from
 several threads at once — the ingest worker's per-batch export, the
 prediction lane's cache/index exports, and collect-pool worker threads
@@ -24,7 +34,10 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from .timeindex import window_bounds
 
 
 @dataclass(frozen=True)
@@ -86,26 +99,27 @@ class MetricSeries:
             self._timestamps.insert(index, timestamp)
             self._values.insert(index, value)
 
+    def _window(
+        self, start: Optional[float], end: Optional[float]
+    ) -> Tuple[List[float], List[float]]:
+        """Copies of the (timestamps, values) inside the inclusive window."""
+        with self._lock:
+            lo, hi = window_bounds(self._timestamps, start, end)
+            return self._timestamps[lo:hi], self._values[lo:hi]
+
     def points(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[MetricPoint]:
         """Return samples inside the inclusive window [start, end]."""
-        with self._lock:
-            lo = 0 if start is None else bisect.bisect_left(self._timestamps, start)
-            hi = (
-                len(self._timestamps)
-                if end is None
-                else bisect.bisect_right(self._timestamps, end)
-            )
-            return [
-                MetricPoint(self._timestamps[i], self._values[i]) for i in range(lo, hi)
-            ]
+        return [MetricPoint(t, v) for t, v in zip(*self._window(start, end))]
 
     def values(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[float]:
         """Return the raw values inside the window."""
-        return [point.value for point in self.points(start, end)]
+        with self._lock:
+            lo, hi = window_bounds(self._timestamps, start, end)
+            return self._values[lo:hi]
 
     def latest(self) -> Optional[MetricPoint]:
         """Return the most recent sample, or None for an empty series."""
@@ -153,13 +167,13 @@ class MetricSeries:
 
     def rate(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Average rate of change (units per second) over the window."""
-        points = self.points(start, end)
-        if len(points) < 2:
+        timestamps, values = self._window(start, end)
+        if len(values) < 2:
             return 0.0
-        dt = points[-1].timestamp - points[0].timestamp
+        dt = timestamps[-1] - timestamps[0]
         if dt <= 0:
             return 0.0
-        return (points[-1].value - points[0].value) / dt
+        return (values[-1] - values[0]) / dt
 
     def zscore_anomalies(
         self,
@@ -168,15 +182,18 @@ class MetricSeries:
         end: Optional[float] = None,
     ) -> List[MetricPoint]:
         """Return samples whose z-score exceeds ``threshold`` within the window."""
-        points = self.points(start, end)
-        if len(points) < 3:
+        timestamps, values = self._window(start, end)
+        if len(values) < 3:
             return []
-        values = [p.value for p in points]
         mean = sum(values) / len(values)
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
         if std == 0:
             return []
-        return [p for p in points if abs(p.value - mean) / std > threshold]
+        return [
+            MetricPoint(t, v)
+            for t, v in zip(timestamps, values)
+            if abs(v - mean) / std > threshold
+        ]
 
 
 class MetricStore:
@@ -188,19 +205,31 @@ class MetricStore:
         #: series and have one swallow the other's sample.
         self._lock = threading.Lock()
         self._series: Dict[Tuple[str, str], MetricSeries] = {}
+        #: Derived from ``_series``: each metric's series ordered by machine,
+        #: each machine's ordered by metric name.
+        self._by_name: Dict[str, List[MetricSeries]] = {}
+        self._by_machine: Dict[str, List[MetricSeries]] = {}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._series)
 
     def __getstate__(self) -> Dict[str, object]:
-        """Copy/pickle support: snapshot the series map, drop the lock."""
+        """Copy/pickle support: snapshot the series map, drop the lock and indices."""
         with self._lock:
             return {"_series": dict(self._series)}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self.__init__()
+        self._series = state["_series"]
+        for series in self._series.values():
+            self._index(series)
+
+    def _index(self, series: MetricSeries) -> None:
+        by_name = self._by_name.setdefault(series.name, [])
+        bisect.insort(by_name, series, key=attrgetter("machine"))
+        by_machine = self._by_machine.setdefault(series.machine, [])
+        bisect.insort(by_machine, series, key=attrgetter("name"))
 
     def record(
         self, name: str, machine: str, timestamp: float, value: float, unit: str = ""
@@ -210,14 +239,9 @@ class MetricStore:
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = MetricSeries(name, machine, unit=unit)
-                self._series[key] = series
+                series = self._series[key] = MetricSeries(name, machine, unit=unit)
+                self._index(series)
         series.add(timestamp, value)
-
-    def _items(self) -> List[Tuple[Tuple[str, str], MetricSeries]]:
-        """A point-in-time snapshot of the series map (sorted by key)."""
-        with self._lock:
-            return sorted(self._series.items())
 
     def series(self, name: str, machine: str) -> Optional[MetricSeries]:
         """Return the series for (name, machine), or None if absent."""
@@ -226,19 +250,23 @@ class MetricStore:
 
     def series_for_metric(self, name: str) -> List[MetricSeries]:
         """Return every machine's series for a metric name."""
-        return [s for (n, _), s in self._items() if n == name]
+        with self._lock:
+            return list(self._by_name.get(name, ()))
 
     def series_for_machine(self, machine: str) -> List[MetricSeries]:
         """Return every metric series emitted by a machine."""
-        return [s for (_, m), s in self._items() if m == machine]
+        with self._lock:
+            return list(self._by_machine.get(machine, ()))
 
     def metric_names(self) -> List[str]:
         """Distinct metric names present in the store."""
-        return sorted({name for (name, _), _ in self._items()})
+        with self._lock:
+            return sorted(self._by_name)
 
     def machines(self) -> List[str]:
         """Distinct machines present in the store."""
-        return sorted({machine for (_, machine), _ in self._items()})
+        with self._lock:
+            return sorted(self._by_machine)
 
     def latest(self, name: str, machine: str) -> Optional[float]:
         """Latest value of a metric on a machine, or None."""
@@ -266,6 +294,8 @@ class MetricStore:
         Returns:
             Mapping from machine to the aggregated value.
         """
+        if how not in ("mean", "max", "min", "latest"):
+            raise ValueError(f"unknown aggregation: {how!r}")
         result: Dict[str, float] = {}
         for series in self.series_for_metric(name):
             if how == "mean":
@@ -274,11 +304,9 @@ class MetricStore:
                 result[series.machine] = series.maximum(start, end)
             elif how == "min":
                 result[series.machine] = series.minimum(start, end)
-            elif how == "latest":
+            else:
                 point = series.latest()
                 result[series.machine] = 0.0 if point is None else point.value
-            else:
-                raise ValueError(f"unknown aggregation: {how!r}")
         return result
 
     def top_machines(
@@ -304,7 +332,8 @@ class MetricStore:
         """Return, per machine, the samples of ``name`` exceeding ``threshold``."""
         breaches: Dict[str, List[MetricPoint]] = {}
         for series in self.series_for_metric(name):
-            over = [p for p in series.points(start, end) if p.value > threshold]
+            window = zip(*series._window(start, end))  # noqa: SLF001 - intra-module
+            over = [MetricPoint(t, v) for t, v in window if v > threshold]
             if over:
                 breaches[series.machine] = over
         return breaches
@@ -314,9 +343,12 @@ def merge_stores(stores: Iterable[MetricStore]) -> MetricStore:
     """Merge several metric stores into a new one (samples are copied)."""
     merged = MetricStore()
     for store in stores:
-        for (name, machine), series in store._items():  # noqa: SLF001 - intra-module
-            for point in series.points():
-                merged.record(name, machine, point.timestamp, point.value, unit=series.unit)
+        for name in store.metric_names():
+            for series in store.series_for_metric(name):
+                for point in series.points():
+                    merged.record(
+                        name, series.machine, point.timestamp, point.value, unit=series.unit
+                    )
     return merged
 
 

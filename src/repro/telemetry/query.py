@@ -161,9 +161,9 @@ class TelemetryHub:
                 series = self.metrics.series(name, machine)
                 if series is None:
                     continue
-                points = series.points(window.start, window.end)
-                if points:
-                    metric_values[name] = points[-1].value
+                values = series.values(window.start, window.end)
+                if values:
+                    metric_values[name] = values[-1]
             else:
                 aggregated = self.metrics.aggregate(
                     name, start=window.start, end=window.end, how="max"

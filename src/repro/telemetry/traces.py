@@ -5,12 +5,34 @@ Traces "represent tree-structured data detailing the flow of user requests"
 the span tree, compute critical paths and error paths, and aggregate
 per-service latency — the queries a handler's query action issues when it
 needs to locate which hop of a mail-delivery request failed.
+
+Index layout (all maintained by ``TraceStore.add``, under the store's lock):
+
+* per trace: its spans in insertion order, and whether any span errored;
+* one :class:`TimeColumn` of root start -> trace id over every rooted trace
+  (the root is the earliest-starting parent-less span, the first added
+  winning ties);
+* per service: a :class:`TimeColumn` of span start -> duration, and the
+  sorted starts of its error spans.
+
+Write: O(1) dictionary work plus one ordered insert per column touched — an
+append for in-order spans, a bisect and a list insert otherwise; a
+parent-less span also scans its own trace for the root it may displace.
+Read: ``traces``/``error_traces`` bisect the root column and build a
+:class:`Trace` only for the k traces they return (O(log n + k log k) plus
+the trees); ``error_rate_by_service`` is four bisects per service and
+``service_latency`` two plus the window's durations.  ``slowest_traces``
+still rebuilds every trace: it has no window.
 """
 
 from __future__ import annotations
 
+import bisect
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from .timeindex import TimeColumn, window_bounds
 
 
 @dataclass(frozen=True)
@@ -146,19 +168,59 @@ class Trace:
 
 
 class TraceStore:
-    """A store of spans indexed by trace id and service."""
+    """A thread-safe store of spans, indexed for windowed queries.
+
+    See the module docstring for the index layout and its costs.  Writers
+    and readers hold the store's lock, so a query sees the store at one
+    point in time; copies and pickles carry the spans and rebuild the
+    indices and the lock.
+    """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._span_count = 0
         self._spans_by_trace: Dict[str, List[Span]] = {}
-        self._spans_by_service: Dict[str, List[Span]] = {}
+        self._roots: TimeColumn[str] = TimeColumn()
+        self._error_ids: Set[str] = set()
+        #: service -> (start -> duration of every span, starts of error spans).
+        self._services: Dict[str, Tuple[TimeColumn[float], List[float]]] = {}
 
     def __len__(self) -> int:
-        return sum(len(spans) for spans in self._spans_by_trace.values())
+        return self._span_count
+
+    def __getstate__(self) -> Dict[str, object]:
+        with self._lock:
+            return {
+                "services": list(self._services),
+                "spans": [list(spans) for spans in self._spans_by_trace.values()],
+            }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__init__()
+        # Seeded first: error_rate_by_service reports in first-seen order.
+        self._services = {service: (TimeColumn(), []) for service in state["services"]}
+        for spans in state["spans"]:
+            self.extend(spans)
 
     def add(self, span: Span) -> None:
-        """Add a span to the store."""
-        self._spans_by_trace.setdefault(span.trace_id, []).append(span)
-        self._spans_by_service.setdefault(span.service, []).append(span)
+        """Add a span to the store and to every index."""
+        with self._lock:
+            self._span_count += 1
+            spans = self._spans_by_trace.setdefault(span.trace_id, [])
+            if span.parent_id is None:
+                root = min((s.start for s in spans if s.parent_id is None), default=None)
+                if root is None or span.start < root:
+                    if root is not None:
+                        self._roots.remove(root, span.trace_id)
+                    self._roots.add(span.start, span.trace_id)
+            spans.append(span)
+            if span.service not in self._services:
+                self._services[span.service] = (TimeColumn(), [])
+            durations, error_starts = self._services[span.service]
+            durations.add(span.start, span.duration)
+            if span.is_error:
+                self._error_ids.add(span.trace_id)
+                bisect.insort(error_starts, span.start)
 
     def extend(self, spans: Iterable[Span]) -> None:
         """Add many spans."""
@@ -167,37 +229,35 @@ class TraceStore:
 
     def trace_ids(self) -> List[str]:
         """All trace ids present in the store."""
-        return sorted(self._spans_by_trace)
+        with self._lock:
+            return sorted(self._spans_by_trace)
 
     def trace(self, trace_id: str) -> Optional[Trace]:
         """Reconstruct the trace tree for a trace id."""
-        spans = self._spans_by_trace.get(trace_id)
-        if not spans:
-            return None
-        return Trace(trace_id, spans)
+        with self._lock:
+            spans = self._spans_by_trace.get(trace_id)
+            return Trace(trace_id, spans) if spans else None
+
+    def _traces(
+        self, start: Optional[float], end: Optional[float], errors_only: bool
+    ) -> List[Trace]:
+        with self._lock:
+            ids = self._roots.window(start, end)
+            if errors_only:
+                ids = [trace_id for trace_id in ids if trace_id in self._error_ids]
+            return [Trace(trace_id, self._spans_by_trace[trace_id]) for trace_id in sorted(ids)]
 
     def traces(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[Trace]:
-        """Return all traces whose root starts inside the window."""
-        result = []
-        for trace_id in self.trace_ids():
-            trace = self.trace(trace_id)
-            if trace is None or trace.root is None:
-                continue
-            t0 = trace.root.start
-            if start is not None and t0 < start:
-                continue
-            if end is not None and t0 > end:
-                continue
-            result.append(trace)
-        return result
+        """Return all traces whose root starts inside the window, in id order."""
+        return self._traces(start, end, errors_only=False)
 
     def error_traces(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[Trace]:
-        """Return traces containing at least one error span inside the window."""
-        return [t for t in self.traces(start, end) if t.has_error]
+        """Return the traces of :meth:`traces` that contain an error span."""
+        return self._traces(start, end, errors_only=True)
 
     def service_latency(
         self,
@@ -206,15 +266,11 @@ class TraceStore:
         end: Optional[float] = None,
     ) -> Tuple[float, float]:
         """Return (mean, p95) span duration for a service inside the window."""
-        durations = [
-            span.duration
-            for span in self._spans_by_service.get(service, [])
-            if (start is None or span.start >= start)
-            and (end is None or span.start <= end)
-        ]
+        with self._lock:
+            entry = self._services.get(service)
+            durations = sorted(entry[0].window(start, end)) if entry else []
         if not durations:
             return 0.0, 0.0
-        durations.sort()
         mean = sum(durations) / len(durations)
         index = min(len(durations) - 1, int(round(0.95 * (len(durations) - 1))))
         return mean, durations[index]
@@ -224,17 +280,12 @@ class TraceStore:
     ) -> Dict[str, float]:
         """Per-service fraction of spans in error state inside the window."""
         rates: Dict[str, float] = {}
-        for service, spans in self._spans_by_service.items():
-            scoped = [
-                s
-                for s in spans
-                if (start is None or s.start >= start)
-                and (end is None or s.start <= end)
-            ]
-            if not scoped:
-                continue
-            errors = sum(1 for s in scoped if s.is_error)
-            rates[service] = errors / len(scoped)
+        with self._lock:
+            for service, (spans, error_starts) in self._services.items():
+                lo, hi = window_bounds(spans.times, start, end)
+                if hi > lo:
+                    error_lo, error_hi = window_bounds(error_starts, start, end)
+                    rates[service] = (error_hi - error_lo) / (hi - lo)
         return rates
 
     def slowest_traces(self, top: int = 5) -> List[Trace]:

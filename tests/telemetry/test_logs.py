@@ -70,6 +70,11 @@ class TestLogStore:
         result = store.query(limit=2)
         assert [r.timestamp for r in result] == [3.0, 4.0]
 
+    def test_query_limit_zero_returns_nothing(self):
+        store = LogStore()
+        store.extend(make_record(float(i)) for i in range(5))
+        assert store.query(limit=0) == []
+
     def test_out_of_order_append_is_resorted(self):
         store = LogStore()
         store.append(make_record(5.0))

@@ -109,6 +109,13 @@ class TestMetricStore:
         with pytest.raises(ValueError):
             store.aggregate("cpu", how="median")
 
+    def test_unknown_mode_raises_for_a_metric_without_series(self):
+        store = MetricStore()
+        with pytest.raises(ValueError):
+            store.aggregate("cpu", how="median")
+        with pytest.raises(ValueError):
+            store.top_machines("cpu", how="median")
+
     def test_top_machines(self):
         store = MetricStore()
         store.record("cpu", "m1", 1.0, 10.0)
