@@ -166,24 +166,6 @@ METRICS: List[Tuple[str, str, str, object]] = [
         "BENCH_retrieval.json",
         lambda p: _get(p, "stats", "scanned_shard_ratio"),
     ),
-    (
-        "retrieval",
-        "process vs sequential sharded (replay)",
-        "BENCH_retrieval.json",
-        lambda p: _get(p, "process", "speedup_replay"),
-    ),
-    (
-        "retrieval",
-        "process worker RSS / index bytes",
-        "BENCH_retrieval.json",
-        lambda p: _get(p, "process", "worker_rss_ratio"),
-    ),
-    (
-        "retrieval",
-        "int8 prefilter speedup (live)",
-        "BENCH_retrieval.json",
-        lambda p: _get(p, "quantized_prefilter", "speedup_live"),
-    ),
 ]
 
 

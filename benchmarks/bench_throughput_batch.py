@@ -68,7 +68,7 @@ def _build_copilot(history_size: int) -> RCACopilot:
         TelemetryHub(), registry=HandlerRegistry(), model=SimulatedLLM()
     )
     copilot.index_history(train)
-    store = copilot.prediction.vector_store
+    store = copilot.prediction.index
     padding = history_size - len(store)
     if padding > 0:
         rng = np.random.default_rng(7)

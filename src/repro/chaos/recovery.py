@@ -8,70 +8,22 @@ is corrupt, partial, or inconsistent; :func:`load_index_resilient` turns
 that into the fallback ladder the chaos suite locks:
 
 1. **primary** — the normal :func:`repro.vectordb.load_index` path;
-2. **legacy** — if the directory still holds self-contained per-shard
-   ``shard-*.npz`` archives (a v2 save, or a v2 backup kept next to a v3
-   manifest), rebuild the index from those alone, ignoring the corrupt
-   manifest entirely;
-3. **rebuild** — a caller-supplied ``rebuild()`` callback (typically a
+2. **rebuild** — a caller-supplied ``rebuild()`` callback (typically a
    closure over :meth:`repro.core.prediction.PredictionStage.index_history`
    and the incident store) reconstructs the index from first principles.
 
-Every fallback taken is counted into ``rcacopilot.faults.*`` telemetry
-when a hub is provided.
+A directory written in a retired format (manifest version 1 or 2, one
+``.npz`` per shard) is reported as corruption too, so it takes the same
+ladder straight to the rebuild rung.  Every fallback taken is counted into
+``rcacopilot.faults.*`` telemetry when a hub is provided.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 from typing import Callable, Optional, Tuple
 
 from ..core.clock import MONOTONIC_CLOCK, Clock
 from ..core.errors import IndexCorruptionError
-
-
-def load_legacy_shards(
-    path: str,
-    similarity=None,
-    window_days: float = 30.0,
-    max_workers: Optional[int] = None,
-    compaction=None,
-    scoring_backend: str = "thread",
-    quantized_prefilter: bool = False,
-):
-    """Rebuild a sharded index from per-shard ``.npz`` archives alone.
-
-    Ignores ``manifest.json`` completely — each v2 shard archive is
-    self-contained (vectors, days, categories, ids, texts), so the index
-    is reconstructed through the public insert path and re-routed into
-    fresh windows.  Returns None when the directory holds no shard
-    archives; the caller decides whether that is fatal.
-    """
-    from ..vectordb import ShardedVectorIndex
-    from ..vectordb.store import VectorStore
-
-    shard_files = sorted(glob.glob(os.path.join(os.fspath(path), "shard-*.npz")))
-    if not shard_files:
-        return None
-    index = ShardedVectorIndex(
-        similarity=similarity,
-        window_days=window_days,
-        max_workers=max_workers,
-        compaction=compaction,
-        scoring_backend=scoring_backend,
-        quantized_prefilter=quantized_prefilter,
-    )
-    for shard_file in shard_files:
-        store = VectorStore.load(shard_file)
-        for entry in store:
-            index.add(
-                entry.incident_id,
-                entry.vector,
-                entry.created_day,
-                entry.category,
-                text=entry.text,
-            )
-    return index
 
 
 def load_index_resilient(
@@ -79,21 +31,17 @@ def load_index_resilient(
     similarity=None,
     max_workers: Optional[int] = None,
     compaction=None,
-    scoring_backend: str = "thread",
-    quantized_prefilter: bool = False,
-    window_days: float = 30.0,
     rebuild: Optional[Callable[[], object]] = None,
     hub=None,
     clock: Optional[Clock] = None,
 ) -> Tuple[object, str]:
     """Load a persisted index, degrading through fallbacks on corruption.
 
-    Returns ``(index, source)`` where ``source`` is ``"primary"``,
-    ``"legacy"`` or ``"rebuilt"``.  Raises the original
-    :class:`IndexCorruptionError` only when every fallback is exhausted.
-    ``clock`` stamps the recovery-event telemetry (defaults to the real
-    clock); replayed/chaos runs inject theirs so fallback events land on
-    the run's own timeline.
+    Returns ``(index, source)`` where ``source`` is ``"primary"`` or
+    ``"rebuilt"``.  Raises the original :class:`IndexCorruptionError`
+    when no ``rebuild`` callback was given.  ``clock`` stamps the
+    recovery-event telemetry (defaults to the real clock); replayed/chaos
+    runs inject theirs so fallback events land on the run's own timeline.
     """
     clock = clock if clock is not None else MONOTONIC_CLOCK
     from ..vectordb import load_index
@@ -104,25 +52,11 @@ def load_index_resilient(
             similarity=similarity,
             max_workers=max_workers,
             compaction=compaction,
-            scoring_backend=scoring_backend,
-            quantized_prefilter=quantized_prefilter,
         )
         return index, "primary"
     except IndexCorruptionError as exc:
         corruption = exc
     _emit(hub, "index_load_corruptions", clock)
-    legacy = load_legacy_shards(
-        path,
-        similarity=similarity,
-        window_days=window_days,
-        max_workers=max_workers,
-        compaction=compaction,
-        scoring_backend=scoring_backend,
-        quantized_prefilter=quantized_prefilter,
-    )
-    if legacy is not None:
-        _emit(hub, "index_legacy_fallbacks", clock)
-        return legacy, "legacy"
     if rebuild is not None:
         index = rebuild()
         _emit(hub, "index_rebuilds", clock)

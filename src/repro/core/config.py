@@ -83,7 +83,7 @@ class IndexConfig:
     The index backend is pluggable (the :class:`~repro.vectordb.VectorIndex`
     protocol): ``sharded`` — the default — partitions the history into
     time-window shards, prunes temporally irrelevant shards per query with
-    an exact score bound, scores eligible shards on a worker pool, and
+    an exact score bound, scores eligible shards on a thread pool, and
     self-compacts skewed layouts; ``flat`` keeps the whole history in one
     matrix.  Both return identical neighbours; ``sharded`` scales retrieval
     to multi-100k histories.
@@ -100,22 +100,12 @@ class IndexConfig:
     #: Worker threads scoring a scan wave's shards concurrently (sharded
     #: backend only).  None picks the machine's core count (capped at 16,
     #: since a wave submits one task per nominated shard); 1 forces the
-    #: sequential path.  Results are identical either way.
+    #: inline path.  Results are identical either way.
     max_workers: Optional[int] = None
     #: Shard merge/split thresholds and the auto-compaction trigger
     #: (sharded backend only); None uses :class:`CompactionPolicy` defaults
     #: (compaction available via ``compact()`` but not auto-triggered).
     compaction: Optional[CompactionPolicy] = None
-    #: How a scan wave's shards are scored (sharded backend only):
-    #: ``thread`` (the default) runs the pool in-process; ``process`` pins
-    #: shard payloads in a shared-memory arena and scores on forked workers
-    #: that attach by name — vectors never cross the process boundary.
-    #: Results are bit-identical either way.
-    scoring_backend: str = "thread"
-    #: Screen shard rows with an int8 quantized dot-product bound before
-    #: exact float64 re-scoring (sharded backend only).  Selected
-    #: neighbours are identical to the pure-float path.
-    quantized_prefilter: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in ("flat", "sharded"):
@@ -126,11 +116,6 @@ class IndexConfig:
             raise ValueError("window_days must be positive")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be positive (or None for auto)")
-        if self.scoring_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown scoring backend: {self.scoring_backend!r} "
-                "(expected 'thread' or 'process')"
-            )
 
 
 @dataclass

@@ -111,11 +111,11 @@ class CircuitOpenError(LLMError):
 class IndexCorruptionError(PermanentError, ValueError):
     """Raised when a persisted vector index fails to load cleanly.
 
-    Covers a corrupt or truncated ``manifest.json``, an ``arena.bin``
-    shorter than its manifest claims, and structurally invalid shard
-    metadata.  Permanent: the bytes on disk will not repair themselves —
-    callers fall back to a legacy layout or rebuild from the incident
-    store (:func:`repro.chaos.load_index_resilient`).
+    Covers a corrupt or truncated ``manifest.json``, a manifest version
+    other than 3, an ``arena.bin`` shorter than its manifest claims, and
+    structurally invalid shard metadata.  Permanent: the bytes on disk
+    will not repair themselves — callers rebuild from the incident store
+    (:func:`repro.chaos.load_index_resilient`).
     """
 
 

@@ -125,7 +125,7 @@ class RCACopilot:
         if not self._indexed:
             return
         stored = self.history.get(incident.incident_id)
-        if stored is not None and stored.incident_id in self.prediction.vector_store:
+        if stored is not None and stored.incident_id in self.prediction.index:
             self.prediction.update_category(stored.incident_id, confirmed_category)
         elif stored is not None:
             self.prediction.add_to_index(stored)

@@ -280,17 +280,6 @@ class PredictionStage:
         self._summary_cache: Dict[str, str] = {}
         self._embedding_cache: Dict[str, np.ndarray] = {}
 
-    @property
-    def vector_store(self) -> Optional[VectorIndex]:
-        """Backward-compatible alias for the retrieval index.
-
-        Pre-protocol callers reached for ``stage.vector_store`` to test
-        membership, fetch entries or count the history; the
-        :class:`~repro.vectordb.VectorIndex` protocol supports all of that
-        regardless of the configured backend.
-        """
-        return self.index
-
     # ------------------------------------------------------------------ caches
     def _embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         """Embed texts through the content-addressed embedding cache.
@@ -488,8 +477,6 @@ class PredictionStage:
             window_days=window_days,
             max_workers=self.index_config.max_workers,
             compaction=self.index_config.compaction,
-            scoring_backend=self.index_config.scoring_backend,
-            quantized_prefilter=self.index_config.quantized_prefilter,
         )
         self._summaries = {}
         summaries = [self._summary_for(incident) for incident in labelled]

@@ -4,12 +4,10 @@ Retrieval is pluggable behind the :class:`VectorIndex` protocol: the flat
 single-matrix index (:class:`FlatVectorIndex`) and the time-window sharded
 index (:class:`ShardedVectorIndex`) return identical neighbours; the sharded
 layout additionally prunes temporally irrelevant shards with an exact score
-bound, scores a scan wave's eligible shards on a worker pool
-(``max_workers``, threads or shared-memory processes via
-``scoring_backend``), optionally screens rows with an int8
-quantize-then-exact-rerank prefilter (``quantized_prefilter``),
-self-compacts skewed layouts (:class:`CompactionPolicy`) and persists as a
-single mmap-able arena (:mod:`~repro.vectordb.shardmem`).
+bound, scores a scan wave's eligible shards on a thread pool
+(``max_workers``), self-compacts skewed layouts
+(:class:`CompactionPolicy`) and persists as a single mmap-able arena
+(:mod:`~repro.vectordb.shardmem`, manifest v3).
 """
 
 from .index import (
@@ -22,7 +20,6 @@ from .knn import NearestNeighborSearch, Neighbor, select_complete_order
 from .namespaces import NamespacedIndexMap
 from .sharded import (
     DEFAULT_WINDOW_DAYS,
-    SCORING_BACKENDS,
     CompactionPolicy,
     ShardedVectorIndex,
     time_bucket,
@@ -32,8 +29,6 @@ from .shardmem import (
     BlobSpec,
     ShardArena,
     SharedBlob,
-    quantize_rows,
-    rss_anon_kb,
 )
 from .similarity import (
     DEFAULT_ALPHA,
@@ -55,7 +50,6 @@ __all__ = [
     "select_complete_order",
     "NamespacedIndexMap",
     "DEFAULT_WINDOW_DAYS",
-    "SCORING_BACKENDS",
     "CompactionPolicy",
     "ShardedVectorIndex",
     "time_bucket",
@@ -63,8 +57,6 @@ __all__ = [
     "BlobSpec",
     "ShardArena",
     "SharedBlob",
-    "quantize_rows",
-    "rss_anon_kb",
     "DEFAULT_ALPHA",
     "DEFAULT_K",
     "SimilarityConfig",

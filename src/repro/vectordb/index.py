@@ -298,8 +298,6 @@ def build_index(
     window_days: Optional[float] = None,
     max_workers: Optional[int] = None,
     compaction: Optional["CompactionPolicy"] = None,  # noqa: F821 - sharded-only
-    scoring_backend: str = "thread",
-    quantized_prefilter: bool = False,
 ) -> VectorIndex:
     """Construct a retrieval index implementation by backend name.
 
@@ -309,19 +307,13 @@ def build_index(
         similarity: Scoring/selection configuration shared by both backends.
         window_days: Time-window width of each shard (sharded backend only);
             defaults to :data:`~repro.vectordb.sharded.DEFAULT_WINDOW_DAYS`.
-        max_workers: Workers scoring a scan wave's shards concurrently
+        max_workers: Threads scoring a scan wave's shards concurrently
             (sharded backend only); None picks the machine's core count
             (capped at
             :data:`~repro.vectordb.sharded.ShardedVectorIndex.AUTO_WORKERS_CAP`),
-            1 forces sequential scoring.  Results are identical either way.
+            1 forces inline scoring.  Results are identical either way.
         compaction: Merge/split thresholds and the auto-trigger policy of
             the sharded backend (:class:`~repro.vectordb.CompactionPolicy`).
-        scoring_backend: ``"thread"`` (BLAS releases the GIL) or
-            ``"process"`` (workers attach the shared-memory arena by name;
-            sharded backend only).  Results are identical either way.
-        quantized_prefilter: Scan each shard's int8 copy first and rerank
-            surviving rows in float64 (sharded backend only); neighbour
-            selection is unchanged.
     """
     if backend == "flat":
         return FlatVectorIndex(similarity=similarity)
@@ -333,8 +325,6 @@ def build_index(
             window_days=DEFAULT_WINDOW_DAYS if window_days is None else window_days,
             max_workers=max_workers,
             compaction=compaction,
-            scoring_backend=scoring_backend,
-            quantized_prefilter=quantized_prefilter,
         )
     raise ValueError(f"unknown index backend: {backend!r} (expected 'flat' or 'sharded')")
 
@@ -344,17 +334,14 @@ def load_index(
     similarity: Optional[SimilarityConfig] = None,
     max_workers: Optional[int] = None,
     compaction: Optional["CompactionPolicy"] = None,  # noqa: F821 - sharded-only
-    scoring_backend: str = "thread",
-    quantized_prefilter: bool = False,
 ) -> VectorIndex:
     """Re-open a persisted index, dispatching on its on-disk layout.
 
-    A sharded index is a directory holding a ``manifest.json`` (v3: one
-    memory-mapped ``arena.bin``; v1/v2: one ``.npz`` per shard); a flat
-    index is a single ``.npz`` file.  Runtime knobs are not persisted, so
-    a sharded reload must be handed its ``max_workers`` / ``compaction`` /
-    ``scoring_backend`` / ``quantized_prefilter`` settings again (a flat
-    index ignores them).
+    A sharded index is a directory holding a ``manifest.json`` (version 3)
+    beside one memory-mapped ``arena.bin``; a flat index is a single
+    ``.npz`` file.  Runtime knobs are not persisted, so a sharded reload
+    must be handed its ``max_workers`` / ``compaction`` settings again (a
+    flat index ignores them).
     """
     path = os.fspath(path)
     if os.path.isdir(path) and os.path.exists(os.path.join(path, SHARDED_MANIFEST)):
@@ -365,7 +352,5 @@ def load_index(
             similarity=similarity,
             max_workers=max_workers,
             compaction=compaction,
-            scoring_backend=scoring_backend,
-            quantized_prefilter=quantized_prefilter,
         )
     return FlatVectorIndex.load(path, similarity=similarity)

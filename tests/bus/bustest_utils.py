@@ -147,8 +147,8 @@ def replay_digest(result: ReplayResult, copilot: RCACopilot) -> str:
         },
         "stats": stats.as_dict() if stats is not None else None,
         "feedbacks": result.feedbacks,
-        "index_size": len(copilot.prediction.vector_store),
-        "index_categories": sorted(copilot.prediction.vector_store.categories()),
+        "index_size": len(copilot.prediction.index),
+        "index_categories": sorted(copilot.prediction.index.categories()),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

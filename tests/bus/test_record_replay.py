@@ -203,8 +203,8 @@ class TestLiveRecordReplayParity:
         ]
         assert result.feedbacks == 1
         assert result.stats.as_dict() == live_stats.as_dict()
-        assert len(replay_copilot.prediction.vector_store) == len(
-            live_copilot.prediction.vector_store
+        assert len(replay_copilot.prediction.index) == len(
+            live_copilot.prediction.index
         )
 
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.chaos import load_index_resilient, load_legacy_shards
+from repro.chaos import load_index_resilient
 from repro.core.errors import IndexCorruptionError, PermanentError
 from repro.telemetry import TelemetryHub
 from repro.vectordb import ShardedVectorIndex, load_index
@@ -33,6 +33,14 @@ def _build_index(entries: int = 24) -> ShardedVectorIndex:
 def _neighbor_ids(index, query_day: float = 30.0):
     query = np.ones(DIM, dtype=np.float32)
     return [n.incident_id for n in index.search(query, query_day, k=5)]
+
+
+def _retire_manifest(path, version: int) -> None:
+    """Rewrite a saved manifest's ``version`` to a retired format's number."""
+    manifest = path / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["version"] = version
+    manifest.write_text(json.dumps(payload))
 
 
 def test_corrupt_manifest_raises_typed_error(tmp_path):
@@ -62,6 +70,14 @@ def test_wrong_format_raises_typed_error(tmp_path):
     (path / "manifest.json").write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(IndexCorruptionError):
         ShardedVectorIndex.load(str(path))
+    # The retired per-shard .npz manifests (v1, v2) fail typed, by number.
+    index = _build_index()
+    index.save(str(path))
+    index.close()
+    for version in (1, 2):
+        _retire_manifest(path, version)
+        with pytest.raises(IndexCorruptionError, match=f"version {version}"):
+            load_index(str(path))
 
 
 def test_partial_arena_raises_typed_error(tmp_path):
@@ -108,47 +124,34 @@ def test_resilient_load_primary_path(tmp_path):
     loaded.close()
 
 
-def test_resilient_load_falls_back_to_legacy_shards(tmp_path):
-    """A v2 save whose manifest rots is rebuilt from its .npz archives."""
-    index = _build_index()
-    path = tmp_path / "idx"
-    index.save(str(path), version=2)
-    expected = _neighbor_ids(index)
-    index.close()
-    (path / "manifest.json").write_bytes(b"{corrupt")
-    hub = TelemetryHub()
-    loaded, source = load_index_resilient(str(path), window_days=10.0, hub=hub)
-    assert source == "legacy"
-    assert _neighbor_ids(loaded) == expected
-    assert (
-        hub.metrics.latest(
-            "rcacopilot.faults.index_legacy_fallbacks", "chaos-recovery"
-        )
-        == 1.0
-    )
-    loaded.close()
-
-
 def test_resilient_load_falls_back_to_rebuild(tmp_path):
-    """A v3 save with a torn arena and no legacy archives rebuilds from store."""
+    """A torn arena, or a retired v2 manifest, rebuilds from the store."""
     index = _build_index()
-    path = tmp_path / "idx"
-    index.save(str(path))
     expected = _neighbor_ids(index)
+
+    def tear_arena(path):
+        arena = path / "arena.bin"
+        arena.write_bytes(arena.read_bytes()[:100])
+
+    for name, damage in (
+        ("torn", tear_arena),
+        ("retired", lambda path: _retire_manifest(path, 2)),
+    ):
+        path = tmp_path / name
+        index.save(str(path))
+        damage(path)
+        hub = TelemetryHub()
+        loaded, source = load_index_resilient(
+            str(path), rebuild=_build_index, hub=hub
+        )
+        assert source == "rebuilt", name
+        assert _neighbor_ids(loaded) == expected
+        assert (
+            hub.metrics.latest("rcacopilot.faults.index_rebuilds", "chaos-recovery")
+            == 1.0
+        )
+        loaded.close()
     index.close()
-    arena = path / "arena.bin"
-    arena.write_bytes(arena.read_bytes()[:100])
-    hub = TelemetryHub()
-    loaded, source = load_index_resilient(
-        str(path), rebuild=_build_index, hub=hub
-    )
-    assert source == "rebuilt"
-    assert _neighbor_ids(loaded) == expected
-    assert (
-        hub.metrics.latest("rcacopilot.faults.index_rebuilds", "chaos-recovery")
-        == 1.0
-    )
-    loaded.close()
 
 
 def test_resilient_load_exhausted_reraises(tmp_path):
@@ -160,6 +163,3 @@ def test_resilient_load_exhausted_reraises(tmp_path):
     with pytest.raises(IndexCorruptionError):
         load_index_resilient(str(path))
 
-
-def test_load_legacy_shards_returns_none_without_archives(tmp_path):
-    assert load_legacy_shards(str(tmp_path)) is None

@@ -312,7 +312,7 @@ def failure_fingerprint(exc: BaseException) -> Tuple[str, str]:
 
 def index_state(copilot: RCACopilot, incident_ids: List[str]) -> Tuple:
     """Deterministic snapshot of the live index after feedback."""
-    store = copilot.prediction.vector_store
+    store = copilot.prediction.index
     return (
         len(store),
         tuple(

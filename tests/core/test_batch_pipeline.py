@@ -171,10 +171,10 @@ class TestLiveFeedback:
         copilot = self._copilot()
         incident = copy.deepcopy(batch[0])
         copilot.diagnose(incident)
-        assert incident.incident_id not in copilot.prediction.vector_store
+        assert incident.incident_id not in copilot.prediction.index
         copilot.record_feedback(incident, "ConfirmedCategory")
-        assert incident.incident_id in copilot.prediction.vector_store
-        entry = copilot.prediction.vector_store.get(incident.incident_id)
+        assert incident.incident_id in copilot.prediction.index
+        entry = copilot.prediction.index.get(incident.incident_id)
         assert entry.category == "ConfirmedCategory"
 
     def test_feedback_corrects_indexed_category_in_place(self, parity_setup):
@@ -184,7 +184,7 @@ class TestLiveFeedback:
         copilot.diagnose(incident)
         copilot.record_feedback(incident, "FirstLabel")
         copilot.record_feedback(incident, "CorrectedLabel")
-        entry = copilot.prediction.vector_store.get(incident.incident_id)
+        entry = copilot.prediction.index.get(incident.incident_id)
         assert entry.category == "CorrectedLabel"
         assert copilot.history.get(incident.incident_id).category == "CorrectedLabel"
 

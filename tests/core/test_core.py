@@ -137,12 +137,12 @@ class TestPredictionStage:
         with pytest.raises(ValueError):
             stage.add_to_index(incident)
         incident.category = label
-        before = len(stage.vector_store)
+        before = len(stage.index)
         stage.add_to_index(incident)
-        assert len(stage.vector_store) == before + 1
+        assert len(stage.index) == before + 1
         # Adding twice is a no-op.
         stage.add_to_index(incident)
-        assert len(stage.vector_store) == before + 1
+        assert len(stage.index) == before + 1
 
 
 class TestRCACopilotPipeline:

@@ -42,8 +42,6 @@ class TestSeedCorpusParity:
         sharded_stage = build_stage("sharded", corpus_split)
         assert isinstance(flat_stage.index, FlatVectorIndex)
         assert isinstance(sharded_stage.index, ShardedVectorIndex)
-        # The compatibility alias keeps pointing at the live index.
-        assert flat_stage.vector_store is flat_stage.index
         assert len(sharded_stage.index) == len(flat_stage.index)
 
     def test_identical_predictions_and_neighbors(self, corpus_split):

@@ -315,11 +315,11 @@ class TestFeedbackMidStream:
         ingestor.submit(alert_feed[0])
         first_batch = ingestor.flush()
         diagnosed = first_batch[0].incident
-        assert diagnosed.incident_id not in copilot.prediction.vector_store
+        assert diagnosed.incident_id not in copilot.prediction.index
         ingestor.record_feedback(diagnosed, "StreamConfirmedCategory")
-        assert diagnosed.incident_id in copilot.prediction.vector_store
+        assert diagnosed.incident_id in copilot.prediction.index
         assert (
-            copilot.prediction.vector_store.get(diagnosed.incident_id).category
+            copilot.prediction.index.get(diagnosed.incident_id).category
             == "StreamConfirmedCategory"
         )
         # Replay the *same* alert as a new stream item: the fed-back incident
@@ -339,5 +339,5 @@ class TestFeedbackMidStream:
         report = ingestor.flush()[0]
         ingestor.record_feedback(report.incident, "FirstLabel")
         ingestor.record_feedback(report.incident, "CorrectedLabel")
-        entry = copilot.prediction.vector_store.get(report.incident.incident_id)
+        entry = copilot.prediction.index.get(report.incident.incident_id)
         assert entry.category == "CorrectedLabel"

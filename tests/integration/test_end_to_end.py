@@ -46,7 +46,7 @@ class TestEndToEndPrediction:
         for incident in test.labelled()[:20]:
             outcome = stage.predict(incident)
             if not outcome.prediction.is_unseen:
-                assert outcome.label in known or outcome.label in stage.vector_store.categories()
+                assert outcome.label in known or outcome.label in stage.index.categories()
 
 
 class TestSimulatorToPrediction:

@@ -37,12 +37,6 @@ RETRIEVAL = {
         "parallel_over_sequential_live": 1.6,
     },
     "stats": {"scanned_shard_ratio": 0.05},
-    "process": {
-        "speedup_replay": 2.1,
-        "worker_rss_ratio": 0.03,
-        "arena_bytes": 110_000_000,
-    },
-    "quantized_prefilter": {"speedup_live": 1.2},
 }
 
 
@@ -67,9 +61,7 @@ def test_report_renders_trend_across_runs(tmp_path):
     assert "| throughput | autoscaled wall vs best static (bursty) | 0.95 | 0.95 |" in report
     # run-b has no retrieval artifact: its retrieval cells show "—".
     assert "| retrieval | sharded vs flat speedup (live) | 3.70 | — |" in report
-    assert "| retrieval | process vs sequential sharded (replay) | 2.10 | — |" in report
-    assert "| retrieval | process worker RSS / index bytes | 0.03 | — |" in report
-    assert "| retrieval | int8 prefilter speedup (live) | 1.20 | — |" in report
+    assert "| retrieval | scanned shard ratio | 0.05 | — |" in report
     assert "run-a: quick" in report and "run-b: full" in report
 
 

@@ -75,8 +75,9 @@ class TestParallelParity:
         queries = rng.standard_normal((10, 8))
         days = rng.uniform(0.0, 150.0, size=10)
         reference = flat.search_many(queries, days)
-        assert_same_results(reference, sequential.search_many(queries, days))
-        assert_same_results(reference, parallel.search_many(queries, days))
+        inline = sequential.search_many(queries, days)
+        assert_same_results(reference, inline)
+        assert_bitwise_results(inline, parallel.search_many(queries, days))
 
     def test_filtered_search_parity(self):
         similarity = SimilarityConfig(alpha=0.3, k=4)
@@ -97,11 +98,10 @@ class TestParallelParity:
             ),
         ):
             reference = flat.search_many(queries, days, **kwargs)
-            assert_same_results(
-                reference, sequential.search_many(queries, days, **kwargs)
-            )
-            assert_same_results(
-                reference, parallel.search_many(queries, days, **kwargs)
+            inline = sequential.search_many(queries, days, **kwargs)
+            assert_same_results(reference, inline)
+            assert_bitwise_results(
+                inline, parallel.search_many(queries, days, **kwargs)
             )
 
     @given(
@@ -142,125 +142,6 @@ class TestParallelParity:
             reference, [sequential.search(np.array(query), query_day)]
         )
         assert_same_results(reference, [parallel.search(np.array(query), query_day)])
-
-
-class TestProcessBackendParity:
-    """The shared-memory process backend: same contract, different transport.
-
-    Workers attach to the arena by name and never receive vectors, so the
-    parity bar is the same as for threads: results *and* every stats
-    counter bit-identical to sequential execution at fixed settings.
-    """
-
-    STAT_KEYS = (
-        "queries",
-        "shards_considered",
-        "shards_scanned",
-        "shards_pruned",
-        "shards_skipped",
-        "entries_scanned",
-        "scanned_shard_ratio",
-        "scanned_entry_ratio",
-    )
-
-    def test_process_results_and_stats_bitwise_identical(self):
-        similarity = SimilarityConfig(alpha=0.3, k=5, diverse_categories=True)
-        sequential = populated(
-            ShardedVectorIndex(similarity, window_days=10.0, max_workers=1),
-            count=900,
-            duration=240.0,
-        )
-        threaded = populated(
-            ShardedVectorIndex(similarity, window_days=10.0, max_workers=3),
-            count=900,
-            duration=240.0,
-        )
-        process = populated(
-            ShardedVectorIndex(
-                similarity,
-                window_days=10.0,
-                max_workers=3,
-                scoring_backend="process",
-            ),
-            count=900,
-            duration=240.0,
-        )
-        rng = np.random.default_rng(23)
-        queries = rng.standard_normal((12, 8))
-        days = rng.uniform(0.0, 260.0, size=12)
-        excludes = [
-            {f"i{row}", f"i{row + 31}"} if row % 2 == 0 else None
-            for row in range(12)
-        ]
-        kwargs = dict(
-            exclude_ids=excludes,
-            history_before_day=230.0,
-            categories={f"cat{i}" for i in range(15)},
-        )
-        try:
-            reference = sequential.search_many(queries, days, **kwargs)
-            assert_bitwise_results(
-                reference, threaded.search_many(queries, days, **kwargs)
-            )
-            assert_bitwise_results(
-                reference, process.search_many(queries, days, **kwargs)
-            )
-            seq_stats = sequential.stats()
-            proc_stats = process.stats()
-            for name in self.STAT_KEYS:
-                assert seq_stats[name] == proc_stats[name], name
-            assert proc_stats["shards_pruned"] > 0
-            assert process.scoring_backend == "process"
-        finally:
-            process.close()
-
-    def test_process_backend_survives_inserts_between_searches(self):
-        """Arena remaps after ingest: readers see the new epoch, not stale data."""
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        sequential = ShardedVectorIndex(similarity, window_days=15.0, max_workers=1)
-        process = ShardedVectorIndex(
-            similarity, window_days=15.0, max_workers=2, scoring_backend="process"
-        )
-        rng = np.random.default_rng(7)
-        queries = rng.standard_normal((5, 8))
-        days = rng.uniform(0.0, 150.0, size=5)
-        try:
-            for wave in range(3):
-                ids = [f"w{wave}-{i}" for i in range(150)]
-                vectors = rng.standard_normal((150, 8))
-                created = rng.uniform(0.0, 140.0, size=150)
-                categories = [f"cat{i % 9}" for i in range(150)]
-                for target in (sequential, process):
-                    target.add_many(ids, vectors, created, categories)
-                assert_bitwise_results(
-                    sequential.search_many(queries, days),
-                    process.search_many(queries, days),
-                )
-        finally:
-            process.close()
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedVectorIndex(SimilarityConfig(), scoring_backend="mpi")
-
-    def test_process_index_close_then_reuse(self):
-        """close() tears down pool and arena; next search respawns both."""
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        process = populated(
-            ShardedVectorIndex(
-                similarity, window_days=15.0, max_workers=2,
-                scoring_backend="process",
-            ),
-            count=300,
-        )
-        rng = np.random.default_rng(17)
-        queries = rng.standard_normal((4, 8))
-        days = rng.uniform(0.0, 130.0, size=4)
-        first = process.search_many(queries, days)
-        process.close()
-        process.close()  # idempotent
-        assert_bitwise_results(first, process.search_many(queries, days))
-        process.close()
 
 
 class TestParallelStats:
