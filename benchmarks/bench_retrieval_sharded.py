@@ -94,7 +94,7 @@ def _assert_parity(reference, candidates, label: str) -> None:
 
 
 def test_sharded_retrieval_speedup(quick_mode):
-    """Sharded scans < 50% of shards, beats flat; parallel beats sequential."""
+    """Sharded scans a few percent of shards, beats flat; parallel beats sequential."""
     total = QUICK_HISTORY if quick_mode else FULL_HISTORY
     window_days = QUICK_WINDOW_DAYS if quick_mode else FULL_WINDOW_DAYS
     cores = os.cpu_count() or 1
@@ -197,8 +197,13 @@ def test_sharded_retrieval_speedup(quick_mode):
     assert stats["shard_count"] >= expected_shards - 2, (
         f"expected ~{expected_shards:.0f} time-window shards over one year"
     )
-    assert stats["scanned_shard_ratio"] < 0.5, (
-        f"sharded retrieval must scan < 50% of shards, "
+    # A count over a seeded corpus and seeded queries, so it repeats
+    # exactly: 6.49% (quick) and 5.20% (full) with the K-category exit,
+    # 7.7% and 5.7% on the pool + per-shard coverage test alone.  The
+    # ceilings sit between the two so that losing the exit fails here.
+    ceiling = 0.07 if quick_mode else 0.055
+    assert stats["scanned_shard_ratio"] < ceiling, (
+        f"sharded retrieval must scan < {ceiling:.1%} of shards, "
         f"scanned {stats['scanned_shard_ratio']:.1%}"
     )
     floor = 1.3 if quick_mode else 1.8

@@ -10,7 +10,7 @@ budget decisions.
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional
 
 _WORD_RE = re.compile(r"\s+|[A-Za-z]+|\d+|[^\sA-Za-z\d]")
 #: Average characters per BPE piece inside long alphabetic words.
@@ -48,21 +48,35 @@ class Tokenizer:
         return len(self.encode(text))
 
     def truncate(self, text: str, max_tokens: int) -> str:
-        """Truncate text to approximately ``max_tokens`` tokens on a word boundary."""
+        """Truncate text to approximately ``max_tokens`` tokens on a word boundary.
+
+        Keeps whole whitespace-separated words up to the first one that does
+        not fit and joins them with single spaces; a text that fits is
+        returned unchanged.  Tokens never span whitespace, so one pass over
+        the regex matches prices every word.
+        """
         if max_tokens <= 0:
             return ""
-        if self.count(text) <= max_tokens:
-            return text
-        words = text.split()
-        kept: List[str] = []
         total = 0
-        for word in words:
-            cost = max(1, self.count(word))
-            if total + cost > max_tokens:
-                break
-            kept.append(word)
-            total += cost
-        return " ".join(kept)
+        word_start: Optional[int] = None  # None between words
+        for match in _WORD_RE.finditer(text):
+            token = match.group(0)
+            if token.isspace():
+                word_start = None
+                continue
+            if word_start is None:
+                word_start = match.start()
+            # As many pieces as :meth:`encode` makes of this match.
+            size = len(token)
+            if size > _SHORT_WORD and token.isalpha():
+                total += -(-size // _SUBWORD_LENGTH)
+            elif size > 3 and token.isdigit():
+                total += -(-size // 3)
+            else:
+                total += 1
+            if total > max_tokens:
+                return " ".join(text[:word_start].split())
+        return text
 
 
 #: Shared default tokenizer instance.

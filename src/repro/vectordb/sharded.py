@@ -7,22 +7,30 @@ so an incident far in the past can never outscore a moderately close recent
 one.  :class:`ShardedVectorIndex` exploits this: entries are partitioned
 into time-window shards and, per query, shards are visited nearest-in-time
 first; a shard whose score *upper bound* ``exp(-alpha * dt_min)`` falls
-below the already-collected candidate pool is pruned without any matrix
+below the already-collected candidates is pruned without any matrix
 product.
 
-Pruning is **exact**, not approximate.  The final selection (see
-:func:`~repro.vectordb.knn.select_complete_order`) only ever picks from
+Pruning is **exact**, not approximate, and has two exits.  The final
+selection (:func:`~repro.vectordb.knn.select_complete_order`) walks the
+candidates by descending score, takes the first of each unseen category and
+stops at ``k``:
 
-* the global top ``2k`` entries by score (the k diverse picks that are not
-  per-category argmaxes plus up to k fillers each have global rank <= 2k), and
-* the per-category argmax entries (what the diversity pass picks first);
+* *category exit* (diversity on): once ``k`` distinct categories each hold
+  an eligible candidate strictly above a shard's bound, the walk stops
+  before it could reach any entry of that shard — or of any later one, since
+  shards are visited in ascending ``dt_min`` and the bound only falls.  The
+  first such prune therefore finishes the query.
+* *filler exit* (fewer than ``k`` categories above the bound, or diversity
+  off): picks come from the global top ``2k`` entries by score (up to ``k``
+  fillers after up to ``k`` diverse picks) and the per-category argmaxes,
+  so a shard is skipped when the pool already holds ``2k`` entries strictly
+  above its bound and every category present in it is covered by a
+  candidate strictly above the bound.
 
-so a shard may be skipped exactly when (a) the candidate pool already holds
-``2k`` entries all strictly above the shard's bound and (b) every category
-present in the shard is already covered by a candidate strictly above the
-bound.  Under those conditions no entry of the shard can enter the result,
-and flat/sharded retrieval return identical neighbour lists — including tie
-breaks, which use the global insertion sequence exactly like the flat scan.
+Both tests are strict: an unscanned entry scoring exactly the bound could
+tie with a held candidate and win on the global insertion sequence, which
+breaks ties exactly like the flat scan, so a tie never prunes.  Flat and
+sharded retrieval return identical neighbour lists.
 
 With ``alpha == 0`` the bound is 1.0 and nothing is ever pruned (correct:
 without decay every era of the history matters equally).
@@ -520,23 +528,17 @@ class _Shard:
             )
         return self._data
 
-    def dt_min(self, query_day: float) -> float:
-        """Smallest possible |query_day - entry_day| over the shard's entries."""
-        if self.min_day <= query_day <= self.max_day:
-            return 0.0
-        return min(abs(query_day - self.min_day), abs(query_day - self.max_day))
-
 
 class _QueryState:
     """Per-query scan state: shard cursor, candidate pool, per-category bests."""
 
     __slots__ = (
         "order", "pos", "pool_scores", "pool_seqs", "pool_keys", "pool_rows",
-        "best_scores", "best_seqs", "best_keys", "best_rows", "covered_min",
+        "best_scores", "best_seqs", "best_keys", "best_rows", "k", "kth_best",
         "done", "scanned", "pruned", "skipped",
     )
 
-    def __init__(self, order: List[Tuple[float, int]], category_count: int) -> None:
+    def __init__(self, order: List[Tuple[float, int]], category_count: int, k: int) -> None:
         self.order = order
         self.pos = 0
         self.pool_scores = np.zeros(0)
@@ -550,10 +552,10 @@ class _QueryState:
         self.best_seqs = np.zeros(category_count, dtype=np.int64)
         self.best_keys = np.zeros(category_count, dtype=np.int64)
         self.best_rows = np.zeros(category_count, dtype=np.int64)
-        #: Lowest per-category best once *every* index category is covered,
-        #: else -inf — an O(1) sufficient condition for the coverage part of
-        #: the pruning test (any shard's categories are a subset of all).
-        self.covered_min = -math.inf
+        self.k = k
+        #: K-th largest per-category best (-inf while fewer than K categories
+        #: are covered): the score of the diversity pass's last pick so far.
+        self.kth_best = -math.inf
         self.done = False
         self.scanned = 0
         self.pruned = 0
@@ -589,8 +591,8 @@ class _QueryState:
             self.best_seqs[winners] = seqs[improve]
             self.best_keys[winners] = shard_key
             self.best_rows[winners] = rows[improve]
-        if self.best_scores.shape[0]:
-            self.covered_min = float(self.best_scores.min())
+        if self.best_scores.shape[0] >= self.k:
+            self.kth_best = float(np.partition(self.best_scores, -self.k)[-self.k])
 
 
 class ShardedVectorIndex:
@@ -1041,14 +1043,17 @@ class ShardedVectorIndex:
             np.minimum(np.abs(day_column - min_days), np.abs(day_column - max_days)),
         )
         orderings = np.argsort(dt_matrix, axis=1, kind="stable")
+        # Score upper bounds from the same ``np.exp`` the scores come from:
+        # ``math.exp`` can differ by an ulp, enough to prune an exact tie.
+        bound_matrix = np.exp(-alpha * dt_matrix)
         category_count = len(self._cat_code)
         states: List[_QueryState] = []
         for qi in range(total_queries):
             order = [
-                (float(dt_matrix[qi, position]), shard_keys[position])
+                (float(bound_matrix[qi, position]), shard_keys[position])
                 for position in orderings[qi]
             ]
-            states.append(_QueryState(order, category_count))
+            states.append(_QueryState(order, category_count, k))
         excludes = [
             exclude_ids[qi] if exclude_ids is not None else None
             for qi in range(total_queries)
@@ -1095,7 +1100,7 @@ class ShardedVectorIndex:
                 if state.done:
                     continue
                 key = self._advance(
-                    state, k, alpha, diverse, pool_size, history_before_day, categories
+                    state, diverse, pool_size, history_before_day, categories
                 )
                 if key is None:
                     state.done = True
@@ -1129,16 +1134,22 @@ class ShardedVectorIndex:
     def _advance(
         self,
         state: _QueryState,
-        k: int,
-        alpha: float,
         diverse: bool,
         pool_size: int,
         history_before_day: Optional[float],
         categories: Optional[Set[str]],
     ) -> Optional[int]:
-        """Next shard this query must scan, skipping filtered/pruned shards."""
+        """Next shard this query must scan, or None once it is finished.
+
+        Walks the query's shards nearest-in-time first, skipping those the
+        exact filters empty or :meth:`_can_prune` rules out.  With diversity
+        on, the first shard whose bound lies strictly below the K-th best
+        covered category *finishes* the query: ``order`` ascends in
+        ``dt_min``, so every later bound is no higher, and the remaining
+        shards are all accounted as pruned in one step.
+        """
         while state.pos < len(state.order):
-            dt_min, key = state.order[state.pos]
+            upper_bound, key = state.order[state.pos]
             shard = self._shards[key]
             # Exact filters: no eligible entry can exist in the shard.
             if history_before_day is not None and shard.min_day >= history_before_day:
@@ -1151,7 +1162,10 @@ class ShardedVectorIndex:
                 state.skipped += 1
                 state.pos += 1
                 continue
-            upper_bound = math.exp(-alpha * dt_min) if alpha > 0 else 1.0
+            if diverse and state.kth_best > upper_bound:
+                state.pruned += len(state.order) - state.pos
+                state.pos = len(state.order)
+                return None
             if self._can_prune(state, shard, upper_bound, pool_size, diverse, categories):
                 state.pruned += 1
                 state.pos += 1
@@ -1168,25 +1182,18 @@ class ShardedVectorIndex:
         diverse: bool,
         categories: Optional[Set[str]],
     ) -> bool:
-        """True when no entry of ``shard`` can possibly enter the result.
+        """The filler-exact exit, for shards the K-category exit does not settle.
 
-        Requires a full candidate pool strictly above the shard's score upper
-        bound and — with diversity on — every category present in the shard
-        already covered by a strictly better candidate.  Strict inequalities
-        keep tie-breaking identical to the flat scan.
-
-        The coverage test is tiered: an O(1) fast path (when every category
-        of the *whole index* is covered above the bound, any shard's subset
-        is too), a vectorised per-shard check against the query's
-        per-category bests, and a Python walk only when a category filter
-        restricts which categories matter.
+        True when no entry of ``shard`` can enter the result: a full
+        candidate pool strictly above the shard's score upper bound and —
+        with diversity on — every (allowed) category present in the shard
+        already covered by a strictly better candidate.  Strict
+        inequalities keep tie-breaking identical to the flat scan.
         """
         if state.pool_min(pool_size) <= upper_bound:
             return False
         if diverse:
             if categories is None:
-                if state.covered_min > upper_bound:
-                    return True
                 group_codes = shard.data().groups()[3]
                 return bool(np.all(state.best_scores[group_codes] > upper_bound))
             for category in shard.cat_counts:
@@ -1609,7 +1616,7 @@ class ShardedVectorIndex:
             "shards": shards_meta,
         }
         with open(manifest_tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
+            handle.write(json.dumps(manifest))
         os.replace(arena_tmp, arena_path)
         os.replace(manifest_tmp, manifest_path)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from repro.llm import (
     parse_prediction,
     truncate_tokens,
 )
+from repro.llm import tokenizer as tokenizer_module
 from repro.llm.prompts import PREDICTION_CONTEXT, SUMMARIZE_INSTRUCTION
 
 
@@ -48,6 +51,56 @@ class TestTokenizer:
     def test_count_never_negative_and_empty_is_zero(self, text):
         assert count_tokens(text) >= 0
         assert count_tokens("") == 0
+
+    @staticmethod
+    def reference_truncate(tokenizer, text, max_tokens):
+        """The per-word definition ``truncate`` must keep reproducing."""
+        if max_tokens <= 0:
+            return ""
+        if tokenizer.count(text) <= max_tokens:
+            return text
+        kept = []
+        total = 0
+        for word in text.split():
+            cost = max(1, tokenizer.count(word))
+            if total + cost > max_tokens:
+                break
+            kept.append(word)
+            total += cost
+        return " ".join(kept)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text("abcXYZ", min_size=1, max_size=6),
+                st.text("abcdefXYZ", min_size=7, max_size=30),
+                st.text("0123456789", min_size=1, max_size=10),
+                # punctuation, non-ASCII letters, non-ASCII digits
+                st.sampled_from(
+                    [",", ".", "::", "-", "(", "%)", "_"]
+                    + ["\u00e9t\u00e9", "\u4e2d\u6587", "\u03a9", "\u0663\u0664", "\u00b2"]
+                ),
+                # what both str.split() and the regex's \s treat as whitespace
+                st.sampled_from(
+                    [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\xa0", "\u2003"]
+                    + ["\x1c", "\x1d", "\x1e", "\x1f"]
+                ),
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_matches_per_word_reference_in_one_pass(self, text):
+        """Budgets 0, 1, small, around the exact fit and huge; one regex pass."""
+        tokenizer = Tokenizer()
+        total = tokenizer.count(text)
+        for budget in (0, 1, 3, 7, total - 1, total, total + 1, 10**6):
+            expected = self.reference_truncate(tokenizer, text, budget)
+            spy = mock.Mock(wraps=tokenizer_module._WORD_RE)  # noqa: SLF001
+            with mock.patch.object(tokenizer_module, "_WORD_RE", spy):
+                assert tokenizer.truncate(text, budget) == expected, budget
+            assert spy.finditer.call_count == (1 if budget > 0 else 0)
+        assert tokenizer.truncate(text, total + 1) is text
 
 
 class TestPrompts:

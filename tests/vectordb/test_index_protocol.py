@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.vectordb import (
     FlatVectorIndex,
@@ -458,3 +458,195 @@ class TestBuildIndex:
             sharded.add(f"i{index}", np.eye(6)[index], index * 30.0, f"cat{index % 2}")
         neighbors = sharded.search(np.ones(6), query_day=150.0)
         assert len(neighbors) == 5
+
+
+def twin_indexes(similarity, entries, window_days=10.0, max_workers=1):
+    """(flat, sharded) holding ``entries`` = (id, vector, day, category) rows."""
+    flat = FlatVectorIndex(similarity)
+    sharded = ShardedVectorIndex(
+        similarity, window_days=window_days, max_workers=max_workers
+    )
+    for incident_id, vector, day, category in entries:
+        for target in (flat, sharded):
+            target.add(incident_id, np.array(vector, dtype=float), day, category)
+    return flat, sharded
+
+
+class TestCategoryExit:
+    """The scan's primary exit: K covered categories strictly above a bound.
+
+    ``select_complete_order`` stops at the K-th distinct category, so a
+    query is finished once K categories each hold a candidate strictly
+    above the next shard's ``exp(-alpha * dt_min)``.  These tests pin the
+    three ways that exit could go wrong: a non-strict comparison (ties are
+    broken by insertion sequence, which an unscanned shard may win), firing
+    with fewer than K categories (fillers would be inexact), and counting a
+    category that a filter removed.
+    """
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=2, max_size=2),
+                st.integers(0, 60).map(float),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        query=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=2, max_size=2),
+        query_day=st.integers(0, 70).map(float),
+        alpha=st.sampled_from([0.1, 0.5, 1.0]),
+        k=st.integers(2, 4),
+        category_gap=st.sampled_from([-1, 0, 2]),
+        workers=st.sampled_from([1, 3]),
+    )
+    # The tie of test_score_equal_to_the_bound_does_not_prune, which random
+    # draws almost never place: one entry mirrored across the query day.
+    @example(
+        entries=[([1.0, 0.0], 56.0, 2), ([1.0, 0.0], 44.0, 0), ([1.0, 0.0], 44.0, 1)],
+        query=[1.0, 0.0],
+        query_day=50.0,
+        alpha=0.5,
+        k=2,
+        category_gap=2,
+        workers=1,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_differential_below_at_and_above_k_categories(
+        self, entries, query, query_day, alpha, k, category_gap, workers
+    ):
+        """Sharded == flat (ids, scores, order) with k-1, k and k+2 categories."""
+        similarity = SimilarityConfig(alpha=alpha, k=k)
+        category_count = k + category_gap
+        flat, sharded = twin_indexes(
+            similarity,
+            [
+                (f"i{index}", vector, day, f"cat{code % category_count}")
+                for index, (vector, day, code) in enumerate(entries)
+            ],
+            window_days=5.0,
+            max_workers=workers,
+        )
+        assert_same_results(
+            [flat.search(np.array(query), query_day)],
+            [sharded.search(np.array(query), query_day)],
+        )
+
+    # At (1.63, 7) ``np.exp`` lands one ulp above ``math.exp`` (numpy 1.x,
+    # x86-64): a bound taken from ``math.exp`` would sit *below* the tie.
+    @pytest.mark.parametrize("alpha, gap", [(0.0, 6.0), (0.5, 6.0), (1.63, 7.0)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_score_equal_to_the_bound_does_not_prune(self, alpha, gap, workers):
+        """An unscanned entry tying the K-th category wins on sequence.
+
+        Integer vectors equal to the query make every distance exactly 0,
+        so "late" (inserted first, ``gap`` days after the query) and
+        "a"/"b" (``gap`` days before it) all score exactly
+        ``exp(-alpha * gap)`` — which is also the bound of late's shard
+        once a/b's shard, first by key, is scanned.  Flat retrieval breaks
+        the three-way tie by insertion sequence: late, then a.  Only a
+        strict ``>`` scans late's shard — at ``alpha == 0`` too, where the
+        bound is 1.0 and a perfect match ties it.
+        """
+        similarity = SimilarityConfig(alpha=alpha, k=2)
+        query = [1.0, 0.0, 2.0]
+        flat, sharded = twin_indexes(
+            similarity,
+            [
+                ("late", query, 50.0 + gap, "C"),
+                ("a", query, 50.0 - gap, "A"),
+                ("b", query, 50.0 - gap, "B"),
+                ("a-far", [9.0, 0.0, 2.0], 51.0 - gap, "A"),
+            ],
+            max_workers=workers,
+        )
+        reference = flat.search(np.array(query), 50.0)
+        assert [n.incident_id for n in reference] == ["late", "a"]
+        assert reference[0].similarity == reference[1].similarity
+        assert_same_results([reference], [sharded.search(np.array(query), 50.0)])
+        assert sharded.stats()["shards_pruned"] == 0.0
+
+    def test_diversity_off_ignores_category_coverage(self):
+        """K covered categories mean nothing when picks go by score alone."""
+        similarity = SimilarityConfig(alpha=0.1, k=3, diverse_categories=False)
+        query = [0.0, 0.0]
+        flat, sharded = twin_indexes(
+            similarity,
+            [("near-a", [3.0, 0.0], 50.0, "A"), ("near-b", [3.0, 0.0], 50.0, "B"),
+             ("near-c", [3.0, 0.0], 50.0, "C")]
+            + [(f"exact{i}", query, 38.0, "A") for i in range(3)],
+        )
+        reference = flat.search(np.array(query), 50.0)
+        assert [n.incident_id for n in reference] == ["exact0", "exact1", "exact2"]
+        assert_same_results([reference], [sharded.search(np.array(query), 50.0)])
+
+    #: Near shard (days 50-59): four entries each of A and B — a full 2K
+    #: pool above the far shard's bound — plus one of C; far shard: the only
+    #: D, outscored by every near entry but a distinct category.  K = 3.
+    FILTER_CORPUS = (
+        [(f"a{i}", [1.0 + i, 0.0], 53.0, "A") for i in range(4)]
+        + [(f"b{i}", [1.0 + i, 0.0], 52.0, "B") for i in range(4)]
+        + [("c", [1.0, 0.0], 55.0, "C"), ("d", [0.0, 0.0], 33.0, "D")]
+    )
+
+    def test_unfiltered_query_exits_after_the_near_shard(self):
+        similarity = SimilarityConfig(alpha=0.3, k=3)
+        flat, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
+        reference = flat.search(np.zeros(2), 53.0)
+        assert [n.incident_id for n in reference] == ["a0", "b0", "c"]
+        assert_same_results([reference], [sharded.search(np.zeros(2), 53.0)])
+        stats = sharded.stats()
+        assert (stats["shards_scanned"], stats["shards_pruned"]) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            dict(exclude_ids={"c"}),
+            dict(history_before_day=54.0),
+            dict(categories={"A", "B", "D"}),
+        ],
+        ids=["exclude_ids", "history_before_day", "categories"],
+    )
+    def test_filter_removing_the_kth_category_keeps_scanning(self, filters):
+        """A, B and a *filtered* C are two categories, not K = 3."""
+        similarity = SimilarityConfig(alpha=0.3, k=3)
+        flat, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
+        reference = flat.search(np.zeros(2), 53.0, **filters)
+        assert [n.incident_id for n in reference] == ["a0", "b0", "d"]
+        assert_same_results(
+            [reference], [sharded.search(np.zeros(2), 53.0, **filters)]
+        )
+        assert sharded.stats()["shards_scanned"] == 2.0
+
+    def test_mid_year_query_scans_a_handful_of_weekly_shards(self):
+        """52 weekly shards, >= K categories in each: <= 4 scanned per query.
+
+        40 categories over 60 entries a week leave some category missing
+        from almost every shard, which is what kept the per-shard coverage
+        test scanning; the K-category exit does not care.
+        """
+        similarity = SimilarityConfig(alpha=0.3, k=5)
+        flat, sharded = (
+            populated(index, count=52 * 60, categories=40, duration=364.0)
+            for index in (
+                FlatVectorIndex(similarity),
+                ShardedVectorIndex(similarity, window_days=7.0, max_workers=1),
+            )
+        )
+        assert sharded.stats()["shard_count"] == 52.0
+        assert min(
+            len(shard.cat_counts) for shard in sharded._shards.values()  # noqa: SLF001
+        ) >= similarity.k
+        rng = np.random.default_rng(7)
+        queries = rng.standard_normal((12, 8))
+        days = rng.uniform(150.0, 210.0, size=12)
+        assert_same_results(
+            flat.search_many(queries, days), sharded.search_many(queries, days)
+        )
+        stats = sharded.stats()
+        assert stats["shards_scanned"] <= 4 * stats["queries"]
+        assert (
+            stats["shards_scanned"] + stats["shards_pruned"] + stats["shards_skipped"]
+            == stats["shards_considered"]
+        )

@@ -183,6 +183,46 @@ class TestParallelStats:
         assert par_stats["shards_pruned"] > 0
         assert par_stats["max_workers"] == 4.0
 
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            dict(),
+            dict(history_before_day=120.0),
+            dict(categories={"cat1", "cat4", "cat9"}),
+            dict(exclude_ids=[{f"i{row}", f"i{row + 40}"} for row in range(16)]),
+        ],
+        ids=["plain", "history_before_day", "categories", "exclude_ids"],
+    )
+    def test_finished_queries_account_for_every_shard(self, filters):
+        """scanned + pruned + skipped == considered, identically in both modes.
+
+        A query the category exit finishes books all its remaining shards
+        as pruned in one step; nothing may be lost or counted twice.
+        """
+        similarity = SimilarityConfig(alpha=0.3, k=3)
+        _, sequential, parallel = triple(
+            similarity, window_days=10.0, workers=4, count=1200, duration=240.0
+        )
+        rng = np.random.default_rng(3)
+        queries = rng.standard_normal((16, 8))
+        days = rng.uniform(0.0, 260.0, size=16)
+        assert_bitwise_results(
+            sequential.search_many(queries, days, **filters),
+            parallel.search_many(queries, days, **filters),
+        )
+        seq_stats = sequential.stats()
+        par_stats = parallel.stats()
+        assert (seq_stats.pop("max_workers"), par_stats.pop("max_workers")) == (1.0, 4.0)
+        assert seq_stats == par_stats
+        assert seq_stats["shards_considered"] == 16 * seq_stats["shard_count"]
+        assert (
+            seq_stats["shards_scanned"]
+            + seq_stats["shards_pruned"]
+            + seq_stats["shards_skipped"]
+            == seq_stats["shards_considered"]
+        )
+        assert seq_stats["shards_pruned"] > 0
+
     def test_stats_report_effective_workers(self):
         index = ShardedVectorIndex(SimilarityConfig(), max_workers=2)
         assert index.stats()["max_workers"] == 2.0
