@@ -82,8 +82,17 @@ class ActionResult:
     mitigation: Optional[str] = None
 
     def add_section(self, title: str, content: str, source: str = "") -> None:
-        """Append a diagnostic section produced by this action."""
-        self.sections.append(DiagnosticSection(title=title, content=content, source=source))
+        """Append a diagnostic section produced by this action.
+
+        Title and content are interned: incidents collected over the same
+        window render the same text, so their reports share one copy of it
+        (the interpreter drops the copy with the last report that holds it).
+        """
+        self.sections.append(
+            DiagnosticSection(
+                title=sys.intern(title), content=sys.intern(content), source=source
+            )
+        )
 
 
 class Action:
@@ -221,7 +230,8 @@ class QueryAction(Action):
             raise ValueError(f"unknown query source: {self.source!r}")
 
         for key, value in table.items():
-            result.output[self.output_key(key)] = value
+            # Counts, machine names, "true": a few hundred values across all reports.
+            result.output[self.output_key(key)] = sys.intern(value)
         if self.classify is not None:
             result.outcome = self.classify(context, table)
         return result

@@ -17,6 +17,16 @@ _WORD_RE = re.compile(r"\s+|[A-Za-z]+|\d+|[^\sA-Za-z\d]")
 _SUBWORD_LENGTH = 4
 #: Words at or below this length count as a single token.
 _SHORT_WORD = 6
+#: Digit runs at or below this length count as a single token; longer ones
+#: split into pieces of this many digits.
+_DIGIT_LENGTH = 3
+
+# What :meth:`Tokenizer.count` prices: every non-space match of ``_WORD_RE``
+# is one token, and the runs :meth:`Tokenizer.encode` splits add their extra
+# pieces (a run of n makes ceil(n / piece) = 1 + (n - 1) // piece of them).
+_TOKEN_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]")
+_LONG_WORD_RE = re.compile(r"[A-Za-z]{%d,}" % (_SHORT_WORD + 1))
+_LONG_DIGITS_RE = re.compile(r"\d{%d,}" % (_DIGIT_LENGTH + 1))
 
 
 class Tokenizer:
@@ -36,27 +46,36 @@ class Tokenizer:
             if token.isalpha() and len(token) > _SHORT_WORD:
                 for start in range(0, len(token), _SUBWORD_LENGTH):
                     pieces.append(token[start : start + _SUBWORD_LENGTH])
-            elif token.isdigit() and len(token) > 3:
-                for start in range(0, len(token), 3):
-                    pieces.append(token[start : start + 3])
+            elif token.isdigit() and len(token) > _DIGIT_LENGTH:
+                for start in range(0, len(token), _DIGIT_LENGTH):
+                    pieces.append(token[start : start + _DIGIT_LENGTH])
             else:
                 pieces.append(token)
         return pieces
 
     def count(self, text: str) -> int:
-        """Number of tokens in a text."""
-        return len(self.encode(text))
+        """Number of tokens in a text: ``len(self.encode(text))`` without the pieces."""
+        total = len(_TOKEN_RE.findall(text))
+        for word in _LONG_WORD_RE.findall(text):
+            total += (len(word) - 1) // _SUBWORD_LENGTH
+        for digits in _LONG_DIGITS_RE.findall(text):
+            total += (len(digits) - 1) // _DIGIT_LENGTH
+        return total
 
     def truncate(self, text: str, max_tokens: int) -> str:
         """Truncate text to approximately ``max_tokens`` tokens on a word boundary.
 
         Keeps whole whitespace-separated words up to the first one that does
         not fit and joins them with single spaces; a text that fits is
-        returned unchanged.  Tokens never span whitespace, so one pass over
+        returned as the same object.  A token is at least one character, so a
+        text no longer than the budget fits without being counted.  Tokens
+        never span whitespace, so when something must be cut one pass over
         the regex matches prices every word.
         """
         if max_tokens <= 0:
             return ""
+        if len(text) <= max_tokens or self.count(text) <= max_tokens:
+            return text
         total = 0
         word_start: Optional[int] = None  # None between words
         for match in _WORD_RE.finditer(text):
@@ -70,8 +89,8 @@ class Tokenizer:
             size = len(token)
             if size > _SHORT_WORD and token.isalpha():
                 total += -(-size // _SUBWORD_LENGTH)
-            elif size > 3 and token.isdigit():
-                total += -(-size // 3)
+            elif size > _DIGIT_LENGTH and token.isdigit():
+                total += -(-size // _DIGIT_LENGTH)
             else:
                 total += 1
             if total > max_tokens:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -81,13 +81,18 @@ class LogStore:
 
     Layout: one :class:`TimeColumn` of every record plus one per machine and
     one per component (the postings), each holding the records themselves in
-    timestamp order, equal timestamps in append order.
+    timestamp order, equal timestamps in append order.  The ERROR+ records
+    have a column of their own and, at the same positions, a column of their
+    message signatures (:func:`normalize_message`, run once per record).
 
-    Write: ``append`` adds the record to its three columns — O(1) when it is
-    not older than the newest record, a bisect and a list insert when it
-    arrives out of order.  Read: ``query`` bisects the narrowest column the
-    scope names (machine, else component, else all) to the window and filters
-    only the k records inside it: O(log n + k), scoped or not.
+    Write: ``append`` adds the record to its columns — O(1) when it is not
+    older than the newest record, a bisect and a list insert when it arrives
+    out of order.  Read: ``query`` bisects the narrowest column the scope
+    names (machine, else component, else the error column when only ERROR+ is
+    wanted, else all) to the window and filters only the k records inside
+    it: O(log n + k), scoped or not.  ``error_signatures`` bisects the
+    signature column and counts the k_err signatures inside the window:
+    O(log n + k_err), no message is read.
 
     Writers and readers hold the store's lock while they touch the columns,
     so a query sees the store at one point in time; filtering runs on the
@@ -100,6 +105,8 @@ class LogStore:
         self._all: TimeColumn[LogRecord] = TimeColumn()
         self._by_machine: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
         self._by_component: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
+        self._errors: TimeColumn[LogRecord] = TimeColumn()
+        self._error_signatures: TimeColumn[str] = TimeColumn()
 
     def __len__(self) -> int:
         return len(self._all.times)
@@ -115,11 +122,19 @@ class LogStore:
         self.extend(state["records"])
 
     def append(self, record: LogRecord) -> None:
-        """Add a record to the time column and to its machine/component postings."""
+        """Add a record to the time column and to its machine/component postings.
+
+        An ERROR+ record also joins the error column, beside its signature.
+        """
+        is_error = record.level >= LogLevel.ERROR
+        signature = normalize_message(record.message) if is_error else ""
         with self._lock:
             self._all.add(record.timestamp, record)
             self._by_machine[record.machine].add(record.timestamp, record)
             self._by_component[record.component].add(record.timestamp, record)
+            if is_error:
+                self._errors.add(record.timestamp, record)
+                self._error_signatures.add(record.timestamp, signature)
 
     def extend(self, records: Iterable[LogRecord]) -> None:
         """Append many records."""
@@ -165,6 +180,8 @@ class LogStore:
                 column = self._by_machine.get(machine)
             elif component is not None:
                 column = self._by_component.get(component)
+            elif min_level is not None and min_level >= LogLevel.ERROR:
+                column = self._errors
             else:
                 column = self._all
             records = column.window(start, end) if column is not None else []
@@ -173,7 +190,9 @@ class LogStore:
         if min_level is not None:
             records = [r for r in records if r.level >= min_level]
         if pattern is not None:
-            records = [r for r in records if r.matches(pattern)]
+            # LogRecord.matches, with the pattern lowered once per query.
+            needle = pattern.lower()
+            records = [r for r in records if needle in r.message.lower()]
         if limit is not None and len(records) > limit:
             records = records[len(records) - limit :]
         return records
@@ -198,12 +217,11 @@ class LogStore:
         Numbers and identifiers are replaced with placeholders so that
         repeated errors with varying parameters collapse into one signature,
         mirroring how on-call engineers eyeball "the top error message".
+        Ties rank by signature text.
         """
-        counts: Dict[str, int] = {}
-        for record in self.query(start=start, end=end, min_level=LogLevel.ERROR):
-            signature = normalize_message(record.message)
-            counts[signature] = counts.get(signature, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        with self._lock:
+            signatures = self._error_signatures.window(start, end)
+        ranked = sorted(Counter(signatures).items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:top]
 
     def tail(self, n: int = 20) -> List[LogRecord]:

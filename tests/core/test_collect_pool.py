@@ -4,22 +4,31 @@ Covers the pool's execution contract directly, without the ingestion front:
 submission-order folding, serial/thread/process equivalence, per-item crash
 containment (a raising handler fails only its own slot and the pool survives
 the next wave), process-safe handler serialization, the handler rebuild
-cache, and the executor wall-clock budget.
+cache, the executor wall-clock budget, and the sharing of equal section text
+between the reports of a wave and of a replayed burst.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import random
 
 import pytest
 
 import streamtest_utils as stu
+from repro.bus import AlertEvent, BusReplayer, build_recording
+from repro.cloudsim import TransportService
+from repro.cloudsim.scenarios import TABLE1_SCENARIOS
 from repro.core import (
     CollectionConfig,
     CollectionPool,
     CollectionStage,
     CollectionError,
     IngestConfig,
+    PipelineConfig,
+    RCACopilot,
+    VirtualClock,
 )
 from repro.handlers import (
     HandlerCache,
@@ -30,7 +39,8 @@ from repro.handlers import (
     linear_handler,
     register_classifier,
 )
-from repro.monitors import Alert, AlertScope
+from repro.llm import SimulatedLLM
+from repro.monitors import Alert, AlertRouter, AlertScope
 from repro.telemetry import TelemetryHub
 
 
@@ -302,3 +312,86 @@ class TestProcessSerialization:
             assert results[0].ok
             assert results[0].outcome.matched_handler is None
             assert results[0].outcome.execution is None
+
+
+def section_texts(result):
+    return [(s.title, s.content) for s in result.incident.diagnostic.sections]
+
+
+class TestSectionSharing:
+    """Equal section text is one object, however many reports hold it."""
+
+    @pytest.mark.parametrize("workers,backend", [(None, "thread"), (3, "thread")])
+    def test_incidents_over_one_window_share_their_section_text(self, workers, backend):
+        stage = build_stage()
+        # One timestamp, so one window: every section renders the same text.
+        alerts = [
+            dataclasses.replace(
+                stu.make_stream_alert(i, alert_type=stu.FLAKY_TYPE), timestamp=3600.0
+            )
+            for i in range(4)
+        ]
+        with CollectionPool(stage, workers=workers, backend=backend) as pool:
+            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+        first, *rest = [section_texts(r) for r in results]
+        assert len(first) == 3 and "WinSock error" in first[0][1]
+        for other in rest:
+            assert other == first
+            for texts, other_texts in zip(first, other):
+                assert all(ours is theirs for ours, theirs in zip(texts, other_texts))
+
+    def test_process_backend_sections_stay_value_equal(self):
+        alerts = [stu.make_stream_alert(i, alert_type=stu.FLAKY_TYPE) for i in range(4)]
+        texts = {}
+        for workers, backend in ((None, "thread"), (2, "process")):
+            stage = build_stage()
+            with CollectionPool(stage, workers=workers, backend=backend) as pool:
+                results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            texts[backend] = [section_texts(r) for r in results]
+        assert texts["process"] == texts["thread"]
+
+    def test_a_replayed_burst_retains_one_copy_of_each_section_text(self):
+        """Retention, counted: 96 alerts of simulated flash-crowd traffic.
+
+        Alerts of one monitor slot share a window and mostly a scope, so far
+        fewer distinct texts than sections come back; while the reports are
+        alive no text may be held twice.
+        """
+        service = TransportService(seed=7)
+        service.monitors.router = AlertRouter(dedup_window=120.0)
+        service.warm_up(hours=0.25)
+        rng = random.Random(3)
+        categories = [scenario.category for scenario in TABLE1_SCENARIOS]
+        forests = [forest.name for forest in service.topology.forests]
+        alerts = []
+        while len(alerts) < 96:
+            for _ in range(3):
+                service.inject(rng.choice(categories), forest=rng.choice(forests))
+            alerts.extend(service.advance(120.0))
+        recording = build_recording(
+            [
+                AlertEvent(offset=round(position * 0.002, 6), alert=alert)
+                for position, alert in enumerate(alerts[:96])
+            ]
+        )
+        clock = VirtualClock()
+        copilot = RCACopilot(
+            service.hub,
+            model=SimulatedLLM(),
+            config=PipelineConfig(collection=CollectionConfig(strict=False)),
+            clock=clock,
+        )
+        ingestor = copilot.stream(IngestConfig(max_batch=16), clock=clock)
+        try:
+            replayed = BusReplayer(recording, speed=1e6).replay(ingestor)
+        finally:
+            ingestor.stop()
+        assert len(replayed.reports) == 96 and not replayed.failures
+        sections = [
+            section
+            for report in replayed.reports
+            for section in report.collection.incident.diagnostic.sections
+        ]
+        for text in ("content", "title"):
+            values = [getattr(section, text) for section in sections]
+            assert len(set(map(id, values))) == len(set(values)) < len(sections) / 4

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,8 +21,29 @@ from repro.llm import (
     parse_prediction,
     truncate_tokens,
 )
-from repro.llm import tokenizer as tokenizer_module
 from repro.llm.prompts import PREDICTION_CONTEXT, SUMMARIZE_INSTRUCTION
+
+
+#: Long/short words, digit runs of every length mod 3, punctuation, non-ASCII
+#: letters and digits, and every class of whitespace, glued in any order.
+TOKENIZER_TEXTS = st.lists(
+    st.one_of(
+        st.text("abcXYZ", min_size=1, max_size=6),
+        st.text("abcdefXYZ", min_size=7, max_size=30),
+        st.text("0123456789", min_size=1, max_size=10),
+        # punctuation, non-ASCII letters, non-ASCII digits
+        st.sampled_from(
+            [",", ".", "::", "-", "(", "%)", "_"]
+            + ["\u00e9t\u00e9", "\u4e2d\u6587", "\u03a9", "\u0663\u0664", "\u0663" * 7, "\u00b2"]
+        ),
+        # what both str.split() and the regex's \s treat as whitespace
+        st.sampled_from(
+            [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\xa0", "\u2003"]
+            + ["\x1c", "\x1d", "\x1e", "\x1f"]
+        ),
+    ),
+    max_size=40,
+).map("".join)
 
 
 class TestTokenizer:
@@ -54,53 +73,42 @@ class TestTokenizer:
 
     @staticmethod
     def reference_truncate(tokenizer, text, max_tokens):
-        """The per-word definition ``truncate`` must keep reproducing."""
+        """The per-word definition ``truncate`` must keep reproducing, priced by ``encode``."""
         if max_tokens <= 0:
             return ""
-        if tokenizer.count(text) <= max_tokens:
+        if len(tokenizer.encode(text)) <= max_tokens:
             return text
         kept = []
         total = 0
         for word in text.split():
-            cost = max(1, tokenizer.count(word))
+            cost = max(1, len(tokenizer.encode(word)))
             if total + cost > max_tokens:
                 break
             kept.append(word)
             total += cost
         return " ".join(kept)
 
-    @given(
-        st.lists(
-            st.one_of(
-                st.text("abcXYZ", min_size=1, max_size=6),
-                st.text("abcdefXYZ", min_size=7, max_size=30),
-                st.text("0123456789", min_size=1, max_size=10),
-                # punctuation, non-ASCII letters, non-ASCII digits
-                st.sampled_from(
-                    [",", ".", "::", "-", "(", "%)", "_"]
-                    + ["\u00e9t\u00e9", "\u4e2d\u6587", "\u03a9", "\u0663\u0664", "\u00b2"]
-                ),
-                # what both str.split() and the regex's \s treat as whitespace
-                st.sampled_from(
-                    [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\xa0", "\u2003"]
-                    + ["\x1c", "\x1d", "\x1e", "\x1f"]
-                ),
-            ),
-            max_size=40,
-        ).map("".join)
-    )
+    @given(TOKENIZER_TEXTS)
     @settings(max_examples=200, deadline=None)
-    def test_truncate_matches_per_word_reference_in_one_pass(self, text):
-        """Budgets 0, 1, small, around the exact fit and huge; one regex pass."""
+    def test_count_prices_what_encode_materialises(self, text):
         tokenizer = Tokenizer()
-        total = tokenizer.count(text)
-        for budget in (0, 1, 3, 7, total - 1, total, total + 1, 10**6):
-            expected = self.reference_truncate(tokenizer, text, budget)
-            spy = mock.Mock(wraps=tokenizer_module._WORD_RE)  # noqa: SLF001
-            with mock.patch.object(tokenizer_module, "_WORD_RE", spy):
-                assert tokenizer.truncate(text, budget) == expected, budget
-            assert spy.finditer.call_count == (1 if budget > 0 else 0)
-        assert tokenizer.truncate(text, total + 1) is text
+        assert tokenizer.count(text) == len(tokenizer.encode(text))
+        for word in text.split():
+            assert tokenizer.count(word) == len(tokenizer.encode(word))
+
+    @given(TOKENIZER_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_matches_per_word_reference(self, text):
+        """Budgets 0, 1, small, around the exact fit, around the length and huge."""
+        tokenizer = Tokenizer()
+        total = len(tokenizer.encode(text))
+        budgets = (0, 1, 3, 7, total - 1, total, total + 1, len(text) - 1, len(text), 10**6)
+        for budget in budgets:
+            result = tokenizer.truncate(text, budget)
+            assert result == self.reference_truncate(tokenizer, text, budget), budget
+            assert len(tokenizer.encode(result)) <= max(budget, 0)
+            if budget > 0 and (len(text) <= budget or total <= budget):
+                assert result is text, budget
 
 
 class TestPrompts:

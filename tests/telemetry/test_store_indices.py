@@ -28,6 +28,7 @@ from repro.telemetry import (
     TelemetryHub,
     TimeWindow,
     TraceStore,
+    normalize_message,
 )
 from repro.telemetry import metrics as metrics_module
 from repro.telemetry import traces as traces_module
@@ -52,7 +53,10 @@ LOG_WRITES = st.builds(
     level=st.sampled_from(list(LogLevel)),
     component=COMPONENTS,
     machine=MACHINES,
-    message=st.sampled_from(["Boom 1", "boom 2", "all good", "TIMEOUT after 3s"]),
+    # Few signatures once the parameters are masked, so counts tie and collide.
+    message=st.sampled_from(
+        ["Boom 1", "Boom 22", "boom 2", "all good", "TIMEOUT after 3s", "TIMEOUT after 0x1f", " Boom 7 "]
+    ),
 )
 LOG_READS = st.fixed_dictionaries(
     {
@@ -67,6 +71,11 @@ LOG_READS = st.fixed_dictionaries(
 )
 
 
+SIGNATURE_READS = st.fixed_dictionaries(
+    {"start": EDGES, "end": EDGES, "top": st.sampled_from([1, 3, 5, 50])}
+)
+
+
 def reference_log_query(written, start, end, machine, component, min_level, pattern, limit):
     matches = [
         r
@@ -78,6 +87,16 @@ def reference_log_query(written, start, end, machine, component, min_level, patt
         and (pattern is None or pattern.lower() in r.message.lower())
     ]
     return matches if limit is None else matches[max(len(matches) - limit, 0) :]
+
+
+def reference_error_signatures(written, start, end, top):
+    """Normalise per query, as the store did before it kept the signatures."""
+    counts = {}
+    for record in written:
+        if record.level >= LogLevel.ERROR and in_window(record.timestamp, start, end):
+            signature = normalize_message(record.message)
+            counts[signature] = counts.get(signature, 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
 
 
 class TestLogStoreAgainstReference:
@@ -97,6 +116,32 @@ class TestLogStoreAgainstReference:
         assert [id(r) for r in store] == [id(r) for r in reference_log_query(written, *[None] * 7)]
         assert store.machines() == sorted({r.machine for r in written})
         assert store.components() == sorted({r.component for r in written})
+
+    @SETTINGS
+    @given(st.lists(st.one_of(LOG_WRITES, SIGNATURE_READS), max_size=40))
+    def test_error_signatures_between_writes_and_after_copies(self, operations):
+        hub, written, reads = TelemetryHub(), [], [{"start": None, "end": None, "top": 5}]
+        for operation in operations:
+            if isinstance(operation, LogRecord):
+                hub.logs.append(operation)
+                written.append(operation)
+                continue
+            reads.append(operation)
+            start, end, top = operation["start"], operation["end"], operation["top"]
+            expected = reference_error_signatures(written, start, end, top)
+            assert hub.logs.error_signatures(start, end, top) == expected
+            if start is not None and end is not None and start <= end:
+                assert hub.error_summary(TimeWindow(start, end), top=top) == expected
+        copies = [
+            copy.deepcopy(hub.logs),
+            pickle.loads(pickle.dumps(hub.logs)),
+            copy.deepcopy(hub).logs,
+            pickle.loads(pickle.dumps(hub)).logs,
+        ]
+        for read in reads:
+            expected = reference_error_signatures(written, **read)
+            for store in [hub.logs] + copies:
+                assert store.error_signatures(**read) == expected
 
 
 # ---------------------------------------------------------------- metrics
@@ -339,6 +384,7 @@ class TestWorkBounds:
 
         logs, traces, metrics = hub.logs, hub.traces, hub.metrics
         total = sys.getsizeof(logs._all.times)
+        total += column_bytes(logs._errors) + column_bytes(logs._error_signatures)
         for postings in (logs._by_machine, logs._by_component):
             total += sys.getsizeof(postings) + sum(map(column_bytes, postings.values()))
         total += column_bytes(traces._roots) + sys.getsizeof(traces._error_ids)
@@ -370,7 +416,13 @@ class TestReadersRacingWriters:
         gets must be a consistent point-in-time view.
         """
         records = [
-            LogRecord(float(i), LogLevel.ERROR, f"c{i % 3}", f"m{i % 4}", f"boom {i}")
+            LogRecord(
+                float(i),
+                LogLevel.ERROR if i % 5 else LogLevel.WARNING,
+                f"c{i % 3}",
+                f"m{i % 4}",
+                f"{'boom' if i % 3 else 'bang'} {i}",
+            )
             for i in range(1500)
         ]
         spans = []
@@ -409,6 +461,10 @@ class TestReadersRacingWriters:
                     machine = f"m{local.randrange(4)}"
                     times = [r.timestamp for r in shared.logs.query(start, end, machine=machine)]
                     assert times == sorted(times) and all(start <= t <= end for t in times)
+                    ranked = shared.logs.error_signatures(start, end)
+                    assert ranked == sorted(ranked, key=lambda kv: (-kv[1], kv[0]))
+                    assert {signature for signature, _ in ranked} <= {"bang <num>", "boom <num>"}
+                    assert sum(count for _, count in ranked) <= 81  # 4 in 5 of <= 101
                     for trace in shared.traces.error_traces(start, end):
                         assert start <= trace.root.start <= end and trace.has_error
                     rates = shared.traces.error_rate_by_service(start, end)
@@ -442,6 +498,9 @@ class TestReadersRacingWriters:
                 assert shared.logs.query(start, end, machine=machine, component="c1") == (
                     serial.logs.query(start, end, machine=machine, component="c1")
                 )
+            assert shared.logs.error_signatures(start, end) == (
+                reference_error_signatures(records, start, end, top=5)
+            )
             assert described(shared.traces.traces(start, end)) == described(
                 serial.traces.traces(start, end)
             )
