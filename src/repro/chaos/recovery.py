@@ -1,21 +1,27 @@
 """Resilient loading of persisted vector indexes.
 
-A manifest-v3 index directory holds two files that can rot independently:
-``manifest.json`` (routing + metadata) and ``arena.bin`` (the mmap scoring
-payload).  :class:`~repro.vectordb.sharded.ShardedVectorIndex.load` raises
-a typed :class:`~repro.core.errors.IndexCorruptionError` whenever either
-is corrupt, partial, or inconsistent; :func:`load_index_resilient` turns
-that into the fallback ladder the chaos suite locks:
+A manifest-v4 index directory holds files that can rot independently:
+``manifest.json`` (routing, category table, the names of everything else),
+one immutable segment per shard (the mmap scoring payload plus ids and
+texts) and one codes file.  A crashed ``save`` is not among the failures —
+the manifest is the commit point and is replaced last, so the directory
+loads as the previous snapshot.  For everything else
+:class:`~repro.vectordb.sharded.ShardedVectorIndex.load` raises a typed
+:class:`~repro.core.errors.IndexCorruptionError` — a corrupt manifest, a
+missing or short segment or codes file, inconsistent metadata — and
+:func:`load_index_resilient` turns that into the fallback ladder the chaos
+suite locks:
 
 1. **primary** — the normal :func:`repro.vectordb.load_index` path;
 2. **rebuild** — a caller-supplied ``rebuild()`` callback (typically a
    closure over :meth:`repro.core.prediction.PredictionStage.index_history`
    and the incident store) reconstructs the index from first principles.
 
-A directory written in a retired format (manifest version 1 or 2, one
-``.npz`` per shard) is reported as corruption too, so it takes the same
-ladder straight to the rebuild rung.  Every fallback taken is counted into
-``rcacopilot.faults.*`` telemetry when a hub is provided.
+A directory written in a retired format (manifest version 3, one
+``arena.bin``; versions 1 and 2, one ``.npz`` per shard) is reported as
+corruption too, so it takes the same ladder straight to the rebuild rung.
+Every fallback taken is counted into ``rcacopilot.faults.*`` telemetry when
+a hub is provided.
 """
 
 from __future__ import annotations

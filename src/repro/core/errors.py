@@ -112,10 +112,13 @@ class IndexCorruptionError(PermanentError, ValueError):
     """Raised when a persisted vector index fails to load cleanly.
 
     Covers a corrupt or truncated ``manifest.json``, a manifest version
-    other than 3, an ``arena.bin`` shorter than its manifest claims, and
-    structurally invalid shard metadata.  Permanent: the bytes on disk
-    will not repair themselves — callers rebuild from the incident store
-    (:func:`repro.chaos.load_index_resilient`).
+    other than 4 (retired layouts are named by number), a segment or
+    codes file that is missing or shorter than the manifest's row counts
+    need, and structurally invalid shard metadata.  A save that died
+    midway is *not* a cause: the manifest is replaced last, so the
+    directory still loads as the previous snapshot.  Permanent: the bytes
+    on disk will not repair themselves — callers rebuild from the incident
+    store (:func:`repro.chaos.load_index_resilient`).
     """
 
 

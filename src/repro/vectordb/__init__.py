@@ -6,8 +6,8 @@ index (:class:`ShardedVectorIndex`) return identical neighbours; the sharded
 layout additionally prunes temporally irrelevant shards with an exact score
 bound, scores a scan wave's eligible shards on a thread pool
 (``max_workers``), self-compacts skewed layouts
-(:class:`CompactionPolicy`) and persists as a single mmap-able arena
-(:mod:`~repro.vectordb.shardmem`, manifest v3).
+(:class:`CompactionPolicy`) and persists as immutable mmap-able per-shard
+segments under one manifest (:mod:`~repro.vectordb.shardmem`, manifest v4).
 """
 
 from .index import (
@@ -24,12 +24,7 @@ from .sharded import (
     ShardedVectorIndex,
     time_bucket,
 )
-from .shardmem import (
-    ArenaSpec,
-    BlobSpec,
-    ShardArena,
-    SharedBlob,
-)
+from .shardmem import BlobSpec, SharedBlob
 from .similarity import (
     DEFAULT_ALPHA,
     DEFAULT_K,
@@ -53,9 +48,7 @@ __all__ = [
     "CompactionPolicy",
     "ShardedVectorIndex",
     "time_bucket",
-    "ArenaSpec",
     "BlobSpec",
-    "ShardArena",
     "SharedBlob",
     "DEFAULT_ALPHA",
     "DEFAULT_K",

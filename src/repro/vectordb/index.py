@@ -140,6 +140,8 @@ class FlatVectorIndex:
         self._queries = 0
         self._entries_scanned = 0
         self._entries_considered = 0
+        self._saves = 0
+        self._save_bytes_written = 0
 
     # --------------------------------------------------------------- protocol
     @property
@@ -249,6 +251,11 @@ class FlatVectorIndex:
     def save(self, path: str) -> None:
         """Persist to one ``.npz`` file (the :meth:`VectorStore.save` format)."""
         self.store.save(path)
+        path = os.fspath(path)
+        self._saves += 1
+        self._save_bytes_written += os.path.getsize(
+            path if path.endswith(".npz") else path + ".npz"
+        )
 
     @classmethod
     def load(
@@ -275,6 +282,9 @@ class FlatVectorIndex:
             "compactions": 0.0,
             "shards_merged": 0.0,
             "shards_split": 0.0,
+            "saves": float(self._saves),
+            "save_shards_written": float(self._saves),
+            "save_bytes_written": float(self._save_bytes_written),
             "queries": float(self._queries),
             "shards_considered": float(self._queries),
             "shards_scanned": float(self._search.scored_groups),
@@ -337,9 +347,9 @@ def load_index(
 ) -> VectorIndex:
     """Re-open a persisted index, dispatching on its on-disk layout.
 
-    A sharded index is a directory holding a ``manifest.json`` (version 3)
-    beside one memory-mapped ``arena.bin``; a flat index is a single
-    ``.npz`` file.  Runtime knobs are not persisted, so a sharded reload
+    A sharded index is a directory holding a ``manifest.json`` (version 4)
+    beside the per-shard segment files and the codes file it names, each
+    segment memory-mapped; a flat index is a single ``.npz`` file.  Runtime knobs are not persisted, so a sharded reload
     must be handed its ``max_workers`` / ``compaction`` settings again (a
     flat index ignores them).
     """

@@ -51,10 +51,16 @@ single pass may rewrite, spreading the work across insert waves.
 Compaction re-keys shards but never reorders entries against the global
 insertion sequence, so search results are unchanged.
 
-Persistence is manifest v3, the only format: every shard's scoring payload
-lives in one aligned ``arena.bin`` that :meth:`ShardedVectorIndex.load`
-maps with ``np.memmap`` semantics — a shard's vector pages fault in only
-when a query actually scans it.
+Persistence is manifest v4, the only format: one immutable segment file
+per shard (vectors, days, norms, sequences, ids and texts), one small file
+of category codes, and a small ``manifest.json`` naming them, replaced
+last as the single commit point.  :meth:`ShardedVectorIndex.save` writes
+a segment only for shards whose rows changed since the index last saved to
+or loaded from that directory, so a snapshot costs what changed and a
+crash at any step leaves the previous snapshot or the new one;
+:meth:`ShardedVectorIndex.load` maps each segment with ``np.memmap``
+semantics — a shard's vector pages fault in only when a query actually
+scans it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ import bisect
 import json
 import math
 import os
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,19 +80,22 @@ import numpy as np
 from ..core.errors import IndexCorruptionError
 from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
-from .shardmem import ArenaSpec, BlockSpec, ShardArena
+from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
 from .store import VectorEntry, VectorStore
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
 
-#: Name of the file-backed arena inside a manifest-v3 index directory.
-ARENA_FILENAME = "arena.bin"
-
 #: The one manifest version :meth:`ShardedVectorIndex.save` writes and
 #: :meth:`ShardedVectorIndex.load` reads.
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
+
+#: Segment (``seg-<shard key>-<generation>.bin``) and codes
+#: (``codes-<generation>.bin``) files of a snapshot directory.  Every save
+#: names what it writes with a generation above any in the directory, so a
+#: file is never rewritten and a reused shard key never collides.
+_SNAPSHOT_FILE = re.compile(r"(?:seg--?\d+|codes)-(\d+)\.bin")
 
 
 def time_bucket(day: float, window_days: float) -> int:
@@ -154,7 +164,7 @@ class _ShardData:
     The hand-off unit between the index and the extraction workers:
     everything scoring needs, whether the arrays are views into a live
     :class:`~repro.vectordb.store.VectorStore` buffer or into the mapped
-    arena of a loaded index.
+    segment of a loaded index.
     """
 
     __slots__ = (
@@ -469,11 +479,16 @@ class _Shard:
     cover exactly one ``window_days`` bucket, compacted shards cover merged
     or subdivided ranges.  ``min_day``/``max_day`` track the actual stored
     entries and stay the (tighter) basis of the pruning bound.
+
+    ``saved`` is ``(segment file name, rows in it)`` once the shard's rows
+    are in a committed segment of the index's snapshot directory, None on
+    every fresh shard.  Rows only ever append to one ``_Shard`` object, so
+    the shard is clean exactly while the row count still matches.
     """
 
     __slots__ = (
         "key", "store", "seqs", "cat_codes", "cat_counts",
-        "min_day", "max_day", "start_day", "end_day",
+        "min_day", "max_day", "start_day", "end_day", "saved",
         "_seq_array", "_code_array", "_data",
     )
 
@@ -493,6 +508,7 @@ class _Shard:
         self.max_day = -math.inf
         self.start_day = start_day
         self.end_day = end_day
+        self.saved: Optional[Tuple[str, int]] = None
         self._seq_array: Optional[np.ndarray] = None
         self._code_array: Optional[np.ndarray] = None
         self._data: Optional[_ShardData] = None
@@ -637,8 +653,8 @@ class ShardedVectorIndex:
         # lazily spawned scoring pool, reused across search_many calls
         self._executor = None
         self._executor_workers = 0
-        # the mapped arena a load()ed index's stores view into
-        self._arena: Optional[ShardArena] = None
+        # the snapshot directory the shards' ``saved`` markers refer to
+        self._saved_dir: Optional[str] = None
         # scan statistics (cumulative over the index lifetime)
         self._queries = 0
         self._shards_considered = 0
@@ -651,6 +667,10 @@ class ShardedVectorIndex:
         self._compactions = 0
         self._shards_merged = 0
         self._shards_split = 0
+        # save statistics (cumulative over the index lifetime)
+        self._saves = 0
+        self._save_shards_written = 0
+        self._save_bytes_written = 0
 
     #: Ceiling of the automatic (``max_workers=None``) pool size.  A wave
     #: submits one task per nominated shard — typically a handful after
@@ -682,31 +702,25 @@ class ShardedVectorIndex:
         return self._executor
 
     def close(self) -> None:
-        """Release the scoring pool and this index's handle on its arena.
+        """Release the scoring pool.
 
-        Idempotent; the pool respawns lazily on next use, and stores
-        loaded from an arena keep their pages mapped through their own
-        views.  Exception safe: the references are dropped first, so a
-        failing executor shutdown never leaks the mapping and a second
-        ``close()`` after an error is a no-op.
+        Idempotent; the pool respawns lazily on next use.  Stores loaded
+        from segments keep their pages mapped through their own views (a
+        mapping goes when its shard does).  Exception safe: the reference
+        is dropped first, so a second ``close()`` after a failing executor
+        shutdown is a no-op.
         """
         executor, self._executor = self._executor, None
-        arena, self._arena = self._arena, None
         self._executor_workers = 0
-        try:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-        finally:
-            if arena is not None:
-                arena.close()
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def __getstate__(self) -> dict:
-        # Worker pools and file mappings cannot be copied or pickled; the
-        # copy respawns its own pool on first use.
+        # Worker pools cannot be copied or pickled; the copy respawns its
+        # own pool on first use.
         state = dict(self.__dict__)
         state["_executor"] = None
         state["_executor_workers"] = 0
-        state["_arena"] = None
         return state
 
     def __del__(self) -> None:
@@ -1543,82 +1557,122 @@ class ShardedVectorIndex:
 
     # ------------------------------------------------------------ persistence
     def save(self, path) -> None:
-        """Persist to a directory: one mmap arena plus a JSON manifest (v3).
+        """Persist to a directory: a snapshot that costs what changed (v4).
 
-        Every shard's scoring payload — including the cached squared
-        norms — goes into a single aligned ``arena.bin`` that :meth:`load`
-        memory-maps; pages fault in lazily as queries actually scan
-        shards.  ``manifest.json`` records the block layout plus the
-        JSON-only metadata (ids, texts, category table, day ranges).
+        A snapshot is ``manifest.json`` plus the files it names, flat in
+        ``path``: per shard one immutable *segment* (matrix, days, cached
+        squared norms, sequences and — in a trailing blob — ids and texts)
+        and one *codes* file, the only per-row data ``update_category``
+        mutates.  In order, each step durable before the next starts:
 
-        Both files are written under temporary names in ``path`` and moved
-        into place with ``os.replace``, arena first and manifest last, so
-        saving onto the directory this index was loaded from never
-        truncates the mapping its own stores read from.
+        1. a segment, written and fsynced, for every shard whose rows are
+           not already in a segment this index committed to (or loaded
+           from) ``path`` — every shard for any other directory;
+        2. the codes file, whole, written and fsynced;
+        3. ``manifest.json.tmp``, written and fsynced;
+        4. ``os.replace`` onto ``manifest.json`` — **the commit point**;
+        5. ``fsync`` of the directory;
+        6. unlink of every segment, codes and ``*.tmp`` file the new
+           manifest does not name.
+
+        New files carry a generation above any in the directory, so
+        nothing a manifest names is ever rewritten: a save that dies
+        before step 4 leaves the previous snapshot untouched (plus debris
+        the next save sweeps), one that dies after it leaves the new one,
+        and saving onto the directory this index was loaded from never
+        touches a file its own stores are mapped from.
 
         Accepts ``str`` or :class:`pathlib.Path`.
         """
-        path = os.fspath(path)
+        path = os.path.abspath(os.fspath(path))
         os.makedirs(path, exist_ok=True)
-        arena_path = os.path.join(path, ARENA_FILENAME)
-        manifest_path = os.path.join(path, SHARDED_MANIFEST)
-        arena_tmp, manifest_tmp = arena_path + ".tmp", manifest_path + ".tmp"
-        payloads = []
-        for key in sorted(self._shards):
-            data = self._shards[key].data()
-            payloads.append(
-                (key, {
-                    "matrix": data.matrix, "days": data.days,
-                    "sq_norms": data.sq_norms, "seqs": data.seqs,
-                    "codes": data.codes,
-                })
-            )
-        arena = ShardArena.build(payloads, arena_tmp)
-        blocks_meta = [
-            {
-                "key": block.key,
-                "rows": block.rows,
-                "dim": block.dim,
-                "offsets": [[name, offset] for name, offset in block.offsets],
-            }
-            for block in arena.spec.blocks
-        ]
-        arena_size = arena.spec.size
-        arena.close()
-        code_to_name = {code: name for name, code in self._cat_code.items()}
+        present = set(os.listdir(path))
+        generation = 1 + max(
+            (
+                int(match.group(1))
+                for match in map(_SNAPSHOT_FILE.fullmatch, present)
+                if match
+            ),
+            default=0,
+        )
+        same_dir = self._saved_dir == path
+        written: Dict[int, Tuple[str, int]] = {}
+        bytes_written = 0
         shards_meta = []
+        codes = []
         for key in sorted(self._shards):
             shard = self._shards[key]
+            rows, dim = shard.store.matrix().shape
+            saved = shard.saved if same_dir else None
+            if saved is None or saved[1] != rows or saved[0] not in present:
+                data = shard.data()
+                entries = shard.store._entries  # noqa: SLF001
+                blob = json.dumps(
+                    [
+                        [entry.incident_id for entry in entries],
+                        [entry.text for entry in entries],
+                    ]
+                ).encode("utf-8")
+                saved = written[key] = (f"seg-{key}-{generation:08d}.bin", rows)
+                bytes_written += write_segment(
+                    os.path.join(path, saved[0]),
+                    {
+                        "matrix": data.matrix, "days": data.days,
+                        "sq_norms": data.sq_norms, "seqs": data.seqs,
+                    },
+                    blob,
+                )
             shards_meta.append(
                 {
                     "key": key,
+                    "rows": rows,
+                    "dim": dim,
                     "start_day": shard.start_day,
                     "end_day": shard.end_day,
                     "min_day": shard.min_day,
                     "max_day": shard.max_day,
-                    "ids": [entry.incident_id for entry in shard.store],
-                    "texts": [entry.text for entry in shard.store],
+                    "segment": saved[0],
                 }
             )
+            codes.append(shard.code_array().astype("<i8", copy=False))
+        codes_name = f"codes-{generation:08d}.bin"
+        bytes_written += write_durable(os.path.join(path, codes_name), codes)
+        code_to_name = {code: name for name, code in self._cat_code.items()}
         manifest = {
             "format": "sharded-vector-index",
             "version": MANIFEST_VERSION,
+            "generation": generation,
             "window_days": self.window_days,
             "next_seq": self._next_seq,
             "next_shard_key": self._next_shard_key,
             "dim": self._dim,
             "categories": [code_to_name[code] for code in range(len(code_to_name))],
-            "arena": {
-                "file": ARENA_FILENAME,
-                "size": arena_size,
-                "blocks": blocks_meta,
-            },
+            "codes": codes_name,
             "shards": shards_meta,
         }
-        with open(manifest_tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest))
-        os.replace(arena_tmp, arena_path)
-        os.replace(manifest_tmp, manifest_path)
+        manifest_path = os.path.join(path, SHARDED_MANIFEST)
+        bytes_written += write_durable(
+            manifest_path + ".tmp", [json.dumps(manifest).encode("utf-8")]
+        )
+        os.replace(manifest_path + ".tmp", manifest_path)  # the commit point
+        for key, marker in written.items():
+            self._shards[key].saved = marker
+        self._saved_dir = path
+        self._saves += 1
+        self._save_shards_written += len(written)
+        self._save_bytes_written += bytes_written
+        directory = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        live = {SHARDED_MANIFEST, codes_name}
+        live.update(meta["segment"] for meta in shards_meta)
+        for name in os.listdir(path):
+            if name not in live and (
+                name.endswith(".tmp") or _SNAPSHOT_FILE.fullmatch(name)
+            ):
+                os.unlink(os.path.join(path, name))
 
     @classmethod
     def load(
@@ -1630,19 +1684,19 @@ class ShardedVectorIndex:
     ) -> "ShardedVectorIndex":
         """Re-open an index written by :meth:`save`.
 
-        Memory-maps the ``arena.bin`` payload: shard arrays are views into
-        the mapping, zero copies; stores go copy-on-grow on the first
-        subsequent insert.  Arena fields are resolved by name, so blocks
-        written with extra fields (older v3 saves carried an int8 copy)
-        load unchanged.
+        Memory-maps every segment the manifest names: shard arrays are
+        views into the mappings, zero copies; a store goes copy-on-grow on
+        its first subsequent insert.  Only the ids/texts blobs and the
+        codes file are read eagerly.
 
         Raises :class:`~repro.core.errors.IndexCorruptionError` — a typed,
         permanent failure — whenever the on-disk state is unreadable:
         undecodable or structurally invalid ``manifest.json``, a manifest
-        ``version`` other than 3 (the per-shard ``.npz`` layouts of
-        versions 1 and 2 are no longer read), an ``arena.bin`` shorter
-        than the manifest claims, or shard metadata that does not
-        reconstruct.  A missing manifest stays a plain
+        ``version`` other than 4 (the single-arena layout of version 3 and
+        the per-shard ``.npz`` layouts of versions 1 and 2 are no longer
+        read), a missing segment or codes file, a segment or codes file
+        shorter than the manifest's row counts need, or shard metadata
+        that does not reconstruct.  A missing manifest stays a plain
         ``FileNotFoundError`` (absent, not corrupt).  Callers that must
         survive corruption go through
         :func:`repro.chaos.load_index_resilient`, which falls back to a
@@ -1705,76 +1759,74 @@ class ShardedVectorIndex:
         table = list(manifest["categories"])
         for name in table:
             index._code_for(name)
-        blocks = tuple(
-            BlockSpec(
-                key=int(meta["key"]),
-                rows=int(meta["rows"]),
-                dim=int(meta["dim"]),
-                offsets=tuple(
-                    (str(name), int(offset)) for name, offset in meta["offsets"]
-                ),
-            )
-            for meta in manifest["arena"]["blocks"]
-        )
-        arena_file = os.path.abspath(os.path.join(path, manifest["arena"]["file"]))
-        arena_size = int(manifest["arena"]["size"])
-        # A partial write (crashed save, torn copy) leaves the arena shorter
-        # than the manifest's block layout expects; mmap'ing it anyway
-        # would fault lazily on first scan of the missing pages, so fail
-        # fast with the typed corruption error instead.
+        codes_path = cls._snapshot_file(path, manifest["codes"])
         try:
-            actual_size = os.path.getsize(arena_file)
+            all_codes = np.fromfile(codes_path, dtype="<i8")
         except OSError as exc:
             raise IndexCorruptionError(
-                f"missing arena file {arena_file}: {exc}"
+                f"missing codes file {codes_path}: {exc}"
             ) from exc
-        if actual_size < arena_size:
+        expected = sum(int(meta["rows"]) for meta in manifest["shards"])
+        if all_codes.shape[0] != expected:
             raise IndexCorruptionError(
-                f"partial arena file {arena_file}: {actual_size} bytes on "
-                f"disk, manifest expects {arena_size}"
+                f"partial codes file {codes_path}: {all_codes.shape[0]} codes "
+                f"on disk, manifest expects {expected}"
             )
-        arena = ShardArena.attach(
-            ArenaSpec(path=arena_file, size=arena_size, blocks=blocks)
-        )
+        offset = 0
         for meta in manifest["shards"]:
-            key = int(meta["key"])
-            views = arena.views(key)
-            codes = [int(code) for code in views["codes"]]
+            key, rows = int(meta["key"]), int(meta["rows"])
+            segment_path = cls._snapshot_file(path, meta["segment"])
+            # A partial write or torn copy fails here, not lazily on the
+            # first scan of a missing page.
+            try:
+                views, blob = map_segment(segment_path, rows, int(meta["dim"]))
+            except (OSError, ValueError) as exc:
+                raise IndexCorruptionError(
+                    f"unreadable segment {segment_path}: {exc}"
+                ) from exc
+            ids, texts = json.loads(blob)
+            codes = all_codes[offset : offset + rows].tolist()
+            offset += rows
             categories = [table[code] for code in codes]
-            store = VectorStore.wrap(
-                matrix=views["matrix"],
-                created_days=views["days"],
-                sq_norms=views["sq_norms"],
-                incident_ids=meta["ids"],
-                categories=categories,
-                texts=meta["texts"],
-            )
             shard = _Shard(
                 key,
                 index._similarity,
                 start_day=float(meta["start_day"]),
                 end_day=float(meta["end_day"]),
             )
-            shard.store = store
-            shard.seqs = [int(seq) for seq in views["seqs"]]
+            shard.store = VectorStore.wrap(
+                matrix=views["matrix"],
+                created_days=views["days"],
+                sq_norms=views["sq_norms"],
+                incident_ids=ids,
+                categories=categories,
+                texts=texts,
+            )
+            shard.seqs = views["seqs"].tolist()
             shard.cat_codes = codes
             shard.cat_counts = Counter(categories)
             shard.min_day = float(meta["min_day"])
             shard.max_day = float(meta["max_day"])
-            for incident_id in meta["ids"]:
+            shard.saved = (meta["segment"], rows)
+            for incident_id in ids:
                 index._locator[incident_id] = key
             index._shards[key] = shard
-            if store.dim is not None:
-                index._dim = store.dim
+            if shard.store.dim is not None:
+                index._dim = shard.store.dim
         if index._dim is None and manifest.get("dim") is not None:
             index._dim = int(manifest["dim"])
-        # Keep the mapping referenced for the index lifetime; close() only
-        # drops the mapping, never the file.
-        index._arena = arena
+        index._saved_dir = os.path.abspath(path)
         index._next_seq = int(manifest["next_seq"])
         index._next_shard_key = int(manifest.get("next_shard_key", 0))
         index._rebuild_ranges()
         return index
+
+    @staticmethod
+    def _snapshot_file(path: str, name: str) -> str:
+        """Path of a manifest-named segment/codes file; rejects other names."""
+        if not isinstance(name, str) or not _SNAPSHOT_FILE.fullmatch(name):
+            raise IndexCorruptionError(f"manifest names a foreign file: {name!r}")
+        return os.path.join(path, name)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, float]:
@@ -1797,6 +1849,9 @@ class ShardedVectorIndex:
             "compactions": float(self._compactions),
             "shards_merged": float(self._shards_merged),
             "shards_split": float(self._shards_split),
+            "saves": float(self._saves),
+            "save_shards_written": float(self._save_shards_written),
+            "save_bytes_written": float(self._save_bytes_written),
             "queries": float(self._queries),
             "shards_considered": float(self._shards_considered),
             "shards_scanned": float(self._shards_scanned),

@@ -1,13 +1,15 @@
-"""Shard memory: the file-backed arena of a persisted index, and shared blobs.
+"""Shard memory: the on-disk segment of one persisted shard, and shared blobs.
 
-* **Lazy on-disk mapping.**  :meth:`ShardArena.build` lays every shard's
-  scoring payload (float64 matrix, creation days, cached squared norms,
-  insertion sequences, category codes) into **one** 64-byte-aligned file.
-  A persisted index (manifest v3) is re-opened with ``np.memmap``
-  semantics — pages of a shard's matrix fault in only when a query
-  actually scans that shard.  Fields are located by *name* through the
-  manifest's recorded offsets, so a block that lists fields this module
-  no longer reads still maps.
+* **Segments.**  :func:`write_segment` lays one shard's row-immutable
+  payload — float64 matrix, creation days, cached squared norms, insertion
+  sequences, then a trailing blob the index layer fills with the shard's
+  ids and texts — into one file, every array on a 64-byte boundary behind
+  a fixed header (magic, rows, dim, blob length).  A segment is written
+  once under a name no earlier save used and never rewritten, so
+  :class:`ShardSegment` can map it read-only for as long as anything views
+  it: pages of a shard's matrix fault in only when a query actually scans
+  that shard.  :func:`write_durable` is the one write primitive of a save
+  (open, write, flush, ``fsync``).
 
 * **Shared blobs.**  :class:`SharedBlob` is one pickled payload in a POSIX
   shared-memory segment, written once and read by worker processes by
@@ -28,81 +30,122 @@ import mmap
 import os
 import pickle
 import secrets
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import struct
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-#: Block alignment inside the arena, in bytes.  64 covers every SIMD/cache
+#: Field alignment inside a segment, in bytes.  64 covers every SIMD/cache
 #: line width numpy kernels care about.
 ALIGNMENT = 64
 
-#: The per-shard arrays an arena block carries, in layout order.
+#: The per-shard arrays a segment carries, in layout order.
 #: (name, dtype, per-row elements: None means ``dim``)
 _FIELDS: Tuple[Tuple[str, str, Optional[int]], ...] = (
     ("matrix", "<f8", None),     # float64 vectors — the exact scoring source
     ("days", "<f8", 1),          # creation day per row
     ("sq_norms", "<f8", 1),      # cached |v|^2 per row
     ("seqs", "<i8", 1),          # global insertion sequence per row
-    ("codes", "<i8", 1),         # global category code per row
 )
+
+#: Segment header: magic, rows, dim, blob length in bytes.
+_HEADER = struct.Struct("<8sQQQ")
+SEGMENT_MAGIC = b"RCASEG04"
 
 
 def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Byte layout of one shard inside the arena."""
+def plan_layout(rows: int, dim: int) -> Tuple[Dict[str, int], int]:
+    """Byte offsets of a ``(rows, dim)`` segment's fields, and of its blob.
 
-    key: int
-    rows: int
-    dim: int
-    offsets: Tuple[Tuple[str, int], ...]
-
-    def offset(self, name: str) -> int:
-        for field_name, offset in self.offsets:
-            if field_name == name:
-                return offset
-        raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class ArenaSpec:
-    """Everything needed to map an arena file: its path, size and layout."""
-
-    path: str
-    size: int
-    blocks: Tuple[BlockSpec, ...] = field(default=())
-
-    def block(self, key: int) -> BlockSpec:
-        for block in self.blocks:
-            if block.key == key:
-                return block
-        raise KeyError(f"shard {key} not in arena")
-
-
-def plan_layout(
-    shapes: Sequence[Tuple[int, int, int]],
-) -> Tuple[Tuple[BlockSpec, ...], int]:
-    """Byte layout for shards given ``(key, rows, dim)`` triples.
-
-    Every field of every shard starts on an :data:`ALIGNMENT` boundary; the
-    returned total size is likewise aligned (and never zero, since empty
-    files cannot be mapped).
+    The header sits at offset 0; every field and the trailing blob start on
+    an :data:`ALIGNMENT` boundary.  The layout is a pure function of the
+    shape, so a reader needs only the header to find everything.
     """
-    offset = 0
-    blocks: List[BlockSpec] = []
-    for key, rows, dim in shapes:
-        offsets: List[Tuple[str, int]] = []
-        for name, dtype, width in _FIELDS:
-            offset = _align(offset)
-            offsets.append((name, offset))
-            per_row = dim if width is None else width
-            offset += rows * per_row * np.dtype(dtype).itemsize
-        blocks.append(BlockSpec(key=key, rows=rows, dim=dim, offsets=tuple(offsets)))
-    return tuple(blocks), max(_align(offset), ALIGNMENT)
+    offset = _HEADER.size
+    offsets: Dict[str, int] = {}
+    for name, dtype, width in _FIELDS:
+        offset = _align(offset)
+        offsets[name] = offset
+        per_row = dim if width is None else width
+        offset += rows * per_row * np.dtype(dtype).itemsize
+    return offsets, _align(offset)
+
+
+def write_durable(path: str, chunks: Iterable) -> int:
+    """Write ``chunks`` to a fresh file at ``path`` and ``fsync`` it.
+
+    Returns the bytes written.  The file is durable when this returns, its
+    directory entry only once the directory itself has been fsynced.
+    """
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        handle.flush()
+        os.fsync(handle.fileno())
+        return handle.tell()
+
+
+def write_segment(path: str, arrays: Dict[str, np.ndarray], blob: bytes) -> int:
+    """Write one shard's arrays (the :data:`_FIELDS` names) and ``blob``.
+
+    Rows and dim are taken from the ``matrix`` field.  Arrays are handed to
+    the file as buffers, not copied into an intermediate image.  Returns
+    the bytes written.
+    """
+    rows, dim = arrays["matrix"].shape
+    offsets, blob_offset = plan_layout(rows, dim)
+    chunks = [_HEADER.pack(SEGMENT_MAGIC, rows, dim, len(blob))]
+    position = _HEADER.size
+    for name, dtype, _ in _FIELDS:
+        array = np.ascontiguousarray(arrays[name], dtype=dtype)
+        chunks += [bytes(offsets[name] - position), array]
+        position = offsets[name] + array.nbytes
+    chunks += [bytes(blob_offset - position), blob]
+    return write_durable(path, chunks)
+
+
+def map_segment(
+    path: str, rows: int, dim: int
+) -> Tuple[Dict[str, np.ndarray], bytes]:
+    """Map a segment read-only: ``(field views, blob)``, zero array copies.
+
+    Validates the header against the ``(rows, dim)`` the manifest recorded
+    and the file's size against the layout, so a torn or mismatched
+    segment fails here (``ValueError``/``OSError``) instead of faulting on
+    the first scan of a missing page.  The views own the mapping: it is
+    unmapped when the last of them dies, and never touches the file.
+    """
+    with open(path, "rb") as handle:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"partial segment {path}: no header")
+        magic, file_rows, file_dim, blob_bytes = _HEADER.unpack(header)
+        if magic != SEGMENT_MAGIC or (file_rows, file_dim) != (rows, dim):
+            raise ValueError(
+                f"segment {path} holds {file_rows}x{file_dim} rows "
+                f"(magic {magic!r}), manifest expects {rows}x{dim}"
+            )
+        offsets, blob_offset = plan_layout(rows, dim)
+        size = blob_offset + blob_bytes
+        actual = os.fstat(handle.fileno()).st_size
+        if actual < size:
+            raise ValueError(
+                f"partial segment {path}: {actual} bytes on disk, "
+                f"layout needs {size}"
+            )
+        mapped = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ)
+    views = {}
+    for name, dtype, width in _FIELDS:
+        per_row = dim if width is None else width
+        view = np.frombuffer(
+            mapped, dtype=np.dtype(dtype), count=rows * per_row, offset=offsets[name]
+        )
+        views[name] = view.reshape(rows, dim) if width is None else view
+    return views, mapped[blob_offset:size]
 
 
 @contextlib.contextmanager
@@ -142,116 +185,6 @@ def attach_shared_memory(name: str):
 
     with _quiet_tracker():
         return shared_memory.SharedMemory(name=name)
-
-
-class ShardArena:
-    """One memory-mapped file holding every shard's scoring payload.
-
-    Create with :meth:`build` (writer side) or :meth:`attach` (reader
-    side); read arrays back with :meth:`views`.  The object is deliberately
-    dumb about *content* — layout and mapping only — so the index layer
-    decides what the arrays mean.
-    """
-
-    def __init__(self, spec: ArenaSpec, mapped: mmap.mmap) -> None:
-        self.spec = spec
-        self._mapped = mapped
-        self._buffer = memoryview(mapped)
-        self._closed = False
-
-    # ----------------------------------------------------------------- create
-    @classmethod
-    def build(
-        cls,
-        payloads: Sequence[Tuple[int, Dict[str, np.ndarray]]],
-        path: str,
-    ) -> "ShardArena":
-        """Lay shard payloads into a fresh arena file at ``path``.
-
-        ``payloads`` maps shard key -> field arrays (the :data:`_FIELDS`
-        names); rows/dim are derived from the ``matrix`` field.  An
-        existing file at ``path`` is truncated — writers that must not
-        disturb a live mapping of it build under a temporary name and
-        ``os.replace`` afterwards.
-        """
-        shapes = [
-            (key, arrays["matrix"].shape[0], arrays["matrix"].shape[1])
-            for key, arrays in payloads
-        ]
-        blocks, size = plan_layout(shapes)
-        with open(path, "w+b") as handle:
-            handle.truncate(size)
-            mapped = mmap.mmap(handle.fileno(), size)
-        arena = cls(
-            ArenaSpec(path=os.path.abspath(path), size=size, blocks=blocks), mapped
-        )
-        for (key, arrays), block in zip(payloads, arena.spec.blocks):
-            for name, dtype, width in _FIELDS:
-                view = arena._field(block, name, dtype, width, writable=True)
-                view[...] = arrays[name]
-        return arena
-
-    @classmethod
-    def attach(cls, spec: ArenaSpec, writable: bool = False) -> "ShardArena":
-        """Map an existing arena file without copying."""
-        with open(spec.path, "r+b" if writable else "rb") as handle:
-            mapped = mmap.mmap(
-                handle.fileno(),
-                spec.size,
-                access=mmap.ACCESS_WRITE if writable else mmap.ACCESS_READ,
-            )
-        return cls(spec, mapped)
-
-    # ------------------------------------------------------------------- read
-    def _field(
-        self, block: BlockSpec, name: str, dtype: str, width: Optional[int],
-        writable: bool = False,
-    ) -> np.ndarray:
-        per_row = block.dim if width is None else width
-        count = block.rows * per_row
-        view = np.frombuffer(
-            self._buffer, dtype=np.dtype(dtype), count=count,
-            offset=block.offset(name),
-        )
-        if width is None:
-            view = view.reshape(block.rows, block.dim)
-        if not writable:
-            view = view.view()
-            view.flags.writeable = False
-        return view
-
-    def views(self, key: int) -> Dict[str, np.ndarray]:
-        """Read-only numpy views of one shard's arrays (zero copies)."""
-        if self._closed:
-            raise ValueError("arena is closed")
-        block = self.spec.block(key)
-        return {
-            name: self._field(block, name, dtype, width)
-            for name, dtype, width in _FIELDS
-        }
-
-    # ---------------------------------------------------------------- cleanup
-    def close(self) -> None:
-        """Drop this process's mapping; never touches the file itself."""
-        if self._closed:
-            return
-        self._closed = True
-        # numpy views created via frombuffer keep the exported memoryview
-        # alive; release our handle and let theirs expire with them.
-        try:
-            self._buffer.release()
-        except BufferError:  # pragma: no cover - exported views
-            pass
-        try:
-            self._mapped.close()
-        except BufferError:  # pragma: no cover - live views hold the map
-            pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 - interpreter-shutdown races
-            pass
 
 
 # ------------------------------------------------------------- shared blobs

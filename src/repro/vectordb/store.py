@@ -250,7 +250,7 @@ class VectorStore:
         """Adopt externally owned row arrays without copying them.
 
         The zero-copy load path: ``matrix`` / ``created_days`` /
-        ``sq_norms`` (typically memory-mapped arena views) become the
+        ``sq_norms`` (typically memory-mapped segment views) become the
         store's backing buffers directly, and every entry's ``vector`` is a
         view into ``matrix``.  Capacity equals the row count, so the first
         subsequent insert re-allocates into a private (writable) buffer —
@@ -267,17 +267,14 @@ class VectorStore:
         store._days = created_days
         store._sq_norms = sq_norms
         store._sq_norms_size = rows
-        for row in range(rows):
-            store._by_id[incident_ids[row]] = row
-            store._entries.append(
-                VectorEntry(
-                    incident_id=incident_ids[row],
-                    vector=matrix[row],
-                    created_day=float(created_days[row]),
-                    category=categories[row],
-                    text=texts[row],
-                )
-            )
+        store._by_id = dict(zip(incident_ids, range(rows)))
+        if len(store._by_id) != rows:
+            raise ValueError("duplicate incident id in wrapped metadata")
+        # Iterating the matrix yields its row views; one C-level pass builds
+        # the entries (this loop is most of what a load costs).
+        store._entries = list(
+            map(VectorEntry, incident_ids, matrix, created_days.tolist(), categories, texts)
+        )
         return store
 
     # ------------------------------------------------------------- persistence

@@ -1,4 +1,4 @@
-"""Index I/O chaos: corrupt/partial manifests and arenas, fallback ladder."""
+"""Index I/O chaos: corrupt/partial manifests, segments and codes, fallback ladder."""
 
 from __future__ import annotations
 
@@ -33,6 +33,16 @@ def _build_index(entries: int = 24) -> ShardedVectorIndex:
 def _neighbor_ids(index, query_day: float = 30.0):
     query = np.ones(DIM, dtype=np.float32)
     return [n.incident_id for n in index.search(query, query_day, k=5)]
+
+
+def _segments(path):
+    """The segment files of a saved index directory, largest first."""
+    return sorted(path.glob("seg-*.bin"), key=lambda file: -file.stat().st_size)
+
+
+def _codes_file(path):
+    (codes,) = path.glob("codes-*.bin")
+    return codes
 
 
 def _retire_manifest(path, version: int) -> None:
@@ -70,35 +80,103 @@ def test_wrong_format_raises_typed_error(tmp_path):
     (path / "manifest.json").write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(IndexCorruptionError):
         ShardedVectorIndex.load(str(path))
-    # The retired per-shard .npz manifests (v1, v2) fail typed, by number.
+    # The retired layouts (per-shard .npz v1/v2, single-arena v3) fail
+    # typed, by number.
     index = _build_index()
     index.save(str(path))
     index.close()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         _retire_manifest(path, version)
         with pytest.raises(IndexCorruptionError, match=f"version {version}"):
             load_index(str(path))
 
 
-def test_partial_arena_raises_typed_error(tmp_path):
+def test_partial_segment_fails_fast_with_typed_error(tmp_path):
+    """A segment shorter than its manifest row count fails at load time.
+
+    Every truncation point — inside the blob, inside the arrays, inside
+    the header, empty — is caught by ``load`` itself, never deferred to
+    the first scan that would touch a missing page.
+    """
     index = _build_index()
     path = tmp_path / "idx"
     index.save(str(path))
     index.close()
-    arena = path / "arena.bin"
-    data = arena.read_bytes()
-    arena.write_bytes(data[: len(data) // 2])
-    with pytest.raises(IndexCorruptionError, match="partial arena"):
+    segment = _segments(path)[0]
+    data = segment.read_bytes()
+    for keep in (len(data) - 1, len(data) // 2, 10, 0):
+        segment.write_bytes(data[:keep])
+        with pytest.raises(IndexCorruptionError, match="partial segment"):
+            ShardedVectorIndex.load(str(path))
+
+
+def test_segment_for_other_rows_raises_typed_error(tmp_path):
+    """A segment whose header disagrees with the manifest is corruption."""
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    big, *_, small = _segments(path)
+    assert big.stat().st_size != small.stat().st_size
+    small.write_bytes(big.read_bytes())
+    with pytest.raises(IndexCorruptionError, match="manifest expects"):
         ShardedVectorIndex.load(str(path))
 
 
-def test_missing_arena_raises_typed_error(tmp_path):
+def test_missing_segment_raises_typed_error(tmp_path):
     index = _build_index()
     path = tmp_path / "idx"
     index.save(str(path))
     index.close()
-    os.remove(path / "arena.bin")
-    with pytest.raises(IndexCorruptionError, match="arena"):
+    os.remove(_segments(path)[0])
+    with pytest.raises(IndexCorruptionError, match="segment"):
+        ShardedVectorIndex.load(str(path))
+
+
+def test_missing_or_short_codes_file_raises_typed_error(tmp_path):
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    codes = _codes_file(path)
+    codes.write_bytes(codes.read_bytes()[:-8])
+    with pytest.raises(IndexCorruptionError, match="partial codes file"):
+        ShardedVectorIndex.load(str(path))
+    os.remove(codes)
+    with pytest.raises(IndexCorruptionError, match="missing codes file"):
+        ShardedVectorIndex.load(str(path))
+
+
+def test_segment_with_duplicate_ids_raises_typed_error(tmp_path):
+    from repro.vectordb.shardmem import map_segment, write_segment
+
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    meta = json.loads((path / "manifest.json").read_text())["shards"][0]
+    segment = str(path / meta["segment"])
+    views, blob = map_segment(segment, meta["rows"], meta["dim"])
+    ids, texts = json.loads(blob)
+    ids[-1] = ids[0]
+    arrays = {name: np.array(view) for name, view in views.items()}
+    del views
+    write_segment(segment, arrays, json.dumps([ids, texts]).encode())
+    with pytest.raises(IndexCorruptionError, match="duplicate incident id"):
+        ShardedVectorIndex.load(str(path))
+
+
+def test_manifest_naming_a_foreign_file_raises_typed_error(tmp_path):
+    """Only segment/codes names resolve; a manifest cannot point elsewhere."""
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    manifest = path / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["shards"][0]["segment"] = "../elsewhere.bin"
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(IndexCorruptionError, match="foreign file"):
         ShardedVectorIndex.load(str(path))
 
 
@@ -125,17 +203,19 @@ def test_resilient_load_primary_path(tmp_path):
 
 
 def test_resilient_load_falls_back_to_rebuild(tmp_path):
-    """A torn arena, or a retired v2 manifest, rebuilds from the store."""
+    """A torn segment, a lost codes file or a retired manifest rebuilds."""
     index = _build_index()
     expected = _neighbor_ids(index)
 
-    def tear_arena(path):
-        arena = path / "arena.bin"
-        arena.write_bytes(arena.read_bytes()[:100])
+    def tear_segment(path):
+        segment = _segments(path)[0]
+        segment.write_bytes(segment.read_bytes()[:100])
 
     for name, damage in (
-        ("torn", tear_arena),
-        ("retired", lambda path: _retire_manifest(path, 2)),
+        ("torn", tear_segment),
+        ("codes", lambda path: os.remove(_codes_file(path))),
+        ("retired-v2", lambda path: _retire_manifest(path, 2)),
+        ("retired-v3", lambda path: _retire_manifest(path, 3)),
     ):
         path = tmp_path / name
         index.save(str(path))

@@ -351,17 +351,18 @@ class TestCompactionPersistence:
         with open(os.path.join(target, "manifest.json"), encoding="utf-8") as handle:
             manifest = json.load(handle)
         assert manifest["format"] == "sharded-vector-index"
-        assert manifest["version"] == 3
-        # v3 packs every shard into one mmap-able arena file; no per-shard
-        # .npz archives are written.
-        assert os.path.exists(os.path.join(target, manifest["arena"]["file"]))
-        assert not [
-            name for name in os.listdir(target) if name.endswith(".npz")
-        ]
+        assert manifest["version"] == 4
+        # v4 names one segment per compacted shard plus one codes file,
+        # flat in the directory; nothing else is written.
+        named = [meta["segment"] for meta in manifest["shards"]]
+        assert sorted(os.listdir(target)) == sorted(
+            ["manifest.json", manifest["codes"], *named]
+        )
         total_rows = 0
         for meta in manifest["shards"]:
             assert meta["start_day"] < meta["end_day"]
-            total_rows += len(meta["ids"])
+            assert meta["rows"] == index.shard_sizes()[meta["key"]]
+            total_rows += meta["rows"]
         assert total_rows == len(index)
 
         loaded = ShardedVectorIndex.load(target, similarity=similarity)

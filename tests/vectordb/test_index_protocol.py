@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.errors import IndexCorruptionError
 from repro.vectordb import (
     FlatVectorIndex,
     ShardedVectorIndex,
@@ -301,74 +302,29 @@ class TestPersistence:
         loaded.add("c", np.array([2.0, 2.0]), 3.0, "C")
         np.testing.assert_allclose(loaded.squared_norms(), [25.0, 1.0, 8.0])
 
-    def test_sharded_v3_arena_roundtrip(self, tmp_path):
-        """The default save is the v3 single-arena layout and round-trips."""
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        sharded = populated(ShardedVectorIndex(similarity, window_days=20.0))
-        sharded.update_category("i11", "Rewritten")
-        target = str(tmp_path / "arena-index")
+    def test_sharded_save_writes_manifest_codes_and_one_segment_per_shard(
+        self, tmp_path
+    ):
+        """The v4 layout, flat in the directory (round trips: test_persistence)."""
+        sharded = populated(ShardedVectorIndex(SimilarityConfig(), window_days=20.0))
+        target = str(tmp_path / "segment-index")
         sharded.save(target)
-        files = sorted(os.listdir(target))
-        assert files == ["arena.bin", "manifest.json"]
-        loaded = ShardedVectorIndex.load(target, similarity=similarity)
-        assert len(loaded) == len(sharded)
-        assert loaded.get("i11").category == "Rewritten"
-        assert loaded.shard_sizes() == sharded.shard_sizes()
-        rng = np.random.default_rng(21)
-        queries = rng.standard_normal((5, 8))
-        days = rng.uniform(0.0, 140.0, size=5)
-        assert_same_results(
-            sharded.search_many(queries, days), loaded.search_many(queries, days)
+        assert sorted(os.listdir(target)) == sorted(
+            ["codes-00000001.bin", "manifest.json"]
+            + [f"seg-{key}-00000001.bin" for key in sharded.shard_sizes()]
         )
-        # Saving onto the directory the index was loaded from must not
-        # truncate the arena its own matrices are mapped from, and leaves
-        # no temporary file behind.
-        loaded.save(target)
-        assert sorted(os.listdir(target)) == ["arena.bin", "manifest.json"]
-        resaved = ShardedVectorIndex.load(target, similarity=similarity)
-        for reader in (loaded, resaved):
-            assert_same_results(
-                sharded.search_many(queries, days),
-                reader.search_many(queries, days),
-            )
-        resaved.close()
-        # The mmap'd matrices are copy-on-grow: post-load inserts still work.
-        loaded.add("fresh", rng.standard_normal(8), 130.0, "Fresh")
-        assert "fresh" in loaded
-        assert_same_results(
-            sharded.search_many(queries, days, exclude_ids=[{"fresh"}] * 5),
-            loaded.search_many(queries, days, exclude_ids=[{"fresh"}] * 5),
-        )
-        loaded.close()
 
-    def test_parent_written_v3_directory_still_loads(self):
-        """A v3 save from before the int8 fields were dropped stays readable.
+    def test_parent_written_v3_directory_is_a_retired_format(self):
+        """A v3 (single ``arena.bin``) directory names its version and the rebuild.
 
-        ``fixtures/parent_v3_index`` was written by the commit preceding
-        their removal (``populated(..., count=40, dim=4, categories=5)``
-        plus one relabel); its blocks still list ``q8``/``qscale``/``ql1``
-        offsets, which are skipped because fields resolve by name.
+        ``fixtures/parent_v3_index`` was written by a commit that still read
+        v3; it stays only as this test's input.
         """
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        fresh = populated(
-            ShardedVectorIndex(similarity, window_days=20.0),
-            count=40, dim=4, categories=5,
-        )
-        fresh.update_category("i11", "Rewritten")
         fixture = os.path.join(
             os.path.dirname(__file__), "fixtures", "parent_v3_index"
         )
-        loaded = load_index(fixture, similarity=similarity)
-        assert loaded.shard_sizes() == fresh.shard_sizes()
-        rng = np.random.default_rng(3)
-        queries = rng.standard_normal((6, 4))
-        days = rng.uniform(0.0, 130.0, size=6)
-        assert_same_results(
-            fresh.search_many(queries, days), loaded.search_many(queries, days)
-        )
-        entry = loaded.get("i11")
-        assert (entry.category, entry.text) == ("Rewritten", "text 11")
-        loaded.close()
+        with pytest.raises(IndexCorruptionError, match="version 3.*rebuild the index"):
+            load_index(fixture, similarity=SimilarityConfig())
 
     def test_store_and_index_accept_pathlib_paths(self, tmp_path):
         """Satellite: every save/load entry point takes ``pathlib.Path``."""

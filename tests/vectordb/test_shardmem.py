@@ -1,14 +1,13 @@
-"""The mmap arena layer under the sharded index, and shared blobs.
+"""The segment codec under the sharded index, and shared blobs.
 
-Unit coverage for the layout planner, the file arena's
-build/attach/views lifecycle, and :class:`SharedBlob` leaving ``/dev/shm``
+Unit coverage for the layout planner, the segment write/map round trip
+and its fail-fast validation, and :class:`SharedBlob` leaving ``/dev/shm``
 exactly as it found it after ``destroy()``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 
 import numpy as np
@@ -16,11 +15,12 @@ import pytest
 
 from repro.vectordb.shardmem import (
     ALIGNMENT,
-    ArenaSpec,
     BlobSpec,
-    ShardArena,
     SharedBlob,
+    map_segment,
     plan_layout,
+    write_durable,
+    write_segment,
 )
 
 LINUX_ONLY = pytest.mark.skipif(
@@ -38,91 +38,71 @@ def shm_entries():
         return []
 
 
-def sample_payloads(rng, shapes):
-    payloads = []
-    for key, rows, dim in shapes:
-        matrix = rng.standard_normal((rows, dim))
-        payloads.append(
-            (
-                key,
-                {
-                    "matrix": matrix,
-                    "days": rng.uniform(0.0, 100.0, size=rows),
-                    "sq_norms": np.einsum("ij,ij->i", matrix, matrix),
-                    "seqs": np.arange(rows, dtype=np.int64),
-                    "codes": rng.integers(0, 5, size=rows).astype(np.int64),
-                },
-            )
-        )
-    return payloads
+def sample_arrays(rng, rows, dim):
+    matrix = rng.standard_normal((rows, dim))
+    return {
+        "matrix": matrix,
+        "days": rng.uniform(0.0, 100.0, size=rows),
+        "sq_norms": np.einsum("ij,ij->i", matrix, matrix),
+        "seqs": np.arange(rows, dtype=np.int64),
+    }
 
 
 class TestLayout:
-    def test_every_field_is_aligned(self):
-        blocks, size = plan_layout([(0, 7, 13), (3, 1, 13), (9, 100, 13)])
-        assert size % ALIGNMENT == 0
-        for block in blocks:
-            for _, offset in block.offsets:
-                assert offset % ALIGNMENT == 0
-        # Blocks are laid out in input order without overlap.
-        flat = [offset for block in blocks for _, offset in block.offsets]
-        assert flat == sorted(flat)
-
-    def test_empty_layout_is_never_zero_sized(self):
-        blocks, size = plan_layout([])
-        assert blocks == ()
-        assert size >= ALIGNMENT
-
-    def test_spec_lookup_and_pickling(self):
-        blocks, size = plan_layout([(4, 3, 2)])
-        spec = ArenaSpec(path="x", size=size, blocks=blocks)
-        assert spec.block(4).rows == 3
-        with pytest.raises(KeyError):
-            spec.block(5)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        with pytest.raises(KeyError):
-            blocks[0].offset("nonexistent")
+    def test_every_field_and_the_blob_are_aligned(self):
+        for rows, dim in ((7, 13), (1, 13), (100, 13), (0, 0)):
+            offsets, blob_offset = plan_layout(rows, dim)
+            assert list(offsets) == ["matrix", "days", "sq_norms", "seqs"]
+            assert blob_offset % ALIGNMENT == 0
+            flat = list(offsets.values())
+            assert all(offset % ALIGNMENT == 0 for offset in flat)
+            # Fields follow the header in order, without overlap.
+            assert flat == sorted(flat) and flat[0] >= ALIGNMENT
+            assert blob_offset >= flat[-1] + rows * 8
 
 
-class TestArenaLifecycle:
-    def test_build_attach_views_roundtrip(self, tmp_path):
+class TestSegmentRoundtrip:
+    def test_write_map_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
-        shapes = [(0, 6, 8), (2, 1, 8), (7, 40, 8)]
-        payloads = sample_payloads(rng, shapes)
-        path = str(tmp_path / "arena.bin")
-        arena = ShardArena.build(payloads, path)
+        for rows, dim, blob in ((6, 8, b"[]"), (1, 8, b""), (40, 3, b"x" * 1000)):
+            arrays = sample_arrays(rng, rows, dim)
+            path = str(tmp_path / f"seg-{rows}.bin")
+            written = write_segment(path, arrays, blob)
+            assert written == os.path.getsize(path)
+            views, read_blob = map_segment(path, rows, dim)
+            assert read_blob == blob
+            for name, expected in arrays.items():
+                np.testing.assert_array_equal(views[name], expected)
+                assert not views[name].flags.writeable
+                assert views[name].ctypes.data % ALIGNMENT == 0
 
-        def check(reader):
-            # Scoped so every numpy view dies before the reader closes —
-            # live views would pin the export and delay unmapping.
-            for key, arrays in payloads:
-                views = reader.views(key)
-                for name, expected in arrays.items():
-                    np.testing.assert_array_equal(views[name], expected)
-                    assert not views[name].flags.writeable
+    def test_views_outlive_an_unlinked_file(self, tmp_path):
+        """A swept segment stays readable through the views that map it."""
+        arrays = sample_arrays(np.random.default_rng(6), 5, 4)
+        path = str(tmp_path / "seg.bin")
+        write_segment(path, arrays, b"blob")
+        views, _ = map_segment(path, 5, 4)
+        os.unlink(path)
+        np.testing.assert_array_equal(views["matrix"], arrays["matrix"])
 
-        try:
-            assert os.path.getsize(path) == arena.spec.size
-            reader = ShardArena.attach(arena.spec)
-            try:
-                check(reader)
-            finally:
-                reader.close()
-        finally:
-            arena.close()
-        # Closing the handle never deletes the persisted artifact.
-        assert os.path.exists(path)
-
-    def test_views_after_close_raise(self, tmp_path):
-        rng = np.random.default_rng(6)
-        arena = ShardArena.build(
-            sample_payloads(rng, [(0, 2, 3)]), str(tmp_path / "arena.bin")
-        )
-        arena.close()
-        arena.close()  # idempotent
-        with pytest.raises(ValueError):
-            arena.views(0)
+    def test_mismatch_and_truncation_fail_at_map_time(self, tmp_path):
+        arrays = sample_arrays(np.random.default_rng(7), 5, 4)
+        path = str(tmp_path / "seg.bin")
+        write_segment(path, arrays, b"blob")
+        with pytest.raises(ValueError, match="manifest expects 6x4"):
+            map_segment(path, 6, 4)
+        with pytest.raises(ValueError, match="manifest expects 5x3"):
+            map_segment(path, 5, 3)
+        data = open(path, "rb").read()
+        for keep in (len(data) - 1, 100, 8, 0):
+            write_durable(path, [data[:keep]])
+            with pytest.raises(ValueError, match="partial segment"):
+                map_segment(path, 5, 4)
+        write_durable(path, [b"NOTASEGM" + data[8:]])
+        with pytest.raises(ValueError, match="magic"):
+            map_segment(path, 5, 4)
+        with pytest.raises(FileNotFoundError):
+            map_segment(str(tmp_path / "absent.bin"), 5, 4)
 
 
 class TestSharedBlob:
