@@ -7,8 +7,9 @@ Demonstrates the streaming deployment shape of RCACopilot:
    the **sharded** retrieval index (time-window shards, exact pruning,
    parallel shard scoring, auto-selected window width, self-compaction);
 2. start a :class:`~repro.core.StreamIngestor`: alerts submitted one at a
-   time are grouped into micro-batches automatically (flush on
-   ``max_batch`` or ``max_latency_seconds``, whichever first), and each
+   time are grouped into micro-batches automatically (an idle worker takes
+   what is queued at once; batches fill while it is busy, up to
+   ``max_batch`` — nothing waits on a timer), and each
    batch's collection phase (handler action graphs) fans out to a worker
    pool (``collect_workers``) while prediction stays batched — outcomes
    fold back in submission order, so reports are identical to serial;
@@ -23,9 +24,9 @@ Demonstrates the streaming deployment shape of RCACopilot:
 5. print the ingestion and index statistics (batch sizes, flush reasons,
    scanned-shard ratio);
 6. replay a checked-in recorded corpus (``benchmarks/corpora/``) through a
-   fresh copilot at 1000x on a virtual clock — the replayer re-enacts the
-   worker's flush policy on the *recorded* timeline, so reports and ingest
-   counters are bit-identical at every speed;
+   fresh copilot at 1000x on a virtual clock — the replayer applies its
+   size/latency batching on the *recorded* timeline, so reports and
+   ingest counters are bit-identical at every speed;
 7. route two tenants through one :class:`~repro.tenancy.TenantRouter`:
    each tenant gets its own retrieval namespace and incident-id space,
    deficit-round-robin scheduling interleaves their alerts in every
@@ -267,11 +268,12 @@ def main() -> None:
     # The flash-crowd corpus is ~40 minutes of recorded bus traffic (calm
     # phase, dense multi-category burst, cool-down) captured with
     # TrafficRecorder from a cloudsim workload and checked in under
-    # benchmarks/corpora/.  BusReplayer re-enacts the worker's size/latency
-    # flush policy on the *recorded* timeline while pacing the injected
-    # clock at the speed multiplier — on a VirtualClock the whole recording
-    # plays back in milliseconds with reports, labels, feedback effects and
-    # every ingest counter bit-identical to a real-time run.
+    # benchmarks/corpora/.  BusReplayer applies its own size /
+    # max_latency_seconds batching on the *recorded* timeline while
+    # pacing the injected clock at the speed multiplier — on a
+    # VirtualClock the whole recording plays back in milliseconds with
+    # reports, labels, feedback effects and every ingest counter
+    # bit-identical to a real-time replay.
     recording = load_corpus("flash_crowd")
     replay_clock = VirtualClock()
     replay_copilot = RCACopilot(

@@ -74,7 +74,7 @@ def _record_slot_alerts(
     Monitors stamp every alert with the evaluation window's *end*; real
     monitors fire spread across the window, so each alert gets a seeded
     uniform jitter inside the slot — deterministic, and it exercises the
-    latency-window batching instead of delivering each slot as one burst.
+    replayer's latency-bound cuts instead of delivering each slot as one burst.
     (The jitters desynchronize capture order from time order;
     ``build_recording``'s stable offset sort restores it.)
     """

@@ -3,9 +3,9 @@
 :class:`TrafficRecorder` is a transparent proxy around a
 :class:`~repro.core.streaming.StreamIngestor`: every ``submit``,
 ``submit_many`` and ``record_feedback`` call is forwarded unchanged *and*
-captured with its offset on the ingestor's own clock — the same clock the
-ingestor's batching deadlines read, so recorded offsets and the live run's
-flush decisions share one timeline.  Everything else (``flush``, ``stats``,
+captured with its offset on the ingestor's own clock — the clock its phase
+timings (and a test's virtual-I/O handlers) read, so recorded offsets and
+the live run's timings share one timeline.  Everything else (``flush``, ``stats``,
 ``start``/``stop``, context-manager use) passes straight through, so a
 recorder drops into any call site that held the ingestor.
 

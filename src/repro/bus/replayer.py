@@ -5,14 +5,13 @@ through a :class:`~repro.core.streaming.StreamIngestor` at any speed
 multiplier.  The design invariant that makes replays **bit-identical at
 every speed** is the separation of *batching* from *pacing*:
 
-* **Batching decisions run on the recorded timeline.**  The replayer
-  re-enacts the background worker's own micro-batch policy — flush when a
-  batch reaches ``max_batch`` alerts ("size") or when the oldest pending
-  alert has waited ``max_latency_seconds`` ("latency") — but evaluates
-  both conditions against the events' *recorded* offsets, never against
-  scaled times.  Batch membership is therefore a pure function of
-  (recording, ingest config), independent of the speed multiplier and of
-  float rounding in the scaling (no comparison ever involves ``speed``).
+* **Batching decisions run on the recorded timeline.**  A batch goes when
+  it reaches ``max_batch`` alerts ("size") or its oldest alert has waited
+  ``max_latency_seconds`` ("latency"), both evaluated on the events'
+  *recorded* offsets, never on scaled times.  Batch membership is
+  therefore a pure function of (recording, ingest config), independent of
+  the speed multiplier and of float rounding in the scaling (no comparison
+  ever involves ``speed``).
 * **Pacing only moves the clock.**  Event ``e`` is delivered once the
   replay clock reaches ``t0 + e.offset / speed``.  On a
   :class:`~repro.core.clock.VirtualClock` the replayer *advances* virtual
@@ -22,10 +21,15 @@ every speed** is the separation of *batching* from *pacing*:
   visibility is exactly the live run's.
 
 The replayer drives the ingestor *manually* (no background worker) and
-labels each flush with the reason the live worker would have used, so the
-resulting :class:`~repro.core.streaming.IngestStats` — batch count, flush
-sizes, flush reasons, queue-depth high-water mark — match a live run of
-the same stream and config, and match themselves across speeds.
+labels each flush with the reason the rule returned, so the resulting
+:class:`~repro.core.streaming.IngestStats` — batch count, flush sizes,
+flush reasons, queue-depth high-water mark — match themselves across
+speeds.  They do **not** match a live worker on the same stream: that
+worker is work-conserving (no timer; it takes what is queued the moment it
+is free), so its cuts depend on service times a recording does not carry.
+The size/latency window is the replay's own batching policy, kept so golden
+digests stay byte-identical; whether replay should keep modelling a timer
+no live code runs is an open ROADMAP question.
 
 Pool-shape note: collection may still fan out to thread/process pools
 during replay; reports and counters are pool-shape-invariant by the
@@ -104,9 +108,9 @@ class BusReplayer:
         """Drive the full recording through ``ingestor``; gather the results.
 
         The ingestor must not have a background worker running — the
-        replayer *is* the worker, re-enacting its flush policy on the
-        recorded timeline (a running worker would race it for the queue
-        and destroy determinism).
+        replayer takes every flush decision itself, on the recorded
+        timeline (a running worker would race it for the queue and destroy
+        determinism).
         """
         worker = getattr(ingestor, "_worker", None)
         if worker is not None and worker.is_alive():
@@ -115,33 +119,35 @@ class BusReplayer:
                 "background worker first"
             )
         clock = ingestor.clock
-        max_batch = ingestor.config.max_batch
-        max_latency = ingestor.config.max_latency_seconds
+        config = ingestor.config
         t0 = clock.monotonic()
         futures: List[object] = []
         feedbacks = 0
         pending = 0
-        window_start: Optional[float] = None  # recorded offset of oldest pending
+        window_start = 0.0  # recorded offset of the oldest pending alert
 
-        def flush_due(reason: str, at_offset: float) -> None:
-            nonlocal pending, window_start
-            self._pace(clock, t0 + at_offset / self.speed)
+        def flush_if_due(now: float) -> None:
+            """Flush what is pending if it is due at recorded instant ``now``.
+
+            A full batch goes where it filled; one whose oldest alert has
+            waited ``max_latency_seconds`` goes at that deadline, and an
+            event at or after it is in the next batch.  ``now >= start +
+            bound``, never a difference (0.35 - 0.3 < 0.05): bit-stable cuts.
+            """
+            nonlocal pending
+            deadline = window_start + config.max_latency_seconds
+            if pending >= config.max_batch:
+                reason, due = "size", now
+            elif pending and now >= deadline:
+                reason, due = "latency", deadline
+            else:
+                return
+            self._pace(clock, t0 + due / self.speed)
             ingestor.flush(reason=reason)
             pending = 0
-            window_start = None
 
         for event in self.recording.events:
-            # The worker's latency deadline fires at window_start + L; an
-            # event landing at or after that instant belongs to the *next*
-            # batch (the worker's timed get sees remaining <= 0 and
-            # flushes before taking it).  Recorded seconds on both sides —
-            # the comparison is speed-free by construction.
-            if (
-                pending
-                and window_start is not None
-                and event.offset >= window_start + max_latency
-            ):
-                flush_due("latency", window_start + max_latency)
+            flush_if_due(event.offset)
             self._pace(clock, t0 + event.offset / self.speed)
             if isinstance(event, AlertEvent):
                 # Multi-tenant captures carry a tenant per alert; a
@@ -157,17 +163,14 @@ class BusReplayer:
                 if pending == 0:
                     window_start = event.offset
                 pending += 1
-                if pending >= max_batch:
-                    flush_due("size", event.offset)
+                flush_if_due(event.offset)
             elif isinstance(event, FeedbackEvent):
                 ingestor.record_feedback(event.incident, event.category)
                 feedbacks += 1
             else:  # pragma: no cover - decoder admits only the two kinds
                 raise TypeError(f"unknown bus event: {event!r}")
-        if pending and window_start is not None:
-            # Tail: the worker would have flushed the remainder when its
-            # latency window expired.
-            flush_due("latency", window_start + max_latency)
+        # Tail: time runs out on whatever is still pending.
+        flush_if_due(float("inf"))
 
         result = ReplayResult(
             speed=self.speed,

@@ -1,13 +1,13 @@
 """Injectable time source for the streaming front and its control loops.
 
-Everything timing-dependent in the ingestion path — micro-batch latency
-deadlines, worker polling, collection-phase wall times, and the pool
+Everything timing-dependent in the ingestion path — the worker's wait for
+an alert and its stop poll, collection-phase wall times, and the pool
 autoscaler's cooldown window — reads time through a :class:`Clock` instead
 of calling :mod:`time` directly.  Production uses :class:`MonotonicClock`
 (real ``time.monotonic``/``time.sleep``); tests inject a step-controlled
-fake (``tests/core/streamtest_utils.FakeClock``) so every latency-flush,
-cooldown, and utilization-window path runs deterministically, without real
-sleeps or wall-clock races.
+fake (``tests/core/streamtest_utils.FakeClock``) so every flush, cooldown,
+and utilization-window path runs deterministically, without real sleeps or
+wall-clock races.
 
 The interface is deliberately small:
 
@@ -97,8 +97,8 @@ class VirtualClock(Clock):
       returns immediately — virtual time "jumps over" every wait, which
       suits single-threaded control loops and replay drivers;
     * :meth:`wait_queue` first tries a non-blocking get, then sleeps out
-      the (virtual) timeout and tries once more — a latency window only
-      expires when virtual time is advanced past it;
+      the (virtual) timeout and tries once more — the wait only expires
+      when virtual time is advanced past it (or :meth:`wake` cuts it short);
     * :meth:`wake` unparks all *currently parked* sleepers and is
       otherwise a no-op — it leaves no residue for later sleeps
       (``stop()`` re-issues it on a join loop, so a wake landing while a

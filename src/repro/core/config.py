@@ -123,8 +123,17 @@ class IngestConfig:
     """Knobs of the streaming micro-batch ingestion front.
 
     A continuous alert stream is grouped into ``observe_many`` batches
-    automatically: a batch is flushed as soon as it reaches ``max_batch``
-    alerts or the oldest queued alert has waited ``max_latency_seconds``.
+    automatically.  The live worker is work-conserving: it blocks only for
+    the *first* alert, takes whatever else is already queued (up to
+    ``max_batch``) and processes it at once — batches form while the worker
+    is busy collecting, predicting or blocked on a pipeline slot, never by
+    waiting on a clock.  (Measured at light load only, where batches are
+    ≈1 alert and cost more CPU and LLM requests per alert; the saturated
+    case has no benchmark yet — see README "What flushing when idle
+    bought".)  ``max_latency_seconds`` is not read by the live worker: it
+    is the window bound of :class:`~repro.bus.BusReplayer`, whose recorded
+    timeline carries arrival times but no service times and which therefore
+    still cuts on size or on the oldest pending alert's wait.
 
     Within a flushed micro-batch the *collection* phase (alert parsing +
     handler action graphs — log pulls, probe queries, correlation lookups)
@@ -151,7 +160,8 @@ class IngestConfig:
 
     #: Flush as soon as this many alerts are queued.
     max_batch: int = 16
-    #: Flush when the oldest queued alert has waited this long, in seconds.
+    #: The longest a pending alert waits for company in a *replay*
+    #: (``BusReplayer``), in recorded seconds.  The live worker never waits.
     max_latency_seconds: float = 0.05
     #: Bounded queue capacity; submissions beyond it block or fail.
     queue_capacity: int = 1024

@@ -140,9 +140,9 @@ class RCACopilot:
 
         The returned :class:`StreamIngestor` groups a continuous alert
         stream into ``observe_many`` batches automatically (bounded queue,
-        max-batch/max-latency flush); see ``examples/streaming_triage.py``.
+        work-conserving flush); see ``examples/streaming_triage.py``.
         ``clock`` injects an alternative time source (tests pass a
-        step-controlled fake so latency and autoscaling paths run
+        step-controlled fake so flush and autoscaling paths run
         deterministically); when omitted the ingestor shares the copilot's
         own clock, so a copilot built for replay streams on the replayed
         timeline without further plumbing.

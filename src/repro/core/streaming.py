@@ -4,13 +4,16 @@
 collected; a production deployment instead receives a continuous alert
 stream.  :class:`StreamIngestor` closes that gap: alerts are submitted into
 a bounded queue and grouped into ``observe_many`` micro-batches
-automatically — a batch flushes as soon as it reaches
-:attr:`~repro.core.config.IngestConfig.max_batch` alerts or the oldest
-queued alert has waited
-:attr:`~repro.core.config.IngestConfig.max_latency_seconds`.  Batching is
-what makes the triage engine fast (one matrix–matrix retrieval pass, one
-deduplicated LLM batch), and the latency bound keeps a quiet stream from
-waiting forever.
+automatically.  The live worker is work-conserving: it blocks only for the
+first alert, takes whatever else is already queued (up to
+``IngestConfig.max_batch``) and processes it at once — cut on ``"size"``
+when that filled the batch, else on ``"idle"``.  No alert waits on a timer;
+batches form only while the worker is busy.  That is tested on a fake
+clock, but its effect on a *saturated* worker is unmeasured: the one
+benchmarked live workload runs ≈12% busy, where batches are ≈1 alert and
+the batch economies (one retrieval pass, one deduplicated LLM batch) are
+given up.  ``IngestConfig.max_latency_seconds`` is read only by the
+record/replay bus (:mod:`repro.bus.replayer`).
 
 Two driving modes share all of the batching logic:
 
@@ -54,8 +57,8 @@ With :attr:`IngestConfig.autoscale` set, a
 pool utilization, queue backlog, and phase split, and resizes the
 collection pool between ``collect_workers_min`` and ``collect_workers_max``
 — always at a batch boundary, so the submission-order fold and report
-parity are untouched.  Every timing path (latency deadlines, worker polls,
-phase walls, autoscaler cooldown) reads the injected
+parity are untouched.  Every timing path (worker polls, phase walls,
+autoscaler cooldown) reads the injected
 :class:`~repro.core.clock.Clock`, making the whole control surface
 deterministic under the test harness's fake clock.
 
@@ -96,6 +99,10 @@ from .errors import IngestQueueFull
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .pipeline import DiagnosisReport, RCACopilot
 
+#: How often a worker blocked on an empty queue looks at the stop signal,
+#: in clock seconds — a stop poll, not a latency: no alert ever waits on it.
+STOP_POLL_SECONDS = 0.05
+
 
 @dataclass
 class IngestStats:
@@ -121,6 +128,8 @@ class IngestStats:
     #: (infrastructure failure, not a handler/prediction error); their
     #: futures are still resolved — with the batch-killing exception.
     worker_errors: int = 0
+    #: Batches by reason; a live worker's cuts add ``"idle"`` (absent from
+    #: a replay or a manual drive, so their ``as_dict()`` keeps these keys).
     flush_reasons: Dict[str, int] = field(
         default_factory=lambda: {"size": 0, "latency": 0, "manual": 0}
     )
@@ -252,7 +261,7 @@ class StreamIngestor:
         self.copilot = copilot
         self.config = config or getattr(copilot.config, "ingest", None) or IngestConfig()
         self.hub = copilot.hub
-        #: Time source for latency deadlines, phase timings, and the
+        #: Time source for the worker's stop poll, phase timings, and the
         #: autoscaler's cooldown window.  Tests inject a step-controlled
         #: fake clock so every timing path runs deterministically.
         self._clock = clock or MONOTONIC_CLOCK
@@ -366,6 +375,8 @@ class StreamIngestor:
         and raises :class:`IngestQueueFull` carrying the already-enqueued
         prefix's futures (``exc.enqueued``) — that prefix stays queued and
         resolves at the next flush, as it would with per-alert submits.
+        A burst is not a batch: a live worker that wakes while the burst is
+        still being enqueued takes what has arrived and starts on it.
         """
         alerts = list(alerts)
         if not alerts:
@@ -418,10 +429,10 @@ class StreamIngestor:
     def stop(self, flush: bool = True) -> None:
         """Stop the worker; by default drain whatever is still queued.
 
-        The worker exits on its first empty poll after the stop signal, so
-        an alert enqueued between that final poll and the join would be
-        stranded by a single flush pass; the drain therefore loops until a
-        pass finds the queue empty.  Every alert whose ``submit()``
+        The worker exits the first time it sees the stop signal between
+        batches, so an alert enqueued between that look and the join would
+        be stranded by a single flush pass; the drain therefore loops until
+        a pass finds the queue empty.  Every alert whose ``submit()``
         happened-before the ``stop()`` call is guaranteed processed when
         ``stop()`` returns.  A submit *racing* ``stop()`` from another
         thread may land after the drain's final empty check; such an alert
@@ -473,41 +484,27 @@ class StreamIngestor:
         self.stop()
 
     def _run(self) -> None:
-        """Worker loop: gather a micro-batch, process, repeat.
+        """Worker loop: block for one alert, take what else is queued, process.
 
-        All waits go through the injected clock: the real clock delegates
-        to the queue's own timed get, a fake clock parks the thread until
-        virtual time is advanced (or :meth:`stop` wakes it), so the
-        latency-deadline path is exactly testable.
+        The only wait is for the *first* alert, through the injected clock
+        (a fake clock parks the thread until woken or advanced), re-armed
+        every ``STOP_POLL_SECONDS`` to look at the stop signal.  The rest is
+        gathered without blocking and cut on ``"size"`` or ``"idle"``.
         """
-        poll_seconds = min(self.config.max_latency_seconds, 0.05)
-        while True:
-            # Never park once the stop signal is up: stop()'s single wake()
-            # is consumed by whichever wait the worker was in, so every
-            # subsequent wait must be guarded or the worker could re-park
-            # forever on a fake clock.  Whatever is still queued is drained
-            # by stop() itself.
-            if self._stopping.is_set():
-                return
+        # Never park once the stop signal is up: stop()'s wake() is consumed
+        # by the wait it lands in, so a later park on a fake clock could
+        # last forever.  stop() drains whatever is still queued.
+        while not self._stopping.is_set():
             try:
-                first = self._clock.wait_queue(self._queue, poll_seconds)
+                batch = [self._clock.wait_queue(self._queue, STOP_POLL_SECONDS)]
             except queue.Empty:
-                if self._stopping.is_set():
-                    return
                 continue
-            batch = [first]
-            deadline = self._clock.monotonic() + self.config.max_latency_seconds
-            while len(batch) < self.config.max_batch:
-                if self._stopping.is_set():
-                    break  # flush what we hold; stop() drains the rest
-                remaining = deadline - self._clock.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._clock.wait_queue(self._queue, remaining))
-                except queue.Empty:
-                    break
-            reason = "size" if len(batch) >= self.config.max_batch else "latency"
+            try:
+                while len(batch) < self.config.max_batch:
+                    batch.append(self._queue.get_nowait())
+            except queue.Empty:  # nothing queued, or every lane at its cap
+                pass
+            reason = "size" if len(batch) >= self.config.max_batch else "idle"
             # Last line of defence: an exception that escapes batch
             # processing (infrastructure failure outside the per-alert
             # containment) must neither strand the batch's futures nor
@@ -535,11 +532,11 @@ class StreamIngestor:
         from returning.
 
         ``reason`` labels the flush in ``IngestStats.flush_reasons``
-        (default ``"manual"``).  External drivers that *re-enact* the
-        worker's own flush decisions — the record/replay bus, which makes
-        the size/latency decision on the recording's timeline and drives
-        the ingestor manually — pass ``"size"``/``"latency"`` so a replayed
-        run's stats are bit-identical to the live run it replays.
+        (default ``"manual"``).  An external driver that takes the
+        decision itself — the record/replay bus applies its size/latency
+        rule on the recording's timeline and drives the ingestor manually —
+        passes ``"size"``/``"latency"``, so a replay's stats are
+        bit-identical at every speed.
 
         Pipelined (``pipeline_depth`` >= 2), the chunks flow through the
         two-stage pipeline — chunk k+1 collects while chunk k predicts —

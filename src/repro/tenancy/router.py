@@ -314,7 +314,7 @@ class TenantRouter(StreamIngestor):
     """Fair-share multi-tenant front over the decomposed pipeline services.
 
     Subclasses :class:`~repro.core.streaming.StreamIngestor`, inheriting
-    the worker loop, flush window, pipelined execution, autoscaling, and
+    the worker loop, flush rule, pipelined execution, autoscaling, and
     stop/drain machinery unchanged; the base class's FIFO queue is replaced
     by a :class:`TenantQueue` (deficit-round-robin lanes with per-tenant
     quotas) and the per-wave hooks are overridden to route incident ids,

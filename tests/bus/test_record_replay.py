@@ -10,6 +10,8 @@ pacing scales, so nothing observable may move with speed.
 from __future__ import annotations
 
 import copy
+import itertools
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -153,10 +155,10 @@ class TestLiveRecordReplayParity:
     def test_replay_reproduces_the_live_run(self, base_copilot):
         """Record a manually driven live session, replay it: same everything.
 
-        The live driver follows the worker's own policy (size flush at
+        The live driver cuts where the replayer's rule does (size flush at
         ``max_batch``, latency flush when the window expires), so the
-        replayer's re-enactment must land every alert in the same batch —
-        making reports, stats, feedback effects, and index state equal.
+        replayer must land every alert in the same batch — making
+        reports, stats, feedback effects, and index state equal.
         """
         config = btu.replay_ingest_config(max_batch=4, max_latency=120.0)
         clock = VirtualClock()
@@ -280,9 +282,8 @@ class TestFlushReenactment:
         assert result.replay_seconds == pytest.approx(110.0)
 
     def test_event_on_the_latency_deadline_starts_the_next_batch(self, base_copilot):
-        """An alert landing exactly at window_start + L goes to batch 2 —
-        mirroring the worker, whose timed wait sees remaining <= 0 and
-        flushes before taking it."""
+        """An alert landing exactly at window_start + L goes to batch 2:
+        by then the first one has waited out its bound."""
         events = [
             AlertEvent(offset=0.0, alert=btu.make_bus_alert(0)),
             AlertEvent(offset=10.0, alert=btu.make_bus_alert(1)),
@@ -319,6 +320,118 @@ class TestFlushReenactment:
         )
         # 110 recorded seconds at 100000x is ~1ms of real pacing.
         assert real.replay_seconds < 30.0
+
+
+class _CutLog:
+    """The slice of a stream ingestor the replayer touches; logs each cut."""
+
+    _worker = None
+
+    def __init__(self, config: IngestConfig) -> None:
+        self.config = config
+        self.clock = VirtualClock()
+        self.queued = 0
+        self.cuts = []
+
+    def submit(self, alert):
+        self.queued += 1
+        future = Future()
+        future.set_result(alert)
+        return future
+
+    def flush(self, reason="manual"):
+        self.cuts.append((reason, self.queued, self.clock.monotonic()))
+        self.queued = 0
+        return []
+
+    def stats(self):
+        return None
+
+
+def previous_inline_rule(offsets, max_batch, max_latency):
+    """The replayer's flush decisions as it took them at three inline call
+    sites, kept verbatim as the reference: (reason, size, due)."""
+    cuts = []
+    pending = 0
+    window_start = None
+    for offset in offsets:
+        if (
+            pending
+            and window_start is not None
+            and offset >= window_start + max_latency
+        ):
+            cuts.append(("latency", pending, window_start + max_latency))
+            pending, window_start = 0, None
+        if pending == 0:
+            window_start = offset
+        pending += 1
+        if pending >= max_batch:
+            cuts.append(("size", pending, offset))
+            pending, window_start = 0, None
+    if pending and window_start is not None:
+        cuts.append(("latency", pending, window_start + max_latency))
+    return cuts
+
+
+LATENCIES = (0.05, 0.1, 1.0 / 3.0, 10.0)
+
+
+def replay_cuts(offsets, config):
+    """(reason, size, clock instant) of every flush a replay of ``offsets`` makes."""
+    log = _CutLog(config)
+    recording = build_recording(
+        AlertEvent(offset=offset, alert=btu.make_bus_alert(index))
+        for index, offset in enumerate(offsets)
+    )
+    # build_recording keeps offsets as given (they are already sorted).
+    assert [event.offset for event in recording.events] == offsets
+    BusReplayer(recording, speed=1.0).replay(log)
+    return log.cuts
+
+
+class TestReplayFlushRule:
+    """The replayer's size/latency rule on the recorded timeline."""
+
+    def test_deadline_is_a_sum_not_a_difference(self):
+        """An alert on the deadline opens the next batch.  The deadline is
+        ``start + bound`` (0.3 + 0.05 == 0.35); the wait as a difference,
+        0.35 - 0.3, is one ulp short of 0.05 and would merge the two."""
+        assert 0.3 + 0.05 == 0.35 and 0.35 - 0.3 < 0.05
+        config = IngestConfig(max_batch=4, max_latency_seconds=0.05)
+        cuts = replay_cuts([0.3, 0.35], config)
+        assert [cut[:2] for cut in cuts] == [("latency", 1), ("latency", 1)]
+        cuts = replay_cuts([0.3, 0.34, 0.34, 0.34, 0.36], config)
+        assert [cut[:2] for cut in cuts] == [("size", 4), ("latency", 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        max_batch=st.integers(min_value=1, max_value=5),
+        max_latency=st.sampled_from(LATENCIES),
+        start=st.sampled_from([0.0, 0.3, 7.1]),
+        gaps=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, *LATENCIES, *(2 * bound for bound in LATENCIES)]),
+                st.floats(min_value=0.0, max_value=0.5),
+            ),
+            max_size=24,
+        ),
+    )
+    def test_replayer_cuts_match_the_previous_inline_rule(
+        self, max_batch, max_latency, start, gaps
+    ):
+        """Differential: the replayer cuts every random timeline — gaps of
+        exactly the bound (an arrival on the deadline), simultaneous
+        arrivals, and the tail included — where the three inline
+        comparisons it used to make did, with the same reason."""
+        offsets = list(itertools.accumulate(gaps, initial=start))
+        config = IngestConfig(max_batch=max_batch, max_latency_seconds=max_latency)
+        cuts = replay_cuts(offsets, config)
+        expected = previous_inline_rule(offsets, max_batch, max_latency)
+        assert [cut[:2] for cut in cuts] == [cut[:2] for cut in expected]
+        # The clock is paced to each cut's due instant (advance() adds a
+        # difference, so equal only to rounding).
+        assert [cut[2] for cut in cuts] == pytest.approx([cut[2] for cut in expected])
+        assert sum(size for _, size, _ in cuts) == len(offsets)
 
 
 class TestReplayerGuards:

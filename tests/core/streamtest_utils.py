@@ -114,15 +114,23 @@ IDLE_TYPE = "StreamIdle"
 
 #: Mutable hookup of the virtual-I/O classifier: tests install a FakeClock
 #: (and per-call virtual duration) here; None leaves the classifier inert.
-VIRTUAL_IO: Dict[str, Optional[object]] = {"clock": None, "seconds": 0.05}
+#: With ``park`` set the call *waits* on the clock instead of advancing it:
+#: the calling worker stays busy inside the handler until the test advances
+#: virtual time past the duration (``wait_for_sleepers`` says when it is in).
+VIRTUAL_IO: Dict[str, Optional[object]] = {
+    "clock": None,
+    "seconds": 0.05,
+    "park": False,
+}
 
 
 @register_classifier("stream_test_virtual_io")
 def virtual_io_classifier(context, table) -> str:
-    """Advance the installed FakeClock: deterministic simulated I/O wait."""
+    """Spend virtual time on the installed FakeClock: simulated I/O wait."""
     clock = VIRTUAL_IO["clock"]
     if clock is not None:
-        clock.advance(VIRTUAL_IO["seconds"])
+        spend = clock.sleep if VIRTUAL_IO["park"] else clock.advance
+        spend(VIRTUAL_IO["seconds"])
     return "default"
 
 
@@ -284,6 +292,41 @@ def ingest_config(
         pipeline_depth=pipeline_depth,
         predict_chunk_size=predict_chunk_size,
     )
+
+
+def run_waves_behind_a_busy_worker(ingestor, clock, arrivals: int, submit=None) -> None:
+    """Hold a live worker busy on a FakeClock while ``arrivals`` alerts queue up.
+
+    The first (``BUSY_TYPE``) alert's handler parks in 50 ms of virtual I/O;
+    with the worker inside it, ``arrivals`` idle alerts are submitted
+    (``submit(alert, position)``, default ``ingestor.submit``; no wake), the
+    I/O is completed by advancing the clock, and every future is awaited.
+    Returns with the worker parked on the empty queue again — all stats
+    folded — and virtual time at exactly 0.05.  Zero real sleeps.
+    """
+    submit = submit or (lambda alert, position: ingestor.submit(alert))
+    VIRTUAL_IO.update(clock=clock, seconds=0.05, park=True)
+    try:
+        futures = [submit(make_stream_alert(0, BUSY_TYPE), 0)]
+        ingestor.start()
+        clock.wait_for_sleepers(1)  # the worker is inside the handler
+        futures += [
+            submit(make_stream_alert(position, IDLE_TYPE), position)
+            for position in range(1, arrivals + 1)
+        ]
+        assert ingestor.queue_depth == arrivals and not futures[0].done()
+        clock.advance(0.05)  # the I/O completes
+        for future in futures:
+            assert future.result(timeout=30.0).incident.incident_id
+        clock.wait_for_sleepers(1)
+    finally:
+        VIRTUAL_IO.update(clock=None, park=False)
+
+
+def flush_sizes(hub: TelemetryHub) -> List[int]:
+    """The size of every micro-batch the ingestor over ``hub`` flushed, in order."""
+    series = hub.metrics.series("rcacopilot.ingest.flush_size", "stream-ingestor")
+    return [int(value) for value in series.values()] if series else []
 
 
 def report_fingerprint(report: DiagnosisReport) -> Tuple:

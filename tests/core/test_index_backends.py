@@ -20,35 +20,69 @@ from repro.core import (
     PipelineConfig,
     select_window_days,
 )
+from repro.embedding import FastTextConfig, FastTextEmbedder
 from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
 from repro.vectordb import CompactionPolicy, FlatVectorIndex, ShardedVectorIndex
 
 
-def build_stage(backend, corpus_split, window_days=20.0):
+class FittedEmbedder:
+    """A fitted embedder with ``fit`` taken away: ``index_history`` embeds
+    with it as it is instead of training it again."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def embed_many(self, texts):
+        return self.inner.embed_many(texts)
+
+
+@pytest.fixture(scope="module")
+def fitted(corpus_split):
+    """The default-size FastText model, fitted once for the whole module.
+
+    Fitted on the labelled texts of ``corpus_split``'s training side — the
+    texts ``PredictionStage.index_history`` fits on, and the same
+    ``chronological_split(0.75)`` of ``small_corpus`` the two tests that
+    build an ``RCACopilot`` take for themselves.  That fit (≈ 9 s,
+    deterministic) was all but the whole cost of each test; each caller now
+    gets its own deep copy (~10 ms), the pattern
+    ``test_streaming_concurrency.py::base_copilot`` documents.
+    """
+    train, _ = corpus_split
+    model = FastTextEmbedder(FastTextConfig()).fit(
+        [i.diagnostic_info() or i.alert_info() for i in train.labelled()]
+    )
+    return lambda: FittedEmbedder(copy.deepcopy(model))
+
+
+def build_stage(backend, corpus_split, fitted, window_days=20.0, **index_options):
     train, _ = corpus_split
     stage = PredictionStage(
         model=SimulatedLLM(),
         config=PredictionConfig(),
-        index_config=IndexConfig(backend=backend, window_days=window_days),
+        embedder=fitted(),
+        index_config=IndexConfig(
+            backend=backend, window_days=window_days, **index_options
+        ),
     )
     stage.index_history(train)
     return stage
 
 
 class TestSeedCorpusParity:
-    def test_index_backend_selected_from_config(self, corpus_split):
-        flat_stage = build_stage("flat", corpus_split)
-        sharded_stage = build_stage("sharded", corpus_split)
+    def test_index_backend_selected_from_config(self, corpus_split, fitted):
+        flat_stage = build_stage("flat", corpus_split, fitted)
+        sharded_stage = build_stage("sharded", corpus_split, fitted)
         assert isinstance(flat_stage.index, FlatVectorIndex)
         assert isinstance(sharded_stage.index, ShardedVectorIndex)
         assert len(sharded_stage.index) == len(flat_stage.index)
 
-    def test_identical_predictions_and_neighbors(self, corpus_split):
+    def test_identical_predictions_and_neighbors(self, corpus_split, fitted):
         """Same labels, same neighbour ids, same similarity scores."""
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split)
-        sharded_stage = build_stage("sharded", corpus_split)
+        flat_stage = build_stage("flat", corpus_split, fitted)
+        sharded_stage = build_stage("sharded", corpus_split, fitted)
         incidents = test.labelled()
         flat_outcomes = flat_stage.predict_many(copy.deepcopy(incidents))
         sharded_outcomes = sharded_stage.predict_many(copy.deepcopy(incidents))
@@ -61,10 +95,10 @@ class TestSeedCorpusParity:
                 [n.similarity for n in flat_outcome.neighbors]
             )
 
-    def test_retrieval_parity_with_lookahead_cutoff(self, corpus_split):
+    def test_retrieval_parity_with_lookahead_cutoff(self, corpus_split, fitted):
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split)
-        sharded_stage = build_stage("sharded", corpus_split, window_days=10.0)
+        flat_stage = build_stage("flat", corpus_split, fitted)
+        sharded_stage = build_stage("sharded", corpus_split, fitted, window_days=10.0)
         incidents = test.labelled()[:10]
         cutoff = incidents[0].created_day
         flat_lists = flat_stage.retrieve_many(incidents, history_before_day=cutoff)
@@ -73,11 +107,11 @@ class TestSeedCorpusParity:
             [n.incident_id for n in demonstrations] for demonstrations in flat_lists
         ] == [[n.incident_id for n in demonstrations] for demonstrations in sharded_lists]
 
-    def test_feedback_parity_after_updates(self, corpus_split):
+    def test_feedback_parity_after_updates(self, corpus_split, fitted):
         """add_to_index + update_category keep the two backends in lockstep."""
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split)
-        sharded_stage = build_stage("sharded", corpus_split)
+        flat_stage = build_stage("flat", corpus_split, fitted)
+        sharded_stage = build_stage("sharded", corpus_split, fitted)
         extra = test.labelled()[:6]
         for incident in extra:
             flat_stage.add_to_index(incident)
@@ -92,8 +126,8 @@ class TestSeedCorpusParity:
         ] == [[n.incident_id for n in demonstrations] for demonstrations in sharded_lists]
 
     @pytest.mark.parametrize("backend", ["flat", "sharded"])
-    def test_update_category_unknown_id_fails_loudly(self, corpus_split, backend):
-        stage = build_stage(backend, corpus_split)
+    def test_update_category_unknown_id_fails_loudly(self, corpus_split, fitted, backend):
+        stage = build_stage(backend, corpus_split, fitted)
         with pytest.raises(KeyError, match="INC-NOT-THERE"):
             stage.update_category("INC-NOT-THERE", "Whatever")
 
@@ -101,13 +135,15 @@ class TestSeedCorpusParity:
 class TestShardedByDefault:
     """The sharded index is the default fast path for every workload."""
 
-    def test_default_config_selects_sharded_with_auto_window(self, corpus_split):
+    def test_default_config_selects_sharded_with_auto_window(self, corpus_split, fitted):
         from repro.incidents import IncidentStore
 
         train, _ = corpus_split
         assert IndexConfig().backend == "sharded"
         assert IndexConfig().window_days is None
-        stage = PredictionStage(model=SimulatedLLM(), config=PredictionConfig())
+        stage = PredictionStage(
+            model=SimulatedLLM(), config=PredictionConfig(), embedder=fitted()
+        )
         stage.index_history(train)
         assert isinstance(stage.index, ShardedVectorIndex)
         # The window is sized for the *labelled* subset — what gets indexed.
@@ -116,24 +152,20 @@ class TestShardedByDefault:
         )
         assert stage.index.window_days == stage.resolved_window_days
 
-    def test_auto_window_targets_median_shard_size(self, corpus_split):
+    def test_auto_window_targets_median_shard_size(self, corpus_split, fitted):
         train, _ = corpus_split
         window = select_window_days(train)
         counts = sorted(train.shard_counts(window).values())
         assert counts[len(counts) // 2] <= 2048
         assert window >= 1.0
         # An explicit window always wins over the automatic choice.
-        stage = PredictionStage(
-            model=SimulatedLLM(),
-            config=PredictionConfig(),
-            index_config=IndexConfig(backend="sharded", window_days=20.0),
-        )
-        stage.index_history(train)
+        stage = build_stage("sharded", corpus_split, fitted, window_days=20.0)
         assert stage.resolved_window_days == 20.0
 
-    def test_auto_window_choice_is_logged_through_hub(self, small_corpus):
+    def test_auto_window_choice_is_logged_through_hub(self, small_corpus, fitted):
         hub = TelemetryHub()
         copilot = RCACopilot(hub)
+        copilot.prediction.embedder = fitted()
         train, _ = small_corpus.chronological_split(0.75)
         copilot.index_history(train)
         value = hub.metrics.latest(
@@ -144,17 +176,16 @@ class TestShardedByDefault:
             "auto-selected window_days" in record.message for record in hub.logs
         )
 
-    def test_index_config_passes_workers_and_compaction_through(self, corpus_split):
-        train, _ = corpus_split
+    def test_index_config_passes_workers_and_compaction_through(self, corpus_split, fitted):
         policy = CompactionPolicy(min_entries=10, max_entries=50, auto=True)
-        stage = PredictionStage(
-            model=SimulatedLLM(),
-            config=PredictionConfig(),
-            index_config=IndexConfig(
-                backend="sharded", window_days=15.0, max_workers=2, compaction=policy
-            ),
+        stage = build_stage(
+            "sharded",
+            corpus_split,
+            fitted,
+            window_days=15.0,
+            max_workers=2,
+            compaction=policy,
         )
-        stage.index_history(train)
         assert stage.index.max_workers == 2
         assert stage.index.compaction is policy
         assert stage.index.stats()["max_workers"] == 2.0
@@ -174,10 +205,10 @@ class TestShardKeyExtraction:
         with pytest.raises(ValueError):
             shard_key(small_corpus.all()[0], 0.0)
 
-    def test_shard_counts_previews_index_layout(self, corpus_split):
+    def test_shard_counts_previews_index_layout(self, corpus_split, fitted):
         """shard_counts on the history matches the built sharded index."""
         train, _ = corpus_split
-        stage = build_stage("sharded", corpus_split, window_days=20.0)
+        stage = build_stage("sharded", corpus_split, fitted, window_days=20.0)
         labelled = train.labelled()
         expected = {}
         from repro.incidents import shard_key
@@ -192,10 +223,11 @@ class TestShardKeyExtraction:
 
 
 class TestIndexTelemetry:
-    def test_index_metrics_exported_through_hub(self, small_corpus):
+    def test_index_metrics_exported_through_hub(self, small_corpus, fitted):
         hub = TelemetryHub()
         config = PipelineConfig(index=IndexConfig(backend="sharded", window_days=20.0))
         copilot = RCACopilot(hub, config=config)
+        copilot.prediction.embedder = fitted()
         train, test = small_corpus.chronological_split(0.75)
         copilot.index_history(train)
         copilot.diagnose_many(copy.deepcopy(test.labelled()[:4]))

@@ -1,8 +1,9 @@
 """Tests for the streaming micro-batch ingestion front.
 
-Covers the new ingestion contract: a continuous alert stream is grouped
-into ``observe_many`` micro-batches automatically (size- and latency-bound
-flushes, bounded queue with backpressure or load-shed), results flow back
+Covers the ingestion contract: a continuous alert stream is grouped into
+``observe_many`` micro-batches automatically (an idle worker takes what is
+queued at once, batches form while it is busy, full batches cut on size;
+bounded queue with backpressure or load-shed), results flow back
 through futures, queue/flush statistics reach the telemetry hub, and OCE
 feedback recorded mid-stream is visible to the very next micro-batch on
 both index backends.
@@ -11,6 +12,7 @@ both index backends.
 from __future__ import annotations
 
 import copy
+import time
 
 import pytest
 
@@ -106,52 +108,55 @@ class TestBackgroundWorker:
         assert all(report.predicted_label for report in labels)
         assert ingestor.stats().flush_reasons["size"] >= 1
 
-    def test_latency_triggered_flush(self, stream_service, alert_feed):
-        """The latency deadline drives the flush — in virtual time.
+    def test_idle_worker_takes_a_lone_alert_at_once(self, stream_service, alert_feed):
+        """Work-conserving flush: an idle worker never waits for company.
 
-        The worker picks the queued alert up instantly, then parks in the
-        latency window's virtual wait; advancing the fake clock past
-        ``max_latency_seconds`` is what flushes the undersized batch.  No
-        real waiting happens anywhere.
+        ``max_batch=1000`` and a five-minute ``max_latency_seconds`` would
+        have parked the alert on a timer; the worker instead finds the
+        queue drained, cuts on ``"idle"`` and resolves it with virtual time
+        exactly where it started.
         """
         copilot = build_copilot(stream_service)
         clock = stu.FakeClock()
         ingestor = copilot.stream(
-            IngestConfig(max_batch=1000, max_latency_seconds=0.05), clock=clock
+            IngestConfig(max_batch=1000, max_latency_seconds=300.0), clock=clock
         )
         try:
             future = ingestor.submit(alert_feed[0])
             ingestor.start()
-            # The worker holds a 1-alert batch and is parked in the latency
-            # window; until the clock moves, nothing flushes.
-            clock.wait_for_sleepers(1)
-            assert not future.done()
-            clock.advance(0.05)
-            report = future.result(timeout=30.0)
-            assert report.predicted_label
-            assert ingestor.stats().flush_reasons["latency"] >= 1
+            assert future.result(timeout=30.0).predicted_label
+            clock.wait_for_sleepers(1)  # back on the empty queue: stats folded
+            assert clock.monotonic() == 0.0
+            stats = ingestor.stats()
+            assert stats.flush_reasons == {
+                "size": 0, "latency": 0, "manual": 0, "idle": 1
+            }
+            assert stats.batches == stats.last_flush_size == 1
         finally:
             ingestor.stop()
 
-    def test_latency_deadline_does_not_flush_early(self, stream_service, alert_feed):
-        """Advancing to just short of the deadline keeps the batch open."""
-        copilot = build_copilot(stream_service)
+    @pytest.mark.parametrize("arrivals,waves", [(2, [1, 2]), (3, [1, 3]), (5, [1, 3, 2])])
+    def test_batches_form_while_the_worker_is_busy(self, arrivals, waves):
+        """Alerts arriving during a wave ride together in the next one.
+
+        The first alert's handler parks in virtual I/O, holding the worker
+        busy while ``arrivals`` more are submitted; when the I/O completes
+        the next wave is exactly ``min(arrivals, max_batch)`` alerts and the
+        rest follow — batching comes from service time, not from a timer.
+        """
         clock = stu.FakeClock()
+        copilot = stu.build_stream_copilot(with_history=False)
         ingestor = copilot.stream(
-            IngestConfig(max_batch=1000, max_latency_seconds=0.05), clock=clock
+            IngestConfig(max_batch=3, max_latency_seconds=300.0), clock=clock
         )
         try:
-            future = ingestor.submit(alert_feed[0])
-            ingestor.start()
-            clock.wait_for_sleepers(1)
-            clock.advance(0.04)  # 0.01 short of the deadline
-            clock.wait_for_sleepers(1)  # still parked in the same window
-            assert not future.done()
-            clock.advance(0.01)
-            assert future.result(timeout=30.0).predicted_label
-            stats = ingestor.stats()
-            assert stats.flush_reasons["latency"] == 1
-            assert stats.last_flush_size == 1
+            stu.run_waves_behind_a_busy_worker(ingestor, clock, arrivals)
+            assert stu.flush_sizes(copilot.hub) == waves
+            assert clock.monotonic() == 0.05
+            full = waves.count(3)
+            assert ingestor.stats().flush_reasons == {
+                "size": full, "latency": 0, "manual": 0, "idle": len(waves) - full
+            }
         finally:
             ingestor.stop()
 
@@ -171,28 +176,41 @@ class TestBackgroundWorker:
         ingestor.flush()
         assert follow_up.result(timeout=1.0).predicted_label
 
-    def test_stop_while_parked_in_latency_window_terminates(
+    def test_stop_while_parked_on_an_empty_queue_terminates(
         self, stream_service, alert_feed
     ):
-        """Regression: stop() must unpark a worker holding a partial batch.
+        """Regression: stop() must unpark a worker a fake clock would hold.
 
-        With the worker parked in the *mid-batch* latency window (not the
-        outer idle poll), stop()'s single wake is consumed exiting that
-        window — the worker must then observe the stop signal before
-        re-parking anywhere, or join() never returns under a fake clock.
+        The worker's only wait is the stop poll on an empty queue; on a
+        FakeClock nobody advances, that park never expires by itself, so
+        stop() has to wake it — and the worker must then see the stop signal
+        before parking again, or join() never returns.  An alert submitted
+        while it was parked (no wake) is processed on the way out.
         """
         copilot = build_copilot(stream_service)
         clock = stu.FakeClock()
         ingestor = copilot.stream(
             IngestConfig(max_batch=1000, max_latency_seconds=60.0), clock=clock
         )
-        future = ingestor.submit(alert_feed[0])
         ingestor.start()
-        clock.wait_for_sleepers(1)  # parked in the 60s (virtual) window
-        ingestor.stop()  # deadlocks here without the stop-signal guards
+        clock.wait_for_sleepers(1)  # parked in the (virtual) stop poll
+        future = ingestor.submit(alert_feed[0])
+        ingestor.stop()  # deadlocks here without the stop-signal guard
         assert future.done()
         assert future.result(timeout=0).predicted_label
         assert ingestor.stats().processed == 1
+        assert clock.monotonic() == 0.0
+
+    def test_real_clock_stop_returns_within_a_poll(self):
+        """The stop poll (50 ms) does not follow ``max_latency_seconds``."""
+        ingestor = stu.build_stream_copilot(with_history=False).stream(
+            IngestConfig(max_batch=1000, max_latency_seconds=300.0)
+        )
+        ingestor.start()
+        started = time.monotonic()
+        ingestor.stop()
+        # One poll is 50 ms; the bound only has to tell it from 300 s.
+        assert time.monotonic() - started < 5.0
 
     def test_stop_flushes_remainder(self, stream_service, alert_feed):
         copilot = build_copilot(stream_service)

@@ -353,6 +353,68 @@ class TestFairShareScheduling:
             router.stop()
 
 
+# ------------------------------------------------------ live flush rule
+class TestLiveRouterFlushRule:
+    """The live router inherits the work-conserving worker over its DRR
+    queue: never a wait on a timer, and a lane at its ``max_inflight`` cap
+    reads as "nothing queued"."""
+
+    CONFIG = dict(max_batch=3, max_latency_seconds=300.0)
+
+    def test_capped_lane_reads_as_nothing_queued(self):
+        clock = stu.FakeClock()
+        router = build_router(
+            1,
+            clock=clock,
+            with_history=False,
+            ingest=IngestConfig(max_batch=1000, max_latency_seconds=300.0),
+            quotas={"alpha": TenantQuota(max_inflight=2)},
+        )
+        try:
+            futures = [
+                router.submit(stu.make_stream_alert(i, stu.IDLE_TYPE), tenant="alpha")
+                for i in range(5)
+            ]
+            router.start()
+            for future in futures:
+                assert future.result(timeout=30.0).incident.incident_id
+            clock.wait_for_sleepers(1)  # parked on the empty queue: all folded
+            # Each wave stops at the cap (the queue still holds alerts, the
+            # lane offers none) and goes at once; retiring it frees the cap.
+            assert stu.flush_sizes(router.hub) == [2, 2, 1]
+            assert clock.monotonic() == 0.0
+            assert router.stats().flush_reasons == {
+                "size": 0, "latency": 0, "manual": 0, "idle": 3
+            }
+            assert router.tenant_stats("alpha").flush_reasons["idle"] == 3
+        finally:
+            router.stop()
+
+    @pytest.mark.parametrize("arrivals,waves", [(2, [1, 2]), (5, [1, 3, 2])])
+    def test_batches_form_while_the_router_is_busy(self, arrivals, waves):
+        clock = stu.FakeClock()
+        router = build_router(
+            2, clock=clock, with_history=False, ingest=IngestConfig(**self.CONFIG)
+        )
+        try:
+            stu.run_waves_behind_a_busy_worker(
+                router,
+                clock,
+                arrivals,
+                submit=lambda alert, position: router.submit(
+                    alert, tenant=TENANTS[position % 2]
+                ),
+            )
+            assert stu.flush_sizes(router.hub) == waves
+            assert clock.monotonic() == 0.05
+            full = waves.count(3)
+            assert router.stats().flush_reasons == {
+                "size": full, "latency": 0, "manual": 0, "idle": len(waves) - full
+            }
+        finally:
+            router.stop()
+
+
 # -------------------------------------------------------------- isolation
 class TestTenantIsolation:
     def test_queue_quota_sheds_only_the_offender(self):
