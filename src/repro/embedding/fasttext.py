@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .text import tokenize
+from .text import _TOKEN_RE, tokenize
 from .vocab import Vocabulary
 
 
@@ -60,9 +60,21 @@ class FastTextEmbedder:
         self._idf: Dict[str, float] = {}
         self._default_idf = 1.0
         self._trained = False
-        #: Token -> embedding memo; embeddings are frozen after fit, so token
-        #: vectors can be reused across every embed/embed_many call.
-        self._token_vectors: Dict[str, np.ndarray] = {}
+        self._reset_table()
+
+    def _reset_table(self) -> None:
+        """Start an empty compiled token table (vectors and IDF weights both
+        belong to one fit, so ``fit`` calls this)."""
+        #: token -> its row in ``_table`` (vector) and ``_table_idf`` (weight);
+        #: rows are handed out in first-seen order, the arrays double when full.
+        self._token_rows: Dict[str, int] = {}
+        self._table = np.zeros((256, self.config.dim))
+        self._table_idf = np.zeros(len(self._table))
+        #: raw regex match -> rows of the tokens ``tokenize`` expands it to
+        #: (itself lower-cased, then its CamelCase parts).  Digit runs
+        #: tokenise to nothing and a live stream never runs out of new ones,
+        #: so they are not kept.
+        self._raw_rows: Dict[str, Tuple[int, ...]] = {}
 
     def _fit_idf(self, documents: Sequence[str]) -> None:
         """Fit inverse-document-frequency weights for document averaging.
@@ -96,11 +108,11 @@ class FastTextEmbedder:
         self._input = (rng.random((n_rows, cfg.dim), dtype=np.float64) - 0.5) / np.sqrt(cfg.dim)
         self._output = np.zeros((n_words, cfg.dim), dtype=np.float64)
         self._fit_idf(documents)
+        self._reset_table()  # rows compiled from the previous fit are stale
 
         encoded_docs = self._encode_corpus(documents)
         pairs = self._context_pairs(encoded_docs)
         if not pairs:
-            self._token_vectors.clear()
             self._trained = True
             return self
 
@@ -120,7 +132,6 @@ class FastTextEmbedder:
                     # Linear learning-rate decay within the epoch.
                     progress = (epoch * len(order) + count) / (cfg.epochs * len(order))
                     lr = cfg.learning_rate * max(0.05, 1.0 - progress)
-        self._token_vectors.clear()
         self._trained = True
         return self
 
@@ -199,21 +210,36 @@ class FastTextEmbedder:
         """Dimensionality of the produced embeddings."""
         return self.config.dim
 
+    def _token_row(self, token: str) -> int:
+        """Table row of a lower-cased token, compiled on first sight."""
+        row = self._token_rows.get(token)
+        if row is None:
+            assert self._input is not None
+            row = len(self._token_rows)
+            if row == len(self._table):
+                self._table = np.concatenate([self._table, np.zeros_like(self._table)])
+                self._table_idf = np.concatenate(
+                    [self._table_idf, np.zeros_like(self._table_idf)]
+                )
+            rows = self.vocab.indices(token)
+            if rows:
+                self._table[row] = self._input[rows].mean(axis=0)
+            self._table_idf[row] = self._idf.get(token, self._default_idf)
+            self._token_rows[token] = row
+        return row
+
+    def _raw_match_rows(self, raw: str) -> Tuple[int, ...]:
+        """Table rows of the tokens one raw regex match tokenises to."""
+        if raw.isdigit():
+            return ()
+        rows = tuple(self._token_row(token) for token in tokenize(raw))
+        self._raw_rows[raw] = rows
+        return rows
+
     def embed_token(self, token: str) -> np.ndarray:
         """Embedding of a single token (mean of its word + subword rows)."""
         self._require_trained()
-        assert self._input is not None
-        token = token.lower()
-        cached = self._token_vectors.get(token)
-        if cached is not None:
-            return cached
-        rows = self.vocab.indices(token)
-        if not rows:
-            vector = np.zeros(self.config.dim)
-        else:
-            vector = self._input[rows].mean(axis=0)
-        self._token_vectors[token] = vector
-        return vector
+        return self._table[self._token_row(token.lower())]
 
     def embed(self, text: str) -> np.ndarray:
         """Embedding of a document: L2-normalised IDF-weighted mean of tokens."""
@@ -223,22 +249,30 @@ class FastTextEmbedder:
         """Embeddings for many documents, stacked row-wise (one matrix out).
 
         The scalar :meth:`embed` delegates here, so single and batch paths
-        share one code path: per-document vectors are the IDF-weighted mean
-        of memoised token vectors computed as a single vector–matrix product,
-        rescaled to ``document_norm``.
+        share one code path.  A document is read once: each raw regex match
+        looks up the table rows of its tokens, the rows gather the token
+        vectors and IDF weights out of the compiled table, and the
+        IDF-weighted mean is a single vector–matrix product rescaled to
+        ``document_norm`` — token order and arithmetic are those of
+        embedding token by token, so the result is too, to the bit.  Table
+        rows are handed out without a lock: one embedding call at a time
+        (the pipeline embeds under the ingestion lock).
         """
         self._require_trained()
-        assert self._input is not None
         texts = list(texts)
         out = np.zeros((len(texts), self.config.dim))
+        raw_rows = self._raw_rows
         for row, text in enumerate(texts):
-            tokens = tokenize(text)
-            if not tokens:
+            ids: List[int] = []
+            for raw in _TOKEN_RE.findall(text):
+                rows = raw_rows.get(raw)
+                if rows is None:
+                    rows = self._raw_match_rows(raw)
+                ids.extend(rows)
+            if not ids:
                 continue
-            weights = np.array(
-                [self._idf.get(token, self._default_idf) for token in tokens]
-            )
-            vectors = np.stack([self.embed_token(token) for token in tokens])
+            weights = self._table_idf[ids]
+            vectors = self._table[ids]
             weight_sum = float(weights.sum())
             mean = weights @ vectors
             if weight_sum > 0:

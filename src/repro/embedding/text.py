@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, List, Sequence
 
+#: ``FastTextEmbedder`` memoises what each match of this pattern tokenises to:
+#: :func:`tokenize` must stay a function of the matches taken one at a time.
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]+|\d+")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")

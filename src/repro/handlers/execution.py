@@ -29,9 +29,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTrace:
-    """Record of one executed action node (for audit and debugging)."""
+    """Record of one executed action node (for audit and debugging); slotted,
+    a report keeps one per step."""
 
     node_id: str
     action_name: str
@@ -168,8 +169,10 @@ class HandlerExecutor:
             steps += 1
         result.elapsed_seconds = time.perf_counter() - started
         if attach_to_incident:
+            # Shared with the result, not copied: a resolved report is kept
+            # whole by whoever holds its future, and holds each of these once.
             incident.diagnostic = result.report
-            incident.action_output = dict(result.action_output)
+            incident.action_output = result.action_output
         return result
 
     @staticmethod

@@ -11,6 +11,7 @@ on-call engineers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Dict, List, Optional
@@ -42,12 +43,13 @@ class RootCauseCategory:
         return self.name
 
 
-@dataclass
+@dataclass(slots=True)
 class DiagnosticSection:
     """One titled section of collected diagnostic information.
 
     Sections correspond to individual handler actions: a probe result, a
-    metric table, a grouped stack trace, an event list.
+    metric table, a grouped stack trace, an event list.  Slotted: every
+    report holds several for as long as it is kept.
     """
 
     title: str
@@ -184,7 +186,7 @@ class Incident:
         """Create an incident from a routed alert (the parsing step in Fig. 4)."""
         return cls(
             incident_id=incident_id,
-            title=alert.summary(),
+            title=sys.intern(alert.summary()),
             created_at=alert.timestamp,
             alert_type=alert.alert_type,
             scope=alert.scope,

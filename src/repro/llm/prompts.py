@@ -45,9 +45,10 @@ MAX_INPUT_TOKENS = 700
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass
+@dataclass(slots=True)
 class Demonstration:
-    """One retrieved neighbour offered as a prompt option."""
+    """One retrieved neighbour offered as a prompt option (slotted: a report
+    keeps its K)."""
 
     incident_id: str
     summary: str

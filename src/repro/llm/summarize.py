@@ -8,21 +8,23 @@ Figure 7 prompt and enforces the word budget on the result.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .model import ChatMessage, ChatModel, complete_many
 from .prompts import build_summarization_prompt
-from .tokenizer import DEFAULT_TOKENIZER
 
 
 @dataclass
 class SummaryResult:
-    """A produced summary with size accounting."""
+    """A produced summary and its length in words.
+
+    Token usage is accounted where completions happen
+    (:class:`CompletionResult`, :class:`UsageTracker`), not here.
+    """
 
     text: str
-    input_tokens: int
-    summary_tokens: int
     word_count: int
 
 
@@ -48,25 +50,13 @@ class DiagnosticSummarizer:
         unchanged — there is nothing to compress and an LLM call would only
         add latency and noise.
         """
-        input_tokens = DEFAULT_TOKENIZER.count(diagnostic_text)
         words = diagnostic_text.split()
         if len(words) <= self.max_words:
-            text = diagnostic_text.strip()
-            return SummaryResult(
-                text=text,
-                input_tokens=input_tokens,
-                summary_tokens=DEFAULT_TOKENIZER.count(text),
-                word_count=len(words),
-            )
+            return SummaryResult(text=diagnostic_text.strip(), word_count=len(words))
         prompt = build_summarization_prompt(diagnostic_text)
         completion = self.model.complete([ChatMessage(role="user", content=prompt)])
         summary = self._enforce_budget(completion.text)
-        return SummaryResult(
-            text=summary,
-            input_tokens=input_tokens,
-            summary_tokens=DEFAULT_TOKENIZER.count(summary),
-            word_count=len(summary.split()),
-        )
+        return SummaryResult(text=summary, word_count=len(summary.split()))
 
     def summarize_many(self, diagnostic_texts: Sequence[str]) -> List[SummaryResult]:
         """Summarize a batch of diagnostic reports with one batched LLM call.
@@ -83,15 +73,7 @@ class DiagnosticSummarizer:
         for text in diagnostic_texts:
             words = text.split()
             if len(words) <= self.max_words:
-                stripped = text.strip()
-                results.append(
-                    SummaryResult(
-                        text=stripped,
-                        input_tokens=DEFAULT_TOKENIZER.count(text),
-                        summary_tokens=DEFAULT_TOKENIZER.count(stripped),
-                        word_count=len(words),
-                    )
-                )
+                results.append(SummaryResult(text=text.strip(), word_count=len(words)))
                 continue
             results.append(None)
             pending_indices.append(len(results) - 1)
@@ -103,10 +85,7 @@ class DiagnosticSummarizer:
             for index, completion in zip(pending_indices, completions):
                 summary = self._enforce_budget(completion.text)
                 results[index] = SummaryResult(
-                    text=summary,
-                    input_tokens=DEFAULT_TOKENIZER.count(diagnostic_texts[index]),
-                    summary_tokens=DEFAULT_TOKENIZER.count(summary),
-                    word_count=len(summary.split()),
+                    text=summary, word_count=len(summary.split())
                 )
         return results  # type: ignore[return-value]
 
@@ -114,7 +93,7 @@ class DiagnosticSummarizer:
         words = text.split()
         if len(words) > self.max_words:
             words = words[: self.max_words]
-        return " ".join(words).strip()
+        return sys.intern(" ".join(words).strip())
 
 
 def summarize_incident(

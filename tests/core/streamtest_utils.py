@@ -99,6 +99,17 @@ class GateModel:
         return self._inner.complete_many(conversations, temperature=temperature)
 
 
+class FittedEmbedder:
+    """A fitted embedder with ``fit`` taken away: ``index_history`` embeds
+    with it as it is instead of training it again."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def embed_many(self, texts):
+        return self.inner.embed_many(texts)
+
+
 #: Alert messages containing this marker make the flaky classifier raise.
 FLAKY_MARKER = "flaky-telemetry"
 

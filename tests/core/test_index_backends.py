@@ -12,6 +12,7 @@ import copy
 
 import pytest
 
+from streamtest_utils import FittedEmbedder
 from repro.core import (
     IndexConfig,
     PredictionConfig,
@@ -24,17 +25,6 @@ from repro.embedding import FastTextConfig, FastTextEmbedder
 from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
 from repro.vectordb import CompactionPolicy, FlatVectorIndex, ShardedVectorIndex
-
-
-class FittedEmbedder:
-    """A fitted embedder with ``fit`` taken away: ``index_history`` embeds
-    with it as it is instead of training it again."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def embed_many(self, texts):
-        return self.inner.embed_many(texts)
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from repro.core import (
     StreamIngestor,
 )
 from repro.datagen import generate_corpus
+from repro.embedding import FastTextConfig, FastTextEmbedder
 
 
 FAULTS = ("HubPortExhaustion", "DeliveryHang", "FullDisk", "CodeRegression")
@@ -52,18 +53,40 @@ def alert_feed(stream_service):
     return alerts
 
 
-def build_copilot(stream_service, backend="flat"):
-    config = PipelineConfig(index=IndexConfig(backend=backend, window_days=20.0))
-    copilot = RCACopilot(stream_service.hub, config=config)
-    history = generate_corpus(
+def stream_history():
+    return generate_corpus(
         total_incidents=60, total_categories=18, seed=5, duration_days=90.0
     )
-    copilot.index_history(history)
-    return copilot
+
+
+@pytest.fixture(scope="module")
+def build_copilot():
+    """``build_copilot(stream_service, backend="flat")``: a freshly indexed copilot.
+
+    The default-size FastText model is fitted once for the module, on the
+    texts ``PredictionStage.index_history`` would fit on; every copilot gets
+    its own deep copy with ``fit`` taken away, as in
+    ``test_index_backends.py::fitted``.  That fit was nearly the whole cost of
+    each of the sixteen builds below.
+    """
+    model = FastTextEmbedder(FastTextConfig()).fit(
+        [i.diagnostic_info() or i.alert_info() for i in stream_history().labelled()]
+    )
+
+    def build(stream_service, backend="flat"):
+        config = PipelineConfig(index=IndexConfig(backend=backend, window_days=20.0))
+        copilot = RCACopilot(stream_service.hub, config=config)
+        copilot.prediction.embedder = stu.FittedEmbedder(copy.deepcopy(model))
+        copilot.index_history(stream_history())
+        return copilot
+
+    return build
 
 
 class TestManualFlush:
-    def test_flush_matches_observe_many(self, stream_service, alert_feed):
+    def test_flush_matches_observe_many(
+        self, build_copilot, stream_service, alert_feed
+    ):
         streamed = build_copilot(stream_service)
         direct = build_copilot(stream_service)
         ingestor = streamed.stream(IngestConfig(max_batch=64, max_latency_seconds=1.0))
@@ -78,7 +101,7 @@ class TestManualFlush:
             r.predicted_label for r in expected
         ]
 
-    def test_flush_respects_max_batch(self, stream_service, alert_feed):
+    def test_flush_respects_max_batch(self, build_copilot, stream_service, alert_feed):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=2, max_latency_seconds=1.0))
         ingestor.submit_many(alert_feed[:5])
@@ -91,13 +114,13 @@ class TestManualFlush:
         assert stats.max_queue_depth >= 5
         assert ingestor.queue_depth == 0
 
-    def test_empty_flush_is_noop(self, stream_service):
+    def test_empty_flush_is_noop(self, build_copilot, stream_service):
         ingestor = build_copilot(stream_service).stream()
         assert ingestor.flush() == []
 
 
 class TestBackgroundWorker:
-    def test_size_triggered_flush(self, stream_service, alert_feed):
+    def test_size_triggered_flush(self, build_copilot, stream_service, alert_feed):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(
             IngestConfig(max_batch=2, max_latency_seconds=5.0)
@@ -108,7 +131,9 @@ class TestBackgroundWorker:
         assert all(report.predicted_label for report in labels)
         assert ingestor.stats().flush_reasons["size"] >= 1
 
-    def test_idle_worker_takes_a_lone_alert_at_once(self, stream_service, alert_feed):
+    def test_idle_worker_takes_a_lone_alert_at_once(
+        self, build_copilot, stream_service, alert_feed
+    ):
         """Work-conserving flush: an idle worker never waits for company.
 
         ``max_batch=1000`` and a five-minute ``max_latency_seconds`` would
@@ -160,7 +185,9 @@ class TestBackgroundWorker:
         finally:
             ingestor.stop()
 
-    def test_cancelled_future_does_not_kill_the_worker(self, stream_service, alert_feed):
+    def test_cancelled_future_does_not_kill_the_worker(
+        self, build_copilot, stream_service, alert_feed
+    ):
         """A future cancelled while queued is dropped; the stream keeps flowing."""
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=8, max_latency_seconds=1.0))
@@ -177,7 +204,7 @@ class TestBackgroundWorker:
         assert follow_up.result(timeout=1.0).predicted_label
 
     def test_stop_while_parked_on_an_empty_queue_terminates(
-        self, stream_service, alert_feed
+        self, build_copilot, stream_service, alert_feed
     ):
         """Regression: stop() must unpark a worker a fake clock would hold.
 
@@ -212,7 +239,7 @@ class TestBackgroundWorker:
         # One poll is 50 ms; the bound only has to tell it from 300 s.
         assert time.monotonic() - started < 5.0
 
-    def test_stop_flushes_remainder(self, stream_service, alert_feed):
+    def test_stop_flushes_remainder(self, build_copilot, stream_service, alert_feed):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=64, max_latency_seconds=10.0))
         futures = ingestor.submit_many(alert_feed[:3])
@@ -222,7 +249,9 @@ class TestBackgroundWorker:
 
 
 class TestBoundedQueue:
-    def test_load_shed_raises_when_full(self, stream_service, alert_feed):
+    def test_load_shed_raises_when_full(
+        self, build_copilot, stream_service, alert_feed
+    ):
         copilot = build_copilot(stream_service)
         ingestor = StreamIngestor(
             copilot,
@@ -249,7 +278,9 @@ class TestBoundedQueue:
 
 
 class TestTelemetryExport:
-    def test_queue_and_flush_metrics_reach_hub(self, stream_service, alert_feed):
+    def test_queue_and_flush_metrics_reach_hub(
+        self, build_copilot, stream_service, alert_feed
+    ):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=4, max_latency_seconds=1.0))
         ingestor.submit_many(alert_feed[:4])
@@ -273,7 +304,9 @@ class TestPipelineTelemetry:
         "predict_busy_fraction",
     )
 
-    def test_pipeline_metrics_reach_hub_and_stats(self, stream_service, alert_feed):
+    def test_pipeline_metrics_reach_hub_and_stats(
+        self, build_copilot, stream_service, alert_feed
+    ):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(
             IngestConfig(
@@ -303,7 +336,9 @@ class TestPipelineTelemetry:
         )
         assert inflight >= 0.0
 
-    def test_barrier_mode_reports_zero_overlap(self, stream_service, alert_feed):
+    def test_barrier_mode_reports_zero_overlap(
+        self, build_copilot, stream_service, alert_feed
+    ):
         """Barrier execution never overlaps stages, and says so."""
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=3, max_latency_seconds=1.0))
@@ -326,7 +361,7 @@ class TestFeedbackMidStream:
 
     @pytest.mark.parametrize("backend", ["flat", "sharded"])
     def test_feedback_visible_to_next_micro_batch(
-        self, stream_service, alert_feed, backend
+        self, build_copilot, stream_service, alert_feed, backend
     ):
         copilot = build_copilot(stream_service, backend=backend)
         ingestor = copilot.stream(IngestConfig(max_batch=8, max_latency_seconds=1.0))
@@ -349,7 +384,7 @@ class TestFeedbackMidStream:
 
     @pytest.mark.parametrize("backend", ["flat", "sharded"])
     def test_feedback_correction_between_batches(
-        self, stream_service, alert_feed, backend
+        self, build_copilot, stream_service, alert_feed, backend
     ):
         copilot = build_copilot(stream_service, backend=backend)
         ingestor = copilot.stream()

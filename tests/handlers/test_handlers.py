@@ -235,6 +235,13 @@ class TestExecution:
         assert len(result.report) >= 3
         assert incident.action_output  # attached back onto the incident
         assert not incident.diagnostic.is_empty()
+        # A resolved report is kept whole by whoever holds its future: it
+        # holds what was collected once, in records without a ``__dict__``.
+        assert incident.action_output is result.action_output
+        assert incident.diagnostic is result.report
+        assert Incident.from_alert("INC-EX-2", alert).title is incident.title
+        for record in (result.steps[0], result.report.sections[0]):
+            assert not hasattr(record, "__dict__")
 
     def test_figure5_handler_runs_over_backlog(self, registry):
         service = TransportService(seed=77)

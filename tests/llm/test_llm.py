@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.llm import (
     ChainOfThoughtPredictor,
     ChatMessage,
+    CompletionResult,
     Demonstration,
     DiagnosticSummarizer,
     FineTunedModel,
     FineTuneExample,
     SimulatedLLM,
+    SummaryResult,
     Tokenizer,
     build_direct_prediction_prompt,
     build_prediction_prompt,
@@ -247,6 +251,48 @@ class TestSimulatedLLM:
         prediction = ChainOfThoughtPredictor(noisy).predict(DIAG_TEXT, demos)
         # With noise=1.0 the runner-up is always taken instead of the best.
         assert prediction.category != "HubPortExhaustion" or prediction.is_unseen
+
+
+class StubModel:
+    """Answers every conversation with the same long text; counts nothing."""
+
+    name = "stub"
+
+    def complete(self, messages, temperature=0.0):
+        return CompletionResult(" ".join(["word"] * 300), 0, 0, self.name)
+
+
+class TestDiagnosticSummarizer:
+    def test_result_is_text_and_word_count(self):
+        fields = [field.name for field in dataclasses.fields(SummaryResult)]
+        assert fields == ["text", "word_count"]
+        summarizer = DiagnosticSummarizer(StubModel())
+        result = summarizer.summarize(DIAG_TEXT)
+        assert result.word_count == len(result.text.split()) == 140
+        # Equal summaries of different reports are one object while held.
+        assert summarizer.summarize(DIAG_TEXT + " again").text is result.text
+
+    def test_each_report_is_priced_once(self, monkeypatch):
+        """The only token count the summarizer pays for is the prompt budget
+        (``truncate(..., 3000)`` in ``build_summarization_prompt``), and only
+        for reports long enough that their length alone does not clear it."""
+        counted = []
+        original = Tokenizer.count
+        monkeypatch.setattr(
+            Tokenizer, "count", lambda self, text: counted.append(text) or original(self, text)
+        )
+        summarizer = DiagnosticSummarizer(StubModel())
+        reports = [
+            " ".join(f"line{n} socket error on hub{i}" for i in range(200))
+            for n in range(5)
+        ]
+        assert all(len(r) > 3000 and len(r.split()) > summarizer.max_words for r in reports)
+        results = summarizer.summarize_many(reports + ["short report"])
+        assert [r.word_count for r in results] == [140] * 5 + [2]
+        assert counted == reports
+        del counted[:]
+        assert summarizer.summarize(reports[0]).text == results[0].text
+        assert counted == reports[:1]
 
 
 class TestFineTunedModel:
