@@ -44,6 +44,7 @@ from ..llm import (
     DiagnosticSummarizer,
     SimulatedLLM,
 )
+from ..llm.cot import fan_out_prediction, prompt_key
 from ..telemetry import TelemetryHub
 from ..vectordb import DEFAULT_WINDOW_DAYS, SimilarityConfig, VectorIndex, build_index
 from .clock import MONOTONIC_CLOCK, Clock
@@ -54,36 +55,6 @@ from .errors import NotFittedError
 def _content_key(text: str) -> str:
     """Content-addressed cache key: SHA-256 of the exact text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _prompt_key(context: str, demonstrations: Sequence[Demonstration]) -> Tuple:
-    """One prompt's dedup identity — the predictor's batch dedup key.
-
-    Chunked prediction pre-splits each chunk against a memo keyed by this,
-    so deduplication spans chunk boundaries exactly as it spans a whole
-    batch.
-    """
-    return (
-        context,
-        tuple(
-            (d.incident_id, d.summary, d.category, d.similarity)
-            for d in demonstrations
-        ),
-    )
-
-
-def _fan_out_prediction(
-    shared: CategoryPrediction, demonstrations: Sequence[Demonstration]
-) -> CategoryPrediction:
-    """A deduplicated item's prediction, carrying its own demonstrations."""
-    return CategoryPrediction(
-        category=shared.category,
-        is_unseen=shared.is_unseen,
-        new_category=shared.new_category,
-        explanation=shared.explanation,
-        chosen_letter=shared.chosen_letter,
-        demonstrations=list(demonstrations),
-    )
 
 
 #: Median shard size the automatic window selection aims for.  Around 2k
@@ -684,7 +655,7 @@ class PredictionStage:
             ):
                 predictions[row] = prediction
                 if dedup:
-                    memo.setdefault(_prompt_key(context, demonstrations), prediction)
+                    memo.setdefault(prompt_key(context, demonstrations), prediction)
 
         pending = None
         with ThreadPoolExecutor(
@@ -702,9 +673,9 @@ class PredictionStage:
                 fresh_items: List[Tuple[str, List[Demonstration]]] = []
                 for row in rows:
                     item = (contexts[row], demonstration_lists[row])
-                    shared = memo.get(_prompt_key(*item)) if dedup else None
+                    shared = memo.get(prompt_key(*item)) if dedup else None
                     if shared is not None:
-                        predictions[row] = _fan_out_prediction(shared, item[1])
+                        predictions[row] = fan_out_prediction(shared, item[1])
                     else:
                         fresh_rows.append(row)
                         fresh_items.append(item)

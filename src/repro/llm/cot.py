@@ -9,7 +9,7 @@ and the model's explanation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .model import ChatMessage, ChatModel, complete_many
@@ -42,6 +42,21 @@ class CategoryPrediction:
         if self.new_category:
             return self.new_category
         return "Unseen"
+
+
+def prompt_key(incident_text: str, demonstrations: Sequence[Demonstration]) -> Tuple:
+    """One prompt's dedup identity, within a batch and across prediction chunks."""
+    return (
+        incident_text,
+        tuple((d.incident_id, d.summary, d.category, d.similarity) for d in demonstrations),
+    )
+
+
+def fan_out_prediction(
+    shared: CategoryPrediction, demonstrations: Sequence[Demonstration]
+) -> CategoryPrediction:
+    """A deduplicated item's prediction, carrying its own demonstrations."""
+    return replace(shared, demonstrations=list(demonstrations))
 
 
 class ChainOfThoughtPredictor:
@@ -100,13 +115,7 @@ class ChainOfThoughtPredictor:
         item_of: List[int] = []
         for incident_text, demonstrations in items:
             if dedup:
-                key = (
-                    incident_text,
-                    tuple(
-                        (d.incident_id, d.summary, d.category, d.similarity)
-                        for d in demonstrations
-                    ),
-                )
+                key = prompt_key(incident_text, demonstrations)
                 position = unique_index.get(key)
                 if position is None:
                     position = len(unique_items)
@@ -163,21 +172,10 @@ class ChainOfThoughtPredictor:
                 )
         if not dedup:
             return unique_results  # type: ignore[return-value]
-        results: List[CategoryPrediction] = []
-        for item_index, (incident_text, demonstrations) in enumerate(items):
-            shared = unique_results[item_of[item_index]]
-            assert shared is not None
-            results.append(
-                CategoryPrediction(
-                    category=shared.category,
-                    is_unseen=shared.is_unseen,
-                    new_category=shared.new_category,
-                    explanation=shared.explanation,
-                    chosen_letter=shared.chosen_letter,
-                    demonstrations=list(demonstrations),
-                )
-            )
-        return results
+        return [
+            fan_out_prediction(unique_results[position], demonstrations)  # type: ignore[arg-type]
+            for position, (_, demonstrations) in zip(item_of, items)
+        ]
 
     def predict_direct(self, incident_text: str) -> CategoryPrediction:
         """Zero-shot prediction without demonstrations (baseline variant)."""

@@ -15,6 +15,7 @@ structured predictions.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,6 +87,20 @@ def build_summarization_prompt(diagnostic_text: str) -> str:
     return f"{body}\n\n{SUMMARIZE_INSTRUCTION}"
 
 
+@functools.lru_cache(maxsize=4096)
+def _option_text(summary: str) -> str:
+    """A demonstration summary cut to its option budget, priced once per text.
+
+    Options are index entries' summaries, which recur across prompts and
+    which the index holds anyway, so the memo pins only the cut copies (a
+    summary that fits is its own value; a cut one is ≈0.8 KB, and no
+    benchmark window offers more than 161 distinct summaries).  Input and
+    summarization texts are per-alert and stay unmemoised: nothing would
+    bound their lifetime.
+    """
+    return truncate_tokens(summary, MAX_OPTION_TOKENS)
+
+
 def build_prediction_prompt(
     incident_text: str, demonstrations: Sequence[Demonstration]
 ) -> PredictionPrompt:
@@ -105,7 +120,7 @@ def build_prediction_prompt(
     lines.append("A: Unseen incident.")
     for index, demonstration in enumerate(demonstrations):
         letter = _LETTERS[index + 1]
-        summary = truncate_tokens(demonstration.summary, MAX_OPTION_TOKENS)
+        summary = _option_text(demonstration.summary)
         lines.append(f"{letter}: {summary} category: {demonstration.category}.")
         option_categories[letter] = demonstration.category
     return PredictionPrompt(

@@ -22,6 +22,8 @@ classifiers for worker processes too.
 
 from __future__ import annotations
 
+import copy
+import functools
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -37,6 +39,7 @@ from repro.core import (
 )
 from repro.core.pipeline import DiagnosisReport
 from repro.datagen import generate_corpus
+from repro.embedding import FastTextConfig, FastTextEmbedder
 from repro.handlers import (
     HandlerRegistry,
     MitigationAction,
@@ -265,7 +268,8 @@ def build_stream_copilot(
 
     ``model`` swaps the chat model (e.g. a :class:`GateModel` whose
     completions block on an event); the default is a fresh
-    :class:`SimulatedLLM`.
+    :class:`SimulatedLLM`.  ``with_history`` indexes :func:`stream_history`
+    with a copy of the process-wide fitted model (no fit per build).
     """
     config = PipelineConfig(
         collection=CollectionConfig(strict=strict, handler_wall_budget_seconds=wall_budget),
@@ -280,11 +284,29 @@ def build_stream_copilot(
         config=config,
     )
     if with_history:
-        history = generate_corpus(
-            total_incidents=40, total_categories=12, seed=11, duration_days=60.0
-        )
-        copilot.index_history(history)
+        copilot.prediction.embedder = FittedEmbedder(copy.deepcopy(_history_model()))
+        copilot.index_history(stream_history())
     return copilot
+
+
+def stream_history():
+    """The labelled corpus :func:`build_stream_copilot` indexes."""
+    return generate_corpus(
+        total_incidents=40, total_categories=12, seed=11, duration_days=60.0
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _history_model() -> FastTextEmbedder:
+    """The default-size FastText model fitted on :func:`stream_history`, once
+    per process, on the texts ``PredictionStage.index_history`` fits on.
+
+    Builders hand each copilot a deep copy: the fit was nearly the whole cost
+    of a build, and the copy embeds exactly as a fresh fit would.
+    """
+    return FastTextEmbedder(FastTextConfig()).fit(
+        [i.diagnostic_info() or i.alert_info() for i in stream_history().labelled()]
+    )
 
 
 def ingest_config(
