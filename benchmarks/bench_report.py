@@ -156,12 +156,6 @@ METRICS: List[Tuple[str, str, str, object]] = [
     ),
     (
         "retrieval",
-        "parallel vs sequential sharded (live)",
-        "BENCH_retrieval.json",
-        lambda p: _get(p, "speedups", "parallel_over_sequential_live"),
-    ),
-    (
-        "retrieval",
         "scanned shard ratio",
         "BENCH_retrieval.json",
         lambda p: _get(p, "stats", "scanned_shard_ratio"),

@@ -5,7 +5,7 @@ Demonstrates the streaming deployment shape of RCACopilot:
 
 1. boot the simulated Transport service and index a labelled history into
    the **sharded** retrieval index (time-window shards, exact pruning,
-   parallel shard scoring, auto-selected window width, self-compaction);
+   auto-selected window width, self-compaction);
 2. start a :class:`~repro.core.StreamIngestor`: alerts submitted one at a
    time are grouped into micro-batches automatically (an idle worker takes
    what is queued at once; batches fill while it is busy, up to
@@ -76,13 +76,11 @@ def main() -> None:
     config = PipelineConfig(
         # `sharded` is the default backend; spelled out here with the perf
         # knobs: window_days=None auto-derives the shard width from the
-        # history, max_workers=None scores a wave's shards on one worker
-        # per core, and the compaction policy keeps the layout balanced as
+        # history, and the compaction policy keeps the layout balanced as
         # feedback keeps appending incidents.
         index=IndexConfig(
             backend="sharded",
             window_days=None,
-            max_workers=None,
             compaction=CompactionPolicy(
                 min_entries=8, max_entries=128, auto=True, check_every=64
             ),
@@ -129,8 +127,7 @@ def main() -> None:
         f"indexed {int(stats['entries'])} incidents into "
         f"{int(stats['shard_count'])} time-window shards "
         f"(largest: {int(stats['max_shard_size'])}, "
-        f"median: {int(stats['median_shard_size'])} entries); "
-        f"scoring with {int(stats['max_workers'])} worker(s)"
+        f"median: {int(stats['median_shard_size'])} entries)"
     )
 
     print("\n== 2. Stream alerts through the micro-batching ingestor ==")
@@ -214,8 +211,7 @@ def main() -> None:
         f"retrieval scanned {index_stats['scanned_shard_ratio']:.0%} of "
         f"(query, shard) pairs across {int(index_stats['queries'])} queries "
         f"({int(index_stats['shards_pruned'])} shard visits pruned by the "
-        f"exact score bound, {int(index_stats['max_workers'])} scoring "
-        f"worker(s))"
+        f"exact score bound)"
     )
     print(
         f"compaction: {int(index_stats['compactions'])} pass(es), "

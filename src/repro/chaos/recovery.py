@@ -35,7 +35,6 @@ from ..core.errors import IndexCorruptionError
 def load_index_resilient(
     path: str,
     similarity=None,
-    max_workers: Optional[int] = None,
     compaction=None,
     rebuild: Optional[Callable[[], object]] = None,
     hub=None,
@@ -56,7 +55,6 @@ def load_index_resilient(
         index = load_index(
             path,
             similarity=similarity,
-            max_workers=max_workers,
             compaction=compaction,
         )
         return index, "primary"

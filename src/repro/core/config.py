@@ -83,10 +83,9 @@ class IndexConfig:
     The index backend is pluggable (the :class:`~repro.vectordb.VectorIndex`
     protocol): ``sharded`` — the default — partitions the history into
     time-window shards, prunes temporally irrelevant shards per query with
-    an exact score bound, scores eligible shards on a thread pool, and
-    self-compacts skewed layouts; ``flat`` keeps the whole history in one
-    matrix.  Both return identical neighbours; ``sharded`` scales retrieval
-    to multi-100k histories.
+    an exact score bound and self-compacts skewed layouts; ``flat`` keeps
+    the whole history in one matrix.  Both return identical neighbours;
+    ``sharded`` scales retrieval to multi-100k histories.
     """
 
     #: Index layout: ``sharded`` (time windows, the default) or ``flat``
@@ -97,11 +96,6 @@ class IndexConfig:
     #: :meth:`~repro.incidents.IncidentStore.shard_counts`, targeting a
     #: median shard size (see :func:`~repro.core.prediction.select_window_days`).
     window_days: Optional[float] = None
-    #: Worker threads scoring a scan wave's shards concurrently (sharded
-    #: backend only).  None picks the machine's core count (capped at 16,
-    #: since a wave submits one task per nominated shard); 1 forces the
-    #: inline path.  Results are identical either way.
-    max_workers: Optional[int] = None
     #: Shard merge/split thresholds and the auto-compaction trigger
     #: (sharded backend only); None uses :class:`CompactionPolicy` defaults
     #: (compaction available via ``compact()`` but not auto-triggered).
@@ -114,8 +108,6 @@ class IndexConfig:
             )
         if self.window_days is not None and self.window_days <= 0:
             raise ValueError("window_days must be positive")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be positive (or None for auto)")
 
 
 @dataclass

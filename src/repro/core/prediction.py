@@ -446,7 +446,6 @@ class PredictionStage:
                 diverse_categories=self.config.diverse_categories,
             ),
             window_days=window_days,
-            max_workers=self.index_config.max_workers,
             compaction=self.index_config.compaction,
         )
         self._summaries = {}

@@ -4,10 +4,10 @@ Retrieval is pluggable behind the :class:`VectorIndex` protocol: the flat
 single-matrix index (:class:`FlatVectorIndex`) and the time-window sharded
 index (:class:`ShardedVectorIndex`) return identical neighbours; the sharded
 layout additionally prunes temporally irrelevant shards with an exact score
-bound, scores a scan wave's eligible shards on a thread pool
-(``max_workers``), self-compacts skewed layouts
-(:class:`CompactionPolicy`) and persists as immutable mmap-able per-shard
-segments under one manifest (:mod:`~repro.vectordb.shardmem`, manifest v4).
+bound, folds each scored shard into a batch-major scan state in one step,
+self-compacts skewed layouts (:class:`CompactionPolicy`) and persists as
+immutable mmap-able per-shard segments under one manifest
+(:mod:`~repro.vectordb.shardmem`, manifest v4).
 """
 
 from .index import (

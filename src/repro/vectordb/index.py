@@ -278,7 +278,6 @@ class FlatVectorIndex:
             "shard_count": 1.0,
             "max_shard_size": float(entries),
             "median_shard_size": float(entries),
-            "max_workers": 1.0,
             "compactions": 0.0,
             "shards_merged": 0.0,
             "shards_split": 0.0,
@@ -306,7 +305,6 @@ def build_index(
     backend: str,
     similarity: Optional[SimilarityConfig] = None,
     window_days: Optional[float] = None,
-    max_workers: Optional[int] = None,
     compaction: Optional["CompactionPolicy"] = None,  # noqa: F821 - sharded-only
 ) -> VectorIndex:
     """Construct a retrieval index implementation by backend name.
@@ -317,11 +315,6 @@ def build_index(
         similarity: Scoring/selection configuration shared by both backends.
         window_days: Time-window width of each shard (sharded backend only);
             defaults to :data:`~repro.vectordb.sharded.DEFAULT_WINDOW_DAYS`.
-        max_workers: Threads scoring a scan wave's shards concurrently
-            (sharded backend only); None picks the machine's core count
-            (capped at
-            :data:`~repro.vectordb.sharded.ShardedVectorIndex.AUTO_WORKERS_CAP`),
-            1 forces inline scoring.  Results are identical either way.
         compaction: Merge/split thresholds and the auto-trigger policy of
             the sharded backend (:class:`~repro.vectordb.CompactionPolicy`).
     """
@@ -333,7 +326,6 @@ def build_index(
         return ShardedVectorIndex(
             similarity=similarity,
             window_days=DEFAULT_WINDOW_DAYS if window_days is None else window_days,
-            max_workers=max_workers,
             compaction=compaction,
         )
     raise ValueError(f"unknown index backend: {backend!r} (expected 'flat' or 'sharded')")
@@ -342,16 +334,15 @@ def build_index(
 def load_index(
     path: str,
     similarity: Optional[SimilarityConfig] = None,
-    max_workers: Optional[int] = None,
     compaction: Optional["CompactionPolicy"] = None,  # noqa: F821 - sharded-only
 ) -> VectorIndex:
     """Re-open a persisted index, dispatching on its on-disk layout.
 
     A sharded index is a directory holding a ``manifest.json`` (version 4)
     beside the per-shard segment files and the codes file it names, each
-    segment memory-mapped; a flat index is a single ``.npz`` file.  Runtime knobs are not persisted, so a sharded reload
-    must be handed its ``max_workers`` / ``compaction`` settings again (a
-    flat index ignores them).
+    segment memory-mapped; a flat index is a single ``.npz`` file.  The
+    compaction policy is a runtime knob, not persisted, so a sharded reload
+    must be handed it again (a flat index ignores it).
     """
     path = os.fspath(path)
     if os.path.isdir(path) and os.path.exists(os.path.join(path, SHARDED_MANIFEST)):
@@ -360,7 +351,6 @@ def load_index(
         return ShardedVectorIndex.load(
             path,
             similarity=similarity,
-            max_workers=max_workers,
             compaction=compaction,
         )
     return FlatVectorIndex.load(path, similarity=similarity)

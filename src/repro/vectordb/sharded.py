@@ -35,13 +35,15 @@ sharded retrieval return identical neighbour lists.
 With ``alpha == 0`` the bound is 1.0 and nothing is ever pruned (correct:
 without decay every era of the history matters equally).
 
-Eligible shards within one scan *wave* are scored concurrently on a thread
-pool (``max_workers``; numpy releases the GIL inside the BLAS matrix
-product, and 1 means inline).  Every pool/state mutation stays on the
-calling thread, folded in the same deterministic order as the inline
-path.  Prune decisions are taken against the pool state as of wave start,
-so pooled and inline scans visit the *same* shard set and return identical
-neighbours and identical :meth:`ShardedVectorIndex.stats`.
+One search's scan state is batch-major (:class:`_ScanState`): a row per
+query for its candidate pool and its per-category bests.  In each scan
+*wave* every query nominates its next shard, each nominated shard is scored
+once over its nominating queries with one matrix product, and the whole
+block is folded in one step: exact filters become ``-inf`` scores, the
+block's per-row top ``2k`` merges into the pools with one row-wise
+``lexsort``, and its per-category argmaxes come from one ``reduceat``.
+Scoring runs on the calling thread; the BLAS product itself already uses
+every core.
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -71,7 +73,6 @@ import math
 import os
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -161,10 +162,9 @@ class CompactionPolicy:
 class _ShardData:
     """One shard's immutable scoring payload: plain arrays, no index state.
 
-    The hand-off unit between the index and the extraction workers:
-    everything scoring needs, whether the arrays are views into a live
-    :class:`~repro.vectordb.store.VectorStore` buffer or into the mapped
-    segment of a loaded index.
+    What a scan wave scores and folds: everything scoring needs, whether the
+    arrays are views into a live :class:`~repro.vectordb.store.VectorStore`
+    buffer or into the mapped segment of a loaded index.
     """
 
     __slots__ = (
@@ -219,8 +219,7 @@ def _score_block(
     """Exact similarities of a query block against one shard's rows.
 
     Replicates :meth:`NearestNeighborSearch.score_many` operation for
-    operation (same in-place pipeline, same order).  Inline and pooled
-    execution score identical blocks, so their results are bit-identical.
+    operation (same in-place pipeline, same order).
     """
     scores = queries @ data.matrix.T
     scores *= -2.0
@@ -237,238 +236,42 @@ def _score_block(
     return decay
 
 
-class _Candidates:
-    """One query's extracted candidates from one scored shard.
-
-    The immutable hand-off between the (parallelisable) extraction phase
-    and the (serial) fold phase of a scan wave: everything a worker computed
-    from the shard's score row, with no references into mutable query
-    state.  ``rows`` index the shard's store; ``best_*`` carry the per-category
-    argmax payload (None when diversity is off or no row survived the
-    filters).
-    """
-
-    __slots__ = (
-        "entries_scanned", "scores", "seqs", "rows",
-        "best_codes", "best_scores", "best_seqs", "best_rows",
-    )
-
-    def __init__(
-        self,
-        entries_scanned: int,
-        scores: np.ndarray,
-        seqs: np.ndarray,
-        rows: np.ndarray,
-        best_codes: Optional[np.ndarray] = None,
-        best_scores: Optional[np.ndarray] = None,
-        best_seqs: Optional[np.ndarray] = None,
-        best_rows: Optional[np.ndarray] = None,
-    ) -> None:
-        self.entries_scanned = entries_scanned
-        self.scores = scores
-        self.seqs = seqs
-        self.rows = rows
-        self.best_codes = best_codes
-        self.best_scores = best_scores
-        self.best_seqs = best_seqs
-        self.best_rows = best_rows
-
-
-def _select_candidates(
-    total: int,
-    scores: np.ndarray,
-    seqs: np.ndarray,
-    rows: np.ndarray,
-    codes: Optional[np.ndarray],
-    pool_size: int,
-    diverse: bool,
-) -> _Candidates:
-    """Candidates for one query from its eligible (score, seq, row) subset.
-
-    ``rows`` ascend, and rows are appended in insertion order, so within a
-    shard the global sequence ascends with the row index: a *stable*
-    argsort of the negated scores is the flat scan's (-score, seq) order.
-    With diversity on, ``codes`` aligns with ``rows`` and the per-category
-    argmaxes ride along (``np.unique``'s first-occurrence indices over the
-    ordered codes are exactly the per-group (score desc, seq asc) winners).
-    """
-    order = np.argsort(-scores, kind="stable")
-    keep = order[:pool_size]
-    if not diverse:
-        return _Candidates(total, scores[keep], seqs[keep], rows[keep].astype(np.int64))
-    codes_in_order = codes[order]
-    _, first = np.unique(codes_in_order, return_index=True)
-    argmax = order[first]
-    keep = np.union1d(keep, argmax)
-    return _Candidates(
-        total,
-        scores[keep],
-        seqs[keep],
-        rows[keep].astype(np.int64),
-        best_codes=codes_in_order[first],
-        best_scores=scores[argmax],
-        best_seqs=seqs[argmax],
-        best_rows=rows[argmax].astype(np.int64),
-    )
-
-
-def _extract_filtered_row(
+def _filtered_rows(
     data: _ShardData,
-    scores_row: np.ndarray,
-    exclude_rows: Tuple[int, ...],
     history_before_day: Optional[float],
-    allowed_codes: Optional[Tuple[int, ...]],
-    pool_size: int,
-    diverse: bool,
-) -> _Candidates:
-    """Extract one *filtered* scored shard's candidates for one query.
-
-    Only called when some filter actually removes rows of this shard (a
-    look-ahead cut-off, a category filter, or an excluded id stored here);
-    unfiltered shards take the batched fast path.
-    """
-    total = data.total
-    mask: Optional[np.ndarray] = None
+    allowed_codes: Optional[np.ndarray],
+) -> np.ndarray:
+    """Rows of one shard that the batch-wide filters remove."""
+    keep = np.ones(data.total, dtype=bool)
     if history_before_day is not None:
-        mask = data.days < history_before_day
+        keep &= data.days < history_before_day
     if allowed_codes is not None:
-        allowed = np.isin(data.codes, np.asarray(allowed_codes, dtype=np.int64))
-        mask = allowed if mask is None else (mask & allowed)
-    if exclude_rows:
-        if mask is None:
-            mask = np.ones(total, dtype=bool)
-        mask[np.asarray(exclude_rows, dtype=np.int64)] = False
-    assert mask is not None, "unfiltered queries must go through the fast path"
-    eligible = np.flatnonzero(mask)
-    if eligible.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return _Candidates(total, np.zeros(0), empty, empty)
-    return _select_candidates(
-        total,
-        scores_row[eligible],
-        data.seqs[eligible],
-        eligible,
-        data.codes[eligible] if diverse else None,
-        pool_size,
-        diverse,
-    )
+        keep &= np.isin(data.codes, allowed_codes)
+    return np.flatnonzero(~keep)
 
 
-def _extract_fast(
-    data: _ShardData,
-    sub: np.ndarray,
-    fast: List[int],
-    pool_size: int,
-    diverse: bool,
-    payloads: List[Optional[_Candidates]],
-) -> None:
-    """Batched candidate extraction for the unfiltered queries of a block.
+def _top_rows(scores: np.ndarray, size: int) -> np.ndarray:
+    """Per row of ``scores``, the columns of its top ``size`` scores, as a set.
 
-    Top-pool *sets* per row (ordering is irrelevant — the pool merge
-    re-sorts): one batched argpartition, with boundary ties corrected per
-    row so the kept set matches the flat (-score, seq) ranking, and one
-    ``reduceat`` chain for the per-category argmaxes.
+    Columns index a shard's rows, which ascend with the global insertion
+    sequence, so the flat scan's (score desc, seq asc) ranking is (score
+    desc, column asc): where ties straddle ``argpartition``'s boundary the
+    lowest-column ties are kept.  A row with fewer than ``size`` eligible
+    (finite) scores keeps all of them plus arbitrary ``-inf`` fillers.
     """
-    total = sub.shape[1]
-    seqs = data.seqs
-    if total <= pool_size:
-        top_matrix = np.broadcast_to(np.arange(total), (sub.shape[0], total))
-        tie_fix_rows = ()
-    else:
-        top_matrix = np.argpartition(-sub, pool_size - 1, axis=1)[:, :pool_size]
-        boundary = np.take_along_axis(sub, top_matrix, axis=1).min(axis=1)
-        ties_total = (sub == boundary[:, None]).sum(axis=1)
-        above = (sub > boundary[:, None]).sum(axis=1)
-        # Rows where ties straddle the partition boundary need the exact
-        # lowest-sequence ties instead of argpartition's arbitrary pick.
-        tie_fix_rows = np.flatnonzero(above + ties_total > pool_size)
-    argmax_matrix = None
-    group_codes = None
-    if diverse:
-        perm, starts, sizes, group_codes = data.groups()
-        grouped = sub[:, perm]
-        group_maxes = np.maximum.reduceat(grouped, starts, axis=1)
-        # First (lowest-row, hence lowest-seq) position achieving each
-        # group's maximum: positions where the max is attained, minimised
-        # per group.  perm ascends inside each group, so "first" is exact.
-        positions = np.where(
-            grouped == np.repeat(group_maxes, sizes, axis=1),
-            np.arange(total)[None, :],
-            total,
-        )
-        first = np.minimum.reduceat(positions, starts, axis=1)
-        argmax_matrix = perm[first]
-    for offset, position in enumerate(fast):
-        scores_row = sub[offset]
-        if len(tie_fix_rows) and offset in tie_fix_rows:
-            threshold = boundary[offset]
-            keep_above = np.flatnonzero(scores_row > threshold)
-            tied = np.flatnonzero(scores_row == threshold)
-            top = np.concatenate(
-                [keep_above, tied[: pool_size - keep_above.shape[0]]]
-            )
-        else:
-            top = top_matrix[offset]
-        if argmax_matrix is None:
-            payloads[position] = _Candidates(
-                total, scores_row[top], seqs[top], top.astype(np.int64)
-            )
-        else:
-            argmax_rows = argmax_matrix[offset]
-            keep_rows = np.union1d(top, argmax_rows)
-            payloads[position] = _Candidates(
-                total,
-                scores_row[keep_rows],
-                seqs[keep_rows],
-                keep_rows.astype(np.int64),
-                best_codes=group_codes,
-                best_scores=scores_row[argmax_rows],
-                best_seqs=seqs[argmax_rows],
-                best_rows=argmax_rows.astype(np.int64),
-            )
-
-
-def _extract_block(
-    data: _ShardData,
-    queries_block: np.ndarray,
-    days_block: np.ndarray,
-    exclude_rows: List[Tuple[int, ...]],
-    history_before_day: Optional[float],
-    allowed_codes: Optional[Tuple[int, ...]],
-    pool_size: int,
-    diverse: bool,
-    alpha: float,
-) -> List[_Candidates]:
-    """Score one shard and extract candidates for its nominating queries.
-
-    The single extraction code path both execution modes run — inline or
-    on a pool thread — which is what makes their parity structural rather
-    than coincidental.  Read-only with respect to query state; the
-    returned payloads are folded serially by ``_fold``.  The hot path (no
-    look-ahead cut-off, no category filter, no excluded id stored in
-    *this* shard) extracts candidates for the whole sub-batch at once;
-    queries that do filter rows of this shard take the exact per-query
-    path over full float scores.
-    """
-    block = queries_block.shape[0]
-    payloads: List[Optional[_Candidates]] = [None] * block
-    batch_filtered = history_before_day is not None or allowed_codes is not None
-    fast: List[int] = []
-    slow: List[int] = []
-    for position in range(block):
-        if batch_filtered or exclude_rows[position]:
-            slow.append(position)
-        else:
-            fast.append(position)
-    scores = _score_block(data, queries_block, days_block, alpha)
-    for position in slow:
-        payloads[position] = _extract_filtered_row(
-            data, scores[position], exclude_rows[position],
-            history_before_day, allowed_codes, pool_size, diverse,
-        )
-    if fast:
-        _extract_fast(data, scores[fast], fast, pool_size, diverse, payloads)
-    return payloads
+    block, total = scores.shape
+    if total <= size:
+        return np.broadcast_to(np.arange(total), (block, total))
+    cut = total - size
+    top = np.argpartition(scores, cut, axis=1)[:, cut:]
+    # argpartition leaves each row's size-th largest score first in ``top``.
+    boundary = scores[np.arange(block), top[:, 0]]
+    straddles = (scores >= boundary[:, None]).sum(axis=1) > size
+    for row in np.flatnonzero(straddles & (boundary > -math.inf)):
+        above = np.flatnonzero(scores[row] > boundary[row])
+        tied = np.flatnonzero(scores[row] == boundary[row])
+        top[row] = np.concatenate([above, tied[: size - above.shape[0]]])
+    return top
 
 
 class _Shard:
@@ -546,69 +349,109 @@ class _Shard:
 
 
 class _QueryState:
-    """Per-query scan state: shard cursor, candidate pool, per-category bests."""
+    """One query's shard cursor and scan counters."""
 
-    __slots__ = (
-        "order", "pos", "pool_scores", "pool_seqs", "pool_keys", "pool_rows",
-        "best_scores", "best_seqs", "best_keys", "best_rows", "k", "kth_best",
-        "done", "scanned", "pruned", "skipped",
-    )
+    __slots__ = ("order", "pos", "done", "scanned", "pruned", "skipped")
 
-    def __init__(self, order: List[Tuple[float, int]], category_count: int, k: int) -> None:
+    def __init__(self, order: List[Tuple[float, int]]) -> None:
         self.order = order
         self.pos = 0
-        self.pool_scores = np.zeros(0)
-        self.pool_seqs = np.zeros(0, dtype=np.int64)
-        self.pool_keys = np.zeros(0, dtype=np.int64)
-        self.pool_rows = np.zeros(0, dtype=np.int64)
-        #: Per category code, the eligible argmax seen so far (score, seq,
-        #: shard key, row) — what the diversity pass would pick first.
-        #: -inf score means "category not covered yet".
-        self.best_scores = np.full(category_count, -math.inf)
-        self.best_seqs = np.zeros(category_count, dtype=np.int64)
-        self.best_keys = np.zeros(category_count, dtype=np.int64)
-        self.best_rows = np.zeros(category_count, dtype=np.int64)
-        self.k = k
-        #: K-th largest per-category best (-inf while fewer than K categories
-        #: are covered): the score of the diversity pass's last pick so far.
-        self.kth_best = -math.inf
         self.done = False
         self.scanned = 0
         self.pruned = 0
         self.skipped = 0
 
-    def pool_min(self, pool_size: int) -> float:
-        """Lowest retained pool score, or -inf while the pool is not full."""
-        if self.pool_scores.shape[0] < pool_size:
-            return -math.inf
-        return float(self.pool_scores[-1])
 
-    def update_category_bests(
-        self,
-        codes: np.ndarray,
-        scores: np.ndarray,
-        seqs: np.ndarray,
-        rows: np.ndarray,
-        shard_key: int,
-    ) -> None:
-        """Fold one shard's per-category argmaxes in (vectorised).
+class _ScanState:
+    """One search's candidates, batch-major: a row per query.
 
-        ``codes`` are distinct within one call (one entry per category
-        group), so the masked writes cannot collide; the (score desc, seq
-        asc) comparison matches the flat scan's tie-breaking.
+    ``pool_*`` (``queries x 2k``) hold each query's global top ``2k``
+    scanned entries by (score desc, seq asc): score, global sequence, shard
+    key, shard row and category code.  Empty slots score ``-inf``, so a
+    row's last column is its pool minimum, ``-inf`` while the pool is not
+    full.  ``best_*`` (``queries x categories``) hold, per category code,
+    the eligible argmax seen so far — what the diversity pass would pick
+    first — with ``-inf`` meaning "not covered yet"; ``kth_best`` is the
+    K-th largest of them (``-inf`` while fewer than K are covered), the
+    score of the diversity pass's last pick so far.
+    """
+
+    def __init__(self, queries: int, category_count: int, k: int, diverse: bool) -> None:
+        self.k = k
+        self.diverse = diverse
+        self.pool_size = 2 * k
+        pool = (queries, self.pool_size)
+        self.pool_scores = np.full(pool, -math.inf)
+        self.pool_seqs = np.zeros(pool, dtype=np.int64)
+        self.pool_keys = np.zeros(pool, dtype=np.int64)
+        self.pool_rows = np.zeros(pool, dtype=np.int64)
+        self.pool_codes = np.zeros(pool, dtype=np.int64)
+        bests = (queries, category_count)
+        self.best_scores = np.full(bests, -math.inf)
+        self.best_seqs = np.zeros(bests, dtype=np.int64)
+        self.best_keys = np.zeros(bests, dtype=np.int64)
+        self.best_rows = np.zeros(bests, dtype=np.int64)
+        self.kth_best = np.full(queries, -math.inf)
+
+    def fold(self, queries: np.ndarray, data: _ShardData, scores: np.ndarray) -> None:
+        """Fold one scored shard into the rows of the queries that nominated it.
+
+        ``scores`` is the block's ``(len(queries), data.total)`` score
+        matrix with every entry a filter removes at ``-inf``.  Only the
+        shard's top ``2k`` per row can enter the merged top ``2k``, so the
+        per-category argmaxes update the bests alone.
         """
-        current_scores = self.best_scores[codes]
-        improve = (scores > current_scores) | (
-            (scores == current_scores) & (seqs < self.best_seqs[codes])
-        )
-        if improve.any():
-            winners = codes[improve]
-            self.best_scores[winners] = scores[improve]
-            self.best_seqs[winners] = seqs[improve]
-            self.best_keys[winners] = shard_key
-            self.best_rows[winners] = rows[improve]
-        if self.best_scores.shape[0] >= self.k:
-            self.kth_best = float(np.partition(self.best_scores, -self.k)[-self.k])
+        size = self.pool_size
+        block = np.arange(queries.shape[0])[:, None]
+        top = _top_rows(scores, size)
+        merged_scores = np.concatenate((self.pool_scores[queries], scores[block, top]), axis=1)
+        merged_seqs = np.concatenate((self.pool_seqs[queries], data.seqs[top]), axis=1)
+        kept = np.lexsort((merged_seqs, -merged_scores), axis=-1)[:, :size]
+        self.pool_scores[queries] = merged_scores[block, kept]
+        self.pool_seqs[queries] = merged_seqs[block, kept]
+        for pool, fresh in (
+            (self.pool_keys, np.full(top.shape, data.key)),
+            (self.pool_rows, top),
+            (self.pool_codes, data.codes[top]),
+        ):
+            pool[queries] = np.concatenate((pool[queries], fresh), axis=1)[block, kept]
+        if self.diverse:
+            self._fold_bests(queries, data, scores)
+
+    def _fold_bests(self, queries: np.ndarray, data: _ShardData, scores: np.ndarray) -> None:
+        """Fold the block's per-category argmaxes into the bests.
+
+        Group maxima come from one ``reduceat`` over the rows grouped by
+        category; the first position attaining each maximum (lowest row,
+        hence lowest sequence) from one ``searchsorted`` over the flat
+        positions where maxima are attained.  The (score desc, seq asc)
+        comparison matches the flat scan's tie-breaking, and a group whose
+        rows were all filtered (``-inf``) changes nothing.
+        """
+        perm, starts, sizes, group_codes = data.groups()
+        total = data.total
+        grouped = np.take(scores, perm, axis=1)
+        maxima = np.maximum.reduceat(grouped, starts, axis=1)
+        attained = np.flatnonzero(grouped == np.repeat(maxima, sizes, axis=1))
+        row_starts = np.arange(0, queries.shape[0] * total, total)[:, None]
+        first = attained[np.searchsorted(attained, (row_starts + starts).ravel())]
+        argmax = perm[first.reshape(maxima.shape) - row_starts]
+        seqs = data.seqs[argmax]
+        cells = (queries[:, None], group_codes)
+        held, held_seqs = self.best_scores[cells], self.best_seqs[cells]
+        improve = (maxima > held) | ((maxima == held) & (seqs < held_seqs))
+        improve &= maxima > -math.inf
+        if not improve.any():
+            return
+        self.best_scores[cells] = np.where(improve, maxima, held)
+        self.best_seqs[cells] = np.where(improve, seqs, held_seqs)
+        self.best_keys[cells] = np.where(improve, data.key, self.best_keys[cells])
+        self.best_rows[cells] = np.where(improve, argmax, self.best_rows[cells])
+        column = self.best_scores.shape[1] - self.k
+        if column >= 0:
+            self.kth_best[queries] = np.partition(
+                self.best_scores[queries], column, axis=1
+            )[:, column]
 
 
 class ShardedVectorIndex:
@@ -626,18 +469,11 @@ class ShardedVectorIndex:
         self,
         similarity: Optional[SimilarityConfig] = None,
         window_days: float = DEFAULT_WINDOW_DAYS,
-        max_workers: Optional[int] = None,
         compaction: Optional[CompactionPolicy] = None,
     ) -> None:
         if window_days <= 0:
             raise ValueError("window_days must be positive")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive (or None for auto)")
         self.window_days = float(window_days)
-        #: Threads scoring a wave's shards concurrently; None picks the
-        #: machine's core count, 1 forces the inline path.  Results and
-        #: stats are identical either way.
-        self.max_workers = max_workers
         self.compaction = compaction or CompactionPolicy()
         self._similarity = similarity or SimilarityConfig()
         self._shards: Dict[int, _Shard] = {}
@@ -650,9 +486,6 @@ class ShardedVectorIndex:
         self._range_starts: List[float] = []
         self._next_shard_key = 0
         self._inserts_since_compact = 0
-        # lazily spawned scoring pool, reused across search_many calls
-        self._executor = None
-        self._executor_workers = 0
         # the snapshot directory the shards' ``saved`` markers refer to
         self._saved_dir: Optional[str] = None
         # scan statistics (cumulative over the index lifetime)
@@ -672,62 +505,12 @@ class ShardedVectorIndex:
         self._save_shards_written = 0
         self._save_bytes_written = 0
 
-    #: Ceiling of the automatic (``max_workers=None``) pool size.  A wave
-    #: submits one task per nominated shard — typically a handful after
-    #: pruning — so beyond this the extra workers of a many-core host
-    #: would only ever idle.  An explicit ``max_workers`` is honoured as
-    #: given.
-    AUTO_WORKERS_CAP = 16
-
-    def _effective_workers(self) -> int:
-        """Workers a scan wave may use (1 means sequential)."""
-        if self.max_workers is not None:
-            return max(1, int(self.max_workers))
-        return max(1, min(os.cpu_count() or 1, self.AUTO_WORKERS_CAP))
-
-    def _pool_for(self, workers: int):
-        """The shared scoring pool, (re)spawned lazily on first parallel wave.
-
-        Cached on the index so a streaming deployment does not pay
-        spawn/teardown on every micro-batch; a changed ``max_workers`` or a
-        :meth:`close` respawns it on next use.
-        """
-        if self._executor is None or self._executor_workers != workers:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="shard-score"
-            )
-            self._executor_workers = workers
-        return self._executor
-
     def close(self) -> None:
-        """Release the scoring pool.
+        """Nothing to release; idempotent.
 
-        Idempotent; the pool respawns lazily on next use.  Stores loaded
-        from segments keep their pages mapped through their own views (a
-        mapping goes when its shard does).  Exception safe: the reference
-        is dropped first, so a second ``close()`` after a failing executor
-        shutdown is a no-op.
+        Stores loaded from segments keep their pages mapped through their
+        own views (a mapping goes when its shard does).
         """
-        executor, self._executor = self._executor, None
-        self._executor_workers = 0
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def __getstate__(self) -> dict:
-        # Worker pools cannot be copied or pickled; the copy respawns its
-        # own pool on first use.
-        state = dict(self.__dict__)
-        state["_executor"] = None
-        state["_executor_workers"] = 0
-        return state
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter-shutdown races
-            pass
 
     # --------------------------------------------------------------- protocol
     @property
@@ -968,8 +751,9 @@ class ShardedVectorIndex:
         shard it cannot skip (nearest-in-time first, after exact filters and
         the score-bound pruning test), nominations are grouped so each shard
         is scored once per wave with one matrix–matrix product over its
-        nominating sub-batch, and candidate pools absorb the results.  Waves
-        repeat until every query has either scanned or pruned every shard.
+        nominating sub-batch, and the scored block is folded into the
+        batch-major :class:`_ScanState` in one step.  Waves repeat until
+        every query has either scanned or pruned every shard.
         Results are identical to the flat index's full scan.
         """
         k = k or self._similarity.k
@@ -1040,10 +824,6 @@ class ShardedVectorIndex:
             return [list(grouped[group_of[row]]) for row in range(total_queries)]
         diverse = self._similarity.diverse_categories
         alpha = self._similarity.alpha
-        # The candidate pool per query holds the global top 2k by score: the
-        # selection's fillers have global rank <= 2k (see module docstring);
-        # per-category argmaxes are tracked separately in ``cat_best``.
-        pool_size = 2 * k
         shard_keys = sorted(self._shards)
         # Vectorised per-query shard ordering: dt_min of every (query, shard)
         # pair in one broadcast, stable argsort so ties fall back to
@@ -1060,61 +840,30 @@ class ShardedVectorIndex:
         # Score upper bounds from the same ``np.exp`` the scores come from:
         # ``math.exp`` can differ by an ulp, enough to prune an exact tie.
         bound_matrix = np.exp(-alpha * dt_matrix)
-        category_count = len(self._cat_code)
-        states: List[_QueryState] = []
-        for qi in range(total_queries):
-            order = [
-                (float(bound_matrix[qi, position]), shard_keys[position])
-                for position in orderings[qi]
-            ]
-            states.append(_QueryState(order, category_count, k))
-        excludes = [
-            exclude_ids[qi] if exclude_ids is not None else None
-            for qi in range(total_queries)
+        states = [
+            _QueryState(list(zip(bounds, keys)))
+            for bounds, keys in zip(
+                bound_matrix[np.arange(total_queries)[:, None], orderings].tolist(),
+                np.asarray(shard_keys)[orderings].tolist(),
+            )
         ]
-        # The category filter compiled to integer codes once per call so
-        # every extraction shares it.
-        allowed_codes: Optional[Tuple[int, ...]] = None
+        scan = _ScanState(total_queries, len(self._cat_code), k, diverse)
+        # The batch-wide filters, as the shard rows they remove: compiled
+        # once per shard on its first scan and shared by every later wave.
+        allowed_codes: Optional[np.ndarray] = None
         if categories is not None:
-            allowed_codes = tuple(
-                sorted(
-                    self._cat_code[category]
-                    for category in categories
-                    if category in self._cat_code
-                )
+            allowed_codes = np.array(
+                [self._cat_code[name] for name in categories if name in self._cat_code],
+                dtype=np.int64,
             )
-        # Parallel mode: a wave's shards are independent — every query
-        # nominates exactly one shard per wave and prune decisions were
-        # taken against the pool state as of wave start — so scoring and
-        # candidate extraction fan out to pool threads (numpy releases the
-        # GIL inside the BLAS product) while every state mutation is
-        # folded on this thread in sorted-key order, exactly like the
-        # inline path.  Parity is structural: both modes run the same
-        # extract/fold code, only scheduling differs.
-        workers = self._effective_workers()
-
-        def extract(key: int, qrows: List[int]) -> List[_Candidates]:
-            """One shard's candidates for its nominating queries."""
-            shard = self._shards[key]
-            return _extract_block(
-                shard.data(),
-                queries[qrows],
-                days[qrows],
-                [self._exclude_rows(shard, excludes[qi]) for qi in qrows],
-                history_before_day,
-                allowed_codes,
-                pool_size,
-                diverse,
-                alpha,
-            )
-
+        filtered: Dict[int, np.ndarray] = {}
         while True:
             nominations: Dict[int, List[int]] = {}
             for qi, state in enumerate(states):
                 if state.done:
                     continue
                 key = self._advance(
-                    state, diverse, pool_size, history_before_day, categories
+                    state, scan, qi, diverse, history_before_day, categories
                 )
                 if key is None:
                     state.done = True
@@ -1122,19 +871,29 @@ class ShardedVectorIndex:
                     nominations.setdefault(key, []).append(qi)
             if not nominations:
                 break
-            keys = sorted(nominations)
-            if workers > 1 and len(keys) > 1:
-                pool = self._pool_for(workers)
-                futures = [pool.submit(extract, key, nominations[key]) for key in keys]
-                extracted = [future.result() for future in futures]
-            else:
-                extracted = [extract(key, nominations[key]) for key in keys]
-            for key, payloads in zip(keys, extracted):
+            for key in sorted(nominations):
+                nominated = nominations[key]
                 shard = self._shards[key]
-                for qi, candidates in zip(nominations[key], payloads):
-                    self._fold(states[qi], shard, candidates, pool_size)
+                data = shard.data()
+                block = np.array(nominated)
+                scores = _score_block(data, queries[block], days[block], alpha)
+                if history_before_day is not None or allowed_codes is not None:
+                    if key not in filtered:
+                        filtered[key] = _filtered_rows(
+                            data, history_before_day, allowed_codes
+                        )
+                    scores[:, filtered[key]] = -math.inf
+                if exclude_ids is not None:
+                    for position, qi in enumerate(nominated):
+                        excluded = self._exclude_rows(shard, exclude_ids[qi])
+                        if excluded:
+                            scores[position, excluded] = -math.inf
+                scan.fold(block, data, scores)
+                self._entries_scanned += data.total * len(nominated)
+                for qi in nominated:
+                    states[qi].scanned += 1
                     states[qi].pos += 1
-        results = [self._finalize(state, k, diverse) for state in states]
+        results = self._finalize(scan, k, diverse)
         shard_count = len(self._shards)
         self._queries += total_queries
         self._shards_considered += total_queries * shard_count
@@ -1148,12 +907,13 @@ class ShardedVectorIndex:
     def _advance(
         self,
         state: _QueryState,
+        scan: _ScanState,
+        qi: int,
         diverse: bool,
-        pool_size: int,
         history_before_day: Optional[float],
         categories: Optional[Set[str]],
     ) -> Optional[int]:
-        """Next shard this query must scan, or None once it is finished.
+        """Next shard query ``qi`` must scan, or None once it is finished.
 
         Walks the query's shards nearest-in-time first, skipping those the
         exact filters empty or :meth:`_can_prune` rules out.  With diversity
@@ -1176,11 +936,11 @@ class ShardedVectorIndex:
                 state.skipped += 1
                 state.pos += 1
                 continue
-            if diverse and state.kth_best > upper_bound:
+            if diverse and scan.kth_best[qi] > upper_bound:
                 state.pruned += len(state.order) - state.pos
                 state.pos = len(state.order)
                 return None
-            if self._can_prune(state, shard, upper_bound, pool_size, diverse, categories):
+            if self._can_prune(scan, qi, shard, upper_bound, diverse, categories):
                 state.pruned += 1
                 state.pos += 1
                 continue
@@ -1189,140 +949,96 @@ class ShardedVectorIndex:
 
     def _can_prune(
         self,
-        state: _QueryState,
+        scan: _ScanState,
+        qi: int,
         shard: _Shard,
         upper_bound: float,
-        pool_size: int,
         diverse: bool,
         categories: Optional[Set[str]],
     ) -> bool:
         """The filler-exact exit, for shards the K-category exit does not settle.
 
-        True when no entry of ``shard`` can enter the result: a full
-        candidate pool strictly above the shard's score upper bound and —
-        with diversity on — every (allowed) category present in the shard
-        already covered by a strictly better candidate.  Strict
+        True when no entry of ``shard`` can enter query ``qi``'s result: a
+        full candidate pool strictly above the shard's score upper bound
+        and — with diversity on — every (allowed) category present in the
+        shard already covered by a strictly better candidate.  Strict
         inequalities keep tie-breaking identical to the flat scan.
         """
-        if state.pool_min(pool_size) <= upper_bound:
+        if scan.pool_scores[qi, -1] <= upper_bound:
             return False
         if diverse:
+            bests = scan.best_scores[qi]
             if categories is None:
                 group_codes = shard.data().groups()[3]
-                return bool(np.all(state.best_scores[group_codes] > upper_bound))
+                return bool(np.all(bests[group_codes] > upper_bound))
             for category in shard.cat_counts:
                 if category not in categories:
                     continue
                 code = self._cat_code.get(category)
-                if code is None or state.best_scores[code] <= upper_bound:
+                if code is None or bests[code] <= upper_bound:
                     return False
         return True
 
-    def _exclude_rows(self, shard: _Shard, exclude: Optional[Set[str]]) -> Tuple[int, ...]:
-        """A shard-local sorted row tuple for a query's exclusion ids."""
+    def _exclude_rows(self, shard: _Shard, exclude: Optional[Set[str]]) -> List[int]:
+        """The shard-local rows of a query's exclusion ids."""
         if not exclude:
-            return ()
-        return tuple(
-            sorted(
-                shard.store.index_of(incident_id)
-                for incident_id in exclude
-                if self._locator.get(incident_id) == shard.key
-            )
-        )
-
-    def _fold(
-        self,
-        state: _QueryState,
-        shard: _Shard,
-        candidates: _Candidates,
-        pool_size: int,
-    ) -> None:
-        """Fold one extracted shard payload into a query's state (serial).
-
-        The only place scan waves mutate query pools, per-category bests or
-        the index-lifetime counters — always on the calling thread, in
-        sorted-shard-key order, regardless of how many workers extracted.
-        That makes the scanned/pruned statistics race-free by construction
-        (per-shard payloads are the "per-worker accumulators", reduced here
-        at wave end) and bit-identical between the execution modes.
-        """
-        state.scanned += 1
-        self._entries_scanned += candidates.entries_scanned
-        if candidates.best_codes is not None:
-            state.update_category_bests(
-                candidates.best_codes,
-                candidates.best_scores,
-                candidates.best_seqs,
-                candidates.best_rows,
-                shard.key,
-            )
-        if candidates.rows.shape[0]:
-            self._merge_pool(
-                state,
-                shard.key,
-                candidates.scores,
-                candidates.seqs,
-                candidates.rows,
-                pool_size,
-            )
-
-    @staticmethod
-    def _merge_pool(
-        state: _QueryState,
-        shard_key: int,
-        cand_scores: np.ndarray,
-        cand_seqs: np.ndarray,
-        cand_rows: np.ndarray,
-        pool_size: int,
-    ) -> None:
-        """Merge one shard's candidates into the query's top pool (exact)."""
-        merged_scores = np.concatenate([state.pool_scores, cand_scores])
-        merged_seqs = np.concatenate([state.pool_seqs, cand_seqs])
-        merged_keys = np.concatenate(
-            [state.pool_keys, np.full(cand_rows.shape[0], shard_key, dtype=np.int64)]
-        )
-        merged_rows = np.concatenate([state.pool_rows, cand_rows])
-        retained = np.lexsort((merged_seqs, -merged_scores))[:pool_size]
-        state.pool_scores = merged_scores[retained]
-        state.pool_seqs = merged_seqs[retained]
-        state.pool_keys = merged_keys[retained]
-        state.pool_rows = merged_rows[retained]
-
-    def _finalize(self, state: _QueryState, k: int, diverse: bool) -> List[Neighbor]:
-        """Select the final neighbours from a query's merged candidates."""
-        combined: Dict[Tuple[int, int], Tuple[float, int, int, int]] = {}
-        for position in range(state.pool_scores.shape[0]):
-            key = int(state.pool_keys[position])
-            row = int(state.pool_rows[position])
-            combined[(key, row)] = (
-                float(state.pool_scores[position]),
-                int(state.pool_seqs[position]),
-                key,
-                row,
-            )
-        for code in np.flatnonzero(state.best_scores > -math.inf):
-            key = int(state.best_keys[code])
-            row = int(state.best_rows[code])
-            combined.setdefault(
-                (key, row),
-                (float(state.best_scores[code]), int(state.best_seqs[code]), key, row),
-            )
-        ordered = sorted(combined.values(), key=lambda item: (-item[0], item[1]))
-        candidate_categories = [
-            self._shards[key].store._entries[row].category  # noqa: SLF001
-            for _, _, key, row in ordered
+            return []
+        return [
+            shard.store.index_of(incident_id)
+            for incident_id in exclude
+            if self._locator.get(incident_id) == shard.key
         ]
-        picks = select_complete_order(candidate_categories, k, diverse)
-        neighbors: List[Neighbor] = []
-        for position in picks:
-            score, _, key, row = ordered[position]
-            neighbors.append(
-                Neighbor(
-                    entry=self._shards[key].store._entries[row],  # noqa: SLF001
-                    similarity=score,
+
+    def _finalize(self, scan: _ScanState, k: int, diverse: bool) -> List[List[Neighbor]]:
+        """Select every query's final neighbours from its merged candidates.
+
+        A query's candidates are its pool plus — diversity on — its
+        category bests, each entry once: sequences are unique, so a pool
+        slot holding its category's best sequence *is* that best and is
+        dropped.  One row-wise ``lexsort`` orders them by (score desc, seq
+        asc), empty ``-inf`` slots last and cut.  Category codes name
+        categories one to one, so :func:`select_complete_order` walks codes
+        and only the picked entries are fetched.
+        """
+        scores, keys, rows, codes = (
+            scan.pool_scores, scan.pool_keys, scan.pool_rows, scan.pool_codes
+        )
+        if diverse:
+            every = np.arange(scores.shape[0])[:, None]
+            repeated = scan.best_seqs[every, codes] == scan.pool_seqs
+            scores = np.concatenate(
+                (np.where(repeated, -math.inf, scores), scan.best_scores), axis=1
+            )
+            seqs = np.concatenate((scan.pool_seqs, scan.best_seqs), axis=1)
+            order = np.lexsort((seqs, -scores), axis=-1)
+            best_codes = np.arange(scan.best_scores.shape[1])[None, :].repeat(
+                scores.shape[0], axis=0
+            )
+            scores = scores[every, order]
+            keys, rows, codes = (
+                np.concatenate(pair, axis=1)[every, order]
+                for pair in (
+                    (keys, scan.best_keys), (rows, scan.best_rows), (codes, best_codes)
                 )
             )
-        return neighbors
+        results: List[List[Neighbor]] = []
+        counts = (scores > -math.inf).sum(axis=1).tolist()
+        for qi, count in enumerate(counts):
+            picks = select_complete_order(codes[qi, :count].tolist(), k, diverse)
+            results.append(
+                [
+                    Neighbor(
+                        entry=self._shards[key].store._entries[row],  # noqa: SLF001
+                        similarity=score,
+                    )
+                    for key, row, score in zip(
+                        keys[qi, picks].tolist(),
+                        rows[qi, picks].tolist(),
+                        scores[qi, picks].tolist(),
+                    )
+                ]
+            )
+        return results
 
     # ------------------------------------------------------------- compaction
     def _build_shard(
@@ -1679,7 +1395,6 @@ class ShardedVectorIndex:
         cls,
         path,
         similarity: Optional[SimilarityConfig] = None,
-        max_workers: Optional[int] = None,
         compaction: Optional[CompactionPolicy] = None,
     ) -> "ShardedVectorIndex":
         """Re-open an index written by :meth:`save`.
@@ -1730,7 +1445,6 @@ class ShardedVectorIndex:
                 path,
                 manifest,
                 similarity=similarity,
-                max_workers=max_workers,
                 compaction=compaction,
             )
         except IndexCorruptionError:
@@ -1744,14 +1458,12 @@ class ShardedVectorIndex:
         path: str,
         manifest: dict,
         similarity: Optional[SimilarityConfig],
-        max_workers: Optional[int],
         compaction: Optional[CompactionPolicy],
     ) -> "ShardedVectorIndex":
         """Reconstruct an index from a decoded manifest (see :meth:`load`)."""
         index = cls(
             similarity=similarity,
             window_days=float(manifest["window_days"]),
-            max_workers=max_workers,
             compaction=compaction,
         )
         # Seed the category code table in the exact order it was saved so
@@ -1834,10 +1546,7 @@ class ShardedVectorIndex:
 
         ``scanned_shard_ratio`` / ``scanned_entry_ratio`` are cumulative over
         the index lifetime: the fraction of (query, shard) and (query, entry)
-        pairs that were actually scored rather than skipped or pruned.  All
-        counters are accumulated on the thread calling ``search_many`` —
-        workers only extract candidates and return them by value — so
-        parallel and sequential scans report identical numbers.
+        pairs that were actually scored rather than skipped or pruned.
         """
         sizes = sorted(len(shard.store) for shard in self._shards.values())
         return {
@@ -1845,7 +1554,6 @@ class ShardedVectorIndex:
             "shard_count": float(len(self._shards)),
             "max_shard_size": float(sizes[-1] if sizes else 0),
             "median_shard_size": float(sizes[len(sizes) // 2] if sizes else 0),
-            "max_workers": float(self._effective_workers()),
             "compactions": float(self._compactions),
             "shards_merged": float(self._shards_merged),
             "shards_split": float(self._shards_split),

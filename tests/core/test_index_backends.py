@@ -9,6 +9,7 @@ sharding is a layout/performance choice, never a quality choice.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -166,19 +167,16 @@ class TestShardedByDefault:
             "auto-selected window_days" in record.message for record in hub.logs
         )
 
-    def test_index_config_passes_workers_and_compaction_through(self, corpus_split, fitted):
+    def test_index_config_passes_window_and_compaction_through(self, corpus_split, fitted):
         policy = CompactionPolicy(min_entries=10, max_entries=50, auto=True)
         stage = build_stage(
-            "sharded",
-            corpus_split,
-            fitted,
-            window_days=15.0,
-            max_workers=2,
-            compaction=policy,
+            "sharded", corpus_split, fitted, window_days=15.0, compaction=policy
         )
-        assert stage.index.max_workers == 2
+        assert stage.index.window_days == 15.0
         assert stage.index.compaction is policy
-        assert stage.index.stats()["max_workers"] == 2.0
+        assert [field.name for field in dataclasses.fields(IndexConfig)] == [
+            "backend", "window_days", "compaction",
+        ]
 
 
 class TestShardKeyExtraction:
@@ -228,7 +226,6 @@ class TestIndexTelemetry:
             "scanned_shard_ratio",
             "max_shard_size",
             "median_shard_size",
-            "max_workers",
             "compactions",
         ):
             assert f"rcacopilot.index.{suffix}" in names

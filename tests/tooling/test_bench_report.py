@@ -32,10 +32,7 @@ THROUGHPUT = {
 RETRIEVAL = {
     "benchmark": "retrieval_sharded",
     "config": {"quick_mode": True},
-    "speedups": {
-        "sharded_over_flat_live": 3.7,
-        "parallel_over_sequential_live": 1.6,
-    },
+    "speedups": {"sharded_over_flat_live": 3.7},
     "stats": {"scanned_shard_ratio": 0.05},
 }
 

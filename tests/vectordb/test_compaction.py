@@ -112,7 +112,7 @@ class TestSkewedIngestAcceptance:
 
         # The aged index: chronological micro-batches, auto compaction.
         aged = ShardedVectorIndex(
-            similarity, window_days=WINDOW, compaction=policy, max_workers=1
+            similarity, window_days=WINDOW, compaction=policy
         )
         batch = 500
         for start in range(0, len(ids), batch):
@@ -131,7 +131,7 @@ class TestSkewedIngestAcceptance:
 
         # Fresh-layout baseline: one-shot build, one compaction pass.
         fresh = ShardedVectorIndex(
-            similarity, window_days=WINDOW, compaction=policy, max_workers=1
+            similarity, window_days=WINDOW, compaction=policy
         )
         fresh.add_many(ids, vectors, days, categories)
         fresh.compact()
@@ -381,7 +381,7 @@ class TestCompactionPersistence:
         assert "fresh" in loaded
 
     def test_load_index_forwards_runtime_knobs(self, tmp_path):
-        """The dispatching loader restores max_workers and the policy.
+        """The dispatching loader restores the compaction policy.
 
         Runtime knobs are not persisted, so a deployment that reloads via
         ``load_index`` must be able to hand them back — otherwise a
@@ -399,9 +399,7 @@ class TestCompactionPersistence:
         target = str(tmp_path / "knobs-index")
         index.save(target)
         policy = CompactionPolicy(min_entries=4, max_entries=32, auto=True)
-        loaded = load_index(
-            target, similarity=similarity, max_workers=2, compaction=policy
-        )
+        loaded = load_index(target, similarity=similarity, compaction=policy)
         assert isinstance(loaded, ShardedVectorIndex)
-        assert loaded.max_workers == 2
         assert loaded.compaction is policy
+        assert loaded.similarity is similarity

@@ -10,7 +10,9 @@ the loud-KeyError contract of ``update_category`` on both backends.
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -138,6 +140,43 @@ class TestFlatShardedParity:
             [sharded.search(np.array(query), query_day)],
         )
 
+    @given(
+        entries=st.lists(
+            st.tuples(
+                # Tie-heavy on purpose: tiny integer coordinate alphabet and
+                # integer days make many (distance, day-gap) pairs — and
+                # therefore scores — exactly equal, so tie-breaking by
+                # global insertion sequence is what is actually under test.
+                st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=3, max_size=3),
+                st.integers(0, 30).map(float),
+                st.sampled_from(["A", "B"]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        query=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=3, max_size=3),
+        query_day=st.integers(0, 40).map(float),
+        alpha=st.sampled_from([0.0, 0.3, 1.0]),
+        k=st.integers(1, 6),
+        diverse=st.booleans(),
+        window=st.sampled_from([3.0, 10.0]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_tie_heavy_parity_property(
+        self, entries, query, query_day, alpha, k, diverse, window
+    ):
+        """Tie-heavy corpora: sharded == flat, exactly."""
+        similarity = SimilarityConfig(alpha=alpha, k=k, diverse_categories=diverse)
+        flat = FlatVectorIndex(similarity)
+        sharded = ShardedVectorIndex(similarity, window_days=window)
+        for index, (vector, day, category) in enumerate(entries):
+            for target in (flat, sharded):
+                target.add(f"i{index}", np.array(vector), day, category)
+        assert_same_results(
+            [flat.search(np.array(query), query_day)],
+            [sharded.search(np.array(query), query_day)],
+        )
+
     def test_empty_category_filter_means_no_filter_on_both_backends(self):
         similarity = SimilarityConfig(alpha=0.3, k=4)
         flat, sharded = both_indexes(similarity, count=60)
@@ -218,6 +257,57 @@ class TestShardLayoutAndPruning:
         stats = sharded.stats()
         assert stats["shards_pruned"] == 0.0
         assert stats["scanned_shard_ratio"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            dict(),
+            dict(history_before_day=120.0),
+            dict(categories={"cat1", "cat4", "cat9"}),
+            dict(exclude_ids=[{f"i{row}", f"i{row + 40}"} for row in range(16)]),
+        ],
+        ids=["plain", "history_before_day", "categories", "exclude_ids"],
+    )
+    def test_finished_queries_account_for_every_shard(self, filters):
+        """scanned + pruned + skipped == considered.
+
+        A query the category exit finishes books all its remaining shards
+        as pruned in one step; nothing may be lost or counted twice.
+        """
+        similarity = SimilarityConfig(alpha=0.3, k=3)
+        flat, sharded = both_indexes(
+            similarity, window_days=10.0, count=1200, duration=240.0
+        )
+        rng = np.random.default_rng(3)
+        queries = rng.standard_normal((16, 8))
+        days = rng.uniform(0.0, 260.0, size=16)
+        assert_same_results(
+            flat.search_many(queries, days, **filters),
+            sharded.search_many(queries, days, **filters),
+        )
+        stats = sharded.stats()
+        assert stats["shards_considered"] == 16 * stats["shard_count"]
+        assert (
+            stats["shards_scanned"] + stats["shards_pruned"] + stats["shards_skipped"]
+            == stats["shards_considered"]
+        )
+        assert stats["shards_pruned"] > 0
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda index: pickle.loads(pickle.dumps(index))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_index_that_searched_survives_copies(self, clone):
+        """No scan state may stick to the index (benchmarks deepcopy it)."""
+        _, sharded = both_indexes(SimilarityConfig(alpha=0.3, k=4), count=120)
+        rng = np.random.default_rng(8)
+        queries = rng.standard_normal((4, 8))
+        days = rng.uniform(0.0, 130.0, size=4)
+        before = sharded.search_many(queries, days)
+        twin = clone(sharded)
+        assert twin.stats() == sharded.stats()
+        assert_same_results(before, twin.search_many(queries, days))
 
     def test_stats_shape_is_shared_across_backends(self):
         flat, sharded = both_indexes(SimilarityConfig())
@@ -416,12 +506,10 @@ class TestBuildIndex:
         assert len(neighbors) == 5
 
 
-def twin_indexes(similarity, entries, window_days=10.0, max_workers=1):
+def twin_indexes(similarity, entries, window_days=10.0):
     """(flat, sharded) holding ``entries`` = (id, vector, day, category) rows."""
     flat = FlatVectorIndex(similarity)
-    sharded = ShardedVectorIndex(
-        similarity, window_days=window_days, max_workers=max_workers
-    )
+    sharded = ShardedVectorIndex(similarity, window_days=window_days)
     for incident_id, vector, day, category in entries:
         for target in (flat, sharded):
             target.add(incident_id, np.array(vector, dtype=float), day, category)
@@ -455,7 +543,6 @@ class TestCategoryExit:
         alpha=st.sampled_from([0.1, 0.5, 1.0]),
         k=st.integers(2, 4),
         category_gap=st.sampled_from([-1, 0, 2]),
-        workers=st.sampled_from([1, 3]),
     )
     # The tie of test_score_equal_to_the_bound_does_not_prune, which random
     # draws almost never place: one entry mirrored across the query day.
@@ -466,11 +553,10 @@ class TestCategoryExit:
         alpha=0.5,
         k=2,
         category_gap=2,
-        workers=1,
     )
     @settings(max_examples=120, deadline=None)
     def test_differential_below_at_and_above_k_categories(
-        self, entries, query, query_day, alpha, k, category_gap, workers
+        self, entries, query, query_day, alpha, k, category_gap
     ):
         """Sharded == flat (ids, scores, order) with k-1, k and k+2 categories."""
         similarity = SimilarityConfig(alpha=alpha, k=k)
@@ -482,7 +568,6 @@ class TestCategoryExit:
                 for index, (vector, day, code) in enumerate(entries)
             ],
             window_days=5.0,
-            max_workers=workers,
         )
         assert_same_results(
             [flat.search(np.array(query), query_day)],
@@ -492,8 +577,7 @@ class TestCategoryExit:
     # At (1.63, 7) ``np.exp`` lands one ulp above ``math.exp`` (numpy 1.x,
     # x86-64): a bound taken from ``math.exp`` would sit *below* the tie.
     @pytest.mark.parametrize("alpha, gap", [(0.0, 6.0), (0.5, 6.0), (1.63, 7.0)])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_score_equal_to_the_bound_does_not_prune(self, alpha, gap, workers):
+    def test_score_equal_to_the_bound_does_not_prune(self, alpha, gap):
         """An unscanned entry tying the K-th category wins on sequence.
 
         Integer vectors equal to the query make every distance exactly 0,
@@ -515,7 +599,6 @@ class TestCategoryExit:
                 ("b", query, 50.0 - gap, "B"),
                 ("a-far", [9.0, 0.0, 2.0], 51.0 - gap, "A"),
             ],
-            max_workers=workers,
         )
         reference = flat.search(np.array(query), 50.0)
         assert [n.incident_id for n in reference] == ["late", "a"]
@@ -587,7 +670,7 @@ class TestCategoryExit:
             populated(index, count=52 * 60, categories=40, duration=364.0)
             for index in (
                 FlatVectorIndex(similarity),
-                ShardedVectorIndex(similarity, window_days=7.0, max_workers=1),
+                ShardedVectorIndex(similarity, window_days=7.0),
             )
         )
         assert sharded.stats()["shard_count"] == 52.0
