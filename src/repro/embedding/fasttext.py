@@ -25,6 +25,9 @@ import numpy as np
 from .text import _TOKEN_RE, tokenize
 from .vocab import Vocabulary
 
+#: Steps between two learning-rate updates of :meth:`FastTextEmbedder.fit`.
+_LR_PERIOD = 10_000
+
 
 @dataclass
 class FastTextConfig:
@@ -99,7 +102,28 @@ class FastTextEmbedder:
 
     # ------------------------------------------------------------------ train
     def fit(self, documents: Sequence[str]) -> "FastTextEmbedder":
-        """Train on a corpus of documents."""
+        """Train on a corpus of documents.
+
+        Plain sequential skip-gram SGD with negative sampling: each epoch
+        visits the context pairs in a fresh permutation (at most
+        ``max_pairs_per_epoch`` of them), and each (input rows, target)
+        pair takes one step that sees every update of the steps before it.
+        A step scores the target and ``negative`` words drawn from the
+        unigram table against the mean of the input rows, moves each output
+        row by ``delta * hidden`` and the input rows by the mean of
+        ``delta * output row``; a negative equal to the target is skipped.
+
+        A step is a handful of array operations rather than one update per
+        sampled word.  The same word drawn twice in one step must see the
+        row its first draw just moved, so the step's words are split into
+        *layers* (a word's layer is how often it was already drawn in the
+        step) and a layer is one gather/score/scatter; almost every step is
+        a single layer.  The arithmetic and its order are those of updating
+        one word at a time, so the fitted matrices are bit-identical to that
+        loop (``tests/embedding/test_fit_steps.py`` keeps it as the
+        reference).  Negatives are drawn for up to ``_LR_PERIOD`` steps at
+        once, which gives the same draws as one call per step.
+        """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         self.vocab.fit(documents)
@@ -110,53 +134,131 @@ class FastTextEmbedder:
         self._fit_idf(documents)
         self._reset_table()  # rows compiled from the previous fit are stale
 
-        encoded_docs = self._encode_corpus(documents)
-        pairs = self._context_pairs(encoded_docs)
-        if not pairs:
+        rows_of, targets = self._context_pairs(self._encode_corpus(documents))
+        if not rows_of:
             self._trained = True
             return self
 
         negative_table = self._negative_table()
         lr = cfg.learning_rate
         for epoch in range(cfg.epochs):
-            order = rng.permutation(len(pairs))
-            if len(order) > cfg.max_pairs_per_epoch:
-                order = order[: cfg.max_pairs_per_epoch]
-            for count, index in enumerate(order):
-                rows, target = pairs[index]
-                negatives = negative_table[
-                    rng.integers(0, len(negative_table), size=cfg.negative)
-                ]
-                self._update(rows, target, negatives, lr)
-                if count % 10000 == 0:
+            order = rng.permutation(len(rows_of))[: cfg.max_pairs_per_epoch]
+            steps = len(order)
+            # The learning rate changes after steps 0, P, 2P, ... (P =
+            # _LR_PERIOD), so each chunk of steps between two changes runs
+            # at one rate.
+            bounds = [0, *range(1, steps, _LR_PERIOD), steps]
+            for start, stop in zip(bounds, bounds[1:]):
+                self._fit_chunk(order[start:stop], rows_of, targets, negative_table, rng, lr)
+                if (stop - 1) % _LR_PERIOD == 0:
                     # Linear learning-rate decay within the epoch.
-                    progress = (epoch * len(order) + count) / (cfg.epochs * len(order))
+                    progress = (epoch * steps + stop - 1) / (cfg.epochs * steps)
                     lr = cfg.learning_rate * max(0.05, 1.0 - progress)
         self._trained = True
         return self
 
-    def _encode_corpus(self, documents: Sequence[str]) -> List[List[Tuple[List[int], int]]]:
-        """Encode documents as [(subword rows, word id or -1), ...] per token."""
-        encoded: List[List[Tuple[List[int], int]]] = []
+    def _fit_chunk(
+        self,
+        pairs: np.ndarray,
+        rows_of: List[np.ndarray],
+        targets: np.ndarray,
+        negative_table: np.ndarray,
+        rng: np.random.Generator,
+        lr: float,
+    ) -> None:
+        """One SGD step per context pair in ``pairs``, in order, at rate ``lr``."""
+        assert self._input is not None and self._output is not None
+        inp, out = self._input, self._output
+        steps, width = len(pairs), 1 + self.config.negative
+        # Slot 0 of a step is its target, the others its negatives.
+        ids = np.empty((steps, width), dtype=np.intp)
+        ids[:, 0] = targets[pairs]
+        ids[:, 1:] = negative_table[
+            rng.integers(0, len(negative_table), size=(steps, width - 1))
+        ]
+        kept = ids != ids[:, :1]
+        kept[:, 0] = True
+        # A kept slot's layer: how many earlier kept slots hold the same word.
+        earlier = np.tril(ids[:, :, None] == ids[:, None, :], -1) & kept[:, None, :]
+        layer = np.where(kept, earlier.sum(axis=2), width)
+        # A step's kept slots ordered by layer, then slot: layer L is the run
+        # ``bounds[L]:bounds[L + 1]`` of its ``layer_ids``.  Its gradient
+        # terms are computed in that order; ``unsort`` lists them in slot
+        # order, the order they are summed in.
+        by_layer = np.argsort(layer * width + np.arange(width), axis=1)
+        layer_ids = np.take_along_axis(ids, by_layer, axis=1)
+        kept_first = np.argsort(~kept, axis=1, kind="stable")
+        unsort = np.take_along_axis(np.argsort(by_layer, axis=1), kept_first, axis=1)
+        layer_bounds = (layer[:, :, None] < np.arange(width + 1)).sum(axis=1).tolist()
+
+        for step, pair in enumerate(pairs.tolist()):
+            rows = rows_of[pair]
+            k = len(rows)
+            gathered = inp.take(rows, axis=0)
+            hidden = np.add.reduce(gathered, axis=0)  # bitwise ``.mean(axis=0)``
+            hidden /= k
+            bounds = layer_bounds[step]
+            kept_slots = bounds[-1]
+            terms = np.empty((kept_slots, inp.shape[1]))
+            for lo, hi in zip(bounds, bounds[1:]):
+                if lo == hi:
+                    break
+                word_ids = layer_ids[step, lo:hi]
+                block = out.take(word_ids, axis=0)
+                # One ``ddot`` per row, as ``hidden @ row``; ``block @ hidden``
+                # (a gemv) sums in another order.
+                dots = np.vecdot(block, hidden)
+                # The logistic function as exp(min(d, 0)) / (1 + exp(-|d|)):
+                # the same IEEE operations as evaluating it by the sign of d.
+                score = np.exp(np.minimum(dots, 0.0)) / (1.0 + np.exp(-np.abs(dots)))
+                delta = -lr * score
+                if lo == 0:
+                    delta[0] = lr * (1.0 - score[0])  # the target
+                delta = delta[:, None]
+                np.multiply(delta, block, out=terms[lo:hi])
+                moved = delta * hidden
+                moved += block
+                out[word_ids] = moved
+            if bounds[1] != kept_slots:  # more than one layer
+                terms = terms.take(unsort[step, :kept_slots], axis=0)
+            # Summed row after row, as a running ``gradient += term`` would.
+            gradient = np.add.reduce(terms, axis=0)
+            gradient /= k
+            gathered += gradient
+            inp[rows] = gathered  # as ``+=``, even where ``rows`` repeats a row
+
+    def _encode_corpus(self, documents: Sequence[str]) -> List[List[Tuple[np.ndarray, int]]]:
+        """Encode documents as [(subword rows, word id or -1), ...] per token.
+
+        Each distinct token is looked up once; its occurrences share one
+        ``intp`` row array.
+        """
+        lookup: Dict[str, Tuple[np.ndarray, int]] = {}
+        encoded: List[List[Tuple[np.ndarray, int]]] = []
         for document in documents:
-            tokens = tokenize(document)
-            doc: List[Tuple[List[int], int]] = []
-            for token in tokens:
-                word_id = self.vocab.word_id(token)
-                rows = self.vocab.indices(token)
-                doc.append((rows, word_id if word_id is not None else -1))
+            doc: List[Tuple[np.ndarray, int]] = []
+            for token in tokenize(document):
+                entry = lookup.get(token)
+                if entry is None:
+                    word_id = self.vocab.word_id(token)
+                    entry = lookup[token] = (
+                        np.array(self.vocab.indices(token), dtype=np.intp),
+                        word_id if word_id is not None else -1,
+                    )
+                doc.append(entry)
             encoded.append(doc)
         return encoded
 
     def _context_pairs(
-        self, encoded_docs: List[List[Tuple[List[int], int]]]
-    ) -> List[Tuple[List[int], int]]:
-        """(input rows, target word id) skip-gram pairs from the corpus."""
+        self, encoded_docs: List[List[Tuple[np.ndarray, int]]]
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Skip-gram pairs from the corpus: their input rows, and target word ids."""
         window = self.config.window
-        pairs: List[Tuple[List[int], int]] = []
+        rows_of: List[np.ndarray] = []
+        targets: List[int] = []
         for doc in encoded_docs:
             for position, (rows, _) in enumerate(doc):
-                if not rows:
+                if not len(rows):
                     continue
                 lo = max(0, position - window)
                 hi = min(len(doc), position + window + 1)
@@ -165,8 +267,9 @@ class FastTextEmbedder:
                         continue
                     target = doc[other][1]
                     if target >= 0:
-                        pairs.append((rows, target))
-        return pairs
+                        rows_of.append(rows)
+                        targets.append(target)
+        return rows_of, np.array(targets, dtype=np.intp)
 
     def _negative_table(self) -> np.ndarray:
         """Unigram^0.75 sampling table over word ids."""
@@ -182,27 +285,6 @@ class FastTextEmbedder:
         return np.random.default_rng(self.config.seed + 1).choice(
             counts.size, size=table_size, p=weights
         )
-
-    def _update(
-        self, rows: List[int], target: int, negatives: np.ndarray, lr: float
-    ) -> None:
-        assert self._input is not None and self._output is not None
-        hidden = self._input[rows].mean(axis=0)
-        gradient = np.zeros_like(hidden)
-        # Positive sample.
-        score = _sigmoid(float(hidden @ self._output[target]))
-        delta = lr * (1.0 - score)
-        gradient += delta * self._output[target]
-        self._output[target] += delta * hidden
-        # Negative samples.
-        for negative in negatives:
-            if negative == target:
-                continue
-            score = _sigmoid(float(hidden @ self._output[negative]))
-            delta = -lr * score
-            gradient += delta * self._output[negative]
-            self._output[negative] += delta * hidden
-        self._input[rows] += gradient / len(rows)
 
     # ------------------------------------------------------------------ embed
     @property
@@ -382,14 +464,6 @@ class FastTextClassifier:
     def predict_many(self, texts: Sequence[str]) -> List[str]:
         """Predicted labels for many documents."""
         return [self.predict(text) for text in texts]
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        z = np.exp(-x)
-        return float(1.0 / (1.0 + z))
-    z = np.exp(x)
-    return float(z / (1.0 + z))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
