@@ -27,7 +27,12 @@ from .store import VectorEntry, VectorStore
 
 @dataclass
 class Neighbor:
-    """One retrieved neighbour with its similarity score."""
+    """One retrieved neighbour with its similarity score.
+
+    ``entry`` is a snapshot of the stored row, built when the search picked
+    it: a later ``update_category`` shows in the index's ``get`` and in
+    later searches, not in a neighbour already returned.
+    """
 
     entry: VectorEntry
     similarity: float
@@ -169,7 +174,6 @@ class NearestNeighborSearch:
         incidents regardless of category — exclusions and history cut-offs
         never silently shrink the result below that size.
         """
-        entries = self.store._entries  # noqa: SLF001 - intra-module hot path
         total = eligible.shape[0]
         if total == 0 or k <= 0:
             return []
@@ -193,14 +197,13 @@ class NearestNeighborSearch:
                     top = np.flatnonzero(eligible_scores >= boundary)
                 order = np.lexsort((eligible[top], -eligible_scores[top]))
                 candidates = eligible[top][order]
-            chosen = self._pick(entries, scores, candidates, k, complete=complete)
+            chosen = self._pick(scores, candidates, k, complete=complete)
             if chosen is not None:
                 return chosen
             prefix = min(total, prefix * 4)
 
     def _pick(
         self,
-        entries: List[VectorEntry],
         scores: np.ndarray,
         ordered_indices: np.ndarray,
         k: int,
@@ -214,34 +217,30 @@ class NearestNeighborSearch:
         :func:`select_complete_order` — the single selection algorithm every
         index layout shares — and always succeeds.
         """
+        categories = self.store._categories  # noqa: SLF001 - intra-module hot path
+
+        def neighbor(index: int) -> Neighbor:
+            return Neighbor(entry=self.store.entry(index), similarity=float(scores[index]))
+
         if complete:
             picks = select_complete_order(
-                (entries[int(i)].category for i in ordered_indices),
+                (categories[int(i)] for i in ordered_indices),
                 k,
                 self.config.diverse_categories,
             )
-            return [
-                Neighbor(
-                    entry=entries[int(ordered_indices[position])],
-                    similarity=float(scores[int(ordered_indices[position])]),
-                )
-                for position in picks
-            ]
+            return [neighbor(int(ordered_indices[position])) for position in picks]
         if not self.config.diverse_categories:
             if ordered_indices.shape[0] < k:
                 return None
-            return [
-                Neighbor(entry=entries[int(i)], similarity=float(scores[int(i)]))
-                for i in ordered_indices[:k]
-            ]
+            return [neighbor(int(i)) for i in ordered_indices[:k]]
         selected: List[Neighbor] = []
         seen_categories: Set[str] = set()
         for i in ordered_indices:
             index = int(i)
-            category = entries[index].category
+            category = categories[index]
             if category in seen_categories:
                 continue
-            selected.append(Neighbor(entry=entries[index], similarity=float(scores[index])))
+            selected.append(neighbor(index))
             seen_categories.add(category)
             if len(selected) >= k:
                 return selected
@@ -266,7 +265,7 @@ class NearestNeighborSearch:
             mask &= self.store.created_days() < history_before_day
         if categories:
             mask &= np.fromiter(
-                (entry.category in categories for entry in self.store._entries),
+                (category in categories for category in self.store._categories),  # noqa: SLF001
                 dtype=bool,
                 count=total,
             )

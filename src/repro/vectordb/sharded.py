@@ -67,7 +67,6 @@ scans it.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -83,7 +82,7 @@ from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
 from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
-from .store import VectorEntry, VectorStore
+from .store import VectorEntry, VectorStore, reject_duplicates
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
@@ -481,9 +480,10 @@ class ShardedVectorIndex:
         self._next_seq = 0
         self._dim: Optional[int] = None
         self._cat_code: Dict[str, int] = {}
-        # routing ranges: (start_day, end_day, key) sorted by start_day
+        # routing ranges: ``_ranges`` holds (start_day, end_day, key) sorted
+        # by start_day, ``_range_starts``/``_ends``/``_keys`` the same as arrays
         self._ranges: List[Tuple[float, float, int]] = []
-        self._range_starts: List[float] = []
+        self._rebuild_ranges()
         self._next_shard_key = 0
         self._inserts_since_compact = 0
         # the snapshot directory the shards' ``saved`` markers refer to
@@ -564,7 +564,10 @@ class ShardedVectorIndex:
             (shard.start_day, shard.end_day, key)
             for key, shard in self._shards.items()
         )
-        self._range_starts = [start for start, _, _ in self._ranges]
+        starts, ends, keys = zip(*self._ranges) if self._ranges else ((), (), ())
+        self._range_starts = np.array(starts, dtype=np.float64)
+        self._range_ends = np.array(ends, dtype=np.float64)
+        self._range_keys = np.array(keys, dtype=np.int64)
 
     def _next_key(self) -> int:
         """A shard key no live or bucket-derived shard has claimed yet."""
@@ -574,20 +577,13 @@ class ShardedVectorIndex:
         self._next_shard_key = key + 1
         return key
 
-    def _shard_for(self, created_day: float) -> _Shard:
-        """The shard routing ``created_day``, created on first use.
+    def _open_shard(self, created_day: float) -> _Shard:
+        """A fresh shard for ``created_day``, which no routing range covers.
 
         Fresh shards cover exactly one ``window_days`` bucket (key == time
-        bucket, like the original layout); once compaction has merged or
-        split shards, their recorded day ranges take precedence, so inserts
-        into a compacted region land in the compacted shard instead of
-        resurrecting the pre-compaction bucket.
+        bucket, like the original layout, unless a compacted shard already
+        holds that key).
         """
-        position = bisect.bisect_right(self._range_starts, created_day) - 1
-        if position >= 0:
-            start, end, key = self._ranges[position]
-            if start <= created_day < end:
-                return self._shards[key]
         bucket = time_bucket(created_day, self.window_days)
         key = bucket if bucket not in self._shards else self._next_key()
         shard = _Shard(
@@ -599,6 +595,31 @@ class ShardedVectorIndex:
         self._shards[key] = shard
         self._rebuild_ranges()
         return shard
+
+    def _route(self, days: np.ndarray) -> np.ndarray:
+        """Destination shard key of every row, as routing row by row would give.
+
+        Recorded day ranges take precedence over buckets, so inserts into a
+        compacted region land in the compacted shard instead of resurrecting
+        the pre-compaction bucket.  One ``searchsorted`` over the range
+        starts routes the rows up to the first one no range covers;
+        :meth:`_open_shard` opens that row's shard and the rows after it are
+        routed again against the new ranges.
+        """
+        keys = np.empty(days.shape[0], dtype=np.int64)
+        done = 0
+        while done < days.shape[0]:
+            rest = days[done:]
+            position = self._range_starts.searchsorted(rest, side="right") - 1
+            covered = position >= 0
+            covered[covered] = rest[covered] < self._range_ends[position[covered]]
+            uncovered = (~covered).nonzero()[0]
+            stop = int(uncovered[0]) if uncovered.size else rest.shape[0]
+            keys[done : done + stop] = self._range_keys[position[:stop]]
+            if stop < rest.shape[0]:
+                keys[done + stop] = self._open_shard(float(rest[stop])).key
+            done += stop + 1
+        return keys
 
     def add(
         self,
@@ -642,41 +663,47 @@ class ShardedVectorIndex:
             raise ValueError("texts must align with incident_ids")
         if count == 0:
             return
-        seen: Set[str] = set()
-        for incident_id in incident_ids:
-            if incident_id in self._locator or incident_id in seen:
-                raise ValueError(f"duplicate incident id in vector store: {incident_id}")
-            seen.add(incident_id)
+        reject_duplicates(incident_ids, self._locator)
         if self._dim is None:
             self._dim = vectors.shape[1]
         elif vectors.shape[1] != self._dim:
             raise ValueError(
                 f"vector dimension {vectors.shape[1]} does not match store dimension {self._dim}"
             )
+        days = np.asarray(created_days, dtype=np.float64)
+        keys = self._route(days)
         # Group batch rows by destination *shard* (not bucket: a compacted
-        # shard can cover several buckets), preserving batch order within
-        # each group so global sequence numbers stay ascending per shard —
-        # the invariant the stable-sort candidate extraction relies on.
-        rows_by_key: Dict[int, List[int]] = {}
-        for row, day in enumerate(created_days):
-            rows_by_key.setdefault(self._shard_for(float(day)).key, []).append(row)
-        for key, rows in rows_by_key.items():
+        # shard can cover several buckets), groups in order of first
+        # appearance and batch order within each group, so global sequence
+        # numbers stay ascending per shard — the invariant the stable-sort
+        # candidate extraction relies on — and new categories take their
+        # codes in the order row-by-row insertion gave them.
+        key_list = keys.tolist()
+        groups = {key: group for group, key in enumerate(dict.fromkeys(key_list))}
+        group_of = np.array(list(map(groups.__getitem__, key_list)))
+        order = group_of.argsort(kind="stable")
+        bounds = [0, *np.bincount(group_of).cumsum().tolist()]
+        rows = order.tolist()
+        ids = [incident_ids[row] for row in rows]
+        labels = [categories[row] for row in rows]
+        notes = None if texts is None else [texts[row] for row in rows]
+        for category in dict.fromkeys(labels):
+            self._code_for(category)
+        codes = list(map(self._cat_code.__getitem__, labels))
+        seqs = (order + self._next_seq).tolist()
+        vectors, days = vectors[order], days[order]
+        for key, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
             shard = self._shards[key]
             shard.store.add_many(
-                incident_ids=[incident_ids[row] for row in rows],
-                vectors=vectors[rows],
-                created_days=[float(created_days[row]) for row in rows],
-                categories=[categories[row] for row in rows],
-                texts=[texts[row] for row in rows] if texts is not None else None,
+                ids[lo:hi], vectors[lo:hi], days[lo:hi], labels[lo:hi],
+                texts=None if notes is None else notes[lo:hi],
             )
-            for row in rows:
-                shard.seqs.append(self._next_seq + row)
-                shard.cat_codes.append(self._code_for(categories[row]))
-                shard.cat_counts[categories[row]] += 1
-                day = float(created_days[row])
-                shard.min_day = min(shard.min_day, day)
-                shard.max_day = max(shard.max_day, day)
-                self._locator[incident_ids[row]] = key
+            shard.seqs.extend(seqs[lo:hi])
+            shard.cat_codes.extend(codes[lo:hi])
+            shard.cat_counts.update(labels[lo:hi])
+            shard.min_day = min(shard.min_day, float(days[lo:hi].min()))
+            shard.max_day = max(shard.max_day, float(days[lo:hi].max()))
+        self._locator.update(zip(incident_ids, key_list))
         self._next_seq += count
         self._inserts_since_compact += count
         if (
@@ -704,8 +731,7 @@ class ShardedVectorIndex:
             raise KeyError(f"unknown incident id in vector index: {incident_id}")
         shard = self._shards[key]
         row = shard.store.index_of(incident_id)
-        entry = shard.store.get(incident_id)
-        previous = entry.category
+        previous = shard.store._categories[row]  # noqa: SLF001
         shard.store.update_category(incident_id, category)
         if previous != category:
             shard.cat_counts[previous] -= 1
@@ -1027,10 +1053,7 @@ class ShardedVectorIndex:
             picks = select_complete_order(codes[qi, :count].tolist(), k, diverse)
             results.append(
                 [
-                    Neighbor(
-                        entry=self._shards[key].store._entries[row],  # noqa: SLF001
-                        similarity=score,
-                    )
+                    Neighbor(entry=self._shards[key].store.entry(row), similarity=score)
                     for key, row, score in zip(
                         keys[qi, picks].tolist(),
                         rows[qi, picks].tolist(),
@@ -1045,30 +1068,45 @@ class ShardedVectorIndex:
         self,
         start_day: float,
         end_day: float,
-        entries: List[VectorEntry],
-        seqs: List[int],
+        sources: List[_Shard],
+        picks: np.ndarray,
     ) -> _Shard:
-        """A fresh shard holding ``entries`` (already in ascending-seq order)."""
+        """A fresh shard holding rows ``picks`` of the ``sources``' rows laid end to end.
+
+        ``picks`` lists the rows in ascending-seq order.  Array columns are
+        gathered by fancy indexing, list columns by one comprehension each;
+        rows keep their sequences and category codes.
+        """
+        rows = picks.tolist()
+
+        def gather(columns):
+            if isinstance(columns[0], np.ndarray):
+                return (columns[0] if len(columns) == 1 else np.concatenate(columns))[picks]
+            joined = columns[0]
+            if len(columns) > 1:
+                joined = [item for column in columns for item in column]
+            return [joined[row] for row in rows]
+
+        stores = [source.store for source in sources]
+        days = gather([store.created_days() for store in stores])
+        categories = gather([store._categories for store in stores])  # noqa: SLF001
         shard = _Shard(self._next_key(), self._similarity, start_day, end_day)
         shard.store.add_many(
-            incident_ids=[entry.incident_id for entry in entries],
-            vectors=np.stack([entry.vector for entry in entries]),
-            created_days=[entry.created_day for entry in entries],
-            categories=[entry.category for entry in entries],
-            texts=[entry.text for entry in entries],
+            gather([store._ids for store in stores]),  # noqa: SLF001
+            gather([store.matrix() for store in stores]),
+            days,
+            categories,
+            texts=gather([store._texts for store in stores]),  # noqa: SLF001
         )
-        shard.seqs = list(seqs)
-        for entry in entries:
-            shard.cat_codes.append(self._code_for(entry.category))
-            shard.cat_counts[entry.category] += 1
-            shard.min_day = min(shard.min_day, entry.created_day)
-            shard.max_day = max(shard.max_day, entry.created_day)
+        shard.seqs = gather([source.seq_array() for source in sources]).tolist()
+        shard.cat_codes = gather([source.code_array() for source in sources]).tolist()
+        shard.cat_counts = Counter(categories)
+        shard.min_day, shard.max_day = float(days.min()), float(days.max())
         return shard
 
     def _adopt(self, shard: _Shard) -> None:
         self._shards[shard.key] = shard
-        for entry in shard.store:
-            self._locator[entry.incident_id] = shard.key
+        self._locator.update(dict.fromkeys(shard.store._ids, shard.key))  # noqa: SLF001
 
     def _split_shard(self, shard: _Shard, ceiling: int, floor: int) -> List[_Shard]:
         """Split one hot shard into day-bounded chunks of roughly equal size.
@@ -1104,22 +1142,11 @@ class ShardedVectorIndex:
         if not cut_days:
             return [shard]
         edges = [shard.start_day, *cut_days, shard.end_day]
-        entries = shard.store.entries()
         pieces: List[_Shard] = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            rows = [
-                row for row in range(size)
-                if lo <= entries[row].created_day < hi
-            ]
-            if not rows:
-                continue
-            pieces.append(
-                self._build_shard(
-                    lo, hi,
-                    [entries[row] for row in rows],
-                    [shard.seqs[row] for row in rows],
-                )
-            )
+            rows = np.flatnonzero((lo <= days) & (days < hi))
+            if rows.size:
+                pieces.append(self._build_shard(lo, hi, [shard], rows))
         # Stretch the first/last piece to the shard's full routing range so
         # the union of ranges is preserved exactly.
         pieces[0].start_day = shard.start_day
@@ -1128,19 +1155,11 @@ class ShardedVectorIndex:
 
     def _merge_shards(self, group: List[_Shard]) -> _Shard:
         """Merge adjacent cold shards, re-sorting rows by global sequence."""
-        combined = sorted(
-            (
-                (shard.seqs[row], entry)
-                for shard in group
-                for row, entry in enumerate(shard.store.entries())
-            ),
-            key=lambda pair: pair[0],
-        )
         return self._build_shard(
             min(shard.start_day for shard in group),
             max(shard.end_day for shard in group),
-            [entry for _, entry in combined],
-            [seq for seq, _ in combined],
+            group,
+            np.argsort(np.concatenate([shard.seq_array() for shard in group]), kind="stable"),
         )
 
     def compact(
@@ -1322,12 +1341,8 @@ class ShardedVectorIndex:
             saved = shard.saved if same_dir else None
             if saved is None or saved[1] != rows or saved[0] not in present:
                 data = shard.data()
-                entries = shard.store._entries  # noqa: SLF001
                 blob = json.dumps(
-                    [
-                        [entry.incident_id for entry in entries],
-                        [entry.text for entry in entries],
-                    ]
+                    [shard.store._ids, shard.store._texts]  # noqa: SLF001
                 ).encode("utf-8")
                 saved = written[key] = (f"seg-{key}-{generation:08d}.bin", rows)
                 bytes_written += write_segment(
@@ -1520,9 +1535,7 @@ class ShardedVectorIndex:
             shard.min_day = float(meta["min_day"])
             shard.max_day = float(meta["max_day"])
             shard.saved = (meta["segment"], rows)
-            for incident_id in ids:
-                index._locator[incident_id] = key
-            index._shards[key] = shard
+            index._adopt(shard)
             if shard.store.dim is not None:
                 index._dim = shard.store.dim
         if index._dim is None and manifest.get("dim") is not None:

@@ -36,18 +36,44 @@ class VectorEntry:
     text: str = ""
 
 
+def reject_duplicates(incident_ids: Sequence[str], stored: Dict[str, int]) -> None:
+    """Raise ``ValueError`` if a batch repeats an id or reuses one in ``stored``.
+
+    One set test passes a clean batch; only a rejected one is walked in
+    order, to name its first offending id.
+    """
+    batch = set(incident_ids)
+    if len(batch) == len(incident_ids) and stored.keys().isdisjoint(batch):
+        return
+    seen: set = set()
+    for incident_id in incident_ids:
+        if incident_id in stored or incident_id in seen:
+            raise ValueError(f"duplicate incident id in vector store: {incident_id}")
+        seen.add(incident_id)
+
+
 class VectorStore:
-    """An in-memory store of incident embeddings.
+    """An in-memory store of incident embeddings, kept as columns.
 
     Vectors are written into one pre-allocated matrix that doubles in
     capacity when full, so brute-force scoring of a query (or a whole batch
     of queries) against the history is a single vectorised operation and
-    ``add`` never re-stacks previously stored rows.
+    ``add`` never re-stacks previously stored rows.  Creation days and
+    cached squared norms are arrays aligned with the matrix rows; ids,
+    categories and texts are plain lists.
+
+    No per-row object is kept: :meth:`entry` (and :meth:`get`,
+    :meth:`entries`, iteration) builds a :class:`VectorEntry` on demand, a
+    snapshot of the row at that moment.  A later :meth:`update_category`
+    shows in the next entry built for the row, not in one already handed
+    out.
     """
 
     def __init__(self, dim: Optional[int] = None) -> None:
         self.dim = dim
-        self._entries: List[VectorEntry] = []
+        self._ids: List[str] = []
+        self._categories: List[str] = []
+        self._texts: List[str] = []
         self._by_id: Dict[str, int] = {}
         self._matrix: Optional[np.ndarray] = None  # capacity x dim, rows >= len used
         self._days: Optional[np.ndarray] = None    # capacity, aligned with matrix rows
@@ -55,10 +81,10 @@ class VectorStore:
         self._sq_norms_size = 0  # rows covered by the cached norms
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[VectorEntry]:
-        return iter(self._entries)
+        return map(self.entry, range(len(self._ids)))
 
     def __contains__(self, incident_id: str) -> bool:
         return incident_id in self._by_id
@@ -66,7 +92,8 @@ class VectorStore:
     # ------------------------------------------------------------------ insert
     def _ensure_capacity(self, additional: int) -> None:
         assert self.dim is not None
-        needed = len(self._entries) + additional
+        size = len(self._ids)
+        needed = size + additional
         if self._matrix is None:
             capacity = max(_INITIAL_CAPACITY, needed)
             self._matrix = np.zeros((capacity, self.dim), dtype=np.float64)
@@ -78,24 +105,11 @@ class VectorStore:
         while capacity < needed:
             capacity *= 2
         grown = np.zeros((capacity, self.dim), dtype=np.float64)
-        grown[: len(self._entries)] = self._matrix[: len(self._entries)]
+        grown[:size] = self._matrix[:size]
         self._matrix = grown
         grown_days = np.zeros(capacity, dtype=np.float64)
-        grown_days[: len(self._entries)] = self._days[: len(self._entries)]
+        grown_days[:size] = self._days[:size]
         self._days = grown_days
-        # Re-point entry views at the new buffer so the old one can be freed.
-        for row, entry in enumerate(self._entries):
-            entry.vector = grown[row]
-
-    def _check_vector(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        if self.dim is None:
-            self.dim = vector.shape[0]
-        elif vector.shape[0] != self.dim:
-            raise ValueError(
-                f"vector dimension {vector.shape[0]} does not match store dimension {self.dim}"
-            )
-        return vector
 
     def add(
         self,
@@ -110,22 +124,12 @@ class VectorStore:
         Amortized cost is one row write — the backing matrix is pre-allocated
         and doubles when full, so no existing rows are copied on the hot path.
         """
-        if incident_id in self._by_id:
-            raise ValueError(f"duplicate incident id in vector store: {incident_id}")
-        vector = self._check_vector(vector)
-        self._ensure_capacity(1)
-        row = len(self._entries)
-        self._matrix[row] = vector
-        self._days[row] = created_day
-        self._by_id[incident_id] = row
-        self._entries.append(
-            VectorEntry(
-                incident_id=incident_id,
-                vector=self._matrix[row],
-                created_day=created_day,
-                category=category,
-                text=text,
-            )
+        self.add_many(
+            [incident_id],
+            np.asarray(vector, dtype=np.float64).reshape(1, -1),
+            [created_day],
+            [category],
+            [text],
         )
 
     def add_many(
@@ -136,7 +140,7 @@ class VectorStore:
         categories: Sequence[str],
         texts: Optional[Sequence[str]] = None,
     ) -> None:
-        """Bulk insert: one capacity check and one block write for the batch."""
+        """Bulk insert: one capacity check and one block write per column."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D (batch, dim) array")
@@ -147,11 +151,7 @@ class VectorStore:
             raise ValueError("texts must align with incident_ids")
         if count == 0:
             return
-        seen: set = set()
-        for incident_id in incident_ids:
-            if incident_id in self._by_id or incident_id in seen:
-                raise ValueError(f"duplicate incident id in vector store: {incident_id}")
-            seen.add(incident_id)
+        reject_duplicates(incident_ids, self._by_id)
         if self.dim is None:
             self.dim = vectors.shape[1]
         elif vectors.shape[1] != self.dim:
@@ -159,21 +159,13 @@ class VectorStore:
                 f"vector dimension {vectors.shape[1]} does not match store dimension {self.dim}"
             )
         self._ensure_capacity(count)
-        start = len(self._entries)
+        start = len(self._ids)
         self._matrix[start : start + count] = vectors
         self._days[start : start + count] = np.asarray(created_days, dtype=np.float64)
-        for offset, incident_id in enumerate(incident_ids):
-            row = start + offset
-            self._by_id[incident_id] = row
-            self._entries.append(
-                VectorEntry(
-                    incident_id=incident_id,
-                    vector=self._matrix[row],
-                    created_day=float(created_days[offset]),
-                    category=categories[offset],
-                    text=texts[offset] if texts is not None else "",
-                )
-            )
+        self._by_id.update(zip(incident_ids, range(start, start + count)))
+        self._ids.extend(incident_ids)
+        self._categories.extend(categories)
+        self._texts.extend([""] * count if texts is None else texts)
 
     # ------------------------------------------------------------------ update
     def update_category(self, incident_id: str, category: str) -> None:
@@ -181,13 +173,23 @@ class VectorStore:
         index = self._by_id.get(incident_id)
         if index is None:
             raise KeyError(f"unknown incident id in vector store: {incident_id}")
-        self._entries[index].category = category
+        self._categories[index] = category
 
     # -------------------------------------------------------------------- read
+    def entry(self, row: int) -> VectorEntry:
+        """A snapshot of one row (aligned with :meth:`matrix`) as an entry."""
+        return VectorEntry(
+            incident_id=self._ids[row],
+            vector=self._matrix[row],
+            created_day=float(self._days[row]),
+            category=self._categories[row],
+            text=self._texts[row],
+        )
+
     def get(self, incident_id: str) -> Optional[VectorEntry]:
         """Fetch an entry by incident id."""
         index = self._by_id.get(incident_id)
-        return None if index is None else self._entries[index]
+        return None if index is None else self.entry(index)
 
     def index_of(self, incident_id: str) -> Optional[int]:
         """Row index of an incident id (aligned with :meth:`matrix`), or None."""
@@ -195,23 +197,23 @@ class VectorStore:
 
     def entries(self) -> List[VectorEntry]:
         """All entries in insertion order."""
-        return list(self._entries)
+        return list(self)
 
     def categories(self) -> List[str]:
         """Distinct categories present in the store."""
-        return sorted({entry.category for entry in self._entries})
+        return sorted(set(self._categories))
 
     def matrix(self) -> np.ndarray:
         """All vectors stacked row-wise (a view of the pre-allocated buffer)."""
-        if self._matrix is None or not self._entries:
+        if self._matrix is None or not self._ids:
             return np.zeros((0, self.dim or 0))
-        return self._matrix[: len(self._entries)]
+        return self._matrix[: len(self._ids)]
 
     def created_days(self) -> np.ndarray:
         """Creation days of all entries, aligned with :meth:`matrix` rows."""
-        if self._days is None or not self._entries:
+        if self._days is None or not self._ids:
             return np.zeros(0)
-        return self._days[: len(self._entries)]
+        return self._days[: len(self._ids)]
 
     def squared_norms(self) -> np.ndarray:
         """``|v|^2`` of every stored vector, aligned with :meth:`matrix` rows.
@@ -220,7 +222,7 @@ class VectorStore:
         computed, so repeated scoring passes never re-reduce the whole
         history.
         """
-        size = len(self._entries)
+        size = len(self._ids)
         if size == 0:
             return np.zeros(0)
         if self._sq_norms is None or self._sq_norms.shape[0] < size:
@@ -243,18 +245,19 @@ class VectorStore:
         matrix: np.ndarray,
         created_days: np.ndarray,
         sq_norms: np.ndarray,
-        incident_ids: Sequence[str],
-        categories: Sequence[str],
-        texts: Sequence[str],
+        incident_ids: List[str],
+        categories: List[str],
+        texts: List[str],
     ) -> "VectorStore":
-        """Adopt externally owned row arrays without copying them.
+        """Adopt externally owned row arrays and metadata lists without copying them.
 
         The zero-copy load path: ``matrix`` / ``created_days`` /
         ``sq_norms`` (typically memory-mapped segment views) become the
-        store's backing buffers directly, and every entry's ``vector`` is a
-        view into ``matrix``.  Capacity equals the row count, so the first
-        subsequent insert re-allocates into a private (writable) buffer —
-        copy-on-grow semantics that keep read-only mappings safe.
+        store's backing buffers directly, and the three lists become its
+        columns (the store owns them from here on).  Capacity equals the
+        row count, so the first subsequent insert re-allocates into a
+        private (writable) buffer — copy-on-grow semantics that keep
+        read-only mappings safe.
         """
         rows = int(matrix.shape[0])
         if not (rows == len(created_days) == len(sq_norms)
@@ -270,11 +273,7 @@ class VectorStore:
         store._by_id = dict(zip(incident_ids, range(rows)))
         if len(store._by_id) != rows:
             raise ValueError("duplicate incident id in wrapped metadata")
-        # Iterating the matrix yields its row views; one C-level pass builds
-        # the entries (this loop is most of what a load costs).
-        store._entries = list(
-            map(VectorEntry, incident_ids, matrix, created_days.tolist(), categories, texts)
-        )
+        store._ids, store._categories, store._texts = incident_ids, categories, texts
         return store
 
     # ------------------------------------------------------------- persistence
@@ -282,12 +281,8 @@ class VectorStore:
         """Persist the store to ``path`` (``.npz``: vectors + JSON metadata)."""
         metadata = json.dumps(
             [
-                {
-                    "incident_id": entry.incident_id,
-                    "category": entry.category,
-                    "text": entry.text,
-                }
-                for entry in self._entries
+                {"incident_id": incident_id, "category": category, "text": text}
+                for incident_id, category, text in zip(self._ids, self._categories, self._texts)
             ]
         )
         path = os.fspath(path)
@@ -318,7 +313,7 @@ class VectorStore:
         store.add_many(
             incident_ids=[item["incident_id"] for item in metadata],
             vectors=matrix,
-            created_days=[float(day) for day in days],
+            created_days=days,
             categories=[item["category"] for item in metadata],
             texts=[item["text"] for item in metadata],
         )

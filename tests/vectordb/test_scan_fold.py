@@ -243,10 +243,10 @@ def finalize(index, state, k, diverse):
         )
     ordered = sorted(combined.values(), key=lambda item: (-item[0], item[1]))
     picks = select_complete_order(
-        [shards[key].store._entries[row].category for _, _, key, row in ordered], k, diverse
+        [shards[key].store.entry(row).category for _, _, key, row in ordered], k, diverse
     )
     return [
-        Neighbor(entry=shards[key].store._entries[row], similarity=score)
+        Neighbor(entry=shards[key].store.entry(row), similarity=score)
         for score, _, key, row in (ordered[p] for p in picks)
     ]
 
