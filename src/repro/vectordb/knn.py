@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
+from .scoring import score_block
 from .similarity import SimilarityConfig
 from .store import VectorEntry, VectorStore
 
@@ -110,10 +111,8 @@ class NearestNeighborSearch:
     def score_many(self, query_matrix: np.ndarray, query_days: np.ndarray) -> np.ndarray:
         """Similarities of a whole query batch against the stored history.
 
-        One matrix–matrix product scores every (query, entry) pair: squared
-        Euclidean distances come from the Gram expansion
-        ``|q|^2 + |m|^2 - 2 q.m`` and the temporal decay is broadcast over
-        the day gap matrix.
+        One matrix–matrix product scores every (query, entry) pair, through
+        the kernel the sharded index shares (:func:`.scoring.score_block`).
 
         Args:
             query_matrix: ``(Q, dim)`` array of query embeddings.
@@ -137,22 +136,10 @@ class NearestNeighborSearch:
                 f"query dimension {queries.shape[1]} does not match store dimension "
                 f"{matrix.shape[1]}"
             )
-        # In-place pipeline: only two (Q, N) buffers are allocated (the Gram
-        # product and the day-gap matrix), which keeps large batches out of
-        # allocator churn on big histories.
-        scores = queries @ matrix.T
-        scores *= -2.0
-        scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-        scores += self.store.squared_norms()[None, :]
-        np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
-        np.sqrt(scores, out=scores)
-        scores += 1.0  # 1 + distance
-        decay = self.store.created_days()[None, :] - days[:, None]
-        np.abs(decay, out=decay)
-        decay *= -self.config.alpha
-        np.exp(decay, out=decay)
-        decay /= scores
-        return decay
+        return score_block(
+            matrix, self.store.squared_norms(), self.store.created_days(),
+            queries, days, self.config.alpha,
+        )
 
     # -------------------------------------------------------------- selection
     def _select(

@@ -80,6 +80,7 @@ import numpy as np
 from ..core.errors import IndexCorruptionError
 from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
+from .scoring import score_block
 from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
 from .store import VectorEntry, VectorStore, reject_duplicates
@@ -210,29 +211,6 @@ class _ShardData:
             sizes = np.diff(np.concatenate([starts, [grouped.shape[0]]]))
             self._groups = (perm, starts, sizes, grouped[starts])
         return self._groups
-
-
-def _score_block(
-    data: _ShardData, queries: np.ndarray, days: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Exact similarities of a query block against one shard's rows.
-
-    Replicates :meth:`NearestNeighborSearch.score_many` operation for
-    operation (same in-place pipeline, same order).
-    """
-    scores = queries @ data.matrix.T
-    scores *= -2.0
-    scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-    scores += data.sq_norms[None, :]
-    np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
-    np.sqrt(scores, out=scores)
-    scores += 1.0  # 1 + distance
-    decay = data.days[None, :] - days[:, None]
-    np.abs(decay, out=decay)
-    decay *= -alpha
-    np.exp(decay, out=decay)
-    decay /= scores
-    return decay
 
 
 def _filtered_rows(
@@ -902,7 +880,10 @@ class ShardedVectorIndex:
                 shard = self._shards[key]
                 data = shard.data()
                 block = np.array(nominated)
-                scores = _score_block(data, queries[block], days[block], alpha)
+                scores = score_block(
+                    data.matrix, data.sq_norms, data.days,
+                    queries[block], days[block], alpha,
+                )
                 if history_before_day is not None or allowed_codes is not None:
                     if key not in filtered:
                         filtered[key] = _filtered_rows(

@@ -9,7 +9,7 @@ per-query scan it replaced — one candidate payload per (query, shard) pair,
 extracted on a fast or a filtered path, folded and merged one query at a
 time, and a final selection that walks every covered category in Python —
 is kept here as the reference.  Both score through the same
-``_score_block``, so neighbour ids, similarities (to the bit) and every scan
+``score_block``, so neighbour ids, similarities (to the bit) and every scan
 counter must agree; the cases below are the ones where the ``-inf``
 sentinel, a boundary tie or the in-batch dedup could make them differ.
 """
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.vectordb import Neighbor, ShardedVectorIndex, SimilarityConfig, select_complete_order
-from repro.vectordb.sharded import _score_block
+from repro.vectordb.scoring import score_block
 
 COUNTERS = (
     "queries",
@@ -188,7 +188,9 @@ def extract_block(data, queries_block, days_block, exclude_rows, history_before_
     fast, slow = [], []
     for position in range(block):
         (slow if batch_filtered or exclude_rows[position] else fast).append(position)
-    scores = _score_block(data, queries_block, days_block, alpha)
+    scores = score_block(
+        data.matrix, data.sq_norms, data.days, queries_block, days_block, alpha
+    )
     for position in slow:
         payloads[position] = extract_filtered_row(
             data, scores[position], exclude_rows[position],
