@@ -4,7 +4,7 @@
 similarities against a block of stored rows, so the flat and the sharded
 index produce the same bits by construction.
 
-Its matrix product runs on the calling thread only.  With more than one
+Its matrix product runs on one OpenBLAS thread.  With more than one
 OpenBLAS thread the product's bits depend on how many threads split it
 (``Q @ M.T`` at dim 64 differs between 1 and 2 threads at many block
 shapes), and OpenBLAS's worker threads spin between products, burning a
@@ -14,11 +14,13 @@ numpy has already loaded, set to 1 around the product and restored in
 ``finally``.  Where that library or symbol is missing (MKL, Accelerate,
 older OpenBLAS) the product runs as numpy runs it.
 
-In the pthreads OpenBLAS that numpy's wheels bundle (0.3.31 measured) the
-"local" setter acts on every thread while it is held: another thread's
-product in that window also runs on one thread.  ``_LIMIT_LOCK`` is held
-from set to restore, so two scoring threads can never restore each other's
-count out of order and leave the process pinned at one thread.
+The setter is thread-local only in OpenMP builds of OpenBLAS.  In the
+pthreads build that numpy's wheels bundle (0.3.31 measured) it sets the
+process-wide count: while a product is scored, BLAS work on any other
+thread of the process also runs on one thread, and a count another thread
+sets inside that window is overwritten by the restore.  ``_LIMIT_LOCK`` is
+held from set to restore, so two scoring threads never restore each
+other's count out of order and leave the process pinned at one thread.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ def score_block(
 
     Squared distances come from the Gram expansion ``|q|^2 + |m|^2 - 2 q.m``
     in the product's own buffer.  The decay ``exp(-alpha |day gap|)`` is
-    computed once per distinct query day (a batch often shares one) and
-    divided into that buffer in place: the same elementwise values as one
-    decay row per query, so the same bits.
+    divided into that buffer in place, computed once when every query
+    shares one day: the same elementwise values as one decay row per
+    query, so the same bits.
     """
     scores = one_thread_product(queries, matrix)
     scores *= -2.0
@@ -99,15 +101,11 @@ def score_block(
     np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
     np.sqrt(scores, out=scores)
     scores += 1.0  # 1 + distance
-    days, inverse = query_days, None
-    if days.shape[0] > 1:
-        distinct, positions = np.unique(days, return_inverse=True)
-        if distinct.shape[0] < days.shape[0]:
-            days, inverse = distinct, positions
+    days = query_days
+    if days.shape[0] > 1 and (days == days[0]).all():
+        days = days[:1]  # one decay row, broadcast over the batch
     decay = row_days[None, :] - days[:, None]
     np.abs(decay, out=decay)
     decay *= -alpha
     np.exp(decay, out=decay)
-    if inverse is not None and days.shape[0] > 1:
-        decay = decay[inverse]
     return np.divide(decay, scores, out=scores)

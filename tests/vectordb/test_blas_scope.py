@@ -5,11 +5,14 @@
 that buys and what it must not break: the scores no longer depend on how
 many threads OpenBLAS was started with, the count is restored after every
 product (also one that raises), a missing binding degrades to numpy's plain
-product, and a worker thread scores the same bits as the main thread.
+product, and a worker thread scores the same bits as the main thread.  One
+test pins a known limit instead: in a pthreads OpenBLAS the setter acts on
+the whole process, not on the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -30,20 +33,24 @@ needs_binding = pytest.mark.skipif(
     "(not a bundled OpenBLAS, or an older one); the product runs unscoped",
 )
 
-# 16 x 5003 x 64: a block whose plain product differs in bits between one
-# and two OpenBLAS threads (16 x 6000 splits so that it happens to match).
-BLOCK_SCRIPT = """
+# Blocks at dim 64 whose plain product differed in bits between one and two
+# OpenBLAS threads on one build; which shapes differ depends on the build and
+# the core count, so the test checks the unscoped products as well.
+SHAPES = [(16, 5003), (16, 6000), (16, 7772), (32, 3850), (1, 7772)]
+BLOCK_SCRIPT = f"""
 import hashlib
 import numpy as np
 from repro.vectordb.scoring import score_block
-rng = np.random.default_rng(11)
-matrix = rng.standard_normal((5003, 64))
-queries = rng.standard_normal((16, 64))
-scores = score_block(
-    matrix, np.einsum("ij,ij->i", matrix, matrix), rng.uniform(0, 90, 5003),
-    queries, rng.uniform(0, 90, 16), 0.3,
-)
-print(hashlib.sha256(scores.tobytes()).hexdigest())
+digest = lambda array: hashlib.sha256(array.tobytes()).hexdigest()
+for queries, rows in {SHAPES!r}:
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((rows, 64))
+    block = rng.standard_normal((queries, 64))
+    scores = score_block(
+        matrix, np.einsum("ij,ij->i", matrix, matrix), rng.uniform(0, 90, rows),
+        block, rng.uniform(0, 90, queries), 0.3,
+    )
+    print(digest(block @ matrix.T), digest(scores))
 """
 
 
@@ -61,15 +68,23 @@ def current_count() -> int:
 
 @needs_binding
 def test_scores_do_not_depend_on_the_openblas_thread_count():
-    digests = {}
+    lines = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
         run = subprocess.run(
             [sys.executable, "-c", BLOCK_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        digests[threads] = run.stdout.strip()
-    assert digests["1"] == digests["2"]
+        lines[threads] = [line.split() for line in run.stdout.splitlines()]
+    plain_differs = [
+        one[0] != two[0] for one, two in zip(lines["1"], lines["2"], strict=True)
+    ]
+    if not any(plain_differs):
+        pytest.skip(
+            "the unscoped product has the same bits under one and two OpenBLAS "
+            f"threads at every block shape {SHAPES}, so the scope cannot show here"
+        )
+    assert [scores for _, scores in lines["1"]] == [scores for _, scores in lines["2"]]
 
 
 @needs_binding
@@ -135,3 +150,62 @@ def test_a_worker_thread_scores_the_main_threads_bits():
     worker.start()
     worker.join()
     assert found[0].tobytes() == main.tobytes()
+
+
+def process_wide_controls():
+    """OpenBLAS's process-wide count setter and getter, and its threading model.
+
+    scipy-openblas wheels export them under a ``scipy_`` prefix and ``64_``
+    suffix; a plain OpenBLAS under the bare names.
+    """
+    library = ctypes.CDLL(scoring.BLAS_LIBRARY, mode=getattr(os, "RTLD_NOLOAD", 0))
+    found = []
+    for name in ("set_num_threads", "get_num_threads", "get_parallel"):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                found.append(function)
+                break
+        else:
+            pytest.skip(f"the OpenBLAS numpy loaded exports no openblas_{name}")
+    set_count, get_count, get_parallel = found
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    get_count.restype = get_parallel.restype = ctypes.c_int
+    return set_count, get_count, get_parallel()
+
+
+@needs_binding
+def test_pthreads_setter_acts_on_the_whole_process():
+    """A known limit, pinned so that a change to it shows.
+
+    In a pthreads build ``openblas_set_num_threads_local`` sets the
+    process-wide count: another thread sees one thread while a product is
+    scored, and a count it sets in that window is overwritten by the
+    restore.
+    """
+    set_count, get_count, parallel = process_wide_controls()
+    if parallel != 1:
+        pytest.skip("not a pthreads OpenBLAS: the setter is thread-local there")
+    before = get_count()
+    host_count = before + 1
+    inside = []
+
+    def host_thread():
+        inside.append(get_count())
+        set_count(host_count)
+
+    class Probe(np.ndarray):
+        def __matmul__(self, other):
+            thread = threading.Thread(target=host_thread)
+            thread.start()
+            thread.join()
+            return np.asarray(self) @ other
+
+    queries, matrix = block(queries=4, rows=300)
+    try:
+        scoring.one_thread_product(queries.view(Probe), matrix)
+        after = get_count()
+    finally:
+        set_count(before)
+    assert inside == [1]
+    assert after == before != host_count

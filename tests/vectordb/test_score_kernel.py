@@ -1,7 +1,7 @@
 """The shared scoring kernel against the two-buffer pipeline it replaced.
 
-``score_block`` computes the temporal decay once per distinct query day and
-divides it into the distance buffer in place.  The pipeline it replaced —
+``score_block`` divides the temporal decay into the distance buffer in
+place, computing one decay row when every query shares a day.  The pipeline it replaced —
 one decay row per query in a second ``(Q, N)`` buffer, divided by the
 distances — is kept here as the reference: the similarities must agree to
 the bit for blocks whose queries share days, repeat some, or all differ.
@@ -39,7 +39,7 @@ def two_buffer_scores(matrix, sq_norms, row_days, queries, query_days, alpha):
     day_pool=st.sampled_from([1, 2, 5, None]),
     alpha=st.sampled_from([0.0, 0.3, 1.7]),
 )
-def test_decay_per_distinct_day_matches_the_two_buffer_pipeline(
+def test_in_place_decay_matches_the_two_buffer_pipeline(
     seed, queries, rows, day_pool, alpha
 ):
     rng = np.random.default_rng(seed)
