@@ -17,10 +17,12 @@ older OpenBLAS) the product runs as numpy runs it.
 The setter is thread-local only in OpenMP builds of OpenBLAS.  In the
 pthreads build that numpy's wheels bundle (0.3.31 measured) it sets the
 process-wide count: while a product is scored, BLAS work on any other
-thread of the process also runs on one thread, and a count another thread
-sets inside that window is overwritten by the restore.  ``_LIMIT_LOCK`` is
-held from set to restore, so two scoring threads never restore each
-other's count out of order and leave the process pinned at one thread.
+thread of the process also runs on one thread.  So on a pthreads build the
+previous count is restored only while the process-wide count still reads
+1: a count another thread sets inside that window survives.  OpenMP builds
+restore unconditionally.  ``_LIMIT_LOCK`` is held from set to restore, so
+two scoring threads never restore each other's count out of order and
+leave the process pinned at one thread.
 """
 
 from __future__ import annotations
@@ -34,8 +36,27 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 
-def _bind_thread_limit() -> Tuple[Optional[str], Optional[Callable[[int], int]]]:
-    """The bundled OpenBLAS numpy loaded, and its thread-limit setter.
+def _process_wide(library: ctypes.CDLL, name: str) -> Optional[Callable[[], int]]:
+    """One of OpenBLAS's process-wide ``int (void)`` controls, or None.
+
+    scipy-openblas wheels export them as ``scipy_openblas_<name>64_``, a
+    plain OpenBLAS as ``openblas_<name>``.
+    """
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+        function = getattr(library, symbol, None)
+        if function is not None:
+            function.argtypes = []
+            function.restype = ctypes.c_int
+            return function
+    return None
+
+
+def _bind_thread_limit() -> Tuple[
+    Optional[str], Optional[Callable[[int], int]], Optional[Callable[[], int]]
+]:
+    """The bundled OpenBLAS numpy loaded, its thread-limit setter, and —
+    on a pthreads build, where that setter acts on the whole process — its
+    process-wide count getter.
 
     Only a library that is already loaded is bound (``RTLD_NOLOAD``), so no
     second OpenBLAS copy is ever brought into the process.
@@ -51,17 +72,22 @@ def _bind_thread_limit() -> Tuple[Optional[str], Optional[Callable[[int], int]]]
             except OSError:
                 continue
             setter = getattr(library, "openblas_set_num_threads_local", None)
+            count = None
             if setter is not None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = ctypes.c_int
-            return os.path.realpath(path), setter
-    return None, None
+                parallel = _process_wide(library, "get_parallel")
+                if parallel is not None and parallel() == 1:  # 1: pthreads
+                    count = _process_wide(library, "get_num_threads")
+            return os.path.realpath(path), setter, count
+    return None, None, None
 
 
-#: Path of the OpenBLAS numpy loaded (``None`` if none was found) and its
+#: Path of the OpenBLAS numpy loaded (``None`` if none was found), its
 #: ``openblas_set_num_threads_local``, which returns the previous count
-#: (``None`` if the library lacks it).
-BLAS_LIBRARY, _set_num_threads_local = _bind_thread_limit()
+#: (``None`` if the library lacks it), and the process-wide count getter of
+#: a pthreads build (``None`` elsewhere: the restore is then unconditional).
+BLAS_LIBRARY, _set_num_threads_local, _process_count = _bind_thread_limit()
 _LIMIT_LOCK = threading.Lock()
 
 
@@ -75,7 +101,8 @@ def one_thread_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         try:
             return queries @ matrix.T
         finally:
-            setter(previous)
+            if _process_count is None or _process_count() == 1:
+                setter(previous)
 
 
 def score_block(

@@ -38,12 +38,14 @@ without decay every era of the history matters equally).
 One search's scan state is batch-major (:class:`_ScanState`): a row per
 query for its candidate pool and its per-category bests.  In each scan
 *wave* every query nominates its next shard, each nominated shard is scored
-once over its nominating queries with one matrix product, and the whole
-block is folded in one step: exact filters become ``-inf`` scores, the
-block's per-row top ``2k`` merges into the pools with one row-wise
-``lexsort``, and its per-category argmaxes come from one ``reduceat``.
-Scoring runs on the calling thread; the BLAS product itself already uses
-every core.
+once over its nominating queries with one matrix product on the calling
+thread, and the whole block is folded in one step: exact filters become
+``-inf`` scores, and cells merge into the pools and the per-category bests
+with flat ``lexsort``s.  On a query's first shard the block's per-row top
+``2k`` and its per-category argmaxes (one ``reduceat``) are the cells; from
+its second shard on only the cells at or above the query's *floor* (its
+pool minimum, no higher than ``kth_best``) are, since nothing below it can
+still reach the result or a scan decision (:meth:`_ScanState.fold`).
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -374,26 +376,90 @@ class _ScanState:
         """Fold one scored shard into the rows of the queries that nominated it.
 
         ``scores`` is the block's ``(len(queries), data.total)`` score
-        matrix with every entry a filter removes at ``-inf``.  Only the
-        shard's top ``2k`` per row can enter the merged top ``2k``, so the
-        per-category argmaxes update the bests alone.
+        matrix with every entry a filter removes at ``-inf``.  A query's
+        *floor* is its pool minimum, with diversity on lowered to
+        ``kth_best``.  A cell below it cannot enter the full pool, and a
+        category best below ``kth_best`` is never one of the K diverse
+        picks nor read by a scan decision (those only read bests above a
+        shard bound no lower than ``kth_best``).  So once every row's floor
+        is finite only the cells at or above it are folded — ``>=`` keeps a
+        tie at the pool minimum, which may hold the lower sequence.  While
+        some floor is still ``-inf`` (a query's first shard) the whole block
+        is folded: the shard's top ``2k`` per row into the pools and its
+        per-category argmaxes into the bests.
         """
-        size = self.pool_size
-        block = np.arange(queries.shape[0])[:, None]
-        top = _top_rows(scores, size)
-        merged_scores = np.concatenate((self.pool_scores[queries], scores[block, top]), axis=1)
-        merged_seqs = np.concatenate((self.pool_seqs[queries], data.seqs[top]), axis=1)
-        kept = np.lexsort((merged_seqs, -merged_scores), axis=-1)[:, :size]
-        self.pool_scores[queries] = merged_scores[block, kept]
-        self.pool_seqs[queries] = merged_seqs[block, kept]
-        for pool, fresh in (
-            (self.pool_keys, np.full(top.shape, data.key)),
-            (self.pool_rows, top),
-            (self.pool_codes, data.codes[top]),
-        ):
-            pool[queries] = np.concatenate((pool[queries], fresh), axis=1)[block, kept]
+        floor = self.pool_scores[queries, -1]
+        if self.diverse:
+            floor = np.minimum(floor, self.kth_best[queries])
+        if floor.min() > -math.inf:
+            # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
+            owner, rows = np.divmod(np.flatnonzero(scores >= floor[:, None]), data.total)
+            if owner.shape[0]:
+                cells = scores[owner, rows]
+                self._merge_pool(queries, data, owner, rows, cells)
+                if self.diverse:
+                    self._merge_bests(queries, data, owner, rows, cells)
+            return
+        top = _top_rows(scores, self.pool_size)
+        owner = np.repeat(np.arange(queries.shape[0]), top.shape[1])
+        rows = top.ravel()
+        self._merge_pool(queries, data, owner, rows, scores[owner, rows])
         if self.diverse:
             self._fold_bests(queries, data, scores)
+
+    def _merge_pool(
+        self,
+        queries: np.ndarray,
+        data: _ShardData,
+        owner: np.ndarray,
+        rows: np.ndarray,
+        scores: np.ndarray,
+    ) -> None:
+        """Merge the cells ``(owner, rows)`` scoring ``scores`` into the pools.
+
+        One flat ``lexsort`` orders every pool slot of the block and every
+        cell by (query, score desc, seq asc); each query's run starts with
+        its ``2k`` pool slots, so its first ``2k`` entries are its new pool.
+        """
+        size = self.pool_size
+        block = queries.shape[0]
+        owners = np.concatenate((np.repeat(np.arange(block), size), owner))
+        merged_scores = np.concatenate((self.pool_scores[queries].ravel(), scores))
+        merged_seqs = np.concatenate((self.pool_seqs[queries].ravel(), data.seqs[rows]))
+        order = np.lexsort((merged_seqs, -merged_scores, owners))
+        runs = np.bincount(owner, minlength=block) + size
+        kept = order[((np.cumsum(runs) - runs)[:, None] + np.arange(size)).ravel()]
+        self.pool_scores[queries] = merged_scores[kept].reshape(block, size)
+        self.pool_seqs[queries] = merged_seqs[kept].reshape(block, size)
+        for pool, fresh in (
+            (self.pool_keys, np.full(rows.shape, data.key)),
+            (self.pool_rows, rows),
+            (self.pool_codes, data.codes[rows]),
+        ):
+            merged = np.concatenate((pool[queries].ravel(), fresh))
+            pool[queries] = merged[kept].reshape(block, size)
+
+    def _merge_bests(
+        self,
+        queries: np.ndarray,
+        data: _ShardData,
+        owner: np.ndarray,
+        rows: np.ndarray,
+        scores: np.ndarray,
+    ) -> None:
+        """Fold the cells' per-category argmaxes into the bests.
+
+        One flat ``lexsort`` by (query, category, score desc, seq asc) puts
+        each (query, category) run's argmax first.
+        """
+        codes, seqs = data.codes[rows], data.seqs[rows]
+        order = np.lexsort((seqs, -scores, codes, owner))
+        cell = owner[order] * self.best_scores.shape[1] + codes[order]
+        first = order[np.flatnonzero(np.diff(cell, prepend=-1))]
+        self._improve_bests(
+            queries, (queries[owner[first]], codes[first]),
+            scores[first], seqs[first], data.key, rows[first],
+        )
 
     def _fold_bests(self, queries: np.ndarray, data: _ShardData, scores: np.ndarray) -> None:
         """Fold the block's per-category argmaxes into the bests.
@@ -401,9 +467,8 @@ class _ScanState:
         Group maxima come from one ``reduceat`` over the rows grouped by
         category; the first position attaining each maximum (lowest row,
         hence lowest sequence) from one ``searchsorted`` over the flat
-        positions where maxima are attained.  The (score desc, seq asc)
-        comparison matches the flat scan's tie-breaking, and a group whose
-        rows were all filtered (``-inf``) changes nothing.
+        positions where maxima are attained.  A group whose rows were all
+        filtered (``-inf``) changes nothing.
         """
         perm, starts, sizes, group_codes = data.groups()
         total = data.total
@@ -413,17 +478,34 @@ class _ScanState:
         row_starts = np.arange(0, queries.shape[0] * total, total)[:, None]
         first = attained[np.searchsorted(attained, (row_starts + starts).ravel())]
         argmax = perm[first.reshape(maxima.shape) - row_starts]
-        seqs = data.seqs[argmax]
-        cells = (queries[:, None], group_codes)
+        self._improve_bests(
+            queries, (queries[:, None], group_codes),
+            maxima, data.seqs[argmax], data.key, argmax,
+        )
+
+    def _improve_bests(
+        self,
+        queries: np.ndarray,
+        cells: Tuple[np.ndarray, np.ndarray],
+        scores: np.ndarray,
+        seqs: np.ndarray,
+        key: int,
+        rows: np.ndarray,
+    ) -> None:
+        """Take each candidate that beats its (query, category) cell's best.
+
+        The (score desc, seq asc) comparison matches the flat scan's
+        tie-breaking; ``kth_best`` is then recomputed for ``queries``.
+        """
         held, held_seqs = self.best_scores[cells], self.best_seqs[cells]
-        improve = (maxima > held) | ((maxima == held) & (seqs < held_seqs))
-        improve &= maxima > -math.inf
+        improve = (scores > held) | ((scores == held) & (seqs < held_seqs))
+        improve &= scores > -math.inf
         if not improve.any():
             return
-        self.best_scores[cells] = np.where(improve, maxima, held)
+        self.best_scores[cells] = np.where(improve, scores, held)
         self.best_seqs[cells] = np.where(improve, seqs, held_seqs)
-        self.best_keys[cells] = np.where(improve, data.key, self.best_keys[cells])
-        self.best_rows[cells] = np.where(improve, argmax, self.best_rows[cells])
+        self.best_keys[cells] = np.where(improve, key, self.best_keys[cells])
+        self.best_rows[cells] = np.where(improve, rows, self.best_rows[cells])
         column = self.best_scores.shape[1] - self.k
         if column >= 0:
             self.kth_best[queries] = np.partition(
@@ -1001,18 +1083,22 @@ class ShardedVectorIndex:
 
         A query's candidates are its pool plus — diversity on — its
         category bests, each entry once: sequences are unique, so a pool
-        slot holding its category's best sequence *is* that best and is
-        dropped.  One row-wise ``lexsort`` orders them by (score desc, seq
-        asc), empty ``-inf`` slots last and cut.  Category codes name
-        categories one to one, so :func:`select_complete_order` walks codes
-        and only the picked entries are fetched.
+        slot holding its category's recorded best sequence *is* that best
+        and is dropped (a category with no recorded best keeps seq 0, so
+        only a finite best counts).  One row-wise ``lexsort`` orders them
+        by (score desc, seq asc), empty ``-inf`` slots last and cut.
+        Category codes name categories one to one, so
+        :func:`select_complete_order` walks codes and only the picked
+        entries are fetched.
         """
         scores, keys, rows, codes = (
             scan.pool_scores, scan.pool_keys, scan.pool_rows, scan.pool_codes
         )
         if diverse:
             every = np.arange(scores.shape[0])[:, None]
-            repeated = scan.best_seqs[every, codes] == scan.pool_seqs
+            repeated = (scan.best_seqs[every, codes] == scan.pool_seqs) & (
+                scan.best_scores[every, codes] > -math.inf
+            )
             scores = np.concatenate(
                 (np.where(repeated, -math.inf, scores), scan.best_scores), axis=1
             )

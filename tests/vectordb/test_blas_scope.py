@@ -5,9 +5,10 @@
 that buys and what it must not break: the scores no longer depend on how
 many threads OpenBLAS was started with, the count is restored after every
 product (also one that raises), a missing binding degrades to numpy's plain
-product, and a worker thread scores the same bits as the main thread.  One
-test pins a known limit instead: in a pthreads OpenBLAS the setter acts on
-the whole process, not on the calling thread.
+product, and a worker thread scores the same bits as the main thread.  Two
+tests pin what a pthreads OpenBLAS, where the setter acts on the whole
+process, costs a host thread: it sees one thread while a product is
+scored, and a count it sets in that window survives the restore.
 """
 
 from __future__ import annotations
@@ -174,20 +175,11 @@ def process_wide_controls():
     return set_count, get_count, get_parallel()
 
 
-@needs_binding
-def test_pthreads_setter_acts_on_the_whole_process():
-    """A known limit, pinned so that a change to it shows.
+def host_sets_the_count_inside_the_window(set_count, get_count, host_count):
+    """Score one product while another thread reads and sets the count.
 
-    In a pthreads build ``openblas_set_num_threads_local`` sets the
-    process-wide count: another thread sees one thread while a product is
-    scored, and a count it sets in that window is overwritten by the
-    restore.
+    Returns what that thread read and the count after the product.
     """
-    set_count, get_count, parallel = process_wide_controls()
-    if parallel != 1:
-        pytest.skip("not a pthreads OpenBLAS: the setter is thread-local there")
-    before = get_count()
-    host_count = before + 1
     inside = []
 
     def host_thread():
@@ -202,10 +194,44 @@ def test_pthreads_setter_acts_on_the_whole_process():
             return np.asarray(self) @ other
 
     queries, matrix = block(queries=4, rows=300)
+    scoring.one_thread_product(queries.view(Probe), matrix)
+    return inside, get_count()
+
+
+@needs_binding
+def test_pthreads_setter_acts_on_the_whole_process():
+    """In a pthreads build ``openblas_set_num_threads_local`` sets the
+    process-wide count: another thread sees one thread while a product is
+    scored.  A count it sets in that window is kept — the restore only
+    runs while the count still reads 1.
+    """
+    set_count, get_count, parallel = process_wide_controls()
+    if parallel != 1:
+        pytest.skip("not a pthreads OpenBLAS: the setter is thread-local there")
+    assert scoring._process_count is not None
+    before = get_count()
+    host_count = before + 1
     try:
-        scoring.one_thread_product(queries.view(Probe), matrix)
-        after = get_count()
+        inside, after = host_sets_the_count_inside_the_window(set_count, get_count, host_count)
     finally:
         set_count(before)
     assert inside == [1]
-    assert after == before != host_count
+    assert after == host_count
+
+
+@needs_binding
+def test_without_a_process_count_the_restore_is_unconditional(monkeypatch):
+    """The OpenMP-build branch: there the setter is thread-local, so the
+    previous count is restored whatever the process-wide count reads.  Run
+    on a pthreads build, where that restore shows in the process-wide count.
+    """
+    set_count, get_count, parallel = process_wide_controls()
+    if parallel != 1:
+        pytest.skip("not a pthreads OpenBLAS: the restore acts on the calling thread only")
+    monkeypatch.setattr(scoring, "_process_count", None)
+    before = get_count()
+    try:
+        _, after = host_sets_the_count_inside_the_window(set_count, get_count, before + 1)
+    finally:
+        set_count(before)
+    assert after == before

@@ -12,6 +12,13 @@ is kept here as the reference.  Both score through the same
 ``score_block``, so neighbour ids, similarities (to the bit) and every scan
 counter must agree; the cases below are the ones where the ``-inf``
 sentinel, a boundary tie or the in-batch dedup could make them differ.
+
+From a query's second shard on the fold only takes the cells at or above
+the query's floor (pool minimum, lowered to ``kth_best`` with diversity
+on).  The fold without a floor, every block folded dense, is kept here too
+(``dense_fold``): patched in for ``_ScanState.fold``, it must leave the
+same results, counters, pools, ``kth_best`` and category bests at or above
+``kth_best`` as the floor does.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.vectordb import Neighbor, ShardedVectorIndex, SimilarityConfig, select_complete_order
 from repro.vectordb.scoring import score_block
+from repro.vectordb.sharded import _ScanState, _top_rows
 
 COUNTERS = (
     "queries",
@@ -618,3 +626,191 @@ class TestSentinelCases:
         excludes = [None, {"i1"}, None, None, {"i1", "absent"}, None, {"absent"}]
         assert_matches_reference(index, stacked, days, exclude_ids=excludes)
         assert index.stats()["queries"] == 7.0
+
+
+# ------------------------------------------------------- the dense fold
+def dense_fold(self, queries, data, scores):
+    """``_ScanState.fold`` without a floor: every block folded dense, pools merged row by row."""
+    size = self.pool_size
+    block = np.arange(queries.shape[0])[:, None]
+    top = _top_rows(scores, size)
+    merged_scores = np.concatenate((self.pool_scores[queries], scores[block, top]), axis=1)
+    merged_seqs = np.concatenate((self.pool_seqs[queries], data.seqs[top]), axis=1)
+    kept = np.lexsort((merged_seqs, -merged_scores), axis=-1)[:, :size]
+    self.pool_scores[queries] = merged_scores[block, kept]
+    self.pool_seqs[queries] = merged_seqs[block, kept]
+    for pool, fresh in (
+        (self.pool_keys, np.full(top.shape, data.key)),
+        (self.pool_rows, top),
+        (self.pool_codes, data.codes[top]),
+    ):
+        pool[queries] = np.concatenate((pool[queries], fresh), axis=1)[block, kept]
+    if self.diverse:
+        self._fold_bests(queries, data, scores)
+
+
+POOL = ("pool_scores", "pool_seqs", "pool_keys", "pool_rows", "pool_codes")
+BESTS = ("best_scores", "best_seqs", "best_keys", "best_rows")
+
+
+def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
+    """One ``search_many``: its results, counter deltas, final scan state and
+    every folded block's per-row floors (what the fold decides on)."""
+    scans, floors = [], []
+    finalize = ShardedVectorIndex._finalize
+    real_fold = fold or _ScanState.fold
+
+    def capturing(self, scan, k, diverse):
+        scans.append(scan)
+        return finalize(self, scan, k, diverse)
+
+    def recording(self, queries, data, scores):
+        floor = self.pool_scores[queries, -1]
+        if self.diverse:
+            floor = np.minimum(floor, self.kth_best[queries])
+        floors.append(floor.copy())
+        real_fold(self, queries, data, scores)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardedVectorIndex, "_finalize", capturing)
+        patch.setattr(_ScanState, "fold", recording)
+        before = index.stats()
+        found = index.search_many(np.asarray(queries, dtype=float), days, **kwargs)
+        after = index.stats()
+    counters = {name: after[name] - before[name] for name in COUNTERS}
+    return found, counters, (scans[-1] if scans else None), floors
+
+
+def assert_matches_dense_fold(monkeypatch, index, queries, days, **kwargs):
+    """The floor changes nothing a search returns, counts or keeps to the end:
+    ids, similarity bits, scan counters, pools, ``kth_best`` and every
+    category best at or above ``kth_best``.  Returns the floors of the run."""
+    found, counters, scan, floors = traced_search(monkeypatch, index, queries, days, **kwargs)
+    expected, expected_counters, reference, _ = traced_search(
+        monkeypatch, index, queries, days, fold=dense_fold, **kwargs
+    )
+    assert [[n.incident_id for n in row] for row in found] == [
+        [n.incident_id for n in row] for row in expected
+    ]
+    assert [[float(n.similarity).hex() for n in row] for row in found] == [
+        [float(n.similarity).hex() for n in row] for row in expected
+    ]
+    assert counters == expected_counters
+    assert (scan is None) == (reference is None)
+    if reference is not None:
+        for name in POOL:
+            np.testing.assert_array_equal(getattr(scan, name), getattr(reference, name), name)
+        np.testing.assert_array_equal(scan.kth_best, reference.kth_best)
+        read = reference.best_scores >= reference.kth_best[:, None]
+        for name in BESTS:
+            np.testing.assert_array_equal(
+                getattr(scan, name)[read], getattr(reference, name)[read], name
+            )
+    return floors
+
+
+def sparse_blocks(floors):
+    return sum(1 for floor in floors if floor.min() > -math.inf)
+
+
+def dense_case(monkeypatch, case):
+    entries, queries, filters, config = case
+    return assert_matches_dense_fold(
+        monkeypatch,
+        build(entries, **config),
+        np.array([vector for vector, _ in queries]),
+        [day for _, day in queries],
+        **filters,
+    )
+
+
+class TestFloorMatchesDenseFold:
+    """``fold`` skips every cell below a query's floor once all its rows have one."""
+
+    @given(case=scan_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tie_heavy_batches(self, monkeypatch, case):
+        dense_case(monkeypatch, case)
+
+    @pytest.mark.slow
+    @given(case=scan_cases())
+    @settings(max_examples=2000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tie_heavy_batches_nightly(self, monkeypatch, case):
+        dense_case(monkeypatch, case)
+
+    @pytest.mark.parametrize("diverse", [True, False])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_random_corpus_every_filter(self, monkeypatch, diverse, k):
+        rng = np.random.default_rng(10 + k)
+        index = build(random_entries(rng, 900, 25, 120.0), alpha=0.1, k=k,
+                      diverse=diverse, window=10.0)
+        queries = rng.standard_normal((12, 4))
+        days = rng.uniform(0.0, 130.0, size=12)
+        excludes = [{f"i{int(row)}" for row in rng.integers(0, 900, size=40)} for _ in range(12)]
+        sparse = 0
+        for filters in (
+            {},
+            dict(history_before_day=70.0),
+            dict(categories={"c1", "c4", "c9", "absent"}),
+            dict(exclude_ids=excludes, history_before_day=90.0, categories={"c2", "c3"}),
+        ):
+            sparse += sparse_blocks(assert_matches_dense_fold(
+                monkeypatch, index, queries, days, **filters
+            ))
+        assert sparse
+
+    @pytest.mark.parametrize("diverse", [True, False])
+    def test_a_later_shard_ties_the_pool_minimum(self, monkeypatch, diverse):
+        """The tie at the floor holds the lower sequence and must be folded.
+
+        The query's pool (k = 1: two slots) fills with two exact matches 6
+        days before it; the shard 6 days after it, scanned second, holds
+        the same vector inserted first.
+        """
+        vector = [1.0, 0.0]
+        index = build([(vector, 36.0, "A"), (vector, 24.0, "A"), (vector, 24.0, "A")],
+                      alpha=0.2, k=1, diverse=diverse)
+        floors = assert_matches_dense_fold(monkeypatch, index, np.array([vector]), [30.0])
+        assert sparse_blocks(floors) == 1
+        found, _, scan, _ = traced_search(monkeypatch, index, [vector], [30.0])
+        assert [n.incident_id for n in found[0]] == ["i0"]
+        assert scan.pool_seqs.tolist() == [[0, 1]]
+
+    def test_two_categories_tie_kth_best_across_shards(self, monkeypatch):
+        """The second diverse pick is a tie at ``kth_best``, below the pool
+        minimum, decided by sequence across shards (no decay: alpha = 0).
+
+        The query's own shard gives four exact "A" matches (the pool) and
+        "B"; a shard 10 days later holds "C" at B's score, inserted first.
+        """
+        entries = [([1.0, 0.0], 40.0, "C")]
+        entries += [([0.0, 0.0], 30.0, "A") for _ in range(4)] + [([1.0, 0.0], 30.0, "B")]
+        index = build(entries, alpha=0.0, k=2)
+        floors = assert_matches_dense_fold(monkeypatch, index, np.array([[0.0, 0.0]]), [30.0])
+        assert sparse_blocks(floors) == 1
+        found, _, scan, _ = traced_search(monkeypatch, index, [[0.0, 0.0]], [30.0])
+        assert [n.incident_id for n in found[0]] == ["i1", "i0"]
+        assert scan.kth_best.tolist() == [0.5] and scan.pool_scores.min() == 1.0
+
+    @pytest.mark.parametrize("diverse", [True, False])
+    def test_a_block_mixing_finite_and_minus_inf_floors(self, monkeypatch, diverse):
+        """Two queries nominate the same shard while only one has a floor.
+
+        Both scan the shard of their day first; the second excludes every
+        row of it, so its pool is still empty when both reach the next shard.
+        """
+        rng = np.random.default_rng(12)
+        entries = [(rng.standard_normal(2), day, f"c{i % 3}")
+                   for i, day in enumerate(np.repeat([20.0, 30.0, 40.0], 8))]
+        index = build(entries, alpha=0.0, k=2, diverse=diverse)
+        own = {f"i{row}" for row in range(8, 16)}
+        query = rng.standard_normal(2)
+        floors = assert_matches_dense_fold(
+            monkeypatch, index, np.array([query, query]), [30.0, 30.0],
+            exclude_ids=[None, own],
+        )
+        mixed = [floor for floor in floors if floor.shape[0] == 2
+                 and floor.max() > -math.inf and floor.min() == -math.inf]
+        assert mixed
