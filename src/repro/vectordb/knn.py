@@ -340,6 +340,8 @@ class NearestNeighborSearch:
         if exclude_ids is not None and len(exclude_ids) != queries.shape[0]:
             raise ValueError("exclude_ids must align with query_matrix rows")
         days = np.asarray(query_days, dtype=np.float64).ravel()
+        if days.shape[0] != queries.shape[0]:
+            raise ValueError("query_days must align with query_matrix rows")
         if queries.shape[0] == 0:
             return []
         if len(self.store) == 0:

@@ -40,12 +40,12 @@ query for its candidate pool and its per-category bests.  In each scan
 *wave* every query nominates its next shard, each nominated shard is scored
 once over its nominating queries with one matrix product on the calling
 thread, and the whole block is folded in one step: exact filters become
-``-inf`` scores, and cells merge into the pools and the per-category bests
-with flat ``lexsort``s.  On a query's first shard the block's per-row top
-``2k`` and its per-category argmaxes (one ``reduceat``) are the cells; from
-its second shard on only the cells at or above the query's *floor* (its
-pool minimum, no higher than ``kth_best``) are, since nothing below it can
-still reach the result or a scan decision (:meth:`_ScanState.fold`).
+``-inf`` scores, and only the cells at or above each query's *floor* merge
+into the pools and the per-category bests, with flat ``lexsort``s.  The
+floor is the query's pool minimum, no higher than ``kth_best``, since
+nothing below it can still reach the result or a scan decision; while that
+is still ``-inf`` (a query's first shard) the block supplies one from its
+own ``2k``-th largest category maximum or score (:meth:`_ScanState.fold`).
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -75,7 +75,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -99,6 +99,10 @@ MANIFEST_VERSION = 4
 #: names what it writes with a generation above any in the directory, so a
 #: file is never rewritten and a reused shard key never collides.
 _SNAPSHOT_FILE = re.compile(r"(?:seg--?\d+|codes)-(\d+)\.bin")
+
+#: The lowest finite float: a fold floor that takes every finite cell and
+#: no ``-inf`` (filtered) one.
+_LOWEST = -np.finfo(np.float64).max
 
 
 def time_bucket(day: float, window_days: float) -> int:
@@ -229,28 +233,23 @@ def _filtered_rows(
     return np.flatnonzero(~keep)
 
 
-def _top_rows(scores: np.ndarray, size: int) -> np.ndarray:
-    """Per row of ``scores``, the columns of its top ``size`` scores, as a set.
+def _score_floor(
+    scores: np.ndarray, size: int, maxima: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per row, its ``size``-th largest score: below it no cell enters the pool.
 
-    Columns index a shard's rows, which ascend with the global insertion
-    sequence, so the flat scan's (score desc, seq asc) ranking is (score
-    desc, column asc): where ties straddle ``argpartition``'s boundary the
-    lowest-column ties are kept.  A row with fewer than ``size`` eligible
-    (finite) scores keeps all of them plus arbitrary ``-inf`` fillers.
+    With ``maxima`` (diversity on) the floor is lowered to the row's
+    smallest finite category maximum, so every category's argmax is folded.
+    A row with fewer than ``size`` finite scores takes every finite cell:
+    the floor is then the lowest finite float, never ``-inf``, so a
+    filtered cell is never taken.
     """
-    block, total = scores.shape
-    if total <= size:
-        return np.broadcast_to(np.arange(total), (block, total))
-    cut = total - size
-    top = np.argpartition(scores, cut, axis=1)[:, cut:]
-    # argpartition leaves each row's size-th largest score first in ``top``.
-    boundary = scores[np.arange(block), top[:, 0]]
-    straddles = (scores >= boundary[:, None]).sum(axis=1) > size
-    for row in np.flatnonzero(straddles & (boundary > -math.inf)):
-        above = np.flatnonzero(scores[row] > boundary[row])
-        tied = np.flatnonzero(scores[row] == boundary[row])
-        top[row] = np.concatenate([above, tied[: size - above.shape[0]]])
-    return top
+    column = scores.shape[1] - size
+    floor = np.partition(scores, column, axis=1)[:, column]
+    if maxima is not None:
+        lowest = np.min(maxima, axis=1, initial=math.inf, where=maxima > -math.inf)
+        floor = np.minimum(floor, lowest)
+    return np.maximum(floor, _LOWEST)
 
 
 class _Shard:
@@ -376,36 +375,57 @@ class _ScanState:
         """Fold one scored shard into the rows of the queries that nominated it.
 
         ``scores`` is the block's ``(len(queries), data.total)`` score
-        matrix with every entry a filter removes at ``-inf``.  A query's
-        *floor* is its pool minimum, with diversity on lowered to
-        ``kth_best``.  A cell below it cannot enter the full pool, and a
-        category best below ``kth_best`` is never one of the K diverse
-        picks nor read by a scan decision (those only read bests above a
-        shard bound no lower than ``kth_best``).  So once every row's floor
-        is finite only the cells at or above it are folded — ``>=`` keeps a
-        tie at the pool minimum, which may hold the lower sequence.  While
-        some floor is still ``-inf`` (a query's first shard) the whole block
-        is folded: the shard's top ``2k`` per row into the pools and its
-        per-category argmaxes into the bests.
+        matrix with every entry a filter removes at ``-inf``.  Only the
+        cells at or above each row's *floor* are folded, into the pools and
+        the per-category bests alike — ``>=`` keeps a tie at the floor,
+        which may hold the lower sequence.  A query's floor is its pool
+        minimum, with diversity on lowered to ``kth_best``: a cell below it
+        cannot enter the full pool, and a category best below ``kth_best``
+        is never one of the K diverse picks nor read by a scan decision
+        (those only read bests above a shard bound no lower than
+        ``kth_best``).  While some row's floor is still ``-inf`` (a query's
+        first shard, or fewer than K categories covered) the block supplies
+        one (:meth:`_block_floor`) and every row keeps the higher of the two.
         """
         floor = self.pool_scores[queries, -1]
         if self.diverse:
             floor = np.minimum(floor, self.kth_best[queries])
-        if floor.min() > -math.inf:
-            # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
-            owner, rows = np.divmod(np.flatnonzero(scores >= floor[:, None]), data.total)
-            if owner.shape[0]:
-                cells = scores[owner, rows]
-                self._merge_pool(queries, data, owner, rows, cells)
-                if self.diverse:
-                    self._merge_bests(queries, data, owner, rows, cells)
-            return
-        top = _top_rows(scores, self.pool_size)
-        owner = np.repeat(np.arange(queries.shape[0]), top.shape[1])
-        rows = top.ravel()
-        self._merge_pool(queries, data, owner, rows, scores[owner, rows])
-        if self.diverse:
-            self._fold_bests(queries, data, scores)
+        if floor.min() == -math.inf:
+            floor = np.maximum(floor, self._block_floor(data, scores))
+        # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
+        owner, rows = np.divmod(np.flatnonzero(scores >= floor[:, None]), data.total)
+        if owner.shape[0]:
+            cells = scores[owner, rows]
+            self._merge_pool(queries, data, owner, rows, cells)
+            if self.diverse:
+                self._merge_bests(queries, data, owner, rows, cells)
+
+    def _block_floor(self, data: _ShardData, scores: np.ndarray) -> Union[np.ndarray, float]:
+        """Per row of a scored block, a floor that block alone justifies.
+
+        With diversity on and at least ``2k`` finite category maxima in the
+        row (one ``reduceat`` over the cached grouping), it is the ``2k``-th
+        largest maximum: those ``2k`` distinct cells are at or above it, so
+        the merged pool's minimum is too, and the K-th largest maximum —
+        no lower — bounds the new ``kth_best`` from below.  Any other row
+        gets :func:`_score_floor`.  A block no wider than ``2k`` needs no
+        floor work: every row takes each of its finite cells.
+        """
+        size = self.pool_size
+        if data.total <= size:
+            return _LOWEST
+        if not self.diverse:
+            return _score_floor(scores, size)
+        perm, starts = data.groups()[:2]
+        maxima = np.maximum.reduceat(np.take(scores, perm, axis=1), starts, axis=1)
+        column = maxima.shape[1] - size
+        if column < 0:
+            return _score_floor(scores, size, maxima)
+        floor = np.partition(maxima, column, axis=1)[:, column]
+        rest = np.flatnonzero(floor == -math.inf)
+        if rest.shape[0]:
+            floor[rest] = _score_floor(scores[rest], size, maxima[rest])
+        return floor
 
     def _merge_pool(
         self,
@@ -450,61 +470,23 @@ class _ScanState:
         """Fold the cells' per-category argmaxes into the bests.
 
         One flat ``lexsort`` by (query, category, score desc, seq asc) puts
-        each (query, category) run's argmax first.
+        each (query, category) run's argmax first.  It replaces the held
+        best when it wins by (score desc, seq asc), the flat scan's
+        tie-breaking; ``kth_best`` is then recomputed for ``queries``.
         """
         codes, seqs = data.codes[rows], data.seqs[rows]
         order = np.lexsort((seqs, -scores, codes, owner))
         cell = owner[order] * self.best_scores.shape[1] + codes[order]
-        first = order[np.flatnonzero(np.diff(cell, prepend=-1))]
-        self._improve_bests(
-            queries, (queries[owner[first]], codes[first]),
-            scores[first], seqs[first], data.key, rows[first],
-        )
-
-    def _fold_bests(self, queries: np.ndarray, data: _ShardData, scores: np.ndarray) -> None:
-        """Fold the block's per-category argmaxes into the bests.
-
-        Group maxima come from one ``reduceat`` over the rows grouped by
-        category; the first position attaining each maximum (lowest row,
-        hence lowest sequence) from one ``searchsorted`` over the flat
-        positions where maxima are attained.  A group whose rows were all
-        filtered (``-inf``) changes nothing.
-        """
-        perm, starts, sizes, group_codes = data.groups()
-        total = data.total
-        grouped = np.take(scores, perm, axis=1)
-        maxima = np.maximum.reduceat(grouped, starts, axis=1)
-        attained = np.flatnonzero(grouped == np.repeat(maxima, sizes, axis=1))
-        row_starts = np.arange(0, queries.shape[0] * total, total)[:, None]
-        first = attained[np.searchsorted(attained, (row_starts + starts).ravel())]
-        argmax = perm[first.reshape(maxima.shape) - row_starts]
-        self._improve_bests(
-            queries, (queries[:, None], group_codes),
-            maxima, data.seqs[argmax], data.key, argmax,
-        )
-
-    def _improve_bests(
-        self,
-        queries: np.ndarray,
-        cells: Tuple[np.ndarray, np.ndarray],
-        scores: np.ndarray,
-        seqs: np.ndarray,
-        key: int,
-        rows: np.ndarray,
-    ) -> None:
-        """Take each candidate that beats its (query, category) cell's best.
-
-        The (score desc, seq asc) comparison matches the flat scan's
-        tie-breaking; ``kth_best`` is then recomputed for ``queries``.
-        """
+        first = order[np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))]
+        cells = (queries[owner[first]], codes[first])
+        scores, seqs, rows = scores[first], seqs[first], rows[first]
         held, held_seqs = self.best_scores[cells], self.best_seqs[cells]
         improve = (scores > held) | ((scores == held) & (seqs < held_seqs))
-        improve &= scores > -math.inf
         if not improve.any():
             return
         self.best_scores[cells] = np.where(improve, scores, held)
         self.best_seqs[cells] = np.where(improve, seqs, held_seqs)
-        self.best_keys[cells] = np.where(improve, key, self.best_keys[cells])
+        self.best_keys[cells] = np.where(improve, data.key, self.best_keys[cells])
         self.best_rows[cells] = np.where(improve, rows, self.best_rows[cells])
         column = self.best_scores.shape[1] - self.k
         if column >= 0:

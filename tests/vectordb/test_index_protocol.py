@@ -467,6 +467,18 @@ class TestPersistence:
         )
 
 
+class TestQueryDaysAlignment:
+    @pytest.mark.parametrize("backend", ["flat", "sharded"])
+    @pytest.mark.parametrize("day_count", [1, 3], ids=["too_few", "too_many"])
+    @pytest.mark.parametrize("count", [0, 400], ids=["empty", "populated"])
+    def test_misaligned_query_days_raise(self, backend, day_count, count):
+        index = build_index(backend, window_days=15.0)
+        if count:
+            populated(index, count=count)
+        with pytest.raises(ValueError, match="query_days must align with query_matrix rows"):
+            index.search_many(np.ones((2, 8)), [10.0] * day_count)
+
+
 class TestBuildIndex:
     def test_build_index_backends(self):
         assert isinstance(build_index("flat"), FlatVectorIndex)

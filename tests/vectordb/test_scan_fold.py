@@ -2,23 +2,24 @@
 
 ``search_many`` keeps one search's candidates batch-major — a row per query —
 and folds each scored shard block in one step: filters become ``-inf``
-scores, the block's top ``2k`` per row merges into the pools with one
-row-wise ``lexsort``, the category argmaxes come from one ``reduceat``, and
-the final selection orders every query's candidates in numpy.  The
-per-query scan it replaced — one candidate payload per (query, shard) pair,
-extracted on a fast or a filtered path, folded and merged one query at a
-time, and a final selection that walks every covered category in Python —
-is kept here as the reference.  Both score through the same
-``score_block``, so neighbour ids, similarities (to the bit) and every scan
-counter must agree; the cases below are the ones where the ``-inf``
-sentinel, a boundary tie or the in-batch dedup could make them differ.
+scores, the cells at or above each row's floor merge into the pools with one
+flat ``lexsort`` and into the per-category bests with another, and the final
+selection orders every query's candidates in numpy.  The per-query scan it
+replaced — one candidate payload per (query, shard) pair, extracted on a
+fast or a filtered path, folded and merged one query at a time, and a final
+selection that walks every covered category in Python — is kept here as the
+reference.  Both score through the same ``score_block``, so neighbour ids,
+similarities (to the bit) and every scan counter must agree; the cases below
+are the ones where the ``-inf`` sentinel, a boundary tie or the in-batch
+dedup could make them differ.
 
-From a query's second shard on the fold only takes the cells at or above
-the query's floor (pool minimum, lowered to ``kth_best`` with diversity
-on).  The fold without a floor, every block folded dense, is kept here too
-(``dense_fold``): patched in for ``_ScanState.fold``, it must leave the
-same results, counters, pools, ``kth_best`` and category bests at or above
-``kth_best`` as the floor does.
+The floor is the query's pool minimum (lowered to ``kth_best`` with
+diversity on) or, while that is still ``-inf``, one the block gives from its
+``2k``-th largest category maximum or score.  A fold without any floor —
+each row's top ``2k`` into the pools and every category's argmax into the
+bests (``dense_fold``, self-contained here) — is the third reference:
+patched in for ``_ScanState.fold``, it must leave the same results,
+counters, pools, ``kth_best`` and category bests at or above ``kth_best``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.vectordb import Neighbor, ShardedVectorIndex, SimilarityConfig, select_complete_order
 from repro.vectordb.scoring import score_block
-from repro.vectordb.sharded import _ScanState, _top_rows
+from repro.vectordb.sharded import _ScanState
 
 COUNTERS = (
     "queries",
@@ -506,7 +507,7 @@ class TestMatchesPerQueryScan:
     @pytest.mark.parametrize("diverse", [True, False])
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_random_corpus_every_filter(self, diverse, k):
-        """Shards far larger than 2k: the argpartition path, filtered and not."""
+        """Shards far wider than 2k: block floors from maxima and from scores."""
         rng = np.random.default_rng(k)
         index = build(random_entries(rng, 900, 25, 120.0), alpha=0.1, k=k,
                       diverse=diverse, window=10.0)
@@ -629,11 +630,67 @@ class TestSentinelCases:
 
 
 # ------------------------------------------------------- the dense fold
+def top_rows(scores, size):
+    """Per row of ``scores``, the columns of its top ``size`` scores, as a set.
+
+    Columns index a shard's rows, which ascend with the global insertion
+    sequence, so the flat scan's (score desc, seq asc) ranking is (score
+    desc, column asc): where ties straddle ``argpartition``'s boundary the
+    lowest-column ties are kept.  A row with fewer than ``size`` eligible
+    (finite) scores keeps all of them plus arbitrary ``-inf`` fillers.
+    """
+    block, total = scores.shape
+    if total <= size:
+        return np.broadcast_to(np.arange(total), (block, total))
+    cut = total - size
+    top = np.argpartition(scores, cut, axis=1)[:, cut:]
+    # argpartition leaves each row's size-th largest score first in ``top``.
+    boundary = scores[np.arange(block), top[:, 0]]
+    straddles = (scores >= boundary[:, None]).sum(axis=1) > size
+    for row in np.flatnonzero(straddles & (boundary > -math.inf)):
+        above = np.flatnonzero(scores[row] > boundary[row])
+        tied = np.flatnonzero(scores[row] == boundary[row])
+        top[row] = np.concatenate([above, tied[: size - above.shape[0]]])
+    return top
+
+
+def fold_category_argmaxes(self, queries, data, scores):
+    """Fold every category's argmax in the block into the bests.
+
+    Group maxima come from one ``reduceat`` over the rows grouped by
+    category; the first position attaining each maximum (lowest row, hence
+    lowest sequence) from one ``searchsorted`` over the flat positions where
+    maxima are attained.  An argmax replaces its (query, category) best when
+    it wins by (score desc, seq asc); a group whose rows were all filtered
+    (``-inf``) changes nothing.
+    """
+    perm, starts, sizes, group_codes = data.groups()
+    total = data.total
+    grouped = np.take(scores, perm, axis=1)
+    maxima = np.maximum.reduceat(grouped, starts, axis=1)
+    attained = np.flatnonzero(grouped == np.repeat(maxima, sizes, axis=1))
+    row_starts = np.arange(0, queries.shape[0] * total, total)[:, None]
+    first = attained[np.searchsorted(attained, (row_starts + starts).ravel())]
+    argmax = perm[first.reshape(maxima.shape) - row_starts]
+    cells = (queries[:, None], group_codes)
+    held, held_seqs = self.best_scores[cells], self.best_seqs[cells]
+    seqs = data.seqs[argmax]
+    improve = (maxima > held) | ((maxima == held) & (seqs < held_seqs))
+    improve &= maxima > -math.inf
+    self.best_scores[cells] = np.where(improve, maxima, held)
+    self.best_seqs[cells] = np.where(improve, seqs, held_seqs)
+    self.best_keys[cells] = np.where(improve, data.key, self.best_keys[cells])
+    self.best_rows[cells] = np.where(improve, argmax, self.best_rows[cells])
+    if self.best_scores.shape[1] >= self.k:
+        kth = np.partition(self.best_scores[queries], -self.k, axis=1)[:, -self.k]
+        self.kth_best[queries] = kth
+
+
 def dense_fold(self, queries, data, scores):
     """``_ScanState.fold`` without a floor: every block folded dense, pools merged row by row."""
     size = self.pool_size
     block = np.arange(queries.shape[0])[:, None]
-    top = _top_rows(scores, size)
+    top = top_rows(scores, size)
     merged_scores = np.concatenate((self.pool_scores[queries], scores[block, top]), axis=1)
     merged_seqs = np.concatenate((self.pool_seqs[queries], data.seqs[top]), axis=1)
     kept = np.lexsort((merged_seqs, -merged_scores), axis=-1)[:, :size]
@@ -646,19 +703,32 @@ def dense_fold(self, queries, data, scores):
     ):
         pool[queries] = np.concatenate((pool[queries], fresh), axis=1)[block, kept]
     if self.diverse:
-        self._fold_bests(queries, data, scores)
+        fold_category_argmaxes(self, queries, data, scores)
 
 
 POOL = ("pool_scores", "pool_seqs", "pool_keys", "pool_rows", "pool_codes")
 BESTS = ("best_scores", "best_seqs", "best_keys", "best_rows")
 
 
+class Trace:
+    """What one search's fold saw and decided."""
+
+    def __init__(self):
+        #: Per folded block, each row's floor as its scan state gave it.
+        self.floors: List[np.ndarray] = []
+        #: Per block with a row still at ``-inf``: the floor the block gave.
+        self.block_floors: List[np.ndarray] = []
+        #: Per merge into the pools: the scores of the cells taken.
+        self.taken: List[np.ndarray] = []
+
+
 def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
     """One ``search_many``: its results, counter deltas, final scan state and
-    every folded block's per-row floors (what the fold decides on)."""
-    scans, floors = [], []
+    a :class:`Trace` of its fold."""
+    scans, trace = [], Trace()
     finalize = ShardedVectorIndex._finalize
     real_fold = fold or _ScanState.fold
+    block_floor, merge_pool = _ScanState._block_floor, _ScanState._merge_pool
 
     def capturing(self, scan, k, diverse):
         scans.append(scan)
@@ -668,27 +738,40 @@ def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
         floor = self.pool_scores[queries, -1]
         if self.diverse:
             floor = np.minimum(floor, self.kth_best[queries])
-        floors.append(floor.copy())
+        trace.floors.append(floor.copy())
         real_fold(self, queries, data, scores)
+
+    def recording_block_floor(self, data, scores):
+        floor = block_floor(self, data, scores)
+        trace.block_floors.append(np.broadcast_to(floor, scores.shape[:1]).copy())
+        return floor
+
+    def recording_merge_pool(self, queries, data, owner, rows, scores):
+        trace.taken.append(scores.copy())
+        merge_pool(self, queries, data, owner, rows, scores)
 
     with monkeypatch.context() as patch:
         patch.setattr(ShardedVectorIndex, "_finalize", capturing)
         patch.setattr(_ScanState, "fold", recording)
+        patch.setattr(_ScanState, "_block_floor", recording_block_floor)
+        patch.setattr(_ScanState, "_merge_pool", recording_merge_pool)
         before = index.stats()
         found = index.search_many(np.asarray(queries, dtype=float), days, **kwargs)
         after = index.stats()
     counters = {name: after[name] - before[name] for name in COUNTERS}
-    return found, counters, (scans[-1] if scans else None), floors
+    return found, counters, (scans[-1] if scans else None), trace
 
 
 def assert_matches_dense_fold(monkeypatch, index, queries, days, **kwargs):
     """The floor changes nothing a search returns, counts or keeps to the end:
     ids, similarity bits, scan counters, pools, ``kth_best`` and every
-    category best at or above ``kth_best``.  Returns the floors of the run."""
-    found, counters, scan, floors = traced_search(monkeypatch, index, queries, days, **kwargs)
+    category best at or above ``kth_best``; and the fold never takes a
+    filtered (``-inf``) cell.  Returns the :class:`Trace` of the run."""
+    found, counters, scan, trace = traced_search(monkeypatch, index, queries, days, **kwargs)
     expected, expected_counters, reference, _ = traced_search(
         monkeypatch, index, queries, days, fold=dense_fold, **kwargs
     )
+    assert all(np.isfinite(cells).all() for cells in trace.taken)
     assert [[n.incident_id for n in row] for row in found] == [
         [n.incident_id for n in row] for row in expected
     ]
@@ -706,11 +789,12 @@ def assert_matches_dense_fold(monkeypatch, index, queries, days, **kwargs):
             np.testing.assert_array_equal(
                 getattr(scan, name)[read], getattr(reference, name)[read], name
             )
-    return floors
+    return trace
 
 
-def sparse_blocks(floors):
-    return sum(1 for floor in floors if floor.min() > -math.inf)
+def sparse_blocks(trace):
+    """Blocks whose every row already had a floor from its scan state."""
+    return sum(1 for floor in trace.floors if floor.min() > -math.inf)
 
 
 def dense_case(monkeypatch, case):
@@ -725,7 +809,7 @@ def dense_case(monkeypatch, case):
 
 
 class TestFloorMatchesDenseFold:
-    """``fold`` skips every cell below a query's floor once all its rows have one."""
+    """``fold`` takes only the cells at or above each row's floor, and no ``-inf`` one."""
 
     @given(case=scan_cases())
     @settings(max_examples=150, deadline=None,
@@ -772,8 +856,8 @@ class TestFloorMatchesDenseFold:
         vector = [1.0, 0.0]
         index = build([(vector, 36.0, "A"), (vector, 24.0, "A"), (vector, 24.0, "A")],
                       alpha=0.2, k=1, diverse=diverse)
-        floors = assert_matches_dense_fold(monkeypatch, index, np.array([vector]), [30.0])
-        assert sparse_blocks(floors) == 1
+        trace = assert_matches_dense_fold(monkeypatch, index, np.array([vector]), [30.0])
+        assert sparse_blocks(trace) == 1
         found, _, scan, _ = traced_search(monkeypatch, index, [vector], [30.0])
         assert [n.incident_id for n in found[0]] == ["i0"]
         assert scan.pool_seqs.tolist() == [[0, 1]]
@@ -788,8 +872,8 @@ class TestFloorMatchesDenseFold:
         entries = [([1.0, 0.0], 40.0, "C")]
         entries += [([0.0, 0.0], 30.0, "A") for _ in range(4)] + [([1.0, 0.0], 30.0, "B")]
         index = build(entries, alpha=0.0, k=2)
-        floors = assert_matches_dense_fold(monkeypatch, index, np.array([[0.0, 0.0]]), [30.0])
-        assert sparse_blocks(floors) == 1
+        trace = assert_matches_dense_fold(monkeypatch, index, np.array([[0.0, 0.0]]), [30.0])
+        assert sparse_blocks(trace) == 1
         found, _, scan, _ = traced_search(monkeypatch, index, [[0.0, 0.0]], [30.0])
         assert [n.incident_id for n in found[0]] == ["i1", "i0"]
         assert scan.kth_best.tolist() == [0.5] and scan.pool_scores.min() == 1.0
@@ -807,10 +891,114 @@ class TestFloorMatchesDenseFold:
         index = build(entries, alpha=0.0, k=2, diverse=diverse)
         own = {f"i{row}" for row in range(8, 16)}
         query = rng.standard_normal(2)
-        floors = assert_matches_dense_fold(
+        trace = assert_matches_dense_fold(
             monkeypatch, index, np.array([query, query]), [30.0, 30.0],
             exclude_ids=[None, own],
         )
-        mixed = [floor for floor in floors if floor.shape[0] == 2
+        mixed = [floor for floor in trace.floors if floor.shape[0] == 2
                  and floor.max() > -math.inf and floor.min() == -math.inf]
         assert mixed
+
+
+# ---------------------------------------------------- first-block floors
+LOWEST = -np.finfo(np.float64).max
+
+
+def axis_entries(rows, day=10.0):
+    """``(distance, category)`` rows as entries at distance ``distance`` from
+    the origin; with ``alpha = 0`` each scores exactly ``1 / (1 + distance)``."""
+    return [([distance, 0.0], day, category) for distance, category in rows]
+
+
+def first_block(monkeypatch, index, queries, days, **kwargs):
+    """Checks one search against the dense fold and the per-query scan;
+    returns its trace."""
+    trace = assert_matches_dense_fold(monkeypatch, index, queries, days, **kwargs)
+    assert_matches_reference(index, queries, days, **kwargs)
+    return trace
+
+
+class TestFirstBlockFloor:
+    """A query's first shard folds through a floor its own block gives."""
+
+    def test_exactly_2k_maxima_with_a_tie_at_the_2kth(self, monkeypatch):
+        """Four categories (k = 2), the fourth maximum tied three ways.
+
+        The floor is the 2k-th largest category maximum, 0.25: every tie
+        at it is taken and the pool keeps the one inserted first.
+        """
+        entries = axis_entries([(3, "A"), (0, "A"), (1, "B"), (2, "C"), (3, "D"),
+                                (9, "B"), (4, "C")])
+        entries.insert(5, ([0.0, 3.0], 10.0, "D"))
+        index = build(entries, alpha=0.0, k=2, window=100.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [floor.tolist() for floor in trace.block_floors] == [[0.25]]
+        assert sorted(trace.taken[0].tolist()) == [0.25, 0.25, 0.25, 1 / 3, 0.5, 1.0]
+        found, _, scan, _ = traced_search(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [n.incident_id for n in found[0]] == ["i1", "i2"]
+        assert scan.pool_seqs.tolist() == [[1, 2, 3, 0]]
+        assert scan.kth_best.tolist() == [0.5]
+
+    @pytest.mark.parametrize("diverse", [True, False])
+    def test_a_shard_no_wider_than_2k(self, monkeypatch, diverse):
+        """Five rows, k = 3: every finite cell is taken, the excluded one never."""
+        index = build(axis_entries([(1, "A"), (2, "B"), (3, "A"), (4, "C"), (5, "B")]),
+                      alpha=0.0, k=3, diverse=diverse, window=100.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0],
+                            exclude_ids=[{"i2"}])
+        assert [floor.tolist() for floor in trace.block_floors] == [[LOWEST]]
+        assert sorted(trace.taken[0].tolist()) == [1 / 6, 1 / 5, 1 / 3, 1 / 2]
+
+    def test_a_category_filter_naming_two_categories(self, monkeypatch):
+        """Eight categories, two allowed (k = 2).
+
+        The floor is the 4th largest allowed score (1/4) lowered to the
+        smaller allowed maximum (1/7).  With fewer than four allowed cells
+        left every one of them is taken, and no filtered one.
+        """
+        rows = [(0, "c1"), (6, "c2"), (1, "c1"), (2, "c1"), (12, "c2"), (3, "c1")]
+        rows += [(10 + d, f"c{c}") for d, c in enumerate([0, 3, 4, 5, 6, 7] * 3)]
+        index = build(axis_entries(rows), alpha=0.0, k=2, window=100.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0],
+                            categories={"c1", "c2"})
+        assert [floor.tolist() for floor in trace.block_floors] == [[1 / 7]]
+        assert sorted(trace.taken[0].tolist()) == [1 / 7, 1 / 4, 1 / 3, 1 / 2, 1.0]
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0],
+                            categories={"c1", "c2"}, exclude_ids=[{"i2", "i3", "i4", "i5"}])
+        assert [floor.tolist() for floor in trace.block_floors] == [[LOWEST]]
+        assert sorted(trace.taken[0].tolist()) == [1 / 7, 1.0]
+
+    def test_k_at_or_above_the_category_count(self, monkeypatch):
+        """Three categories, k = 3: fewer maxima than 2k, so the floor is the
+        6th largest score (1/6) lowered to the smallest maximum (1/9)."""
+        rows = [(d, "c0") for d in range(4)] + [(d, "c1") for d in range(4, 8)]
+        rows += [(d, "c2") for d in range(8, 12)]
+        index = build(axis_entries(rows), alpha=0.0, k=3, window=100.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [floor.tolist() for floor in trace.block_floors] == [[1 / 9]]
+        assert len(trace.taken[0]) == 9
+        found, _, _, _ = traced_search(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [n.incident_id for n in found[0]] == ["i0", "i4", "i8"]
+
+    def test_every_cell_minus_inf(self, monkeypatch):
+        """Every row of the query's own shard excluded: that block takes nothing."""
+        entries = axis_entries([(d, f"c{d % 5}") for d in range(8)], day=30.0)
+        entries += axis_entries([(d, f"c{d % 3}") for d in range(1, 7)], day=40.0)
+        index = build(entries, alpha=0.1, k=2, window=5.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [30.0],
+                            exclude_ids=[{f"i{row}" for row in range(8)}])
+        assert trace.block_floors[0].tolist() == [LOWEST]
+        assert len(trace.block_floors) == 2 and len(trace.taken) == 1
+
+    def test_diversity_off_ties_straddle_the_2kth_score(self, monkeypatch):
+        """Four cells tie at the 4th largest score (k = 2): all are taken and
+        the pool keeps the two inserted first."""
+        entries = axis_entries([(3, "A"), (0, "A"), (3, "B"), (1, "A"), (3, "C"), (9, "A"),
+                                (3, "A")])
+        index = build(entries, alpha=0.0, k=2, diverse=False, window=100.0)
+        trace = first_block(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [floor.tolist() for floor in trace.block_floors] == [[0.25]]
+        assert len(trace.taken[0]) == 6
+        found, _, scan, _ = traced_search(monkeypatch, index, [[0.0, 0.0]], [10.0])
+        assert [n.incident_id for n in found[0]] == ["i1", "i3"]
+        assert scan.pool_seqs.tolist() == [[1, 3, 0, 2]]
