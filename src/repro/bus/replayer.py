@@ -31,8 +31,8 @@ The size/latency window is the replay's own batching policy, kept so golden
 digests stay byte-identical; whether replay should keep modelling a timer
 no live code runs is an open ROADMAP question.
 
-Pool-shape note: collection may still fan out to thread/process pools
-during replay; reports and counters are pool-shape-invariant by the
+Pool-shape note: collection may still fan out to a thread pool during
+replay; reports and counters are pool-shape-invariant by the
 ingestor's own contract.  Time-based *control* loops (autoscaler
 cooldowns) see the compressed timeline, so golden suites that compare
 across speeds pin static pools or zero cooldowns.

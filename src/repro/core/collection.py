@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..handlers import ExecutionResult, HandlerExecutor, HandlerRegistry, IncidentHandler
+from ..handlers import ExecutionResult, HandlerExecutor, HandlerRegistry
 from ..incidents import Incident
 from ..monitors import Alert
 from ..telemetry import TelemetryHub
@@ -99,18 +99,7 @@ class CollectionStage:
         report so prediction can still run on the alert information alone
         (the limitation the paper's discussion section acknowledges).
         """
-        return self.collect_with(incident, self.registry.match(incident.alert_type))
-
-    def collect_with(
-        self, incident: Incident, handler: Optional[IncidentHandler]
-    ) -> CollectionOutcome:
-        """Run collection for an incident with an already-matched handler.
-
-        Shared by :meth:`collect` (which matches through the registry) and
-        the process collection backend (which matches in the parent, ships
-        the handler's serialized form, and rebuilds it worker-side) so the
-        strict/degrade semantics can never diverge between the two paths.
-        """
+        handler = self.registry.match(incident.alert_type)
         if handler is None:
             if self.config.strict:
                 raise NoHandlerError(

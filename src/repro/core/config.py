@@ -129,10 +129,9 @@ class IngestConfig:
 
     Within a flushed micro-batch the *collection* phase (alert parsing +
     handler action graphs — log pulls, probe queries, correlation lookups)
-    can run concurrently on a worker pool while the *prediction* phase stays
-    batched: ``collect_workers`` sizes the pool and ``collect_backend``
-    picks threads (I/O-bound handlers; the default) or processes
-    (pure-Python-heavy handlers; requires serializable handlers).  Outcomes
+    can run concurrently on a thread pool inside the ingesting process while
+    the *prediction* phase stays batched: ``collect_workers`` sizes the pool
+    (handler queries are I/O-bound, so threads overlap them).  Outcomes
     are folded back in submission order before the single batched
     ``predict_many`` call, so reports, feedback routing, and ingest counters
     are identical to the serial path.
@@ -164,12 +163,6 @@ class IngestConfig:
     #: flushing thread (the pre-pool behaviour), N >= 1 fans each
     #: micro-batch's parse+collect calls out to N workers.
     collect_workers: Optional[int] = None
-    #: Worker pool backend: ``thread`` (default — handler queries release
-    #: the GIL on I/O and the telemetry hub is shared read-only) or
-    #: ``process`` (pure-Python-heavy handlers; handlers are shipped through
-    #: their JSON serialization, so script actions and unregistered
-    #: classifiers cannot cross the process boundary).
-    collect_backend: str = "thread"
     #: Utilization-driven autoscaling of the collection pool: an
     #: :class:`~repro.core.autoscale.AutoscalePolicy` enables the control
     #: loop (grow on sustained high utilization, shrink when idle,
@@ -205,11 +198,6 @@ class IngestConfig:
             raise ValueError("queue_capacity must be positive")
         if self.collect_workers is not None and self.collect_workers < 1:
             raise ValueError("collect_workers must be positive (or None for serial)")
-        if self.collect_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown collect backend: {self.collect_backend!r} "
-                "(expected 'thread' or 'process')"
-            )
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be positive")
         if self.predict_chunk_size is not None and self.predict_chunk_size < 1:

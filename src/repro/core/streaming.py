@@ -26,8 +26,8 @@ Two driving modes share all of the batching logic:
 Each flushed micro-batch runs in two phases mirroring the paper's
 collection/prediction split: the **collection phase** (alert parsing +
 handler action graphs) optionally fans out to a
-:class:`~repro.core.collect_pool.CollectionPool`
-(``IngestConfig.collect_workers`` / ``collect_backend``), with incident ids
+:class:`~repro.core.collect_pool.CollectionPool` of threads
+(``IngestConfig.collect_workers``), with incident ids
 pre-reserved in submission order and outcomes folded back in submission
 order; the **prediction phase** then runs once over the whole batch
 (``diagnose_collected``: batch embed, one retrieval pass, deduplicated LLM
@@ -314,7 +314,6 @@ class StreamIngestor:
         self._collect_pool = CollectionPool(
             copilot.collection,
             workers=initial_workers,
-            backend=self.config.collect_backend,
             clock=self._clock,
         )
         self._autoscaler: Optional[PoolAutoscaler] = None

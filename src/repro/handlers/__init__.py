@@ -26,9 +26,7 @@ from .handler import (
 from .registry import HandlerNotFoundError, HandlerRegistry, RegistryEntry
 from .serialization import (
     CLASSIFIERS,
-    HandlerCache,
     SerializationError,
-    handler_fingerprint,
     handler_from_dict,
     handler_from_json,
     handler_to_dict,
@@ -59,9 +57,7 @@ __all__ = [
     "HandlerRegistry",
     "RegistryEntry",
     "CLASSIFIERS",
-    "HandlerCache",
     "SerializationError",
-    "handler_fingerprint",
     "handler_from_dict",
     "handler_from_json",
     "handler_to_dict",

@@ -66,8 +66,8 @@ class HandlerExecutor:
     :class:`~repro.handlers.actions.ActionContext`), so one executor may be
     shared by concurrent collection workers as long as nothing writes into
     the hub while they run — the same read-only contract the telemetry hub
-    itself documents.  It is also picklable (hub + plain floats), which is
-    what lets the process collection backend rebuild one per worker.
+    itself documents.  It is also picklable and deep-copyable (hub + plain
+    floats), so whole pipelines can be copied.
 
     ``max_wall_seconds`` bounds one execution's wall-clock time: the budget
     is checked between action steps, so a handler stuck in slow telemetry
@@ -80,8 +80,8 @@ class HandlerExecutor:
     ``handler.step`` site, so configured faults surface exactly where a
     real action failure would — inside one incident's execution, contained
     by the collection stage's per-alert failure handling.  The injector is
-    deliberately not pickled (process collection workers rebuild pristine
-    executors from config; faults stay in the coordinating process).
+    deliberately dropped from pickles and deep copies: it holds a lock, and
+    a copied pipeline starts without injected faults.
     """
 
     def __init__(

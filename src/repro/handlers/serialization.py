@@ -146,52 +146,17 @@ def handler_from_dict(payload: Dict[str, Any]) -> IncidentHandler:
             author=payload.get("author", "oce"),
             max_steps=int(payload.get("max_steps", 50)),
         )
+    except SerializationError:
+        raise
     except KeyError as missing:
         raise SerializationError(f"handler document missing field: {missing}") from missing
+    except (AttributeError, TypeError, ValueError) as exc:
+        # A field of the wrong type or value (``"nodes": []``, ``"version":
+        # "v2"``, ``"max_steps": null``, an unknown scope) is as permanent
+        # as a missing one.
+        raise SerializationError(f"malformed handler document: {exc}") from exc
     handler.validate()
     return handler
-
-
-def handler_fingerprint(payload: Dict[str, Any]) -> tuple:
-    """Identity key of a serialized handler: (alert type, name, version).
-
-    The registry guarantees the triple is unique (versions are assigned on
-    registration), so it is a safe cache key for rebuilt handlers.
-    """
-    try:
-        return (payload["alert_type"], payload["name"], int(payload.get("version", 1)))
-    except KeyError as missing:
-        raise SerializationError(f"handler document missing field: {missing}") from missing
-
-
-class HandlerCache:
-    """Rebuilds handlers from serialized documents, caching by fingerprint.
-
-    The process collection backend ships handlers across the process
-    boundary as JSON-compatible dictionaries (arbitrary callables do not
-    pickle; named classifiers are resolved through :data:`CLASSIFIERS` on
-    the worker side).  Rebuilding and re-validating the decision tree for
-    every incident would dominate small handlers, so each worker keeps one
-    of these caches: the first incident of an (alert type, name, version)
-    triple pays the rebuild, every recurrence is a dict lookup.
-    """
-
-    def __init__(self) -> None:
-        self._handlers: Dict[tuple, IncidentHandler] = {}
-
-    def __len__(self) -> int:
-        return len(self._handlers)
-
-    def resolve(self, payload: Optional[Dict[str, Any]]) -> Optional[IncidentHandler]:
-        """Return the handler for a serialized document (None passes through)."""
-        if payload is None:
-            return None
-        key = handler_fingerprint(payload)
-        handler = self._handlers.get(key)
-        if handler is None:
-            handler = handler_from_dict(payload)
-            self._handlers[key] = handler
-        return handler
 
 
 def handler_to_json(handler: IncidentHandler, indent: int = 2) -> str:

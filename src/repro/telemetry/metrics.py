@@ -70,10 +70,9 @@ class MetricSeries:
     def __getstate__(self) -> Dict[str, object]:
         """Copy/pickle support: snapshot the samples, drop the lock.
 
-        Locks are neither picklable nor deep-copyable; the process
-        collection backend ships the telemetry hub to workers and tests
-        deep-copy whole pipelines, so the series serializes a consistent
-        snapshot and rebuilds a fresh lock on the other side.
+        Locks are neither picklable nor deep-copyable, and tests deep-copy
+        whole pipelines (hub included), so the series serializes a
+        consistent snapshot and rebuilds a fresh lock on the other side.
         """
         with self._lock:
             return {

@@ -24,7 +24,6 @@ from .sharded import (
     ShardedVectorIndex,
     time_bucket,
 )
-from .shardmem import BlobSpec, SharedBlob
 from .similarity import (
     DEFAULT_ALPHA,
     DEFAULT_K,
@@ -48,8 +47,6 @@ __all__ = [
     "CompactionPolicy",
     "ShardedVectorIndex",
     "time_bucket",
-    "BlobSpec",
-    "SharedBlob",
     "DEFAULT_ALPHA",
     "DEFAULT_K",
     "SimilarityConfig",

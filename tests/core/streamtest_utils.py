@@ -5,19 +5,14 @@ parity suites can compare runs value-for-value:
 
 * the **flaky** classifier fails based on the alert *message* (never on
   timing or global order), so the same alert stream produces the same
-  failures whether collection ran serially, on a thread pool, or in worker
-  processes;
+  failures whether collection ran serially or on a thread pool;
 * the **slow** classifier sleeps a fixed couple of milliseconds, simulating
   the I/O-bound telemetry pulls that make a collection pool worthwhile;
-* both classifiers are registered by name at import time, which also makes
-  the handlers JSON-serializable — the requirement of the process
-  collection backend (workers resolve classifiers through the registry
-  after rebuilding the handler from its document).
+* both classifiers are registered by name at import time, so the handlers
+  stay JSON-serializable like authored ones.
 
 Import this module with a plain ``import streamtest_utils`` — pytest puts
-each test file's directory on ``sys.path``, and importing it in the parent
-process (before any process pool forks) is exactly what registers the
-classifiers for worker processes too.
+each test file's directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -311,7 +306,6 @@ def _history_model() -> FastTextEmbedder:
 
 def ingest_config(
     collect_workers: Optional[int],
-    collect_backend: str = "thread",
     max_batch: int = 64,
     pipeline_depth: int = 1,
     predict_chunk_size: Optional[int] = None,
@@ -321,7 +315,6 @@ def ingest_config(
         max_batch=max_batch,
         max_latency_seconds=5.0,
         collect_workers=collect_workers,
-        collect_backend=collect_backend,
         pipeline_depth=pipeline_depth,
         predict_chunk_size=predict_chunk_size,
     )

@@ -1,17 +1,16 @@
 """Unit tests for the collection worker pool behind the stream ingestor.
 
 Covers the pool's execution contract directly, without the ingestion front:
-submission-order folding, serial/thread/process equivalence, per-item crash
+submission-order folding, serial/thread-pool equivalence, per-item crash
 containment (a raising handler fails only its own slot and the pool survives
-the next wave), process-safe handler serialization, the handler rebuild
-cache, the executor wall-clock budget, and the sharing of equal section text
-between the reports of a wave and of a replayed burst.
+the next wave), script-action and handler-less collection on the pool, the
+executor wall-clock budget, and the sharing of equal section text between
+the reports of a wave and of a replayed burst.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 
 import pytest
@@ -30,27 +29,10 @@ from repro.core import (
     RCACopilot,
     VirtualClock,
 )
-from repro.handlers import (
-    HandlerCache,
-    HandlerRegistry,
-    QueryAction,
-    SerializationError,
-    handler_to_dict,
-    linear_handler,
-    register_classifier,
-)
+from repro.handlers import HandlerRegistry, QueryAction, linear_handler
 from repro.llm import SimulatedLLM
-from repro.monitors import Alert, AlertRouter, AlertScope
+from repro.monitors import AlertRouter
 from repro.telemetry import TelemetryHub
-
-
-#: Registered at import time (in the parent), so forked pool workers
-#: inherit it and serialized handlers can reference it by name.
-@register_classifier("collect_pool_worker_kill")
-def _worker_kill_classifier(context, table) -> str:
-    if "kill-worker" in context.incident.alert_message:
-        os._exit(13)  # simulate an OOM kill / native crash of the worker
-    return "default"
 
 
 def build_stage(strict: bool = True, registry=None, wall_budget=None) -> CollectionStage:
@@ -87,9 +69,9 @@ class TestBackendEquivalence:
             for i, t in enumerate([stu.SLEEPY_TYPE, stu.FLAKY_TYPE] * 3)
         ]
         baselines = None
-        for workers, backend in ((None, "thread"), (3, "thread"), (2, "process")):
+        for workers in (None, 3):
             stage = build_stage()
-            pool = CollectionPool(stage, workers=workers, backend=backend)
+            pool = CollectionPool(stage, workers=workers)
             with pool:
                 results = pool.run(alerts, reserved_ids(stage, len(alerts)))
             assert all(r.ok for r in results)
@@ -103,7 +85,7 @@ class TestBackendEquivalence:
         stage = build_stage()
         alerts = [stu.make_stream_alert(i) for i in range(10)]
         ids = reserved_ids(stage, len(alerts))
-        pool = CollectionPool(stage, workers=4, backend="thread")
+        pool = CollectionPool(stage, workers=4)
         with pool:
             results = pool.run(alerts, ids)
         assert [r.index for r in results] == list(range(10))
@@ -121,11 +103,7 @@ class TestBackendEquivalence:
         with pytest.raises(ValueError):
             CollectionPool(stage, workers=0)
         with pytest.raises(ValueError):
-            CollectionPool(stage, backend="fiber")
-        with pytest.raises(ValueError):
             IngestConfig(collect_workers=0)
-        with pytest.raises(ValueError):
-            IngestConfig(collect_backend="fiber")
         with pytest.raises(ValueError):
             CollectionConfig(handler_wall_budget_seconds=0.0)
         with pytest.raises(ValueError):
@@ -133,10 +111,8 @@ class TestBackendEquivalence:
 
 
 class TestCrashContainment:
-    @pytest.mark.parametrize(
-        "workers,backend", [(None, "thread"), (4, "thread"), (2, "process")]
-    )
-    def test_failure_hits_only_its_slot_and_pool_survives(self, workers, backend):
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_failure_hits_only_its_slot_and_pool_survives(self, workers):
         stage = build_stage(strict=True)
         flaky_positions = {1, 4}
         alerts = [
@@ -145,7 +121,7 @@ class TestCrashContainment:
             )
             for i in range(6)
         ]
-        pool = CollectionPool(stage, workers=workers, backend=backend)
+        pool = CollectionPool(stage, workers=workers)
         with pool:
             results = pool.run(alerts, reserved_ids(stage, len(alerts)))
             assert {r.index for r in results if not r.ok} == flaky_positions
@@ -160,51 +136,10 @@ class TestCrashContainment:
             wave2 = pool.run(second, reserved_ids(stage, len(second)))
             assert all(r.ok for r in wave2)
 
-    def test_dead_worker_process_breaks_wave_but_pool_recovers(self):
-        """A worker dying outright fails its wave; the next wave gets a fresh pool."""
-        registry = stu.stream_test_registry()
-        registry.register(
-            linear_handler(
-                "StreamKiller",
-                "stream-killer",
-                [
-                    QueryAction(
-                        "maybe_kill",
-                        source="events",
-                        classify=_worker_kill_classifier,
-                    )
-                ],
-            )
-        )
-        stage = build_stage(registry=registry)
-        killer = Alert(
-            alert_id="AL-KILL-00001",
-            alert_type="StreamKiller",
-            scope=AlertScope.FOREST,
-            timestamp=3600.0,
-            machine="",
-            forest="forest-01",
-            message="please kill-worker now",
-            severity=3,
-        )
-        pool = CollectionPool(stage, workers=2, backend="process")
-        with pool:
-            wave1 = pool.run(
-                [killer, stu.make_stream_alert(1)], reserved_ids(stage, 2)
-            )
-            assert not wave1[0].ok  # the killed worker's own alert always fails
-            # The broken executor must have been discarded: the next wave
-            # runs on a fresh pool and succeeds end to end.
-            second = [stu.make_stream_alert(10 + i) for i in range(3)]
-            ids = reserved_ids(stage, len(second))
-            wave2 = pool.run(second, ids)
-            assert all(r.ok for r in wave2)
-            assert [r.incident.incident_id for r in wave2] == ids
-
     def test_nonstrict_mode_degrades_instead_of_failing(self):
         stage = build_stage(strict=False)
         alerts = [stu.make_stream_alert(0, alert_type=stu.FLAKY_TYPE, flaky=True)]
-        pool = CollectionPool(stage, workers=2, backend="thread")
+        pool = CollectionPool(stage, workers=2)
         with pool:
             results = pool.run(alerts, reserved_ids(stage, 1))
         assert results[0].ok
@@ -220,7 +155,7 @@ class TestCrashContainment:
             stu.make_stream_alert(0, alert_type=stu.SLEEPY_TYPE),
             stu.make_stream_alert(1, alert_type=stu.FLAKY_TYPE),
         ]
-        pool = CollectionPool(stage, workers=2, backend="thread")
+        pool = CollectionPool(stage, workers=2)
         with pool:
             results = pool.run(alerts, reserved_ids(stage, 2))
         assert not results[0].ok
@@ -228,8 +163,8 @@ class TestCrashContainment:
         assert results[1].ok
 
 
-class TestProcessSerialization:
-    def test_script_handler_fails_per_item_on_process_backend(self):
+class TestPooledHandlers:
+    def test_script_handler_collects_on_the_thread_pool(self):
         registry = stu.stream_test_registry()
         registry.register(
             linear_handler(
@@ -243,68 +178,18 @@ class TestProcessSerialization:
             stu.make_stream_alert(0, alert_type="StreamScripted"),
             stu.make_stream_alert(1, alert_type=stu.SLEEPY_TYPE),
         ]
-        pool = CollectionPool(stage, workers=2, backend="process")
-        with pool:
+        with CollectionPool(stage, workers=2) as pool:
             results = pool.run(alerts, reserved_ids(stage, 2))
-        assert not results[0].ok
-        assert isinstance(results[0].error, SerializationError)
-        assert results[1].ok
-        # The same handler is fine on the thread backend (no serialization).
-        thread_stage = build_stage(registry=registry)
-        thread_pool = CollectionPool(thread_stage, workers=2, backend="thread")
-        with thread_pool:
-            thread_results = thread_pool.run(alerts, reserved_ids(thread_stage, 2))
-        assert all(r.ok for r in thread_results)
-
-    def test_hub_blob_created_once_reused_and_destroyed(self):
-        """The (hub, config) snapshot is one shared segment per pool life.
-
-        Created lazily with the first process executor, reused verbatim by
-        executors rebuilt after a discard (crash / resize path), and
-        unlinked by close() so /dev/shm is left clean.
-        """
-        stage = build_stage()
-        pool = CollectionPool(stage, workers=2, backend="process")
-        assert pool._hub_blob is None  # noqa: SLF001 - lazy
-        with pool:
-            alerts = [stu.make_stream_alert(i) for i in range(2)]
-            results = pool.run(alerts, reserved_ids(stage, 2))
-            assert all(r.ok for r in results)
-            blob = pool._hub_blob  # noqa: SLF001
-            assert blob is not None
-            # Rebuild the executor: the snapshot segment is reused, not
-            # re-pickled.
-            pool._discard_executor()  # noqa: SLF001
-            more = [stu.make_stream_alert(10 + i) for i in range(2)]
-            results = pool.run(more, reserved_ids(stage, 2))
-            assert all(r.ok for r in results)
-            assert pool._hub_blob is blob  # noqa: SLF001
-        assert pool._hub_blob is None  # noqa: SLF001 - destroyed by close()
-        import os
-
-        if os.path.isdir("/dev/shm"):
-            assert blob.spec.name not in os.listdir("/dev/shm")
-
-    def test_handler_cache_rebuilds_once_per_version(self):
-        handler = stu.stream_test_registry().match(stu.SLEEPY_TYPE)
-        doc = handler_to_dict(handler)
-        cache = HandlerCache()
-        first = cache.resolve(doc)
-        second = cache.resolve(doc)
-        assert first is second
-        assert len(cache) == 1
-        assert cache.resolve(None) is None
-        bumped = dict(doc, version=99)
-        assert cache.resolve(bumped) is not first
-        assert len(cache) == 2
+        assert all(r.ok for r in results)
+        assert results[0].outcome.matched_handler == "stream-scripted"
 
     def test_no_handler_behaviour_matches_across_backends(self):
         # An alert type with no registered handler degrades (non-strict) the
-        # same way whether the miss happens in the parent or in a worker.
+        # same way serially and on the thread pool.
         registry = HandlerRegistry()
-        for workers, backend in ((None, "thread"), (2, "process")):
+        for workers in (None, 2):
             stage = CollectionStage(registry, TelemetryHub(), CollectionConfig(strict=False))
-            pool = CollectionPool(stage, workers=workers, backend=backend)
+            pool = CollectionPool(stage, workers=workers)
             with pool:
                 results = pool.run(
                     [stu.make_stream_alert(0)], reserved_ids(stage, 1)
@@ -321,8 +206,8 @@ def section_texts(result):
 class TestSectionSharing:
     """Equal section text is one object, however many reports hold it."""
 
-    @pytest.mark.parametrize("workers,backend", [(None, "thread"), (3, "thread")])
-    def test_incidents_over_one_window_share_their_section_text(self, workers, backend):
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_incidents_over_one_window_share_their_section_text(self, workers):
         stage = build_stage()
         # One timestamp, so one window: every section renders the same text.
         alerts = [
@@ -331,7 +216,7 @@ class TestSectionSharing:
             )
             for i in range(4)
         ]
-        with CollectionPool(stage, workers=workers, backend=backend) as pool:
+        with CollectionPool(stage, workers=workers) as pool:
             results = pool.run(alerts, reserved_ids(stage, len(alerts)))
         first, *rest = [section_texts(r) for r in results]
         assert len(first) == 3 and "WinSock error" in first[0][1]
@@ -339,16 +224,6 @@ class TestSectionSharing:
             assert other == first
             for texts, other_texts in zip(first, other):
                 assert all(ours is theirs for ours, theirs in zip(texts, other_texts))
-
-    def test_process_backend_sections_stay_value_equal(self):
-        alerts = [stu.make_stream_alert(i, alert_type=stu.FLAKY_TYPE) for i in range(4)]
-        texts = {}
-        for workers, backend in ((None, "thread"), (2, "process")):
-            stage = build_stage()
-            with CollectionPool(stage, workers=workers, backend=backend) as pool:
-                results = pool.run(alerts, reserved_ids(stage, len(alerts)))
-            texts[backend] = [section_texts(r) for r in results]
-        assert texts["process"] == texts["thread"]
 
     def test_a_replayed_burst_retains_one_copy_of_each_section_text(self):
         """Retention, counted: 96 alerts of simulated flash-crowd traffic.

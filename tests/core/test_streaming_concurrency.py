@@ -3,8 +3,7 @@
 Locks the serial/pooled parity contract: for identical alert streams, the
 diagnosis reports, the per-alert failures, the post-feedback index state,
 and the ingest counters are value-identical for ``collect_workers`` of
-None, 1, and 4 and for both the thread and process backends
-(hypothesis-tested over random streams with deterministic flaky/slow
+None, 1, and 4 (hypothesis-tested over random streams with deterministic flaky/slow
 handlers).  Also covers crash containment through the ingestor, the
 deterministic ``stop()`` drain, and the thread-safety of ``stats()`` under
 a concurrent submit/flush storm.
@@ -36,8 +35,8 @@ from repro.telemetry import TelemetryHub
 from repro.tenancy import TenantRouter
 
 
-#: (collect_workers, collect_backend) variants locked to the serial baseline.
-PARITY_VARIANTS = ((None, "thread"), (1, "thread"), (4, "thread"), (2, "process"))
+#: collect_workers variants locked to the serial baseline.
+PARITY_VARIANTS = (None, 1, 4)
 
 #: One random stream element: (alert type, flaky marker planted?).
 STREAM_ELEMENT = st.tuples(
@@ -59,21 +58,16 @@ def make_stream(spec):
     ]
 
 
-def run_stream_variant(base: RCACopilot, spec, workers, backend, depth=1, chunk=None):
+def run_stream_variant(base: RCACopilot, spec, workers):
     """Ingest the stream twice (feedback in between); return the run's telemetry.
 
     Wave 1 diagnoses the stream, every successful incident gets an OCE-
     confirmed label fed back, wave 2 replays the same alerts (recurrences
     that should now retrieve the fed-back incidents).  Everything returned
-    is deterministic for a given spec, whatever the pool shape — or, with
-    ``depth``/``chunk``, whatever the pipeline shape.
+    is deterministic for a given spec, whatever the pool shape.
     """
     copilot = copy.deepcopy(base)
-    ingestor = copilot.stream(
-        stu.ingest_config(
-            workers, backend, pipeline_depth=depth, predict_chunk_size=chunk
-        )
-    )
+    ingestor = copilot.stream(stu.ingest_config(workers))
     try:
         futures1 = ingestor.submit_many(make_stream(spec))
         ingestor.flush()
@@ -127,8 +121,8 @@ class TestSerialPooledParity:
     def test_parity_across_pool_shapes(self, base_copilot, spec):
         """Reports, failures, feedback effects, and stats match the serial run."""
         baseline = None
-        for workers, backend in PARITY_VARIANTS:
-            run = run_stream_variant(base_copilot, spec, workers, backend)
+        for workers in PARITY_VARIANTS:
+            run = run_stream_variant(base_copilot, spec, workers)
             if baseline is None:
                 baseline = run
             else:
@@ -144,8 +138,8 @@ class TestSerialPooledParity:
     def test_parity_soak(self, base_copilot, spec):
         """Nightly: the same property over longer streams and more examples."""
         baseline = None
-        for workers, backend in (*PARITY_VARIANTS, (3, "process")):
-            run = run_stream_variant(base_copilot, spec, workers, backend)
+        for workers in PARITY_VARIANTS:
+            run = run_stream_variant(base_copilot, spec, workers)
             if baseline is None:
                 baseline = run
             else:
@@ -305,28 +299,12 @@ class TestPipelineParity:
             else:
                 assert run == baseline
 
-    def test_pipelined_matches_barrier_on_process_backend(self, base_copilot):
-        """The same contract across the process-pool collection backend."""
-        spec = [
-            (stu.SLEEPY_TYPE, False),
-            (stu.FLAKY_TYPE, True),
-            (stu.SLEEPY_TYPE, False),
-            (stu.FLAKY_TYPE, False),
-        ] * 2
-        baseline = run_stream_variant(base_copilot, spec, 2, "process")
-        pipelined = run_stream_variant(
-            base_copilot, spec, 2, "process", depth=2, chunk=2
-        )
-        assert pipelined == baseline
-
 
 class TestCrashContainment:
-    @pytest.mark.parametrize(
-        "workers,backend", [(None, "thread"), (4, "thread"), (2, "process")]
-    )
-    def test_worker_failure_fails_only_its_future(self, base_copilot, workers, backend):
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_worker_failure_fails_only_its_future(self, base_copilot, workers):
         copilot = copy.deepcopy(base_copilot)
-        ingestor = copilot.stream(stu.ingest_config(workers, backend))
+        ingestor = copilot.stream(stu.ingest_config(workers))
         try:
             flaky_positions = {1, 3}
             alerts = [

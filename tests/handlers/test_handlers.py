@@ -222,6 +222,30 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             handler_to_dict(handler)
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: doc.update(version="v2"),
+            lambda doc: doc.update(nodes=[]),
+            lambda doc: doc.update(max_steps=None),
+            lambda doc: doc["nodes"]["step-01"]["action"].update(target_scope="galaxy"),
+        ],
+        ids=["version-v2", "nodes-list", "max-steps-null", "unknown-scope"],
+    )
+    def test_malformed_document_raises_serialization_error(self, malform):
+        import json
+
+        from repro.handlers import SerializationError, handler_to_dict
+
+        handler = linear_handler(
+            "X", "x", [ScopeSwitchAction("switch", target_scope=AlertScope.MACHINE)]
+        )
+        document = handler_to_dict(handler)
+        assert handler_from_json(json.dumps(document)).root == "step-01"
+        malform(document)
+        with pytest.raises(SerializationError):
+            handler_from_json(json.dumps(document))
+
 
 class TestExecution:
     def test_execute_collects_sections_and_outputs(self, warm_service: TransportService, registry):

@@ -515,13 +515,13 @@ class TestTenantIsolation:
 
 
 # ----------------------------------------------------------------- parity
-def run_router_variant(spec, n_tenants, depth=1, workers=None, backend="thread"):
+def run_router_variant(spec, n_tenants, depth=1, workers=None):
     """Two-pass (feedback in between) multi-tenant run; per-tenant telemetry."""
     tenants = TENANTS[:n_tenants]
     router = build_router(
         n_tenants,
         clock=stu.FakeClock(),
-        ingest=stu.ingest_config(workers, backend, pipeline_depth=depth),
+        ingest=stu.ingest_config(workers, pipeline_depth=depth),
     )
     try:
 
@@ -613,7 +613,7 @@ class TestTenantParity:
         for tenant in TENANTS[:n_tenants]:
             assert routed[tenant] == run_isolated(spec, n_tenants, tenant)
 
-    def test_parity_holds_on_pooled_and_process_collection(self):
+    def test_parity_holds_on_pooled_collection(self):
         spec = [
             (0, stu.IDLE_TYPE, False),
             (1, stu.FLAKY_TYPE, True),
@@ -623,9 +623,7 @@ class TestTenantParity:
         expected = {
             tenant: run_isolated(spec, 2, tenant) for tenant in TENANTS[:2]
         }
-        for workers, backend in ((2, "thread"), (2, "process")):
-            routed = run_router_variant(spec, 2, workers=workers, backend=backend)
-            assert routed == expected
+        assert run_router_variant(spec, 2, workers=2) == expected
 
     def test_noisy_neighbor_changes_nothing_for_the_steady_tenant(self):
         """Beta's results with a shedding, fault-heavy alpha alongside equal

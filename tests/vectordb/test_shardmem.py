@@ -1,41 +1,23 @@
-"""The segment codec under the sharded index, and shared blobs.
+"""The segment codec under the sharded index.
 
 Unit coverage for the layout planner, the segment write/map round trip
-and its fail-fast validation, and :class:`SharedBlob` leaving ``/dev/shm``
-exactly as it found it after ``destroy()``.
+and its fail-fast validation.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from repro.vectordb.shardmem import (
     ALIGNMENT,
-    BlobSpec,
-    SharedBlob,
     map_segment,
     plan_layout,
     write_durable,
     write_segment,
 )
-
-LINUX_ONLY = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="/dev/shm is Linux-specific"
-)
-
-
-def shm_entries():
-    """Names of repro-owned segments currently in /dev/shm."""
-    try:
-        return sorted(
-            name for name in os.listdir("/dev/shm") if name.startswith("repro-")
-        )
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def sample_arrays(rng, rows, dim):
@@ -103,17 +85,3 @@ class TestSegmentRoundtrip:
             map_segment(path, 5, 4)
         with pytest.raises(FileNotFoundError):
             map_segment(str(tmp_path / "absent.bin"), 5, 4)
-
-
-class TestSharedBlob:
-    @LINUX_ONLY
-    def test_roundtrip_and_destroy(self):
-        before = shm_entries()
-        payload = {"config": [1, 2, 3], "name": "hub"}
-        blob = SharedBlob.create(payload)
-        assert SharedBlob.read(blob.spec) == payload
-        blob.destroy()
-        blob.destroy()  # idempotent
-        assert shm_entries() == before
-        with pytest.raises(FileNotFoundError):
-            SharedBlob.read(BlobSpec(name=blob.spec.name, length=blob.spec.length))
