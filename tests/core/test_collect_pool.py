@@ -4,17 +4,23 @@ Covers the pool's execution contract directly, without the ingestion front:
 submission-order folding, serial/thread-pool equivalence, per-item crash
 containment (a raising handler fails only its own slot and the pool survives
 the next wave), script-action and handler-less collection on the pool, the
-executor wall-clock budget, and the sharing of equal section text between
-the reports of a wave and of a replayed burst.
+executor wall-clock budget, the pool's close/rebuild lifecycle, collection
+staying in one process, and the sharing of equal section text between the
+reports of a wave and of a replayed burst.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import pathlib
 import random
+import re
+import threading
 
 import pytest
 
+import repro
 import streamtest_utils as stu
 from repro.bus import AlertEvent, BusReplayer, build_recording
 from repro.cloudsim import TransportService
@@ -156,6 +162,10 @@ class TestCrashContainment:
             stu.make_stream_alert(1, alert_type=stu.FLAKY_TYPE),
         ]
         pool = CollectionPool(stage, workers=2)
+        # A full garbage collection landing inside the fast alert's run can
+        # alone take longer than the 1ms budget; collecting first leaves the
+        # wave's own allocations far below the next full collection.
+        gc.collect()
         with pool:
             results = pool.run(alerts, reserved_ids(stage, 2))
         assert not results[0].ok
@@ -197,6 +207,51 @@ class TestPooledHandlers:
             assert results[0].ok
             assert results[0].outcome.matched_handler is None
             assert results[0].outcome.execution is None
+
+
+def collect_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rcacopilot-collect")]
+
+
+class TestPoolLifecycle:
+    def test_close_is_idempotent_and_a_later_run_rebuilds(self):
+        stage = build_stage()
+        pool = CollectionPool(stage, workers=2)
+        alerts = [stu.make_stream_alert(i) for i in range(3)]
+        assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 3)))
+        first = pool._executor  # noqa: SLF001
+        assert first is not None
+        pool.close()
+        pool.close()  # a repeated close is a no-op
+        assert pool._executor is None  # noqa: SLF001
+        results = pool.run(alerts, reserved_ids(stage, 3))
+        assert all(r.ok for r in results)
+        assert pool._executor is not None and pool._executor is not first  # noqa: SLF001
+        pool.close()
+
+    def test_close_joins_every_collect_thread(self):
+        before = set(collect_threads())
+        stage = build_stage()
+        with CollectionPool(stage, workers=3) as pool:
+            alerts = [stu.make_stream_alert(i, alert_type=stu.SLEEPY_TYPE) for i in range(6)]
+            assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 6)))
+            assert set(collect_threads()) - before
+        assert set(collect_threads()) <= before
+
+    def test_source_starts_no_worker_processes(self):
+        """Collection runs in the ingesting process, serially or on threads.
+
+        The benchmark's CPU and RSS metrics measure only its own process, so
+        work moved into a child process would escape them.
+        """
+        package = pathlib.Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package)}:{number}"
+            for path in sorted(package.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"multiprocessing|ProcessPoolExecutor", line)
+        ]
+        assert offenders == []
 
 
 def section_texts(result):

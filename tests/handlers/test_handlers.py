@@ -222,6 +222,35 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             handler_to_dict(handler)
 
+    def test_unknown_action_kind_raises(self):
+        from repro.handlers import SerializationError, handler_from_dict, handler_to_dict
+
+        handler = linear_handler(
+            "X", "x", [ScopeSwitchAction("switch", target_scope=AlertScope.MACHINE)]
+        )
+        document = handler_to_dict(handler)
+        document["nodes"]["step-01"]["action"]["kind"] = "teleport"
+        with pytest.raises(SerializationError, match="unknown action kind"):
+            handler_from_dict(document)
+
+    def test_unknown_classifier_raises(self):
+        from repro.handlers import SerializationError, handler_from_dict, handler_to_dict
+
+        handler = linear_handler("X", "x", [QueryAction("q", source="events")])
+        document = handler_to_dict(handler)
+        document["nodes"]["step-01"]["action"]["classify"] = "never-registered"
+        with pytest.raises(SerializationError, match="unknown classifier"):
+            handler_from_dict(document)
+
+    def test_missing_field_raises(self):
+        from repro.handlers import SerializationError, handler_from_dict, handler_to_dict
+
+        handler = linear_handler("X", "x", [QueryAction("q", source="events")])
+        document = handler_to_dict(handler)
+        del document["root"]
+        with pytest.raises(SerializationError, match="missing field"):
+            handler_from_dict(document)
+
     @pytest.mark.parametrize(
         "malform",
         [
