@@ -14,9 +14,8 @@ Demonstrates the streaming deployment shape of RCACopilot:
    pool (``collect_workers``) while prediction stays batched — outcomes
    fold back in submission order, so reports are identical to serial;
    with ``pipeline_depth=2`` the two phases run as a double-buffered
-   pipeline (wave N+1 collects while wave N predicts) and
-   ``predict_chunk_size`` overlaps retrieval with LLM calls inside the
-   prediction phase, both without changing a single report or counter;
+   pipeline (wave N+1 collects while wave N predicts) without changing a
+   single report or counter;
 3. inject faults and submit each detected alert as it appears — exactly
    how an always-on deployment receives monitors' output;
 4. fold an on-call engineer's confirmed label back in *mid-stream* and
@@ -103,12 +102,10 @@ def main() -> None:
                 cooldown_seconds=0.0,
             ),
             # Double-buffered ingestion: wave N+1's collection overlaps
-            # wave N's (strictly serialized) prediction, and inside each
-            # prediction the next chunk's retrieval overlaps the current
-            # chunk's LLM calls.  Reports, feedback visibility, and every
-            # ingest counter are identical to barrier execution.
+            # wave N's (strictly serialized) prediction.  Reports, feedback
+            # visibility, and every ingest counter are identical to barrier
+            # execution.
             pipeline_depth=2,
-            predict_chunk_size=2,
         ),
     )
     copilot = RCACopilot(service.hub, config=config)
@@ -224,9 +221,9 @@ def main() -> None:
     # The same stream, but a third of the LLM calls now fail (injected,
     # seeded — reruns reproduce the exact outage schedule).  The resilient
     # wrapper retries with capped exponential backoff; when a call's
-    # attempts are exhausted it degrades that chunk to the explicit
-    # manual-triage category instead of failing the batch — no submitted
-    # alert ever loses its future.
+    # attempts are exhausted it degrades that wave's LLM batch to the
+    # explicit manual-triage category instead of failing the batch — no
+    # submitted alert ever loses its future.
     injector = FaultInjector(seed=7)
     resilient_model = ResilientChatModel(
         FaultyChatModel(SimulatedLLM(), injector),

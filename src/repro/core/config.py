@@ -143,10 +143,9 @@ class IngestConfig:
     order (wave N's feedback/index updates commit before wave N+1's
     prediction reads the index), so reports, feedback effects, and ingest
     counters remain value-identical to the barrier execution — the pipeline
-    only removes the inter-wave stall.  ``predict_chunk_size`` additionally
-    overlaps work *inside* the prediction phase: the batch is predicted in
-    chunks so chunk k+1's embedding/retrieval runs while chunk k's LLM
-    calls are in flight.
+    only removes the inter-wave stall.  Each wave is predicted in one
+    pass: one batched retrieval, then one batched LLM call over the
+    retrieved demonstrations.
     """
 
     #: Flush as soon as this many alerts are queued.
@@ -182,12 +181,6 @@ class IngestConfig:
     #: backpressure).  Reports, feedback effects, and ingest counters are
     #: identical at every depth.
     pipeline_depth: int = 1
-    #: Chunk size of the prediction phase: None (the default) predicts the
-    #: whole micro-batch in one pass; N >= 1 splits it so chunk k+1's
-    #: embedding/retrieval overlaps chunk k's LLM calls.  Cross-chunk LLM
-    #: deduplication is preserved (chunks pre-split on the prompt content
-    #: key), so predictions are identical at every chunk size.
-    predict_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
@@ -200,8 +193,6 @@ class IngestConfig:
             raise ValueError("collect_workers must be positive (or None for serial)")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be positive")
-        if self.predict_chunk_size is not None and self.predict_chunk_size < 1:
-            raise ValueError("predict_chunk_size must be positive (or None)")
         if self.collect_workers_min < 1:
             raise ValueError("collect_workers_min must be positive")
         if self.collect_workers_max < self.collect_workers_min:

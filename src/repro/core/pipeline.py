@@ -194,7 +194,6 @@ class RCACopilot:
         started: Optional[float] = None,
         now: Optional[Callable[[], float]] = None,
         timestamp: Optional[float] = None,
-        predict_chunk_size: Optional[int] = None,
     ) -> List[DiagnosisReport]:
         """Run the batched prediction phase over already-collected incidents.
 
@@ -211,10 +210,7 @@ class RCACopilot:
         injected clock pass its wall time so one batch's telemetry lives on
         a single timeline; the fallback is the copilot clock's wall time,
         never a direct ``time.time()`` read (which would leak the host's
-        wall clock into replayed runs).  ``predict_chunk_size`` (None = whole batch)
-        chunks the prediction phase so retrieval of chunk k+1 overlaps
-        chunk k's LLM calls; predictions are identical at every chunk size
-        (see :meth:`PredictionStage.predict_many`).
+        wall clock into replayed runs).
         """
         if not collections:
             return []
@@ -225,9 +221,7 @@ class RCACopilot:
         incidents = [collection.incident for collection in collections]
         predictions: List[Optional[PredictionOutcome]] = [None] * len(incidents)
         if self._indexed:
-            predictions = list(
-                self.prediction.predict_many(incidents, chunk_size=predict_chunk_size)
-            )
+            predictions = list(self.prediction.predict_many(incidents))
         elapsed = (now() - started) / len(incidents)
         if timestamp is None:
             timestamp = self.clock.time()

@@ -28,7 +28,6 @@ predictions and neighbour sets by construction.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +43,6 @@ from ..llm import (
     DiagnosticSummarizer,
     SimulatedLLM,
 )
-from ..llm.cot import fan_out_prediction, prompt_key
 from ..telemetry import TelemetryHub
 from ..vectordb import DEFAULT_WINDOW_DAYS, SimilarityConfig, VectorIndex, build_index
 from .clock import MONOTONIC_CLOCK, Clock
@@ -566,9 +564,7 @@ class PredictionStage:
         """
         return self.predict_many([incident])[0]
 
-    def predict_many(
-        self, incidents: Sequence[Incident], chunk_size: Optional[int] = None
-    ) -> List[PredictionOutcome]:
+    def predict_many(self, incidents: Sequence[Incident]) -> List[PredictionOutcome]:
         """Run the full prediction stage for a batch of incidents.
 
         Batch context build -> batch embed -> batch retrieve -> batch
@@ -576,27 +572,16 @@ class PredictionStage:
         :meth:`predict` calls (same labels, same neighbour sets); recurring
         incidents additionally hit the summary/embedding caches and are
         deduplicated inside the LLM batch.
-
-        ``chunk_size`` (None = whole batch at once) splits the
-        retrieve+predict tail into chunks so chunk k+1's embedding and
-        nearest-neighbour retrieval overlap chunk k's in-flight LLM calls;
-        predictions, neighbour sets, and cache counters are identical at
-        every chunk size (see :meth:`_predict_chunked`).
         """
         if not incidents:
             return []
         started = self._clock.monotonic()
         self._warm_summaries(incidents)
         contexts = [self.build_context(incident) for incident in incidents]
-        if chunk_size is not None and 0 < chunk_size < len(incidents):
-            demonstration_lists, predictions = self._predict_chunked(
-                incidents, contexts, chunk_size
-            )
-        else:
-            demonstration_lists = self.retrieve_many(incidents)
-            predictions = self.predictor.predict_many(
-                list(zip(contexts, demonstration_lists))
-            )
+        demonstration_lists = self.retrieve_many(incidents)
+        predictions = self.predictor.predict_many(
+            list(zip(contexts, demonstration_lists))
+        )
         elapsed = (self._clock.monotonic() - started) / len(incidents)
         outcomes: List[PredictionOutcome] = []
         for incident, context, demonstrations, prediction in zip(
@@ -614,76 +599,3 @@ class PredictionStage:
                 )
             )
         return outcomes
-
-    def _predict_chunked(
-        self,
-        incidents: Sequence[Incident],
-        contexts: Sequence[str],
-        chunk_size: int,
-    ) -> Tuple[List[List[Demonstration]], List[CategoryPrediction]]:
-        """Predict in chunks, overlapping retrieval with in-flight LLM calls.
-
-        Chunk k's LLM batch runs on a single dedicated lane while the
-        calling thread already embeds and retrieves chunk k+1 — the two
-        sides touch disjoint state (summaries and contexts were warmed for
-        the whole batch up front, so retrieval never reaches the chat
-        model, whose simulated implementation is stateful and single-lane).
-
-        Cross-chunk request deduplication is preserved by pre-splitting
-        each chunk on the predictor's prompt content key: rows whose prompt
-        already completed in an earlier chunk take the memoized prediction
-        (with their own demonstrations fanned back in, exactly as the
-        predictor's in-batch dedup does), only fresh prompts reach the LLM
-        lane.  Memoization applies only when the predictor is deterministic
-        — the same condition under which the predictor dedups within a
-        batch — so predictions and LLM round-trip counts are identical to
-        the unchunked path.
-        """
-        total = len(incidents)
-        dedup = self.predictor._deterministic()
-        demonstration_lists: List[Optional[List[Demonstration]]] = [None] * total
-        predictions: List[Optional[CategoryPrediction]] = [None] * total
-        memo: Dict[Tuple, CategoryPrediction] = {}
-
-        def land(pending) -> None:
-            """Fold one chunk's completed LLM results into the batch state."""
-            rows, items, future = pending
-            results = future.result() if future is not None else []
-            for row, (context, demonstrations), prediction in zip(
-                rows, items, results
-            ):
-                predictions[row] = prediction
-                if dedup:
-                    memo.setdefault(prompt_key(context, demonstrations), prediction)
-
-        pending = None
-        with ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="rcacopilot-predict-chunk"
-        ) as llm_lane:
-            for start in range(0, total, chunk_size):
-                rows = range(start, min(start + chunk_size, total))
-                # This retrieval overlaps the previous chunk's LLM calls.
-                retrieved = self.retrieve_many([incidents[row] for row in rows])
-                for row, demonstrations in zip(rows, retrieved):
-                    demonstration_lists[row] = demonstrations
-                if pending is not None:
-                    land(pending)
-                fresh_rows: List[int] = []
-                fresh_items: List[Tuple[str, List[Demonstration]]] = []
-                for row in rows:
-                    item = (contexts[row], demonstration_lists[row])
-                    shared = memo.get(prompt_key(*item)) if dedup else None
-                    if shared is not None:
-                        predictions[row] = fan_out_prediction(shared, item[1])
-                    else:
-                        fresh_rows.append(row)
-                        fresh_items.append(item)
-                future = (
-                    llm_lane.submit(self.predictor.predict_many, fresh_items)
-                    if fresh_items
-                    else None
-                )
-                pending = (fresh_rows, fresh_items, future)
-            if pending is not None:
-                land(pending)
-        return demonstration_lists, predictions  # type: ignore[return-value]

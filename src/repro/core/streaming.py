@@ -797,7 +797,6 @@ class StreamIngestor:
             started=wave.collect_started,
             now=self._clock.monotonic,
             timestamp=self._clock.time(),
-            predict_chunk_size=self.config.predict_chunk_size,
         )
 
     def _finish_wave(

@@ -45,7 +45,7 @@ class CategoryPrediction:
 
 
 def prompt_key(incident_text: str, demonstrations: Sequence[Demonstration]) -> Tuple:
-    """One prompt's dedup identity, within a batch and across prediction chunks."""
+    """One prompt's dedup identity within a prediction batch."""
     return (
         incident_text,
         tuple((d.incident_id, d.summary, d.category, d.similarity) for d in demonstrations),

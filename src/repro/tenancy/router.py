@@ -595,10 +595,6 @@ class TenantRouter(StreamIngestor):
         prediction-less reports, as the single-tenant path gives them.
         Reports align 1:1 with ``succeeded``; each incident is stamped
         with its ``owning_tenant`` so feedback routes itself.
-
-        ``predict_chunk_size`` is not applied to the combined batch — the
-        grouped call is a single pass (chunking would re-split what
-        grouping just merged); predictions are identical either way.
         """
         if not succeeded:
             return []

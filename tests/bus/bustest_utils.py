@@ -65,7 +65,6 @@ def replay_ingest_config(
     max_latency: float = 120.0,
     collect_workers: Optional[int] = None,
     pipeline_depth: int = 1,
-    predict_chunk_size: Optional[int] = None,
 ) -> IngestConfig:
     """The replay suites' ingest config: static pool, generous queue."""
     return IngestConfig(
@@ -73,7 +72,6 @@ def replay_ingest_config(
         max_latency_seconds=max_latency,
         collect_workers=collect_workers,
         pipeline_depth=pipeline_depth,
-        predict_chunk_size=predict_chunk_size,
     )
 
 

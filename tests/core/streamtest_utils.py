@@ -308,7 +308,6 @@ def ingest_config(
     collect_workers: Optional[int],
     max_batch: int = 64,
     pipeline_depth: int = 1,
-    predict_chunk_size: Optional[int] = None,
 ) -> IngestConfig:
     """An IngestConfig tuned for deterministic manual-flush tests."""
     return IngestConfig(
@@ -316,7 +315,6 @@ def ingest_config(
         max_latency_seconds=5.0,
         collect_workers=collect_workers,
         pipeline_depth=pipeline_depth,
-        predict_chunk_size=predict_chunk_size,
     )
 
 

@@ -314,7 +314,6 @@ class TestPipelineTelemetry:
                 max_latency_seconds=1.0,
                 collect_workers=2,
                 pipeline_depth=2,
-                predict_chunk_size=2,
             )
         )
         ingestor.submit_many(alert_feed[:9])

@@ -146,45 +146,21 @@ class TestSerialPooledParity:
                 assert run == baseline
 
 
-#: (pipeline_depth, predict_chunk_size) variants locked to the barrier run.
-PIPELINE_VARIANTS = ((1, None), (2, None), (2, 2), (3, 1))
+#: pipeline_depth variants locked to the barrier run.
+PIPELINE_VARIANTS = (1, 2, 3)
 
 #: One pipeline-parity stream element over the clock-driven handlers.
 PIPELINE_STREAM_ELEMENT = st.tuples(
     st.sampled_from([stu.BUSY_TYPE, stu.IDLE_TYPE, stu.FLAKY_TYPE]), st.booleans()
 )
 
-
-def is_twin_sandwich(spec) -> bool:
-    """The one stream shape the pinned retrieval defect is known to break.
-
-    Exactly three alerts succeed (a ``FLAKY_TYPE`` alert carrying the marker
-    fails and leaves no live incident) and they are typed X, Y, X over the
-    idle and busy handlers: after feedback the index holds two live
-    incidents with the same text and day — twins whose scores tie exactly —
-    around a third.  ``test_pipelined_matches_barrier`` pins that shape as a
-    strict-xfail ``@example`` and filters it, and nothing else, out of its
-    random draws.  Basis: every stream of up to 4 elements (and up to 5
-    without failing alerts) enumerated, plus ≈ 11,700 random streams of up
-    to 10 over both worker settings and flush patterns — 47 failed, 46 of
-    this shape (which fails on most but not all placements of the failing
-    alerts).  The other one (7 successes, chunk sizes 2 and 1 both) is
-    recorded under ROADMAP item 1; a draw like it can still fail this test
-    until the scoring kernel is shape-invariant.
-    """
-    succeeded = [
-        alert_type
-        for alert_type, flaky in spec
-        if not (alert_type == stu.FLAKY_TYPE and flaky)
-    ]
-    return (
-        len(succeeded) == 3
-        and stu.FLAKY_TYPE not in succeeded
-        and succeeded[0] == succeeded[2] != succeeded[1]
-    )
+#: Idle, busy, idle: after pass 1's feedback the index holds two idle
+#: incidents with the same text and day — twins whose scores tie — around a
+#: third, so retrieval reaches the insertion-sequence tie-break.
+TWIN_SANDWICH = [(stu.IDLE_TYPE, False), (stu.BUSY_TYPE, False), (stu.IDLE_TYPE, False)]
 
 
-def run_pipeline_variant(base: RCACopilot, spec, workers, depth, chunk, grouped):
+def run_pipeline_variant(base: RCACopilot, spec, workers, depth, grouped):
     """One pipelined (or barrier) run under a FakeClock — zero real sleeps.
 
     The virtual-I/O handler advances the installed FakeClock instead of
@@ -193,18 +169,14 @@ def run_pipeline_variant(base: RCACopilot, spec, workers, depth, chunk, grouped)
     flush dequeues ``max_batch``-sized waves, so pipelined variants
     genuinely overlap collect k+1 with predict k); True submits and flushes
     wave by wave.  Same two-pass feedback protocol as
-    :func:`run_stream_variant`.
+    :func:`run_stream_variant`.  Returns the run's fingerprint, the copilot
+    it ran on and the second pass's diagnosed incidents.
     """
     clock = stu.FakeClock()
     stu.VIRTUAL_IO["clock"] = clock
     copilot = copy.deepcopy(base)
     ingestor = copilot.stream(
-        stu.ingest_config(
-            workers,
-            max_batch=3,
-            pipeline_depth=depth,
-            predict_chunk_size=chunk,
-        ),
+        stu.ingest_config(workers, max_batch=3, pipeline_depth=depth),
         clock=clock,
     )
     try:
@@ -229,7 +201,7 @@ def run_pipeline_variant(base: RCACopilot, spec, workers, depth, chunk, grouped)
             fed_ids.append(incident.incident_id)
         futures2 = ingest_pass(make_stream(spec))
         reports2, failures2 = stu.drain_futures(futures2)
-        return {
+        run = {
             "reports1": reports1,
             "failures1": failures1,
             "reports2": reports2,
@@ -237,6 +209,8 @@ def run_pipeline_variant(base: RCACopilot, spec, workers, depth, chunk, grouped)
             "index_state": stu.index_state(copilot, fed_ids),
             "stats": ingestor.stats(),
         }
+        wave = [futures2[position].result().incident for position in sorted(reports2)]
+        return run, copilot, wave
     finally:
         ingestor.stop()
         stu.VIRTUAL_IO["clock"] = None
@@ -251,53 +225,50 @@ class TestPipelineParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        spec=st.lists(PIPELINE_STREAM_ELEMENT, min_size=1, max_size=10).filter(
-            lambda spec: not is_twin_sandwich(spec)
-        ),
+        spec=st.lists(PIPELINE_STREAM_ELEMENT, min_size=1, max_size=10),
         workers=st.sampled_from([None, 2]),
         grouped=st.booleans(),
     )
-    # ROADMAP item 1's standing counterexample, pinned as a strict xfail (it
-    # errors the day it passes).  Root cause, found in ISSUE 23: not index
-    # insertion order — feedback inserts INC-LIVE-000001..3 in reserved-id
-    # order in every variant — but the scores themselves.  The second
-    # alert's query scores the two near-identical idle incidents one ulp
-    # apart (0.2827325343913738 vs ...736) when it is retrieved alone
-    # (``predict_chunk_size=1``: a (1, dim) @ (dim, N) product, BLAS gemv)
-    # and exactly equal when retrieved with its wave (gemm), so only the
-    # batch run reaches the insertion-sequence tie-break.  The variant that
-    # differs is chunk size 1 at *any* depth, barrier included; depth 3 is
-    # incidental.  ``queries @ matrix.T`` (vectordb/knn.py, sharded.py) is
-    # not bit-invariant to the query-batch shape on this BLAS (nor to N), so
-    # the fix is a shape-invariant scoring kernel in ``vectordb/`` — the
-    # retrieval hot path of two benchmark workloads — not an ingest change.
-    # The random draws stay random; only this example's own shape is
-    # filtered out of them (``is_twin_sandwich``, with what that leaves).
-    @example(
-        spec=[(stu.IDLE_TYPE, False), (stu.BUSY_TYPE, False), (stu.IDLE_TYPE, False)],
-        workers=None,
-        grouped=False,
-    ).xfail(
-        reason="near-tied scores differ by an ulp between 1-query and batch products",
-        raises=AssertionError,
-    )
+    @example(spec=TWIN_SANDWICH, workers=None, grouped=False)
     def test_pipelined_matches_barrier(self, base_copilot, spec, workers, grouped):
         """Reports, failures, feedback effects, and IngestStats all match.
 
-        Every (pipeline_depth, predict_chunk_size) variant — barrier,
-        double-buffered, double-buffered + chunked prediction, triple-
-        buffered with single-item chunks — must produce byte-identical
-        fingerprints over random streams of clock-driven, idle, and flaky
-        alerts, under both serial and pooled collection and both flush
-        patterns, with handler failures included.
+        Every pipeline_depth variant — barrier, double- and triple-buffered —
+        must produce byte-identical fingerprints over random streams of
+        clock-driven, idle, and flaky alerts, under both serial and pooled
+        collection and both flush patterns, with handler failures included.
         """
         baseline = None
-        for depth, chunk in PIPELINE_VARIANTS:
-            run = run_pipeline_variant(base_copilot, spec, workers, depth, chunk, grouped)
+        for depth in PIPELINE_VARIANTS:
+            run = run_pipeline_variant(base_copilot, spec, workers, depth, grouped)[0]
             if baseline is None:
                 baseline = run
             else:
                 assert run == baseline
+
+    # ROADMAP item 1: the scoring product ``queries @ matrix.T`` is not
+    # bit-invariant to the query-batch shape on this BLAS (a 1-row gemv vs
+    # a gemm), so near-tied scores can differ by an ulp between a query
+    # retrieved with its wave and retrieved alone — on the sandwich,
+    # INC-LIVE-000002 scores 0.2827325343913738 in the batch and ...736
+    # alone.  Strict: the day the kernel is shape-invariant this errors.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: batch and 1-query scoring products differ by an ulp",
+    )
+    def test_batch_retrieval_matches_single_queries(self, base_copilot):
+        """After pass 1 and feedback, a wave retrieves as its queries alone do."""
+        _, copilot, wave = run_pipeline_variant(
+            base_copilot, TWIN_SANDWICH, workers=None, depth=1, grouped=False
+        )
+
+        def fingerprint(demonstrations):
+            return [(d.incident_id, float(d.similarity).hex()) for d in demonstrations]
+
+        batch = [fingerprint(d) for d in copilot.prediction.retrieve_many(wave)]
+        alone = [fingerprint(copilot.prediction.retrieve(incident)) for incident in wave]
+        assert batch == alone
 
 
 class TestCrashContainment:
@@ -529,7 +500,7 @@ class TestStopDrain:
         model = stu.GateModel()
         copilot = stu.build_stream_copilot(model=model)
         ingestor = copilot.stream(
-            stu.ingest_config(2, max_batch=4, pipeline_depth=2, predict_chunk_size=2)
+            stu.ingest_config(2, max_batch=4, pipeline_depth=2)
         ).start()
         try:
             model.close()
