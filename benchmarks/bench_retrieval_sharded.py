@@ -8,7 +8,8 @@ only touches the recent slice of the history.
 
 Both layouts return *identical* neighbour lists (asserted below); what
 this benchmark measures is how much of the index each query scans and what
-pruning buys in latency:
+pruning buys in latency, plus what the insert path costs each layout (the
+``add_many`` build of the whole history and one single-row ``add``):
 
 * **live** profile — queries arrive near the end of the timeline (the
   paper's deployment shape): pruning dominates, waves touch few shards;
@@ -51,6 +52,8 @@ QUERY_DAY_RANGE = (350.0, 364.0)
 REPLAY_DAY_RANGE = (30.0, 364.0)
 DIM = 64
 ROUNDS = 3
+#: Single-row adds per timed round (live inserts near the end of the timeline).
+ADD_ROWS = 200
 
 
 def _build_entries(total: int):
@@ -82,6 +85,21 @@ def _timed_search(index, queries, days, rounds=ROUNDS) -> float:
     return best
 
 
+def _timed_add_one(index, rounds=ROUNDS) -> float:
+    """Best-of-N mean wall time of one single-row ``add`` (microseconds)."""
+    rng = np.random.default_rng(13)
+    vectors = rng.standard_normal((rounds * ADD_ROWS, DIM))
+    days = rng.uniform(*QUERY_DAY_RANGE, size=rounds * ADD_ROWS).tolist()
+    best = float("inf")
+    for round_ in range(rounds):
+        rows = range(round_ * ADD_ROWS, (round_ + 1) * ADD_ROWS)
+        started = time.perf_counter()
+        for row in rows:
+            index.add(f"ADD-{row:06d}", vectors[row], days[row], "Category0")
+        best = min(best, (time.perf_counter() - started) / ADD_ROWS)
+    return best * 1e6
+
+
 def _assert_parity(reference, candidates, label: str) -> None:
     for ref_neighbors, cand_neighbors in zip(reference, candidates):
         assert [n.incident_id for n in ref_neighbors] == [
@@ -95,10 +113,16 @@ def test_sharded_retrieval_speedup(quick_mode):
     window_days = QUICK_WINDOW_DAYS if quick_mode else FULL_WINDOW_DAYS
     ids, vectors, created_days, categories = _build_entries(total)
     similarity = SimilarityConfig(alpha=0.3, k=5, diverse_categories=True)
-    flat = FlatVectorIndex(similarity)
-    sharded = ShardedVectorIndex(similarity, window_days=window_days)
-    for index in (flat, sharded):
+    indices = {
+        "flat": FlatVectorIndex(similarity),
+        "sharded": ShardedVectorIndex(similarity, window_days=window_days),
+    }
+    build_seconds = {}
+    for name, index in indices.items():
+        started = time.perf_counter()
         index.add_many(ids, vectors, created_days, categories)
+        build_seconds[name] = time.perf_counter() - started
+    flat, sharded = indices["flat"], indices["sharded"]
 
     live_queries, live_days = _query_batch(7, QUERY_DAY_RANGE)
     replay_queries, replay_days = _query_batch(11, REPLAY_DAY_RANGE)
@@ -118,6 +142,7 @@ def test_sharded_retrieval_speedup(quick_mode):
     replay_seconds = _timed_search(sharded, replay_queries, replay_days)
     sharded_speedup = flat_seconds / sharded_seconds
     stats = sharded.stats()
+    add_one_us = {name: _timed_add_one(index) for name, index in indices.items()}
 
     print()
     print(
@@ -131,6 +156,11 @@ def test_sharded_retrieval_speedup(quick_mode):
         f"{sharded_speedup:>7.1f}x"
     )
     print(f"replay profile: sharded {replay_seconds * 1e3:.1f} ms")
+    for name in indices:
+        print(
+            f"insert path, {name}: add_many build {build_seconds[name]:.3f} s, "
+            f"one-row add {add_one_us[name]:.1f} us"
+        )
 
     path = write_results(
         "BENCH_retrieval.json",
@@ -154,6 +184,8 @@ def test_sharded_retrieval_speedup(quick_mode):
                 "sharded_live": sharded_seconds,
                 "sharded_replay": replay_seconds,
             },
+            "build_seconds": build_seconds,
+            "add_one_us": add_one_us,
             "speedups": {"sharded_over_flat_live": sharded_speedup},
             "stats": {
                 "shard_count": stats["shard_count"],

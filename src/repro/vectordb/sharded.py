@@ -69,6 +69,7 @@ scans it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -85,7 +86,7 @@ from .knn import Neighbor, select_complete_order
 from .scoring import score_block
 from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
-from .store import VectorEntry, VectorStore, reject_duplicates
+from .store import VectorEntry, VectorStore, validate_batch
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
@@ -252,6 +253,22 @@ def _score_floor(
     return np.maximum(floor, _LOWEST)
 
 
+def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Batch rows grouped by key: ``order`` and one ``(key, lo, hi)`` per group.
+
+    ``order[lo:hi]`` are the group's rows in batch order; groups come in the
+    order of their first row.
+    """
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+    runs = np.split(by_key, np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
+    runs.sort(key=lambda run: run[0])
+    bounds = [0, *itertools.accumulate(run.shape[0] for run in runs)]
+    return np.concatenate(runs), [
+        (int(keys[run[0]]), lo, hi) for run, lo, hi in zip(runs, bounds, bounds[1:])
+    ]
+
+
 class _Shard:
     """One time-window shard: a VectorStore plus sharding bookkeeping.
 
@@ -261,6 +278,12 @@ class _Shard:
     or subdivided ranges.  ``min_day``/``max_day`` track the actual stored
     entries and stay the (tighter) basis of the pruning bound.
 
+    ``seqs`` (global insertion sequence) and ``cat_codes`` (category code)
+    are int64 arrays aligned with the store's rows.  :meth:`append` writes
+    them into ``_room``, a private buffer that doubles when full; until
+    then a loaded shard's ``seqs`` view its read-only segment, and its
+    codes (which relabels write in place) are private memory.
+
     ``saved`` is ``(segment file name, rows in it)`` once the shard's rows
     are in a committed segment of the index's snapshot directory, None on
     every fresh shard.  Rows only ever append to one ``_Shard`` object, so
@@ -269,8 +292,7 @@ class _Shard:
 
     __slots__ = (
         "key", "store", "seqs", "cat_codes", "cat_counts",
-        "min_day", "max_day", "start_day", "end_day", "saved",
-        "_seq_array", "_code_array", "_data",
+        "min_day", "max_day", "start_day", "end_day", "saved", "_room", "_data",
     )
 
     def __init__(
@@ -282,27 +304,32 @@ class _Shard:
     ) -> None:
         self.key = key
         self.store = VectorStore()
-        self.seqs: List[int] = []       # global insertion sequence per row
-        self.cat_codes: List[int] = []  # global category code per row
+        self.seqs = np.zeros(0, dtype=np.int64)
+        self.cat_codes = np.zeros(0, dtype=np.int64)
         self.cat_counts: Counter = Counter()
         self.min_day = math.inf
         self.max_day = -math.inf
         self.start_day = start_day
         self.end_day = end_day
         self.saved: Optional[Tuple[str, int]] = None
-        self._seq_array: Optional[np.ndarray] = None
-        self._code_array: Optional[np.ndarray] = None
+        self._room: Optional[np.ndarray] = None  # (2, capacity): seqs, codes
         self._data: Optional[_ShardData] = None
 
-    def seq_array(self) -> np.ndarray:
-        if self._seq_array is None or self._seq_array.shape[0] != len(self.seqs):
-            self._seq_array = np.asarray(self.seqs, dtype=np.int64)
-        return self._seq_array
-
-    def code_array(self) -> np.ndarray:
-        if self._code_array is None or self._code_array.shape[0] != len(self.cat_codes):
-            self._code_array = np.asarray(self.cat_codes, dtype=np.int64)
-        return self._code_array
+    def append(self, ids, vectors, days, categories, texts, seqs, codes, rows=None) -> None:
+        """Append validated rows ``rows`` of ``vectors`` and ``days`` (all when None)."""
+        start = len(self.store)
+        self.store._append(ids, vectors, days, categories, texts, rows)  # noqa: SLF001
+        end = len(self.store)
+        if self._room is None or self._room.shape[1] < end:
+            room = np.empty((2, max(64, 2 * end)), dtype=np.int64)
+            room[:, :start] = self.seqs, self.cat_codes
+            self._room = room
+        self._room[0, start:end], self._room[1, start:end] = seqs, codes
+        self.seqs, self.cat_codes = self._room[:, :end]
+        self.cat_counts.update(categories)
+        written = self.store.created_days()[start:]
+        self.min_day = min(self.min_day, float(written.min()))
+        self.max_day = max(self.max_day, float(written.max()))
 
     def invalidate_data(self) -> None:
         self._data = None
@@ -320,8 +347,8 @@ class _Shard:
                 matrix=self.store.matrix(),
                 days=self.store.created_days(),
                 sq_norms=self.store.squared_norms(),
-                seqs=self.seq_array(),
-                codes=self.code_array(),
+                seqs=self.seqs,
+                codes=self.cat_codes,
             )
         return self._data
 
@@ -523,7 +550,8 @@ class ShardedVectorIndex:
         self._dim: Optional[int] = None
         self._cat_code: Dict[str, int] = {}
         # routing ranges: ``_ranges`` holds (start_day, end_day, key) sorted
-        # by start_day, ``_range_starts``/``_ends``/``_keys`` the same as arrays
+        # by start_day, ``_range_starts``/``_ends``/``_keys`` the same as
+        # arrays behind a sentinel range that covers no day
         self._ranges: List[Tuple[float, float, int]] = []
         self._rebuild_ranges()
         self._next_shard_key = 0
@@ -606,7 +634,7 @@ class ShardedVectorIndex:
             (shard.start_day, shard.end_day, key)
             for key, shard in self._shards.items()
         )
-        starts, ends, keys = zip(*self._ranges) if self._ranges else ((), (), ())
+        starts, ends, keys = zip((-math.inf, -math.inf, -1), *self._ranges)
         self._range_starts = np.array(starts, dtype=np.float64)
         self._range_ends = np.array(ends, dtype=np.float64)
         self._range_keys = np.array(keys, dtype=np.int64)
@@ -644,23 +672,21 @@ class ShardedVectorIndex:
         Recorded day ranges take precedence over buckets, so inserts into a
         compacted region land in the compacted shard instead of resurrecting
         the pre-compaction bucket.  One ``searchsorted`` over the range
-        starts routes the rows up to the first one no range covers;
-        :meth:`_open_shard` opens that row's shard and the rows after it are
-        routed again against the new ranges.
+        starts routes every row a range covers.  The ranges cover whole
+        buckets, so a row no range covers lies in a bucket none covers:
+        :meth:`_open_shard` opens one shard per such bucket, in the order of
+        each bucket's first row, and every row of the bucket goes there.
         """
-        keys = np.empty(days.shape[0], dtype=np.int64)
-        done = 0
-        while done < days.shape[0]:
-            rest = days[done:]
-            position = self._range_starts.searchsorted(rest, side="right") - 1
-            covered = position >= 0
-            covered[covered] = rest[covered] < self._range_ends[position[covered]]
-            uncovered = (~covered).nonzero()[0]
-            stop = int(uncovered[0]) if uncovered.size else rest.shape[0]
-            keys[done : done + stop] = self._range_keys[position[:stop]]
-            if stop < rest.shape[0]:
-                keys[done + stop] = self._open_shard(float(rest[stop])).key
-            done += stop + 1
+        position = self._range_starts.searchsorted(days, side="right") - 1
+        keys = self._range_keys[position]
+        uncovered = np.flatnonzero(days >= self._range_ends[position])
+        if uncovered.shape[0]:
+            buckets = np.floor(days[uncovered] / self.window_days)
+            _, first, bucket_of = np.unique(buckets, return_index=True, return_inverse=True)
+            opened = np.empty(first.shape, dtype=np.int64)
+            for bucket in np.argsort(first):
+                opened[bucket] = self._open_shard(float(days[uncovered[first[bucket]]])).key
+            keys[uncovered] = opened[bucket_of]
         return keys
 
     def add(
@@ -690,62 +716,59 @@ class ShardedVectorIndex:
     ) -> None:
         """Bulk insert, routing each row to its time-window shard.
 
-        Validation happens up front (duplicate ids, alignment, dimension) so
-        a rejected batch leaves every shard untouched; global insertion
-        sequence numbers follow the batch order, preserving the flat index's
-        tie-breaking exactly.
+        Validation happens up front (alignment, duplicate ids, finite days,
+        dimension) so a rejected batch leaves every shard untouched; global
+        insertion sequence numbers follow the batch order, preserving the
+        flat index's tie-breaking exactly.
         """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("vectors must be a 2-D (batch, dim) array")
+        vectors, days = validate_batch(
+            incident_ids, vectors, created_days, categories, texts, self._locator, self._dim
+        )
         count = vectors.shape[0]
-        if not (len(incident_ids) == count == len(created_days) == len(categories)):
-            raise ValueError("incident_ids, vectors, created_days and categories must align")
-        if texts is not None and len(texts) != count:
-            raise ValueError("texts must align with incident_ids")
         if count == 0:
             return
-        reject_duplicates(incident_ids, self._locator)
-        if self._dim is None:
-            self._dim = vectors.shape[1]
-        elif vectors.shape[1] != self._dim:
-            raise ValueError(
-                f"vector dimension {vectors.shape[1]} does not match store dimension {self._dim}"
-            )
-        days = np.asarray(created_days, dtype=np.float64)
+        self._dim = vectors.shape[1]
         keys = self._route(days)
-        # Group batch rows by destination *shard* (not bucket: a compacted
-        # shard can cover several buckets), groups in order of first
-        # appearance and batch order within each group, so global sequence
-        # numbers stay ascending per shard — the invariant the stable-sort
-        # candidate extraction relies on — and new categories take their
-        # codes in the order row-by-row insertion gave them.
-        key_list = keys.tolist()
-        groups = {key: group for group, key in enumerate(dict.fromkeys(key_list))}
-        group_of = np.array(list(map(groups.__getitem__, key_list)))
-        order = group_of.argsort(kind="stable")
-        bounds = [0, *np.bincount(group_of).cumsum().tolist()]
-        rows = order.tolist()
-        ids = [incident_ids[row] for row in rows]
-        labels = [categories[row] for row in rows]
-        notes = None if texts is None else [texts[row] for row in rows]
-        for category in dict.fromkeys(labels):
-            self._code_for(category)
-        codes = list(map(self._cat_code.__getitem__, labels))
-        seqs = (order + self._next_seq).tolist()
-        vectors, days = vectors[order], days[order]
-        for key, lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-            shard = self._shards[key]
-            shard.store.add_many(
-                ids[lo:hi], vectors[lo:hi], days[lo:hi], labels[lo:hi],
-                texts=None if notes is None else notes[lo:hi],
+        # Each row's category is looked up once, in batch (memory) order, in
+        # a table of the batch's own names; grouped rows then share one
+        # object per name.
+        names = list(dict.fromkeys(categories))
+        local = np.fromiter(
+            map({name: code for code, name in enumerate(names)}.__getitem__, categories),
+            np.int64,
+            count,
+        )
+        ids, labels = incident_ids, categories
+        if (keys == keys[0]).all():
+            # One destination shard (every single-row add): nothing to group.
+            order, groups = None, [(int(keys[0]), 0, count)]
+            seqs = np.arange(self._next_seq, self._next_seq + count)
+        else:
+            # Group rows by destination *shard* (not bucket: a compacted
+            # shard can cover several buckets), groups in order of first
+            # appearance and batch order within each group, so global
+            # sequence numbers stay ascending per shard — the invariant the
+            # stable-sort candidate extraction relies on.
+            order, groups = _group_rows(keys)
+            ids = np.array(incident_ids, dtype=object)[order].tolist()
+            if texts is not None:
+                texts = np.array(texts, dtype=object)[order].tolist()
+            local, seqs = local[order], order + self._next_seq
+            labels = np.array(names, dtype=object)[local].tolist()
+        # New categories take codes in first appearance over the *grouped*
+        # rows, not in row-at-a-time order; no result depends on the
+        # numbering (the snapshot's codes file does).
+        for name in dict.fromkeys(labels):
+            self._code_for(name)
+        codes = np.array([self._cat_code[name] for name in names], dtype=np.int64)[local]
+        for key, lo, hi in groups:
+            self._shards[key].append(
+                ids[lo:hi], vectors, days, labels[lo:hi],
+                None if texts is None else texts[lo:hi],
+                seqs[lo:hi], codes[lo:hi],
+                rows=None if order is None else order[lo:hi],
             )
-            shard.seqs.extend(seqs[lo:hi])
-            shard.cat_codes.extend(codes[lo:hi])
-            shard.cat_counts.update(labels[lo:hi])
-            shard.min_day = min(shard.min_day, float(days[lo:hi].min()))
-            shard.max_day = max(shard.max_day, float(days[lo:hi].max()))
-        self._locator.update(zip(incident_ids, key_list))
+        self._locator.update(zip(incident_ids, keys.tolist()))
         self._next_seq += count
         self._inserts_since_compact += count
         if (
@@ -781,7 +804,6 @@ class ShardedVectorIndex:
                 del shard.cat_counts[previous]
             shard.cat_counts[category] += 1
             shard.cat_codes[row] = self._code_for(category)
-            shard._code_array = None
             shard.invalidate_data()
 
     # ------------------------------------------------------------------ search
@@ -1123,34 +1145,28 @@ class ShardedVectorIndex:
         """A fresh shard holding rows ``picks`` of the ``sources``' rows laid end to end.
 
         ``picks`` lists the rows in ascending-seq order.  Array columns are
-        gathered by fancy indexing, list columns by one comprehension each;
-        rows keep their sequences and category codes.
+        gathered by fancy indexing, list columns by one object-array take
+        each; rows keep their sequences and category codes.
         """
-        rows = picks.tolist()
 
-        def gather(columns):
-            if isinstance(columns[0], np.ndarray):
-                return (columns[0] if len(columns) == 1 else np.concatenate(columns))[picks]
-            joined = columns[0]
-            if len(columns) > 1:
-                joined = [item for column in columns for item in column]
-            return [joined[row] for row in rows]
+        def joined(columns):
+            return columns[0] if len(columns) == 1 else np.concatenate(columns)
+
+        def objects(columns):
+            return joined([np.array(column, dtype=object) for column in columns])[picks].tolist()
 
         stores = [source.store for source in sources]
-        days = gather([store.created_days() for store in stores])
-        categories = gather([store._categories for store in stores])  # noqa: SLF001
         shard = _Shard(self._next_key(), self._similarity, start_day, end_day)
-        shard.store.add_many(
-            gather([store._ids for store in stores]),  # noqa: SLF001
-            gather([store.matrix() for store in stores]),
-            days,
-            categories,
-            texts=gather([store._texts for store in stores]),  # noqa: SLF001
+        shard.append(
+            objects([store._ids for store in stores]),  # noqa: SLF001
+            joined([store.matrix() for store in stores]),
+            joined([store.created_days() for store in stores]),
+            objects([store._categories for store in stores]),  # noqa: SLF001
+            objects([store._texts for store in stores]),  # noqa: SLF001
+            joined([source.seqs for source in sources])[picks],
+            joined([source.cat_codes for source in sources])[picks],
+            rows=picks,
         )
-        shard.seqs = gather([source.seq_array() for source in sources]).tolist()
-        shard.cat_codes = gather([source.code_array() for source in sources]).tolist()
-        shard.cat_counts = Counter(categories)
-        shard.min_day, shard.max_day = float(days.min()), float(days.max())
         return shard
 
     def _adopt(self, shard: _Shard) -> None:
@@ -1208,7 +1224,7 @@ class ShardedVectorIndex:
             min(shard.start_day for shard in group),
             max(shard.end_day for shard in group),
             group,
-            np.argsort(np.concatenate([shard.seq_array() for shard in group]), kind="stable"),
+            np.argsort(np.concatenate([shard.seqs for shard in group]), kind="stable"),
         )
 
     def compact(
@@ -1414,7 +1430,7 @@ class ShardedVectorIndex:
                     "segment": saved[0],
                 }
             )
-            codes.append(shard.code_array().astype("<i8", copy=False))
+            codes.append(shard.cat_codes.astype("<i8", copy=False))
         codes_name = f"codes-{generation:08d}.bin"
         bytes_written += write_durable(os.path.join(path, codes_name), codes)
         code_to_name = {code: name for name, code in self._cat_code.items()}
@@ -1535,6 +1551,7 @@ class ShardedVectorIndex:
         table = list(manifest["categories"])
         for name in table:
             index._code_for(name)
+        names = np.array(table, dtype=object)
         codes_path = cls._snapshot_file(path, manifest["codes"])
         try:
             all_codes = np.fromfile(codes_path, dtype="<i8")
@@ -1561,9 +1578,11 @@ class ShardedVectorIndex:
                     f"unreadable segment {segment_path}: {exc}"
                 ) from exc
             ids, texts = json.loads(blob)
-            codes = all_codes[offset : offset + rows].tolist()
+            # A slice of the private ``fromfile`` array: relabels write
+            # codes in place, never into a file.
+            codes = all_codes[offset : offset + rows]
             offset += rows
-            categories = [table[code] for code in codes]
+            categories = names[codes].tolist()
             shard = _Shard(
                 key,
                 index._similarity,
@@ -1578,7 +1597,7 @@ class ShardedVectorIndex:
                 categories=categories,
                 texts=texts,
             )
-            shard.seqs = views["seqs"].tolist()
+            shard.seqs = views["seqs"]
             shard.cat_codes = codes
             shard.cat_counts = Counter(categories)
             shard.min_day = float(meta["min_day"])

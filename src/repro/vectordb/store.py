@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,20 +36,49 @@ class VectorEntry:
     text: str = ""
 
 
-def reject_duplicates(incident_ids: Sequence[str], stored: Dict[str, int]) -> None:
-    """Raise ``ValueError`` if a batch repeats an id or reuses one in ``stored``.
+def validate_batch(
+    incident_ids: Sequence[str],
+    vectors: np.ndarray,
+    created_days: Sequence[float],
+    categories: Sequence[str],
+    texts: Optional[Sequence[str]],
+    stored: Dict[str, int],
+    dim: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A batch's vectors and creation days as float64 arrays, once it passes every check.
 
-    One set test passes a clean batch; only a rejected one is walked in
-    order, to name its first offending id.
+    ``ValueError`` for a batch that is not 2-D or not aligned, that repeats
+    an id or reuses one in ``stored``, that has a NaN or infinite creation
+    day, or whose rows are not ``dim`` wide; a bad id or day is named, the
+    first in batch order.
     """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ValueError("vectors must be a 2-D (batch, dim) array")
+    count = vectors.shape[0]
+    if not (len(incident_ids) == count == len(created_days) == len(categories)):
+        raise ValueError("incident_ids, vectors, created_days and categories must align")
+    if texts is not None and len(texts) != count:
+        raise ValueError("texts must align with incident_ids")
+    # One set test passes a clean batch; only a rejected one is walked.
     batch = set(incident_ids)
-    if len(batch) == len(incident_ids) and stored.keys().isdisjoint(batch):
-        return
-    seen: set = set()
-    for incident_id in incident_ids:
-        if incident_id in stored or incident_id in seen:
-            raise ValueError(f"duplicate incident id in vector store: {incident_id}")
-        seen.add(incident_id)
+    if len(batch) != count or not stored.keys().isdisjoint(batch):
+        seen: set = set()
+        for incident_id in incident_ids:
+            if incident_id in stored or incident_id in seen:
+                raise ValueError(f"duplicate incident id in vector store: {incident_id}")
+            seen.add(incident_id)
+    days = np.asarray(created_days, dtype=np.float64)
+    finite = np.isfinite(days)
+    if not finite.all():
+        raise ValueError(
+            f"non-finite creation day in vector store: {incident_ids[int(np.argmin(finite))]}"
+        )
+    if count and dim is not None and vectors.shape[1] != dim:
+        raise ValueError(
+            f"vector dimension {vectors.shape[1]} does not match store dimension {dim}"
+        )
+    return vectors, days
 
 
 class VectorStore:
@@ -74,7 +103,7 @@ class VectorStore:
         self._ids: List[str] = []
         self._categories: List[str] = []
         self._texts: List[str] = []
-        self._by_id: Dict[str, int] = {}
+        self._by_id: Dict[str, int] = {}  # read through _rows()
         self._matrix: Optional[np.ndarray] = None  # capacity x dim, rows >= len used
         self._days: Optional[np.ndarray] = None    # capacity, aligned with matrix rows
         self._sq_norms: Optional[np.ndarray] = None  # cached |v|^2 per row
@@ -87,7 +116,19 @@ class VectorStore:
         return map(self.entry, range(len(self._ids)))
 
     def __contains__(self, incident_id: str) -> bool:
-        return incident_id in self._by_id
+        return incident_id in self._rows()
+
+    def _rows(self) -> Dict[str, int]:
+        """The id → row dict, first caught up with the rows appended since.
+
+        Appends leave it behind, so a store that is filled in bulk and
+        never asked for an id (most shards of a sharded index) never builds
+        it.
+        """
+        indexed = len(self._by_id)
+        if indexed < len(self._ids):
+            self._by_id.update(zip(self._ids[indexed:], range(indexed, len(self._ids))))
+        return self._by_id
 
     # ------------------------------------------------------------------ insert
     def _ensure_capacity(self, additional: int) -> None:
@@ -141,28 +182,30 @@ class VectorStore:
         texts: Optional[Sequence[str]] = None,
     ) -> None:
         """Bulk insert: one capacity check and one block write per column."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError("vectors must be a 2-D (batch, dim) array")
-        count = vectors.shape[0]
-        if not (len(incident_ids) == count == len(created_days) == len(categories)):
-            raise ValueError("incident_ids, vectors, created_days and categories must align")
-        if texts is not None and len(texts) != count:
-            raise ValueError("texts must align with incident_ids")
-        if count == 0:
-            return
-        reject_duplicates(incident_ids, self._by_id)
+        vectors, days = validate_batch(
+            incident_ids, vectors, created_days, categories, texts, self._rows(), self.dim
+        )
+        if vectors.shape[0]:
+            self._append(incident_ids, vectors, days, categories, texts)
+
+    def _append(self, incident_ids, vectors, created_days, categories, texts, rows=None) -> None:
+        """Append validated rows (new ids, the store's dim, finite days).
+
+        ``rows`` picks rows of ``vectors`` and ``created_days``, gathered
+        straight into the store's buffers; None appends them all.
+        """
+        count = len(incident_ids)
         if self.dim is None:
             self.dim = vectors.shape[1]
-        elif vectors.shape[1] != self.dim:
-            raise ValueError(
-                f"vector dimension {vectors.shape[1]} does not match store dimension {self.dim}"
-            )
         self._ensure_capacity(count)
         start = len(self._ids)
-        self._matrix[start : start + count] = vectors
-        self._days[start : start + count] = np.asarray(created_days, dtype=np.float64)
-        self._by_id.update(zip(incident_ids, range(start, start + count)))
+        block = slice(start, start + count)
+        if rows is None:
+            self._matrix[block] = vectors
+            self._days[block] = created_days
+        else:  # "clip": under the default "raise" numpy buffers ``out``
+            np.take(vectors, rows, axis=0, out=self._matrix[block], mode="clip")
+            np.take(created_days, rows, out=self._days[block], mode="clip")
         self._ids.extend(incident_ids)
         self._categories.extend(categories)
         self._texts.extend([""] * count if texts is None else texts)
@@ -170,7 +213,7 @@ class VectorStore:
     # ------------------------------------------------------------------ update
     def update_category(self, incident_id: str, category: str) -> None:
         """Change the stored category of an incident (OCE feedback path)."""
-        index = self._by_id.get(incident_id)
+        index = self._rows().get(incident_id)
         if index is None:
             raise KeyError(f"unknown incident id in vector store: {incident_id}")
         self._categories[index] = category
@@ -188,12 +231,12 @@ class VectorStore:
 
     def get(self, incident_id: str) -> Optional[VectorEntry]:
         """Fetch an entry by incident id."""
-        index = self._by_id.get(incident_id)
+        index = self._rows().get(incident_id)
         return None if index is None else self.entry(index)
 
     def index_of(self, incident_id: str) -> Optional[int]:
         """Row index of an incident id (aligned with :meth:`matrix`), or None."""
-        return self._by_id.get(incident_id)
+        return self._rows().get(incident_id)
 
     def entries(self) -> List[VectorEntry]:
         """All entries in insertion order."""

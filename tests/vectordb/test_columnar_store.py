@@ -1,17 +1,23 @@
 """The columnar vector store and the sharded index's block write path.
 
 ``VectorStore`` keeps ids, categories and texts as list columns beside its
-matrix and builds a ``VectorEntry`` only when one is asked for;
-``ShardedVectorIndex.add_many`` routes a batch with one ``searchsorted``
-and compaction moves whole row blocks.  None of that may show from outside:
+matrix and builds a ``VectorEntry`` only when one is asked for; a shard
+keeps its sequences and category codes as int64 arrays;
+``ShardedVectorIndex.add_many`` routes a batch in one pass and compaction
+moves whole row blocks.  None of that may show from outside:
 
 * **routing** — batch routing lands every row where routing one row at a
-  time would, including rows behind a shard the same batch opened;
+  time would, including rows behind a shard the same batch opened, and
+  leaves each shard the sequences, category names and counts row-at-a-time
+  inserts leave, fresh, compacted and reloaded;
 * **bytes** — a scripted add/relabel/compact/save/reload sequence leaves
   the snapshot directory, search results and ``stats()`` pinned below,
   sha256 values taken from the tree that still built one ``VectorEntry``
   per stored row;
-* **atomicity** — a rejected batch leaves every shard untouched;
+* **atomicity** — a rejected batch (a duplicate id, a non-finite day)
+  leaves every shard untouched;
+* **write-through** — a relabel or an add after ``load`` changes no file
+  of the snapshot it came from;
 * **objects** — building an index leaves no GC-tracked object per row;
 * **snapshots** — an entry is built on demand: ``get`` after a relabel
   shows the new category, a neighbour returned before it keeps the old one.
@@ -23,6 +29,7 @@ import bisect
 import gc
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -57,6 +64,22 @@ def reference_route(index, days):
         else:
             keys.append(index._open_shard(day).key)  # noqa: SLF001
     return keys
+
+
+def shard_columns(index):
+    """Per shard: its int64 seqs, each row's category name and the counts.
+
+    Names go through the code table, whose numbering may legitimately
+    differ between indices built by different calls.
+    """
+    names = {code: name for name, code in index._cat_code.items()}  # noqa: SLF001
+    columns = {}
+    for key, shard in index._shards.items():  # noqa: SLF001
+        assert shard.seqs.dtype == shard.cat_codes.dtype == np.int64
+        labels = [names[code] for code in shard.cat_codes.tolist()]
+        assert labels == [entry.category for entry in shard.store]
+        columns[key] = (shard.seqs.tolist(), labels, dict(shard.cat_counts))
+    return columns
 
 
 def layout(index):
@@ -184,23 +207,44 @@ class TestBatchRouting:
         assert batched._route(np.asarray(batch)).tolist() == expected  # noqa: SLF001
         assert layout(batched) == layout(reference)
 
-    def test_batch_insert_matches_row_at_a_time_insert(self):
+    @pytest.mark.parametrize(
+        "count, day_low, day_high",
+        [(200, -30.0, 60.0), (40, 40.0, 44.9), (40, 1.0, 4.0), (1, 33.0, 33.0)],
+        ids=["many shards", "one new shard", "one compacted shard", "one row"],
+    )
+    def test_batch_insert_matches_row_at_a_time_insert(
+        self, tmp_path, count, day_low, day_high
+    ):
         rng = np.random.default_rng(5)
-        days = np.round(rng.uniform(-30.0, 60.0, size=200), 1).tolist()
-        vectors = rng.standard_normal((200, DIM))
-        ids = [f"r{row}" for row in range(200)]
-        categories = [f"c{code}" for code in rng.integers(0, 9, size=200).tolist()]
+        days = np.round(rng.uniform(day_low, day_high, size=count), 1).tolist()
+        vectors = rng.standard_normal((count, DIM))
+        ids = [f"r{row}" for row in range(count)]
+        categories = [f"c{code}" for code in rng.integers(0, 9, size=count).tolist()]
         batched, single = prior_index([0.0, 12.0], True), prior_index([0.0, 12.0], True)
         batched.add_many(ids, vectors, days, categories)
-        for row in range(200):
+        for row in range(count):
             single.add(ids[row], vectors[row], days[row], categories[row])
-        assert layout(batched) == layout(single)
-        found, expected = (
-            index.search_many(vectors[:8], days[:8]) for index in (batched, single)
+
+        def assert_same(batched, single):
+            assert layout(batched) == layout(single)
+            assert shard_columns(batched) == shard_columns(single)
+            found, expected = (
+                index.search_many(vectors[:8], days[:8]) for index in (batched, single)
+            )
+            assert [[(n.incident_id, n.similarity.hex()) for n in row] for row in found] == [
+                [(n.incident_id, n.similarity.hex()) for n in row] for row in expected
+            ]
+
+        assert_same(batched, single)
+        for index in (batched, single):
+            index.compact(min_entries=10, max_entries=40)
+        assert_same(batched, single)
+        batched.save(tmp_path / "batched")
+        single.save(tmp_path / "single")
+        assert_same(
+            ShardedVectorIndex.load(tmp_path / "batched"),
+            ShardedVectorIndex.load(tmp_path / "single"),
         )
-        assert [[(n.incident_id, n.similarity.hex()) for n in row] for row in found] == [
-            [(n.incident_id, n.similarity.hex()) for n in row] for row in expected
-        ]
 
 
 class TestScriptedSequence:
@@ -247,6 +291,31 @@ class TestRejectedBatch:
         assert index_state(index) == before
         assert len(index) == 6
 
+    @pytest.mark.parametrize("bad_day", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_day_leaves_every_shard_untouched(self, bad_day):
+        index = ShardedVectorIndex(window_days=WINDOW)
+        index.add("a", np.ones(6), 1.0, "x")
+        before = index_state(index)
+        # The first row would open a shard, the second one brings a new category.
+        with pytest.raises(ValueError, match="non-finite creation day in vector store: c$"):
+            index.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
+        assert index_state(index) == before
+        assert index.shard_sizes() == {0: 1}
+
+    @pytest.mark.parametrize("bad_day", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_the_flat_index_rejects_a_non_finite_day_too(self, bad_day):
+        index = FlatVectorIndex()
+        index.add("a", np.ones(6), 1.0, "x")
+        before = (index.stats(), [(e.incident_id, e.category, e.created_day) for e in index.store])
+        with pytest.raises(ValueError, match="non-finite creation day in vector store: c$"):
+            index.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
+        with pytest.raises(ValueError, match="non-finite creation day in vector store: d$"):
+            index.add("d", np.ones(6), bad_day, "x")
+        assert (
+            index.stats(), [(e.incident_id, e.category, e.created_day) for e in index.store]
+        ) == before
+        assert index.store.matrix().shape == (1, 6)
+
     def test_a_rejected_store_batch_names_the_first_offending_id(self):
         store = VectorStore()
         store.add_many(["a", "b"], np.eye(2), [0.0, 1.0], ["x", "y"])
@@ -254,6 +323,40 @@ class TestRejectedBatch:
             store.add_many(["c", "b", "c"], np.ones((3, 2)), [2.0] * 3, ["x"] * 3)
         assert [entry.incident_id for entry in store] == ["a", "b"]
         assert store.matrix().shape == (2, 2)
+
+
+# ---------------------------------------------------------- load write-through
+def test_a_relabel_or_an_add_after_load_never_writes_through(tmp_path):
+    rng = np.random.default_rng(3)
+    index = ShardedVectorIndex(window_days=WINDOW)
+    index.add_many(
+        [f"a{row}" for row in range(30)], rng.standard_normal((30, DIM)),
+        np.linspace(0.0, 14.5, 30).tolist(), [f"c{row % 3}" for row in range(30)],
+    )
+    index.save(tmp_path)
+
+    def files():
+        return {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+
+    saved = files()
+    loaded = ShardedVectorIndex.load(tmp_path)
+    # One relabel in a shard that then takes a row, one in a shard that does not.
+    loaded.update_category("a1", "relabelled")
+    loaded.update_category("a29", "relabelled")
+    loaded.add("new", rng.standard_normal(DIM), 2.0, "c0")
+    loaded.search_many(rng.standard_normal((2, DIM)), [1.0, 12.0])
+    assert loaded.get("a1").category == loaded.get("a29").category == "relabelled"
+
+    again = ShardedVectorIndex.load(tmp_path)
+    assert (again.get("a1").category, again.get("a29").category) == ("c1", "c2")
+    assert len(again) == 30 and "new" not in again
+    assert files() == saved
+
+    loaded.save(tmp_path)
+    reloaded = ShardedVectorIndex.load(tmp_path)
+    assert reloaded.get("a1").category == reloaded.get("a29").category == "relabelled"
+    assert len(reloaded) == 31 and reloaded.get("new").created_day == 2.0
+    assert shard_columns(reloaded) == shard_columns(loaded)
 
 
 # ------------------------------------------------------------------ objects
