@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .scoring import score_block
+from .scoring import augment_queries, score_block
 from .similarity import SimilarityConfig
 from .store import VectorEntry, VectorStore
 
@@ -121,24 +121,35 @@ class NearestNeighborSearch:
         Returns:
             ``(Q, N)`` array of similarity scores aligned with
             :meth:`VectorStore.matrix` rows.
+
+        Raises:
+            ValueError: for a malformed batch, or naming the first query row
+                :func:`.scoring.snap` refuses (NaN, infinite or too long).
         """
-        matrix = self.store.matrix()
+        queries, days = self._checked_queries(query_matrix, query_days)
+        return self._score(augment_queries(queries), days)
+
+    def _checked_queries(self, query_matrix, query_days):
+        """A query batch and its days as float64 arrays, once shape and dim check."""
         queries = np.asarray(query_matrix, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError("query_matrix must be a 2-D (batch, dim) array")
         days = np.asarray(query_days, dtype=np.float64).ravel()
         if days.shape[0] != queries.shape[0]:
             raise ValueError("query_days must align with query_matrix rows")
-        if matrix.shape[0] == 0:
-            return np.zeros((queries.shape[0], 0))
-        if queries.shape[1] != matrix.shape[1]:
+        dim = self.store.dim
+        if len(self.store) and queries.shape[1] != dim:
             raise ValueError(
-                f"query dimension {queries.shape[1]} does not match store dimension "
-                f"{matrix.shape[1]}"
+                f"query dimension {queries.shape[1]} does not match store dimension {dim}"
             )
+        return queries, days
+
+    def _score(self, augmented: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """:func:`.scoring.score_block` of augmented queries against every stored row."""
+        if len(self.store) == 0:
+            return np.zeros((augmented.shape[0], 0))
         return score_block(
-            matrix, self.store.squared_norms(), self.store.created_days(),
-            queries, days, self.config.alpha,
+            self.store.augmented(), self.store.created_days(), augmented, days, self.config.alpha
         )
 
     # -------------------------------------------------------------- selection
@@ -334,21 +345,17 @@ class NearestNeighborSearch:
             size and diversity guarantees as :meth:`search`.
         """
         k = k or self.config.k
-        queries = np.asarray(query_matrix, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError("query_matrix must be a 2-D (batch, dim) array")
+        queries, days = self._checked_queries(query_matrix, query_days)
         if exclude_ids is not None and len(exclude_ids) != queries.shape[0]:
             raise ValueError("exclude_ids must align with query_matrix rows")
-        days = np.asarray(query_days, dtype=np.float64).ravel()
-        if days.shape[0] != queries.shape[0]:
-            raise ValueError("query_days must align with query_matrix rows")
         if queries.shape[0] == 0:
             return []
+        augmented = augment_queries(queries)
         if len(self.store) == 0:
             return [[] for _ in range(queries.shape[0])]
         # Recurring incidents produce identical queries (paper Figure 2); each
-        # distinct (vector, day, effective exclusions) group is scored and
-        # selected once.  Exclusion ids absent from the store cannot change
+        # distinct (snapped vector, day, effective exclusions) group is scored
+        # and selected once.  Exclusion ids absent from the store cannot change
         # the result, so they are dropped from the grouping key.
         group_of: List[int] = []
         group_rows: List[int] = []
@@ -365,7 +372,7 @@ class NearestNeighborSearch:
                 if raw_exclude
                 else frozenset()
             )
-            key = (queries[row].tobytes(), float(days[row]), effective)
+            key = (augmented[row].tobytes(), float(days[row]), effective)
             index = group_index.get(key)
             if index is None:
                 index = len(group_rows)
@@ -374,7 +381,7 @@ class NearestNeighborSearch:
                 group_excludes.append(set(effective) if effective else None)
             group_of.append(index)
         self.scored_groups += len(group_rows)
-        scores = self.score_many(queries[group_rows], days[group_rows])
+        scores = self._score(augmented[group_rows], days[group_rows])
         group_results: List[List[Neighbor]] = []
         for position, row in enumerate(group_rows):
             eligible = self._eligible_indices(

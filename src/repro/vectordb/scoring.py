@@ -1,18 +1,35 @@
 """The one scoring kernel both retrieval backends call (Section 4.2.2).
 
 ``score_block`` turns a block of query embeddings into the paper's
-similarities against a block of stored rows, so the flat and the sharded
-index produce the same bits by construction.
+similarities ``exp(-alpha |day gap|) / (1 + |q - m|)`` against a block of
+stored rows.  Its squared distances are exact, so no block shape, kernel,
+blocking, thread count or summation order can change a bit of a score.
 
-Its matrix product runs on one OpenBLAS thread.  With more than one
-OpenBLAS thread the product's bits depend on how many threads split it
-(``Q @ M.T`` at dim 64 differs between 1 and 2 threads at many block
-shapes), and OpenBLAS's worker threads spin between products, burning a
-second core for nothing while the pipeline itself runs one thread.  The
-limit comes from ``openblas_set_num_threads_local`` in the OpenBLAS library
-numpy has already loaded, set to 1 around the product and restored in
-``finally``.  Where that library or symbol is missing (MKL, Accelerate,
-older OpenBLAS) the product runs as numpy runs it.
+**The grid.**  :func:`snap` rounds every stored vector and every query to
+a fixed-point grid, ``x = rint(v * 2^20) / 2^20``, still in float64.  The
+product of two snapped components is then an integer multiple of 2^-40, and
+so is every sum of such products.  The squared norm of a stored or query
+vector must stay below :data:`MAX_SQUARED_NORM` = 2^11 (a norm below
+~45.25; FastText's document vectors have norm 6): then every partial sum of
+``|q|^2 + |m|^2 - 2 q.m`` is at most ``(|q| + |m|)^2 < 4 * 2^11 = 2^13``,
+under 2^53 units of 2^-40, so it is exact in a double's 53 bits.  A vector
+that breaks the bound, NaN and infinite ones included, is rejected with a
+``ValueError``.  Snapping is idempotent: a snapped vector snaps to itself.
+
+**One product.**  A store keeps each row as ``[x, |x|^2, 1]``;
+:func:`augment_queries` turns each query into ``[-2q, 1, |q|^2]``.  The
+product of the two is ``|q|^2 + |x|^2 - 2 q.x``, the exact squared
+distance, with nothing to add around it and nothing to guard: an exact
+squared distance is never negative.  The square root, the ``+ 1``, the
+decay and the division are elementwise, hence shape-independent too.
+
+The product runs on one OpenBLAS thread.  Exactness no longer needs that,
+but OpenBLAS's worker threads spin between products, burning a second core
+for nothing while the pipeline itself runs one thread.  The limit comes
+from ``openblas_set_num_threads_local`` in the OpenBLAS library numpy has
+already loaded, set to 1 around the product and restored in ``finally``.
+Where that library or symbol is missing (MKL, Accelerate, older OpenBLAS)
+the product runs as numpy runs it.
 
 The setter is thread-local only in OpenMP builds of OpenBLAS.  In the
 pthreads build that numpy's wheels bundle (0.3.31 measured) it sets the
@@ -29,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 import threading
 from typing import Callable, Optional, Tuple
@@ -91,6 +109,77 @@ BLAS_LIBRARY, _set_num_threads_local, _process_count = _bind_thread_limit()
 _LIMIT_LOCK = threading.Lock()
 
 
+#: Snapped components are integer multiples of this step.
+GRID = 2.0**-20
+
+#: A snapped vector's squared norm must stay below this (``4 |v|^2 2^40 <
+#: 2^53``), or partial sums of the product could round.
+MAX_SQUARED_NORM = 2.0**11
+
+#: Rows :func:`snap` rounds per step, in a scratch block that stays in cache.
+_SNAP_ROWS = 512
+
+
+def snap(
+    vectors: np.ndarray, out: np.ndarray, rows: Optional[np.ndarray] = None
+) -> Optional[int]:
+    """Write ``vectors`` onto the grid as ``[x, |x|^2, 1]`` rows of ``out``.
+
+    ``rows`` picks rows of ``vectors`` (all of them when None); ``out`` is
+    ``(len(rows), dim + 2)``, typically the block of a store's buffer the
+    rows are about to occupy, so snapping makes no copy of the batch.
+    Returns the first position in ``out`` whose squared norm is not below
+    :data:`MAX_SQUARED_NORM`, NaN and infinite vectors included, or None
+    when every row is in range.
+    """
+    count, dim = out.shape[0], out.shape[1] - 2
+    scratch = np.empty((min(count, _SNAP_ROWS), dim))
+    for start in range(0, count, _SNAP_ROWS):
+        block = scratch[: min(_SNAP_ROWS, count - start)]
+        stop = start + block.shape[0]
+        if rows is None:
+            np.multiply(vectors[start:stop], 1.0 / GRID, out=block)
+        else:
+            np.take(vectors, rows[start:stop], axis=0, out=block, mode="clip")
+            block *= 1.0 / GRID
+        np.rint(block, out=block)
+        block *= GRID
+        out[start:stop, :dim] = block
+        np.vecdot(block, block, out=out[start:stop, dim])
+    out[:, dim + 1] = 1.0
+    norms = out[:, dim]
+    if not count or norms.max() < MAX_SQUARED_NORM:  # False on a NaN
+        return None
+    return int(np.argmin(norms < MAX_SQUARED_NORM))
+
+
+def rejected(vector: np.ndarray, subject: str) -> ValueError:
+    """The error for a vector :func:`snap` refused; ``subject`` names it."""
+    if not np.isfinite(vector).all():
+        return ValueError(f"non-finite vector {subject}")
+    scale = float(np.abs(vector).max())  # a norm that cannot overflow
+    return ValueError(
+        f"vector norm {scale * float(np.linalg.norm(vector / scale)):.6g} is not below "
+        f"the exact-scoring bound {math.sqrt(MAX_SQUARED_NORM):.6g} {subject}"
+    )
+
+
+def augment_queries(queries: np.ndarray) -> np.ndarray:
+    """``[-2q, 1, |q|^2]`` per query, ``q`` snapped: :func:`score_block`'s queries.
+
+    ``ValueError`` naming the first query row :func:`snap` refuses.
+    """
+    dim = queries.shape[1]
+    augmented = np.empty((queries.shape[0], dim + 2))
+    refused = snap(queries, augmented)
+    if refused is not None:
+        raise rejected(queries[refused], f"at query row {refused}")
+    augmented[:, :dim] *= -2.0
+    augmented[:, dim + 1] = augmented[:, dim]
+    augmented[:, dim] = 1.0
+    return augmented
+
+
 def one_thread_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``queries @ matrix.T`` computed on the calling thread only."""
     setter = _set_num_threads_local
@@ -106,26 +195,22 @@ def one_thread_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def score_block(
-    matrix: np.ndarray,
-    sq_norms: np.ndarray,
+    rows: np.ndarray,
     row_days: np.ndarray,
     queries: np.ndarray,
     query_days: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """``(Q, N)`` similarities of ``queries`` against ``matrix``'s rows.
+    """``(Q, N)`` similarities of ``queries`` against a block of stored ``rows``.
 
-    Squared distances come from the Gram expansion ``|q|^2 + |m|^2 - 2 q.m``
-    in the product's own buffer.  The decay ``exp(-alpha |day gap|)`` is
-    divided into that buffer in place, computed once when every query
+    ``rows`` are a store's ``[x, |x|^2, 1]`` rows and ``queries`` come from
+    :func:`augment_queries`, so the one product is the exact squared
+    distance of every pair.  The decay ``exp(-alpha |day gap|)`` is divided
+    into the product's buffer in place, computed once when every query
     shares one day: the same elementwise values as one decay row per
     query, so the same bits.
     """
-    scores = one_thread_product(queries, matrix)
-    scores *= -2.0
-    scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-    scores += sq_norms[None, :]
-    np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
+    scores = one_thread_product(queries, rows)
     np.sqrt(scores, out=scores)
     scores += 1.0  # 1 + distance
     days = query_days

@@ -63,8 +63,9 @@ a segment only for shards whose rows changed since the index last saved to
 or loaded from that directory, so a snapshot costs what changed and a
 crash at any step leaves the previous snapshot or the new one;
 :meth:`ShardedVectorIndex.load` maps each segment with ``np.memmap``
-semantics — a shard's vector pages fault in only when a query actually
-scans it.
+semantics, and a shard's vectors are read — snapped into its own row
+buffer, their squared norms recomputed — only when a query first scans it
+(or an insert, a compaction or a lookup first needs them).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ import numpy as np
 from ..core.errors import IndexCorruptionError
 from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
-from .scoring import score_block
+from .scoring import augment_queries, rejected, score_block, snap
 from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
 from .store import VectorEntry, VectorStore, validate_batch
@@ -169,29 +170,26 @@ class CompactionPolicy:
 class _ShardData:
     """One shard's immutable scoring payload: plain arrays, no index state.
 
-    What a scan wave scores and folds: everything scoring needs, whether the
-    arrays are views into a live :class:`~repro.vectordb.store.VectorStore`
-    buffer or into the mapped segment of a loaded index.
+    What a scan wave scores and folds: the shard's ``[x, |x|^2, 1]`` rows
+    (:func:`~repro.vectordb.scoring.score_block`'s block), days, sequences
+    and codes, views into the shard's
+    :class:`~repro.vectordb.store.VectorStore` and its columns.
     """
 
-    __slots__ = (
-        "key", "total", "matrix", "days", "sq_norms", "seqs", "codes", "_groups",
-    )
+    __slots__ = ("key", "total", "rows", "days", "seqs", "codes", "_groups")
 
     def __init__(
         self,
         key: int,
-        matrix: np.ndarray,
+        rows: np.ndarray,
         days: np.ndarray,
-        sq_norms: np.ndarray,
         seqs: np.ndarray,
         codes: np.ndarray,
     ) -> None:
         self.key = key
-        self.total = matrix.shape[0]
-        self.matrix = matrix
+        self.total = rows.shape[0]
+        self.rows = rows
         self.days = days
-        self.sq_norms = sq_norms
         self.seqs = seqs
         self.codes = codes
         self._groups: Optional[Tuple[np.ndarray, ...]] = None
@@ -315,10 +313,13 @@ class _Shard:
         self._room: Optional[np.ndarray] = None  # (2, capacity): seqs, codes
         self._data: Optional[_ShardData] = None
 
-    def append(self, ids, vectors, days, categories, texts, seqs, codes, rows=None) -> None:
-        """Append validated rows ``rows`` of ``vectors`` and ``days`` (all when None)."""
+    def append(self, ids, days, categories, texts, seqs, codes, rows=None) -> None:
+        """Store the rows written into ``store._reserve``'s block, with their columns.
+
+        ``rows`` picks the rows' days from ``days`` (all, in order, when None).
+        """
         start = len(self.store)
-        self.store._append(ids, vectors, days, categories, texts, rows)  # noqa: SLF001
+        self.store._commit(ids, days, categories, texts, rows)  # noqa: SLF001
         end = len(self.store)
         if self._room is None or self._room.shape[1] < end:
             room = np.empty((2, max(64, 2 * end)), dtype=np.int64)
@@ -338,15 +339,16 @@ class _Shard:
         """The shard's scoring payload, rebuilt when rows were appended.
 
         Inserts only ever append (and relabels invalidate explicitly), so a
-        row-count check suffices; the store's matrix/days/norm buffers are
-        only replaced on growth, which implies a row-count change.
+        row-count check suffices; the store's row and day buffers are only
+        replaced on growth, which implies a row-count change.  A loaded
+        shard's first payload snaps its mapped rows into the store's own
+        buffer (:meth:`VectorStore.wrap`).
         """
         if self._data is None or self._data.total != len(self.store):
             self._data = _ShardData(
                 self.key,
-                matrix=self.store.matrix(),
+                rows=self.store.augmented(),
                 days=self.store.created_days(),
-                sq_norms=self.store.squared_norms(),
                 seqs=self.seqs,
                 codes=self.cat_codes,
             )
@@ -717,9 +719,16 @@ class ShardedVectorIndex:
         """Bulk insert, routing each row to its time-window shard.
 
         Validation happens up front (alignment, duplicate ids, finite days,
-        dimension) so a rejected batch leaves every shard untouched; global
-        insertion sequence numbers follow the batch order, preserving the
-        flat index's tie-breaking exactly.
+        dimension), and every row is snapped into the buffer block its shard
+        will store it in before any shard stores a row, so a rejected batch
+        leaves every shard untouched; global insertion sequence numbers
+        follow the batch order, preserving the flat index's tie-breaking
+        exactly.
+
+        Raises:
+            ValueError: for a batch :func:`validate_batch` rejects, or naming
+                the first id whose vector :func:`.scoring.snap` refuses (NaN,
+                infinite or too long).
         """
         vectors, days = validate_batch(
             incident_ids, vectors, created_days, categories, texts, self._locator, self._dim
@@ -727,7 +736,7 @@ class ShardedVectorIndex:
         count = vectors.shape[0]
         if count == 0:
             return
-        self._dim = vectors.shape[1]
+        next_shard_key = self._next_shard_key
         keys = self._route(days)
         # Each row's category is looked up once, in batch (memory) order, in
         # a table of the batch's own names; grouped rows then share one
@@ -755,6 +764,14 @@ class ShardedVectorIndex:
                 texts = np.array(texts, dtype=object)[order].tolist()
             local, seqs = local[order], order + self._next_seq
             labels = np.array(names, dtype=object)[local].tolist()
+        refused = []
+        for key, lo, hi in groups:
+            block = self._shards[key].store._reserve(hi - lo, vectors.shape[1])  # noqa: SLF001
+            bad = snap(vectors, block, None if order is None else order[lo:hi])
+            if bad is not None:
+                refused.append(lo + bad)
+        if refused:
+            self._reject(vectors, incident_ids, refused, order, keys, next_shard_key)
         # New categories take codes in first appearance over the *grouped*
         # rows, not in row-at-a-time order; no result depends on the
         # numbering (the snapshot's codes file does).
@@ -763,11 +780,12 @@ class ShardedVectorIndex:
         codes = np.array([self._cat_code[name] for name in names], dtype=np.int64)[local]
         for key, lo, hi in groups:
             self._shards[key].append(
-                ids[lo:hi], vectors, days, labels[lo:hi],
+                ids[lo:hi], days, labels[lo:hi],
                 None if texts is None else texts[lo:hi],
                 seqs[lo:hi], codes[lo:hi],
                 rows=None if order is None else order[lo:hi],
             )
+        self._dim = vectors.shape[1]
         self._locator.update(zip(incident_ids, keys.tolist()))
         self._next_seq += count
         self._inserts_since_compact += count
@@ -782,6 +800,22 @@ class ShardedVectorIndex:
                 # next insert wave continues the backlog instead of
                 # waiting out another full cadence.
                 self._inserts_since_compact = self.compaction.check_every
+
+    def _reject(self, vectors, incident_ids, refused, order, keys, next_shard_key) -> None:
+        """Undo what routing a refused batch did, then raise for its first refused row.
+
+        ``refused`` holds each refusing group's first position in grouped
+        ``order`` (batch order when None).  The shards the batch opened are
+        still empty: they close again, and the key counter goes back.
+        """
+        positions = np.asarray(refused)
+        row = int((positions if order is None else order[positions]).min())
+        for key in set(keys.tolist()):
+            if not len(self._shards[key].store):
+                del self._shards[key]
+        self._next_shard_key = next_shard_key
+        self._rebuild_ranges()
+        raise rejected(vectors[row], f"in vector store: {incident_ids[row]}")
 
     # ------------------------------------------------------------------ update
     def update_category(self, incident_id: str, category: str) -> None:
@@ -861,6 +895,7 @@ class ShardedVectorIndex:
         total_queries = queries.shape[0]
         if total_queries == 0:
             return []
+        augmented = augment_queries(queries)
         if not self._locator:
             return [[] for _ in range(total_queries)]
         if self._dim is not None and queries.shape[1] != self._dim:
@@ -868,9 +903,9 @@ class ShardedVectorIndex:
                 f"query dimension {queries.shape[1]} does not match store dimension {self._dim}"
             )
         # Recurring incidents produce identical queries (paper Figure 2);
-        # each distinct (vector, day, effective exclusions) group is scanned
-        # once, exactly like the flat backend's in-batch dedup.  Exclusion
-        # ids absent from the index cannot change the result.
+        # each distinct (snapped vector, day, effective exclusions) group is
+        # scanned once, exactly like the flat backend's in-batch dedup.
+        # Exclusion ids absent from the index cannot change the result.
         group_of: List[int] = []
         group_rows: List[int] = []
         group_excludes: List[Optional[Set[str]]] = []
@@ -886,7 +921,7 @@ class ShardedVectorIndex:
                 if raw_exclude
                 else frozenset()
             )
-            group_key = (queries[row].tobytes(), float(days[row]), effective)
+            group_key = (augmented[row].tobytes(), float(days[row]), effective)
             index = group_index.get(group_key)
             if index is None:
                 index = len(group_rows)
@@ -894,24 +929,35 @@ class ShardedVectorIndex:
                 group_rows.append(row)
                 group_excludes.append(set(effective) if effective else None)
             group_of.append(index)
-        if len(group_rows) < total_queries:
-            grouped = self.search_many(
-                queries[group_rows],
-                days[group_rows],
-                k=k,
-                exclude_ids=group_excludes,
-                history_before_day=history_before_day,
-                categories=categories,
+        if len(group_rows) == total_queries:
+            return self._scan(
+                augmented, days, k, exclude_ids, history_before_day, categories
             )
-            # Deduplicated rows count toward queries and the considered
-            # denominators (a naive scan would have scored them too) but
-            # contribute no scans — they reuse a group's result.  Matches
-            # the flat backend's accounting.
-            duplicates = total_queries - len(group_rows)
-            self._queries += duplicates
-            self._shards_considered += duplicates * len(self._shards)
-            self._entries_considered += duplicates * len(self._locator)
-            return [list(grouped[group_of[row]]) for row in range(total_queries)]
+        grouped = self._scan(
+            augmented[group_rows], days[group_rows], k, group_excludes,
+            history_before_day, categories,
+        )
+        # Deduplicated rows count toward queries and the considered
+        # denominators (a naive scan would have scored them too) but
+        # contribute no scans — they reuse a group's result.  Matches the
+        # flat backend's accounting.
+        duplicates = total_queries - len(group_rows)
+        self._queries += duplicates
+        self._shards_considered += duplicates * len(self._shards)
+        self._entries_considered += duplicates * len(self._locator)
+        return [list(grouped[group_of[row]]) for row in range(total_queries)]
+
+    def _scan(
+        self,
+        queries: np.ndarray,
+        days: np.ndarray,
+        k: int,
+        exclude_ids: Optional[Sequence[Optional[Set[str]]]],
+        history_before_day: Optional[float],
+        categories: Optional[Set[str]],
+    ) -> List[List[Neighbor]]:
+        """The wave scan of :meth:`search_many` for distinct augmented ``queries``."""
+        total_queries = queries.shape[0]
         diverse = self._similarity.diverse_categories
         alpha = self._similarity.alpha
         shard_keys = sorted(self._shards)
@@ -966,10 +1012,7 @@ class ShardedVectorIndex:
                 shard = self._shards[key]
                 data = shard.data()
                 block = np.array(nominated)
-                scores = score_block(
-                    data.matrix, data.sq_norms, data.days,
-                    queries[block], days[block], alpha,
-                )
+                scores = score_block(data.rows, data.days, queries[block], days[block], alpha)
                 if history_before_day is not None or allowed_codes is not None:
                     if key not in filtered:
                         filtered[key] = _filtered_rows(
@@ -1144,9 +1187,10 @@ class ShardedVectorIndex:
     ) -> _Shard:
         """A fresh shard holding rows ``picks`` of the ``sources``' rows laid end to end.
 
-        ``picks`` lists the rows in ascending-seq order.  Array columns are
-        gathered by fancy indexing, list columns by one object-array take
-        each; rows keep their sequences and category codes.
+        ``picks`` lists the rows in ascending-seq order.  Whole
+        ``[x, |x|^2, 1]`` rows and the other array columns are gathered by
+        fancy indexing, list columns by one object-array take each; rows
+        keep their sequences and category codes.
         """
 
         def joined(columns):
@@ -1157,9 +1201,11 @@ class ShardedVectorIndex:
 
         stores = [source.store for source in sources]
         shard = _Shard(self._next_key(), self._similarity, start_day, end_day)
+        block = shard.store._reserve(picks.shape[0], self._dim)  # noqa: SLF001
+        rows = joined([store.augmented() for store in stores])
+        np.take(rows, picks, axis=0, out=block, mode="clip")
         shard.append(
             objects([store._ids for store in stores]),  # noqa: SLF001
-            joined([store.matrix() for store in stores]),
             joined([store.created_days() for store in stores]),
             objects([store._categories for store in stores]),  # noqa: SLF001
             objects([store._texts for store in stores]),  # noqa: SLF001
@@ -1402,10 +1448,9 @@ class ShardedVectorIndex:
         codes = []
         for key in sorted(self._shards):
             shard = self._shards[key]
-            rows, dim = shard.store.matrix().shape
+            rows = len(shard.store)
             saved = shard.saved if same_dir else None
             if saved is None or saved[1] != rows or saved[0] not in present:
-                data = shard.data()
                 blob = json.dumps(
                     [shard.store._ids, shard.store._texts]  # noqa: SLF001
                 ).encode("utf-8")
@@ -1413,8 +1458,10 @@ class ShardedVectorIndex:
                 bytes_written += write_segment(
                     os.path.join(path, saved[0]),
                     {
-                        "matrix": data.matrix, "days": data.days,
-                        "sq_norms": data.sq_norms, "seqs": data.seqs,
+                        "matrix": shard.store.matrix(),
+                        "days": shard.store.created_days(),
+                        "sq_norms": shard.store.squared_norms(),
+                        "seqs": shard.seqs,
                     },
                     blob,
                 )
@@ -1422,7 +1469,7 @@ class ShardedVectorIndex:
                 {
                     "key": key,
                     "rows": rows,
-                    "dim": dim,
+                    "dim": shard.store.dim,
                     "start_day": shard.start_day,
                     "end_day": shard.end_day,
                     "min_day": shard.min_day,
@@ -1479,10 +1526,15 @@ class ShardedVectorIndex:
     ) -> "ShardedVectorIndex":
         """Re-open an index written by :meth:`save`.
 
-        Memory-maps every segment the manifest names: shard arrays are
-        views into the mappings, zero copies; a store goes copy-on-grow on
-        its first subsequent insert.  Only the ids/texts blobs and the
-        codes file are read eagerly.
+        Memory-maps every segment the manifest names.  A shard's days and
+        sequences are views into its mapping, copied on its first
+        subsequent insert; its matrix is snapped into a private row buffer
+        the first time the shard is scanned or its vectors read
+        (:meth:`VectorStore.wrap`), and the segment's squared norms are
+        recomputed from the snapped rows, never read.  Snapping is
+        idempotent, so a segment of snapped rows loads to the bits it was
+        saved from.  Only the ids/texts blobs and the codes file are read
+        eagerly.
 
         Raises :class:`~repro.core.errors.IndexCorruptionError` — a typed,
         permanent failure — whenever the on-disk state is unreadable:
@@ -1592,7 +1644,6 @@ class ShardedVectorIndex:
             shard.store = VectorStore.wrap(
                 matrix=views["matrix"],
                 created_days=views["days"],
-                sq_norms=views["sq_norms"],
                 incident_ids=ids,
                 categories=categories,
                 texts=texts,

@@ -1,7 +1,7 @@
 """Shard memory: the on-disk segment of one persisted shard.
 
 :func:`write_segment` lays one shard's row-immutable payload — float64
-matrix, creation days, cached squared norms, insertion sequences, then a
+matrix, creation days, squared norms, insertion sequences, then a
 trailing blob the index layer fills with the shard's ids and texts — into
 one file, every array on a 64-byte boundary behind a fixed header (magic,
 rows, dim, blob length).  A segment is written once under a name no earlier
@@ -29,7 +29,7 @@ ALIGNMENT = 64
 _FIELDS: Tuple[Tuple[str, str, Optional[int]], ...] = (
     ("matrix", "<f8", None),     # float64 vectors — the exact scoring source
     ("days", "<f8", 1),          # creation day per row
-    ("sq_norms", "<f8", 1),      # cached |v|^2 per row
+    ("sq_norms", "<f8", 1),      # |v|^2 per row (the index recomputes it on load)
     ("seqs", "<i8", 1),          # global insertion sequence per row
 )
 
@@ -76,9 +76,10 @@ def write_durable(path: str, chunks: Iterable) -> int:
 def write_segment(path: str, arrays: Dict[str, np.ndarray], blob: bytes) -> int:
     """Write one shard's arrays (the :data:`_FIELDS` names) and ``blob``.
 
-    Rows and dim are taken from the ``matrix`` field.  Arrays are handed to
-    the file as buffers, not copied into an intermediate image.  Returns
-    the bytes written.
+    Rows and dim are taken from the ``matrix`` field.  Contiguous arrays
+    are handed to the file as buffers, not copied into an intermediate
+    image; a strided view (a store's matrix and norms are columns of its
+    row buffer) is copied once.  Returns the bytes written.
     """
     rows, dim = arrays["matrix"].shape
     offsets, blob_offset = plan_layout(rows, dim)

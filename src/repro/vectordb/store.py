@@ -5,7 +5,7 @@ historical incident together with the metadata the similarity formula and
 the prompt construction need (creation day, category, summary text).
 
 The store is built for an always-on deployment ingesting a continuous
-stream of labelled incidents: vectors live in one pre-allocated matrix that
+stream of labelled incidents: vectors live in one pre-allocated buffer that
 grows geometrically, so ``add`` is amortized O(d) instead of re-stacking the
 whole history, and the index can be persisted with :meth:`save` /
 :meth:`load` and corrected in place with :meth:`update_category` when
@@ -21,7 +21,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Initial capacity of the pre-allocated vector matrix.
+from .scoring import rejected, snap
+
+#: Initial capacity (rows) of the pre-allocated row buffer.
 _INITIAL_CAPACITY = 64
 
 
@@ -84,12 +86,14 @@ def validate_batch(
 class VectorStore:
     """An in-memory store of incident embeddings, kept as columns.
 
-    Vectors are written into one pre-allocated matrix that doubles in
-    capacity when full, so brute-force scoring of a query (or a whole batch
-    of queries) against the history is a single vectorised operation and
-    ``add`` never re-stacks previously stored rows.  Creation days and
-    cached squared norms are arrays aligned with the matrix rows; ids,
-    categories and texts are plain lists.
+    Each vector is snapped to the scoring grid (:func:`.scoring.snap`) and
+    kept as one ``[x, |x|^2, 1]`` row of a pre-allocated ``(capacity,
+    dim + 2)`` buffer that doubles in capacity when full, so brute-force
+    scoring of a query (or a whole batch of queries) against the history is
+    a single product and ``add`` never re-stacks previously stored rows.
+    :meth:`matrix` and :meth:`squared_norms` are views of that buffer.
+    Creation days are an array aligned with its rows; ids, categories and
+    texts are plain lists.
 
     No per-row object is kept: :meth:`entry` (and :meth:`get`,
     :meth:`entries`, iteration) builds a :class:`VectorEntry` on demand, a
@@ -104,10 +108,9 @@ class VectorStore:
         self._categories: List[str] = []
         self._texts: List[str] = []
         self._by_id: Dict[str, int] = {}  # read through _rows()
-        self._matrix: Optional[np.ndarray] = None  # capacity x dim, rows >= len used
-        self._days: Optional[np.ndarray] = None    # capacity, aligned with matrix rows
-        self._sq_norms: Optional[np.ndarray] = None  # cached |v|^2 per row
-        self._sq_norms_size = 0  # rows covered by the cached norms
+        self._buffer: Optional[np.ndarray] = None  # capacity x (dim + 2): [x, |x|^2, 1]
+        self._days: Optional[np.ndarray] = None    # capacity, aligned with the buffer rows
+        self._source: Optional[np.ndarray] = None  # wrapped rows not yet in the buffer
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -130,27 +133,39 @@ class VectorStore:
             self._by_id.update(zip(self._ids[indexed:], range(indexed, len(self._ids))))
         return self._by_id
 
+    def _block(self) -> Optional[np.ndarray]:
+        """The row buffer, first built from wrapped rows if :meth:`wrap` left some."""
+        if self._source is not None:
+            source, self._source = self._source, None
+            self._buffer = np.empty((source.shape[0], source.shape[1] + 2))
+            snap(source, self._buffer)
+        return self._buffer
+
     # ------------------------------------------------------------------ insert
-    def _ensure_capacity(self, additional: int) -> None:
-        assert self.dim is not None
+    def _reserve(self, count: int, dim: int) -> np.ndarray:
+        """The buffer block the next ``count`` rows will occupy, grown to fit.
+
+        Rows written there stay invisible until :meth:`_commit` stores them.
+        """
+        if self.dim is None:
+            self.dim = dim
         size = len(self._ids)
-        needed = size + additional
-        if self._matrix is None:
+        needed = size + count
+        buffer = self._block()
+        if buffer is None:
             capacity = max(_INITIAL_CAPACITY, needed)
-            self._matrix = np.zeros((capacity, self.dim), dtype=np.float64)
+            self._buffer = np.zeros((capacity, self.dim + 2), dtype=np.float64)
             self._days = np.zeros(capacity, dtype=np.float64)
-            return
-        capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.zeros((capacity, self.dim), dtype=np.float64)
-        grown[:size] = self._matrix[:size]
-        self._matrix = grown
-        grown_days = np.zeros(capacity, dtype=np.float64)
-        grown_days[:size] = self._days[:size]
-        self._days = grown_days
+        elif needed > buffer.shape[0]:
+            capacity = buffer.shape[0]
+            while capacity < needed:
+                capacity *= 2
+            self._buffer = np.zeros((capacity, self.dim + 2), dtype=np.float64)
+            self._buffer[:size] = buffer[:size]
+            grown_days = np.zeros(capacity, dtype=np.float64)
+            grown_days[:size] = self._days[:size]
+            self._days = grown_days
+        return self._buffer[size:needed]
 
     def add(
         self,
@@ -162,7 +177,7 @@ class VectorStore:
     ) -> None:
         """Add one incident embedding; ids must be unique.
 
-        Amortized cost is one row write — the backing matrix is pre-allocated
+        Amortized cost is one row write — the backing buffer is pre-allocated
         and doubles when full, so no existing rows are copied on the hot path.
         """
         self.add_many(
@@ -181,31 +196,38 @@ class VectorStore:
         categories: Sequence[str],
         texts: Optional[Sequence[str]] = None,
     ) -> None:
-        """Bulk insert: one capacity check and one block write per column."""
+        """Bulk insert: one capacity check and one block write per column.
+
+        ``ValueError`` for a batch :func:`validate_batch` rejects, or with
+        the first id whose vector :func:`.scoring.snap` refuses; either way
+        the store is left as it was.
+        """
         vectors, days = validate_batch(
             incident_ids, vectors, created_days, categories, texts, self._rows(), self.dim
         )
-        if vectors.shape[0]:
-            self._append(incident_ids, vectors, days, categories, texts)
+        count = vectors.shape[0]
+        if count:
+            dim = self.dim
+            refused = snap(vectors, self._reserve(count, vectors.shape[1]))
+            if refused is not None:
+                if not self._ids:  # a refused first batch fixes no shape
+                    self.dim, self._buffer, self._days = dim, None, None
+                raise rejected(vectors[refused], f"in vector store: {incident_ids[refused]}")
+            self._commit(incident_ids, days, categories, texts)
 
-    def _append(self, incident_ids, vectors, created_days, categories, texts, rows=None) -> None:
-        """Append validated rows (new ids, the store's dim, finite days).
+    def _commit(self, incident_ids, created_days, categories, texts, rows=None) -> None:
+        """Store the rows :meth:`_reserve` handed out, with their other columns.
 
-        ``rows`` picks rows of ``vectors`` and ``created_days``, gathered
-        straight into the store's buffers; None appends them all.
+        ``created_days`` are the batch's days; ``rows`` picks the committed
+        rows' days from them (all, in order, when None).
         """
         count = len(incident_ids)
-        if self.dim is None:
-            self.dim = vectors.shape[1]
-        self._ensure_capacity(count)
         start = len(self._ids)
-        block = slice(start, start + count)
+        days = self._days[start : start + count]
         if rows is None:
-            self._matrix[block] = vectors
-            self._days[block] = created_days
+            days[:] = created_days
         else:  # "clip": under the default "raise" numpy buffers ``out``
-            np.take(vectors, rows, axis=0, out=self._matrix[block], mode="clip")
-            np.take(created_days, rows, out=self._days[block], mode="clip")
+            np.take(created_days, rows, out=days, mode="clip")
         self._ids.extend(incident_ids)
         self._categories.extend(categories)
         self._texts.extend([""] * count if texts is None else texts)
@@ -223,7 +245,7 @@ class VectorStore:
         """A snapshot of one row (aligned with :meth:`matrix`) as an entry."""
         return VectorEntry(
             incident_id=self._ids[row],
-            vector=self._matrix[row],
+            vector=self._block()[row, : self.dim],
             created_day=float(self._days[row]),
             category=self._categories[row],
             text=self._texts[row],
@@ -246,11 +268,16 @@ class VectorStore:
         """Distinct categories present in the store."""
         return sorted(set(self._categories))
 
+    def augmented(self) -> np.ndarray:
+        """Every stored ``[x, |x|^2, 1]`` row: :func:`.scoring.score_block`'s block."""
+        buffer = self._block()
+        if buffer is None or not self._ids:
+            return np.zeros((0, (self.dim or 0) + 2))
+        return buffer[: len(self._ids)]
+
     def matrix(self) -> np.ndarray:
-        """All vectors stacked row-wise (a view of the pre-allocated buffer)."""
-        if self._matrix is None or not self._ids:
-            return np.zeros((0, self.dim or 0))
-        return self._matrix[: len(self._ids)]
+        """All (snapped) vectors stacked row-wise: a view of the row buffer."""
+        return self.augmented()[:, : self.dim or 0]
 
     def created_days(self) -> np.ndarray:
         """Creation days of all entries, aligned with :meth:`matrix` rows."""
@@ -259,60 +286,38 @@ class VectorStore:
         return self._days[: len(self._ids)]
 
     def squared_norms(self) -> np.ndarray:
-        """``|v|^2`` of every stored vector, aligned with :meth:`matrix` rows.
-
-        Cached incrementally: only rows added since the last call are
-        computed, so repeated scoring passes never re-reduce the whole
-        history.
-        """
-        size = len(self._ids)
-        if size == 0:
-            return np.zeros(0)
-        if self._sq_norms is None or self._sq_norms.shape[0] < size:
-            fresh = np.einsum(
-                "ij,ij->i", self._matrix[self._sq_norms_size : size],
-                self._matrix[self._sq_norms_size : size],
-            )
-            if self._sq_norms is None or self._sq_norms_size == 0:
-                self._sq_norms = fresh
-            else:
-                self._sq_norms = np.concatenate(
-                    [self._sq_norms[: self._sq_norms_size], fresh]
-                )
-            self._sq_norms_size = size
-        return self._sq_norms[:size]
+        """``|x|^2`` of every stored vector, aligned with :meth:`matrix` rows (a view)."""
+        return self.augmented()[:, self.dim or 0]
 
     @classmethod
     def wrap(
         cls,
         matrix: np.ndarray,
         created_days: np.ndarray,
-        sq_norms: np.ndarray,
         incident_ids: List[str],
         categories: List[str],
         texts: List[str],
     ) -> "VectorStore":
-        """Adopt externally owned row arrays and metadata lists without copying them.
+        """Adopt externally owned rows and metadata lists.
 
-        The zero-copy load path: ``matrix`` / ``created_days`` /
-        ``sq_norms`` (typically memory-mapped segment views) become the
-        store's backing buffers directly, and the three lists become its
-        columns (the store owns them from here on).  Capacity equals the
-        row count, so the first subsequent insert re-allocates into a
-        private (writable) buffer — copy-on-grow semantics that keep
-        read-only mappings safe.
+        The load path: ``matrix`` and ``created_days`` are typically
+        memory-mapped segment views.  The three lists become the store's
+        columns and ``created_days`` its days buffer, uncopied (the store
+        owns them from here on).  ``matrix`` is snapped into a private row
+        buffer, its squared norms recomputed, on the store's first read of
+        a vector, so a mapping's pages fault in only when something scores
+        or reads the rows.  Capacity equals the row count, so the first
+        subsequent insert re-allocates the days into a private (writable)
+        buffer — copy-on-grow semantics that keep read-only mappings safe.
         """
         rows = int(matrix.shape[0])
-        if not (rows == len(created_days) == len(sq_norms)
-                == len(incident_ids) == len(categories) == len(texts)):
+        if not (rows == len(created_days) == len(incident_ids) == len(categories) == len(texts)):
             raise ValueError("wrapped arrays and metadata must align")
         store = cls(dim=int(matrix.shape[1]) if rows else None)
         if rows == 0:
             return store
-        store._matrix = matrix
+        store._source = matrix
         store._days = created_days
-        store._sq_norms = sq_norms
-        store._sq_norms_size = rows
         store._by_id = dict(zip(incident_ids, range(rows)))
         if len(store._by_id) != rows:
             raise ValueError("duplicate incident id in wrapped metadata")

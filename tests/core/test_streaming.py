@@ -25,6 +25,7 @@ from repro.core import (
     PipelineConfig,
     RCACopilot,
     StreamIngestor,
+    VirtualClock,
 )
 from repro.datagen import generate_corpus
 from repro.embedding import FastTextConfig, FastTextEmbedder
@@ -292,6 +293,36 @@ class TestTelemetryExport:
             "rcacopilot.ingest.flush_size", "stream-ingestor"
         )
         assert flush_size == 4.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 8: the pipeline's own rcacopilot.* gauges share the "
+        "diagnosed hub, and a metric query naming no metric lists them",
+    )
+    def test_a_poison_message_report_quotes_no_self_metric(self, build_copilot):
+        """The system's own gauges are not telemetry of the cloud it diagnoses.
+
+        ``poison_message_handler``'s ``routing_metrics`` query names no
+        metric, so it lists every name in the hub: with the ``rcacopilot.*``
+        gauges the ingestor and the prediction stage push there on every
+        wave, each PoisonMessageDetected report quotes ~44 lines such as
+        ``rcacopilot.cache.embedding_hits: max=0.0 on prediction-stage``.
+        """
+        service = TransportService(seed=202)
+        service.warm_up(hours=0.5)
+        copilot = build_copilot(service)
+        ingestor = copilot.stream(IngestConfig(), clock=VirtualClock())
+        futures = []
+        for _ in range(2):  # the second alert is diagnosed after a wave
+            alert = service.inject_and_detect("UseRouteResolution").primary_alert
+            assert alert.alert_type == "PoisonMessageDetected"
+            futures.append(ingestor.submit(alert))
+            ingestor.flush()
+        ingestor.stop()
+        text = futures[-1].result(timeout=30.0).incident.diagnostic_info()
+        assert "== Key metrics (routing_metrics) ==" in text
+        assert [line for line in text.splitlines() if "rcacopilot." in line] == []
 
 
 class TestPipelineTelemetry:

@@ -246,17 +246,10 @@ class TestPipelineParity:
             else:
                 assert run == baseline
 
-    # ROADMAP item 1: the scoring product ``queries @ matrix.T`` is not
-    # bit-invariant to the query-batch shape on this BLAS (a 1-row gemv vs
-    # a gemm), so near-tied scores can differ by an ulp between a query
-    # retrieved with its wave and retrieved alone — on the sandwich,
-    # INC-LIVE-000002 scores 0.2827325343913738 in the batch and ...736
-    # alone.  Strict: the day the kernel is shape-invariant this errors.
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: batch and 1-query scoring products differ by an ulp",
-    )
+    # On unsnapped vectors a 1-row gemv and a gemm round differently, and on
+    # the sandwich INC-LIVE-000002 scored 0.2827325343913738 in the batch
+    # and ...736 alone.  On the 2^-20 grid the product is exact, so the
+    # batch shape cannot show in a bit.
     def test_batch_retrieval_matches_single_queries(self, base_copilot):
         """After pass 1 and feedback, a wave retrieves as its queries alone do."""
         _, copilot, wave = run_pipeline_variant(

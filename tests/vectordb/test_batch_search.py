@@ -47,10 +47,12 @@ class TestVectorStoreIncremental:
             store.add(f"i{i}", vectors[i], float(i), f"cat{i % 7}")
         assert len(store) == 300
         assert store.matrix().shape == (300, 8)
-        np.testing.assert_array_equal(store.matrix(), vectors)
+        # Stored vectors are snapped to the scoring grid, 2^-20.
+        snapped = np.rint(vectors * 2.0**20) / 2.0**20
+        np.testing.assert_array_equal(store.matrix(), snapped)
         np.testing.assert_array_equal(store.created_days(), np.arange(300.0))
         # Entry views must track the latest buffer even after growth.
-        np.testing.assert_array_equal(store.get("i0").vector, vectors[0])
+        np.testing.assert_array_equal(store.get("i0").vector, snapped[0])
 
     def test_add_many_matches_sequential_adds(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,15 @@
 """The scoring product's one-thread OpenBLAS scope (``vectordb.scoring``).
 
 ``one_thread_product`` sets OpenBLAS's thread count to 1 around
-``queries @ matrix.T`` and restores it in ``finally``.  These tests pin what
-that buys and what it must not break: the scores no longer depend on how
-many threads OpenBLAS was started with, the count is restored after every
-product (also one that raises), a missing binding degrades to numpy's plain
-product, and a worker thread scores the same bits as the main thread.  Two
+``queries @ matrix.T`` and restores it in ``finally``.  Retrieval's inputs
+are snapped to a grid on which the product is exact whatever the thread
+count (``test_score_kernel.py``), so for scoring the binding now only saves
+the CPU that OpenBLAS's spinning workers would burn.  These tests pin the
+binding itself, on unsnapped arrays passed straight to
+``one_thread_product``: its product no longer depends on how many threads
+OpenBLAS was started with, the count is restored after every product (also
+one that raises), a missing binding degrades to numpy's plain product, and
+a worker thread computes the same bits as the main thread.  Two
 tests pin what a pthreads OpenBLAS, where the setter acts on the whole
 process, costs a host thread: it sees one thread while a product is
 scored, and a count it sets in that window survives the restore.
@@ -34,24 +38,21 @@ needs_binding = pytest.mark.skipif(
     "(not a bundled OpenBLAS, or an older one); the product runs unscoped",
 )
 
-# Blocks at dim 64 whose plain product differed in bits between one and two
-# OpenBLAS threads on one build; which shapes differ depends on the build and
-# the core count, so the test checks the unscoped products as well.
+# Blocks at dim 64 whose plain product of unsnapped arrays differed in bits
+# between one and two OpenBLAS threads on one build; which shapes differ
+# depends on the build and the core count, so the test checks the unscoped
+# products as well.
 SHAPES = [(16, 5003), (16, 6000), (16, 7772), (32, 3850), (1, 7772)]
 BLOCK_SCRIPT = f"""
 import hashlib
 import numpy as np
-from repro.vectordb.scoring import score_block
+from repro.vectordb.scoring import one_thread_product
 digest = lambda array: hashlib.sha256(array.tobytes()).hexdigest()
 for queries, rows in {SHAPES!r}:
     rng = np.random.default_rng(11)
     matrix = rng.standard_normal((rows, 64))
     block = rng.standard_normal((queries, 64))
-    scores = score_block(
-        matrix, np.einsum("ij,ij->i", matrix, matrix), rng.uniform(0, 90, rows),
-        block, rng.uniform(0, 90, queries), 0.3,
-    )
-    print(digest(block @ matrix.T), digest(scores))
+    print(digest(block @ matrix.T), digest(one_thread_product(block, matrix)))
 """
 
 
@@ -68,7 +69,7 @@ def current_count() -> int:
 
 
 @needs_binding
-def test_scores_do_not_depend_on_the_openblas_thread_count():
+def test_the_product_does_not_depend_on_the_openblas_thread_count():
     lines = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
@@ -85,7 +86,7 @@ def test_scores_do_not_depend_on_the_openblas_thread_count():
             "the unscoped product has the same bits under one and two OpenBLAS "
             f"threads at every block shape {SHAPES}, so the scope cannot show here"
         )
-    assert [scores for _, scores in lines["1"]] == [scores for _, scores in lines["2"]]
+    assert [product for _, product in lines["1"]] == [product for _, product in lines["2"]]
 
 
 @needs_binding
@@ -139,15 +140,13 @@ def test_without_a_binding_the_product_is_numpys(monkeypatch):
     ).tobytes()
 
 
-def test_a_worker_thread_scores_the_main_threads_bits():
+def test_a_worker_thread_computes_the_main_threads_bits():
     queries, matrix = block()
-    args = (
-        matrix, np.einsum("ij,ij->i", matrix, matrix),
-        np.linspace(0.0, 90.0, matrix.shape[0]), queries, np.full(16, 45.0), 0.3,
-    )
-    main = scoring.score_block(*args)
+    main = scoring.one_thread_product(queries, matrix)
     found = []
-    worker = threading.Thread(target=lambda: found.append(scoring.score_block(*args)))
+    worker = threading.Thread(
+        target=lambda: found.append(scoring.one_thread_product(queries, matrix))
+    )
     worker.start()
     worker.join()
     assert found[0].tobytes() == main.tobytes()

@@ -11,9 +11,8 @@ moves whole row blocks.  None of that may show from outside:
   leaves each shard the sequences, category names and counts row-at-a-time
   inserts leave, fresh, compacted and reloaded;
 * **bytes** — a scripted add/relabel/compact/save/reload sequence leaves
-  the snapshot directory, search results and ``stats()`` pinned below,
-  sha256 values taken from the tree that still built one ``VectorEntry``
-  per stored row;
+  the snapshot directory, search results and ``stats()`` pinned below
+  (see the pins for when they were taken);
 * **atomicity** — a rejected batch (a duplicate id, a non-finite day)
   leaves every shard untouched;
 * **write-through** — a relabel or an add after ``load`` changes no file
@@ -162,10 +161,14 @@ def results_sha256(index, produced):
 
 
 #: sha256 of the scripted run's snapshot directory (file names and bytes)
-#: and of its search results, ``stats()``, layout and category code table,
-#: as the tree that built one ``VectorEntry`` per stored row produced them.
-SNAPSHOT_SHA256 = "db1c30789807b6a01c77c4925a427c6066b220147b0243644647e2ff6fdb92e3"
-RESULTS_SHA256 = "983a7752f2d44f4b1d50da4a6eefc161a3f022d822c81a6d036aa62704a12f80"
+#: and of its search results, ``stats()``, layout and category code table.
+#: Taken once vectors were snapped to the 2^-20 scoring grid: stored vectors
+#: moved by at most 2^-21 per component and similarities by ~3e-7 relative,
+#: while every neighbour id, category, ``stats()`` value, layout and code
+#: table stayed what the tree that built one ``VectorEntry`` per stored row
+#: produced.
+SNAPSHOT_SHA256 = "443a31ae320624c84f55d4dbf7a43453e63ebe03bdc1cfd2f988b54b90bdacfc"
+RESULTS_SHA256 = "5d89758ef3eb08a414af95f7daca35a2d2c664a6e528a727fff1cafaa0f7b931"
 
 
 def prior_index(days, compact):

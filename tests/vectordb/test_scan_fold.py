@@ -8,8 +8,9 @@ selection orders every query's candidates in numpy.  The per-query scan it
 replaced — one candidate payload per (query, shard) pair, extracted on a
 fast or a filtered path, folded and merged one query at a time, and a final
 selection that walks every covered category in Python — is kept here as the
-reference.  Both score through the same ``score_block``, so neighbour ids,
-similarities (to the bit) and every scan counter must agree; the cases below
+reference.  The reference snaps its queries to the 2^-20 grid and augments
+them itself, and both score through the same ``score_block``, so neighbour
+ids, similarities (to the bit) and every scan counter must agree; the cases below
 are the ones where the ``-inf`` sentinel, a boundary tie or the in-batch
 dedup could make them differ.
 
@@ -197,9 +198,7 @@ def extract_block(data, queries_block, days_block, exclude_rows, history_before_
     fast, slow = [], []
     for position in range(block):
         (slow if batch_filtered or exclude_rows[position] else fast).append(position)
-    scores = score_block(
-        data.matrix, data.sq_norms, data.days, queries_block, days_block, alpha
-    )
+    scores = score_block(data.rows, data.days, augmented(queries_block), days_block, alpha)
     for position in slow:
         payloads[position] = extract_filtered_row(
             data, scores[position], exclude_rows[position],
@@ -312,12 +311,26 @@ def exclude_rows(index, shard, exclude):
     ))
 
 
+def on_grid(vectors):
+    """Vectors snapped to the scoring grid (idempotent)."""
+    return np.rint(np.asarray(vectors, dtype=np.float64) * 2.0**20) / 2.0**20
+
+
+def augmented(grid_queries):
+    """``[-2q, 1, |q|^2]`` per snapped query: what ``score_block`` scores."""
+    return np.column_stack((
+        -2.0 * grid_queries,
+        np.ones(grid_queries.shape[0]),
+        np.einsum("ij,ij->i", grid_queries, grid_queries),
+    ))
+
+
 def reference_search(index, queries, days, counters, k=None, exclude_ids=None,
                      history_before_day=None, categories=None):
     """The per-query ``search_many``; adds its scan counters to ``counters``."""
     k = k or index.similarity.k
     categories = categories or None
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = on_grid(queries)
     days = np.asarray(days, dtype=np.float64).ravel()
     total_queries = queries.shape[0]
     if not index._locator:
