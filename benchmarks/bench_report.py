@@ -150,9 +150,9 @@ METRICS: List[Tuple[str, str, str, object]] = [
     ),
     (
         "retrieval",
-        "sharded vs flat speedup (live)",
+        "sharded vs full-scan speedup (live)",
         "BENCH_retrieval.json",
-        lambda p: _get(p, "speedups", "sharded_over_flat_live"),
+        lambda p: _get(p, "speedups", "sharded_over_full_scan_live"),
     ),
     (
         "retrieval",

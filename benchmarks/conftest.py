@@ -9,11 +9,16 @@ the full 653-incident / 163-category corpus exactly as in EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from repro.datagen import generate_corpus
 from repro.datagen.splits import chronological_split
+
+# The retrieval benchmark checks the sharded index against the brute-force
+# oracle of the vectordb test suite.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests", "vectordb"))
 
 FULL_EVAL = os.environ.get("REPRO_FULL_EVAL", "0") == "1"
 

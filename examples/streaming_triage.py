@@ -73,12 +73,10 @@ def main() -> None:
     service = TransportService(seed=11)
     service.warm_up(hours=1.0)
     config = PipelineConfig(
-        # `sharded` is the default backend; spelled out here with the perf
-        # knobs: window_days=None auto-derives the shard width from the
-        # history, and the compaction policy keeps the layout balanced as
-        # feedback keeps appending incidents.
+        # The index's perf knobs: window_days=None auto-derives the shard
+        # width from the history, and the compaction policy keeps the layout
+        # balanced as feedback keeps appending incidents.
         index=IndexConfig(
-            backend="sharded",
             window_days=None,
             compaction=CompactionPolicy(
                 min_entries=8, max_entries=128, auto=True, check_every=64

@@ -19,7 +19,8 @@ suite locks:
 
 A directory written in a retired format (manifest version 3, one
 ``arena.bin``; versions 1 and 2, one ``.npz`` per shard) is reported as
-corruption too, so it takes the same ladder straight to the rebuild rung.
+corruption too, and so is the one ``.npz`` file the retired single-matrix
+index wrote, so both take the same ladder straight to the rebuild rung.
 Every fallback taken is counted into ``rcacopilot.faults.*`` telemetry when
 a hub is provided.
 """

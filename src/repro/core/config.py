@@ -80,32 +80,24 @@ class CollectionConfig:
 class IndexConfig:
     """Knobs of the retrieval index behind the prediction stage.
 
-    The index backend is pluggable (the :class:`~repro.vectordb.VectorIndex`
-    protocol): ``sharded`` — the default — partitions the history into
-    time-window shards, prunes temporally irrelevant shards per query with
-    an exact score bound and self-compacts skewed layouts; ``flat`` keeps
-    the whole history in one matrix.  Both return identical neighbours;
-    ``sharded`` scales retrieval to multi-100k histories.
+    The index is a :class:`~repro.vectordb.ShardedVectorIndex`: it
+    partitions the history into time-window shards, prunes temporally
+    irrelevant shards per query with an exact score bound and self-compacts
+    skewed layouts, so retrieval scales to multi-100k histories while
+    returning what a scan of every entry would.
     """
 
-    #: Index layout: ``sharded`` (time windows, the default) or ``flat``
-    #: (single matrix).
-    backend: str = "sharded"
-    #: Width of each time-window shard, in days (sharded backend only).
-    #: None (the default) derives it from the indexed history's
+    #: Width of each time-window shard, in days.  None (the default)
+    #: derives it from the indexed history's
     #: :meth:`~repro.incidents.IncidentStore.shard_counts`, targeting a
     #: median shard size (see :func:`~repro.core.prediction.select_window_days`).
     window_days: Optional[float] = None
-    #: Shard merge/split thresholds and the auto-compaction trigger
-    #: (sharded backend only); None uses :class:`CompactionPolicy` defaults
-    #: (compaction available via ``compact()`` but not auto-triggered).
+    #: Shard merge/split thresholds and the auto-compaction trigger; None
+    #: uses :class:`CompactionPolicy` defaults (compaction available via
+    #: ``compact()`` but not auto-triggered).
     compaction: Optional[CompactionPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("flat", "sharded"):
-            raise ValueError(
-                f"unknown index backend: {self.backend!r} (expected 'flat' or 'sharded')"
-            )
         if self.window_days is not None and self.window_days <= 0:
             raise ValueError("window_days must be positive")
 

@@ -7,7 +7,7 @@ Wires the two stages together behind one object:
 * ``diagnose(incident)`` — the same starting from an already-parsed incident
   (used when replaying historical corpora);
 * ``index_history(store)`` — build/refresh the embedding index of labelled
-  historical incidents (flat or time-window sharded, per ``IndexConfig``);
+  historical incidents (time-window shards, per ``IndexConfig``);
 * ``record_feedback(...)`` — fold the OCE-confirmed label back into the
   history, the continuous-improvement loop the paper deploys;
 * ``stream()`` — a :class:`~repro.core.streaming.StreamIngestor` that

@@ -44,7 +44,7 @@ from ..llm import (
     SimulatedLLM,
 )
 from ..telemetry import TelemetryHub
-from ..vectordb import DEFAULT_WINDOW_DAYS, SimilarityConfig, VectorIndex, build_index
+from ..vectordb import DEFAULT_WINDOW_DAYS, ShardedVectorIndex, SimilarityConfig, VectorIndex
 from .clock import MONOTONIC_CLOCK, Clock
 from .config import ContextSource, IndexConfig, PredictionConfig
 from .errors import NotFittedError
@@ -394,9 +394,10 @@ class PredictionStage:
         The whole history is embedded in one ``embed_many`` call and bulk
         inserted through the :class:`~repro.vectordb.VectorIndex` protocol;
         summaries go through the batched summarizer, warming the content
-        caches for the live stream.  The index backend (flat single matrix
-        or time-window sharded) comes from :class:`IndexConfig` and does not
-        change retrieval results.
+        caches for the live stream.  The index is a
+        :class:`~repro.vectordb.ShardedVectorIndex` whose window width and
+        compaction policy come from :class:`IndexConfig`; neither changes
+        retrieval results.
         """
         labelled = history.labelled()
         if not labelled:
@@ -409,7 +410,7 @@ class PredictionStage:
         self._warm_summaries(labelled)
         vectors = self._embed_texts(texts)
         window_days = self.index_config.window_days
-        if window_days is None and self.index_config.backend == "sharded":
+        if window_days is None:
             # Size the windows for what actually gets indexed: the labelled
             # subset, not the full history.
             labelled_history = (
@@ -436,8 +437,7 @@ class PredictionStage:
                     ),
                 )
         self.resolved_window_days = window_days
-        self.index = build_index(
-            self.index_config.backend,
+        self.index = ShardedVectorIndex(
             similarity=SimilarityConfig(
                 alpha=self.config.alpha,
                 k=self.config.k,
@@ -489,7 +489,7 @@ class PredictionStage:
 
         Raises:
             KeyError: with the offending id, when the incident was never
-                indexed (whichever index backend is configured).
+                indexed.
         """
         if self.index is None:
             raise NotFittedError("index_history must be called before update_category")
@@ -524,9 +524,8 @@ class PredictionStage:
 
         All queries are embedded in one pass (through the embedding cache)
         and scored against the retrieval index through the
-        :class:`~repro.vectordb.VectorIndex` protocol — one matrix–matrix
-        pass on the flat backend, per-shard passes over eligible shards on
-        the sharded backend, identical neighbours either way.
+        :class:`~repro.vectordb.VectorIndex` protocol: one matrix product
+        per eligible shard, the neighbours a scan of every entry would give.
         """
         if self.index is None:
             raise NotFittedError("index_history must be called before retrieval")

@@ -959,10 +959,10 @@ class StreamIngestor:
 
         Takes the same lock as the prediction phase, so the correction is
         guaranteed to be visible to every micro-batch whose prediction
-        starts after this call returns (on whichever index backend is
-        configured) and never lands mid-prediction.  Pipelined execution
-        preserves the guarantee: predictions are serialized under this
-        lock even while later waves collect concurrently.
+        starts after this call returns and never lands mid-prediction.
+        Pipelined execution preserves the guarantee: predictions are
+        serialized under this lock even while later waves collect
+        concurrently.
         """
         with self._lock:
             self.copilot.record_feedback(incident, confirmed_category)

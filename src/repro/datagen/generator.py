@@ -80,6 +80,11 @@ def allocate_occurrences(
         raise ValueError(
             "total_incidents too small for the requested number of categories"
         )
+    if remaining and not long_tail:
+        raise ValueError(
+            "total_incidents too large for the requested number of categories: "
+            "no long-tail category is left to recur"
+        )
     # Roughly a quarter of the long-tail categories are allowed to recur.
     recurring_pool = long_tail[: max(1, len(long_tail) // 4)]
     weights = {name: 1.0 for name in recurring_pool}

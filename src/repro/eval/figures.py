@@ -137,7 +137,7 @@ def figure12_k_alpha_sweep(
             stage.index = copy.deepcopy(base_index)
             stage._summaries = dict(base_summaries)  # noqa: SLF001
             # The retrieval protocol carries its own similarity config, so
-            # re-parameterizing the sweep works on any index backend.
+            # re-parameterizing the sweep needs no rebuild.
             stage.index.similarity = SimilarityConfig(
                 alpha=alpha, k=k, diverse_categories=True
             )

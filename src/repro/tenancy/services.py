@@ -86,9 +86,9 @@ class CollectService(Protocol):
 class RetrievalService(Protocol):
     """The retrieval layer: vector insertions and neighbour search.
 
-    The query surface of :class:`~repro.vectordb.VectorIndex` — both index
-    backends (flat, sharded) satisfy it.  The tenant router holds one
-    retrieval namespace per tenant
+    The query surface of :class:`~repro.vectordb.VectorIndex`, which
+    :class:`~repro.vectordb.ShardedVectorIndex` satisfies.  The tenant
+    router holds one retrieval namespace per tenant
     (:class:`~repro.vectordb.NamespacedIndexMap`), each namespace an
     independent ``RetrievalService``.
     """

@@ -1,4 +1,4 @@
-"""The one scoring kernel both retrieval backends call (Section 4.2.2).
+"""The one scoring kernel retrieval calls (Section 4.2.2).
 
 ``score_block`` turns a block of query embeddings into the paper's
 similarities ``exp(-alpha |day gap|) / (1 + |q - m|)`` against a block of

@@ -1,6 +1,6 @@
 """Time-window sharded vector index with exact bound-based shard pruning.
 
-At multi-100k histories the flat index scores every stored incident for
+At multi-100k histories a full scan scores every stored incident for
 every query.  But the paper's similarity (Section 4.2.2) decays
 exponentially with the temporal gap — ``exp(-alpha |dT|) / (1 + dist)`` —
 so an incident far in the past can never outscore a moderately close recent
@@ -29,8 +29,9 @@ stops at ``k``:
 
 Both tests are strict: an unscanned entry scoring exactly the bound could
 tie with a held candidate and win on the global insertion sequence, which
-breaks ties exactly like the flat scan, so a tie never prunes.  Flat and
-sharded retrieval return identical neighbour lists.
+breaks ties exactly like a full scan, so a tie never prunes.  The index
+returns the neighbour lists a full scan of every entry would (the
+brute-force oracle ``tests/vectordb/oracle.py`` is that scan).
 
 With ``alpha == 0`` the bound is 1.0 and nothing is ever pruned (correct:
 without decay every era of the history matters equally).
@@ -82,7 +83,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..core.errors import IndexCorruptionError
-from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
 from .scoring import augment_queries, rejected, score_block, snap
 from .shardmem import map_segment, write_durable, write_segment
@@ -91,6 +91,9 @@ from .store import VectorEntry, VectorStore, validate_batch
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
+
+#: Manifest file name marking a sharded index directory.
+SHARDED_MANIFEST = "manifest.json"
 
 #: The one manifest version :meth:`ShardedVectorIndex.save` writes and
 #: :meth:`ShardedVectorIndex.load` reads.
@@ -500,7 +503,7 @@ class _ScanState:
 
         One flat ``lexsort`` by (query, category, score desc, seq asc) puts
         each (query, category) run's argmax first.  It replaces the held
-        best when it wins by (score desc, seq asc), the flat scan's
+        best when it wins by (score desc, seq asc), a full scan's
         tie-breaking; ``kth_best`` is then recomputed for ``queries``.
         """
         codes, seqs = data.codes[rows], data.seqs[rows]
@@ -527,13 +530,11 @@ class _ScanState:
 class ShardedVectorIndex:
     """Entries partitioned by time window; queries scan only relevant shards.
 
-    Implements the same :class:`~repro.vectordb.index.VectorIndex` protocol
-    as the flat index and returns identical results (see module docstring
-    for the exactness argument); the difference is purely how much of the
-    history each query touches, which :meth:`stats` reports.
+    Implements the :class:`~repro.vectordb.index.VectorIndex` protocol and
+    returns what a full scan of every entry would (see module docstring for
+    the exactness argument); how much of the history each query actually
+    touches is what :meth:`stats` reports.
     """
-
-    backend = "sharded"
 
     def __init__(
         self,
@@ -722,8 +723,8 @@ class ShardedVectorIndex:
         dimension), and every row is snapped into the buffer block its shard
         will store it in before any shard stores a row, so a rejected batch
         leaves every shard untouched; global insertion sequence numbers
-        follow the batch order, preserving the flat index's tie-breaking
-        exactly.
+        follow the batch order, so ties break by insertion order exactly
+        as in a full scan.
 
         Raises:
             ValueError: for a batch :func:`validate_batch` rejects, or naming
@@ -878,11 +879,10 @@ class ShardedVectorIndex:
         nominating sub-batch, and the scored block is folded into the
         batch-major :class:`_ScanState` in one step.  Waves repeat until
         every query has either scanned or pruned every shard.
-        Results are identical to the flat index's full scan.
+        Results are identical to a full scan of every entry.
         """
         k = k or self._similarity.k
-        # An empty category filter means "no filter", matching the flat
-        # backend's truthiness semantics.
+        # An empty category filter means "no filter".
         categories = categories or None
         queries = np.asarray(query_matrix, dtype=np.float64)
         if queries.ndim != 2:
@@ -904,7 +904,7 @@ class ShardedVectorIndex:
             )
         # Recurring incidents produce identical queries (paper Figure 2);
         # each distinct (snapped vector, day, effective exclusions) group is
-        # scanned once, exactly like the flat backend's in-batch dedup.
+        # scanned once.
         # Exclusion ids absent from the index cannot change the result.
         group_of: List[int] = []
         group_rows: List[int] = []
@@ -939,8 +939,7 @@ class ShardedVectorIndex:
         )
         # Deduplicated rows count toward queries and the considered
         # denominators (a naive scan would have scored them too) but
-        # contribute no scans — they reuse a group's result.  Matches the
-        # flat backend's accounting.
+        # contribute no scans — they reuse a group's result.
         duplicates = total_queries - len(group_rows)
         self._queries += duplicates
         self._shards_considered += duplicates * len(self._shards)
@@ -1098,7 +1097,7 @@ class ShardedVectorIndex:
         full candidate pool strictly above the shard's score upper bound
         and — with diversity on — every (allowed) category present in the
         shard already covered by a strictly better candidate.  Strict
-        inequalities keep tie-breaking identical to the flat scan.
+        inequalities keep tie-breaking identical to a full scan.
         """
         if scan.pool_scores[qi, -1] <= upper_bound:
             return False

@@ -7,15 +7,15 @@ the prompt construction need (creation day, category, summary text).
 The store is built for an always-on deployment ingesting a continuous
 stream of labelled incidents: vectors live in one pre-allocated buffer that
 grows geometrically, so ``add`` is amortized O(d) instead of re-stacking the
-whole history, and the index can be persisted with :meth:`save` /
-:meth:`load` and corrected in place with :meth:`update_category` when
-on-call engineers confirm a different root-cause label.
+whole history, and a row is corrected in place with
+:meth:`update_category` when on-call engineers confirm a different
+root-cause label.  Each shard of the sharded index is one store; the index
+persists them (:meth:`~repro.vectordb.sharded.ShardedVectorIndex.save`)
+and re-opens them with :meth:`VectorStore.wrap`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -322,47 +322,4 @@ class VectorStore:
         if len(store._by_id) != rows:
             raise ValueError("duplicate incident id in wrapped metadata")
         store._ids, store._categories, store._texts = incident_ids, categories, texts
-        return store
-
-    # ------------------------------------------------------------- persistence
-    def save(self, path: str) -> None:
-        """Persist the store to ``path`` (``.npz``: vectors + JSON metadata)."""
-        metadata = json.dumps(
-            [
-                {"incident_id": incident_id, "category": category, "text": text}
-                for incident_id, category, text in zip(self._ids, self._categories, self._texts)
-            ]
-        )
-        path = os.fspath(path)
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        np.savez_compressed(
-            path,
-            matrix=self.matrix(),
-            created_days=self.created_days(),
-            metadata=np.array(metadata),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "VectorStore":
-        """Load a store previously written by :meth:`save`.
-
-        Accepts either a ``str`` or a :class:`pathlib.Path` (anything
-        implementing ``__fspath__``), matching what :meth:`save` accepts.
-        """
-        path = os.fspath(path)
-        if not path.endswith(".npz"):
-            path = path + ".npz"
-        with np.load(path, allow_pickle=False) as archive:
-            matrix = archive["matrix"]
-            days = archive["created_days"]
-            metadata = json.loads(str(archive["metadata"]))
-        store = cls(dim=int(matrix.shape[1]) if matrix.size else None)
-        store.add_many(
-            incident_ids=[item["incident_id"] for item in metadata],
-            vectors=matrix,
-            created_days=days,
-            categories=[item["category"] for item in metadata],
-            texts=[item["text"] for item in metadata],
-        )
         return store

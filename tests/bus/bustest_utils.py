@@ -51,7 +51,7 @@ def build_replay_copilot(clock: Optional[Clock] = None) -> RCACopilot:
     """
     config = PipelineConfig(
         collection=CollectionConfig(strict=False),
-        index=IndexConfig(backend="flat", window_days=20.0),
+        index=IndexConfig(window_days=20.0),
     )
     copilot = RCACopilot(
         TelemetryHub(), model=SimulatedLLM(), config=config, clock=clock

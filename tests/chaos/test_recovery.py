@@ -234,6 +234,37 @@ def test_resilient_load_falls_back_to_rebuild(tmp_path):
     index.close()
 
 
+def test_a_retired_flat_npz_snapshot_takes_the_rebuild_rung(tmp_path):
+    """The single-matrix index's one ``.npz`` file is corruption, then a rebuild.
+
+    Opening ``flat.npz/manifest.json`` is a ``NotADirectoryError``, an
+    ``OSError`` the manifest read reports as :class:`IndexCorruptionError`.
+    """
+    index = _build_index()
+    expected = _neighbor_ids(index)
+    path = tmp_path / "flat.npz"
+    entries = [index.get(f"INC-{position:04d}") for position in range(24)]
+    np.savez_compressed(
+        path,
+        matrix=np.array([entry.vector for entry in entries]),
+        created_days=np.array([entry.created_day for entry in entries]),
+        metadata=np.array(json.dumps([
+            {"incident_id": entry.incident_id, "category": entry.category, "text": entry.text}
+            for entry in entries
+        ])),
+    )
+    with pytest.raises(IndexCorruptionError, match="corrupt manifest"):
+        load_index(str(path))
+    hub = TelemetryHub()
+    loaded, source = load_index_resilient(str(path), rebuild=_build_index, hub=hub)
+    assert source == "rebuilt"
+    assert _neighbor_ids(loaded) == expected
+    for suffix in ("index_load_corruptions", "index_rebuilds"):
+        assert hub.metrics.latest(f"rcacopilot.faults.{suffix}", "chaos-recovery") == 1.0
+    loaded.close()
+    index.close()
+
+
 def test_resilient_load_exhausted_reraises(tmp_path):
     index = _build_index()
     path = tmp_path / "idx"

@@ -253,7 +253,6 @@ def seed_hub(hub: TelemetryHub) -> None:
 
 def build_stream_copilot(
     strict: bool = True,
-    index_backend: str = "flat",
     wall_budget: Optional[float] = None,
     registry: Optional[HandlerRegistry] = None,
     with_history: bool = True,
@@ -268,7 +267,7 @@ def build_stream_copilot(
     """
     config = PipelineConfig(
         collection=CollectionConfig(strict=strict, handler_wall_budget_seconds=wall_budget),
-        index=IndexConfig(backend=index_backend, window_days=20.0),
+        index=IndexConfig(window_days=20.0),
     )
     hub = TelemetryHub()
     seed_hub(hub)

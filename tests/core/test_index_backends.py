@@ -1,9 +1,11 @@
-"""Flat vs. sharded retrieval through the full prediction stage.
+"""Sharded retrieval against the brute-force oracle, through the full prediction stage.
 
-The acceptance contract of the retrieval refactor: on the seed corpus, a
-prediction stage configured with the sharded index produces *identical*
-predictions and neighbour sets to one configured with the flat index —
-sharding is a layout/performance choice, never a quality choice.
+The acceptance contract of the retrieval index: on the seed corpus, a
+prediction stage retrieving from its sharded index produces *identical*
+predictions and neighbour sets to one whose index was swapped for the test
+oracle (``tests/vectordb/oracle.py``, one scored block per search) holding
+the same entries — sharding is a layout/performance choice, never a
+quality choice.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 
+from oracle import OracleIndex
 from streamtest_utils import FittedEmbedder
 from repro.core import (
     IndexConfig,
@@ -25,7 +29,7 @@ from repro.core import (
 from repro.embedding import FastTextConfig, FastTextEmbedder
 from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
-from repro.vectordb import CompactionPolicy, FlatVectorIndex, ShardedVectorIndex
+from repro.vectordb import CompactionPolicy, ShardedVectorIndex
 
 
 @pytest.fixture(scope="module")
@@ -47,78 +51,105 @@ def fitted(corpus_split):
     return lambda: FittedEmbedder(copy.deepcopy(model))
 
 
-def build_stage(backend, corpus_split, fitted, window_days=20.0, **index_options):
+def build_stage(corpus_split, fitted, window_days=20.0, **index_options):
     train, _ = corpus_split
     stage = PredictionStage(
         model=SimulatedLLM(),
         config=PredictionConfig(),
         embedder=fitted(),
-        index_config=IndexConfig(
-            backend=backend, window_days=window_days, **index_options
-        ),
+        index_config=IndexConfig(window_days=window_days, **index_options),
     )
     stage.index_history(train)
     return stage
 
 
+def build_oracle_stage(corpus_split, fitted):
+    """A stage whose sharded index is swapped for the oracle, same entries in the same order."""
+    train, _ = corpus_split
+    stage = build_stage(corpus_split, fitted)
+    entries = [stage.index.get(incident.incident_id) for incident in train.labelled()]
+    oracle = OracleIndex(stage.index.similarity)
+    oracle.add_many(
+        [entry.incident_id for entry in entries],
+        np.array([entry.vector for entry in entries]),
+        [entry.created_day for entry in entries],
+        [entry.category for entry in entries],
+        [entry.text for entry in entries],
+    )
+    stage.index = oracle
+    return stage
+
+
+def fingerprints(demonstration_lists):
+    return [
+        [(n.incident_id, float(n.similarity).hex()) for n in demonstrations]
+        for demonstrations in demonstration_lists
+    ]
+
+
 class TestSeedCorpusParity:
-    def test_index_backend_selected_from_config(self, corpus_split, fitted):
-        flat_stage = build_stage("flat", corpus_split, fitted)
-        sharded_stage = build_stage("sharded", corpus_split, fitted)
-        assert isinstance(flat_stage.index, FlatVectorIndex)
+    def test_the_index_is_sharded_and_holds_every_labelled_incident(
+        self, corpus_split, fitted
+    ):
+        train, _ = corpus_split
+        sharded_stage = build_stage(corpus_split, fitted)
+        oracle_stage = build_oracle_stage(corpus_split, fitted)
         assert isinstance(sharded_stage.index, ShardedVectorIndex)
-        assert len(sharded_stage.index) == len(flat_stage.index)
+        assert len(sharded_stage.index) == len(oracle_stage.index) == len(train.labelled())
+        assert sharded_stage.index.stats()["shard_count"] > 1.0
 
     def test_identical_predictions_and_neighbors(self, corpus_split, fitted):
-        """Same labels, same neighbour ids, same similarity scores."""
+        """Same labels, same neighbour ids, same similarity bits."""
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split, fitted)
-        sharded_stage = build_stage("sharded", corpus_split, fitted)
+        oracle_stage = build_oracle_stage(corpus_split, fitted)
+        sharded_stage = build_stage(corpus_split, fitted)
         incidents = test.labelled()
-        flat_outcomes = flat_stage.predict_many(copy.deepcopy(incidents))
+        oracle_outcomes = oracle_stage.predict_many(copy.deepcopy(incidents))
         sharded_outcomes = sharded_stage.predict_many(copy.deepcopy(incidents))
-        assert [o.label for o in flat_outcomes] == [o.label for o in sharded_outcomes]
-        for flat_outcome, sharded_outcome in zip(flat_outcomes, sharded_outcomes):
-            assert [n.incident_id for n in flat_outcome.neighbors] == [
-                n.incident_id for n in sharded_outcome.neighbors
-            ]
-            assert [n.similarity for n in sharded_outcome.neighbors] == pytest.approx(
-                [n.similarity for n in flat_outcome.neighbors]
-            )
+        assert [o.label for o in oracle_outcomes] == [o.label for o in sharded_outcomes]
+        assert fingerprints(o.neighbors for o in sharded_outcomes) == fingerprints(
+            o.neighbors for o in oracle_outcomes
+        )
 
     def test_retrieval_parity_with_lookahead_cutoff(self, corpus_split, fitted):
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split, fitted)
-        sharded_stage = build_stage("sharded", corpus_split, fitted, window_days=10.0)
+        oracle_stage = build_oracle_stage(corpus_split, fitted)
+        sharded_stage = build_stage(corpus_split, fitted, window_days=10.0)
         incidents = test.labelled()[:10]
         cutoff = incidents[0].created_day
-        flat_lists = flat_stage.retrieve_many(incidents, history_before_day=cutoff)
+        oracle_lists = oracle_stage.retrieve_many(incidents, history_before_day=cutoff)
         sharded_lists = sharded_stage.retrieve_many(incidents, history_before_day=cutoff)
-        assert [
-            [n.incident_id for n in demonstrations] for demonstrations in flat_lists
-        ] == [[n.incident_id for n in demonstrations] for demonstrations in sharded_lists]
+        assert fingerprints(sharded_lists) == fingerprints(oracle_lists)
 
     def test_feedback_parity_after_updates(self, corpus_split, fitted):
-        """add_to_index + update_category keep the two backends in lockstep."""
+        """add_to_index + update_category keep the index and the oracle in lockstep."""
         _, test = corpus_split
-        flat_stage = build_stage("flat", corpus_split, fitted)
-        sharded_stage = build_stage("sharded", corpus_split, fitted)
+        oracle_stage = build_oracle_stage(corpus_split, fitted)
+        sharded_stage = build_stage(corpus_split, fitted)
         extra = test.labelled()[:6]
         for incident in extra:
-            flat_stage.add_to_index(incident)
+            oracle_stage.add_to_index(incident)
             sharded_stage.add_to_index(incident)
-        flat_stage.update_category(extra[0].incident_id, "Rewritten")
+        oracle_stage.update_category(extra[0].incident_id, "Rewritten")
         sharded_stage.update_category(extra[0].incident_id, "Rewritten")
         probes = test.labelled()[6:16]
-        flat_lists = flat_stage.retrieve_many(copy.deepcopy(probes))
+        oracle_lists = oracle_stage.retrieve_many(copy.deepcopy(probes))
         sharded_lists = sharded_stage.retrieve_many(copy.deepcopy(probes))
-        assert [
-            [n.incident_id for n in demonstrations] for demonstrations in flat_lists
-        ] == [[n.incident_id for n in demonstrations] for demonstrations in sharded_lists]
+        assert fingerprints(sharded_lists) == fingerprints(oracle_lists)
 
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
-    def test_update_category_unknown_id_fails_loudly(self, corpus_split, fitted, backend):
-        stage = build_stage(backend, corpus_split, fitted)
+    def test_auto_window_retrieval_matches_the_oracle(self, corpus_split, fitted):
+        _, test = corpus_split
+        oracle_stage = build_oracle_stage(corpus_split, fitted)
+        auto_stage = build_stage(corpus_split, fitted, window_days=None)
+        assert auto_stage.resolved_window_days != 20.0
+        incidents = test.labelled()
+        assert fingerprints(auto_stage.retrieve_many(incidents)) == fingerprints(
+            oracle_stage.retrieve_many(incidents)
+        )
+
+    @pytest.mark.parametrize("window_days", [20.0, None], ids=["window_20", "window_auto"])
+    def test_update_category_unknown_id_fails_loudly(self, corpus_split, fitted, window_days):
+        stage = build_stage(corpus_split, fitted, window_days=window_days)
         with pytest.raises(KeyError, match="INC-NOT-THERE"):
             stage.update_category("INC-NOT-THERE", "Whatever")
 
@@ -130,7 +161,6 @@ class TestShardedByDefault:
         from repro.incidents import IncidentStore
 
         train, _ = corpus_split
-        assert IndexConfig().backend == "sharded"
         assert IndexConfig().window_days is None
         stage = PredictionStage(
             model=SimulatedLLM(), config=PredictionConfig(), embedder=fitted()
@@ -150,7 +180,7 @@ class TestShardedByDefault:
         assert counts[len(counts) // 2] <= 2048
         assert window >= 1.0
         # An explicit window always wins over the automatic choice.
-        stage = build_stage("sharded", corpus_split, fitted, window_days=20.0)
+        stage = build_stage(corpus_split, fitted, window_days=20.0)
         assert stage.resolved_window_days == 20.0
 
     def test_auto_window_choice_is_logged_through_hub(self, small_corpus, fitted):
@@ -169,13 +199,11 @@ class TestShardedByDefault:
 
     def test_index_config_passes_window_and_compaction_through(self, corpus_split, fitted):
         policy = CompactionPolicy(min_entries=10, max_entries=50, auto=True)
-        stage = build_stage(
-            "sharded", corpus_split, fitted, window_days=15.0, compaction=policy
-        )
+        stage = build_stage(corpus_split, fitted, window_days=15.0, compaction=policy)
         assert stage.index.window_days == 15.0
         assert stage.index.compaction is policy
         assert [field.name for field in dataclasses.fields(IndexConfig)] == [
-            "backend", "window_days", "compaction",
+            "window_days", "compaction",
         ]
 
 
@@ -196,7 +224,7 @@ class TestShardKeyExtraction:
     def test_shard_counts_previews_index_layout(self, corpus_split, fitted):
         """shard_counts on the history matches the built sharded index."""
         train, _ = corpus_split
-        stage = build_stage("sharded", corpus_split, fitted, window_days=20.0)
+        stage = build_stage(corpus_split, fitted, window_days=20.0)
         labelled = train.labelled()
         expected = {}
         from repro.incidents import shard_key
@@ -213,7 +241,7 @@ class TestShardKeyExtraction:
 class TestIndexTelemetry:
     def test_index_metrics_exported_through_hub(self, small_corpus, fitted):
         hub = TelemetryHub()
-        config = PipelineConfig(index=IndexConfig(backend="sharded", window_days=20.0))
+        config = PipelineConfig(index=IndexConfig(window_days=20.0))
         copilot = RCACopilot(hub, config=config)
         copilot.prediction.embedder = fitted()
         train, test = small_corpus.chronological_split(0.75)
@@ -233,7 +261,7 @@ class TestIndexTelemetry:
         assert shard_count is not None and shard_count > 1.0
 
     def test_invalid_index_config_rejected(self):
-        with pytest.raises(ValueError):
-            IndexConfig(backend="faiss")
+        with pytest.raises(TypeError):  # one index, no backend to choose
+            IndexConfig(backend="flat")
         with pytest.raises(ValueError):
             IndexConfig(window_days=-1.0)

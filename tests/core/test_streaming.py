@@ -5,8 +5,8 @@ Covers the ingestion contract: a continuous alert stream is grouped into
 queued at once, batches form while it is busy, full batches cut on size;
 bounded queue with backpressure or load-shed), results flow back
 through futures, queue/flush statistics reach the telemetry hub, and OCE
-feedback recorded mid-stream is visible to the very next micro-batch on
-both index backends.
+feedback recorded mid-stream is visible to the very next micro-batch,
+with a fixed shard window and an auto-selected one.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def stream_history():
 
 @pytest.fixture(scope="module")
 def build_copilot():
-    """``build_copilot(stream_service, backend="flat")``: a freshly indexed copilot.
+    """``build_copilot(stream_service, window_days=20.0)``: a freshly indexed copilot.
 
     The default-size FastText model is fitted once for the module, on the
     texts ``PredictionStage.index_history`` would fit on; every copilot gets
@@ -74,8 +74,8 @@ def build_copilot():
         [i.diagnostic_info() or i.alert_info() for i in stream_history().labelled()]
     )
 
-    def build(stream_service, backend="flat"):
-        config = PipelineConfig(index=IndexConfig(backend=backend, window_days=20.0))
+    def build(stream_service, window_days=20.0):
+        config = PipelineConfig(index=IndexConfig(window_days=window_days))
         copilot = RCACopilot(stream_service.hub, config=config)
         copilot.prediction.embedder = stu.FittedEmbedder(copy.deepcopy(model))
         copilot.index_history(stream_history())
@@ -389,11 +389,11 @@ class TestPipelineTelemetry:
 class TestFeedbackMidStream:
     """Satellite: feedback between micro-batches reaches the next batch."""
 
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
+    @pytest.mark.parametrize("window_days", [20.0, None], ids=["window_20", "window_auto"])
     def test_feedback_visible_to_next_micro_batch(
-        self, build_copilot, stream_service, alert_feed, backend
+        self, build_copilot, stream_service, alert_feed, window_days
     ):
-        copilot = build_copilot(stream_service, backend=backend)
+        copilot = build_copilot(stream_service, window_days=window_days)
         ingestor = copilot.stream(IngestConfig(max_batch=8, max_latency_seconds=1.0))
         ingestor.submit(alert_feed[0])
         first_batch = ingestor.flush()
@@ -412,11 +412,11 @@ class TestFeedbackMidStream:
         neighbor_ids = [n.incident_id for n in second_batch[0].prediction.neighbors]
         assert diagnosed.incident_id in neighbor_ids
 
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
+    @pytest.mark.parametrize("window_days", [20.0, None], ids=["window_20", "window_auto"])
     def test_feedback_correction_between_batches(
-        self, build_copilot, stream_service, alert_feed, backend
+        self, build_copilot, stream_service, alert_feed, window_days
     ):
-        copilot = build_copilot(stream_service, backend=backend)
+        copilot = build_copilot(stream_service, window_days=window_days)
         ingestor = copilot.stream()
         ingestor.submit(alert_feed[1])
         report = ingestor.flush()[0]

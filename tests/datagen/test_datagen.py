@@ -111,6 +111,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             CorpusConfig(total_incidents=20, total_categories=5)
 
+    def test_no_long_tail_category_for_the_surplus_is_a_value_error(self):
+        # 10 categories are exactly the Table 1 ones: the incidents their
+        # scaled counts leave over have no long-tail category to recur in.
+        with pytest.raises(ValueError, match="no long-tail category"):
+            generate_corpus(40, 10, seed=13, duration_days=100.0)
+
     def test_allocation_sums_to_total(self):
         config = CorpusConfig(total_incidents=300, total_categories=80, seed=9)
         generator = CorpusGenerator(config)

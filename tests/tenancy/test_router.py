@@ -80,7 +80,7 @@ def build_router(
     stu.seed_hub(hub)
     config = PipelineConfig(
         collection=CollectionConfig(strict=True),
-        index=IndexConfig(backend="flat", window_days=20.0),
+        index=IndexConfig(window_days=20.0),
     )
     router = TenantRouter(
         hub,

@@ -32,7 +32,7 @@ THROUGHPUT = {
 RETRIEVAL = {
     "benchmark": "retrieval_sharded",
     "config": {"quick_mode": True},
-    "speedups": {"sharded_over_flat_live": 3.7},
+    "speedups": {"sharded_over_full_scan_live": 3.7},
     "stats": {"scanned_shard_ratio": 0.05},
 }
 
@@ -57,7 +57,7 @@ def test_report_renders_trend_across_runs(tmp_path):
     assert "| throughput | batch vs sequential speedup (best history size) | 6.50 | 6.50 |" in report
     assert "| throughput | autoscaled wall vs best static (bursty) | 0.95 | 0.95 |" in report
     # run-b has no retrieval artifact: its retrieval cells show "—".
-    assert "| retrieval | sharded vs flat speedup (live) | 3.70 | — |" in report
+    assert "| retrieval | sharded vs full-scan speedup (live) | 3.70 | — |" in report
     assert "| retrieval | scanned shard ratio | 0.05 | — |" in report
     assert "run-a: quick" in report and "run-b: full" in report
 

@@ -37,7 +37,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.vectordb import (
     CompactionPolicy,
-    FlatVectorIndex,
     ShardedVectorIndex,
     SimilarityConfig,
     VectorStore,
@@ -306,18 +305,16 @@ class TestRejectedBatch:
         assert index.shard_sizes() == {0: 1}
 
     @pytest.mark.parametrize("bad_day", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_the_flat_index_rejects_a_non_finite_day_too(self, bad_day):
-        index = FlatVectorIndex()
-        index.add("a", np.ones(6), 1.0, "x")
-        before = (index.stats(), [(e.incident_id, e.category, e.created_day) for e in index.store])
+    def test_the_vector_store_rejects_a_non_finite_day_too(self, bad_day):
+        store = VectorStore()
+        store.add("a", np.ones(6), 1.0, "x")
+        before = [(e.incident_id, e.category, e.created_day) for e in store]
         with pytest.raises(ValueError, match="non-finite creation day in vector store: c$"):
-            index.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
+            store.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
         with pytest.raises(ValueError, match="non-finite creation day in vector store: d$"):
-            index.add("d", np.ones(6), bad_day, "x")
-        assert (
-            index.stats(), [(e.incident_id, e.category, e.created_day) for e in index.store]
-        ) == before
-        assert index.store.matrix().shape == (1, 6)
+            store.add("d", np.ones(6), bad_day, "x")
+        assert [(e.incident_id, e.category, e.created_day) for e in store] == before
+        assert store.matrix().shape == (1, 6)
 
     def test_a_rejected_store_batch_names_the_first_offending_id(self):
         store = VectorStore()
@@ -372,7 +369,7 @@ def objects_grown_by_building(backend, total):
     categories = [f"c{row % 20}" for row in range(total)]
     gc.collect()
     before = len(gc.get_objects())
-    index = FlatVectorIndex() if backend == "flat" else ShardedVectorIndex(window_days=7.0)
+    index = VectorStore() if backend == "store" else ShardedVectorIndex(window_days=7.0)
     for start in range(0, total, 2_500):
         stop = start + 2_500
         index.add_many(ids[start:stop], vectors[start:stop], days[start:stop], categories[start:stop])
@@ -382,7 +379,7 @@ def objects_grown_by_building(backend, total):
     return grown
 
 
-@pytest.mark.parametrize("backend", ["flat", "sharded"])
+@pytest.mark.parametrize("backend", ["store", "sharded"])
 def test_building_an_index_leaves_no_object_per_row(backend):
     objects_grown_by_building(backend, 1_000)  # first-call imports and caches
     grown = {total: objects_grown_by_building(backend, total) for total in (10_000, 40_000)}
@@ -391,9 +388,9 @@ def test_building_an_index_leaves_no_object_per_row(backend):
 
 # ---------------------------------------------------------------- snapshots
 class TestEntriesAreSnapshots:
-    @pytest.mark.parametrize("backend", [FlatVectorIndex, ShardedVectorIndex])
-    def test_get_follows_a_relabel_and_a_returned_neighbour_does_not(self, backend):
-        index = backend(SimilarityConfig(alpha=0.1, k=3))
+    @pytest.mark.parametrize("window_days", [30.0, 1.0], ids=["one_shard", "three_shards"])
+    def test_get_follows_a_relabel_and_a_returned_neighbour_does_not(self, window_days):
+        index = ShardedVectorIndex(SimilarityConfig(alpha=0.1, k=3), window_days=window_days)
         index.add_many(
             ["a", "b", "c"], np.eye(3), [1.0, 2.0, 3.0], ["disk", "network", "auth"],
             texts=["A", "B", "C"],

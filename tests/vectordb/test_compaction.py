@@ -16,9 +16,9 @@ import os
 import numpy as np
 import pytest
 
+from oracle import OracleIndex
 from repro.vectordb import (
     CompactionPolicy,
-    FlatVectorIndex,
     ShardedVectorIndex,
     SimilarityConfig,
     load_index,
@@ -136,15 +136,15 @@ class TestSkewedIngestAcceptance:
         fresh.add_many(ids, vectors, days, categories)
         fresh.compact()
 
-        flat = FlatVectorIndex(similarity)
-        flat.add_many(ids, vectors, days, categories)
+        oracle = OracleIndex(similarity)
+        oracle.add_many(ids, vectors, days, categories)
 
         rng = np.random.default_rng(7)
         queries = rng.standard_normal((24, DIM))
         queries *= 6.0 / np.linalg.norm(queries, axis=1, keepdims=True)
         query_days = rng.uniform(700.0, TWO_YEARS, size=24)
 
-        reference = flat.search_many(queries, query_days)
+        reference = oracle.search_many(queries, query_days)
         assert_same_results(reference, aged.search_many(queries, query_days))
         assert_same_results(reference, fresh.search_many(queries, query_days))
 
@@ -213,7 +213,7 @@ class TestCompactionBehaviour:
     def test_inserts_after_compaction_route_into_compacted_ranges(self):
         """New entries land in merged/split shards, and parity holds."""
         similarity = SimilarityConfig(alpha=0.3, k=4)
-        flat = FlatVectorIndex(similarity)
+        oracle = OracleIndex(similarity)
         sharded = ShardedVectorIndex(similarity, window_days=10.0)
         rng = np.random.default_rng(11)
         count = 500
@@ -221,7 +221,7 @@ class TestCompactionBehaviour:
         vectors = rng.standard_normal((count, 6))
         days = rng.uniform(0.0, 200.0, size=count)
         categories = [f"c{i % 9}" for i in range(count)]
-        flat.add_many(ids, vectors, days, categories)
+        oracle.add_many(ids, vectors, days, categories)
         sharded.add_many(ids, vectors, days, categories)
         sharded.compact(min_entries=40, max_entries=120)
         shard_count = len(sharded.shard_sizes())
@@ -229,7 +229,7 @@ class TestCompactionBehaviour:
         more_days = rng.uniform(0.0, 200.0, size=100)
         more_ids = [f"j{i}" for i in range(100)]
         more_categories = [f"c{i % 9}" for i in range(100)]
-        flat.add_many(more_ids, more, more_days, more_categories)
+        oracle.add_many(more_ids, more, more_days, more_categories)
         sharded.add_many(more_ids, more, more_days, more_categories)
         # Every in-range insert reused a compacted shard; none resurrected
         # its original time bucket.
@@ -237,7 +237,7 @@ class TestCompactionBehaviour:
         queries = rng.standard_normal((8, 6))
         query_days = rng.uniform(0.0, 220.0, size=8)
         assert_same_results(
-            flat.search_many(queries, query_days),
+            oracle.search_many(queries, query_days),
             sharded.search_many(queries, query_days),
         )
 

@@ -3,17 +3,19 @@
 Stored vectors and queries are snapped to the 2^-20 grid, so every squared
 distance is exact and no block shape can change a bit of a score.  The
 differential below retrieves the same queries in a batch, one at a time, in
-a permuted batch and as a subset, on the flat index, on a sharded one and
-on a sharded one whose shards compaction split small — so each query meets
-blocks of many shapes — and compares ``(incident id, similarity.hex())``
-lists, which must all be the flat batch's.  Before the grid, a 1-row gemv
+a permuted batch and as a subset (and, filtered, batched and alone), on the
+brute-force oracle (``oracle.py``: the whole history scored as one matrix),
+on a sharded index and on a sharded one whose shards compaction split
+small — so each query meets blocks of many shapes — and compares
+``(incident id, similarity.hex())`` lists, which must all be the oracle
+batch's.  Before the grid, a 1-row gemv
 and a gemm rounded differently and near-tied neighbours swapped.
 
 Snapping is idempotent, so a snapshot whose segments hold unsnapped
 vectors — as every snapshot written before the grid does — loads to the
-bits of the index it came from.  Non-finite vectors and queries are refused
-on both backends, naming the first bad id or query row; a refused batch
-leaves the index as it was.
+bits of the index it came from.  Non-finite vectors and queries are refused,
+naming the first bad id or query row; a refused batch leaves the index (and
+the vector store each shard is) as it was.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vectordb import FlatVectorIndex, ShardedVectorIndex, SimilarityConfig
+from oracle import OracleIndex
+from repro.vectordb import ShardedVectorIndex, SimilarityConfig, VectorStore
 from repro.vectordb.shardmem import map_segment, write_segment
 
-BACKENDS = ("flat", "sharded", "split")
+BACKENDS = ("oracle", "sharded", "split")
 
 
 @st.composite
@@ -57,8 +60,8 @@ def unit_rows(rng, count, dim):
 def build(backend, case, vectors, days, categories):
     similarity = SimilarityConfig(alpha=case["alpha"], k=case["k"],
                                   diverse_categories=case["diverse"])
-    if backend == "flat":
-        index = FlatVectorIndex(similarity)
+    if backend == "oracle":
+        index = OracleIndex(similarity)
     else:
         index = ShardedVectorIndex(similarity, window_days=case["window"])
     index.add_many([f"i{row}" for row in range(len(days))], vectors, days, categories)
@@ -71,8 +74,8 @@ def fingerprints(found):
     return [[(n.incident_id, float(n.similarity).hex()) for n in row] for row in found]
 
 
-def check_case(case):
-    rng = np.random.default_rng(case["seed"])
+def case_data(rng, case):
+    """A case's stored rows (vectors, days, categories) and its queries with their days."""
     rows, count, dim = case["rows"], case["queries"], case["dim"]
     vectors = unit_rows(rng, rows, dim)
     days = np.round(rng.uniform(0.0, 120.0, rows), 1).tolist()
@@ -83,6 +86,13 @@ def check_case(case):
     queries[-1] = queries[0]
     query_days = rng.uniform(-10.0, 130.0, count)
     query_days[-1] = query_days[0]
+    return vectors, days, categories, queries, query_days
+
+
+def check_case(case):
+    rng = np.random.default_rng(case["seed"])
+    vectors, days, categories, queries, query_days = case_data(rng, case)
+    count = case["queries"]
     permutation = rng.permutation(count)
     subset = np.flatnonzero(rng.random(count) < 0.5)
     expected = None
@@ -115,6 +125,31 @@ def test_a_query_retrieves_the_same_bits_in_any_batch_on_any_layout(case):
 @given(case=retrieval_cases())
 def test_a_query_retrieves_the_same_bits_in_any_batch_on_any_layout_nightly(case):
     check_case(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=retrieval_cases(), cut=st.floats(0.0, 130.0), kept=st.integers(1, 12),
+       dropped=st.integers(0, 6))
+def test_filtered_searches_retrieve_the_same_bits_on_any_layout(case, cut, kept, dropped):
+    """Exclusions, a look-ahead cut-off and a category filter, batched and alone."""
+    rng = np.random.default_rng(case["seed"])
+    vectors, days, categories, queries, query_days = case_data(rng, case)
+    excludes = [{f"i{row}" for row in rng.integers(0, case["rows"], dropped)}
+                for _ in range(case["queries"])]
+    filters = dict(history_before_day=cut, categories={f"c{code}" for code in range(kept)})
+    expected = None
+    for backend in BACKENDS:
+        index = build(backend, case, vectors, days, categories)
+        found = index.search_many(queries, query_days, exclude_ids=excludes, **filters)
+        batch = fingerprints(found)
+        expected = batch if expected is None else expected
+        assert batch == expected, backend
+        alone = [
+            fingerprints(index.search_many(queries[row : row + 1], query_days[row : row + 1],
+                                           exclude_ids=excludes[row : row + 1], **filters))[0]
+            for row in range(case["queries"])
+        ]
+        assert alone == expected, backend
 
 
 # -------------------------------------------------------------------- loading
@@ -154,24 +189,24 @@ def test_unsnapped_segments_load_to_the_bits_of_the_live_index(tmp_path):
 
 # ------------------------------------------------------------------ rejection
 def make_index(backend):
-    index = FlatVectorIndex() if backend == "flat" else ShardedVectorIndex(window_days=5.0)
+    index = VectorStore() if backend == "store" else ShardedVectorIndex(window_days=5.0)
     index.add_many(["a", "b"], np.eye(2, 4), [1.0, 2.0], ["x", "y"])
     return index
 
 
 def index_state(index):
     state = (
-        len(index), index.stats(), index.categories(),
+        len(index), index.categories(),
         [(e.incident_id, e.category, e.created_day, e.vector.tolist())
          for e in map(index.get, ("a", "b"))],
     )
-    if isinstance(index, ShardedVectorIndex):
-        state += (list(index._ranges), index.shard_sizes(),  # noqa: SLF001
-                  index._next_shard_key, dict(index._cat_code))  # noqa: SLF001
-    return state
+    if isinstance(index, VectorStore):
+        return state + (index.augmented().tolist(), index.created_days().tolist())
+    return state + (index.stats(), list(index._ranges), index.shard_sizes(),  # noqa: SLF001
+                    index._next_shard_key, dict(index._cat_code))  # noqa: SLF001
 
 
-@pytest.mark.parametrize("backend", ["flat", "sharded"])
+@pytest.mark.parametrize("backend", ["store", "sharded"])
 @pytest.mark.parametrize(
     "value, message",
     [(math.nan, "non-finite vector"), (math.inf, "non-finite vector"),
@@ -195,10 +230,9 @@ def test_a_refused_vector_names_the_first_id_and_leaves_the_index_as_it_was(
     assert len(index) == 3
 
 
-@pytest.mark.parametrize("backend", ["flat", "sharded"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_a_non_finite_query_names_its_row(backend, value):
-    index = make_index(backend)
+def test_a_non_finite_query_names_its_row(value):
+    index = make_index("sharded")
     queries = np.ones((3, 4))
     queries[1, 3] = value
     with pytest.raises(ValueError, match="^non-finite vector at query row 1$"):
@@ -209,9 +243,9 @@ def test_a_non_finite_query_names_its_row(backend, value):
 
 
 def test_a_refused_first_batch_leaves_a_store_without_a_shape():
-    index = FlatVectorIndex()
-    with pytest.raises(ValueError, match="non-finite vector in vector store: a$"):
-        index.add("a", np.array([math.nan, 1.0, 2.0]), 1.0, "x")
-    assert index.dim is None
-    index.add("a", np.ones(5), 1.0, "x")
-    assert index.dim == 5
+    for index in (VectorStore(), ShardedVectorIndex()):
+        with pytest.raises(ValueError, match="non-finite vector in vector store: a$"):
+            index.add("a", np.array([math.nan, 1.0, 2.0]), 1.0, "x")
+        assert index.dim is None
+        index.add("a", np.ones(5), 1.0, "x")
+        assert index.dim == 5

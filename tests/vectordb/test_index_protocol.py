@@ -1,11 +1,13 @@
-"""Tests for the pluggable retrieval layer: protocol, parity and persistence.
+"""Tests for the retrieval layer: protocol, oracle parity and persistence.
 
-The contract under test: the flat and sharded index implementations return
-*identical* neighbour lists for every query — sharding and bound-based
+The contract under test: the sharded index returns *identical* neighbour
+lists to the brute-force oracle (``oracle.py``: every row scored in one
+block, ordered by score then insertion, selected by
+``select_complete_order``) for every query — sharding and bound-based
 pruning are invisible to callers.  Alongside the parity property tests sit
 the persistence round-trip regressions (dtype, capacity re-growth, cached
 squared-norm extension) backing the independent-shard persistence work, and
-the loud-KeyError contract of ``update_category`` on both backends.
+the loud-KeyError contract of ``update_category``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import OracleIndex
 from repro.core.errors import IndexCorruptionError
 from repro.vectordb import (
-    FlatVectorIndex,
     ShardedVectorIndex,
     SimilarityConfig,
     VectorIndex,
     VectorStore,
-    build_index,
     load_index,
     time_bucket,
 )
@@ -44,38 +45,36 @@ def populated(index, count=400, dim=8, seed=9, categories=23, duration=120.0):
 
 
 def both_indexes(similarity, window_days=15.0, **kwargs):
-    flat = populated(FlatVectorIndex(similarity), **kwargs)
+    oracle = populated(OracleIndex(similarity), **kwargs)
     sharded = populated(ShardedVectorIndex(similarity, window_days=window_days), **kwargs)
-    return flat, sharded
+    return oracle, sharded
 
 
-def assert_same_results(flat_results, sharded_results):
-    assert len(flat_results) == len(sharded_results)
-    for flat_neighbors, sharded_neighbors in zip(flat_results, sharded_results):
-        assert [n.incident_id for n in flat_neighbors] == [
-            n.incident_id for n in sharded_neighbors
+def assert_same_results(oracle_results, sharded_results):
+    """Same ids and the same similarity bits: every score is exact."""
+    assert len(oracle_results) == len(sharded_results)
+    for oracle_neighbors, sharded_neighbors in zip(oracle_results, sharded_results):
+        assert [(n.incident_id, float(n.similarity).hex()) for n in oracle_neighbors] == [
+            (n.incident_id, float(n.similarity).hex()) for n in sharded_neighbors
         ]
-        assert [n.similarity for n in sharded_neighbors] == pytest.approx(
-            [n.similarity for n in flat_neighbors]
-        )
 
 
-class TestFlatShardedParity:
+class TestOracleParity:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
     @pytest.mark.parametrize("diverse", [True, False])
     def test_plain_search_parity(self, alpha, diverse):
         similarity = SimilarityConfig(alpha=alpha, k=5, diverse_categories=diverse)
-        flat, sharded = both_indexes(similarity)
+        oracle, sharded = both_indexes(similarity)
         rng = np.random.default_rng(31)
         queries = rng.standard_normal((10, 8))
         days = rng.uniform(0.0, 150.0, size=10)
         assert_same_results(
-            flat.search_many(queries, days), sharded.search_many(queries, days)
+            oracle.search_many(queries, days), sharded.search_many(queries, days)
         )
 
     def test_filtered_search_parity(self):
         similarity = SimilarityConfig(alpha=0.3, k=4)
-        flat, sharded = both_indexes(similarity)
+        oracle, sharded = both_indexes(similarity)
         rng = np.random.default_rng(5)
         queries = rng.standard_normal((6, 8))
         days = rng.uniform(60.0, 130.0, size=6)
@@ -92,7 +91,7 @@ class TestFlatShardedParity:
             ),
         ):
             assert_same_results(
-                flat.search_many(queries, days, **kwargs),
+                oracle.search_many(queries, days, **kwargs),
                 sharded.search_many(queries, days, **kwargs),
             )
 
@@ -130,13 +129,13 @@ class TestFlatShardedParity:
     def test_parity_property(self, entries, query, query_day, alpha, k, diverse, window):
         """Random stores, windows and configs: identical neighbour lists."""
         similarity = SimilarityConfig(alpha=alpha, k=k, diverse_categories=diverse)
-        flat = FlatVectorIndex(similarity)
+        oracle = OracleIndex(similarity)
         sharded = ShardedVectorIndex(similarity, window_days=window)
         for index, (vector, day, category) in enumerate(entries):
-            for target in (flat, sharded):
+            for target in (oracle, sharded):
                 target.add(f"i{index}", np.array(vector), day, category)
         assert_same_results(
-            [flat.search(np.array(query), query_day)],
+            [oracle.search(np.array(query), query_day)],
             [sharded.search(np.array(query), query_day)],
         )
 
@@ -165,28 +164,28 @@ class TestFlatShardedParity:
     def test_tie_heavy_parity_property(
         self, entries, query, query_day, alpha, k, diverse, window
     ):
-        """Tie-heavy corpora: sharded == flat, exactly."""
+        """Tie-heavy corpora: sharded == oracle, exactly."""
         similarity = SimilarityConfig(alpha=alpha, k=k, diverse_categories=diverse)
-        flat = FlatVectorIndex(similarity)
+        oracle = OracleIndex(similarity)
         sharded = ShardedVectorIndex(similarity, window_days=window)
         for index, (vector, day, category) in enumerate(entries):
-            for target in (flat, sharded):
+            for target in (oracle, sharded):
                 target.add(f"i{index}", np.array(vector), day, category)
         assert_same_results(
-            [flat.search(np.array(query), query_day)],
+            [oracle.search(np.array(query), query_day)],
             [sharded.search(np.array(query), query_day)],
         )
 
-    def test_empty_category_filter_means_no_filter_on_both_backends(self):
+    def test_empty_category_filter_means_no_filter(self):
         similarity = SimilarityConfig(alpha=0.3, k=4)
-        flat, sharded = both_indexes(similarity, count=60)
+        oracle, sharded = both_indexes(similarity, count=60)
         rng = np.random.default_rng(17)
         queries = rng.standard_normal((3, 8))
         days = rng.uniform(0.0, 120.0, size=3)
-        flat_results = flat.search_many(queries, days, categories=set())
+        oracle_results = oracle.search_many(queries, days, categories=set())
         sharded_results = sharded.search_many(queries, days, categories=set())
-        assert all(len(neighbors) == 4 for neighbors in flat_results)
-        assert_same_results(flat_results, sharded_results)
+        assert all(len(neighbors) == 4 for neighbors in oracle_results)
+        assert_same_results(oracle_results, sharded_results)
 
     def test_duplicate_queries_deduplicated_in_batch(self):
         """Recurring identical queries are scanned once and share results."""
@@ -211,15 +210,15 @@ class TestFlatShardedParity:
 
     def test_parity_survives_category_updates(self):
         similarity = SimilarityConfig(alpha=0.3, k=5)
-        flat, sharded = both_indexes(similarity)
+        oracle, sharded = both_indexes(similarity)
         for incident_id in ("i3", "i77", "i201"):
-            flat.update_category(incident_id, "Corrected")
+            oracle.update_category(incident_id, "Corrected")
             sharded.update_category(incident_id, "Corrected")
         rng = np.random.default_rng(13)
         queries = rng.standard_normal((5, 8))
         days = rng.uniform(100.0, 140.0, size=5)
         assert_same_results(
-            flat.search_many(queries, days), sharded.search_many(queries, days)
+            oracle.search_many(queries, days), sharded.search_many(queries, days)
         )
 
 
@@ -275,14 +274,14 @@ class TestShardLayoutAndPruning:
         as pruned in one step; nothing may be lost or counted twice.
         """
         similarity = SimilarityConfig(alpha=0.3, k=3)
-        flat, sharded = both_indexes(
+        oracle, sharded = both_indexes(
             similarity, window_days=10.0, count=1200, duration=240.0
         )
         rng = np.random.default_rng(3)
         queries = rng.standard_normal((16, 8))
         days = rng.uniform(0.0, 260.0, size=16)
         assert_same_results(
-            flat.search_many(queries, days, **filters),
+            oracle.search_many(queries, days, **filters),
             sharded.search_many(queries, days, **filters),
         )
         stats = sharded.stats()
@@ -309,31 +308,35 @@ class TestShardLayoutAndPruning:
         assert twin.stats() == sharded.stats()
         assert_same_results(before, twin.search_many(queries, days))
 
-    def test_stats_shape_is_shared_across_backends(self):
-        flat, sharded = both_indexes(SimilarityConfig())
+    def test_stats_count_entries_queries_and_shards(self):
+        sharded = populated(ShardedVectorIndex(SimilarityConfig(), window_days=15.0))
         rng = np.random.default_rng(1)
-        for index in (flat, sharded):
-            index.search_many(rng.standard_normal((3, 8)), [10.0, 50.0, 90.0])
-            stats = index.stats()
-            assert stats["entries"] == 400.0
-            assert stats["queries"] == 3.0
-            assert 0.0 < stats["scanned_shard_ratio"] <= 1.0
-        assert flat.stats()["shard_count"] == 1.0
-        assert sharded.stats()["shard_count"] > 1.0
+        sharded.search_many(rng.standard_normal((3, 8)), [10.0, 50.0, 90.0])
+        stats = sharded.stats()
+        assert stats["entries"] == 400.0
+        assert stats["queries"] == 3.0
+        assert 0.0 < stats["scanned_shard_ratio"] <= 1.0
+        assert stats["shard_count"] > 1.0
+
+
+#: One shard holding every entry of :func:`populated`, or many shards.
+LAYOUTS = pytest.mark.parametrize(
+    "window_days", [1000.0, 15.0], ids=["one_shard", "many_shards"]
+)
 
 
 class TestUpdateCategoryContract:
-    """Satellite: unknown ids must fail loudly, naming the id, on both backends."""
+    """Satellite: unknown ids must fail loudly, naming the id, in any layout."""
 
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
-    def test_unknown_id_raises_keyerror_with_id(self, backend):
-        index = populated(build_index(backend, SimilarityConfig()), count=20)
+    @LAYOUTS
+    def test_unknown_id_raises_keyerror_with_id(self, window_days):
+        index = populated(ShardedVectorIndex(window_days=window_days), count=20)
         with pytest.raises(KeyError, match="INC-MISSING-42"):
             index.update_category("INC-MISSING-42", "NewLabel")
 
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
-    def test_known_id_updates_in_place(self, backend):
-        index = populated(build_index(backend, SimilarityConfig()), count=20)
+    @LAYOUTS
+    def test_known_id_updates_in_place(self, window_days):
+        index = populated(ShardedVectorIndex(window_days=window_days), count=20)
         index.update_category("i7", "Corrected")
         assert index.get("i7").category == "Corrected"
         assert "Corrected" in index.categories()
@@ -349,21 +352,22 @@ class TestPersistence:
     """Satellite: save/load round trips guard the shard persistence work."""
 
     def test_store_roundtrip_dtype_and_capacity_regrowth(self, tmp_path):
-        store = VectorStore()
+        """A reloaded shard's wrapped store widens to float64 and grows on insert."""
+        index = ShardedVectorIndex(window_days=1000.0)
         rng = np.random.default_rng(8)
         vectors = rng.standard_normal((70, 6)).astype(np.float32)  # narrower input
-        store.add_many(
+        index.add_many(
             incident_ids=[f"i{i}" for i in range(70)],
             vectors=vectors,
             created_days=[float(i) for i in range(70)],
             categories=[f"cat{i % 5}" for i in range(70)],
         )
-        path = str(tmp_path / "flat.npz")
-        store.save(path)
-        loaded = VectorStore.load(path)
+        index.save(tmp_path)
+        loaded = ShardedVectorIndex.load(tmp_path)
+        (shard,) = loaded._shards.values()  # noqa: SLF001
         # dtype: the store always widens to float64, including through disk.
-        assert loaded.matrix().dtype == np.float64
-        assert loaded.created_days().dtype == np.float64
+        assert shard.store.matrix().dtype == np.float64
+        assert shard.store.created_days().dtype == np.float64
         # capacity re-growth: keep inserting far beyond the loaded size.
         more = rng.standard_normal((200, 6))
         loaded.add_many(
@@ -372,26 +376,30 @@ class TestPersistence:
             created_days=[float(i) for i in range(200)],
             categories=["late"] * 200,
         )
-        assert len(loaded) == 270
+        assert len(loaded) == 270 and len(shard.store) == 270
         # Stored vectors are snapped to the scoring grid, 2^-20.
-        np.testing.assert_array_equal(loaded.matrix()[70:], np.rint(more * 2.0**20) / 2.0**20)
+        np.testing.assert_array_equal(
+            shard.store.matrix()[70:], np.rint(more * 2.0**20) / 2.0**20
+        )
 
     def test_store_roundtrip_squared_norm_cache_extension(self, tmp_path):
-        store = VectorStore()
-        store.add_many(
+        """A reloaded shard's squared norms extend, not go stale, on insert."""
+        index = ShardedVectorIndex(window_days=1000.0)
+        index.add_many(
             incident_ids=["a", "b"],
             vectors=np.array([[3.0, 4.0], [1.0, 0.0]]),
             created_days=[1.0, 2.0],
             categories=["A", "B"],
         )
-        path = str(tmp_path / "norms.npz")
-        store.save(path)
-        loaded = VectorStore.load(path)
-        np.testing.assert_allclose(loaded.squared_norms(), [25.0, 1.0])
+        index.save(tmp_path)
+        loaded = ShardedVectorIndex.load(tmp_path)
+        (shard,) = loaded._shards.values()  # noqa: SLF001
+        np.testing.assert_allclose(shard.store.squared_norms(), [25.0, 1.0])
         # The cache must extend (not go stale) when rows are added after a
         # load-then-score sequence.
+        loaded.search(np.array([1.0, 1.0]), 2.0)
         loaded.add("c", np.array([2.0, 2.0]), 3.0, "C")
-        np.testing.assert_allclose(loaded.squared_norms(), [25.0, 1.0, 8.0])
+        np.testing.assert_allclose(shard.store.squared_norms(), [25.0, 1.0, 8.0])
 
     def test_sharded_save_writes_manifest_codes_and_one_segment_per_shard(
         self, tmp_path
@@ -417,30 +425,47 @@ class TestPersistence:
         with pytest.raises(IndexCorruptionError, match="version 3.*rebuild the index"):
             load_index(fixture, similarity=SimilarityConfig())
 
-    def test_store_and_index_accept_pathlib_paths(self, tmp_path):
-        """Satellite: every save/load entry point takes ``pathlib.Path``."""
-        store = VectorStore()
-        rng = np.random.default_rng(15)
-        store.add_many(
-            incident_ids=[f"i{i}" for i in range(12)],
-            vectors=rng.standard_normal((12, 4)),
-            created_days=[float(i) for i in range(12)],
-            categories=[f"cat{i % 3}" for i in range(12)],
-        )
-        store_path = tmp_path / "store.npz"  # a Path, not a str
-        store.save(store_path)
-        loaded_store = VectorStore.load(store_path)
-        assert len(loaded_store) == 12
-        np.testing.assert_array_equal(loaded_store.matrix(), store.matrix())
-        # ...and without the .npz suffix (the legacy str path appended it).
-        assert len(VectorStore.load(tmp_path / "store")) == 12
+    def test_a_single_npz_file_is_a_retired_format(self, tmp_path):
+        """The single-matrix index's one-file ``.npz`` snapshot no longer loads.
 
+        ``load_index`` opens ``<path>/manifest.json``; under a file that is a
+        ``NotADirectoryError``, which the manifest's ``OSError`` arm reports
+        as corruption, so a caller's recovery ladder rebuilds the index.
+        """
+        path = tmp_path / "flat.npz"
+        np.savez_compressed(path, matrix=np.eye(2), created_days=np.zeros(2))
+        with pytest.raises(IndexCorruptionError, match="corrupt manifest at .*flat.npz"):
+            load_index(path, similarity=SimilarityConfig())
+        with pytest.raises(IndexCorruptionError):
+            load_index(str(path))
+
+    def test_a_reloaded_index_matches_the_oracle(self, tmp_path):
+        """Inserts and relabels after a reload land where the oracle puts them."""
+        similarity = SimilarityConfig(alpha=0.3, k=5)
+        oracle, sharded = both_indexes(similarity, count=300)
+        sharded.save(tmp_path)
+        reloaded = load_index(tmp_path, similarity=similarity)
+        rng = np.random.default_rng(19)
+        more, more_days = rng.standard_normal((40, 8)), rng.uniform(0.0, 130.0, 40)
+        for target in (oracle, reloaded):
+            target.add_many(
+                [f"j{i}" for i in range(40)], more, more_days, [f"cat{i % 5}" for i in range(40)]
+            )
+            for incident_id in ("i5", "i150", "j3"):
+                target.update_category(incident_id, "Relabelled")
+        queries, days = rng.standard_normal((12, 8)), rng.uniform(0.0, 140.0, 12)
+        assert_same_results(oracle.search_many(queries, days), reloaded.search_many(queries, days))
+
+    def test_index_accepts_pathlib_paths(self, tmp_path):
+        """Satellite: every save/load entry point takes ``pathlib.Path``."""
+        rng = np.random.default_rng(15)
         similarity = SimilarityConfig(alpha=0.3, k=3)
         sharded = populated(ShardedVectorIndex(similarity, window_days=20.0), count=50)
         index_path = tmp_path / "path-index"
         sharded.save(index_path)
         reloaded = load_index(index_path, similarity=similarity)
         assert isinstance(reloaded, ShardedVectorIndex)
+        assert isinstance(reloaded, VectorIndex)
         assert len(reloaded) == 50
         query = rng.standard_normal(8)
         assert_same_results(
@@ -448,45 +473,33 @@ class TestPersistence:
         )
         reloaded.close()
 
-    def test_load_index_dispatches_on_layout(self, tmp_path):
-        similarity = SimilarityConfig(alpha=0.3, k=3)
-        flat, sharded = both_indexes(similarity, count=30)
-        flat_path = str(tmp_path / "flat.npz")
-        sharded_path = str(tmp_path / "sharded")
-        flat.save(flat_path)
-        sharded.save(sharded_path)
-        reloaded_flat = load_index(flat_path, similarity=similarity)
-        reloaded_sharded = load_index(sharded_path, similarity=similarity)
-        assert isinstance(reloaded_flat, FlatVectorIndex)
-        assert isinstance(reloaded_sharded, ShardedVectorIndex)
-        assert isinstance(reloaded_flat, VectorIndex)
-        assert isinstance(reloaded_sharded, VectorIndex)
-        rng = np.random.default_rng(2)
-        query = rng.standard_normal(8)
-        assert_same_results(
-            [reloaded_flat.search(query, 50.0)], [reloaded_sharded.search(query, 50.0)]
-        )
-
 
 class TestQueryDaysAlignment:
-    @pytest.mark.parametrize("backend", ["flat", "sharded"])
     @pytest.mark.parametrize("day_count", [1, 3], ids=["too_few", "too_many"])
     @pytest.mark.parametrize("count", [0, 400], ids=["empty", "populated"])
-    def test_misaligned_query_days_raise(self, backend, day_count, count):
-        index = build_index(backend, window_days=15.0)
+    def test_misaligned_query_days_raise(self, day_count, count):
+        index = ShardedVectorIndex(window_days=15.0)
         if count:
             populated(index, count=count)
         with pytest.raises(ValueError, match="query_days must align with query_matrix rows"):
             index.search_many(np.ones((2, 8)), [10.0] * day_count)
 
+    @pytest.mark.parametrize(
+        "queries, kwargs, message",
+        [
+            (np.ones(8), {}, "query_matrix must be a 2-D"),
+            (np.ones((2, 8)), {"exclude_ids": [{"i1"}]}, "exclude_ids must align"),
+            (np.ones((2, 5)), {}, "query dimension 5 does not match store dimension 8"),
+        ],
+        ids=["one_dimensional", "misaligned_exclude_ids", "wrong_dimension"],
+    )
+    def test_malformed_queries_raise(self, queries, kwargs, message):
+        index = populated(ShardedVectorIndex(window_days=15.0), count=40)
+        with pytest.raises(ValueError, match=message):
+            index.search_many(queries, [10.0, 20.0], **kwargs)
+
 
 class TestBuildIndex:
-    def test_build_index_backends(self):
-        assert isinstance(build_index("flat"), FlatVectorIndex)
-        assert isinstance(build_index("sharded", window_days=5.0), ShardedVectorIndex)
-        with pytest.raises(ValueError):
-            build_index("annoy")
-
     def test_sharded_rejects_bad_window(self):
         with pytest.raises(ValueError):
             ShardedVectorIndex(window_days=0.0)
@@ -520,13 +533,13 @@ class TestBuildIndex:
 
 
 def twin_indexes(similarity, entries, window_days=10.0):
-    """(flat, sharded) holding ``entries`` = (id, vector, day, category) rows."""
-    flat = FlatVectorIndex(similarity)
+    """(oracle, sharded) holding ``entries`` = (id, vector, day, category) rows."""
+    oracle = OracleIndex(similarity)
     sharded = ShardedVectorIndex(similarity, window_days=window_days)
     for incident_id, vector, day, category in entries:
-        for target in (flat, sharded):
+        for target in (oracle, sharded):
             target.add(incident_id, np.array(vector, dtype=float), day, category)
-    return flat, sharded
+    return oracle, sharded
 
 
 class TestCategoryExit:
@@ -571,10 +584,10 @@ class TestCategoryExit:
     def test_differential_below_at_and_above_k_categories(
         self, entries, query, query_day, alpha, k, category_gap
     ):
-        """Sharded == flat (ids, scores, order) with k-1, k and k+2 categories."""
+        """Sharded == oracle (ids, scores, order) with k-1, k and k+2 categories."""
         similarity = SimilarityConfig(alpha=alpha, k=k)
         category_count = k + category_gap
-        flat, sharded = twin_indexes(
+        oracle, sharded = twin_indexes(
             similarity,
             [
                 (f"i{index}", vector, day, f"cat{code % category_count}")
@@ -583,7 +596,7 @@ class TestCategoryExit:
             window_days=5.0,
         )
         assert_same_results(
-            [flat.search(np.array(query), query_day)],
+            [oracle.search(np.array(query), query_day)],
             [sharded.search(np.array(query), query_day)],
         )
 
@@ -597,14 +610,14 @@ class TestCategoryExit:
         so "late" (inserted first, ``gap`` days after the query) and
         "a"/"b" (``gap`` days before it) all score exactly
         ``exp(-alpha * gap)`` — which is also the bound of late's shard
-        once a/b's shard, first by key, is scanned.  Flat retrieval breaks
+        once a/b's shard, first by key, is scanned.  The oracle breaks
         the three-way tie by insertion sequence: late, then a.  Only a
         strict ``>`` scans late's shard — at ``alpha == 0`` too, where the
         bound is 1.0 and a perfect match ties it.
         """
         similarity = SimilarityConfig(alpha=alpha, k=2)
         query = [1.0, 0.0, 2.0]
-        flat, sharded = twin_indexes(
+        oracle, sharded = twin_indexes(
             similarity,
             [
                 ("late", query, 50.0 + gap, "C"),
@@ -613,7 +626,7 @@ class TestCategoryExit:
                 ("a-far", [9.0, 0.0, 2.0], 51.0 - gap, "A"),
             ],
         )
-        reference = flat.search(np.array(query), 50.0)
+        reference = oracle.search(np.array(query), 50.0)
         assert [n.incident_id for n in reference] == ["late", "a"]
         assert reference[0].similarity == reference[1].similarity
         assert_same_results([reference], [sharded.search(np.array(query), 50.0)])
@@ -623,13 +636,13 @@ class TestCategoryExit:
         """K covered categories mean nothing when picks go by score alone."""
         similarity = SimilarityConfig(alpha=0.1, k=3, diverse_categories=False)
         query = [0.0, 0.0]
-        flat, sharded = twin_indexes(
+        oracle, sharded = twin_indexes(
             similarity,
             [("near-a", [3.0, 0.0], 50.0, "A"), ("near-b", [3.0, 0.0], 50.0, "B"),
              ("near-c", [3.0, 0.0], 50.0, "C")]
             + [(f"exact{i}", query, 38.0, "A") for i in range(3)],
         )
-        reference = flat.search(np.array(query), 50.0)
+        reference = oracle.search(np.array(query), 50.0)
         assert [n.incident_id for n in reference] == ["exact0", "exact1", "exact2"]
         assert_same_results([reference], [sharded.search(np.array(query), 50.0)])
 
@@ -644,8 +657,8 @@ class TestCategoryExit:
 
     def test_unfiltered_query_exits_after_the_near_shard(self):
         similarity = SimilarityConfig(alpha=0.3, k=3)
-        flat, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
-        reference = flat.search(np.zeros(2), 53.0)
+        oracle, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
+        reference = oracle.search(np.zeros(2), 53.0)
         assert [n.incident_id for n in reference] == ["a0", "b0", "c"]
         assert_same_results([reference], [sharded.search(np.zeros(2), 53.0)])
         stats = sharded.stats()
@@ -663,8 +676,8 @@ class TestCategoryExit:
     def test_filter_removing_the_kth_category_keeps_scanning(self, filters):
         """A, B and a *filtered* C are two categories, not K = 3."""
         similarity = SimilarityConfig(alpha=0.3, k=3)
-        flat, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
-        reference = flat.search(np.zeros(2), 53.0, **filters)
+        oracle, sharded = twin_indexes(similarity, self.FILTER_CORPUS)
+        reference = oracle.search(np.zeros(2), 53.0, **filters)
         assert [n.incident_id for n in reference] == ["a0", "b0", "d"]
         assert_same_results(
             [reference], [sharded.search(np.zeros(2), 53.0, **filters)]
@@ -679,10 +692,10 @@ class TestCategoryExit:
         test scanning; the K-category exit does not care.
         """
         similarity = SimilarityConfig(alpha=0.3, k=5)
-        flat, sharded = (
+        oracle, sharded = (
             populated(index, count=52 * 60, categories=40, duration=364.0)
             for index in (
-                FlatVectorIndex(similarity),
+                OracleIndex(similarity),
                 ShardedVectorIndex(similarity, window_days=7.0),
             )
         )
@@ -694,7 +707,7 @@ class TestCategoryExit:
         queries = rng.standard_normal((12, 8))
         days = rng.uniform(150.0, 210.0, size=12)
         assert_same_results(
-            flat.search_many(queries, days), sharded.search_many(queries, days)
+            oracle.search_many(queries, days), sharded.search_many(queries, days)
         )
         stats = sharded.stats()
         assert stats["shards_scanned"] <= 4 * stats["queries"]

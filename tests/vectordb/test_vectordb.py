@@ -1,4 +1,8 @@
-"""Tests for the similarity formula, vector store and KNN search."""
+"""Tests for the similarity formula, vector store and KNN search.
+
+The KNN behaviour runs on a :class:`ShardedVectorIndex` whose entries span
+two time-window shards, so every guarantee holds across a shard boundary.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vectordb import (
-    NearestNeighborSearch,
+    ShardedVectorIndex,
     SimilarityConfig,
     VectorStore,
     euclidean_distance,
@@ -101,43 +105,45 @@ class TestVectorStore:
         assert store.categories() == ["A", "B"]
 
 
-def build_store():
-    store = VectorStore()
-    store.add("a1", np.array([1.0, 0.0, 0.0]), created_day=10.0, category="A", text="a one")
-    store.add("a2", np.array([0.9, 0.1, 0.0]), created_day=11.0, category="A", text="a two")
-    store.add("b1", np.array([0.0, 1.0, 0.0]), created_day=11.5, category="B", text="b one")
-    store.add("c1", np.array([0.0, 0.0, 1.0]), created_day=2.0, category="C", text="c one")
-    return store
+def two_shard_index(similarity_config=None):
+    """Four entries in two 5-day shards: days 10, 11 and 11.5, and day 2."""
+    index = ShardedVectorIndex(similarity_config, window_days=5.0)
+    index.add("a1", np.array([1.0, 0.0, 0.0]), created_day=10.0, category="A", text="a one")
+    index.add("a2", np.array([0.9, 0.1, 0.0]), created_day=11.0, category="A", text="a two")
+    index.add("b1", np.array([0.0, 1.0, 0.0]), created_day=11.5, category="B", text="b one")
+    index.add("c1", np.array([0.0, 0.0, 1.0]), created_day=2.0, category="C", text="c one")
+    assert len(index.shard_sizes()) == 2
+    return index
 
 
 class TestKnn:
     def test_search_orders_by_similarity(self):
-        search = NearestNeighborSearch(build_store(), SimilarityConfig(alpha=0.0, k=4, diverse_categories=False))
-        neighbors = search.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
+        index = two_shard_index(SimilarityConfig(alpha=0.0, k=4, diverse_categories=False))
+        neighbors = index.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
         assert neighbors[0].incident_id == "a1"
         assert [n.incident_id for n in neighbors][:2] == ["a1", "a2"]
 
     def test_diverse_categories_dedupes(self):
-        search = NearestNeighborSearch(build_store(), SimilarityConfig(alpha=0.0, k=3, diverse_categories=True))
-        neighbors = search.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
+        index = two_shard_index(SimilarityConfig(alpha=0.0, k=3, diverse_categories=True))
+        neighbors = index.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
         categories = [n.category for n in neighbors]
         assert len(categories) == len(set(categories)) == 3
 
     def test_fill_when_fewer_categories_than_k(self):
-        search = NearestNeighborSearch(build_store(), SimilarityConfig(alpha=0.0, k=4, diverse_categories=True))
-        neighbors = search.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
+        index = two_shard_index(SimilarityConfig(alpha=0.0, k=4, diverse_categories=True))
+        neighbors = index.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
         assert len(neighbors) == 4  # 3 distinct categories + 1 filler
 
     def test_temporal_decay_prefers_recent(self):
-        search = NearestNeighborSearch(build_store(), SimilarityConfig(alpha=0.9, k=1, diverse_categories=False))
-        neighbors = search.search(np.array([0.0, 0.0, 1.0]), query_day=12.0)
+        index = two_shard_index(SimilarityConfig(alpha=0.9, k=1, diverse_categories=False))
+        neighbors = index.search(np.array([0.0, 0.0, 1.0]), query_day=12.0)
         # c1 is the exact match but is 10 days old; with strong decay the
         # recent b1 wins.
         assert neighbors[0].incident_id == "b1"
 
     def test_exclude_ids_and_history_cutoff(self):
-        search = NearestNeighborSearch(build_store(), SimilarityConfig(alpha=0.0, k=4, diverse_categories=False))
-        neighbors = search.search(
+        index = two_shard_index(SimilarityConfig(alpha=0.0, k=4, diverse_categories=False))
+        neighbors = index.search(
             np.array([1.0, 0.0, 0.0]), query_day=12.0, exclude_ids={"a1"}, history_before_day=11.0
         )
         ids = [n.incident_id for n in neighbors]
@@ -145,19 +151,20 @@ class TestKnn:
         assert "b1" not in ids  # created at 11.5 >= cutoff
 
     def test_query_dimension_mismatch(self):
-        search = NearestNeighborSearch(build_store())
+        index = two_shard_index()
         with pytest.raises(ValueError):
-            search.search(np.array([1.0]), query_day=1.0)
+            index.search(np.array([1.0]), query_day=1.0)
 
     def test_empty_store(self):
-        search = NearestNeighborSearch(VectorStore())
-        assert search.search(np.array([1.0]), query_day=1.0) == []
+        index = ShardedVectorIndex()
+        assert index.search(np.array([1.0]), query_day=1.0) == []
 
     def test_scores_match_formula(self):
-        store = build_store()
-        search = NearestNeighborSearch(store, SimilarityConfig(alpha=0.3, k=4))
+        index = two_shard_index(SimilarityConfig(alpha=0.3, k=4, diverse_categories=False))
         query = np.array([0.5, 0.5, 0.0])
-        scores = search.score_all(query, query_day=12.0)
-        for index, entry in enumerate(store.entries()):
+        neighbors = index.search(query, query_day=12.0)
+        assert sorted(n.incident_id for n in neighbors) == ["a1", "a2", "b1", "c1"]
+        for neighbor in neighbors:
+            entry = neighbor.entry
             expected = similarity(query, entry.vector, 12.0, entry.created_day, alpha=0.3)
-            assert scores[index] == pytest.approx(expected)
+            assert neighbor.similarity == pytest.approx(expected)
