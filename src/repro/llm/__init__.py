@@ -21,7 +21,6 @@ from .prompts import (
     build_summarization_prompt,
     parse_direct_prediction,
     parse_prediction,
-    prompt_token_count,
 )
 from .summarize import DiagnosticSummarizer, SummaryResult, summarize_incident
 from .tokenizer import DEFAULT_TOKENIZER, Tokenizer, count_tokens, truncate_tokens
@@ -48,7 +47,6 @@ __all__ = [
     "build_summarization_prompt",
     "parse_direct_prediction",
     "parse_prediction",
-    "prompt_token_count",
     "DiagnosticSummarizer",
     "SummaryResult",
     "summarize_incident",

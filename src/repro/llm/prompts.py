@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .tokenizer import DEFAULT_TOKENIZER, truncate_tokens
+from .tokenizer import truncate_tokens
 
 #: Verbatim summarization instruction from Figure 7.
 SUMMARIZE_INSTRUCTION = (
@@ -188,8 +188,3 @@ def parse_direct_prediction(completion: str) -> Tuple[Optional[str], str]:
         explanation_match.group(1).strip() if explanation_match else completion.strip()
     )
     return category, explanation
-
-
-def prompt_token_count(prompt: str) -> int:
-    """Token count of a rendered prompt (for budget assertions in tests)."""
-    return DEFAULT_TOKENIZER.count(prompt)

@@ -7,6 +7,8 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cloudsim import FAULT_INJECTORS
+from repro.core.collection import CollectionStage
 from repro.llm import (
     ChainOfThoughtPredictor,
     ChatMessage,
@@ -25,8 +27,21 @@ from repro.llm import (
     parse_prediction,
     truncate_tokens,
 )
-from repro.llm.prompts import PREDICTION_CONTEXT, SUMMARIZE_INSTRUCTION
+from repro.llm.prompts import (
+    MAX_INPUT_TOKENS,
+    MAX_OPTION_TOKENS,
+    PREDICTION_CONTEXT,
+    SUMMARIZE_INSTRUCTION,
+)
 
+
+#: Pieces the texts below are glued from: punctuation, non-ASCII letters and
+#: digits, and every class of whitespace, ASCII and not (what both
+#: str.split() and the regex's \s treat as whitespace).
+PUNCTUATION = [",", ".", "::", "-", "(", "%)", "_"]
+NON_ASCII = ["\u00e9t\u00e9", "\u4e2d\u6587", "\u03a9", "\u0663\u0664", "\u0663" * 7, "\u00b2"]
+ASCII_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+NON_ASCII_SPACES = ["\x85", "\xa0", "\u2003"]
 
 #: Long/short words, digit runs of every length mod 3, punctuation, non-ASCII
 #: letters and digits, and every class of whitespace, glued in any order.
@@ -35,19 +50,41 @@ TOKENIZER_TEXTS = st.lists(
         st.text("abcXYZ", min_size=1, max_size=6),
         st.text("abcdefXYZ", min_size=7, max_size=30),
         st.text("0123456789", min_size=1, max_size=10),
-        # punctuation, non-ASCII letters, non-ASCII digits
-        st.sampled_from(
-            [",", ".", "::", "-", "(", "%)", "_"]
-            + ["\u00e9t\u00e9", "\u4e2d\u6587", "\u03a9", "\u0663\u0664", "\u0663" * 7, "\u00b2"]
-        ),
-        # what both str.split() and the regex's \s treat as whitespace
-        st.sampled_from(
-            [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\xa0", "\u2003"]
-            + ["\x1c", "\x1d", "\x1e", "\x1f"]
-        ),
+        st.sampled_from(PUNCTUATION + NON_ASCII),
+        st.sampled_from(ASCII_SPACES + NON_ASCII_SPACES),
     ),
     max_size=40,
 ).map("".join)
+
+
+def _insert(text, inserts):
+    for at, piece in inserts:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+#: Letter runs of 1-30 and digit runs of 1-20 (every residue of the long-run
+#: arithmetic), ASCII punctuation and ASCII whitespace.
+PROMPT_PIECES = (
+    ["aKzQ"[size % 4] * size for size in range(1, 31)]
+    + ["079"[size % 3] * size for size in range(1, 21)]
+    + PUNCTUATION * 2
+    + ASCII_SPACES * 2
+)
+
+#: Texts of up to ≈4 KB, the size prompts are priced at, from those pieces,
+#: and in some texts a few non-ASCII pieces.
+PROMPT_TEXTS = st.builds(
+    _insert,
+    st.integers(0, 500).flatmap(
+        lambda size: st.lists(st.sampled_from(PROMPT_PIECES), min_size=size, max_size=size)
+    ).map("".join),
+    st.one_of(
+        st.just([]),
+        st.lists(st.tuples(st.integers(0, 5000), st.sampled_from(NON_ASCII + NON_ASCII_SPACES)), max_size=2),
+    ),
+)
 
 
 class TestTokenizer:
@@ -100,19 +137,76 @@ class TestTokenizer:
         for word in text.split():
             assert tokenizer.count(word) == len(tokenizer.encode(word))
 
-    @given(TOKENIZER_TEXTS)
-    @settings(max_examples=200, deadline=None)
-    def test_truncate_matches_per_word_reference(self, text):
+    @classmethod
+    def check_truncate(cls, tokenizer, text):
         """Budgets 0, 1, small, around the exact fit, around the length and huge."""
-        tokenizer = Tokenizer()
         total = len(tokenizer.encode(text))
         budgets = (0, 1, 3, 7, total - 1, total, total + 1, len(text) - 1, len(text), 10**6)
         for budget in budgets:
             result = tokenizer.truncate(text, budget)
-            assert result == self.reference_truncate(tokenizer, text, budget), budget
+            assert result == cls.reference_truncate(tokenizer, text, budget), budget
             assert len(tokenizer.encode(result)) <= max(budget, 0)
             if budget > 0 and (len(text) <= budget or total <= budget):
                 assert result is text, budget
+
+    @given(TOKENIZER_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_matches_per_word_reference(self, text):
+        self.check_truncate(Tokenizer(), text)
+
+    def check_prompt_scale(self, text):
+        tokenizer = Tokenizer()
+        assert tokenizer.count(text) == len(tokenizer.encode(text))
+        self.check_truncate(tokenizer, text)
+
+    @given(PROMPT_TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_prompt_scale_texts_price_as_encode(self, text):
+        self.check_prompt_scale(text)
+
+    @pytest.mark.slow
+    @given(PROMPT_TEXTS)
+    @settings(max_examples=20_000, deadline=None)
+    def test_prompt_scale_texts_price_as_encode_soak(self, text):
+        self.check_prompt_scale(text)
+
+    def test_every_ascii_character(self):
+        """Alone, doubled and between two long words, for all 128 code points."""
+        tokenizer = Tokenizer()
+        for code in range(128):
+            char = chr(code)
+            for text in (char, char * 2, f"internationalization{char}configurations"):
+                assert tokenizer.count(text) == len(tokenizer.encode(text)), repr(text)
+                self.check_truncate(tokenizer, text)
+
+    @pytest.mark.parametrize("char", ["\u2014", "\u00e9", "\xa0", "\u2003", "\u0663", "\u00b2"])
+    def test_one_non_ascii_character_in_a_long_ascii_text(self, char):
+        """At the start, in the middle (inside a letter run) and at the end."""
+        text = " ".join(
+            ("abcdefghij" * 3)[: 1 + i % 30] + "=" + ("1234567890" * 2)[: 1 + i % 20] + ";"
+            for i in range(120)
+        )
+        middle = text.index("abcdefghijabcd", len(text) // 2) + 3
+        tokenizer = Tokenizer()
+        for mixed in (char + text, text[:middle] + char + text[middle:], text + char):
+            assert not mixed.isascii()
+            assert tokenizer.count(mixed) == len(tokenizer.encode(mixed))
+            self.check_truncate(tokenizer, mixed)
+
+    def test_collected_diagnostic_texts(self, warm_service, registry):
+        """What the default handlers collect for every injected fault category."""
+        stage = CollectionStage(registry, warm_service.hub)
+        texts = []
+        for category in sorted(FAULT_INJECTORS):
+            for alert in warm_service.inject_and_detect(category).alerts:
+                texts.append(stage.handle_alert(alert).incident.diagnostic_info())
+        assert len(texts) >= len(FAULT_INJECTORS) and max(map(len, texts)) > 2000
+        tokenizer = Tokenizer()
+        for text in texts:
+            assert tokenizer.count(text) == len(tokenizer.encode(text))
+            self.check_truncate(tokenizer, text)
+            for budget in (MAX_OPTION_TOKENS, MAX_INPUT_TOKENS, 3000):
+                assert tokenizer.truncate(text, budget) == self.reference_truncate(tokenizer, text, budget)
 
 
 class TestPrompts:

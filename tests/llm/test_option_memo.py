@@ -18,7 +18,6 @@ from repro.llm import (
     Tokenizer,
     build_prediction_prompt,
     count_tokens,
-    prompt_token_count,
     truncate_tokens,
 )
 from repro.llm.prompts import (
@@ -162,12 +161,12 @@ class TestOptionTextMemo:
         incident_text = over_budget(6)[-1] * 4
         assert count_tokens(incident_text) > MAX_INPUT_TOKENS
         prompt = build_prediction_prompt(incident_text, demonstrations)
-        header = prompt_token_count(build_prediction_prompt("", []).text)
+        header = count_tokens(build_prediction_prompt("", []).text)
         tags = sum(
-            prompt_token_count(f"{letter}: category: {d.category}.")
+            count_tokens(f"{letter}: category: {d.category}.")
             for letter, d in zip(_LETTERS[1:], demonstrations)
         )
         budget = MAX_INPUT_TOKENS + len(demonstrations) * MAX_OPTION_TOKENS + tags + header
-        assert prompt_token_count(prompt.text) <= budget
+        assert count_tokens(prompt.text) <= budget
         uncut = sum(count_tokens(d.summary) for d in demonstrations)
         assert uncut > len(demonstrations) * MAX_OPTION_TOKENS
