@@ -26,7 +26,7 @@ from .similarity import (
     similarity,
     temporal_decay,
 )
-from .store import VectorEntry, VectorStore
+from .store import VectorEntry
 
 __all__ = [
     "VectorIndex",
@@ -45,5 +45,4 @@ __all__ = [
     "similarity",
     "temporal_decay",
     "VectorEntry",
-    "VectorStore",
 ]

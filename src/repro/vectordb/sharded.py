@@ -76,7 +76,6 @@ import json
 import math
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -87,7 +86,7 @@ from .knn import Neighbor, select_complete_order
 from .scoring import augment_queries, rejected, score_block, snap
 from .shardmem import map_segment, write_durable, write_segment
 from .similarity import SimilarityConfig
-from .store import VectorEntry, VectorStore, validate_batch
+from .store import VectorEntry, validate_batch
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
@@ -104,6 +103,9 @@ MANIFEST_VERSION = 4
 #: names what it writes with a generation above any in the directory, so a
 #: file is never rewritten and a reused shard key never collides.
 _SNAPSHOT_FILE = re.compile(r"(?:seg--?\d+|codes)-(\d+)\.bin")
+
+#: Rows a fresh shard's columns are first allocated for.
+_INITIAL_CAPACITY = 64
 
 #: The lowest finite float: a fold floor that takes every finite cell and
 #: no ``-inf`` (filtered) one.
@@ -175,8 +177,7 @@ class _ShardData:
 
     What a scan wave scores and folds: the shard's ``[x, |x|^2, 1]`` rows
     (:func:`~repro.vectordb.scoring.score_block`'s block), days, sequences
-    and codes, views into the shard's
-    :class:`~repro.vectordb.store.VectorStore` and its columns.
+    and codes, views into the shard's columns.
     """
 
     __slots__ = ("key", "total", "rows", "days", "seqs", "codes", "_groups")
@@ -271,19 +272,32 @@ def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]
 
 
 class _Shard:
-    """One time-window shard: a VectorStore plus sharding bookkeeping.
+    """One time-window shard: its rows as columns, plus sharding bookkeeping.
+
+    A row is one historical incident.  Its vector, snapped to the scoring
+    grid (:func:`.scoring.snap`), is one ``[x, |x|^2, 1]`` row of
+    ``_buffer``, so scoring a block of queries against the shard is one
+    product; its creation day, global insertion sequence and category code
+    sit at the same position of ``_days``, ``_seqs`` and ``_codes``.  The
+    four grow together in :meth:`reserve`, to one capacity that doubles
+    when full.  Ids and texts are plain lists; a category is kept only as
+    its code, which the index names.  No per-row object is kept:
+    :meth:`entry` builds a :class:`VectorEntry` on demand, a snapshot of the
+    row at that moment.
+
+    A loaded shard (:meth:`take_segment`) keeps its segment's mapped matrix
+    in ``_source`` until a vector is first read (a scan, an insert, a
+    compaction, a save elsewhere or a lookup): it is then snapped into a
+    private buffer, its squared norms recomputed, so a mapping's pages
+    fault in only then.  Its days and sequences view the read-only mapping
+    and its codes a private array, at a capacity of exactly its rows, so
+    the first insert copies them into private columns.
 
     ``start_day``/``end_day`` are the half-open day range the shard *routes*
     (new inserts whose creation day falls inside it land here); fresh shards
     cover exactly one ``window_days`` bucket, compacted shards cover merged
     or subdivided ranges.  ``min_day``/``max_day`` track the actual stored
     entries and stay the (tighter) basis of the pruning bound.
-
-    ``seqs`` (global insertion sequence) and ``cat_codes`` (category code)
-    are int64 arrays aligned with the store's rows.  :meth:`append` writes
-    them into ``_room``, a private buffer that doubles when full; until
-    then a loaded shard's ``seqs`` view its read-only segment, and its
-    codes (which relabels write in place) are private memory.
 
     ``saved`` is ``(segment file name, rows in it)`` once the shard's rows
     are in a committed segment of the index's snapshot directory, None on
@@ -292,68 +306,144 @@ class _Shard:
     """
 
     __slots__ = (
-        "key", "store", "seqs", "cat_codes", "cat_counts",
-        "min_day", "max_day", "start_day", "end_day", "saved", "_room", "_data",
+        "key", "ids", "texts", "min_day", "max_day", "start_day", "end_day", "saved",
+        "_buffer", "_source", "_days", "_seqs", "_codes", "_by_id", "_data",
     )
 
-    def __init__(
-        self,
-        key: int,
-        similarity: SimilarityConfig,
-        start_day: float = -math.inf,
-        end_day: float = math.inf,
-    ) -> None:
+    def __init__(self, key: int, start_day: float = -math.inf, end_day: float = math.inf) -> None:
         self.key = key
-        self.store = VectorStore()
-        self.seqs = np.zeros(0, dtype=np.int64)
-        self.cat_codes = np.zeros(0, dtype=np.int64)
-        self.cat_counts: Counter = Counter()
+        self.ids: List[str] = []
+        self.texts: List[str] = []
         self.min_day = math.inf
         self.max_day = -math.inf
         self.start_day = start_day
         self.end_day = end_day
         self.saved: Optional[Tuple[str, int]] = None
-        self._room: Optional[np.ndarray] = None  # (2, capacity): seqs, codes
+        self._buffer: Optional[np.ndarray] = None  # capacity x (dim + 2): [x, |x|^2, 1]
+        self._source: Optional[np.ndarray] = None  # loaded rows not yet in the buffer
+        self._days = np.zeros(0)
+        self._seqs = np.zeros(0, dtype=np.int64)
+        self._codes = np.zeros(0, dtype=np.int64)
+        self._by_id: Dict[str, int] = {}  # read through row_of()
         self._data: Optional[_ShardData] = None
 
-    def append(self, ids, days, categories, texts, seqs, codes, rows=None) -> None:
-        """Store the rows written into ``store._reserve``'s block, with their columns.
+    def __len__(self) -> int:
+        return len(self.ids)
 
-        ``rows`` picks the rows' days from ``days`` (all, in order, when None).
+    @property
+    def codes(self) -> np.ndarray:
+        """Each row's category code (a view; reading it snaps no vector)."""
+        return self._codes[: len(self.ids)]
+
+    def take_segment(
+        self, views: Dict[str, np.ndarray], ids: List[str], texts: List[str], codes: np.ndarray
+    ) -> None:
+        """Take a segment's columns as the rows of this empty shard (the load path).
+
+        ``views`` are the segment's mapped ``matrix``, ``days`` and ``seqs``;
+        the lists and ``codes`` become the shard's columns uncopied.
         """
-        start = len(self.store)
-        self.store._commit(ids, days, categories, texts, rows)  # noqa: SLF001
-        end = len(self.store)
-        if self._room is None or self._room.shape[1] < end:
-            room = np.empty((2, max(64, 2 * end)), dtype=np.int64)
-            room[:, :start] = self.seqs, self.cat_codes
-            self._room = room
-        self._room[0, start:end], self._room[1, start:end] = seqs, codes
-        self.seqs, self.cat_codes = self._room[:, :end]
-        self.cat_counts.update(categories)
-        written = self.store.created_days()[start:]
+        if not views["matrix"].shape[0] == len(ids) == len(texts):
+            raise ValueError("segment rows, ids and texts must align")
+        self.ids, self.texts = ids, texts
+        self._source = views["matrix"]
+        self._days, self._seqs, self._codes = views["days"], views["seqs"], codes
+
+    def _block(self) -> Optional[np.ndarray]:
+        """The row buffer, first built from the rows :meth:`take_segment` left, if any."""
+        if self._source is not None:
+            source, self._source = self._source, None
+            self._buffer = np.empty((source.shape[0], source.shape[1] + 2))
+            snap(source, self._buffer)
+        return self._buffer
+
+    def reserve(self, count: int, dim: int) -> np.ndarray:
+        """The buffer block the next ``count`` rows will occupy, every column grown to fit.
+
+        Rows written there stay invisible until :meth:`append` stores them.
+        """
+        size = len(self.ids)
+        needed = size + count
+        buffer = self._block()
+        capacity = 0 if buffer is None else buffer.shape[0]
+        if needed > capacity:
+            capacity = capacity or max(_INITIAL_CAPACITY, needed)
+            while capacity < needed:
+                capacity *= 2
+            columns = (buffer, self._days, self._seqs, self._codes)
+            self._buffer = np.zeros((capacity, dim + 2))
+            self._days = np.zeros(capacity)
+            self._seqs = np.zeros(capacity, dtype=np.int64)
+            self._codes = np.zeros(capacity, dtype=np.int64)
+            if size:
+                grown = (self._buffer, self._days, self._seqs, self._codes)
+                for column, old in zip(grown, columns):
+                    column[:size] = old[:size]
+        return self._buffer[size:needed]
+
+    def append(self, ids, days, texts, seqs, codes, rows=None) -> None:
+        """Store the rows written into :meth:`reserve`'s block, with their other columns.
+
+        ``days`` are the batch's days; ``rows`` picks the appended rows'
+        days from them (all, in order, when None).
+        """
+        start = len(self.ids)
+        end = start + len(ids)
+        written = self._days[start:end]
+        if rows is None:
+            written[:] = days
+        else:  # "clip": under the default "raise" numpy buffers ``out``
+            np.take(days, rows, out=written, mode="clip")
+        self._seqs[start:end] = seqs
+        self._codes[start:end] = codes
+        self.ids.extend(ids)
+        self.texts.extend([""] * len(ids) if texts is None else texts)
         self.min_day = min(self.min_day, float(written.min()))
         self.max_day = max(self.max_day, float(written.max()))
 
-    def invalidate_data(self) -> None:
-        self._data = None
+    def relabel(self, row: int, code: int) -> None:
+        """Give one row another category code."""
+        if self._codes[row] != code:
+            self._codes[row] = code
+            self._data = None
+
+    def row_of(self, incident_id: str) -> int:
+        """The row of a stored id, from the id → row dict caught up with the rows since.
+
+        Appends leave the dict behind, so a shard that is filled in bulk or
+        loaded and never asked for an id (most shards) never builds it.
+        """
+        indexed = len(self._by_id)
+        if indexed < len(self.ids):
+            self._by_id.update(zip(self.ids[indexed:], range(indexed, len(self.ids))))
+        return self._by_id[incident_id]
+
+    def entry(self, row: int, names: List[str]) -> VectorEntry:
+        """A snapshot of one row as an entry; ``names`` names its category code."""
+        return VectorEntry(
+            incident_id=self.ids[row],
+            vector=self._block()[row, :-2],
+            created_day=float(self._days[row]),
+            category=names[self._codes[row]],
+            text=self.texts[row],
+        )
 
     def data(self) -> _ShardData:
         """The shard's scoring payload, rebuilt when rows were appended.
 
         Inserts only ever append (and relabels invalidate explicitly), so a
-        row-count check suffices; the store's row and day buffers are only
-        replaced on growth, which implies a row-count change.  A loaded
-        shard's first payload snaps its mapped rows into the store's own
-        buffer (:meth:`VectorStore.wrap`).
+        row-count check suffices; the columns are only replaced on growth,
+        which implies a row-count change.  A loaded shard's first payload
+        snaps its mapped rows into its own buffer.
         """
-        if self._data is None or self._data.total != len(self.store):
+        size = len(self.ids)
+        if self._data is None or self._data.total != size:
             self._data = _ShardData(
                 self.key,
-                rows=self.store.augmented(),
-                days=self.store.created_days(),
-                seqs=self.seqs,
-                codes=self.cat_codes,
+                rows=self._block()[:size],
+                days=self._days[:size],
+                seqs=self._seqs[:size],
+                codes=self._codes[:size],
             )
         return self._data
 
@@ -552,6 +642,7 @@ class ShardedVectorIndex:
         self._next_seq = 0
         self._dim: Optional[int] = None
         self._cat_code: Dict[str, int] = {}
+        self._cat_names: List[str] = []  # code -> name
         # routing ranges: ``_ranges`` holds (start_day, end_day, key) sorted
         # by start_day, ``_range_starts``/``_ends``/``_keys`` the same as
         # arrays behind a sentinel range that covers no day
@@ -581,7 +672,7 @@ class ShardedVectorIndex:
     def close(self) -> None:
         """Nothing to release; idempotent.
 
-        Stores loaded from segments keep their pages mapped through their
+        Shards loaded from segments keep their pages mapped through their
         own views (a mapping goes when its shard does).
         """
 
@@ -611,18 +702,19 @@ class ShardedVectorIndex:
         key = self._locator.get(incident_id)
         if key is None:
             return None
-        return self._shards[key].store.get(incident_id)
+        shard = self._shards[key]
+        return shard.entry(shard.row_of(incident_id), self._cat_names)
 
     def categories(self) -> List[str]:
         """Distinct categories present across all shards (sorted)."""
-        present: Set[str] = set()
+        present: Set[int] = set()
         for shard in self._shards.values():
-            present.update(category for category, count in shard.cat_counts.items() if count)
-        return sorted(present)
+            present.update(np.unique(shard.codes).tolist())
+        return sorted(self._cat_names[code] for code in present)
 
     def shard_sizes(self) -> Dict[int, int]:
         """Entries per shard key (the index's time-window layout)."""
-        return {key: len(shard.store) for key, shard in sorted(self._shards.items())}
+        return {key: len(shard) for key, shard in sorted(self._shards.items())}
 
     # ------------------------------------------------------------------ insert
     def _code_for(self, category: str) -> int:
@@ -630,6 +722,7 @@ class ShardedVectorIndex:
         if code is None:
             code = len(self._cat_code)
             self._cat_code[category] = code
+            self._cat_names.append(category)
         return code
 
     def _rebuild_ranges(self) -> None:
@@ -661,7 +754,6 @@ class ShardedVectorIndex:
         key = bucket if bucket not in self._shards else self._next_key()
         shard = _Shard(
             key,
-            self._similarity,
             start_day=bucket * self.window_days,
             end_day=(bucket + 1) * self.window_days,
         )
@@ -748,7 +840,7 @@ class ShardedVectorIndex:
             np.int64,
             count,
         )
-        ids, labels = incident_ids, categories
+        ids = incident_ids
         if (keys == keys[0]).all():
             # One destination shard (every single-row add): nothing to group.
             order, groups = None, [(int(keys[0]), 0, count)]
@@ -764,10 +856,9 @@ class ShardedVectorIndex:
             if texts is not None:
                 texts = np.array(texts, dtype=object)[order].tolist()
             local, seqs = local[order], order + self._next_seq
-            labels = np.array(names, dtype=object)[local].tolist()
         refused = []
         for key, lo, hi in groups:
-            block = self._shards[key].store._reserve(hi - lo, vectors.shape[1])  # noqa: SLF001
+            block = self._shards[key].reserve(hi - lo, vectors.shape[1])
             bad = snap(vectors, block, None if order is None else order[lo:hi])
             if bad is not None:
                 refused.append(lo + bad)
@@ -776,13 +867,12 @@ class ShardedVectorIndex:
         # New categories take codes in first appearance over the *grouped*
         # rows, not in row-at-a-time order; no result depends on the
         # numbering (the snapshot's codes file does).
-        for name in dict.fromkeys(labels):
-            self._code_for(name)
+        for code in dict.fromkeys(local.tolist()):
+            self._code_for(names[code])
         codes = np.array([self._cat_code[name] for name in names], dtype=np.int64)[local]
         for key, lo, hi in groups:
             self._shards[key].append(
-                ids[lo:hi], days, labels[lo:hi],
-                None if texts is None else texts[lo:hi],
+                ids[lo:hi], days, None if texts is None else texts[lo:hi],
                 seqs[lo:hi], codes[lo:hi],
                 rows=None if order is None else order[lo:hi],
             )
@@ -812,7 +902,7 @@ class ShardedVectorIndex:
         positions = np.asarray(refused)
         row = int((positions if order is None else order[positions]).min())
         for key in set(keys.tolist()):
-            if not len(self._shards[key].store):
+            if not self._shards[key].ids:
                 del self._shards[key]
         self._next_shard_key = next_shard_key
         self._rebuild_ranges()
@@ -830,16 +920,7 @@ class ShardedVectorIndex:
         if key is None:
             raise KeyError(f"unknown incident id in vector index: {incident_id}")
         shard = self._shards[key]
-        row = shard.store.index_of(incident_id)
-        previous = shard.store._categories[row]  # noqa: SLF001
-        shard.store.update_category(incident_id, category)
-        if previous != category:
-            shard.cat_counts[previous] -= 1
-            if shard.cat_counts[previous] <= 0:
-                del shard.cat_counts[previous]
-            shard.cat_counts[category] += 1
-            shard.cat_codes[row] = self._code_for(category)
-            shard.invalidate_data()
+        shard.relabel(shard.row_of(incident_id), self._code_for(category))
 
     # ------------------------------------------------------------------ search
     def search(
@@ -985,12 +1066,18 @@ class ShardedVectorIndex:
         scan = _ScanState(total_queries, len(self._cat_code), k, diverse)
         # The batch-wide filters, as the shard rows they remove: compiled
         # once per shard on its first scan and shared by every later wave.
+        # A category filter also names the shards it leaves no row of.
         allowed_codes: Optional[np.ndarray] = None
+        barren: Set[int] = set()
         if categories is not None:
             allowed_codes = np.array(
                 [self._cat_code[name] for name in categories if name in self._cat_code],
                 dtype=np.int64,
             )
+            barren = {
+                key for key, shard in self._shards.items()
+                if not np.isin(shard.codes, allowed_codes).any()
+            }
         filtered: Dict[int, np.ndarray] = {}
         while True:
             nominations: Dict[int, List[int]] = {}
@@ -998,7 +1085,7 @@ class ShardedVectorIndex:
                 if state.done:
                     continue
                 key = self._advance(
-                    state, scan, qi, diverse, history_before_day, categories
+                    state, scan, qi, diverse, history_before_day, barren, allowed_codes
                 )
                 if key is None:
                     state.done = True
@@ -1046,16 +1133,18 @@ class ShardedVectorIndex:
         qi: int,
         diverse: bool,
         history_before_day: Optional[float],
-        categories: Optional[Set[str]],
+        barren: Set[int],
+        allowed_codes: Optional[np.ndarray],
     ) -> Optional[int]:
         """Next shard query ``qi`` must scan, or None once it is finished.
 
         Walks the query's shards nearest-in-time first, skipping those the
-        exact filters empty or :meth:`_can_prune` rules out.  With diversity
-        on, the first shard whose bound lies strictly below the K-th best
-        covered category *finishes* the query: ``order`` ascends in
-        ``dt_min``, so every later bound is no higher, and the remaining
-        shards are all accounted as pruned in one step.
+        exact filters empty (``barren``: no row in an allowed category) or
+        :meth:`_can_prune` rules out.  With diversity on, the first shard
+        whose bound lies strictly below the K-th best covered category
+        *finishes* the query: ``order`` ascends in ``dt_min``, so every
+        later bound is no higher, and the remaining shards are all
+        accounted as pruned in one step.
         """
         while state.pos < len(state.order):
             upper_bound, key = state.order[state.pos]
@@ -1065,9 +1154,7 @@ class ShardedVectorIndex:
                 state.skipped += 1
                 state.pos += 1
                 continue
-            if categories is not None and not any(
-                category in categories for category in shard.cat_counts
-            ):
+            if key in barren:
                 state.skipped += 1
                 state.pos += 1
                 continue
@@ -1075,7 +1162,7 @@ class ShardedVectorIndex:
                 state.pruned += len(state.order) - state.pos
                 state.pos = len(state.order)
                 return None
-            if self._can_prune(scan, qi, shard, upper_bound, diverse, categories):
+            if self._can_prune(scan, qi, shard, upper_bound, diverse, allowed_codes):
                 state.pruned += 1
                 state.pos += 1
                 continue
@@ -1089,7 +1176,7 @@ class ShardedVectorIndex:
         shard: _Shard,
         upper_bound: float,
         diverse: bool,
-        categories: Optional[Set[str]],
+        allowed_codes: Optional[np.ndarray],
     ) -> bool:
         """The filler-exact exit, for shards the K-category exit does not settle.
 
@@ -1102,16 +1189,10 @@ class ShardedVectorIndex:
         if scan.pool_scores[qi, -1] <= upper_bound:
             return False
         if diverse:
-            bests = scan.best_scores[qi]
-            if categories is None:
-                group_codes = shard.data().groups()[3]
-                return bool(np.all(bests[group_codes] > upper_bound))
-            for category in shard.cat_counts:
-                if category not in categories:
-                    continue
-                code = self._cat_code.get(category)
-                if code is None or bests[code] <= upper_bound:
-                    return False
+            present = shard.data().groups()[3]
+            if allowed_codes is not None:
+                present = present[np.isin(present, allowed_codes)]
+            return bool(np.all(scan.best_scores[qi, present] > upper_bound))
         return True
 
     def _exclude_rows(self, shard: _Shard, exclude: Optional[Set[str]]) -> List[int]:
@@ -1119,7 +1200,7 @@ class ShardedVectorIndex:
         if not exclude:
             return []
         return [
-            shard.store.index_of(incident_id)
+            shard.row_of(incident_id)
             for incident_id in exclude
             if self._locator.get(incident_id) == shard.key
         ]
@@ -1166,7 +1247,9 @@ class ShardedVectorIndex:
             picks = select_complete_order(codes[qi, :count].tolist(), k, diverse)
             results.append(
                 [
-                    Neighbor(entry=self._shards[key].store.entry(row), similarity=score)
+                    Neighbor(
+                        entry=self._shards[key].entry(row, self._cat_names), similarity=score
+                    )
                     for key, row, score in zip(
                         keys[qi, picks].tolist(),
                         rows[qi, picks].tolist(),
@@ -1198,25 +1281,23 @@ class ShardedVectorIndex:
         def objects(columns):
             return joined([np.array(column, dtype=object) for column in columns])[picks].tolist()
 
-        stores = [source.store for source in sources]
-        shard = _Shard(self._next_key(), self._similarity, start_day, end_day)
-        block = shard.store._reserve(picks.shape[0], self._dim)  # noqa: SLF001
-        rows = joined([store.augmented() for store in stores])
-        np.take(rows, picks, axis=0, out=block, mode="clip")
+        datas = [source.data() for source in sources]
+        shard = _Shard(self._next_key(), start_day, end_day)
+        block = shard.reserve(picks.shape[0], self._dim)
+        np.take(joined([data.rows for data in datas]), picks, axis=0, out=block, mode="clip")
         shard.append(
-            objects([store._ids for store in stores]),  # noqa: SLF001
-            joined([store.created_days() for store in stores]),
-            objects([store._categories for store in stores]),  # noqa: SLF001
-            objects([store._texts for store in stores]),  # noqa: SLF001
-            joined([source.seqs for source in sources])[picks],
-            joined([source.cat_codes for source in sources])[picks],
+            objects([source.ids for source in sources]),
+            joined([data.days for data in datas]),
+            objects([source.texts for source in sources]),
+            joined([data.seqs for data in datas])[picks],
+            joined([data.codes for data in datas])[picks],
             rows=picks,
         )
         return shard
 
     def _adopt(self, shard: _Shard) -> None:
         self._shards[shard.key] = shard
-        self._locator.update(dict.fromkeys(shard.store._ids, shard.key))  # noqa: SLF001
+        self._locator.update(dict.fromkeys(shard.ids, shard.key))
 
     def _split_shard(self, shard: _Shard, ceiling: int, floor: int) -> List[_Shard]:
         """Split one hot shard into day-bounded chunks of roughly equal size.
@@ -1227,12 +1308,12 @@ class ShardedVectorIndex:
         When every entry shares one creation day no cut exists and the
         shard is left alone — splitting such a shard would break routing.
         """
-        size = len(shard.store)
+        size = len(shard)
         target = max(1, floor, ceiling // 2)
         chunk_count = math.ceil(size / target)
         if chunk_count <= 1:
             return [shard]
-        days = shard.store.created_days()
+        days = shard.data().days
         order = np.argsort(days, kind="stable")
         sorted_days = days[order]
         cut_positions: List[int] = []
@@ -1269,7 +1350,7 @@ class ShardedVectorIndex:
             min(shard.start_day for shard in group),
             max(shard.end_day for shard in group),
             group,
-            np.argsort(np.concatenate([shard.seqs for shard in group]), kind="stable"),
+            np.argsort(np.concatenate([shard.data().seqs for shard in group]), kind="stable"),
         )
 
     def compact(
@@ -1329,7 +1410,7 @@ class ShardedVectorIndex:
         # ---- split pass: hot shards above the ceiling
         for key in sorted(self._shards):
             shard = self._shards[key]
-            if len(shard.store) <= ceiling:
+            if len(shard) <= ceiling:
                 continue
             if shard.max_day <= shard.min_day:
                 # Single-day shard: unsplittable regardless of budget, so
@@ -1355,7 +1436,7 @@ class ShardedVectorIndex:
             run: List[_Shard] = []
             run_size = 0
             for shard in ordered:
-                size = len(shard.store)
+                size = len(shard)
                 if size < floor and run_size + size <= ceiling:
                     run.append(shard)
                     run_size += size
@@ -1389,7 +1470,7 @@ class ShardedVectorIndex:
             self._shards_split += split_sources
             self._shards_merged += merged_sources
             self._rebuild_ranges()
-        sizes = sorted(len(shard.store) for shard in self._shards.values())
+        sizes = sorted(len(shard) for shard in self._shards.values())
         return {
             "shards_before": float(shards_before),
             "shards_after": float(len(self._shards)),
@@ -1425,7 +1506,7 @@ class ShardedVectorIndex:
         before step 4 leaves the previous snapshot untouched (plus debris
         the next save sweeps), one that dies after it leaves the new one,
         and saving onto the directory this index was loaded from never
-        touches a file its own stores are mapped from.
+        touches a file its own shards are mapped from.
 
         Accepts ``str`` or :class:`pathlib.Path`.
         """
@@ -1447,28 +1528,26 @@ class ShardedVectorIndex:
         codes = []
         for key in sorted(self._shards):
             shard = self._shards[key]
-            rows = len(shard.store)
+            rows = len(shard)
             saved = shard.saved if same_dir else None
             if saved is None or saved[1] != rows or saved[0] not in present:
-                blob = json.dumps(
-                    [shard.store._ids, shard.store._texts]  # noqa: SLF001
-                ).encode("utf-8")
+                data = shard.data()
                 saved = written[key] = (f"seg-{key}-{generation:08d}.bin", rows)
                 bytes_written += write_segment(
                     os.path.join(path, saved[0]),
                     {
-                        "matrix": shard.store.matrix(),
-                        "days": shard.store.created_days(),
-                        "sq_norms": shard.store.squared_norms(),
-                        "seqs": shard.seqs,
+                        "matrix": data.rows[:, :-2],
+                        "days": data.days,
+                        "sq_norms": data.rows[:, -2],
+                        "seqs": data.seqs,
                     },
-                    blob,
+                    json.dumps([shard.ids, shard.texts]).encode("utf-8"),
                 )
             shards_meta.append(
                 {
                     "key": key,
                     "rows": rows,
-                    "dim": shard.store.dim,
+                    "dim": self._dim,
                     "start_day": shard.start_day,
                     "end_day": shard.end_day,
                     "min_day": shard.min_day,
@@ -1476,10 +1555,9 @@ class ShardedVectorIndex:
                     "segment": saved[0],
                 }
             )
-            codes.append(shard.cat_codes.astype("<i8", copy=False))
+            codes.append(shard.codes.astype("<i8", copy=False))
         codes_name = f"codes-{generation:08d}.bin"
         bytes_written += write_durable(os.path.join(path, codes_name), codes)
-        code_to_name = {code: name for name, code in self._cat_code.items()}
         manifest = {
             "format": "sharded-vector-index",
             "version": MANIFEST_VERSION,
@@ -1488,7 +1566,7 @@ class ShardedVectorIndex:
             "next_seq": self._next_seq,
             "next_shard_key": self._next_shard_key,
             "dim": self._dim,
-            "categories": [code_to_name[code] for code in range(len(code_to_name))],
+            "categories": self._cat_names,
             "codes": codes_name,
             "shards": shards_meta,
         }
@@ -1528,12 +1606,11 @@ class ShardedVectorIndex:
         Memory-maps every segment the manifest names.  A shard's days and
         sequences are views into its mapping, copied on its first
         subsequent insert; its matrix is snapped into a private row buffer
-        the first time the shard is scanned or its vectors read
-        (:meth:`VectorStore.wrap`), and the segment's squared norms are
-        recomputed from the snapped rows, never read.  Snapping is
-        idempotent, so a segment of snapped rows loads to the bits it was
-        saved from.  Only the ids/texts blobs and the codes file are read
-        eagerly.
+        the first time the shard is scanned or its vectors read, and the
+        segment's squared norms are recomputed from the snapped rows, never
+        read.  Snapping is idempotent, so a segment of snapped rows loads to
+        the bits it was saved from.  Only the ids/texts blobs and the codes
+        file are read eagerly.
 
         Raises :class:`~repro.core.errors.IndexCorruptionError` — a typed,
         permanent failure — whenever the on-disk state is unreadable:
@@ -1541,9 +1618,10 @@ class ShardedVectorIndex:
         ``version`` other than 4 (the single-arena layout of version 3 and
         the per-shard ``.npz`` layouts of versions 1 and 2 are no longer
         read), a missing segment or codes file, a segment or codes file
-        shorter than the manifest's row counts need, or shard metadata
-        that does not reconstruct.  A missing manifest stays a plain
-        ``FileNotFoundError`` (absent, not corrupt).  Callers that must
+        shorter than the manifest's row counts need, a category code
+        outside the manifest's table, an incident id stored twice, or shard
+        metadata that does not reconstruct.  A missing manifest stays a
+        plain ``FileNotFoundError`` (absent, not corrupt).  Callers that must
         survive corruption go through
         :func:`repro.chaos.load_index_resilient`, which falls back to a
         rebuild-from-store callback.
@@ -1599,10 +1677,8 @@ class ShardedVectorIndex:
         )
         # Seed the category code table in the exact order it was saved so
         # stored per-row codes stay valid.
-        table = list(manifest["categories"])
-        for name in table:
+        for name in manifest["categories"]:
             index._code_for(name)
-        names = np.array(table, dtype=object)
         codes_path = cls._snapshot_file(path, manifest["codes"])
         try:
             all_codes = np.fromfile(codes_path, dtype="<i8")
@@ -1616,6 +1692,8 @@ class ShardedVectorIndex:
                 f"partial codes file {codes_path}: {all_codes.shape[0]} codes "
                 f"on disk, manifest expects {expected}"
             )
+        if expected and not 0 <= all_codes.min() <= all_codes.max() < len(index._cat_names):
+            raise IndexCorruptionError(f"category code out of range in {codes_path}")
         offset = 0
         for meta in manifest["shards"]:
             key, rows = int(meta["key"]), int(meta["rows"])
@@ -1629,33 +1707,21 @@ class ShardedVectorIndex:
                     f"unreadable segment {segment_path}: {exc}"
                 ) from exc
             ids, texts = json.loads(blob)
+            shard = _Shard(
+                key, start_day=float(meta["start_day"]), end_day=float(meta["end_day"])
+            )
             # A slice of the private ``fromfile`` array: relabels write
             # codes in place, never into a file.
-            codes = all_codes[offset : offset + rows]
+            shard.take_segment(views, ids, texts, all_codes[offset : offset + rows])
             offset += rows
-            categories = names[codes].tolist()
-            shard = _Shard(
-                key,
-                index._similarity,
-                start_day=float(meta["start_day"]),
-                end_day=float(meta["end_day"]),
-            )
-            shard.store = VectorStore.wrap(
-                matrix=views["matrix"],
-                created_days=views["days"],
-                incident_ids=ids,
-                categories=categories,
-                texts=texts,
-            )
-            shard.seqs = views["seqs"]
-            shard.cat_codes = codes
-            shard.cat_counts = Counter(categories)
             shard.min_day = float(meta["min_day"])
             shard.max_day = float(meta["max_day"])
             shard.saved = (meta["segment"], rows)
             index._adopt(shard)
-            if shard.store.dim is not None:
-                index._dim = shard.store.dim
+            if rows:
+                index._dim = int(meta["dim"])
+        if len(index._locator) != expected:
+            raise IndexCorruptionError(f"duplicate incident id in {path}")
         if index._dim is None and manifest.get("dim") is not None:
             index._dim = int(manifest["dim"])
         index._saved_dir = os.path.abspath(path)
@@ -1679,7 +1745,7 @@ class ShardedVectorIndex:
         the index lifetime: the fraction of (query, shard) and (query, entry)
         pairs that were actually scored rather than skipped or pruned.
         """
-        sizes = sorted(len(shard.store) for shard in self._shards.values())
+        sizes = sorted(len(shard) for shard in self._shards.values())
         return {
             "entries": float(len(self._locator)),
             "shard_count": float(len(self._shards)),

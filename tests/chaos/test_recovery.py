@@ -133,13 +133,20 @@ def test_missing_segment_raises_typed_error(tmp_path):
         ShardedVectorIndex.load(str(path))
 
 
-def test_missing_or_short_codes_file_raises_typed_error(tmp_path):
+def test_missing_short_or_out_of_range_codes_file_raises_typed_error(tmp_path):
     index = _build_index()
     path = tmp_path / "idx"
     index.save(str(path))
     index.close()
     codes = _codes_file(path)
-    codes.write_bytes(codes.read_bytes()[:-8])
+    saved = codes.read_bytes()
+    for bad in (3, -1):  # the table names three categories, codes 0–2
+        table = np.frombuffer(saved, dtype="<i8").copy()
+        table[-1] = bad
+        codes.write_bytes(table.tobytes())
+        with pytest.raises(IndexCorruptionError, match="category code out of range"):
+            ShardedVectorIndex.load(str(path))
+    codes.write_bytes(saved[:-8])
     with pytest.raises(IndexCorruptionError, match="partial codes file"):
         ShardedVectorIndex.load(str(path))
     os.remove(codes)

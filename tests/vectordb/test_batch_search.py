@@ -1,4 +1,4 @@
-"""Tests for the batched search path and the incremental store.
+"""Tests for the batched search path and incremental inserts.
 
 Covers the guarantees the batch refactor introduced, on a
 :class:`ShardedVectorIndex` whose entries span several time-window shards:
@@ -8,8 +8,8 @@ Covers the guarantees the batch refactor introduced, on a
   look-ahead when replaying chronological splits);
 * with diversity enabled the result is always filled to ``min(k, eligible)``
   from the remaining candidates — filters never silently shrink it;
-* the store grows incrementally (``add`` / ``add_many``) and supports
-  category corrections.
+* a shard grows past its initial capacity one ``add`` at a time, and
+  ``add_many`` checks a batch whole before storing any of it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 from repro.vectordb import (
     ShardedVectorIndex,
     SimilarityConfig,
-    VectorStore,
     similarity,
 )
 
@@ -33,13 +32,6 @@ ROWS = [
 ]
 
 
-def build_store():
-    store = VectorStore()
-    for incident_id, vector, day, category, text in ROWS:
-        store.add(incident_id, np.array(vector), day, category, text=text)
-    return store
-
-
 def three_shard_index(similarity_config):
     """:data:`ROWS` in 5-day shards: days 10, 11 and 11.5; day 9; day 2."""
     index = ShardedVectorIndex(similarity_config, window_days=5.0)
@@ -49,71 +41,42 @@ def three_shard_index(similarity_config):
     return index
 
 
-class TestVectorStoreIncremental:
-    def test_growth_beyond_initial_capacity(self):
-        store = VectorStore()
+class TestIncrementalInserts:
+    @pytest.mark.parametrize("batch", [1, 7], ids=["add", "add_many"])
+    def test_growth_beyond_initial_capacity(self, batch):
+        index = ShardedVectorIndex(window_days=1000.0)
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((300, 8))
-        for i in range(300):
-            store.add(f"i{i}", vectors[i], float(i), f"cat{i % 7}")
-        assert len(store) == 300
-        assert store.matrix().shape == (300, 8)
-        # Stored vectors are snapped to the scoring grid, 2^-20.
+        for start in range(0, 300, batch):
+            rows = range(start, min(start + batch, 300))
+            if batch == 1:
+                index.add(f"i{start}", vectors[start], float(start), f"cat{start % 7}")
+            else:
+                index.add_many(
+                    [f"i{i}" for i in rows], vectors[start : rows.stop],
+                    [float(i) for i in rows], [f"cat{i % 7}" for i in rows],
+                )
+        assert len(index) == 300 and index.shard_sizes() == {0: 300}
+        # Stored vectors are snapped to the scoring grid, 2^-20, and every
+        # row written before a growth survives it.
+        entries = [index.get(f"i{i}") for i in range(300)]
         snapped = np.rint(vectors * 2.0**20) / 2.0**20
-        np.testing.assert_array_equal(store.matrix(), snapped)
-        np.testing.assert_array_equal(store.created_days(), np.arange(300.0))
-        # Entry views must track the latest buffer even after growth.
-        np.testing.assert_array_equal(store.get("i0").vector, snapped[0])
-
-    def test_add_many_matches_sequential_adds(self):
-        rng = np.random.default_rng(5)
-        vectors = rng.standard_normal((40, 6))
-        one = VectorStore()
-        for i in range(40):
-            one.add(f"i{i}", vectors[i], float(i), f"cat{i % 3}", text=f"t{i}")
-        many = VectorStore()
-        many.add_many(
-            incident_ids=[f"i{i}" for i in range(40)],
-            vectors=vectors,
-            created_days=[float(i) for i in range(40)],
-            categories=[f"cat{i % 3}" for i in range(40)],
-            texts=[f"t{i}" for i in range(40)],
-        )
-        np.testing.assert_array_equal(one.matrix(), many.matrix())
-        np.testing.assert_array_equal(one.created_days(), many.created_days())
-        assert [e.incident_id for e in one] == [e.incident_id for e in many]
-        assert [e.category for e in one] == [e.category for e in many]
+        np.testing.assert_array_equal([entry.vector for entry in entries], snapped)
+        assert [entry.created_day for entry in entries] == [float(i) for i in range(300)]
+        assert [entry.category for entry in entries] == [f"cat{i % 7}" for i in range(300)]
 
     def test_add_many_validation(self):
-        store = VectorStore()
-        with pytest.raises(ValueError):
-            store.add_many(["a"], np.zeros((2, 3)), [1.0, 2.0], ["x", "y"])
-        store.add("a", np.zeros(3), 1.0, "x")
-        with pytest.raises(ValueError):
-            store.add_many(["a"], np.zeros((1, 3)), [1.0], ["x"])  # duplicate id
-        with pytest.raises(ValueError):
-            store.add_many(["b"], np.zeros((1, 2)), [1.0], ["x"])  # wrong dim
-        with pytest.raises(ValueError):  # duplicate inside the batch itself
-            store.add_many(["c", "c"], np.zeros((2, 3)), [1.0, 2.0], ["x", "y"])
-        assert len(store) == 1  # failed bulk insert leaves the store untouched
-
-    def test_update_category(self):
-        store = build_store()
-        store.update_category("a1", "Z")
-        assert store.get("a1").category == "Z"
-        assert "Z" in store.categories()
-        with pytest.raises(KeyError):
-            store.update_category("missing", "Z")
-
-    def test_squared_norms_track_additions(self):
-        store = build_store()
-        first = store.squared_norms().copy()
-        np.testing.assert_allclose(
-            first, [np.dot(e.vector, e.vector) for e in store.entries()]
-        )
-        store.add("d1", np.array([2.0, 2.0, 1.0]), 3.0, "D")
-        assert store.squared_norms().shape == (6,)
-        assert store.squared_norms()[-1] == pytest.approx(9.0)
+        index = ShardedVectorIndex()
+        with pytest.raises(ValueError, match="must align"):
+            index.add_many(["a"], np.zeros((2, 3)), [1.0, 2.0], ["x", "y"])
+        index.add("a", np.zeros(3), 1.0, "x")
+        with pytest.raises(ValueError, match="duplicate incident id in vector store: a$"):
+            index.add_many(["a"], np.zeros((1, 3)), [1.0], ["x"])
+        with pytest.raises(ValueError, match="vector dimension 2 does not match store dimension 3"):
+            index.add_many(["b"], np.zeros((1, 2)), [1.0], ["x"])
+        with pytest.raises(ValueError, match="duplicate incident id in vector store: c$"):
+            index.add_many(["c", "c"], np.zeros((2, 3)), [1.0, 2.0], ["x", "y"])
+        assert len(index) == 1  # failed bulk insert leaves the index untouched
 
 
 class TestSearchMany:

@@ -1,20 +1,20 @@
-"""The columnar vector store and the sharded index's block write path.
+"""The sharded index's columnar shards and their block write path.
 
-``VectorStore`` keeps ids, categories and texts as list columns beside its
-matrix and builds a ``VectorEntry`` only when one is asked for; a shard
-keeps its sequences and category codes as int64 arrays;
+A shard keeps its rows as columns — ``[x, |x|^2, 1]`` rows, days,
+sequences and category codes as arrays, ids and texts as lists — and builds
+a ``VectorEntry`` only when one is asked for;
 ``ShardedVectorIndex.add_many`` routes a batch in one pass and compaction
 moves whole row blocks.  None of that may show from outside:
 
 * **routing** — batch routing lands every row where routing one row at a
   time would, including rows behind a shard the same batch opened, and
-  leaves each shard the sequences, category names and counts row-at-a-time
-  inserts leave, fresh, compacted and reloaded;
+  leaves each shard the rows (to the bit), days, sequences, category names,
+  ids and texts row-at-a-time inserts leave, fresh, compacted and reloaded;
 * **bytes** — a scripted add/relabel/compact/save/reload sequence leaves
   the snapshot directory, search results and ``stats()`` pinned below
   (see the pins for when they were taken);
 * **atomicity** — a rejected batch (a duplicate id, a non-finite day)
-  leaves every shard untouched;
+  leaves every shard untouched and names the first offending id;
 * **write-through** — a relabel or an add after ``load`` changes no file
   of the snapshot it came from;
 * **objects** — building an index leaves no GC-tracked object per row;
@@ -39,7 +39,6 @@ from repro.vectordb import (
     CompactionPolicy,
     ShardedVectorIndex,
     SimilarityConfig,
-    VectorStore,
 )
 
 DIM = 6
@@ -65,7 +64,7 @@ def reference_route(index, days):
 
 
 def shard_columns(index):
-    """Per shard: its int64 seqs, each row's category name and the counts.
+    """Per shard: its rows' bytes, days, int64 seqs, category names, ids and texts.
 
     Names go through the code table, whose numbering may legitimately
     differ between indices built by different calls.
@@ -73,10 +72,14 @@ def shard_columns(index):
     names = {code: name for name, code in index._cat_code.items()}  # noqa: SLF001
     columns = {}
     for key, shard in index._shards.items():  # noqa: SLF001
-        assert shard.seqs.dtype == shard.cat_codes.dtype == np.int64
-        labels = [names[code] for code in shard.cat_codes.tolist()]
-        assert labels == [entry.category for entry in shard.store]
-        columns[key] = (shard.seqs.tolist(), labels, dict(shard.cat_counts))
+        data = shard.data()
+        assert data.seqs.dtype == data.codes.dtype == np.int64
+        labels = [names[code] for code in data.codes.tolist()]
+        assert labels == [index.get(incident_id).category for incident_id in shard.ids]
+        columns[key] = (
+            data.rows.tobytes(), data.days.tolist(), data.seqs.tolist(), labels,
+            shard.ids, shard.texts,
+        )
     return columns
 
 
@@ -265,7 +268,7 @@ def index_state(index):
         dict(index._cat_code),  # noqa: SLF001
         index._next_seq,  # noqa: SLF001
         sorted(
-            (key, [(e.incident_id, e.category, e.created_day) for e in shard.store])
+            (key, [(e.incident_id, e.category, e.created_day) for e in map(index.get, shard.ids)])
             for key, shard in index._shards.items()  # noqa: SLF001
         ),
     )
@@ -277,8 +280,9 @@ class TestRejectedBatch:
         [
             (["new-0", "new-1", "new-0", "new-2"], "new-0"),
             (["new-0", "old-3", "new-0", "new-2"], "old-3"),
+            (["new-0", "new-0", "old-3", "new-2"], "new-0"),
         ],
-        ids=["within the batch", "against the index"],
+        ids=["within the batch", "against the index", "within the batch first"],
     )
     def test_a_rejected_batch_leaves_every_shard_untouched(self, ids, offending):
         index = ShardedVectorIndex(window_days=WINDOW)
@@ -293,36 +297,20 @@ class TestRejectedBatch:
         assert index_state(index) == before
         assert len(index) == 6
 
+    @pytest.mark.parametrize("single", [False, True], ids=["add_many", "add"])
     @pytest.mark.parametrize("bad_day", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_day_leaves_every_shard_untouched(self, bad_day):
+    def test_a_non_finite_day_leaves_every_shard_untouched(self, bad_day, single):
         index = ShardedVectorIndex(window_days=WINDOW)
         index.add("a", np.ones(6), 1.0, "x")
         before = index_state(index)
-        # The first row would open a shard, the second one brings a new category.
         with pytest.raises(ValueError, match="non-finite creation day in vector store: c$"):
-            index.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
+            if single:
+                index.add("c", np.ones(6), bad_day, "z")
+            else:
+                # The first row would open a shard, the second one brings a new category.
+                index.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
         assert index_state(index) == before
         assert index.shard_sizes() == {0: 1}
-
-    @pytest.mark.parametrize("bad_day", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_the_vector_store_rejects_a_non_finite_day_too(self, bad_day):
-        store = VectorStore()
-        store.add("a", np.ones(6), 1.0, "x")
-        before = [(e.incident_id, e.category, e.created_day) for e in store]
-        with pytest.raises(ValueError, match="non-finite creation day in vector store: c$"):
-            store.add_many(["b", "c"], np.ones((2, 6)), [30.0, bad_day], ["x", "z"])
-        with pytest.raises(ValueError, match="non-finite creation day in vector store: d$"):
-            store.add("d", np.ones(6), bad_day, "x")
-        assert [(e.incident_id, e.category, e.created_day) for e in store] == before
-        assert store.matrix().shape == (1, 6)
-
-    def test_a_rejected_store_batch_names_the_first_offending_id(self):
-        store = VectorStore()
-        store.add_many(["a", "b"], np.eye(2), [0.0, 1.0], ["x", "y"])
-        with pytest.raises(ValueError, match="vector store: b$"):
-            store.add_many(["c", "b", "c"], np.ones((3, 2)), [2.0] * 3, ["x"] * 3)
-        assert [entry.incident_id for entry in store] == ["a", "b"]
-        assert store.matrix().shape == (2, 2)
 
 
 # ---------------------------------------------------------- load write-through
@@ -360,7 +348,7 @@ def test_a_relabel_or_an_add_after_load_never_writes_through(tmp_path):
 
 
 # ------------------------------------------------------------------ objects
-def objects_grown_by_building(backend, total):
+def objects_grown_by_building(window_days, total):
     """GC-tracked objects an index of ``total`` rows leaves behind."""
     rng = np.random.default_rng(total)
     ids = [f"row-{row}" for row in range(total)]
@@ -369,7 +357,7 @@ def objects_grown_by_building(backend, total):
     categories = [f"c{row % 20}" for row in range(total)]
     gc.collect()
     before = len(gc.get_objects())
-    index = VectorStore() if backend == "store" else ShardedVectorIndex(window_days=7.0)
+    index = ShardedVectorIndex(window_days=window_days)
     for start in range(0, total, 2_500):
         stop = start + 2_500
         index.add_many(ids[start:stop], vectors[start:stop], days[start:stop], categories[start:stop])
@@ -379,10 +367,10 @@ def objects_grown_by_building(backend, total):
     return grown
 
 
-@pytest.mark.parametrize("backend", ["store", "sharded"])
-def test_building_an_index_leaves_no_object_per_row(backend):
-    objects_grown_by_building(backend, 1_000)  # first-call imports and caches
-    grown = {total: objects_grown_by_building(backend, total) for total in (10_000, 40_000)}
+@pytest.mark.parametrize("window_days", [7.0, 1000.0], ids=["weekly_shards", "one_shard"])
+def test_building_an_index_leaves_no_object_per_row(window_days):
+    objects_grown_by_building(window_days, 1_000)  # first-call imports and caches
+    grown = {total: objects_grown_by_building(window_days, total) for total in (10_000, 40_000)}
     assert grown[40_000] <= grown[10_000], grown
 
 
@@ -402,26 +390,26 @@ class TestEntriesAreSnapshots:
         assert held["a"].entry.category == "disk"
         assert {n.incident_id: n.category for n in index.search(np.eye(3)[0], 2.0)}["a"] == "memory"
 
-    def test_entry_builds_the_row_on_demand(self):
-        store = VectorStore()
+    @pytest.mark.parametrize("window_days", [30.0, 1.0], ids=["one_shard", "three_shards"])
+    def test_entry_builds_the_row_on_demand(self, window_days):
+        index = ShardedVectorIndex(window_days=window_days)
         vectors = np.arange(6.0).reshape(3, 2)
-        store.add_many(["a", "b"], vectors[:2], [1.5, 2.5], ["x", "y"], texts=["A", "B"])
-        store.add("c", vectors[2], 3, "x")
-        entry = store.entry(1)
+        index.add_many(["a", "b"], vectors[:2], [1.5, 2.5], ["x", "y"], texts=["A", "B"])
+        index.add("c", vectors[2], 3, "x")
+        entry = index.get("b")
         assert (entry.incident_id, entry.created_day, entry.category, entry.text) == (
             "b", 2.5, "y", "B"
         )
         np.testing.assert_array_equal(entry.vector, vectors[1])
-        assert store.get("c").created_day == 3.0 and store.get("c").text == ""
-        assert [e.incident_id for e in store] == [e.incident_id for e in store.entries()]
-        assert [e.incident_id for e in store] == ["a", "b", "c"]
-        assert store.get("b") is not store.get("b")
+        assert index.get("c").created_day == 3.0 and index.get("c").text == ""
+        assert index.get("b") is not index.get("b")
 
     def test_add_checks_like_add_many(self):
-        store = VectorStore(dim=2)
+        index = ShardedVectorIndex(window_days=WINDOW)
+        index.add("z", np.ones(2), 0.0, "x")
         with pytest.raises(ValueError, match="vector dimension 3 does not match store dimension 2"):
-            store.add("a", np.ones(3), 0.0, "x")
-        store.add("a", np.ones((1, 2)), 0.0, "x")
+            index.add("a", np.ones(3), 0.0, "x")
+        index.add("a", np.ones((1, 2)), 0.0, "x")
         with pytest.raises(ValueError, match="duplicate incident id in vector store: a"):
-            store.add("a", np.ones(2), 0.0, "x")
-        assert len(store) == 1
+            index.add("a", np.ones(2), 0.0, "x")
+        assert len(index) == 2

@@ -15,7 +15,7 @@ Snapping is idempotent, so a snapshot whose segments hold unsnapped
 vectors — as every snapshot written before the grid does — loads to the
 bits of the index it came from.  Non-finite vectors and queries are refused,
 naming the first bad id or query row; a refused batch leaves the index (and
-the vector store each shard is) as it was.
+each of its shards) as it was.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import OracleIndex
-from repro.vectordb import ShardedVectorIndex, SimilarityConfig, VectorStore
+from repro.vectordb import ShardedVectorIndex, SimilarityConfig
 from repro.vectordb.shardmem import map_segment, write_segment
 
 BACKENDS = ("oracle", "sharded", "split")
@@ -178,8 +178,8 @@ def test_unsnapped_segments_load_to_the_bits_of_the_live_index(tmp_path):
     loaded = ShardedVectorIndex.load(tmp_path, similarity=SimilarityConfig(alpha=0.05))
     assert sorted(loaded.shard_sizes()) == sorted(live.shard_sizes())
     for key, shard in live._shards.items():  # noqa: SLF001
-        reloaded = loaded._shards[key].store  # noqa: SLF001
-        assert reloaded.augmented().tobytes() == shard.store.augmented().tobytes()
+        reloaded = loaded._shards[key]  # noqa: SLF001
+        assert reloaded.data().rows.tobytes() == shard.data().rows.tobytes()
     queries = unit_rows(rng, 8, 16)
     query_days = rng.uniform(0.0, 90.0, 8)
     assert fingerprints(loaded.search_many(queries, query_days)) == fingerprints(
@@ -188,25 +188,23 @@ def test_unsnapped_segments_load_to_the_bits_of_the_live_index(tmp_path):
 
 
 # ------------------------------------------------------------------ rejection
-def make_index(backend):
-    index = VectorStore() if backend == "store" else ShardedVectorIndex(window_days=5.0)
+def make_index(window_days=5.0):
+    index = ShardedVectorIndex(window_days=window_days)
     index.add_many(["a", "b"], np.eye(2, 4), [1.0, 2.0], ["x", "y"])
     return index
 
 
 def index_state(index):
-    state = (
+    return (
         len(index), index.categories(),
         [(e.incident_id, e.category, e.created_day, e.vector.tolist())
          for e in map(index.get, ("a", "b"))],
+        index.stats(), list(index._ranges), index.shard_sizes(),  # noqa: SLF001
+        index._next_shard_key, dict(index._cat_code),  # noqa: SLF001
     )
-    if isinstance(index, VectorStore):
-        return state + (index.augmented().tolist(), index.created_days().tolist())
-    return state + (index.stats(), list(index._ranges), index.shard_sizes(),  # noqa: SLF001
-                    index._next_shard_key, dict(index._cat_code))  # noqa: SLF001
 
 
-@pytest.mark.parametrize("backend", ["store", "sharded"])
+@pytest.mark.parametrize("window_days", [5.0, 1000.0], ids=["shards", "one_shard"])
 @pytest.mark.parametrize(
     "value, message",
     [(math.nan, "non-finite vector"), (math.inf, "non-finite vector"),
@@ -214,13 +212,15 @@ def index_state(index):
     ids=["nan", "inf", "-inf", "too long"],
 )
 def test_a_refused_vector_names_the_first_id_and_leaves_the_index_as_it_was(
-    backend, value, message
+    value, message, window_days
 ):
-    index = make_index(backend)
+    index = make_index(window_days)
     before = index_state(index)
     vectors = np.ones((4, 4))
     vectors[2, 1] = vectors[3, 0] = value
-    # Days that open shards before and after the refused rows, one new category.
+    # In 5-day shards, days that open shards before and after the refused
+    # rows; in one shard, every row lands beside the stored ones.  One new
+    # category either way.
     with pytest.raises(ValueError, match=f"^{message}.* in vector store: e$"):
         index.add_many(["c", "d", "e", "f"], vectors, [30.0, 1.5, 60.0, 2.5], ["z", "x", "y", "w"])
     with pytest.raises(ValueError, match=f"^{message}.* in vector store: g$"):
@@ -232,7 +232,7 @@ def test_a_refused_vector_names_the_first_id_and_leaves_the_index_as_it_was(
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_query_names_its_row(value):
-    index = make_index("sharded")
+    index = make_index()
     queries = np.ones((3, 4))
     queries[1, 3] = value
     with pytest.raises(ValueError, match="^non-finite vector at query row 1$"):
@@ -242,10 +242,14 @@ def test_a_non_finite_query_names_its_row(value):
     assert [n.incident_id for n in index.search(queries[0], 1.0)] == ["a", "b"]
 
 
-def test_a_refused_first_batch_leaves_a_store_without_a_shape():
-    for index in (VectorStore(), ShardedVectorIndex()):
-        with pytest.raises(ValueError, match="non-finite vector in vector store: a$"):
-            index.add("a", np.array([math.nan, 1.0, 2.0]), 1.0, "x")
-        assert index.dim is None
-        index.add("a", np.ones(5), 1.0, "x")
-        assert index.dim == 5
+@pytest.mark.parametrize(
+    "value, message", [(math.nan, "non-finite vector"), (1e3, "vector norm 1000 is not below")],
+    ids=["nan", "too long"],
+)
+def test_a_refused_first_batch_leaves_an_index_without_a_shape(value, message):
+    index = ShardedVectorIndex()
+    with pytest.raises(ValueError, match=f"^{message}.* in vector store: a$"):
+        index.add("a", np.array([value, 1.0, 2.0]), 1.0, "x")
+    assert index.dim is None and index.shard_sizes() == {}
+    index.add("a", np.ones(5), 1.0, "x")
+    assert index.dim == 5 and index.get("a").vector.shape == (5,)

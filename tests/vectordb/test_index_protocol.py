@@ -26,7 +26,6 @@ from repro.vectordb import (
     ShardedVectorIndex,
     SimilarityConfig,
     VectorIndex,
-    VectorStore,
     load_index,
     time_bucket,
 )
@@ -341,18 +340,34 @@ class TestUpdateCategoryContract:
         assert index.get("i7").category == "Corrected"
         assert "Corrected" in index.categories()
 
-    def test_vector_store_unknown_id_raises_keyerror_with_id(self):
-        store = VectorStore()
-        store.add("present", np.ones(3), 1.0, "A")
-        with pytest.raises(KeyError, match="absent"):
-            store.update_category("absent", "B")
+    def test_relabelling_a_categorys_last_row_away_drops_the_category(self, tmp_path):
+        """The shard that held it is skipped by its filter, compacted and reloaded too."""
+        index = ShardedVectorIndex(SimilarityConfig(alpha=0.1, k=2), window_days=10.0)
+        index.add_many(["a", "b1", "b2", "c"], np.eye(4), [1.0, 2.0, 3.0, 15.0], ["A", "B", "B", "C"])
+        assert index.shard_sizes() == {0: 3, 1: 1}
+        assert [n.incident_id for n in index.search(np.eye(4)[0], 2.0, categories={"A"})] == ["a"]
+        index.update_category("a", "B")
+
+        def assert_a_is_gone(index):
+            assert index.categories() == ["B", "C"]
+            skipped = index.stats()["shards_skipped"]
+            assert index.search(np.eye(4)[0], 2.0, categories={"A"}) == []
+            assert index.stats()["shards_skipped"] == skipped + len(index.shard_sizes())
+            assert index.get("a").category == "B"
+
+        assert_a_is_gone(index)
+        index.compact(min_entries=5, max_entries=100)
+        assert index.shard_sizes() == {2: 4}
+        assert_a_is_gone(index)
+        index.save(tmp_path)
+        assert_a_is_gone(ShardedVectorIndex.load(tmp_path))
 
 
 class TestPersistence:
     """Satellite: save/load round trips guard the shard persistence work."""
 
     def test_store_roundtrip_dtype_and_capacity_regrowth(self, tmp_path):
-        """A reloaded shard's wrapped store widens to float64 and grows on insert."""
+        """A reloaded shard's columns widen to float64 and grow on insert."""
         index = ShardedVectorIndex(window_days=1000.0)
         rng = np.random.default_rng(8)
         vectors = rng.standard_normal((70, 6)).astype(np.float32)  # narrower input
@@ -365,9 +380,9 @@ class TestPersistence:
         index.save(tmp_path)
         loaded = ShardedVectorIndex.load(tmp_path)
         (shard,) = loaded._shards.values()  # noqa: SLF001
-        # dtype: the store always widens to float64, including through disk.
-        assert shard.store.matrix().dtype == np.float64
-        assert shard.store.created_days().dtype == np.float64
+        # dtype: a shard always widens to float64, including through disk.
+        assert shard.data().rows.dtype == np.float64
+        assert shard.data().days.dtype == np.float64
         # capacity re-growth: keep inserting far beyond the loaded size.
         more = rng.standard_normal((200, 6))
         loaded.add_many(
@@ -376,10 +391,10 @@ class TestPersistence:
             created_days=[float(i) for i in range(200)],
             categories=["late"] * 200,
         )
-        assert len(loaded) == 270 and len(shard.store) == 270
+        assert len(loaded) == 270 and len(shard) == 270
         # Stored vectors are snapped to the scoring grid, 2^-20.
         np.testing.assert_array_equal(
-            shard.store.matrix()[70:], np.rint(more * 2.0**20) / 2.0**20
+            shard.data().rows[70:, :-2], np.rint(more * 2.0**20) / 2.0**20
         )
 
     def test_store_roundtrip_squared_norm_cache_extension(self, tmp_path):
@@ -394,12 +409,12 @@ class TestPersistence:
         index.save(tmp_path)
         loaded = ShardedVectorIndex.load(tmp_path)
         (shard,) = loaded._shards.values()  # noqa: SLF001
-        np.testing.assert_allclose(shard.store.squared_norms(), [25.0, 1.0])
+        np.testing.assert_allclose(shard.data().rows[:, -2], [25.0, 1.0])
         # The cache must extend (not go stale) when rows are added after a
         # load-then-score sequence.
         loaded.search(np.array([1.0, 1.0]), 2.0)
         loaded.add("c", np.array([2.0, 2.0]), 3.0, "C")
-        np.testing.assert_allclose(shard.store.squared_norms(), [25.0, 1.0, 8.0])
+        np.testing.assert_allclose(shard.data().rows[:, -2], [25.0, 1.0, 8.0])
 
     def test_sharded_save_writes_manifest_codes_and_one_segment_per_shard(
         self, tmp_path
@@ -701,7 +716,7 @@ class TestCategoryExit:
         )
         assert sharded.stats()["shard_count"] == 52.0
         assert min(
-            len(shard.cat_counts) for shard in sharded._shards.values()  # noqa: SLF001
+            len(np.unique(shard.codes)) for shard in sharded._shards.values()  # noqa: SLF001
         ) >= similarity.k
         rng = np.random.default_rng(7)
         queries = rng.standard_normal((12, 8))

@@ -23,6 +23,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vectordb import ShardedVectorIndex, SimilarityConfig, load_index
@@ -57,7 +58,7 @@ def snapshot(index):
         "entries": sorted(
             (entry.incident_id, entry.category, entry.text, entry.created_day)
             for shard in index._shards.values()  # noqa: SLF001
-            for entry in shard.store
+            for entry in map(index.get, shard.ids)
         ),
         "shard_sizes": index.shard_sizes(),
         "ranges": list(index._ranges),  # noqa: SLF001
@@ -65,6 +66,11 @@ def snapshot(index):
         "next_shard_key": index._next_shard_key,  # noqa: SLF001
         "categories": index.categories(),
     }
+
+
+def row_buffer(shard):
+    """A shard's private ``[x, |x|^2, 1]`` buffer: None until its rows are read."""
+    return shard._buffer  # noqa: SLF001
 
 
 def read_manifest(directory):
@@ -410,9 +416,60 @@ class TestRoundTrips:
         assert segment_of(directory, 0) == "seg-0-00000002.bin"
         loaded = load_index(directory, similarity=SIMILARITY)
         assert snapshot(loaded) == snapshot(index)
-        assert sorted(e.incident_id for e in loaded._shards[0].store) == sorted(  # noqa: SLF001
+        assert sorted(loaded._shards[0].ids) == sorted(  # noqa: SLF001
             f"e{serial}" for serial in range(9, 15)
         )
+
+    @pytest.mark.parametrize(
+        "filters, skipped",
+        [
+            ({"history_before_day": 20.0}, [2]),
+            ({"categories": {"A"}}, [1, 2]),
+            ({"history_before_day": 20.0, "categories": {"A"}}, [1, 2]),
+        ],
+        ids=["day", "category", "both"],
+    )
+    def test_a_shard_a_filter_skips_stays_unread_until_a_lookup(
+        self, tmp_path, filters, skipped
+    ):
+        """Load maps each segment; only a scan or a lookup snaps a shard's rows.
+
+        Three shards: days 0–10 in categories A and B, days 10–20 in B,
+        days 20–30 in C.  A search before day 20 skips the third shard, one
+        for category A the second and the third.  A skipped shard gets no
+        private row buffer, a scanned one does, and ``get`` still returns a
+        skipped row's snapped vector.  Six eligible rows at most never fill
+        a pool of ``2k = 8``, so no shard is pruned.
+        """
+        rng = np.random.default_rng(12)
+        vectors = rng.standard_normal((9, DIM))
+        index = ShardedVectorIndex(SIMILARITY, window_days=WINDOW)
+        index.add_many(
+            [f"s{row}" for row in range(9)], vectors,
+            [1.0, 4.0, 8.0, 11.0, 14.0, 18.0, 21.0, 24.0, 28.0],
+            ["A", "B", "A", "B", "B", "B", "C", "C", "C"],
+        )
+        index.save(tmp_path)
+        loaded = load_index(tmp_path, similarity=SIMILARITY)
+        shards = loaded._shards  # noqa: SLF001
+        assert sorted(shards) == [0, 1, 2]
+        assert all(row_buffer(shard) is None for shard in shards.values())
+        found = loaded.search_many(QUERIES[:2], [15.0, 25.0], **filters)
+        assert [[(n.incident_id, n.similarity) for n in row] for row in found] == [
+            [(n.incident_id, n.similarity) for n in row]
+            for row in index.search_many(QUERIES[:2], [15.0, 25.0], **filters)
+        ]
+        stats = loaded.stats()
+        assert stats["shards_skipped"] == 2 * len(skipped)
+        assert stats["shards_scanned"] == 2 * (3 - len(skipped))
+        assert [row_buffer(shards[key]) is None for key in range(3)] == [
+            key in skipped for key in range(3)
+        ]
+        for incident_id in ("s4", "s7"):
+            row = int(incident_id[1:])
+            np.testing.assert_array_equal(
+                loaded.get(incident_id).vector, np.rint(vectors[row] * 2.0**20) / 2.0**20
+            )
 
     def test_empty_index_round_trips(self, tmp_path):
         directory = str(tmp_path / "empty")

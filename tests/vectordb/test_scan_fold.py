@@ -253,12 +253,17 @@ def finalize(index, state, k, diverse):
         )
     ordered = sorted(combined.values(), key=lambda item: (-item[0], item[1]))
     picks = select_complete_order(
-        [shards[key].store.entry(row).category for _, _, key, row in ordered], k, diverse
+        [shards[key].entry(row, index._cat_names).category for _, _, key, row in ordered],
+        k, diverse,
     )
     return [
-        Neighbor(entry=shards[key].store.entry(row), similarity=score)
+        Neighbor(entry=shards[key].entry(row, index._cat_names), similarity=score)
         for score, _, key, row in (ordered[p] for p in picks)
     ]
+
+
+def present_categories(index, shard):
+    return {index._cat_names[code] for code in shard.codes.tolist()}
 
 
 def can_prune(index, state, shard, upper_bound, pool_size, diverse, categories):
@@ -268,7 +273,7 @@ def can_prune(index, state, shard, upper_bound, pool_size, diverse, categories):
         if categories is None:
             group_codes = shard.data().groups()[3]
             return bool(np.all(state.best_scores[group_codes] > upper_bound))
-        for category in shard.cat_counts:
+        for category in present_categories(index, shard):
             if category not in categories:
                 continue
             code = index._cat_code.get(category)
@@ -285,7 +290,7 @@ def advance(index, state, diverse, pool_size, history_before_day, categories):
             state.skipped += 1
             state.pos += 1
             continue
-        if categories is not None and not any(c in categories for c in shard.cat_counts):
+        if categories is not None and not present_categories(index, shard) & categories:
             state.skipped += 1
             state.pos += 1
             continue
@@ -305,7 +310,7 @@ def exclude_rows(index, shard, exclude):
     if not exclude:
         return ()
     return tuple(sorted(
-        shard.store.index_of(incident_id)
+        shard.row_of(incident_id)
         for incident_id in exclude
         if index._locator.get(incident_id) == shard.key
     ))

@@ -1,4 +1,4 @@
-"""Tests for the similarity formula, vector store and KNN search.
+"""Tests for the similarity formula, the index's entries and KNN search.
 
 The KNN behaviour runs on a :class:`ShardedVectorIndex` whose entries span
 two time-window shards, so every guarantee holds across a shard boundary.
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.vectordb import (
     ShardedVectorIndex,
     SimilarityConfig,
-    VectorStore,
     euclidean_distance,
     similarity,
     temporal_decay,
@@ -75,36 +74,6 @@ class TestSimilarityFormula:
         assert near >= far
 
 
-class TestVectorStore:
-    def test_add_and_get(self):
-        store = VectorStore()
-        store.add("i1", np.array([1.0, 0.0]), created_day=1.0, category="A")
-        assert len(store) == 1
-        assert "i1" in store
-        assert store.get("i1").category == "A"
-        assert store.get("missing") is None
-
-    def test_duplicate_id_rejected(self):
-        store = VectorStore()
-        store.add("i1", np.array([1.0]), 1.0, "A")
-        with pytest.raises(ValueError):
-            store.add("i1", np.array([2.0]), 2.0, "B")
-
-    def test_dimension_mismatch_rejected(self):
-        store = VectorStore()
-        store.add("i1", np.array([1.0, 2.0]), 1.0, "A")
-        with pytest.raises(ValueError):
-            store.add("i2", np.array([1.0]), 1.0, "B")
-
-    def test_matrix_and_days_alignment(self):
-        store = VectorStore()
-        store.add("i1", np.array([1.0, 0.0]), 1.0, "A")
-        store.add("i2", np.array([0.0, 1.0]), 2.0, "B")
-        assert store.matrix().shape == (2, 2)
-        assert list(store.created_days()) == [1.0, 2.0]
-        assert store.categories() == ["A", "B"]
-
-
 def two_shard_index(similarity_config=None):
     """Four entries in two 5-day shards: days 10, 11 and 11.5, and day 2."""
     index = ShardedVectorIndex(similarity_config, window_days=5.0)
@@ -117,6 +86,17 @@ def two_shard_index(similarity_config=None):
 
 
 class TestKnn:
+    def test_add_and_get(self):
+        index = two_shard_index()
+        assert len(index) == 4 and "a1" in index and "missing" not in index
+        entry = index.get("b1")
+        assert (entry.incident_id, entry.created_day, entry.category, entry.text) == (
+            "b1", 11.5, "B", "b one"
+        )
+        np.testing.assert_array_equal(entry.vector, [0.0, 1.0, 0.0])
+        assert index.get("missing") is None
+        assert index.categories() == ["A", "B", "C"]
+
     def test_search_orders_by_similarity(self):
         index = two_shard_index(SimilarityConfig(alpha=0.0, k=4, diverse_categories=False))
         neighbors = index.search(np.array([1.0, 0.0, 0.0]), query_day=12.0)
