@@ -7,7 +7,8 @@ a live query — which, like the paper's deployment, arrives near "now" —
 only touches the recent slice of the history.
 
 The sharded index returns *identical* neighbour lists to the brute-force
-test oracle (``tests/vectordb/oracle.py``, asserted below).  The speed
+test oracle (``tests/vectordb/oracle.py``, asserted below: ids and
+similarity bits).  The speed
 floor compares a sharded search with the oracle's one-product full scan:
 ``score_block`` over every row, with no selection at all, so the ratio is
 a lower bound on what pruning buys.  The benchmark also reports how much of
@@ -99,7 +100,7 @@ def _timed_full_scan(oracle, queries, days) -> float:
     """Best-of-N wall time of scoring every row for the batch, selecting nothing."""
     alpha = oracle.similarity.alpha
     return _best_of(
-        lambda: score_block(oracle.rows, oracle.days, augment_queries(queries), days, alpha)
+        lambda: score_block(oracle.block, oracle.days, augment_queries(queries), days, alpha)
     )
 
 
@@ -119,9 +120,11 @@ def _timed_add_one(index, rounds=ROUNDS) -> float:
 
 
 def _assert_parity(reference, candidates, label: str) -> None:
+    """Same neighbour ids and the same similarity bits, query by query."""
+    assert len(reference) == len(candidates), f"{label}: batch sizes differ"
     for ref_neighbors, cand_neighbors in zip(reference, candidates):
-        assert [n.incident_id for n in ref_neighbors] == [
-            n.incident_id for n in cand_neighbors
+        assert [(n.incident_id, float(n.similarity).hex()) for n in ref_neighbors] == [
+            (n.incident_id, float(n.similarity).hex()) for n in cand_neighbors
         ], f"{label}: neighbour lists diverged"
 
 

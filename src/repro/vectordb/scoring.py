@@ -2,7 +2,7 @@
 
 ``score_block`` turns a block of query embeddings into the paper's
 similarities ``exp(-alpha |day gap|) / (1 + |q - m|)`` against a block of
-stored rows.  Its squared distances are exact, so no block shape, kernel,
+stored vectors.  Its squared distances are exact, so no block shape, kernel,
 blocking, thread count or summation order can change a bit of a score.
 
 **The grid.**  :func:`snap` rounds every stored vector and every query to
@@ -16,12 +16,22 @@ under 2^53 units of 2^-40, so it is exact in a double's 53 bits.  A vector
 that breaks the bound, NaN and infinite ones included, is rejected with a
 ``ValueError``.  Snapping is idempotent: a snapped vector snaps to itself.
 
-**One product.**  A store keeps each row as ``[x, |x|^2, 1]``;
-:func:`augment_queries` turns each query into ``[-2q, 1, |q|^2]``.  The
-product of the two is ``|q|^2 + |x|^2 - 2 q.x``, the exact squared
-distance, with nothing to add around it and nothing to guard: an exact
-squared distance is never negative.  The square root, the ``+ 1``, the
-decay and the division are elementwise, hence shape-independent too.
+**One product.**  A shard keeps each stored vector as an ``[x, |x|^2, 1]``
+*column* of one dim-major ``(dim + 2, capacity)`` block; :func:`augment_queries`
+turns each query into a ``[-2q, 1, |q|^2]`` row.  The product of the two is
+``|q|^2 + |x|^2 - 2 q.x``, the exact squared distance, with nothing to add
+around it and nothing to guard: an exact squared distance is never
+negative.  The square root, the ``+ 1``, the decay and the division are
+elementwise, hence shape-independent too.
+
+The block is dim-major because that is BLAS's own layout for ``queries @
+block``: a row-major ``(dim + 2, n)`` operand, taken as it lies, with no
+transpose.  Most scan blocks carry one or two queries, and against a
+row-major ``(n, dim + 2)`` buffer such a product runs OpenBLAS's slow
+transposed-operand path.  ``block[:, :n]`` of a buffer with spare capacity
+is a strided view BLAS reads in place (its leading dimension is the
+capacity), so scoring copies nothing.  On the grid no summation order
+changes a bit, so the layout moves no score.
 
 The product runs on one OpenBLAS thread.  Exactness no longer needs that,
 but OpenBLAS's worker threads spin between products, burning a second core
@@ -116,23 +126,25 @@ GRID = 2.0**-20
 #: 2^53``), or partial sums of the product could round.
 MAX_SQUARED_NORM = 2.0**11
 
-#: Rows :func:`snap` rounds per step, in a scratch block that stays in cache.
+#: Vectors :func:`snap` rounds per step, in a scratch block that stays in cache.
 _SNAP_ROWS = 512
 
 
 def snap(
     vectors: np.ndarray, out: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> Optional[int]:
-    """Write ``vectors`` onto the grid as ``[x, |x|^2, 1]`` rows of ``out``.
+    """Write ``vectors`` onto the grid as ``[x, |x|^2, 1]`` columns of ``out``.
 
     ``rows`` picks rows of ``vectors`` (all of them when None); ``out`` is
-    ``(len(rows), dim + 2)``, typically the block of a store's buffer the
-    rows are about to occupy, so snapping makes no copy of the batch.
-    Returns the first position in ``out`` whose squared norm is not below
-    :data:`MAX_SQUARED_NORM`, NaN and infinite vectors included, or None
-    when every row is in range.
+    ``(dim + 2, len(rows))``, typically the columns of a shard's dim-major
+    block the rows are about to occupy, so snapping makes no copy of the
+    batch.  Each step rounds up to :data:`_SNAP_ROWS` vectors in a
+    row-major scratch block that stays in cache and writes it out
+    transposed.  Returns the first position in ``out`` whose squared norm is
+    not below :data:`MAX_SQUARED_NORM`, NaN and infinite vectors included,
+    or None when every vector is in range.
     """
-    count, dim = out.shape[0], out.shape[1] - 2
+    dim, count = out.shape[0] - 2, out.shape[1]
     scratch = np.empty((min(count, _SNAP_ROWS), dim))
     for start in range(0, count, _SNAP_ROWS):
         block = scratch[: min(_SNAP_ROWS, count - start)]
@@ -144,10 +156,10 @@ def snap(
             block *= 1.0 / GRID
         np.rint(block, out=block)
         block *= GRID
-        out[start:stop, :dim] = block
-        np.vecdot(block, block, out=out[start:stop, dim])
-    out[:, dim + 1] = 1.0
-    norms = out[:, dim]
+        out[:dim, start:stop] = block.T
+        np.vecdot(block, block, out=out[dim, start:stop])
+    out[dim + 1] = 1.0
+    norms = out[dim]
     if not count or norms.max() < MAX_SQUARED_NORM:  # False on a NaN
         return None
     return int(np.argmin(norms < MAX_SQUARED_NORM))
@@ -167,50 +179,57 @@ def rejected(vector: np.ndarray, subject: str) -> ValueError:
 def augment_queries(queries: np.ndarray) -> np.ndarray:
     """``[-2q, 1, |q|^2]`` per query, ``q`` snapped: :func:`score_block`'s queries.
 
-    ``ValueError`` naming the first query row :func:`snap` refuses.
+    One row per query, row-major: built as :func:`snap`'s columns, then
+    transposed.  ``ValueError`` naming the first query row it refuses.
     """
-    dim = queries.shape[1]
-    augmented = np.empty((queries.shape[0], dim + 2))
-    refused = snap(queries, augmented)
+    count, dim = queries.shape
+    columns = np.empty((dim + 2, count))
+    refused = snap(queries, columns)
     if refused is not None:
         raise rejected(queries[refused], f"at query row {refused}")
-    augmented[:, :dim] *= -2.0
-    augmented[:, dim + 1] = augmented[:, dim]
-    augmented[:, dim] = 1.0
-    return augmented
+    columns[:dim] *= -2.0
+    columns[dim + 1] = columns[dim]
+    columns[dim] = 1.0
+    return np.ascontiguousarray(columns.T)
 
 
-def one_thread_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``queries @ matrix.T`` computed on the calling thread only."""
+def one_thread_product(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``queries @ block`` computed on the calling thread only.
+
+    ``block`` is ``(dim + 2, n)`` with unit stride along a row, a strided
+    view of a wider buffer included: BLAS takes it as it lies.
+    """
     setter = _set_num_threads_local
     if setter is None:
-        return queries @ matrix.T
+        return queries @ block
     with _LIMIT_LOCK:
         previous = setter(1)
         try:
-            return queries @ matrix.T
+            return queries @ block
         finally:
             if _process_count is None or _process_count() == 1:
                 setter(previous)
 
 
 def score_block(
-    rows: np.ndarray,
+    block: np.ndarray,
     row_days: np.ndarray,
     queries: np.ndarray,
     query_days: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """``(Q, N)`` similarities of ``queries`` against a block of stored ``rows``.
+    """``(Q, N)`` similarities of ``queries`` against ``N`` stored vectors.
 
-    ``rows`` are a store's ``[x, |x|^2, 1]`` rows and ``queries`` come from
-    :func:`augment_queries`, so the one product is the exact squared
-    distance of every pair.  The decay ``exp(-alpha |day gap|)`` is divided
+    ``block`` is the vectors' ``(dim + 2, N)`` dim-major block of
+    ``[x, |x|^2, 1]`` columns (:func:`snap`), typically ``buffer[:, :N]`` of
+    a shard, and ``queries`` come from :func:`augment_queries`, so the one
+    product ``queries @ block`` is the exact squared distance of every
+    pair.  The decay ``exp(-alpha |day gap|)`` is divided
     into the product's buffer in place, computed once when every query
     shares one day: the same elementwise values as one decay row per
     query, so the same bits.
     """
-    scores = one_thread_product(queries, rows)
+    scores = one_thread_product(queries, block)
     np.sqrt(scores, out=scores)
     scores += 1.0  # 1 + distance
     days = query_days

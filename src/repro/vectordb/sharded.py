@@ -40,13 +40,17 @@ One search's scan state is batch-major (:class:`_ScanState`): a row per
 query for its candidate pool and its per-category bests.  In each scan
 *wave* every query nominates its next shard, each nominated shard is scored
 once over its nominating queries with one matrix product on the calling
-thread, and the whole block is folded in one step: exact filters become
-``-inf`` scores, and only the cells at or above each query's *floor* merge
-into the pools and the per-category bests, with flat ``lexsort``s.  The
-floor is the query's pool minimum, no higher than ``kth_best``, since
-nothing below it can still reach the result or a scan decision; while that
-is still ``-inf`` (a query's first shard) the block supplies one from its
-own ``2k``-th largest category maximum or score (:meth:`_ScanState.fold`).
+thread, against the shard's dim-major ``(dim + 2, rows)`` block, and each
+scored block is folded in one step: exact filters become ``-inf`` scores,
+and only the cells at or above each query's *floor* are kept.  The floor is
+the query's pool minimum, no higher than ``kth_best``, since nothing below
+it can still reach the result or a scan decision; while that is still
+``-inf`` (a query's first shard) the block supplies one from its own
+``2k``-th largest category maximum or score (:meth:`_ScanState.fold`).  At
+the end of the wave every block's kept cells merge into the pools and the
+per-category bests at once, with one flat ``lexsort`` each
+(:meth:`_ScanState.merge_wave`): a query nominates at most one shard per
+wave, so the blocks of a wave own disjoint query rows.
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -175,50 +179,48 @@ class CompactionPolicy:
 class _ShardData:
     """One shard's immutable scoring payload: plain arrays, no index state.
 
-    What a scan wave scores and folds: the shard's ``[x, |x|^2, 1]`` rows
-    (:func:`~repro.vectordb.scoring.score_block`'s block), days, sequences
-    and codes, views into the shard's columns.
+    What a scan wave scores and folds: the shard's ``(dim + 2, rows)`` block
+    of ``[x, |x|^2, 1]`` columns (:func:`~repro.vectordb.scoring.score_block`'s
+    block, a strided view of the shard's buffer), days, sequences and codes,
+    views into the shard's columns.
     """
 
-    __slots__ = ("key", "total", "rows", "days", "seqs", "codes", "_groups")
+    __slots__ = ("key", "total", "block", "days", "seqs", "codes", "_groups")
 
     def __init__(
         self,
         key: int,
-        rows: np.ndarray,
+        block: np.ndarray,
         days: np.ndarray,
         seqs: np.ndarray,
         codes: np.ndarray,
     ) -> None:
         self.key = key
-        self.total = rows.shape[0]
-        self.rows = rows
+        self.total = block.shape[1]
+        self.block = block
         self.days = days
         self.seqs = seqs
         self.codes = codes
-        self._groups: Optional[Tuple[np.ndarray, ...]] = None
+        self._groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def groups(self) -> Tuple[np.ndarray, np.ndarray]:
         """Category grouping of the shard's rows, cached between queries.
 
-        Returns ``(perm, starts, sizes, group_codes)``: ``perm`` lists row
-        indices grouped by category code (rows ascending inside each group,
-        via a stable sort, so "first in group" means "lowest insertion
-        sequence"); ``starts``/``sizes`` delimit the groups inside ``perm``
-        and ``group_codes`` is each group's category code.  Codes only
-        change on insert/relabel (which rebuilds this payload), so
-        per-query category argmaxes reduce to one ``np.maximum.reduceat``
-        instead of a full sort.
+        Returns ``(perm, starts)``: ``perm`` lists row indices grouped by
+        category code (rows ascending inside each group, via a stable sort,
+        so "first in group" means "lowest insertion sequence") and
+        ``starts`` delimits the groups inside ``perm``.  Codes only change
+        on insert/relabel (which rebuilds this payload), so per-query
+        category maxima reduce to one ``np.maximum.reduceat`` instead of a
+        full sort.
         """
         if self._groups is None:
-            codes = self.codes
-            perm = np.argsort(codes, kind="stable")
-            grouped = codes[perm]
+            perm = np.argsort(self.codes, kind="stable")
+            grouped = self.codes[perm]
             starts = np.flatnonzero(
                 np.concatenate([[True], grouped[1:] != grouped[:-1]])
             )
-            sizes = np.diff(np.concatenate([starts, [grouped.shape[0]]]))
-            self._groups = (perm, starts, sizes, grouped[starts])
+            self._groups = (perm, starts)
         return self._groups
 
 
@@ -275,21 +277,25 @@ class _Shard:
     """One time-window shard: its rows as columns, plus sharding bookkeeping.
 
     A row is one historical incident.  Its vector, snapped to the scoring
-    grid (:func:`.scoring.snap`), is one ``[x, |x|^2, 1]`` row of
-    ``_buffer``, so scoring a block of queries against the shard is one
-    product; its creation day, global insertion sequence and category code
-    sit at the same position of ``_days``, ``_seqs`` and ``_codes``.  The
-    four grow together in :meth:`reserve`, to one capacity that doubles
-    when full.  Ids and texts are plain lists; a category is kept only as
-    its code, which the index names.  No per-row object is kept:
+    grid (:func:`.scoring.snap`), is one ``[x, |x|^2, 1]`` *column* of
+    ``_buffer``, a dim-major ``(dim + 2, capacity)`` array, so scoring a
+    block of queries against the shard is one product, ``queries @
+    _buffer[:, :rows]``, on a strided view BLAS reads as it lies; its
+    creation day, global insertion sequence and category code sit at the
+    same position of ``_days``, ``_seqs`` and ``_codes``.  The four grow
+    together in :meth:`reserve`, to one capacity that doubles when full.
+    Ids and texts are plain lists; a category is kept only as its code,
+    which the index names, and the shard's distinct codes are cached from
+    that column alone (:meth:`present_codes`).  No per-row object is kept:
     :meth:`entry` builds a :class:`VectorEntry` on demand, a snapshot of the
     row at that moment.
 
-    A loaded shard (:meth:`take_segment`) keeps its segment's mapped matrix
-    in ``_source`` until a vector is first read (a scan, an insert, a
-    compaction, a save elsewhere or a lookup): it is then snapped into a
-    private buffer, its squared norms recomputed, so a mapping's pages
-    fault in only then.  Its days and sequences view the read-only mapping
+    A loaded shard (:meth:`take_segment`) keeps its segment's mapped
+    row-major matrix in ``_source`` until a vector is first read (a scan, an
+    insert, a compaction, a save elsewhere or a lookup): it is then snapped
+    into a private dim-major buffer, its squared norms recomputed, so a
+    mapping's pages fault in only then; pruning and the category filter
+    read only the codes.  Its days and sequences view the read-only mapping
     and its codes a private array, at a capacity of exactly its rows, so
     the first insert copies them into private columns.
 
@@ -307,7 +313,7 @@ class _Shard:
 
     __slots__ = (
         "key", "ids", "texts", "min_day", "max_day", "start_day", "end_day", "saved",
-        "_buffer", "_source", "_days", "_seqs", "_codes", "_by_id", "_data",
+        "_buffer", "_source", "_days", "_seqs", "_codes", "_present", "_by_id", "_data",
     )
 
     def __init__(self, key: int, start_day: float = -math.inf, end_day: float = math.inf) -> None:
@@ -319,11 +325,12 @@ class _Shard:
         self.start_day = start_day
         self.end_day = end_day
         self.saved: Optional[Tuple[str, int]] = None
-        self._buffer: Optional[np.ndarray] = None  # capacity x (dim + 2): [x, |x|^2, 1]
+        self._buffer: Optional[np.ndarray] = None  # (dim + 2) x capacity: [x, |x|^2, 1]
         self._source: Optional[np.ndarray] = None  # loaded rows not yet in the buffer
         self._days = np.zeros(0)
         self._seqs = np.zeros(0, dtype=np.int64)
         self._codes = np.zeros(0, dtype=np.int64)
+        self._present: Optional[np.ndarray] = None  # read through present_codes()
         self._by_id: Dict[str, int] = {}  # read through row_of()
         self._data: Optional[_ShardData] = None
 
@@ -334,6 +341,16 @@ class _Shard:
     def codes(self) -> np.ndarray:
         """Each row's category code (a view; reading it snaps no vector)."""
         return self._codes[: len(self.ids)]
+
+    def present_codes(self) -> np.ndarray:
+        """The distinct category codes of the shard's rows, ascending.
+
+        Counted from the codes column alone, so asking snaps no vector, and
+        cached until an append or a relabel changes the column.
+        """
+        if self._present is None:
+            self._present = np.flatnonzero(np.bincount(self.codes))
+        return self._present
 
     def take_segment(
         self, views: Dict[str, np.ndarray], ids: List[str], texts: List[str], codes: np.ndarray
@@ -348,38 +365,40 @@ class _Shard:
         self.ids, self.texts = ids, texts
         self._source = views["matrix"]
         self._days, self._seqs, self._codes = views["days"], views["seqs"], codes
+        self._present = None
 
     def _block(self) -> Optional[np.ndarray]:
         """The row buffer, first built from the rows :meth:`take_segment` left, if any."""
         if self._source is not None:
             source, self._source = self._source, None
-            self._buffer = np.empty((source.shape[0], source.shape[1] + 2))
+            self._buffer = np.empty((source.shape[1] + 2, source.shape[0]))
             snap(source, self._buffer)
         return self._buffer
 
     def reserve(self, count: int, dim: int) -> np.ndarray:
-        """The buffer block the next ``count`` rows will occupy, every column grown to fit.
+        """The buffer columns the next ``count`` rows will occupy, every column grown to fit.
 
         Rows written there stay invisible until :meth:`append` stores them.
         """
         size = len(self.ids)
         needed = size + count
         buffer = self._block()
-        capacity = 0 if buffer is None else buffer.shape[0]
+        capacity = 0 if buffer is None else buffer.shape[1]
         if needed > capacity:
             capacity = capacity or max(_INITIAL_CAPACITY, needed)
             while capacity < needed:
                 capacity *= 2
-            columns = (buffer, self._days, self._seqs, self._codes)
-            self._buffer = np.zeros((capacity, dim + 2))
+            columns = (self._days, self._seqs, self._codes)
+            self._buffer = np.zeros((dim + 2, capacity))
             self._days = np.zeros(capacity)
             self._seqs = np.zeros(capacity, dtype=np.int64)
             self._codes = np.zeros(capacity, dtype=np.int64)
             if size:
-                grown = (self._buffer, self._days, self._seqs, self._codes)
+                self._buffer[:, :size] = buffer[:, :size]
+                grown = (self._days, self._seqs, self._codes)
                 for column, old in zip(grown, columns):
                     column[:size] = old[:size]
-        return self._buffer[size:needed]
+        return self._buffer[:, size:needed]
 
     def append(self, ids, days, texts, seqs, codes, rows=None) -> None:
         """Store the rows written into :meth:`reserve`'s block, with their other columns.
@@ -396,15 +415,25 @@ class _Shard:
             np.take(days, rows, out=written, mode="clip")
         self._seqs[start:end] = seqs
         self._codes[start:end] = codes
+        self._present = None
         self.ids.extend(ids)
         self.texts.extend([""] * len(ids) if texts is None else texts)
         self.min_day = min(self.min_day, float(written.min()))
         self.max_day = max(self.max_day, float(written.max()))
 
+    def take_columns(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the ``[x, |x|^2, 1]`` columns of ``rows`` into ``out``.
+
+        Gathers from the whole buffer, which is contiguous: ``np.take``
+        first copies a strided view such as ``data().block`` whole.
+        """
+        np.take(self._block(), rows, axis=1, out=out, mode="clip")
+
     def relabel(self, row: int, code: int) -> None:
         """Give one row another category code."""
         if self._codes[row] != code:
             self._codes[row] = code
+            self._present = None
             self._data = None
 
     def row_of(self, incident_id: str) -> int:
@@ -419,10 +448,13 @@ class _Shard:
         return self._by_id[incident_id]
 
     def entry(self, row: int, names: List[str]) -> VectorEntry:
-        """A snapshot of one row as an entry; ``names`` names its category code."""
+        """A snapshot of one row as an entry; ``names`` names its category code.
+
+        Its vector is a contiguous copy of the row's column.
+        """
         return VectorEntry(
             incident_id=self.ids[row],
-            vector=self._block()[row, :-2],
+            vector=self._block()[:-2, row].copy(),
             created_day=float(self._days[row]),
             category=names[self._codes[row]],
             text=self.texts[row],
@@ -440,7 +472,7 @@ class _Shard:
         if self._data is None or self._data.total != size:
             self._data = _ShardData(
                 self.key,
-                rows=self._block()[:size],
+                block=self._block()[:, :size],
                 days=self._days[:size],
                 seqs=self._seqs[:size],
                 codes=self._codes[:size],
@@ -474,6 +506,10 @@ class _ScanState:
     first — with ``-inf`` meaning "not covered yet"; ``kth_best`` is the
     K-th largest of them (``-inf`` while fewer than K are covered), the
     score of the diversity pass's last pick so far.
+
+    Within a wave :meth:`fold` only finds each scored block's cells worth
+    keeping; :meth:`merge_wave` merges every block's cells into the pools
+    and bests at the end of the wave.
     """
 
     def __init__(self, queries: int, category_count: int, k: int, diverse: bool) -> None:
@@ -492,22 +528,30 @@ class _ScanState:
         self.best_keys = np.zeros(bests, dtype=np.int64)
         self.best_rows = np.zeros(bests, dtype=np.int64)
         self.kth_best = np.full(queries, -math.inf)
+        # The wave's kept cells, one tuple per block that kept any (see
+        # merge_wave), and the query rows those blocks cover so far.
+        self._wave: List[Tuple[np.ndarray, ...]] = []
+        self._wave_width = 0
 
     def fold(self, queries: np.ndarray, data: _ShardData, scores: np.ndarray) -> None:
-        """Fold one scored shard into the rows of the queries that nominated it.
+        """Keep the cells of one scored shard that the wave's merge must see.
 
-        ``scores`` is the block's ``(len(queries), data.total)`` score
-        matrix with every entry a filter removes at ``-inf``.  Only the
-        cells at or above each row's *floor* are folded, into the pools and
-        the per-category bests alike — ``>=`` keeps a tie at the floor,
-        which may hold the lower sequence.  A query's floor is its pool
-        minimum, with diversity on lowered to ``kth_best``: a cell below it
-        cannot enter the full pool, and a category best below ``kth_best``
-        is never one of the K diverse picks nor read by a scan decision
-        (those only read bests above a shard bound no lower than
-        ``kth_best``).  While some row's floor is still ``-inf`` (a query's
-        first shard, or fewer than K categories covered) the block supplies
-        one (:meth:`_block_floor`) and every row keeps the higher of the two.
+        ``queries`` are the rows of the queries that nominated the shard and
+        ``scores`` the block's ``(len(queries), data.total)`` score matrix
+        with every entry a filter removes at ``-inf``.  Only the cells at or
+        above each row's *floor* are kept, for the pools and the
+        per-category bests alike — ``>=`` keeps a tie at the floor, which
+        may hold the lower sequence; :meth:`merge_wave` merges them.  A
+        query's floor is its pool minimum, with diversity on lowered to
+        ``kth_best``: a cell below it cannot enter the full pool, and a
+        category best below ``kth_best`` is never one of the K diverse picks
+        nor read by a scan decision (those only read bests above a shard
+        bound no lower than ``kth_best``).  While some row's floor is still
+        ``-inf`` (a query's first shard, or fewer than K categories covered)
+        the block supplies one (:meth:`_block_floor`) and every row keeps
+        the higher of the two.  The floors read the pools and bests as the
+        wave found them: no merge runs before the wave ends, and no other
+        block of the wave holds these query rows.
         """
         floor = self.pool_scores[queries, -1]
         if self.diverse:
@@ -517,10 +561,30 @@ class _ScanState:
         # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
         owner, rows = np.divmod(np.flatnonzero(scores >= floor[:, None]), data.total)
         if owner.shape[0]:
-            cells = scores[owner, rows]
-            self._merge_pool(queries, data, owner, rows, cells)
-            if self.diverse:
-                self._merge_bests(queries, data, owner, rows, cells)
+            self._wave.append((
+                queries, owner + self._wave_width, scores[owner, rows],
+                data.seqs[rows], np.full(rows.shape, data.key), rows, data.codes[rows],
+            ))
+            self._wave_width += queries.shape[0]
+
+    def merge_wave(self) -> None:
+        """Merge every cell the wave's blocks kept, in one step per kind.
+
+        A query nominates at most one shard per wave, so the blocks' query
+        rows are disjoint: one merge over all their cells orders each
+        query's run exactly as one merge per block would, and leaves the
+        same pools, bests and ``kth_best``.
+        """
+        if not self._wave:
+            return
+        if len(self._wave) == 1:
+            cells = self._wave[0]
+        else:
+            cells = tuple(np.concatenate(column) for column in zip(*self._wave))
+        self._wave, self._wave_width = [], 0
+        self._merge_pool(*cells)
+        if self.diverse:
+            self._merge_bests(*cells)
 
     def _block_floor(self, data: _ShardData, scores: np.ndarray) -> Union[np.ndarray, float]:
         """Per row of a scored block, a floor that block alone justifies.
@@ -538,7 +602,7 @@ class _ScanState:
             return _LOWEST
         if not self.diverse:
             return _score_floor(scores, size)
-        perm, starts = data.groups()[:2]
+        perm, starts = data.groups()
         maxima = np.maximum.reduceat(np.take(scores, perm, axis=1), starts, axis=1)
         column = maxima.shape[1] - size
         if column < 0:
@@ -552,31 +616,34 @@ class _ScanState:
     def _merge_pool(
         self,
         queries: np.ndarray,
-        data: _ShardData,
         owner: np.ndarray,
-        rows: np.ndarray,
         scores: np.ndarray,
+        seqs: np.ndarray,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        codes: np.ndarray,
     ) -> None:
-        """Merge the cells ``(owner, rows)`` scoring ``scores`` into the pools.
+        """Merge cells into the pools of the distinct query rows ``queries``.
 
-        One flat ``lexsort`` orders every pool slot of the block and every
-        cell by (query, score desc, seq asc); each query's run starts with
-        its ``2k`` pool slots, so its first ``2k`` entries are its new pool.
+        Cell ``i`` belongs to query row ``queries[owner[i]]`` and is shard
+        ``keys[i]``'s row ``rows[i]``, scoring ``scores[i]``, with sequence
+        ``seqs[i]`` and category code ``codes[i]``.  One flat ``lexsort``
+        orders every pool slot of ``queries`` and every cell by (query,
+        score desc, seq asc); each query's run starts with its ``2k`` pool
+        slots, so its first ``2k`` entries are its new pool.
         """
         size = self.pool_size
         block = queries.shape[0]
         owners = np.concatenate((np.repeat(np.arange(block), size), owner))
         merged_scores = np.concatenate((self.pool_scores[queries].ravel(), scores))
-        merged_seqs = np.concatenate((self.pool_seqs[queries].ravel(), data.seqs[rows]))
+        merged_seqs = np.concatenate((self.pool_seqs[queries].ravel(), seqs))
         order = np.lexsort((merged_seqs, -merged_scores, owners))
         runs = np.bincount(owner, minlength=block) + size
         kept = order[((np.cumsum(runs) - runs)[:, None] + np.arange(size)).ravel()]
         self.pool_scores[queries] = merged_scores[kept].reshape(block, size)
         self.pool_seqs[queries] = merged_seqs[kept].reshape(block, size)
         for pool, fresh in (
-            (self.pool_keys, np.full(rows.shape, data.key)),
-            (self.pool_rows, rows),
-            (self.pool_codes, data.codes[rows]),
+            (self.pool_keys, keys), (self.pool_rows, rows), (self.pool_codes, codes)
         ):
             merged = np.concatenate((pool[queries].ravel(), fresh))
             pool[queries] = merged[kept].reshape(block, size)
@@ -584,31 +651,33 @@ class _ScanState:
     def _merge_bests(
         self,
         queries: np.ndarray,
-        data: _ShardData,
         owner: np.ndarray,
-        rows: np.ndarray,
         scores: np.ndarray,
+        seqs: np.ndarray,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        codes: np.ndarray,
     ) -> None:
-        """Fold the cells' per-category argmaxes into the bests.
+        """Fold the cells' per-category argmaxes into the bests (cells as in
+        :meth:`_merge_pool`).
 
         One flat ``lexsort`` by (query, category, score desc, seq asc) puts
         each (query, category) run's argmax first.  It replaces the held
         best when it wins by (score desc, seq asc), a full scan's
         tie-breaking; ``kth_best`` is then recomputed for ``queries``.
         """
-        codes, seqs = data.codes[rows], data.seqs[rows]
         order = np.lexsort((seqs, -scores, codes, owner))
         cell = owner[order] * self.best_scores.shape[1] + codes[order]
         first = order[np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))]
         cells = (queries[owner[first]], codes[first])
-        scores, seqs, rows = scores[first], seqs[first], rows[first]
+        scores, seqs, keys, rows = scores[first], seqs[first], keys[first], rows[first]
         held, held_seqs = self.best_scores[cells], self.best_seqs[cells]
         improve = (scores > held) | ((scores == held) & (seqs < held_seqs))
         if not improve.any():
             return
         self.best_scores[cells] = np.where(improve, scores, held)
         self.best_seqs[cells] = np.where(improve, seqs, held_seqs)
-        self.best_keys[cells] = np.where(improve, data.key, self.best_keys[cells])
+        self.best_keys[cells] = np.where(improve, keys, self.best_keys[cells])
         self.best_rows[cells] = np.where(improve, rows, self.best_rows[cells])
         column = self.best_scores.shape[1] - self.k
         if column >= 0:
@@ -709,7 +778,7 @@ class ShardedVectorIndex:
         """Distinct categories present across all shards (sorted)."""
         present: Set[int] = set()
         for shard in self._shards.values():
-            present.update(np.unique(shard.codes).tolist())
+            present.update(shard.present_codes().tolist())
         return sorted(self._cat_names[code] for code in present)
 
     def shard_sizes(self) -> Dict[int, int]:
@@ -1076,7 +1145,7 @@ class ShardedVectorIndex:
             )
             barren = {
                 key for key, shard in self._shards.items()
-                if not np.isin(shard.codes, allowed_codes).any()
+                if not np.isin(shard.present_codes(), allowed_codes).any()
             }
         filtered: Dict[int, np.ndarray] = {}
         while True:
@@ -1098,7 +1167,7 @@ class ShardedVectorIndex:
                 shard = self._shards[key]
                 data = shard.data()
                 block = np.array(nominated)
-                scores = score_block(data.rows, data.days, queries[block], days[block], alpha)
+                scores = score_block(data.block, data.days, queries[block], days[block], alpha)
                 if history_before_day is not None or allowed_codes is not None:
                     if key not in filtered:
                         filtered[key] = _filtered_rows(
@@ -1115,6 +1184,7 @@ class ShardedVectorIndex:
                 for qi in nominated:
                     states[qi].scanned += 1
                     states[qi].pos += 1
+            scan.merge_wave()
         results = self._finalize(scan, k, diverse)
         shard_count = len(self._shards)
         self._queries += total_queries
@@ -1189,7 +1259,7 @@ class ShardedVectorIndex:
         if scan.pool_scores[qi, -1] <= upper_bound:
             return False
         if diverse:
-            present = shard.data().groups()[3]
+            present = shard.present_codes()
             if allowed_codes is not None:
                 present = present[np.isin(present, allowed_codes)]
             return bool(np.all(scan.best_scores[qi, present] > upper_bound))
@@ -1270,9 +1340,9 @@ class ShardedVectorIndex:
         """A fresh shard holding rows ``picks`` of the ``sources``' rows laid end to end.
 
         ``picks`` lists the rows in ascending-seq order.  Whole
-        ``[x, |x|^2, 1]`` rows and the other array columns are gathered by
-        fancy indexing, list columns by one object-array take each; rows
-        keep their sequences and category codes.
+        ``[x, |x|^2, 1]`` columns of the sources' blocks and the other array
+        columns are gathered by fancy indexing, list columns by one
+        object-array take each; rows keep their sequences and category codes.
         """
 
         def joined(columns):
@@ -1284,7 +1354,11 @@ class ShardedVectorIndex:
         datas = [source.data() for source in sources]
         shard = _Shard(self._next_key(), start_day, end_day)
         block = shard.reserve(picks.shape[0], self._dim)
-        np.take(joined([data.rows for data in datas]), picks, axis=0, out=block, mode="clip")
+        if len(sources) == 1:  # a split: gather straight from the source's buffer
+            sources[0].take_columns(picks, block)
+        else:
+            blocks = np.concatenate([data.block for data in datas], axis=1)
+            np.take(blocks, picks, axis=1, out=block, mode="clip")
         shard.append(
             objects([source.ids for source in sources]),
             joined([data.days for data in datas]),
@@ -1536,9 +1610,9 @@ class ShardedVectorIndex:
                 bytes_written += write_segment(
                     os.path.join(path, saved[0]),
                     {
-                        "matrix": data.rows[:, :-2],
+                        "matrix": data.block[:-2].T,
                         "days": data.days,
-                        "sq_norms": data.rows[:, -2],
+                        "sq_norms": data.block[-2],
                         "seqs": data.seqs,
                     },
                     json.dumps([shard.ids, shard.texts]).encode("utf-8"),

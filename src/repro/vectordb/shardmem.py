@@ -76,10 +76,13 @@ def write_durable(path: str, chunks: Iterable) -> int:
 def write_segment(path: str, arrays: Dict[str, np.ndarray], blob: bytes) -> int:
     """Write one shard's arrays (the :data:`_FIELDS` names) and ``blob``.
 
-    Rows and dim are taken from the ``matrix`` field.  Contiguous arrays
-    are handed to the file as buffers, not copied into an intermediate
-    image; a strided view (a store's matrix and norms are columns of its
-    row buffer) is copied once.  Returns the bytes written.
+    Rows and dim are taken from the ``matrix`` field, row-major on disk
+    whatever the caller's layout.  Contiguous arrays are handed to the file
+    as buffers, not copied into an intermediate image: a shard's squared
+    norms are one row of its dim-major block.  Any other view is copied
+    once: a shard's matrix is the transpose of its block's vector rows,
+    so its C-order copy is the same bytes a row-major buffer wrote.
+    Returns the bytes written.
     """
     rows, dim = arrays["matrix"].shape
     offsets, blob_offset = plan_layout(rows, dim)

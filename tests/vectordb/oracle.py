@@ -1,8 +1,9 @@
 """A brute-force retrieval oracle: the reference the sharded index must match.
 
-It keeps every row in insertion order, snapped onto the scoring grid with
-``scoring.snap``, and answers a search by scoring the whole history as one
-block with ``scoring.score_block``, ordering the eligible rows by
+It keeps every entry in insertion order, snapped onto the scoring grid with
+``scoring.snap`` as one ``[x, |x|^2, 1]`` column of a dim-major block, and
+answers a search by scoring the whole history as that one block with
+``scoring.score_block``, ordering the eligible rows by
 ``(-score, insertion order)`` and picking with ``select_complete_order``.
 No shards, bounds, floors or pools: nothing it could share a bug with the
 scan under test.  Every score is exact, so the sharded index must match its
@@ -24,7 +25,7 @@ class OracleIndex:
 
     def __init__(self, similarity: Optional[SimilarityConfig] = None) -> None:
         self.similarity = similarity or SimilarityConfig()
-        self.rows = np.zeros((0, 0))  # one snapped [x, |x|^2, 1] row per entry
+        self.block = np.zeros((0, 0))  # one snapped [x, |x|^2, 1] column per entry
         self.days = np.zeros(0)
         self.ids: List[str] = []
         self.labels: List[str] = []
@@ -38,11 +39,11 @@ class OracleIndex:
 
     def add_many(self, incident_ids, vectors, created_days, categories, texts=None) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
-        rows = np.empty((vectors.shape[0], vectors.shape[1] + 2))
-        refused = snap(vectors, rows)
+        columns = np.empty((vectors.shape[1] + 2, vectors.shape[0]))
+        refused = snap(vectors, columns)
         if refused is not None:
             raise rejected(vectors[refused], f"in oracle: {incident_ids[refused]}")
-        self.rows = np.concatenate([self.rows, rows]) if self.ids else rows
+        self.block = np.concatenate([self.block, columns], axis=1) if self.ids else columns
         self.days = np.concatenate([self.days, np.asarray(created_days, dtype=np.float64)])
         self.ids += list(incident_ids)
         self.labels += list(categories)
@@ -69,7 +70,7 @@ class OracleIndex:
             return [[] for _ in range(queries.shape[0])]
         days = np.asarray(query_days, dtype=np.float64)
         alpha, dim = self.similarity.alpha, queries.shape[1]
-        scores = score_block(self.rows, self.days, augment_queries(queries), days, alpha)
+        scores = score_block(self.block, self.days, augment_queries(queries), days, alpha)
         eligible = np.ones(len(self.ids), dtype=bool)
         if history_before_day is not None:
             eligible &= self.days < history_before_day
@@ -89,8 +90,9 @@ class OracleIndex:
                 self.similarity.diverse_categories,
             )
             results.append([
-                Neighbor(VectorEntry(self.ids[row], self.rows[row, :dim], float(self.days[row]),
-                                     self.labels[row], self.texts[row]), float(row_scores[row]))
+                Neighbor(VectorEntry(self.ids[row], self.block[:dim, row].copy(),
+                                     float(self.days[row]), self.labels[row], self.texts[row]),
+                         float(row_scores[row]))
                 for row in order[picks].tolist()
             ])
         return results

@@ -1,7 +1,8 @@
 """The scoring product's one-thread OpenBLAS scope (``vectordb.scoring``).
 
 ``one_thread_product`` sets OpenBLAS's thread count to 1 around
-``queries @ matrix.T`` and restores it in ``finally``.  Retrieval's inputs
+``queries @ block`` (``block`` dim-major, ``(dim + 2, rows)`` in retrieval)
+and restores it in ``finally``.  Retrieval's inputs
 are snapped to a grid on which the product is exact whatever the thread
 count (``test_score_kernel.py``), so for scoring the binding now only saves
 the CPU that OpenBLAS's spinning workers would burn.  These tests pin the
@@ -50,15 +51,16 @@ from repro.vectordb.scoring import one_thread_product
 digest = lambda array: hashlib.sha256(array.tobytes()).hexdigest()
 for queries, rows in {SHAPES!r}:
     rng = np.random.default_rng(11)
-    matrix = rng.standard_normal((rows, 64))
+    matrix = rng.standard_normal((64, rows))
     block = rng.standard_normal((queries, 64))
-    print(digest(block @ matrix.T), digest(one_thread_product(block, matrix)))
+    print(digest(block @ matrix), digest(one_thread_product(block, matrix)))
 """
 
 
 def block(queries=16, rows=6000, dim=64, seed=3):
+    """Queries and a dim-major ``(dim, rows)`` block, as retrieval lays them out."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((queries, dim)), rng.standard_normal((rows, dim))
+    return rng.standard_normal((queries, dim)), rng.standard_normal((dim, rows))
 
 
 def current_count() -> int:
@@ -136,7 +138,7 @@ def test_without_a_binding_the_product_is_numpys(monkeypatch):
     monkeypatch.setattr(scoring, "_set_num_threads_local", None)
     queries, matrix = block()
     assert scoring.one_thread_product(queries, matrix).tobytes() == (
-        queries @ matrix.T
+        queries @ matrix
     ).tobytes()
 
 

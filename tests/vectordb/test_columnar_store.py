@@ -1,10 +1,10 @@
 """The sharded index's columnar shards and their block write path.
 
-A shard keeps its rows as columns — ``[x, |x|^2, 1]`` rows, days,
-sequences and category codes as arrays, ids and texts as lists — and builds
-a ``VectorEntry`` only when one is asked for;
+A shard keeps its rows as columns — ``[x, |x|^2, 1]`` columns of a
+dim-major block, days, sequences and category codes as arrays, ids and
+texts as lists — and builds a ``VectorEntry`` only when one is asked for;
 ``ShardedVectorIndex.add_many`` routes a batch in one pass and compaction
-moves whole row blocks.  None of that may show from outside:
+moves whole blocks of rows.  None of that may show from outside:
 
 * **routing** — batch routing lands every row where routing one row at a
   time would, including rows behind a shard the same batch opened, and
@@ -64,7 +64,7 @@ def reference_route(index, days):
 
 
 def shard_columns(index):
-    """Per shard: its rows' bytes, days, int64 seqs, category names, ids and texts.
+    """Per shard: its block's bytes, days, int64 seqs, category names, ids and texts.
 
     Names go through the code table, whose numbering may legitimately
     differ between indices built by different calls.
@@ -77,7 +77,7 @@ def shard_columns(index):
         labels = [names[code] for code in data.codes.tolist()]
         assert labels == [index.get(incident_id).category for incident_id in shard.ids]
         columns[key] = (
-            data.rows.tobytes(), data.days.tolist(), data.seqs.tolist(), labels,
+            data.block.tobytes(), data.days.tolist(), data.seqs.tolist(), labels,
             shard.ids, shard.texts,
         )
     return columns

@@ -179,7 +179,7 @@ def test_unsnapped_segments_load_to_the_bits_of_the_live_index(tmp_path):
     assert sorted(loaded.shard_sizes()) == sorted(live.shard_sizes())
     for key, shard in live._shards.items():  # noqa: SLF001
         reloaded = loaded._shards[key]  # noqa: SLF001
-        assert reloaded.data().rows.tobytes() == shard.data().rows.tobytes()
+        assert reloaded.data().block.tobytes() == shard.data().block.tobytes()
     queries = unit_rows(rng, 8, 16)
     query_days = rng.uniform(0.0, 90.0, 8)
     assert fingerprints(loaded.search_many(queries, query_days)) == fingerprints(

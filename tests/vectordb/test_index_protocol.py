@@ -381,7 +381,7 @@ class TestPersistence:
         loaded = ShardedVectorIndex.load(tmp_path)
         (shard,) = loaded._shards.values()  # noqa: SLF001
         # dtype: a shard always widens to float64, including through disk.
-        assert shard.data().rows.dtype == np.float64
+        assert shard.data().block.dtype == np.float64
         assert shard.data().days.dtype == np.float64
         # capacity re-growth: keep inserting far beyond the loaded size.
         more = rng.standard_normal((200, 6))
@@ -394,7 +394,7 @@ class TestPersistence:
         assert len(loaded) == 270 and len(shard) == 270
         # Stored vectors are snapped to the scoring grid, 2^-20.
         np.testing.assert_array_equal(
-            shard.data().rows[70:, :-2], np.rint(more * 2.0**20) / 2.0**20
+            shard.data().block[:-2, 70:].T, np.rint(more * 2.0**20) / 2.0**20
         )
 
     def test_store_roundtrip_squared_norm_cache_extension(self, tmp_path):
@@ -409,12 +409,12 @@ class TestPersistence:
         index.save(tmp_path)
         loaded = ShardedVectorIndex.load(tmp_path)
         (shard,) = loaded._shards.values()  # noqa: SLF001
-        np.testing.assert_allclose(shard.data().rows[:, -2], [25.0, 1.0])
+        np.testing.assert_allclose(shard.data().block[-2], [25.0, 1.0])
         # The cache must extend (not go stale) when rows are added after a
         # load-then-score sequence.
         loaded.search(np.array([1.0, 1.0]), 2.0)
         loaded.add("c", np.array([2.0, 2.0]), 3.0, "C")
-        np.testing.assert_allclose(shard.data().rows[:, -2], [25.0, 1.0, 8.0])
+        np.testing.assert_allclose(shard.data().block[-2], [25.0, 1.0, 8.0])
 
     def test_sharded_save_writes_manifest_codes_and_one_segment_per_shard(
         self, tmp_path

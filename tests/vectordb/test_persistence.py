@@ -421,49 +421,56 @@ class TestRoundTrips:
         )
 
     @pytest.mark.parametrize(
-        "filters, skipped",
+        "filters, days, skipped, pruned",
         [
-            ({"history_before_day": 20.0}, [2]),
-            ({"categories": {"A"}}, [1, 2]),
-            ({"history_before_day": 20.0, "categories": {"A"}}, [1, 2]),
+            ({"history_before_day": 20.0}, [15.0, 25.0], [2, 3], []),
+            ({"categories": {"A"}}, [15.0, 25.0], [1, 2, 3], []),
+            ({"history_before_day": 20.0, "categories": {"A"}}, [15.0, 25.0], [1, 2, 3], []),
+            ({}, [35.0, 35.0], [], [2]),
         ],
-        ids=["day", "category", "both"],
+        ids=["day", "category", "both", "pruned"],
     )
     def test_a_shard_a_filter_skips_stays_unread_until_a_lookup(
-        self, tmp_path, filters, skipped
+        self, tmp_path, filters, days, skipped, pruned
     ):
         """Load maps each segment; only a scan or a lookup snaps a shard's rows.
 
-        Three shards: days 0–10 in categories A and B, days 10–20 in B,
-        days 20–30 in C.  A search before day 20 skips the third shard, one
-        for category A the second and the third.  A skipped shard gets no
-        private row buffer, a scanned one does, and ``get`` still returns a
-        skipped row's snapped vector.  Six eligible rows at most never fill
-        a pool of ``2k = 8``, so no shard is pruned.
+        Four shards: days 0–10 in categories A and B, days 10–20 in B,
+        days 20–30 in C, and day 35 holding nine rows at the first query's
+        vector, eight in D and one in C.  A search before day 20 skips the
+        last two shards, one for category A the last three; six eligible
+        rows at most never fill a pool of ``2k = 8``, so no shard is pruned.
+        Searched from day 35 with no filter, both queries fill their pools
+        from the last shard alone, strictly above the C shard's bound, and
+        cover C there: the C shard is pruned, the B shard (B uncovered) and
+        the A-and-B shard (A uncovered) are scanned.  A skipped or pruned
+        shard gets no private row buffer, a scanned one does, and ``get``
+        still returns an unread row's snapped vector.
         """
         rng = np.random.default_rng(12)
-        vectors = rng.standard_normal((9, DIM))
+        vectors = np.vstack([rng.standard_normal((9, DIM)), np.repeat(QUERIES[:1], 9, axis=0)])
         index = ShardedVectorIndex(SIMILARITY, window_days=WINDOW)
         index.add_many(
-            [f"s{row}" for row in range(9)], vectors,
-            [1.0, 4.0, 8.0, 11.0, 14.0, 18.0, 21.0, 24.0, 28.0],
-            ["A", "B", "A", "B", "B", "B", "C", "C", "C"],
+            [f"s{row}" for row in range(18)], vectors,
+            [1.0, 4.0, 8.0, 11.0, 14.0, 18.0, 21.0, 24.0, 28.0] + [35.0] * 9,
+            ["A", "B", "A", "B", "B", "B", "C", "C", "C"] + ["D"] * 8 + ["C"],
         )
         index.save(tmp_path)
         loaded = load_index(tmp_path, similarity=SIMILARITY)
         shards = loaded._shards  # noqa: SLF001
-        assert sorted(shards) == [0, 1, 2]
+        assert sorted(shards) == [0, 1, 2, 3]
         assert all(row_buffer(shard) is None for shard in shards.values())
-        found = loaded.search_many(QUERIES[:2], [15.0, 25.0], **filters)
+        found = loaded.search_many(QUERIES[:2], days, **filters)
         assert [[(n.incident_id, n.similarity) for n in row] for row in found] == [
             [(n.incident_id, n.similarity) for n in row]
-            for row in index.search_many(QUERIES[:2], [15.0, 25.0], **filters)
+            for row in index.search_many(QUERIES[:2], days, **filters)
         ]
         stats = loaded.stats()
         assert stats["shards_skipped"] == 2 * len(skipped)
-        assert stats["shards_scanned"] == 2 * (3 - len(skipped))
-        assert [row_buffer(shards[key]) is None for key in range(3)] == [
-            key in skipped for key in range(3)
+        assert stats["shards_pruned"] == 2 * len(pruned)
+        assert stats["shards_scanned"] == 2 * (4 - len(skipped) - len(pruned))
+        assert [row_buffer(shards[key]) is None for key in range(4)] == [
+            key in skipped + pruned for key in range(4)
         ]
         for incident_id in ("s4", "s7"):
             row = int(incident_id[1:])

@@ -2,8 +2,9 @@
 
 ``search_many`` keeps one search's candidates batch-major — a row per query —
 and folds each scored shard block in one step: filters become ``-inf``
-scores, the cells at or above each row's floor merge into the pools with one
-flat ``lexsort`` and into the per-category bests with another, and the final
+scores and the cells at or above each row's floor are kept.  At the end of
+each wave every block's kept cells merge into the pools with one flat
+``lexsort`` and into the per-category bests with another, and the final
 selection orders every query's candidates in numpy.  The per-query scan it
 replaced — one candidate payload per (query, shard) pair, extracted on a
 fast or a filtered path, folded and merged one query at a time, and a final
@@ -21,6 +22,8 @@ each row's top ``2k`` into the pools and every category's argmax into the
 bests (``dense_fold``, self-contained here) — is the third reference:
 patched in for ``_ScanState.fold``, it must leave the same results,
 counters, pools, ``kth_best`` and category bests at or above ``kth_best``.
+It merges each block as it folds it, so it also checks the one merge per
+wave against a merge per block.
 """
 
 from __future__ import annotations
@@ -142,6 +145,13 @@ def extract_filtered_row(data, scores_row, exclude_rows, history_before_day,
     )
 
 
+def grouping(data):
+    """``data.groups()`` with each group's size and category code."""
+    perm, starts = data.groups()
+    sizes = np.diff(np.append(starts, data.total))
+    return perm, starts, sizes, data.codes[perm[starts]]
+
+
 def extract_fast(data, sub, fast, pool_size, diverse, payloads):
     total = sub.shape[1]
     seqs = data.seqs
@@ -157,7 +167,7 @@ def extract_fast(data, sub, fast, pool_size, diverse, payloads):
     argmax_matrix = None
     group_codes = None
     if diverse:
-        perm, starts, sizes, group_codes = data.groups()
+        perm, starts, sizes, group_codes = grouping(data)
         grouped = sub[:, perm]
         group_maxes = np.maximum.reduceat(grouped, starts, axis=1)
         positions = np.where(
@@ -198,7 +208,7 @@ def extract_block(data, queries_block, days_block, exclude_rows, history_before_
     fast, slow = [], []
     for position in range(block):
         (slow if batch_filtered or exclude_rows[position] else fast).append(position)
-    scores = score_block(data.rows, data.days, augmented(queries_block), days_block, alpha)
+    scores = score_block(data.block, data.days, augmented(queries_block), days_block, alpha)
     for position in slow:
         payloads[position] = extract_filtered_row(
             data, scores[position], exclude_rows[position],
@@ -271,7 +281,7 @@ def can_prune(index, state, shard, upper_bound, pool_size, diverse, categories):
         return False
     if diverse:
         if categories is None:
-            group_codes = shard.data().groups()[3]
+            group_codes = np.unique(shard.codes)
             return bool(np.all(state.best_scores[group_codes] > upper_bound))
         for category in present_categories(index, shard):
             if category not in categories:
@@ -682,7 +692,7 @@ def fold_category_argmaxes(self, queries, data, scores):
     it wins by (score desc, seq asc); a group whose rows were all filtered
     (``-inf``) changes nothing.
     """
-    perm, starts, sizes, group_codes = data.groups()
+    perm, starts, sizes, group_codes = grouping(data)
     total = data.total
     grouped = np.take(scores, perm, axis=1)
     maxima = np.maximum.reduceat(grouped, starts, axis=1)
@@ -705,7 +715,8 @@ def fold_category_argmaxes(self, queries, data, scores):
 
 
 def dense_fold(self, queries, data, scores):
-    """``_ScanState.fold`` without a floor: every block folded dense, pools merged row by row."""
+    """``_ScanState.fold`` without a floor: every block folded dense and merged
+    at once, pools row by row, so the wave's merge finds nothing left."""
     size = self.pool_size
     block = np.arange(queries.shape[0])[:, None]
     top = top_rows(scores, size)
@@ -724,6 +735,16 @@ def dense_fold(self, queries, data, scores):
         fold_category_argmaxes(self, queries, data, scores)
 
 
+#: The fold under test, before any test patches it.
+REAL_FOLD = _ScanState.fold
+
+
+def block_merged_fold(self, queries, data, scores):
+    """The real fold with its cells merged at once: a merge per block, not per wave."""
+    REAL_FOLD(self, queries, data, scores)
+    self.merge_wave()
+
+
 POOL = ("pool_scores", "pool_seqs", "pool_keys", "pool_rows", "pool_codes")
 BESTS = ("best_scores", "best_seqs", "best_keys", "best_rows")
 
@@ -736,8 +757,10 @@ class Trace:
         self.floors: List[np.ndarray] = []
         #: Per block with a row still at ``-inf``: the floor the block gave.
         self.block_floors: List[np.ndarray] = []
-        #: Per merge into the pools: the scores of the cells taken.
+        #: Per merge into the pools (one per wave that kept a cell): the
+        #: scores of the cells taken, and the shard keys they came from.
         self.taken: List[np.ndarray] = []
+        self.taken_from: List[set] = []
 
 
 def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
@@ -764,9 +787,10 @@ def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
         trace.block_floors.append(np.broadcast_to(floor, scores.shape[:1]).copy())
         return floor
 
-    def recording_merge_pool(self, queries, data, owner, rows, scores):
+    def recording_merge_pool(self, queries, owner, scores, seqs, keys, rows, codes):
         trace.taken.append(scores.copy())
-        merge_pool(self, queries, data, owner, rows, scores)
+        trace.taken_from.append(set(keys.tolist()))
+        merge_pool(self, queries, owner, scores, seqs, keys, rows, codes)
 
     with monkeypatch.context() as patch:
         patch.setattr(ShardedVectorIndex, "_finalize", capturing)
@@ -784,11 +808,19 @@ def assert_matches_dense_fold(monkeypatch, index, queries, days, **kwargs):
     """The floor changes nothing a search returns, counts or keeps to the end:
     ids, similarity bits, scan counters, pools, ``kth_best`` and every
     category best at or above ``kth_best``; and the fold never takes a
-    filtered (``-inf``) cell.  Returns the :class:`Trace` of the run."""
+    filtered (``-inf``) cell.  The one merge per wave also leaves exactly
+    the scan state of a merge per block.  Returns the :class:`Trace` of the
+    run."""
     found, counters, scan, trace = traced_search(monkeypatch, index, queries, days, **kwargs)
     expected, expected_counters, reference, _ = traced_search(
         monkeypatch, index, queries, days, fold=dense_fold, **kwargs
     )
+    _, _, per_block, _ = traced_search(
+        monkeypatch, index, queries, days, fold=block_merged_fold, **kwargs
+    )
+    if per_block is not None:
+        for name in (*POOL, *BESTS, "kth_best"):
+            np.testing.assert_array_equal(getattr(scan, name), getattr(per_block, name), name)
     assert all(np.isfinite(cells).all() for cells in trace.taken)
     assert [[n.incident_id for n in row] for row in found] == [
         [n.incident_id for n in row] for row in expected
@@ -916,6 +948,39 @@ class TestFloorMatchesDenseFold:
         mixed = [floor for floor in trace.floors if floor.shape[0] == 2
                  and floor.max() > -math.inf and floor.min() == -math.inf]
         assert mixed
+
+    @pytest.mark.parametrize("diverse", [True, False])
+    def test_one_wave_merges_ties_across_three_shards(self, monkeypatch, diverse):
+        """Four queries, each scanning its own day's shard first: the waves
+        after the first nominate three shards each, and every shard holds the
+        same rows, so the merges decide exact ties across shards by sequence.
+
+        No decay (alpha = 0), k = 2: three exact matches of "A" per shard
+        (twelve ties at 1.0 for a pool of four, so ties on the pool boundary)
+        and one "B" and one "C" per shard at 0.5, the tie at ``kth_best``.
+        The shards are filled out of day order, so the lowest sequences do
+        not sit in the shard a query scans first.
+        """
+        same_rows = [([0.0, 0.0], "A")] * 3 + [([1.0, 0.0], "B"), ([1.0, 0.0], "C")]
+        entries = [(vector, day, category)
+                   for day in (30.0, 10.0, 40.0, 20.0) for vector, category in same_rows]
+        index = build(entries, alpha=0.0, k=2, diverse=diverse, window=5.0)
+        queries, days = np.zeros((4, 2)), [10.0, 20.0, 30.0, 40.0]
+        trace = first_block(monkeypatch, index, queries, days)
+        assert [len(keys) for keys in trace.taken_from] == [4, 3, 3, 2]
+        # Second wave: every floor is the B-or-C tie at 0.5.  Third wave: with
+        # diversity on still ``kth_best``, off the pool minimum, an "A" tie.
+        floors = [floor.tolist() for floor in trace.floors]
+        assert sorted(sum(floors[4:7], [])) == [0.5] * 4
+        assert sorted(sum(floors[7:10], [])) == [0.5 if diverse else 1.0] * 4
+        found, _, scan, _ = traced_search(monkeypatch, index, queries, days)
+        assert [[n.incident_id for n in row] for row in found] == (
+            [["i0", "i3"]] * 4 if diverse else [["i0", "i1"]] * 4
+        )
+        assert scan.pool_seqs.tolist() == [[0, 1, 2, 5]] * 4
+        if diverse:
+            assert scan.kth_best.tolist() == [0.5] * 4
+            assert scan.best_seqs.tolist() == [[0, 3, 4]] * 4
 
 
 # ---------------------------------------------------- first-block floors
