@@ -19,6 +19,12 @@ process:
   threads.  Handler queries are read-only over the shared telemetry hub and
   sleep/IO-bound work overlaps even under the GIL.
 
+Every alert of one wave shares one
+:class:`~repro.handlers.CoalescingScope`, in either mode: a built-in query
+one alert of the wave already ran is answered from its result while no
+store it read has been written since (see
+:meth:`~repro.core.collection.CollectionStage.collect_many`).
+
 Failures are contained per item: a handler raising (strict mode,
 wall-budget overrun) marks only that alert's :class:`CollectResult` as
 failed — the rest of the batch still predicts and the pool survives for the
@@ -31,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..handlers import CoalescingScope
 from ..incidents import Incident
 from ..monitors import Alert
 from .clock import MONOTONIC_CLOCK, Clock
@@ -147,7 +154,8 @@ class CollectionPool:
 
         ``incident_ids`` must be pre-reserved (one per alert, in submission
         order) so id assignment is independent of worker interleaving.
-        Per-item failures are captured in the results, never raised.
+        Per-item failures are captured in the results, never raised.  The
+        wave's alerts share one query scope, dropped when the wave ends.
         """
         if len(alerts) != len(incident_ids):
             raise ValueError("one pre-reserved incident id is required per alert")
@@ -159,12 +167,15 @@ class CollectionPool:
         wave_started = self.clock.monotonic()
         self.inflight_waves += 1
         try:
+            queries = CoalescingScope()
             tasks = list(enumerate(zip(alerts, incident_ids)))
             if self.workers is None:
-                return [self._collect_guarded(index, *task) for index, task in tasks]
+                return [
+                    self._collect_guarded(index, *task, queries) for index, task in tasks
+                ]
             executor = self._ensure_executor()
             futures = [
-                executor.submit(self._collect_guarded, index, *task)
+                executor.submit(self._collect_guarded, index, *task, queries)
                 for index, task in tasks
             ]
             return [future.result() for future in futures]
@@ -174,13 +185,13 @@ class CollectionPool:
             self.worker_seconds += lanes * (self.clock.monotonic() - wave_started)
 
     def _collect_guarded(
-        self, index: int, alert: Alert, incident_id: str
+        self, index: int, alert: Alert, incident_id: str, queries: CoalescingScope
     ) -> CollectResult:
         """Parse + collect one alert against the live stage, contained per item."""
         started = self.clock.monotonic()
         try:
             incident = self.stage.parse_alert(alert, incident_id=incident_id)
-            outcome = self.stage.collect(incident)
+            outcome = self.stage.collect(incident, queries)
         except Exception as exc:  # noqa: BLE001 - contained per item
             return CollectResult(
                 index=index,

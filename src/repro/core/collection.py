@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..handlers import ExecutionResult, HandlerExecutor, HandlerRegistry
+from ..handlers import CoalescingScope, ExecutionResult, HandlerExecutor, HandlerRegistry
 from ..incidents import Incident
 from ..monitors import Alert
 from ..telemetry import TelemetryHub
@@ -90,7 +90,9 @@ class CollectionStage:
             incident_id = self.next_incident_id()
         return Incident.from_alert(incident_id, alert, owning_team=owning_team)
 
-    def collect(self, incident: Incident) -> CollectionOutcome:
+    def collect(
+        self, incident: Incident, queries: Optional[CoalescingScope] = None
+    ) -> CollectionOutcome:
         """Run the collection stage for an already-parsed incident.
 
         When no handler matches the incident's alert type the behaviour
@@ -98,6 +100,10 @@ class CollectionStage:
         :class:`NoHandlerError`; production mode falls back to an empty
         report so prediction can still run on the alert information alone
         (the limitation the paper's discussion section acknowledges).
+
+        ``queries`` is the batch's :class:`~repro.handlers.CoalescingScope`
+        (see :meth:`collect_many`); None collects the incident as a batch of
+        one.
         """
         handler = self.registry.match(incident.alert_type)
         if handler is None:
@@ -107,7 +113,7 @@ class CollectionStage:
                 )
             return CollectionOutcome(incident=incident, matched_handler=None, execution=None)
         try:
-            execution = self._executor.execute(handler, incident)
+            execution = self._executor.execute(handler, incident, queries=queries)
         except Exception as exc:  # noqa: BLE001 - degrade like the production system
             if self.config.strict:
                 raise CollectionError(
@@ -121,13 +127,20 @@ class CollectionStage:
         )
 
     def collect_many(self, incidents: Sequence[Incident]) -> List[CollectionOutcome]:
-        """Run the collection stage for a batch of incidents.
+        """Run the collection stage for a batch of incidents, in order.
 
-        Handler execution is inherently per-incident (each handler walks its
-        own action graph over the telemetry hub), so this is a thin batch
-        wrapper that keeps the end-to-end batch pipeline uniform.
+        Each incident walks its own handler's action graph, but the batch
+        shares one :class:`~repro.handlers.CoalescingScope`: alerts of one
+        storm ask the hub the same questions (same source, window and
+        machine), and a built-in query (``error_logs``, ``metrics``,
+        ``events``, ``traces``) an earlier incident of the batch already ran
+        is answered from its result while no store it read has been written
+        since.  Scripts, probes and ``classify`` callbacks still run per
+        incident, so every outcome equals collecting the incidents one at a
+        time.  The scope is dropped when the call returns.
         """
-        return [self.collect(incident) for incident in incidents]
+        queries = CoalescingScope()
+        return [self.collect(incident, queries) for incident in incidents]
 
     def handle_alert(self, alert: Alert) -> CollectionOutcome:
         """Parse an alert and immediately run collection for it."""

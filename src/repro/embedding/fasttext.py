@@ -339,18 +339,30 @@ class FastTextEmbedder:
         embedding token by token, so the result is too, to the bit.  Table
         rows are handed out without a lock: one embedding call at a time
         (the pipeline embeds under the ingestion lock).
+
+        Reports of one wave repeat lines (the same log line, the same
+        metric table), so each distinct line is tokenised once per call.
+        ``_TOKEN_RE`` never matches across a newline, so a text's rows are
+        its lines' rows in line order, the same list a whole-text pass
+        builds.
         """
         self._require_trained()
         texts = list(texts)
         out = np.zeros((len(texts), self.config.dim))
         raw_rows = self._raw_rows
+        line_rows: Dict[str, List[int]] = {}
         for row, text in enumerate(texts):
             ids: List[int] = []
-            for raw in _TOKEN_RE.findall(text):
-                rows = raw_rows.get(raw)
-                if rows is None:
-                    rows = self._raw_match_rows(raw)
-                ids.extend(rows)
+            for line in text.split("\n"):
+                rows_of_line = line_rows.get(line)
+                if rows_of_line is None:
+                    rows_of_line = line_rows[line] = []
+                    for raw in _TOKEN_RE.findall(line):
+                        rows = raw_rows.get(raw)
+                        if rows is None:
+                            rows = self._raw_match_rows(raw)
+                        rows_of_line.extend(rows)
+                ids.extend(rows_of_line)
             if not ids:
                 continue
             weights = self._table_idf[ids]

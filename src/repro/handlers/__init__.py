@@ -5,6 +5,7 @@ from .actions import (
     Action,
     ActionContext,
     ActionResult,
+    CoalescingScope,
     MitigationAction,
     QueryAction,
     ScopeSwitchAction,
@@ -39,6 +40,7 @@ __all__ = [
     "Action",
     "ActionContext",
     "ActionResult",
+    "CoalescingScope",
     "MitigationAction",
     "QueryAction",
     "ScopeSwitchAction",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..incidents import DiagnosticSection, Incident
 from ..monitors import DEFAULT_PROBES, AlertScope, Probe
@@ -31,6 +31,48 @@ from ..telemetry import LogLevel, TelemetryHub, TimeWindow
 
 #: Outcome label every action may fall back to when no branch matches.
 DEFAULT_OUTCOME = "default"
+
+
+class CoalescingScope:
+    """The built-in query results one collection batch shares.
+
+    Alert storms diagnose many incidents over one window and one machine, so
+    the handlers of one batch ask the hub the same questions.  Every alert
+    of a batch (a :meth:`~repro.core.collection.CollectionStage.collect_many`
+    call, one :class:`~repro.core.collect_pool.CollectionPool` wave) runs its
+    handler with the batch's scope, and a query whose key matches an earlier
+    one reuses that result instead of querying the hub again.
+
+    Reuse is exact.  A result is stamped with the ``writes`` count of every
+    store it reads, taken before the query runs, and is reused only while
+    those stores still show that count: the hub holds what it held when the
+    query ran.  A query that raises leaves nothing behind.  Tables are kept
+    as tuples and handed out as fresh dicts, so no alert can change what
+    another is given.  Entries are read and written with single dict
+    operations, so collection-pool threads share a scope without a lock:
+    two threads that miss on one key both query, and either result is
+    exact.  The scope is dropped with its batch.
+    """
+
+    __slots__ = ("_results",)
+
+    def __init__(self) -> None:
+        self._results: Dict[tuple, Tuple[tuple, tuple, str]] = {}
+
+    def query(
+        self,
+        key: tuple,
+        stores: Tuple[object, ...],
+        run: Callable[[], Tuple[Dict[str, str], str]],
+    ) -> Tuple[Dict[str, str], str]:
+        """``run()``'s ``(table, text)``, or an equal earlier result for ``key``."""
+        stamp = tuple(store.writes for store in stores)
+        held = self._results.get(key)
+        if held is not None and held[0] == stamp:
+            return dict(held[1]), held[2]
+        table, content = run()
+        self._results[key] = (stamp, tuple(table.items()), content)
+        return table, content
 
 
 @dataclass
@@ -46,6 +88,8 @@ class ActionContext:
         target_machine: Machine the collection is currently focused on.
         target_forest: Forest the collection is currently focused on.
         variables: Free-form scratch space shared by actions in one run.
+        queries: The batch's shared query results (a scope of its own
+            when the incident is collected alone).
     """
 
     incident: Incident
@@ -55,10 +99,17 @@ class ActionContext:
     target_machine: str = ""
     target_forest: str = ""
     variables: Dict[str, str] = field(default_factory=dict)
+    queries: CoalescingScope = field(
+        default_factory=CoalescingScope, repr=False, compare=False
+    )
 
     @classmethod
     def for_incident(
-        cls, incident: Incident, hub: TelemetryHub, lookback: float = 3600.0
+        cls,
+        incident: Incident,
+        hub: TelemetryHub,
+        lookback: float = 3600.0,
+        queries: Optional[CoalescingScope] = None,
     ) -> "ActionContext":
         """Build the initial context from the incident's alert information."""
         window = TimeWindow(max(0.0, incident.created_at - lookback), incident.created_at + 60.0)
@@ -69,6 +120,7 @@ class ActionContext:
             scope=incident.scope,
             target_machine=incident.machine,
             target_forest=incident.forest,
+            queries=queries if queries is not None else CoalescingScope(),
         )
 
 
@@ -180,7 +232,9 @@ class QueryAction(Action):
     ``events``, ``traces``, ``stack_grouping``) or ``probe:<ProbeName>`` to run
     a probe, or ``script`` with a user-supplied callable (internal
     investigation tools in the paper).  ``classify`` maps the raw result to an
-    outcome label that drives branching (e.g. the exception type).
+    outcome label that drives branching (e.g. the exception type).  The
+    ``error_logs``, ``metrics``, ``events`` and ``traces`` queries go through
+    the batch's :class:`CoalescingScope`; the others run every time.
     """
 
     kind = "query"
@@ -204,14 +258,9 @@ class QueryAction(Action):
     def execute(self, context: ActionContext) -> ActionResult:
         result = ActionResult()
         table: Dict[str, str] = {}
-        if self.source == "error_logs":
-            table = self._query_error_logs(context, result)
-        elif self.source == "metrics":
-            table = self._query_metrics(context, result)
-        elif self.source == "events":
-            table = self._query_events(context, result)
-        elif self.source == "traces":
-            table = self._query_traces(context, result)
+        shared = _SHARED_QUERIES.get(self.source)
+        if shared is not None:
+            table = self._shared_query(context, result, *shared)
         elif self.source == "stack_grouping":
             table = self._query_stack_grouping(context, result)
         elif self.source.startswith("probe:"):
@@ -236,41 +285,77 @@ class QueryAction(Action):
             result.outcome = self.classify(context, table)
         return result
 
+    def _shared_query(
+        self,
+        context: ActionContext,
+        result: ActionResult,
+        title: str,
+        section_source: str,
+        store_names: Tuple[str, ...],
+        machine_scoped: bool,
+        query: "_Query",
+    ) -> Dict[str, str]:
+        """Run a built-in query through the batch's :class:`CoalescingScope`.
+
+        The key is everything the query reads: the hub and its stores, the
+        source and its parameters, the window as it stands now, and the
+        target machine when the query is machine-scoped.  The action's own
+        name only titles the section, so actions of different handlers with
+        the same inputs share one result.
+        """
+        hub, window = context.hub, context.window
+        machine = (
+            context.target_machine
+            if machine_scoped and context.scope is AlertScope.MACHINE
+            else None
+        )
+        stores = tuple(getattr(hub, name) for name in store_names)
+        key = (
+            hub, stores, self.source, self.pattern, tuple(self.metric_names),
+            window.start, window.end, machine,
+        )
+        table, content = context.queries.query(
+            key, stores, lambda: query(self, hub, window, machine)
+        )
+        result.add_section(f"{title} ({self.name})", content, source=section_source)
+        return table
+
     # ------------------------------------------------------------ query kinds
-    def _query_error_logs(self, context: ActionContext, result: ActionResult) -> Dict[str, str]:
-        machine = context.target_machine if context.scope is AlertScope.MACHINE else None
-        records = context.hub.logs.query(
-            start=context.window.start,
-            end=context.window.end,
+    def _error_logs(
+        self, hub: TelemetryHub, window: TimeWindow, machine: Optional[str]
+    ) -> Tuple[Dict[str, str], str]:
+        records = hub.logs.query(
+            start=window.start,
+            end=window.end,
             machine=machine,
             min_level=LogLevel.ERROR,
             pattern=self.pattern,
         )
-        signatures = context.hub.error_summary(context.window, top=3)
+        signatures = hub.error_summary(window, top=3)
         content = "\n".join(r.render() for r in records[-20:]) or "(no matching error logs)"
-        result.add_section(f"Error logs ({self.name})", content, source="logs")
         table = {"error_count": str(len(records))}
         if signatures:
             table["top_error"] = signatures[0][0]
             table["top_error_count"] = str(signatures[0][1])
-        return table
+        return table, content
 
-    def _query_metrics(self, context: ActionContext, result: ActionResult) -> Dict[str, str]:
-        machine = context.target_machine if context.scope is AlertScope.MACHINE else None
+    def _metrics(
+        self, hub: TelemetryHub, window: TimeWindow, machine: Optional[str]
+    ) -> Tuple[Dict[str, str], str]:
         table: Dict[str, str] = {}
         lines: List[str] = []
-        names = self.metric_names or context.hub.metrics.metric_names()
+        names = self.metric_names or hub.metrics.metric_names()
         for name in names:
             if machine:
-                series = context.hub.metrics.series(name, machine)
+                series = hub.metrics.series(name, machine)
                 if series is None:
                     continue
-                value = series.maximum(context.window.start, context.window.end)
+                value = series.maximum(window.start, window.end)
                 table[name] = f"{value:.1f}"
                 lines.append(f"{name} on {machine}: max={value:.1f}")
             else:
-                top = context.hub.metrics.top_machines(
-                    name, start=context.window.start, end=context.window.end, top=1
+                top = hub.metrics.top_machines(
+                    name, start=window.start, end=window.end, top=1
                 )
                 if not top:
                     continue
@@ -278,44 +363,34 @@ class QueryAction(Action):
                 table[name] = f"{value:.1f}"
                 table[f"{name}.top_machine"] = top_machine
                 lines.append(f"{name}: max={value:.1f} on {top_machine}")
-        result.add_section(
-            f"Key metrics ({self.name})",
-            "\n".join(lines) or "(no metrics found)",
-            source="metrics",
-        )
-        return table
+        return table, "\n".join(lines) or "(no metrics found)"
 
-    def _query_events(self, context: ActionContext, result: ActionResult) -> Dict[str, str]:
-        machine = context.target_machine if context.scope is AlertScope.MACHINE else None
-        events = context.hub.events.query(
-            start=context.window.start, end=context.window.end, machine=machine
-        )
+    def _events(
+        self, hub: TelemetryHub, window: TimeWindow, machine: Optional[str]
+    ) -> Tuple[Dict[str, str], str]:
+        events = hub.events.query(start=window.start, end=window.end, machine=machine)
         content = "\n".join(e.render() for e in events[-15:]) or "(no events in window)"
-        result.add_section(f"Operational events ({self.name})", content, source="events")
         kinds: Dict[str, int] = {}
         for event in events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         table = {f"count.{kind}": str(count) for kind, count in sorted(kinds.items())}
         table["event_count"] = str(len(events))
-        return table
+        return table, content
 
-    def _query_traces(self, context: ActionContext, result: ActionResult) -> Dict[str, str]:
-        error_traces = context.hub.traces.error_traces(
-            context.window.start, context.window.end
-        )
-        rates = context.hub.traces.error_rate_by_service(
-            context.window.start, context.window.end
-        )
+    def _traces(
+        self, hub: TelemetryHub, window: TimeWindow, machine: Optional[str]
+    ) -> Tuple[Dict[str, str], str]:
+        error_traces = hub.traces.error_traces(window.start, window.end)
+        rates = hub.traces.error_rate_by_service(window.start, window.end)
         lines = [f"error traces in window: {len(error_traces)}"]
         for service, rate in sorted(rates.items(), key=lambda kv: -kv[1])[:5]:
             lines.append(f"{service}: error rate {rate:.2%}")
-        result.add_section(f"Trace analysis ({self.name})", "\n".join(lines), source="traces")
         table = {"error_trace_count": str(len(error_traces))}
         if rates:
             worst = max(rates.items(), key=lambda kv: kv[1])
             table["worst_service"] = worst[0]
             table["worst_service_error_rate"] = f"{worst[1]:.3f}"
-        return table
+        return table, "\n".join(lines)
 
     def _query_stack_grouping(
         self, context: ActionContext, result: ActionResult
@@ -344,6 +419,23 @@ class QueryAction(Action):
             "healthy": str(outcome.healthy).lower(),
             "error": outcome.error_name,
         }
+
+
+#: A built-in query: (action, hub, window, machine or None) -> (table, text).
+_Query = Callable[
+    [QueryAction, TelemetryHub, TimeWindow, Optional[str]], Tuple[Dict[str, str], str]
+]
+
+#: The built-in queries a batch shares, by source: the section title and
+#: source, the hub stores the query reads, whether it reads only the target
+#: machine under machine scope, and the query.  Probes and scripts run per
+#: alert.
+_SHARED_QUERIES: Dict[str, Tuple[str, str, Tuple[str, ...], bool, _Query]] = {
+    "error_logs": ("Error logs", "logs", ("logs",), True, QueryAction._error_logs),
+    "metrics": ("Key metrics", "metrics", ("metrics",), True, QueryAction._metrics),
+    "events": ("Operational events", "events", ("events",), True, QueryAction._events),
+    "traces": ("Trace analysis", "traces", ("traces",), False, QueryAction._traces),
+}
 
 
 class MitigationAction(Action):

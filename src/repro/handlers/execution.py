@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..core.errors import HandlerExecutionError
 from ..incidents import DiagnosticReport, Incident
 from ..telemetry import TelemetryHub
-from .actions import ActionContext, ActionResult
+from .actions import ActionContext, ActionResult, CoalescingScope
 from .handler import IncidentHandler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -104,6 +104,7 @@ class HandlerExecutor:
     def execute(
         self, handler: IncidentHandler, incident: Incident,
         attach_to_incident: bool = True,
+        queries: Optional[CoalescingScope] = None,
     ) -> ExecutionResult:
         """Run a handler for an incident.
 
@@ -112,6 +113,8 @@ class HandlerExecutor:
             incident: The incident being diagnosed.
             attach_to_incident: When True (default) the collected report and
                 action outputs are written onto the incident object.
+            queries: The collection batch's shared query results; None
+                gives this execution a scope of its own.
 
         Returns:
             The :class:`ExecutionResult` with the diagnostic report, hashed
@@ -123,7 +126,7 @@ class HandlerExecutor:
         """
         started = time.perf_counter()
         context = ActionContext.for_incident(
-            incident, self.hub, lookback=self.lookback_seconds
+            incident, self.hub, lookback=self.lookback_seconds, queries=queries
         )
         result = ExecutionResult(
             incident_id=incident.incident_id,

@@ -57,11 +57,18 @@ class SystemEvent:
 
 
 class EventStore:
-    """Time-indexed store of :class:`SystemEvent` records."""
+    """Time-indexed store of :class:`SystemEvent` records.
+
+    ``writes`` counts insertions, bumped once the event is in place: a
+    result read while it showed ``n`` still holds while it shows ``n``.
+    The store has no lock, so it takes one writer at a time (the
+    simulator's).
+    """
 
     def __init__(self) -> None:
         self._events: List[SystemEvent] = []
         self._timestamps: List[float] = []
+        self.writes = 0
 
     def __len__(self) -> int:
         return len(self._events)
@@ -74,6 +81,7 @@ class EventStore:
         index = bisect.bisect_right(self._timestamps, event.timestamp)
         self._timestamps.insert(index, event.timestamp)
         self._events.insert(index, event)
+        self.writes += 1
 
     def extend(self, events: Iterable[SystemEvent]) -> None:
         """Insert many events."""

@@ -98,10 +98,15 @@ class LogStore:
     so a query sees the store at one point in time; filtering runs on the
     query's own copy.  Copies and pickles carry the records and rebuild the
     columns and the lock.
+
+    ``writes`` counts appends.  It is bumped under the lock once the record
+    is in its columns, so a result read while it showed ``n`` still holds
+    while it shows ``n``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self.writes = 0
         self._all: TimeColumn[LogRecord] = TimeColumn()
         self._by_machine: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
         self._by_component: Dict[str, TimeColumn[LogRecord]] = defaultdict(TimeColumn)
@@ -135,6 +140,7 @@ class LogStore:
             if is_error:
                 self._errors.add(record.timestamp, record)
                 self._error_signatures.add(record.timestamp, signature)
+            self.writes += 1
 
     def extend(self, records: Iterable[LogRecord]) -> None:
         """Append many records."""

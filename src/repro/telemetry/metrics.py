@@ -203,6 +203,10 @@ class MetricStore:
         #: sample of the same (name, machine) pair must not each create a
         #: series and have one swallow the other's sample.
         self._lock = threading.Lock()
+        #: Samples recorded through :meth:`record`, bumped under the lock
+        #: once the sample is in its series: a result read while this
+        #: showed ``n`` still holds while it shows ``n``.
+        self.writes = 0
         self._series: Dict[Tuple[str, str], MetricSeries] = {}
         #: Derived from ``_series``: each metric's series ordered by machine,
         #: each machine's ordered by metric name.
@@ -240,7 +244,8 @@ class MetricStore:
             if series is None:
                 series = self._series[key] = MetricSeries(name, machine, unit=unit)
                 self._index(series)
-        series.add(timestamp, value)
+            series.add(timestamp, value)
+            self.writes += 1
 
     def series(self, name: str, machine: str) -> Optional[MetricSeries]:
         """Return the series for (name, machine), or None if absent."""

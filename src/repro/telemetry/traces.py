@@ -173,12 +173,14 @@ class TraceStore:
     See the module docstring for the index layout and its costs.  Writers
     and readers hold the store's lock, so a query sees the store at one
     point in time; copies and pickles carry the spans and rebuild the
-    indices and the lock.
+    indices and the lock.  ``writes`` counts added spans, bumped under the
+    lock once the span is indexed: a result read while it showed ``n``
+    still holds while it shows ``n``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._span_count = 0
+        self.writes = 0
         self._spans_by_trace: Dict[str, List[Span]] = {}
         self._roots: TimeColumn[str] = TimeColumn()
         self._error_ids: Set[str] = set()
@@ -186,7 +188,7 @@ class TraceStore:
         self._services: Dict[str, Tuple[TimeColumn[float], List[float]]] = {}
 
     def __len__(self) -> int:
-        return self._span_count
+        return self.writes
 
     def __getstate__(self) -> Dict[str, object]:
         with self._lock:
@@ -205,7 +207,6 @@ class TraceStore:
     def add(self, span: Span) -> None:
         """Add a span to the store and to every index."""
         with self._lock:
-            self._span_count += 1
             spans = self._spans_by_trace.setdefault(span.trace_id, [])
             if span.parent_id is None:
                 root = min((s.start for s in spans if s.parent_id is None), default=None)
@@ -221,6 +222,7 @@ class TraceStore:
             if span.is_error:
                 self._error_ids.add(span.trace_id)
                 bisect.insort(error_starts, span.start)
+            self.writes += 1
 
     def extend(self, spans: Iterable[Span]) -> None:
         """Add many spans."""

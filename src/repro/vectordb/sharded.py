@@ -1693,8 +1693,9 @@ class ShardedVectorIndex:
         the per-shard ``.npz`` layouts of versions 1 and 2 are no longer
         read), a missing segment or codes file, a segment or codes file
         shorter than the manifest's row counts need, a category code
-        outside the manifest's table, an incident id stored twice, or shard
-        metadata that does not reconstruct.  A missing manifest stays a
+        outside the manifest's table, an incident id stored twice, a shard
+        whose ``dim`` differs from the manifest's or another shard's, or
+        shard metadata that does not reconstruct.  A missing manifest stays a
         plain ``FileNotFoundError`` (absent, not corrupt).  Callers that must
         survive corruption go through
         :func:`repro.chaos.load_index_resilient`, which falls back to a
@@ -1768,14 +1769,23 @@ class ShardedVectorIndex:
             )
         if expected and not 0 <= all_codes.min() <= all_codes.max() < len(index._cat_names):
             raise IndexCorruptionError(f"category code out of range in {codes_path}")
+        dim = None if manifest.get("dim") is None else int(manifest["dim"])
         offset = 0
         for meta in manifest["shards"]:
             key, rows = int(meta["key"]), int(meta["rows"])
             segment_path = cls._snapshot_file(path, meta["segment"])
+            shard_dim = int(meta["dim"])
+            if dim is None:
+                dim = shard_dim
+            elif shard_dim != dim:
+                raise IndexCorruptionError(
+                    f"shard {key} ({segment_path}) has dim {shard_dim}, "
+                    f"the index has dim {dim}"
+                )
             # A partial write or torn copy fails here, not lazily on the
             # first scan of a missing page.
             try:
-                views, blob = map_segment(segment_path, rows, int(meta["dim"]))
+                views, blob = map_segment(segment_path, rows, shard_dim)
             except (OSError, ValueError) as exc:
                 raise IndexCorruptionError(
                     f"unreadable segment {segment_path}: {exc}"
@@ -1793,7 +1803,7 @@ class ShardedVectorIndex:
             shard.saved = (meta["segment"], rows)
             index._adopt(shard)
             if rows:
-                index._dim = int(meta["dim"])
+                index._dim = shard_dim
         if len(index._locator) != expected:
             raise IndexCorruptionError(f"duplicate incident id in {path}")
         if index._dim is None and manifest.get("dim") is not None:

@@ -154,6 +154,30 @@ def test_missing_short_or_out_of_range_codes_file_raises_typed_error(tmp_path):
         ShardedVectorIndex.load(str(path))
 
 
+def test_shards_that_disagree_on_dim_raise_typed_error(tmp_path):
+    """A shard narrower than the manifest's ``dim`` is corrupt, not a new dim."""
+    from repro.vectordb.shardmem import map_segment, write_segment
+
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["dim"] == DIM and len(manifest["shards"]) > 1
+    meta = manifest["shards"][-1]
+    segment = str(path / meta["segment"])
+    views, blob = map_segment(segment, meta["rows"], meta["dim"])
+    arrays = {name: np.array(view) for name, view in views.items()}
+    del views
+    arrays["matrix"] = np.ascontiguousarray(arrays["matrix"][:, :3])
+    write_segment(segment, arrays, blob)
+    meta["dim"] = 3
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexCorruptionError, match=f"shard {meta['key']} .*dim 3"):
+        ShardedVectorIndex.load(str(path))
+
+
 def test_segment_with_duplicate_ids_raises_typed_error(tmp_path):
     from repro.vectordb.shardmem import map_segment, write_segment
 

@@ -5,8 +5,10 @@ submission-order folding, serial/thread-pool equivalence, per-item crash
 containment (a raising handler fails only its own slot and the pool survives
 the next wave), script-action and handler-less collection on the pool, the
 executor wall-clock budget, the pool's close/rebuild lifecycle, collection
-staying in one process, and the sharing of equal section text between the
-reports of a wave and of a replayed burst.
+staying in one process, the sharing of equal section text between the
+reports of a wave and of a replayed burst, and the query results a batch
+shares (a burst collects as one alert at a time would, writes and faults
+between queries included).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import gc
 import pathlib
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -23,6 +26,7 @@ import pytest
 import repro
 import streamtest_utils as stu
 from repro.bus import AlertEvent, BusReplayer, build_recording
+from repro.chaos import FaultConfig, FaultInjector
 from repro.cloudsim import TransportService
 from repro.cloudsim.scenarios import TABLE1_SCENARIOS
 from repro.core import (
@@ -35,7 +39,13 @@ from repro.core import (
     RCACopilot,
     VirtualClock,
 )
-from repro.handlers import HandlerRegistry, QueryAction, linear_handler
+from repro.handlers import (
+    CoalescingScope,
+    HandlerRegistry,
+    QueryAction,
+    default_registry,
+    linear_handler,
+)
 from repro.llm import SimulatedLLM
 from repro.monitors import AlertRouter
 from repro.telemetry import TelemetryHub
@@ -68,7 +78,91 @@ def outcome_fingerprint(result):
     )
 
 
+class EveryQueryRuns(CoalescingScope):
+    """The reference scope: every query goes to the hub."""
+
+    def query(self, key, stores, run):
+        return run()
+
+
+def flash_crowd_alerts(count: int, seed: int = 7):
+    """A flash crowd of simulated alerts: storms over shared windows."""
+    service = TransportService(seed=seed)
+    service.monitors.router = AlertRouter(dedup_window=120.0)
+    service.warm_up(hours=0.25)
+    rng = random.Random(3)
+    categories = [scenario.category for scenario in TABLE1_SCENARIOS]
+    forests = [forest.name for forest in service.topology.forests]
+    alerts = []
+    while len(alerts) < count:
+        for _ in range(3):
+            service.inject(rng.choice(categories), forest=rng.choice(forests))
+        alerts.extend(service.advance(120.0))
+    return service, alerts[:count]
+
+
+def collection_fingerprint(outcome):
+    """Everything collection hands on: the report's bytes, outputs, steps."""
+    execution = outcome.execution
+    return (
+        outcome.matched_handler,
+        outcome.incident.diagnostic.render() if outcome.incident.diagnostic else "",
+        tuple(outcome.incident.action_output.items()),
+        tuple((s.node_id, s.action_name, s.outcome) for s in execution.steps)
+        if execution
+        else (),
+        tuple(execution.mitigations) if execution else (),
+    )
+
+
+def count_hub_queries(hub, counts):
+    """Count every call of the hub's query entry points into ``counts``."""
+    for store, names in (
+        (hub, ("busiest_machine", "error_summary")),
+        (hub.logs, ("query", "error_signatures")),
+        (hub.events, ("query",)),
+        (hub.metrics, ("series", "top_machines", "metric_names")),
+        (hub.traces, ("error_traces", "error_rate_by_service")),
+    ):
+        for name in names:
+            def counted(*args, _inner=getattr(store, name), **kwargs):
+                counts[0] += 1
+                return _inner(*args, **kwargs)
+
+            setattr(store, name, counted)
+
+
 class TestBackendEquivalence:
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_a_burst_collects_as_one_alert_at_a_time(self, workers):
+        """A wave's shared queries change no byte of any alert's collection."""
+        service, alerts = flash_crowd_alerts(48)
+        stage = CollectionStage(
+            default_registry(), service.hub, CollectionConfig(strict=False)
+        )
+        queries = [0]
+        count_hub_queries(service.hub, queries)
+        ids = reserved_ids(stage, len(alerts))
+        alone = [
+            collection_fingerprint(
+                stage.collect(stage.parse_alert(alert, incident_id=id_), EveryQueryRuns())
+            )
+            for alert, id_ in zip(alerts, ids)
+        ]
+        queried_alone, queries[0] = queries[0], 0
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts, ids)
+        assert [collection_fingerprint(r.outcome) for r in results] == alone
+        queried_in_waves, queries[0] = queries[0], 0
+        batch = stage.collect_many(
+            [stage.parse_alert(alert, incident_id=id_) for alert, id_ in zip(alerts, ids)]
+        )
+        assert [collection_fingerprint(outcome) for outcome in batch] == alone
+        assert sum(1 for outcome in batch if outcome.collected) > len(alerts) // 2
+        # The burst asks the hub the same questions: the batch sends fewer.
+        assert queried_in_waves < 0.8 * queried_alone
+        assert queries[0] < 0.8 * queried_alone
+
     def test_all_backends_fold_identically(self):
         alerts = [
             stu.make_stream_alert(i, alert_type=t)
@@ -325,3 +419,177 @@ class TestSectionSharing:
         for text in ("content", "title"):
             values = [getattr(section, text) for section in sections]
             assert len(set(map(id, values))) == len(set(values)) < len(sections) / 4
+
+
+class TestSharedQueries:
+    """The limits of a batch's shared query results."""
+
+    @staticmethod
+    def twin_alerts(count: int, alert_type: str):
+        """Alerts of one type over one window: every query's key repeats."""
+        return [
+            dataclasses.replace(stu.make_stream_alert(i, alert_type=alert_type), timestamp=3600.0)
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_a_store_write_between_identical_queries_is_seen(self, workers):
+        def write_a_log(context):
+            context.hub.emit_log(
+                3500.0, "error", "Transport", "EXCH-01",
+                f"written by {context.incident.incident_id}",
+            )
+            return {}
+
+        registry = HandlerRegistry()
+        registry.register(
+            linear_handler(
+                "StreamWriter",
+                "stream-writer",
+                [
+                    QueryAction("before", source="error_logs"),
+                    QueryAction("metrics", source="metrics", metric_names=["stream_m1"]),
+                    QueryAction("write", source="script", script=write_a_log),
+                    QueryAction("after", source="error_logs"),
+                ],
+            )
+        )
+        stage = build_stage(registry=registry)
+        alerts = self.twin_alerts(3, "StreamWriter")
+        ids = reserved_ids(stage, len(alerts))
+        queries = [0]
+        count_hub_queries(stage.hub, queries)
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts, ids)
+        counts = [
+            tuple(int(r.incident.action_output[f"{step}.error_count"]) for step in ("before", "after"))
+            for r in results
+        ]
+        if workers is None:
+            # Each alert sees every log the alerts before it wrote.
+            assert counts == [(4, 5), (5, 6), (6, 7)]
+        for result, (before, after) in zip(results, counts):
+            assert after > before
+            assert f"written by {result.incident.incident_id}" in result.incident.diagnostic.render()
+        # The metrics store took no write: its query ran once for the wave
+        # (serially; racing threads may each run it).
+        metric_texts = {
+            r.incident.diagnostic.sections[1].content for r in results
+        }
+        assert len(metric_texts) == 1
+        if workers is None:
+            # Three hub calls per log query: the first alert's two, then one
+            # per later alert, whose "before" has the key of the previous
+            # alert's "after" and no write since; metrics once.
+            assert queries[0] == 3 * (2 + 1 + 1) + 1
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_a_handler_step_fault_fires_per_alert_and_is_never_reused(self, workers):
+        alerts = self.twin_alerts(6, stu.FLAKY_TYPE)
+        reference_stage = build_stage(strict=False)
+        ids = reserved_ids(reference_stage, len(alerts))
+        reference = [
+            collection_fingerprint(
+                reference_stage.collect(
+                    reference_stage.parse_alert(alert, incident_id=id_), EveryQueryRuns()
+                )
+            )
+            for alert, id_ in zip(alerts, ids)
+        ]
+        # Every step fires its site, shared query or not.
+        stage = build_stage(strict=False)
+        counting = FaultInjector(seed=0).add(FaultConfig(site="handler.step", error=None))
+        stage._executor.fault_injector = counting
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts, ids)
+        assert counting.stats_dict()["injections_handler_step"] == 3 * len(alerts)
+        assert [collection_fingerprint(r.outcome) for r in results] == reference
+        # A fault at one alert's query step stops that alert alone; the
+        # others still query and collect what the reference collected.
+        stage = build_stage(strict=False)
+        failing = FaultInjector(seed=0).add(
+            FaultConfig(
+                site="handler.step", max_injections=1, match=lambda d: d == "flaky_metrics"
+            )
+        )
+        stage._executor.fault_injector = failing
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts, ids)
+        fingerprints = [collection_fingerprint(r.outcome) for r in results]
+        failed = [i for i, f in enumerate(fingerprints) if f[0] and f[1] == ""]
+        assert len(failed) == 1 and failing.injections_total == 1
+        assert all(
+            fingerprint == reference[i]
+            for i, fingerprint in enumerate(fingerprints)
+            if i not in failed
+        )
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_a_query_that_raised_is_not_reused(self, workers):
+        stage = build_stage()
+        alerts = self.twin_alerts(4, stu.SLEEPY_TYPE)
+        inner = stage.hub.events.query
+        calls = []
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError("events backend unavailable")
+            return inner(*args, **kwargs)
+
+        stage.hub.events.query = first_call_fails
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+        assert sum(1 for r in results if not r.ok) == 1
+        assert len(calls) >= 2
+        ok = [section_texts(r) for r in results if r.ok]
+        assert len(ok) == 3 and ok.count(ok[0]) == 3
+
+    def test_threads_never_reuse_a_result_older_than_a_seen_write(self):
+        """Stress: eight collect threads share a scope while logs keep arriving.
+
+        Each alert reads the log store's write count, then queries the error
+        logs.  Every seeded and written log is an ERROR inside the window,
+        so an exact result counts at least as many errors as the writes the
+        alert saw before it asked; a result reused past a write would not.
+        """
+        registry = HandlerRegistry()
+        registry.register(
+            linear_handler(
+                "StreamRace",
+                "stream-race",
+                [
+                    QueryAction(
+                        "seen", source="script",
+                        script=lambda context: {"writes": str(context.hub.logs.writes)},
+                    ),
+                    QueryAction("errors", source="error_logs"),
+                ],
+            )
+        )
+        stage = build_stage(registry=registry)
+        alerts = self.twin_alerts(96, "StreamRace")
+        done = threading.Event()
+
+        def write_logs():
+            step = 0
+            while not done.is_set() and step < 100_000:
+                stage.hub.emit_log(3500.0, "error", "Transport", "EXCH-02", f"race {step}")
+                step += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=write_logs)
+        try:
+            writer.start()
+            with CollectionPool(stage, workers=8) as pool:
+                results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+        finally:
+            done.set()
+            writer.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert all(r.ok for r in results)
+        for result in results:
+            output = result.incident.action_output
+            assert int(output["errors.error_count"]) >= int(output["seen.writes"])

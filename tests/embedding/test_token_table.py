@@ -1,9 +1,10 @@
 """The compiled token table under ``FastTextEmbedder.embed_many``.
 
 ``embed_many`` reads a document once — raw regex matches to table rows,
-rows to two gathers — where it used to embed it token by token.  The
-per-token body is kept here as the reference: same tokens in the same
-order through the same arithmetic, so the two must agree to the bit.
+rows to two gathers — where it used to embed it token by token, and reads
+each distinct line once per call.  The per-token body is kept here as the
+reference: same tokens in the same order through the same arithmetic, so
+the two must agree to the bit.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ TABLE_TEXTS = st.lists(
 ).map(" ".join)
 
 
+#: Report-like lines for texts that share them: drawn lines, empty and
+#: blank lines, a lone carriage return and digit-only lines.
+SHARED_LINES = st.one_of(
+    TABLE_TEXTS,
+    st.sampled_from(["", " ", "\r", "11001", "42 7", "error: 3.14"]),
+    st.text("0123456789 ", min_size=1, max_size=8),
+)
+
+
 class TestMatchesPerTokenReference:
     def test_corpus_texts_bit_identical(self, embedder, history_texts):
         produced = embedder.embed_many(history_texts)
@@ -104,6 +114,30 @@ class TestMatchesPerTokenReference:
         assert np.array_equal(
             embedder.embed_many(texts), reference_embed_many(embedder, texts)
         )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_texts_sharing_lines_embed_as_each_text_alone(self, fitted, data):
+        """``embed_many`` tokenises a line once per call; no bit may move."""
+        lines = data.draw(st.lists(SHARED_LINES, min_size=1, max_size=5))
+        texts = data.draw(
+            st.lists(
+                st.builds(
+                    lambda picked, separator: separator.join(picked),
+                    st.lists(st.sampled_from(lines), max_size=6),
+                    st.sampled_from(["\n", "\r\n"]),
+                ),
+                max_size=5,
+            )
+        )
+        together = copy.copy(fitted)
+        together._reset_table()
+        produced = together.embed_many(texts)
+        alone = copy.copy(fitted)
+        alone._reset_table()
+        for row, text in enumerate(texts):
+            assert np.array_equal(produced[row], alone.embed(text))
+        assert np.array_equal(produced, reference_embed_many(together, texts))
 
     def test_empty_and_numbers_only_embed_to_zero(self, embedder):
         produced = embedder.embed_many(["", "  \n", "11001 42 7", "3.14"])
