@@ -21,7 +21,7 @@ Usage::
 Unknown or missing files/metrics degrade to "—" cells — the report never
 fails because a benchmark was skipped (e.g. a ``--quick`` run that dropped
 a profile) or because an older archive predates a metric (e.g. runs
-recorded before the ``tenants`` block existed).
+recorded before the ``replay`` block existed).
 """
 
 from __future__ import annotations
@@ -135,18 +135,6 @@ METRICS: List[Tuple[str, str, str, object]] = [
         "replay speed multiplier (flash crowd)",
         "BENCH_throughput.json",
         lambda p: _get(p, "replay", "speed"),
-    ),
-    (
-        "throughput",
-        "tenants steady p95 wall vs solo (fair share)",
-        "BENCH_throughput.json",
-        lambda p: _get(p, "tenants", "steady_p95_ratio"),
-    ),
-    (
-        "throughput",
-        "tenants bursty alerts shed by quota",
-        "BENCH_throughput.json",
-        lambda p: _get(p, "tenants", "bursty_shed"),
     ),
     (
         "retrieval",

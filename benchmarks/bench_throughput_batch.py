@@ -912,207 +912,3 @@ def test_chaos_resilient_ingest(chaos_soak):
         f"the resilient stream must absorb {CHAOS_FAULT_RATE:.0%} LLM "
         f"timeouts within 2x of the healthy wall clock, got {wall_ratio:.2f}x"
     )
-
-
-# ------------------------------------------------------------------- tenants
-#: One bursty tenant floods the shared router every round while two steady
-#: tenants submit a trickle.  Deficit-round-robin scheduling must keep the
-#: steady tenants' p95 alert wall time within 1.3x of a bursty-free solo
-#: run (a FIFO queue would park the trickle behind the whole burst), and
-#: the bursty tenant's queue-depth quota must shed its overload instead of
-#: letting it crowd the shared queue.
-TENANT_ROUNDS = 5
-TENANT_STEADY = ("steady-a", "steady-b")
-TENANT_STEADY_PER_ROUND = 3
-TENANT_BURSTY_PER_ROUND = 16
-TENANT_BURSTY_DEPTH = 12
-TENANT_WORKERS = 8
-TENANT_MAX_BATCH = 8
-TENANT_SLEEP_SECONDS = 0.04
-TENANT_P95_GATE = 1.3
-
-
-def _tenant_router(tenants):
-    """A started-cold tenant router sharing the collect-bound handler set."""
-    from repro.tenancy import TenantQuota, TenantRouter
-
-    registry = HandlerRegistry()
-    registry.register(
-        linear_handler(
-            "CollectBound",
-            "collect-bound",
-            [
-                QueryAction(
-                    "slow_probe",
-                    source="metrics",
-                    metric_names=["delivery_queue_length"],
-                    classify=_bench_sleep_classifier,
-                ),
-                QueryAction("recent_events", source="events"),
-            ],
-        )
-    )
-    corpus = generate_corpus(
-        total_incidents=160, total_categories=45, seed=71, duration_days=180.0
-    )
-    train, _ = corpus.chronological_split(0.75)
-    router = TenantRouter(
-        TelemetryHub(),
-        registry=registry,
-        model=SimulatedLLM(),
-        ingest=IngestConfig(
-            max_batch=TENANT_MAX_BATCH,
-            max_latency_seconds=5.0,
-            collect_workers=TENANT_WORKERS,
-        ),
-    )
-    for tenant in TENANT_STEADY:
-        if tenant in tenants:
-            router.register(
-                tenant, quota=TenantQuota(weight=TENANT_STEADY_PER_ROUND),
-                history=train,
-            )
-    if "bursty" in tenants:
-        router.register(
-            "bursty",
-            quota=TenantQuota(weight=2, max_queue_depth=TENANT_BURSTY_DEPTH),
-            history=train,
-        )
-    return router
-
-
-def _tenant_alert(tenant: str, index: int) -> Alert:
-    return Alert(
-        alert_id=f"AL-TN-{tenant}-{index:05d}",
-        alert_type="CollectBound",
-        scope=AlertScope.FOREST,
-        timestamp=3600.0 + 7.0 * index,
-        machine="",
-        forest="forest-01",
-        message=f"tenant benchmark alert {tenant} {index}",
-        severity=3,
-    )
-
-
-def _tenant_rounds(router, with_bursty: bool):
-    """Drive the round protocol; (per-steady-tenant latencies, sheds).
-
-    Each round the bursty tenant's full burst lands *first* — the worst
-    case for the steady tenants — then each steady tenant submits its
-    trickle, and one ``flush()`` drains the round.  Per-alert wall time is
-    measured submit -> future resolution via ``add_done_callback``.
-    """
-    from repro.tenancy import TenantQueueFull
-
-    latencies = {tenant: [] for tenant in TENANT_STEADY}
-    shed = 0
-    serial = 0
-    for round_index in range(TENANT_ROUNDS + 1):  # round 0 is untimed warm-up
-        warmup = round_index == 0
-        if with_bursty and not warmup:
-            for _ in range(TENANT_BURSTY_PER_ROUND):
-                try:
-                    router.submit(_tenant_alert("bursty", serial), tenant="bursty")
-                except TenantQueueFull:
-                    shed += 1
-                serial += 1
-        for tenant in TENANT_STEADY:
-            for _ in range(TENANT_STEADY_PER_ROUND):
-                started = time.perf_counter()
-                future = router.submit(_tenant_alert(tenant, serial), tenant=tenant)
-                serial += 1
-                if not warmup:
-                    sink = latencies[tenant]
-                    future.add_done_callback(
-                        lambda f, sink=sink, started=started: sink.append(
-                            time.perf_counter() - started
-                        )
-                    )
-        router.flush()
-    return latencies, shed
-
-
-def test_tenant_fair_share_noisy_neighbor(tenants_profile):
-    """Steady tenants' p95 stays within 1.3x of solo despite a noisy neighbor."""
-    if not tenants_profile:
-        pytest.skip("multi-tenant fair-share profile: pass --tenants to run")
-    global COLLECT_SLEEP_SECONDS
-    original_sleep = COLLECT_SLEEP_SECONDS
-    COLLECT_SLEEP_SECONDS = TENANT_SLEEP_SECONDS
-    try:
-        solo_router = _tenant_router(set(TENANT_STEADY))
-        solo_latencies, _ = _tenant_rounds(solo_router, with_bursty=False)
-        solo_router.stop()
-
-        router = _tenant_router(set(TENANT_STEADY) | {"bursty"})
-        routed_latencies, shed = _tenant_rounds(router, with_bursty=True)
-        per_tenant = router.tenant_stats_dict()
-        router.stop()
-    finally:
-        COLLECT_SLEEP_SECONDS = original_sleep
-
-    expected = TENANT_ROUNDS * TENANT_STEADY_PER_ROUND
-    ratios = {}
-    print()
-    print(
-        f"tenant fair share ({TENANT_ROUNDS} rounds, "
-        f"{TENANT_BURSTY_PER_ROUND} bursty + "
-        f"{len(TENANT_STEADY) * TENANT_STEADY_PER_ROUND} steady alerts/round, "
-        f"{TENANT_WORKERS} collect workers, {TENANT_SLEEP_SECONDS * 1e3:.0f}ms "
-        f"simulated collect I/O)"
-    )
-    print(f"{'tenant':>10} | {'solo p95':>9} | {'routed p95':>10} | ratio")
-    for tenant in TENANT_STEADY:
-        assert len(routed_latencies[tenant]) == expected
-        assert len(solo_latencies[tenant]) == expected
-        solo_p95 = float(np.percentile(solo_latencies[tenant], 95))
-        routed_p95 = float(np.percentile(routed_latencies[tenant], 95))
-        ratios[tenant] = routed_p95 / solo_p95
-        print(
-            f"{tenant:>10} | {solo_p95 * 1e3:7.1f}ms | {routed_p95 * 1e3:8.1f}ms "
-            f"| {ratios[tenant]:.2f}x"
-        )
-    worst_ratio = max(ratios.values())
-    bursty_accepted = TENANT_ROUNDS * TENANT_BURSTY_PER_ROUND - shed
-    print(
-        f"bursty: {shed} shed by quota (depth {TENANT_BURSTY_DEPTH}), "
-        f"{bursty_accepted} accepted, "
-        f"{per_tenant['bursty']['processed']:.0f} processed"
-    )
-
-    merged = read_results("BENCH_throughput.json")
-    merged.setdefault("benchmark", "throughput_batch")
-    merged["tenants"] = {
-        "rounds": TENANT_ROUNDS,
-        "steady_per_round": TENANT_STEADY_PER_ROUND,
-        "bursty_per_round": TENANT_BURSTY_PER_ROUND,
-        "bursty_depth": TENANT_BURSTY_DEPTH,
-        "workers": TENANT_WORKERS,
-        "max_batch": TENANT_MAX_BATCH,
-        "sleep_seconds": TENANT_SLEEP_SECONDS,
-        "cores": os.cpu_count() or 1,
-        "solo_p95_seconds": {
-            tenant: float(np.percentile(solo_latencies[tenant], 95))
-            for tenant in TENANT_STEADY
-        },
-        "routed_p95_seconds": {
-            tenant: float(np.percentile(routed_latencies[tenant], 95))
-            for tenant in TENANT_STEADY
-        },
-        "steady_p95_ratio": worst_ratio,
-        "bursty_shed": shed,
-        "bursty_processed": per_tenant["bursty"]["processed"],
-    }
-    path = write_results("BENCH_throughput.json", merged)
-    print(f"machine-readable results: {path}")
-
-    # Steady tenants never shed — only the offender's quota bites.
-    for tenant in TENANT_STEADY:
-        assert per_tenant[tenant]["shed"] == 0.0
-        assert per_tenant[tenant]["processed"] == float(expected + TENANT_STEADY_PER_ROUND)
-    assert shed > 0, "the bursty overload must trip its queue-depth quota"
-    assert per_tenant["bursty"]["processed"] == float(bursty_accepted)
-    assert worst_ratio <= TENANT_P95_GATE, (
-        f"fair-share scheduling must hold steady tenants' p95 within "
-        f"{TENANT_P95_GATE}x of the bursty-free solo run, got {worst_ratio:.2f}x"
-    )

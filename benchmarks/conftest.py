@@ -71,18 +71,6 @@ def pytest_addoption(parser):
         ),
     )
     parser.addoption(
-        "--tenants",
-        action="store_true",
-        default=False,
-        help=(
-            "run the multi-tenant fair-share profile "
-            "(bench_throughput_batch.py): one bursty + two steady tenants "
-            "through the tenant router, with a per-tenant quota shedding the "
-            "bursty overload and a gate holding the steady tenants' p95 "
-            "alert wall time within 1.3x of a bursty-free solo run"
-        ),
-    )
-    parser.addoption(
         "--chaos",
         action="store_true",
         default=False,
@@ -119,12 +107,6 @@ def pipeline_soak(request):
 def replay_profile(request):
     """True when the recorded-traffic replay profile should run."""
     return bool(request.config.getoption("--replay", default=False))
-
-
-@pytest.fixture(scope="session")
-def tenants_profile(request):
-    """True when the multi-tenant fair-share profile should run."""
-    return bool(request.config.getoption("--tenants", default=False))
 
 
 @pytest.fixture(scope="session")

@@ -15,22 +15,19 @@ Demonstrates the streaming deployment shape of RCACopilot:
    fold back in submission order, so reports are identical to serial;
    with ``pipeline_depth=2`` the two phases run as a double-buffered
    pipeline (wave N+1 collects while wave N predicts) without changing a
-   single report or counter;
-3. inject faults and submit each detected alert as it appears — exactly
-   how an always-on deployment receives monitors' output;
-4. fold an on-call engineer's confirmed label back in *mid-stream* and
+   single report or counter; faults are injected and each detected alert
+   is submitted as it appears — exactly how an always-on deployment
+   receives monitors' output;
+3. fold an on-call engineer's confirmed label back in *mid-stream* and
    show the corrected incident surfacing as a neighbour right away;
-5. print the ingestion and index statistics (batch sizes, flush reasons,
+4. print the ingestion and index statistics (batch sizes, flush reasons,
    scanned-shard ratio);
+5. run the same stream against a flaky LLM behind the resilience layer:
+   retries, then degraded "Unknown" completions, and no lost future;
 6. replay a checked-in recorded corpus (``benchmarks/corpora/``) through a
    fresh copilot at 1000x on a virtual clock — the replayer applies its
    size/latency batching on the *recorded* timeline, so reports and
-   ingest counters are bit-identical at every speed;
-7. route two tenants through one :class:`~repro.tenancy.TenantRouter`:
-   each tenant gets its own retrieval namespace and incident-id space,
-   deficit-round-robin scheduling interleaves their alerts in every
-   micro-batch, and a per-tenant queue-depth quota sheds one tenant's
-   flood without touching the other.
+   ingest counters are bit-identical at every speed.
 
 Run with::
 
@@ -61,7 +58,6 @@ from repro.core.errors import LLMUnavailableError
 from repro.datagen import generate_corpus
 from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
-from repro.tenancy import TenantQueueFull, TenantQuota, TenantRouter
 from repro.vectordb import CompactionPolicy
 
 
@@ -291,62 +287,6 @@ def main() -> None:
         f"  {len(result.reports)} reports in {replay_stats.batches} "
         f"micro-batches (flush reasons: {replay_stats.flush_reasons}); "
         f"replaying again — at any speed — reproduces them byte for byte"
-    )
-
-    print("\n== 7. Multi-tenant pass: fair share and per-tenant quotas ==")
-    # One router, two tenants.  Each tenant gets its own retrieval
-    # namespace and INC-LIVE id space; collection workers, the LLM (with
-    # cross-tenant dedup) and the telemetry hub are shared.  "batch-jobs"
-    # carries a queue-depth quota of 4, so its flood below is shed at the
-    # door instead of crowding "payments" out of the shared queue.
-    router = TenantRouter(
-        service.hub,
-        model=SimulatedLLM(),
-        config=config,
-        ingest=IngestConfig(max_batch=4, max_latency_seconds=60.0),
-    )
-    router.register("payments", quota=TenantQuota(weight=2), history=history)
-    router.register(
-        "batch-jobs",
-        quota=TenantQuota(weight=1, max_queue_depth=4),
-        history=history,
-    )
-    shed = 0
-    futures = []
-    for _, alert in detected * 2:  # the batch-jobs tenant floods first...
-        try:
-            futures.append(router.submit(alert, tenant="batch-jobs"))
-        except TenantQueueFull:
-            shed += 1
-    for _, alert in detected[:4]:  # ...then payments submits its trickle
-        futures.append(router.submit(alert, tenant="payments"))
-    reports = router.flush()
-    router.stop()
-    first_wave = [r.incident.owning_tenant for r in reports[:4]]
-    print(
-        f"  first micro-batch interleaves tenants despite the flood "
-        f"arriving first: {first_wave}"
-    )
-    per_tenant = router.tenant_stats_dict()
-    for tenant in ("payments", "batch-jobs"):
-        stats = per_tenant[tenant]
-        print(
-            f"  {tenant}: {int(stats['processed'])} processed in "
-            f"{int(stats['batches'])} batch(es), {int(stats['shed'])} shed "
-            f"by quota"
-        )
-    assert shed == int(per_tenant["batch-jobs"]["shed"])
-    ids = {
-        tenant: [
-            r.incident.incident_id
-            for r in reports
-            if r.incident.owning_tenant == tenant
-        ][:2]
-        for tenant in ("payments", "batch-jobs")
-    }
-    print(
-        f"  per-tenant incident-id spaces: payments {ids['payments']}, "
-        f"batch-jobs {ids['batch-jobs']}"
     )
 
 

@@ -13,13 +13,12 @@ separators, so a regenerated recording is byte-identical)::
 
     {"kind": "header", "version": 1, "meta": {...}}
     {"kind": "alert", "offset": 12.5, "alert": {...Alert.to_dict()...}}
-    {"kind": "alert", "offset": 13.0, "alert": {...}, "tenant": "alpha"}
     {"kind": "feedback", "offset": 60.0, "category": "FullDisk",
      "incident": {...lossless incident dict...}}
 
-The ``tenant`` key is optional and only present on multi-tenant captures
-(absent means the single-tenant path), so pre-tenancy recordings decode
-unchanged and re-encode byte-identically.
+A recording is one stream into one ingestor: an alert record that
+carries a ``tenant`` key (a multi-tenant capture) is refused rather than
+replayed as one stream.
 
 The alert payload round-trips through :meth:`repro.monitors.Alert.to_dict`
 / :meth:`~repro.monitors.Alert.from_dict` (enum scope, attributes,
@@ -106,28 +105,17 @@ def incident_from_dict(payload: Dict[str, object]) -> Incident:
 # ------------------------------------------------------------------ events
 @dataclass(frozen=True)
 class AlertEvent:
-    """One recorded alert submission at ``offset`` seconds into the stream.
-
-    ``tenant`` routes the alert in multi-tenant replays (the empty string —
-    the historical default — means the single-tenant path).  The field is
-    emitted only when non-empty, so recordings captured before tenancy
-    existed, and single-tenant recordings captured after, are byte-identical
-    to what this codec always produced.
-    """
+    """One recorded alert submission at ``offset`` seconds into the stream."""
 
     offset: float
     alert: Alert
-    tenant: str = ""
 
     def to_record(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
+        return {
             "kind": "alert",
             "offset": self.offset,
             "alert": self.alert.to_dict(),
         }
-        if self.tenant:
-            record["tenant"] = self.tenant
-        return record
 
 
 @dataclass(frozen=True)
@@ -154,10 +142,14 @@ def event_from_record(record: Dict[str, object]) -> BusEvent:
     """Decode one non-header JSONL record into its event."""
     kind = record.get("kind")
     if kind == "alert":
+        if "tenant" in record:
+            raise ValueError(
+                "alert record carries a 'tenant' key: multi-tenant captures "
+                "cannot replay as one stream"
+            )
         return AlertEvent(
             offset=float(record["offset"]),
             alert=Alert.from_dict(record["alert"]),
-            tenant=str(record.get("tenant", "")),
         )
     if kind == "feedback":
         return FeedbackEvent(

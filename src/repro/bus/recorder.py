@@ -58,46 +58,28 @@ class TrafficRecorder:
         return now - self._epoch
 
     # ------------------------------------------------------------------ tapped
-    def submit(self, alert: Alert, tenant: str = ""):
-        """Forward one alert; capture it only once it entered the queue.
-
-        ``tenant`` routes through a tenant-routing ingestor and is captured
-        on the event; the empty default leaves both the forwarded call and
-        the record in their single-tenant (pre-tenancy) shape.
-        """
-        if tenant:
-            future = self._ingestor.submit(alert, tenant=tenant)
-        else:
-            future = self._ingestor.submit(alert)  # IngestQueueFull → not recorded
+    def submit(self, alert: Alert):
+        """Forward one alert; capture it only once it entered the queue."""
+        future = self._ingestor.submit(alert)  # IngestQueueFull → not recorded
         with self._lock:
-            self._events.append(
-                AlertEvent(self._offset_locked(), alert, tenant=tenant)
-            )
+            self._events.append(AlertEvent(self._offset_locked(), alert))
         return future
 
-    def submit_many(self, alerts: Sequence[Alert], tenant: str = ""):
+    def submit_many(self, alerts: Sequence[Alert]):
         """Forward a burst; on load-shed capture only the enqueued prefix."""
         alerts = list(alerts)
         try:
-            if tenant:
-                futures = self._ingestor.submit_many(alerts, tenant=tenant)
-            else:
-                futures = self._ingestor.submit_many(alerts)
+            futures = self._ingestor.submit_many(alerts)
         except IngestQueueFull as exc:
             accepted = alerts[: len(exc.enqueued)]
             if accepted:
                 with self._lock:
                     offset = self._offset_locked()
-                    self._events.extend(
-                        AlertEvent(offset, alert, tenant=tenant)
-                        for alert in accepted
-                    )
+                    self._events.extend(AlertEvent(offset, alert) for alert in accepted)
             raise
         with self._lock:
             offset = self._offset_locked()
-            self._events.extend(
-                AlertEvent(offset, alert, tenant=tenant) for alert in alerts
-            )
+            self._events.extend(AlertEvent(offset, alert) for alert in alerts)
         return futures
 
     def record_feedback(self, incident: Incident, confirmed_category: str) -> None:

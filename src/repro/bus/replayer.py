@@ -150,16 +150,7 @@ class BusReplayer:
             flush_if_due(event.offset)
             self._pace(clock, t0 + event.offset / self.speed)
             if isinstance(event, AlertEvent):
-                # Multi-tenant captures carry a tenant per alert; a
-                # tenant-routing ingestor takes it as a keyword, the
-                # single-tenant ingestor never sees one (pre-tenancy
-                # recordings have the empty default).
-                if event.tenant:
-                    futures.append(
-                        ingestor.submit(event.alert, tenant=event.tenant)
-                    )
-                else:
-                    futures.append(ingestor.submit(event.alert))
+                futures.append(ingestor.submit(event.alert))
                 if pending == 0:
                     window_start = event.offset
                 pending += 1

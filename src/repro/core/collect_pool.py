@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..handlers import CoalescingScope
 from ..incidents import Incident
@@ -214,23 +214,6 @@ class CollectionPool:
                 thread_name_prefix="rcacopilot-collect",
             )
         return self._executor
-
-    # ------------------------------------------------------------------- stats
-    def stats_dict(self) -> Dict[str, float]:
-        """The pool's gauges as a flat metric mapping.
-
-        Read without a lock (each value is a single attribute read): a
-        reader racing a wave may see one gauge a step ahead of another,
-        exactly like the ingestor's autoscale gauges.  Used by the tenant
-        router's service rollup, where the shared pool is the
-        ``CollectService`` every tenant's collection fans into.
-        """
-        return {
-            "pool_size": float(self.pool_size),
-            "inflight_waves": float(self.inflight_waves),
-            "resize_events": float(self.resize_events),
-            "worker_seconds_total": float(self.worker_seconds),
-        }
 
     # ------------------------------------------------------------------- close
     def close(self) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -123,82 +123,6 @@ class PredictionOutcome:
     def label(self) -> str:
         """Predicted label (known category or newly generated one)."""
         return self.prediction.label
-
-
-def predict_many_grouped(
-    groups: Sequence[Tuple["PredictionStage", Sequence[Incident]]],
-) -> List[List[PredictionOutcome]]:
-    """Predict one shared micro-batch composed of several stages' incidents.
-
-    The multi-tenant wave path: each group is (that tenant's prediction
-    stage, its slice of the wave).  Summaries are warmed and neighbours
-    retrieved per stage — against each tenant's own index — but the LLM
-    round trip is **one** ``predict_many`` call over the concatenated
-    (context, demonstrations) items, so the predictor's request
-    deduplication spans tenants exactly as it spans a single-tenant batch
-    (two tenants hit by the same recurring incident cost one completion).
-    Per-item predictions are identical to running each group through its
-    own stage alone: every stage must share one chat model, retrieval
-    depends only on the stage's own index, and the deduplicated completion
-    of a given prompt is deterministic by the same condition that enables
-    dedup at all.
-
-    Each returned inner list aligns 1:1 with its group's incidents.  Every
-    stage must already be indexed (callers route unindexed tenants around
-    prediction, as ``diagnose_collected`` does); all stages must share one
-    chat model — the dedup identity the shared batch rests on.
-    """
-    if not groups:
-        return []
-    stages = [stage for stage, _ in groups]
-    model = stages[0].model
-    for stage in stages[1:]:
-        if stage.model is not model:
-            raise ValueError(
-                "predict_many_grouped requires every stage to share one chat "
-                "model; cross-tenant batch dedup is meaningless otherwise"
-            )
-    clock = stages[0]._clock
-    started = clock.monotonic()
-    group_contexts: List[List[str]] = []
-    group_demonstrations: List[List[List[Demonstration]]] = []
-    for stage, incidents in groups:
-        incidents = list(incidents)
-        stage._warm_summaries(incidents)
-        group_contexts.append([stage.build_context(incident) for incident in incidents])
-        group_demonstrations.append(
-            stage.retrieve_many(incidents) if incidents else []
-        )
-    combined: List[Tuple[str, List[Demonstration]]] = []
-    for contexts, demonstration_lists in zip(group_contexts, group_demonstrations):
-        combined.extend(zip(contexts, demonstration_lists))
-    predictions = stages[0].predictor.predict_many(combined)
-    total = len(combined)
-    elapsed = (clock.monotonic() - started) / total if total else 0.0
-    outcomes: List[List[PredictionOutcome]] = []
-    cursor = 0
-    for (stage, incidents), contexts, demonstration_lists in zip(
-        groups, group_contexts, group_demonstrations
-    ):
-        group_outcomes: List[PredictionOutcome] = []
-        for incident, context, demonstrations in zip(
-            incidents, contexts, demonstration_lists
-        ):
-            prediction = predictions[cursor]
-            cursor += 1
-            incident.predicted_category = prediction.label
-            incident.explanation = prediction.explanation
-            group_outcomes.append(
-                PredictionOutcome(
-                    incident_id=incident.incident_id,
-                    prediction=prediction,
-                    summary=stage._summaries.get(incident.incident_id, context),
-                    neighbors=demonstrations,
-                    elapsed_seconds=elapsed,
-                )
-            )
-        outcomes.append(group_outcomes)
-    return outcomes
 
 
 class PredictionStage:
@@ -342,33 +266,23 @@ class PredictionStage:
             for incident in pending[key]:
                 incident.summary = result.text
 
-    def export_cache_metrics(
-        self, hub: TelemetryHub, timestamp: float, machine: str = "prediction-stage"
-    ) -> None:
-        """Emit the cache hit/miss counters as telemetry metrics.
-
-        ``machine`` labels the emitting stage — tenant-scoped stages pass
-        ``prediction-stage/<tenant>`` so their series never interleave with
-        another tenant's in the shared hub.
-        """
+    def export_cache_metrics(self, hub: TelemetryHub, timestamp: float) -> None:
+        """Emit the cache hit/miss counters as telemetry metrics."""
         for suffix, value in self.cache_stats.as_dict().items():
             hub.emit_metric(
                 f"rcacopilot.cache.{suffix}",
-                machine=machine,
+                machine="prediction-stage",
                 timestamp=timestamp,
                 value=float(value),
                 unit="count",
             )
 
-    def export_index_metrics(
-        self, hub: TelemetryHub, timestamp: float, machine: str = "prediction-stage"
-    ) -> None:
+    def export_index_metrics(self, hub: TelemetryHub, timestamp: float) -> None:
         """Emit the retrieval index's layout/scan statistics as telemetry.
 
         Covers shard counts and sizes plus the scanned-shard/entry ratios, so
         a deployment can watch how much of the history each query actually
-        touches as the index grows.  ``machine`` labels the emitting stage
-        (tenant-scoped stages pass ``prediction-stage/<tenant>``).
+        touches as the index grows.
         """
         if self.index is None:
             return
@@ -377,7 +291,7 @@ class PredictionStage:
                 f"rcacopilot.index.{name}": value
                 for name, value in self.index.stats().items()
             },
-            machine=machine,
+            machine="prediction-stage",
             timestamp=timestamp,
         )
 

@@ -501,7 +501,7 @@ class StreamIngestor:
             try:
                 while len(batch) < self.config.max_batch:
                     batch.append(self._queue.get_nowait())
-            except queue.Empty:  # nothing queued, or every lane at its cap
+            except queue.Empty:  # nothing more queued
                 pass
             reason = "size" if len(batch) >= self.config.max_batch else "idle"
             # Last line of defence: an exception that escapes batch
@@ -720,7 +720,9 @@ class StreamIngestor:
             )
         self._occupancy.collect_start()
         collect_started = self._clock.monotonic()
-        incident_ids = self._reserve_incident_ids(items)
+        # Ids are reserved here, in submission order, so a pooled wave
+        # numbers its incidents exactly as a serial one does.
+        incident_ids = [self.copilot.collection.next_incident_id() for _ in items]
         results = self._collect_pool.run(alerts, incident_ids)
         collect_seconds = self._clock.monotonic() - collect_started
         self._occupancy.collect_end()
@@ -747,17 +749,6 @@ class StreamIngestor:
             utilization=utilization,
         )
 
-    def _reserve_incident_ids(
-        self, items: List[Tuple[Alert, Future]]
-    ) -> List[str]:
-        """Pre-reserve one incident id per item, in submission order.
-
-        Subclasses that partition the id space (the tenant router draws
-        each alert's id from its tenant's own counter) override this; the
-        single-tenant default reserves from the copilot's collection stage.
-        """
-        return [self.copilot.collection.next_incident_id() for _ in items]
-
     def _predict_locked(
         self, wave: _Wave
     ) -> Tuple[List["DiagnosisReport"], Optional[Exception], float]:
@@ -768,7 +759,12 @@ class StreamIngestor:
         predict_started = self._clock.monotonic()
         predict_error: Optional[Exception] = None
         try:
-            reports = self._diagnose_wave(succeeded, wave)
+            reports = self.copilot.diagnose_collected(
+                [result.outcome for result in succeeded],
+                started=wave.collect_started,
+                now=self._clock.monotonic,
+                timestamp=self._clock.time(),
+            )
         except Exception as exc:  # noqa: BLE001 - failures flow to the futures
             predict_error = exc
             reports = []
@@ -779,25 +775,6 @@ class StreamIngestor:
             self._occupancy.overlap_total() - overlap_before,
         )
         return reports, predict_error, predict_seconds
-
-    def _diagnose_wave(
-        self, succeeded: List[CollectResult], wave: _Wave
-    ) -> List["DiagnosisReport"]:
-        """Run the batched prediction over one wave's surviving outcomes.
-
-        Called under the ingestion lock from :meth:`_predict_locked`.
-        Subclasses that partition prediction state (the tenant router
-        groups the wave per tenant and predicts over each tenant's own
-        index while sharing one deduplicated LLM batch) override this;
-        the default is the copilot's single-index batch path.  The
-        returned reports must align 1:1 with ``succeeded``.
-        """
-        return self.copilot.diagnose_collected(
-            [result.outcome for result in succeeded],
-            started=wave.collect_started,
-            now=self._clock.monotonic,
-            timestamp=self._clock.time(),
-        )
 
     def _finish_wave(
         self,
@@ -836,7 +813,6 @@ class StreamIngestor:
             stats.flush_reasons[wave.reason] = (
                 stats.flush_reasons.get(wave.reason, 0) + 1
             )
-            self._fold_wave_locked(wave)
             exported = stats.as_dict()
         with self._pending_lock:
             predict_inflight = len(self._pending_predictions)
@@ -867,29 +843,12 @@ class StreamIngestor:
                     for suffix, value in wave.autoscale_metrics.items()
                 }
             )
-        metrics.update(self._wave_metrics(wave))
         self.hub.emit_metrics(
             metrics,
             machine="stream-ingestor",
             timestamp=self._clock.time(),
         )
-        self._wave_finished(wave)
         return reports
-
-    def _fold_wave_locked(self, wave: _Wave) -> None:
-        """Per-wave stats hook, called under the stats lock after the global
-        fold; the tenant router folds per-tenant counters here so every
-        locked snapshot sees the global and tenant views move together."""
-
-    def _wave_metrics(self, wave: _Wave) -> Dict[str, float]:
-        """Extra per-wave gauges merged into the batch's telemetry export
-        (the tenant router contributes ``rcacopilot.tenant.<id>.*``)."""
-        return {}
-
-    def _wave_finished(self, wave: _Wave) -> None:
-        """Post-export hook: the wave's futures are resolved and its stats
-        folded.  The tenant router retires the wave's in-flight quota and
-        routing entries here."""
 
     def _fail_batch(
         self,
@@ -906,9 +865,8 @@ class StreamIngestor:
         into the stats, so a batch that crashed *after* its finish fold
         cannot double-count (``processed <= submitted`` stays invariant).
         """
-        failed_items: List[Tuple[Alert, Future]] = []
-        for item in items:
-            future = item[1]
+        failed = 0
+        for _, future in items:
             if future.done():
                 continue
             try:
@@ -917,10 +875,9 @@ class StreamIngestor:
                 pass
             try:
                 future.set_exception(exc)
-                failed_items.append(item)
+                failed += 1
             except Exception:  # noqa: BLE001 - resolved/cancelled meanwhile
                 pass
-        failed = len(failed_items)
         if failed:
             with self._stats_lock:
                 stats = self._ingest_stats
@@ -929,20 +886,6 @@ class StreamIngestor:
                 stats.last_flush_size = failed
                 stats.worker_errors += 1
                 stats.flush_reasons[reason] = stats.flush_reasons.get(reason, 0) + 1
-                self._fold_failed_locked(failed_items, reason)
-        self._batch_failed(items)
-
-    def _fold_failed_locked(
-        self, failed_items: List[Tuple[Alert, Future]], reason: str
-    ) -> None:
-        """Stats hook for a crashed batch, under the stats lock; the tenant
-        router folds the failed items into their tenants' counters here."""
-
-    def _batch_failed(self, items: List[Tuple[Alert, Future]]) -> None:
-        """Containment-path cleanup hook (outside the stats lock), called
-        with the whole batch — including items whose futures an earlier
-        partial finish already resolved.  Must be idempotent; the tenant
-        router retires any still-tracked quota and routing entries here."""
 
     def _apply_pool_target(self, target: int) -> None:
         """Resize the collection pool to the autoscaler's target (if changed).

@@ -122,11 +122,12 @@ class HandlerRegistry:
         """How many handlers reuse each action name.
 
         The paper emphasises reusable actions across handlers; this statistic
-        surfaces that reuse for the handler-authoring example.
+        surfaces that reuse for the handler-authoring example.  Keys follow
+        first appearance, so the order does not depend on string hashing.
         """
         counts: Dict[str, int] = {}
         for versions in self._versions.values():
             entry = versions[-1]
-            for name in set(entry.handler.action_names()):
+            for name in dict.fromkeys(entry.handler.action_names()):
                 counts[name] = counts.get(name, 0) + 1
         return counts

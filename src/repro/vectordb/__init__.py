@@ -11,7 +11,6 @@ segments under one manifest (:mod:`~repro.vectordb.shardmem`, manifest v4).
 
 from .index import VectorIndex, load_index
 from .knn import Neighbor, select_complete_order
-from .namespaces import NamespacedIndexMap
 from .sharded import (
     DEFAULT_WINDOW_DAYS,
     CompactionPolicy,
@@ -33,7 +32,6 @@ __all__ = [
     "load_index",
     "Neighbor",
     "select_complete_order",
-    "NamespacedIndexMap",
     "DEFAULT_WINDOW_DAYS",
     "CompactionPolicy",
     "ShardedVectorIndex",

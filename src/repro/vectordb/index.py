@@ -8,8 +8,6 @@ persisted, and introspected.  One implementation ships,
 into time-window shards so retrieval at multi-100k histories scans only
 temporally relevant shards (and prunes the rest with an exact score bound)
 while returning exactly what a brute-force scan of every entry returns.
-:class:`~repro.vectordb.namespaces.NamespacedIndexMap` keeps one per
-tenant.
 
 ``load_index`` re-opens a persisted index.
 """

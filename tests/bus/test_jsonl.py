@@ -162,6 +162,18 @@ class TestRecordingFormat:
         with pytest.raises(ValueError, match="unknown recording record kind"):
             event_from_record({"kind": "mystery", "offset": 0.0})
 
+    def test_tenant_tagged_alert_is_rejected(self):
+        """A multi-tenant capture must not replay silently as one stream."""
+        import json
+
+        lines = self.build().dumps().splitlines()
+        record = json.loads(lines[1])
+        assert record["kind"] == "alert"
+        record["tenant"] = "alpha"
+        lines[1] = json.dumps(record)
+        with pytest.raises(ValueError, match="'tenant'"):
+            Recording.loads("\n".join(lines))
+
     def test_invalid_json_line_is_reported_with_line_number(self):
         text = self.build().dumps() + "{not json\n"
         with pytest.raises(ValueError, match="line 5 is not valid JSON"):

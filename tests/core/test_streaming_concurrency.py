@@ -22,17 +22,12 @@ from hypothesis import strategies as st
 import streamtest_utils as stu
 from repro.core import (
     AutoscalePolicy,
-    CollectionConfig,
     CollectionError,
     IngestConfig,
-    PipelineConfig,
     RCACopilot,
 )
 from repro.core.errors import IngestQueueFull
 from repro.handlers import HandlerRegistry
-from repro.llm import SimulatedLLM
-from repro.telemetry import TelemetryHub
-from repro.tenancy import TenantRouter
 
 
 #: collect_workers variants locked to the serial baseline.
@@ -363,17 +358,6 @@ def cheap_copilot() -> RCACopilot:
     )
 
 
-def cheap_router(ingest: IngestConfig) -> TenantRouter:
-    """A collection-only tenant router (no handlers, no indexes) for soaks."""
-    return TenantRouter(
-        TelemetryHub(),
-        registry=HandlerRegistry(),
-        model=SimulatedLLM(),
-        config=PipelineConfig(collection=CollectionConfig(strict=False)),
-        ingest=ingest,
-    )
-
-
 class TestStopDrain:
     def test_alert_enqueued_after_final_poll_is_not_dropped(self):
         """White-box regression for the stop() race.
@@ -656,66 +640,6 @@ class TestStatsUnderConcurrency:
         assert not violations, violations[:5]
         stats = ingestor.stats()
         assert stats.processed == stats.submitted == total
-
-    def test_per_tenant_snapshots_stay_consistent_under_storm(self):
-        """Satellite regression: the tenant-scoped view of the same storm.
-
-        Two producers each hammer their *own* tenant of a
-        :class:`TenantRouter` while readers take per-tenant snapshots; the
-        counter invariants must hold inside every tenant's view — not just
-        in the global rollup — which requires the per-tenant counters to
-        move under the same stats lock as the global ones.
-        """
-        per_producer, tenants = 30, ("alpha", "beta")
-        router = cheap_router(
-            IngestConfig(max_batch=4, max_latency_seconds=0.001)
-        )
-        for tenant in tenants:
-            router.register(tenant)
-        router.start()
-        stop_reading = threading.Event()
-        violations = []
-
-        def read_loop():
-            while not stop_reading.is_set():
-                for tenant in tenants:
-                    snapshot = router.tenant_stats(tenant)
-                    if snapshot.processed > snapshot.submitted:
-                        violations.append(
-                            f"{tenant}: processed {snapshot.processed} > "
-                            f"submitted {snapshot.submitted}"
-                        )
-                flat = router.tenant_stats_dict()
-                for tenant, stats in flat.items():
-                    if stats["processed"] > stats["submitted"]:
-                        violations.append(f"{tenant}: flat processed > submitted")
-
-        def produce(tenant, offset):
-            for index in range(per_producer):
-                router.submit(stu.make_stream_alert(offset + index), tenant=tenant)
-
-        readers = [threading.Thread(target=read_loop) for _ in range(4)]
-        writers = [
-            threading.Thread(target=produce, args=(tenant, i * per_producer))
-            for i, tenant in enumerate(tenants)
-        ]
-        for thread in readers + writers:
-            thread.start()
-        try:
-            for thread in writers:
-                thread.join(timeout=60.0)
-            router.stop()
-        finally:
-            stop_reading.set()
-            for thread in readers:
-                thread.join(timeout=30.0)
-        assert not violations, violations[:5]
-        for tenant in tenants:
-            stats = router.tenant_stats(tenant)
-            assert stats.processed == stats.submitted == per_producer
-            assert sum(stats.flush_reasons.values()) == stats.batches
-        global_stats = router.stats()
-        assert global_stats.processed == per_producer * len(tenants)
 
     def test_submit_many_rollback_race_under_load_shed(self):
         """Satellite regression: the queue.Full rollback races a live drainer.

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cloudsim import TransportService
@@ -26,6 +30,21 @@ from repro.handlers.handler import HandlerNode
 from repro.incidents import Incident, Severity
 from repro.monitors import ALERT_TYPES, Alert, AlertScope
 from repro.telemetry import TelemetryHub, TimeWindow
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+SRC = os.path.join(ROOT, "src")
+EXAMPLE = os.path.join(ROOT, "examples", "handler_authoring.py")
+
+#: The handler-authoring example's reuse call, printed as the key order.
+REUSE_SCRIPT = """
+import runpy, sys
+from repro.handlers import HandlerRegistry
+example = runpy.run_path(sys.argv[1])
+registry = HandlerRegistry()
+registry.register(example["build_v1"](), team="Transport")
+registry.register(example["build_v2"](), team="Transport")
+print(list(registry.action_reuse_counts()))
+"""
 
 
 def make_incident(alert_type="DiskSpaceLow", machine="m1", scope=AlertScope.MACHINE):
@@ -195,6 +214,17 @@ class TestRegistry:
     def test_action_reuse_counts(self, registry):
         counts = registry.action_reuse_counts()
         assert counts  # at least some actions are shared across handlers
+        # Keys follow first appearance, so the example prints one order
+        # whatever the interpreter's string-hash seed.
+        orders = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            run = subprocess.run(
+                [sys.executable, "-c", REUSE_SCRIPT, EXAMPLE],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            orders.append(run.stdout)
+        assert orders[0] == orders[1]
 
 
 class TestSerialization:

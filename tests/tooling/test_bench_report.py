@@ -72,22 +72,15 @@ def test_report_survives_garbage_payloads(tmp_path):
     assert "| throughput | collect-bound pool speedup (4 workers) | — |" in report
 
 
-def test_pre_tenancy_archives_render_missing_tenant_cells(tmp_path):
-    """Regression: archives recorded before the ``tenants`` block existed
-    must render "—" for the tenancy rows, not crash or mis-render."""
-    write_run(tmp_path / "old", throughput=THROUGHPUT)  # no "tenants" block
-    tenanted = dict(
-        THROUGHPUT,
-        tenants={"steady_p95_ratio": 1.08, "bursty_shed": 12},
-    )
-    write_run(tmp_path / "new", throughput=tenanted)
+def test_archives_without_a_block_render_missing_cells(tmp_path):
+    """Regression: archives recorded before the ``replay`` block existed
+    must render "—" for the replay rows, not crash or mis-render."""
+    write_run(tmp_path / "old", throughput=THROUGHPUT)  # no "replay" block
+    replayed = dict(THROUGHPUT, replay={"speed": 1000})
+    write_run(tmp_path / "new", throughput=replayed)
     runs = [bench_report.load_run(str(tmp_path / name)) for name in ("old", "new")]
     report = bench_report.render_report(runs)
-    assert (
-        "| throughput | tenants steady p95 wall vs solo (fair share) | — | 1.08 |"
-        in report
-    )
-    assert "| throughput | tenants bursty alerts shed by quota | — | 12 |" in report
+    assert "| throughput | replay speed multiplier (flash crowd) | — | 1000 |" in report
 
 
 def test_cli_writes_output_file(tmp_path, capsys):

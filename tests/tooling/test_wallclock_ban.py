@@ -85,9 +85,10 @@ def test_no_wallclock_calls_outside_clock_module():
     assert not offences, "\n".join(offences)
 
 
-def test_lint_walk_covers_the_tenancy_package():
-    """Regression: new packages are linted by virtue of the os.walk — pin
-    that the tenancy service layer (added after the lint) is in its scope."""
+def test_lint_walk_covers_the_bus_package():
+    """Regression: packages are linted by virtue of the os.walk — pin that
+    the record/replay bus, whose determinism the lint exists for, is in
+    its scope."""
     root = repro_root()
     walked = {
         os.path.relpath(os.path.join(dirpath, filename), root)
@@ -95,8 +96,8 @@ def test_lint_walk_covers_the_tenancy_package():
         for filename in filenames
         if filename.endswith(".py")
     }
-    for expected in ("router.py", "services.py", "__init__.py"):
-        assert os.path.join("tenancy", expected) in walked
+    for expected in ("recorder.py", "replayer.py", "__init__.py"):
+        assert os.path.join("bus", expected) in walked
 
 
 def test_the_detector_itself_catches_every_alias_form():
