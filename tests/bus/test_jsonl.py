@@ -174,6 +174,14 @@ class TestRecordingFormat:
         with pytest.raises(ValueError, match="'tenant'"):
             Recording.loads("\n".join(lines))
 
+    @pytest.mark.parametrize("tenant", ["", None], ids=["empty", "null"])
+    def test_a_tenant_key_is_refused_whatever_its_value(self, tenant):
+        """The key itself marks a multi-tenant capture, even when empty."""
+        record = AlertEvent(offset=1.0, alert=make_alert()).to_record()
+        record["tenant"] = tenant
+        with pytest.raises(ValueError, match="'tenant'"):
+            event_from_record(record)
+
     def test_invalid_json_line_is_reported_with_line_number(self):
         text = self.build().dumps() + "{not json\n"
         with pytest.raises(ValueError, match="line 5 is not valid JSON"):

@@ -226,6 +226,25 @@ class TestRegistry:
             orders.append(run.stdout)
         assert orders[0] == orders[1]
 
+    def test_action_reuse_counts_follow_first_appearance(self):
+        registry = HandlerRegistry()
+        registry.register(
+            linear_handler(
+                "A", "a",
+                [QueryAction("zeta", source="events"), QueryAction("alpha", source="events"),
+                 QueryAction("zeta", source="metrics")],
+            )
+        )
+        registry.register(
+            linear_handler(
+                "B", "b",
+                [QueryAction("mid", source="events"), QueryAction("alpha", source="events")],
+            )
+        )
+        counts = registry.action_reuse_counts()
+        # A handler naming an action twice reuses it once.
+        assert list(counts.items()) == [("zeta", 1), ("alpha", 2), ("mid", 1)]
+
 
 class TestSerialization:
     def test_round_trip_builtin_handlers(self, registry):
