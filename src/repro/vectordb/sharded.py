@@ -46,7 +46,10 @@ and only the cells at or above each query's *floor* are kept.  The floor is
 the query's pool minimum, no higher than ``kth_best``, since nothing below
 it can still reach the result or a scan decision; while that is still
 ``-inf`` (a query's first shard) the block supplies one from its own
-``2k``-th largest category maximum or score (:meth:`_ScanState.fold`).  At
+``2k``-th largest category maximum or score (:meth:`_ScanState.fold`).
+Where a floor still keeps more cells than the merges can take (a shard of
+near copies), only the row's top ``2k`` and each category's maximum stay,
+ties included (:meth:`_ScanState._winners`).  At
 the end of the wave every block's kept cells merge into the pools and the
 per-category bests at once, with one flat ``lexsort`` each
 (:meth:`_ScanState.merge_wave`): a query nominates at most one shard per
@@ -185,7 +188,7 @@ class _ShardData:
     views into the shard's columns.
     """
 
-    __slots__ = ("key", "total", "block", "days", "seqs", "codes", "_groups")
+    __slots__ = ("key", "total", "block", "days", "seqs", "codes", "_groups", "_row_groups")
 
     def __init__(
         self,
@@ -202,6 +205,7 @@ class _ShardData:
         self.seqs = seqs
         self.codes = codes
         self._groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._row_groups: Optional[np.ndarray] = None
 
     def groups(self) -> Tuple[np.ndarray, np.ndarray]:
         """Category grouping of the shard's rows, cached between queries.
@@ -222,6 +226,17 @@ class _ShardData:
             )
             self._groups = (perm, starts)
         return self._groups
+
+    def row_groups(self) -> np.ndarray:
+        """Each row's group in :meth:`groups` (its column of a ``reduceat``
+        over them), cached alike."""
+        if self._row_groups is None:
+            perm, starts = self.groups()
+            self._row_groups = np.empty(self.total, dtype=np.intp)
+            self._row_groups[perm] = np.repeat(
+                np.arange(starts.shape[0]), np.diff(starts, append=self.total)
+            )
+        return self._row_groups
 
 
 def _filtered_rows(
@@ -552,20 +567,52 @@ class _ScanState:
         the higher of the two.  The floors read the pools and bests as the
         wave found them: no merge runs before the wave ends, and no other
         block of the wave holds these query rows.
+
+        A row's merges take at most ``2k`` of its cells into the pool and,
+        with diversity on, one per category into the bests, ties aside.
+        When the floors keep more cells than that over the block (counting
+        every category of the index, so the test reads no shard grouping) —
+        a first block whose floor is a low category maximum, on a shard of
+        near copies — only the cells that can still win stay
+        (:meth:`_winners`).
         """
         floor = self.pool_scores[queries, -1]
         if self.diverse:
             floor = np.minimum(floor, self.kth_best[queries])
         if floor.min() == -math.inf:
             floor = np.maximum(floor, self._block_floor(data, scores))
+        cells = np.flatnonzero(scores >= floor[:, None])
+        room = self.pool_size + (self.best_scores.shape[1] if self.diverse else 0)
+        if cells.shape[0] > queries.shape[0] * room:
+            cells = self._winners(data, scores, cells)
         # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
-        owner, rows = np.divmod(np.flatnonzero(scores >= floor[:, None]), data.total)
+        owner, rows = np.divmod(cells, data.total)
         if owner.shape[0]:
             self._wave.append((
                 queries, owner + self._wave_width, scores[owner, rows],
                 data.seqs[rows], np.full(rows.shape, data.key), rows, data.codes[rows],
             ))
             self._wave_width += queries.shape[0]
+
+    def _winners(self, data: _ShardData, scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The flat ``cells`` of ``scores`` that a merge can still take.
+
+        A cell below its row's ``2k``-th largest score has ``2k`` cells of
+        its own block ahead of it, so it never enters the pool; one below
+        its category's maximum in the row is never that category's best.
+        Every other cell stays: those at or above the ``2k``-th score and
+        those equal to their category's maximum, ties included, since the
+        merges break a tie by sequence.
+        """
+        owner, rows = np.divmod(cells, data.total)
+        taken = scores[owner, rows]
+        column = data.total - self.pool_size
+        wins = taken >= np.partition(scores, column, axis=1)[owner, column]
+        if self.diverse:
+            perm, starts = data.groups()
+            maxima = np.maximum.reduceat(np.take(scores, perm, axis=1), starts, axis=1)
+            wins |= taken == maxima[owner, data.row_groups()[rows]]
+        return cells[wins]
 
     def merge_wave(self) -> None:
         """Merge every cell the wave's blocks kept, in one step per kind.

@@ -2,9 +2,9 @@
 
 ``embed_many`` reads a document once — raw regex matches to table rows,
 rows to two gathers — where it used to embed it token by token, and reads
-each distinct line once per call.  The per-token body is kept here as the
-reference: same tokens in the same order through the same arithmetic, so
-the two must agree to the bit.
+each distinct line once per fit, from a bounded memo of each line's table
+rows.  The per-token body is kept here as the reference: same tokens in the
+same order through the same arithmetic, so the two must agree to the bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datagen import generate_corpus
 from repro.embedding import FastTextConfig, FastTextEmbedder, tokenize
+from repro.embedding import fasttext
 
 
 def reference_embed_many(embedder, texts):
@@ -211,6 +212,75 @@ class TestTableLifecycle:
         stream = [f"socket error {n} on machine {n * 7919} ٣٤{n}" for n in range(500)]
         embedder.embed_many(stream)
         assert (len(embedder._raw_rows), len(embedder._token_rows)) == (raws, rows)
+
+
+#: Waves of texts built from a few shared lines, as recurring reports are.
+SHARED_WAVES = st.lists(SHARED_LINES, min_size=1, max_size=6).flatmap(
+    lambda lines: st.lists(
+        st.lists(
+            st.lists(st.sampled_from(lines), max_size=6).map("\n".join),
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+class TestLineMemo:
+    """Each line's table rows are memoised across calls, for one fit."""
+
+    @given(waves=SHARED_WAVES)
+    @settings(max_examples=100, deadline=None)
+    def test_waves_sharing_lines_embed_as_a_fresh_embedder(self, fitted, waves):
+        stream = copy.copy(fitted)
+        stream._reset_table()
+        for texts in waves:
+            fresh = copy.copy(fitted)
+            fresh._reset_table()
+            assert stream.embed_many(texts).tobytes() == fresh.embed_many(texts).tobytes()
+        lines = {line for texts in waves for text in texts for line in text.split("\n")}
+        assert set(stream._line_rows) == lines
+
+    def test_a_recurring_line_is_tokenised_once(self, embedder, history_texts, monkeypatch):
+        embedder.embed_many(history_texts)
+        calls = []
+        original = FastTextEmbedder._line_match_rows
+        monkeypatch.setattr(
+            FastTextEmbedder,
+            "_line_match_rows",
+            lambda self, line: calls.append(line) or original(self, line),
+        )
+        first = embedder.embed_many(history_texts[:5] + ["a line of its own"])
+        assert calls == ["a line of its own"]
+        assert first[:5].tobytes() == embedder.embed_many(history_texts[:5]).tobytes()
+
+    def test_fit_empties_the_memo(self, history_texts):
+        embedder = FastTextEmbedder(small_config()).fit(history_texts[:10])
+        embedder.embed_many(history_texts[:20])
+        assert embedder._line_rows
+        embedder.fit(history_texts[10:30])
+        assert not embedder._line_rows
+        refit = FastTextEmbedder(small_config()).fit(history_texts[10:30])
+        assert (
+            embedder.embed_many(history_texts[:20]).tobytes()
+            == refit.embed_many(history_texts[:20]).tobytes()
+        )
+
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_filling_past_the_cap_changes_no_bit(self, embedder, history_texts,
+                                                 monkeypatch, cap):
+        monkeypatch.setattr(fasttext, "_LINE_MEMO_CAP", cap)
+        embedder._reset_table()
+        distinct = {line for text in history_texts for line in text.split("\n")}
+        assert len(distinct) > 2 * cap
+        for start in range(0, len(history_texts), 7):
+            texts = history_texts[start:start + 7] + history_texts[: start // 7]
+            assert (
+                embedder.embed_many(texts).tobytes()
+                == reference_embed_many(embedder, texts).tobytes()
+            )
+            assert len(embedder._line_rows) <= cap
 
 
 class TestNoPerTokenWork:
