@@ -21,7 +21,7 @@ Usage::
 Unknown or missing files/metrics degrade to "—" cells — the report never
 fails because a benchmark was skipped (e.g. a ``--quick`` run that dropped
 a profile) or because an older archive predates a metric (e.g. runs
-recorded before the ``replay`` block existed).
+recorded before the ``chaos`` block existed).
 """
 
 from __future__ import annotations
@@ -86,20 +86,6 @@ METRICS: List[Tuple[str, str, str, object]] = [
     ),
     (
         "throughput",
-        "autoscaled wall vs best static (bursty)",
-        "BENCH_throughput.json",
-        lambda p: _get(p, "bursty_autoscale", "autoscaled", "wall_ratio_vs_best_static"),
-    ),
-    (
-        "throughput",
-        "autoscaled worker-seconds vs best static (bursty)",
-        "BENCH_throughput.json",
-        lambda p: _get(
-            p, "bursty_autoscale", "autoscaled", "worker_seconds_ratio_vs_best_static"
-        ),
-    ),
-    (
-        "throughput",
         "chaos wall ratio vs healthy (10% LLM timeouts)",
         "BENCH_throughput.json",
         lambda p: _get(p, "chaos", "wall_ratio"),
@@ -115,26 +101,6 @@ METRICS: List[Tuple[str, str, str, object]] = [
         "chaos degraded labels",
         "BENCH_throughput.json",
         lambda p: _get(p, "chaos", "degraded_labels"),
-    ),
-    (
-        "throughput",
-        "replay autoscaled wall vs best static (flash crowd)",
-        "BENCH_throughput.json",
-        lambda p: _get(p, "replay", "autoscaled", "wall_ratio_vs_best_static"),
-    ),
-    (
-        "throughput",
-        "replay autoscaled worker-seconds vs largest static",
-        "BENCH_throughput.json",
-        lambda p: _get(
-            p, "replay", "autoscaled", "worker_seconds_ratio_vs_largest_static"
-        ),
-    ),
-    (
-        "throughput",
-        "replay speed multiplier (flash crowd)",
-        "BENCH_throughput.json",
-        lambda p: _get(p, "replay", "speed"),
     ),
     (
         "retrieval",

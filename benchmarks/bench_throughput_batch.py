@@ -26,11 +26,10 @@ from dataclasses import replace
 from typing import List
 
 import numpy as np
-import pytest
 
 from bench_utils import read_results, write_results
 
-from repro.core import AutoscalePolicy, IngestConfig, RCACopilot
+from repro.core import IngestConfig, RCACopilot
 from repro.datagen import generate_corpus
 from repro.handlers import (
     HandlerRegistry,
@@ -447,326 +446,6 @@ def test_pipelined_ingest_vs_barrier(pipeline_soak):
     assert speedup >= 1.3, (
         f"the double-buffered pipeline must be >= 1.3x barrier wall clock "
         f"on a balanced collect/predict stream, got {speedup:.2f}x"
-    )
-
-
-# ------------------------------------------------------------ bursty arrival
-#: Bursty-arrival profile: alternating collect-bound bursts and idle
-#: trickles.  The autoscaled pool must stay within 1.2x of the best static
-#: size on wall time while paying fewer worker-seconds over the idle
-#: phases (a static pool keeps all its lanes through the quiet stretches).
-BURST_ALERTS = 24
-BURST_COUNT = 6
-QUICK_BURST_COUNT = 3
-IDLE_ALERTS = 5
-BURSTY_MAX_BATCH = 8
-STATIC_POOL_SIZES = (1, 2, 4)
-AUTOSCALE_MAX = 4
-
-
-def _bursty_config(workers, autoscaled: bool) -> IngestConfig:
-    policy = None
-    if autoscaled:
-        # Responsive profile for second-scale bursts: a single batch of
-        # evidence moves the pool, a deep backlog jumps it straight to the
-        # ceiling before the batch runs (so a burst arriving at a shrunken
-        # pool never pays a slow first batch).
-        policy = AutoscalePolicy(
-            high_utilization=0.8,
-            low_utilization=0.3,
-            ewma_alpha=1.0,
-            hysteresis_batches=1,
-            shrink_step=2,
-            cooldown_seconds=0.0,
-            burst_queue_factor=1.5,
-        )
-    return IngestConfig(
-        max_batch=BURSTY_MAX_BATCH,
-        max_latency_seconds=5.0,
-        collect_workers=workers,
-        collect_workers_min=1,
-        collect_workers_max=AUTOSCALE_MAX,
-        autoscale=policy,
-    )
-
-
-def _bursty_stream(copilot: RCACopilot, config: IngestConfig, bursts: int) -> tuple:
-    """(wall seconds, worker-seconds, labels) for one pool configuration."""
-    ingestor = copilot.stream(config)
-    labels = []
-    index = 0
-    started = time.perf_counter()
-    for _ in range(bursts):
-        burst = _collect_bound_alerts(BURST_ALERTS + IDLE_ALERTS + index)[index:]
-        ingestor.submit_many(burst[:BURST_ALERTS])
-        labels.extend(r.predicted_label for r in ingestor.flush())
-        # Idle trickle: one sparse alert per flush, so every batch boundary
-        # sees an (almost) empty queue and a mostly-idle pool.
-        for alert in burst[BURST_ALERTS:]:
-            ingestor.submit(alert)
-            labels.extend(r.predicted_label for r in ingestor.flush())
-        index += BURST_ALERTS + IDLE_ALERTS
-    wall = time.perf_counter() - started
-    ingestor.stop()
-    worker_seconds = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.collect_worker_seconds_total", "stream-ingestor"
-    )
-    return wall, worker_seconds, labels
-
-
-def test_bursty_arrival_autoscaled_pool(quick_mode):
-    """Autoscaling rides bursts at static-pool speed but sheds idle capacity.
-
-    Static pools of 1/2/4 workers and the autoscaled (1..4) pool replay the
-    same bursty stream.  Gates: identical labels everywhere, autoscaled
-    wall time within 1.2x of the best static size, and strictly fewer
-    worker-seconds than that best static pool (the savings come from the
-    idle phases, where the autoscaler shrinks).
-    """
-    bursts = QUICK_BURST_COUNT if quick_mode else BURST_COUNT
-    base = _collect_bound_copilot()
-    base.observe(_collect_bound_alerts(1)[0])  # untimed warm-up
-
-    results = {}
-    for workers in STATIC_POOL_SIZES:
-        copilot = copy.deepcopy(base)
-        results[f"static_{workers}"] = _bursty_stream(
-            copilot, _bursty_config(workers, autoscaled=False), bursts
-        )
-    auto_copilot = copy.deepcopy(base)
-    auto_wall, auto_ws, auto_labels = _bursty_stream(
-        auto_copilot, _bursty_config(None, autoscaled=True), bursts
-    )
-
-    print()
-    print(f"{'pool':>12} {'wall s':>8} {'worker-s':>9}")
-    for name, (wall, worker_seconds, _) in results.items():
-        print(f"{name:>12} {wall:>8.2f} {worker_seconds:>9.2f}")
-    print(f"{'autoscaled':>12} {auto_wall:>8.2f} {auto_ws:>9.2f}")
-
-    best_name = min(results, key=lambda name: results[name][0])
-    best_wall, best_ws, best_labels = results[best_name]
-    # Parity: the autoscaled stream produces the exact labels of every
-    # static pool (the batch-boundary resize guarantee).
-    for _, _, labels in results.values():
-        assert labels == auto_labels
-    wall_ratio = auto_wall / best_wall
-    print(
-        f"best static: {best_name} ({best_wall:.2f}s); autoscaled "
-        f"{wall_ratio:.2f}x wall, {auto_ws / best_ws:.2f}x worker-seconds"
-    )
-    merged = read_results("BENCH_throughput.json")
-    merged.setdefault("benchmark", "throughput_batch")
-    merged["bursty_autoscale"] = {
-        "bursts": bursts,
-        "burst_alerts": BURST_ALERTS,
-        "idle_alerts": IDLE_ALERTS,
-        "sleep_seconds": COLLECT_SLEEP_SECONDS,
-        "cores": os.cpu_count() or 1,
-        "quick_mode": bool(quick_mode),
-        "static": {
-            name: {"wall_seconds": wall, "worker_seconds": worker_seconds}
-            for name, (wall, worker_seconds, _) in results.items()
-        },
-        "autoscaled": {
-            "wall_seconds": auto_wall,
-            "worker_seconds": auto_ws,
-            "wall_ratio_vs_best_static": wall_ratio,
-            "worker_seconds_ratio_vs_best_static": auto_ws / best_ws,
-        },
-    }
-    path = write_results("BENCH_throughput.json", merged)
-    print(f"machine-readable results: {path}")
-    assert wall_ratio <= 1.2, (
-        f"autoscaled pool must stay within 1.2x of the best static size "
-        f"({best_name}), got {wall_ratio:.2f}x"
-    )
-    assert auto_ws < best_ws, (
-        f"autoscaled pool must spend fewer worker-seconds than {best_name} "
-        f"({auto_ws:.2f} vs {best_ws:.2f})"
-    )
-
-
-# -------------------------------------------------------------------- replay
-#: Recorded-traffic replay profile (``--replay``): the checked-in
-#: flash-crowd corpus replayed faster than real time on the real clock
-#: (pool parallelism is real thread overlap, which a virtual clock cannot
-#: model), A/Bing the autoscaled collection pool against static sizes.
-#: Every handler sleep-simulates telemetry I/O, so the burst phase is
-#: collect-bound and pool size is what the wall clock measures.
-REPLAY_CORPUS = "flash_crowd"
-REPLAY_SPEED = 2000.0
-REPLAY_SLEEP_SECONDS = 0.02
-REPLAY_MAX_BATCH = 8
-REPLAY_STATIC_POOLS = (1, 2, 4)
-
-
-def _replay_registry() -> HandlerRegistry:
-    """One collect-bound (sleeping) handler per Table-1 alert type."""
-    from repro.cloudsim.scenarios import TABLE1_SCENARIOS
-
-    registry = HandlerRegistry()
-    for scenario in TABLE1_SCENARIOS:
-        registry.register(
-            linear_handler(
-                scenario.alert_type,
-                f"replay-{scenario.alert_type.lower()}",
-                [
-                    QueryAction(
-                        "slow_probe",
-                        source="metrics",
-                        metric_names=["delivery_queue_length"],
-                        classify=_bench_sleep_classifier,
-                    ),
-                    QueryAction("recent_events", source="events"),
-                ],
-            )
-        )
-    return registry
-
-
-def _replay_copilot() -> RCACopilot:
-    corpus = generate_corpus(
-        total_incidents=160, total_categories=45, seed=71, duration_days=180.0
-    )
-    train, _ = corpus.chronological_split(0.75)
-    copilot = RCACopilot(
-        TelemetryHub(), registry=_replay_registry(), model=SimulatedLLM()
-    )
-    copilot.index_history(train)
-    return copilot
-
-
-def _replay_config(workers, autoscaled: bool) -> IngestConfig:
-    policy = None
-    if autoscaled:
-        policy = AutoscalePolicy(
-            high_utilization=0.8,
-            low_utilization=0.3,
-            ewma_alpha=1.0,
-            hysteresis_batches=1,
-            shrink_step=2,
-            cooldown_seconds=0.0,
-            burst_queue_factor=1.5,
-        )
-    return IngestConfig(
-        max_batch=REPLAY_MAX_BATCH,
-        max_latency_seconds=120.0,
-        collect_workers=workers,
-        collect_workers_min=1,
-        collect_workers_max=max(REPLAY_STATIC_POOLS),
-        autoscale=policy,
-    )
-
-
-def _replay_once(recording, config: IngestConfig) -> tuple:
-    """(wall seconds, worker-seconds, labels, stats) for one pool config."""
-    from repro.bus import BusReplayer
-
-    copilot = _replay_copilot()
-    ingestor = copilot.stream(config)
-    started = time.perf_counter()
-    result = BusReplayer(recording, speed=REPLAY_SPEED).replay(ingestor)
-    wall = time.perf_counter() - started
-    ingestor.stop()
-    assert not result.failures
-    assert len(result.reports) == len(recording.alerts)
-    worker_seconds = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.collect_worker_seconds_total", "stream-ingestor"
-    )
-    labels = [report.predicted_label for report in result.reports]
-    return wall, worker_seconds, labels, result.stats
-
-
-def test_replay_flash_crowd_autoscale_ab(replay_profile):
-    """``--replay`` profile: autoscaler vs static pools on recorded traffic.
-
-    The flash-crowd corpus (calm -> dense multi-category burst -> cool-down)
-    replays at 2000x on the real clock through static pools of 1/2/4
-    workers and the autoscaled (1..4) pool.  Gates: every pool shape
-    reproduces identical labels and identical ingest counters (the replay
-    determinism contract), the autoscaled pool rides the burst within 1.3x
-    of the best static wall clock, and it pays fewer worker-seconds than
-    the largest static pool (the calm and cool-down phases are where it
-    shrinks).
-    """
-    if not replay_profile:
-        pytest.skip("recorded-traffic replay profile runs with --replay")
-    from repro.bus.corpora import load_corpus
-
-    global COLLECT_SLEEP_SECONDS
-    recording = load_corpus(REPLAY_CORPUS)
-    previous_sleep = COLLECT_SLEEP_SECONDS
-    COLLECT_SLEEP_SECONDS = REPLAY_SLEEP_SECONDS
-    try:
-        results = {}
-        for workers in REPLAY_STATIC_POOLS:
-            results[f"static_{workers}"] = _replay_once(
-                recording, _replay_config(workers, autoscaled=False)
-            )
-        auto_wall, auto_ws, auto_labels, auto_stats = _replay_once(
-            recording, _replay_config(None, autoscaled=True)
-        )
-    finally:
-        COLLECT_SLEEP_SECONDS = previous_sleep
-
-    print()
-    print(
-        f"replay A/B ({REPLAY_CORPUS}: {len(recording.alerts)} alerts over "
-        f"{recording.duration_seconds:.0f}s recorded, {REPLAY_SPEED:.0f}x, "
-        f"{REPLAY_SLEEP_SECONDS * 1000:.0f}ms simulated I/O per handler)"
-    )
-    print(f"{'pool':>12} {'wall s':>8} {'worker-s':>9}")
-    for name, (wall, worker_seconds, _, _) in results.items():
-        print(f"{name:>12} {wall:>8.2f} {worker_seconds:>9.2f}")
-    print(f"{'autoscaled':>12} {auto_wall:>8.2f} {auto_ws:>9.2f}")
-
-    # Replay determinism across pool shapes: identical labels and counters.
-    baseline_stats = auto_stats.as_dict()
-    for name, (_, _, labels, stats) in results.items():
-        assert labels == auto_labels, f"label mismatch vs {name}"
-        assert stats.as_dict() == baseline_stats, f"stats mismatch vs {name}"
-
-    best_name = min(results, key=lambda name: results[name][0])
-    best_wall = results[best_name][0]
-    largest = f"static_{max(REPLAY_STATIC_POOLS)}"
-    largest_ws = results[largest][1]
-    wall_ratio = auto_wall / best_wall
-    print(
-        f"best static: {best_name} ({best_wall:.2f}s); autoscaled "
-        f"{wall_ratio:.2f}x wall, {auto_ws / largest_ws:.2f}x worker-seconds "
-        f"vs {largest}"
-    )
-    merged = read_results("BENCH_throughput.json")
-    merged.setdefault("benchmark", "throughput_batch")
-    merged["replay"] = {
-        "corpus": REPLAY_CORPUS,
-        "speed": REPLAY_SPEED,
-        "alerts": len(recording.alerts),
-        "feedbacks": len(recording.feedbacks),
-        "recorded_seconds": recording.duration_seconds,
-        "sleep_seconds": REPLAY_SLEEP_SECONDS,
-        "cores": os.cpu_count() or 1,
-        "static": {
-            name: {"wall_seconds": wall, "worker_seconds": worker_seconds}
-            for name, (wall, worker_seconds, _, _) in results.items()
-        },
-        "autoscaled": {
-            "wall_seconds": auto_wall,
-            "worker_seconds": auto_ws,
-            "wall_ratio_vs_best_static": wall_ratio,
-            "worker_seconds_ratio_vs_largest_static": auto_ws / largest_ws,
-        },
-    }
-    path = write_results("BENCH_throughput.json", merged)
-    print(f"machine-readable results: {path}")
-    assert wall_ratio <= 1.3, (
-        f"autoscaled pool must replay the flash crowd within 1.3x of the "
-        f"best static size ({best_name}), got {wall_ratio:.2f}x"
-    )
-    assert auto_ws < largest_ws, (
-        f"autoscaled pool must spend fewer worker-seconds than {largest} "
-        f"({auto_ws:.2f} vs {largest_ws:.2f})"
     )
 
 

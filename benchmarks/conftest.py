@@ -59,18 +59,6 @@ def pytest_addoption(parser):
         ),
     )
     parser.addoption(
-        "--replay",
-        action="store_true",
-        default=False,
-        help=(
-            "run the recorded-traffic replay profile "
-            "(bench_throughput_batch.py): replay the checked-in flash-crowd "
-            "corpus faster than real time and A/B the autoscaled collection "
-            "pool against static pool sizes, with label-parity and "
-            "worker-seconds gates"
-        ),
-    )
-    parser.addoption(
         "--chaos",
         action="store_true",
         default=False,
@@ -101,12 +89,6 @@ def collect_bound_soak(request):
 def pipeline_soak(request):
     """True when the pipelined-ingest profile should run at soak scale."""
     return bool(request.config.getoption("--pipeline", default=False))
-
-
-@pytest.fixture(scope="session")
-def replay_profile(request):
-    """True when the recorded-traffic replay profile should run."""
-    return bool(request.config.getoption("--replay", default=False))
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,6 @@ from repro.chaos import (
 )
 from repro.cloudsim import TransportService
 from repro.core import (
-    AutoscalePolicy,
     IndexConfig,
     IngestConfig,
     PipelineConfig,
@@ -79,22 +78,13 @@ def main() -> None:
             ),
         ),
         # The collection phase of each micro-batch (handler action graphs:
-        # log pulls, probe queries) runs on a worker-thread pool whose size
-        # is autoscaled between 1 and 4 from measured per-batch utilization
-        # (grow on sustained high utilization or a deep backlog, shrink
-        # when idle; resizes only at batch boundaries).  Diagnosis reports
-        # and ingest counters are identical to any static pool size.
+        # log pulls, probe queries) runs on a pool of four worker threads.
+        # Diagnosis reports and ingest counters are identical to serial
+        # collection.
         ingest=IngestConfig(
             max_batch=4,
             max_latency_seconds=0.2,
-            collect_workers_min=1,
-            collect_workers_max=4,
-            autoscale=AutoscalePolicy(
-                high_utilization=0.75,
-                low_utilization=0.25,
-                hysteresis_batches=1,
-                cooldown_seconds=0.0,
-            ),
+            collect_workers=4,
             # Double-buffered ingestion: wave N+1's collection overlaps
             # wave N's (strictly serialized) prediction.  Reports, feedback
             # visibility, and every ingest counter are identical to barrier
@@ -188,14 +178,6 @@ def main() -> None:
         f"{flat['collect_busy_fraction']:.0%}, predict busy "
         f"{flat['predict_busy_fraction']:.0%} of the stream's span; "
         f"{int(flat['predict_inflight'])} prediction(s) still in flight)"
-    )
-    print(
-        f"autoscaler: pool now {int(flat['autoscale_pool_size'])} worker(s) in "
-        f"[{int(flat['autoscale_pool_min'])}, {int(flat['autoscale_pool_max'])}], "
-        f"utilization EWMA {flat['autoscale_utilization_ewma']:.0%}; "
-        f"{int(flat['autoscale_scale_up_total'])} scale-up(s) "
-        f"({int(flat['autoscale_burst_grow_total'])} burst), "
-        f"{int(flat['autoscale_scale_down_total'])} scale-down(s)"
     )
     index_stats = copilot.prediction.index.stats()
     print(

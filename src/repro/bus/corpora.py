@@ -9,8 +9,8 @@ Two production-shaped traffic recordings ship as benchmark fixtures under
   third of them get OCE feedback some minutes later;
 * **flash_crowd** — a short calm phase, then a dense multi-category burst
   (the monitors' dedup window is narrowed so the crowd actually reaches
-  the bus), then cool-down: the recording the autoscaler A/B benchmark
-  replays.
+  the bus), then cool-down: the recording the golden-traffic suite and
+  ``examples/streaming_triage.py`` replay.
 
 Both are pure functions of their seed: the simulation, the injection
 schedule, the per-alert jitter and the feedback choices all draw from

@@ -33,9 +33,7 @@ no live code runs is an open ROADMAP question.
 
 Pool-shape note: collection may still fan out to a thread pool during
 replay; reports and counters are pool-shape-invariant by the
-ingestor's own contract.  Time-based *control* loops (autoscaler
-cooldowns) see the compressed timeline, so golden suites that compare
-across speeds pin static pools or zero cooldowns.
+ingestor's own contract.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ chat model                  :class:`FaultyChatModel`        :class:`ResilientCha
 index load-save I/O         corrupt bytes on disk           typed
                                                             ``IndexCorruptionError`` +
                                                             :func:`load_index_resilient`
-ingest queue / collect      slow or crashing handlers       futures shed per alert;
-                            via the handler hook            autoscaler spike damping
+ingest queue / collect      slow or crashing handlers       futures shed per alert
+                            via the handler hook
 ==========================  =============================  =========================
 
 Telemetry: injections count into ``rcacopilot.faults.*``

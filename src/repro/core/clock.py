@@ -1,12 +1,12 @@
-"""Injectable time source for the streaming front and its control loops.
+"""Injectable time source for the streaming front.
 
 Everything timing-dependent in the ingestion path — the worker's wait for
-an alert and its stop poll, collection-phase wall times, and the pool
-autoscaler's cooldown window — reads time through a :class:`Clock` instead
-of calling :mod:`time` directly.  Production uses :class:`MonotonicClock`
-(real ``time.monotonic``/``time.sleep``); tests inject a step-controlled
-fake (``tests/core/streamtest_utils.FakeClock``) so every flush, cooldown,
-and utilization-window path runs deterministically, without real sleeps or
+an alert and its stop poll, and the collect/predict phase wall times —
+reads time through a :class:`Clock` instead of calling :mod:`time`
+directly.  Production uses :class:`MonotonicClock` (real
+``time.monotonic``/``time.sleep``); tests inject a step-controlled fake
+(``tests/core/streamtest_utils.FakeClock``) so every flush and
+utilization-window path runs deterministically, without real sleeps or
 wall-clock races.
 
 The interface is deliberately small:

@@ -87,64 +87,14 @@ class CollectionPool:
         #: Time source for per-task wall times and worker-second accounting.
         self.clock = clock or MONOTONIC_CLOCK
         self._executor: Optional[ThreadPoolExecutor] = None
-        #: Executors retired by :meth:`resize`; their threads exit on their
-        #: own, and :meth:`close` joins them so a stopped ingestor provably
-        #: leaks nothing.
-        self._retired: List[ThreadPoolExecutor] = []
-        #: Scale events applied to this pool (grow + shrink).
-        self.resize_events = 0
-        #: Collect waves currently inside :meth:`run`.  Under pipelined
-        #: ingestion the *prediction* of an earlier wave may still be in
-        #: flight while the pool sits at a collect boundary — this counter
-        #: is what lets :meth:`resize` tell "collect idle" (safe) apart
-        #: from "fully idle", and is exported to the autoscaler's caller.
-        self.inflight_waves = 0
         #: Σ pool_size × wave wall time: the capacity paid for, whether or
-        #: not it was used.  The autoscaling benchmark's economy metric.
+        #: not it was used (the ``collect_worker_seconds_total`` gauge).
         self.worker_seconds = 0.0
 
-    # ------------------------------------------------------------------- sizing
     @property
     def pool_size(self) -> int:
         """Workers in the pool (0 = serial mode)."""
         return 0 if self.workers is None else self.workers
-
-    def resize(self, workers: int) -> None:
-        """Change the worker count; callers must be at a collect boundary.
-
-        Only valid between :meth:`run` calls (the stream ingestor resizes
-        under its collection lock, after one wave's collection and before
-        the next), so no task is ever in flight across a resize — enforced
-        via :attr:`inflight_waves`.  Growing is in-place —
-        :class:`ThreadPoolExecutor` spawns threads lazily up to its
-        ceiling, so raising the ceiling suffices.  Shrinking retires the
-        idle executor instead; the next wave lazily rebuilds at the new
-        size.
-        """
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        if self.workers is None:
-            raise RuntimeError("cannot resize a serial pool")
-        if self.inflight_waves:
-            raise RuntimeError(
-                "cannot resize the collection pool while a collect wave is "
-                "in flight (resizes belong at collect boundaries)"
-            )
-        if workers == self.workers:
-            return
-        growing = workers > self.workers
-        self.workers = workers
-        self.resize_events += 1
-        if self._executor is None:
-            return
-        if growing and hasattr(self._executor, "_max_workers"):
-            # CPython's ThreadPoolExecutor checks this ceiling on every
-            # submit and spawns workers lazily up to it.
-            self._executor._max_workers = workers
-            return
-        self._executor.shutdown(wait=False)
-        self._retired.append(self._executor)
-        self._executor = None
 
     # -------------------------------------------------------------------- run
     def run(
@@ -159,13 +109,7 @@ class CollectionPool:
         """
         if len(alerts) != len(incident_ids):
             raise ValueError("one pre-reserved incident id is required per alert")
-        # Join executors retired by earlier resizes: their workers were told
-        # to exit at retire time (the pool was idle), so this is effectively
-        # instant — and it keeps _retired from growing without bound on a
-        # long-lived stream whose autoscaler flaps.
-        self._prune_retired()
         wave_started = self.clock.monotonic()
-        self.inflight_waves += 1
         try:
             queries = CoalescingScope()
             tasks = list(enumerate(zip(alerts, incident_ids)))
@@ -180,7 +124,6 @@ class CollectionPool:
             ]
             return [future.result() for future in futures]
         finally:
-            self.inflight_waves -= 1
             lanes = self.workers if self.workers else 1
             self.worker_seconds += lanes * (self.clock.monotonic() - wave_started)
 
@@ -219,31 +162,12 @@ class CollectionPool:
     def close(self) -> None:
         """Shut the executor down; a later :meth:`run` lazily recreates it.
 
-        Also joins every executor retired by earlier :meth:`resize` calls —
-        their workers were told to exit when they were retired, so this is
-        normally instant, but it makes "no threads survive a stopped
-        ingestor" a guarantee rather than a likelihood.
-
-        Idempotent and exception safe: the executor is detached before any
-        teardown call and the retired executors are joined in ``finally``,
-        so a shutdown that raises still joins them, and a repeated
-        ``close()`` is a no-op.
+        Idempotent: the executor is detached before the shutdown call, so a
+        repeated ``close()`` is a no-op.
         """
         executor, self._executor = self._executor, None
-        try:
-            if executor is not None:
-                executor.shutdown(wait=True)
-        finally:
-            self._prune_retired()
-
-    def _prune_retired(self) -> None:
-        """Join and drop executors retired by :meth:`resize`.
-
-        Pops before joining so an executor whose shutdown raises is still
-        dropped — the next close() retries only the survivors.
-        """
-        while self._retired:
-            self._retired.pop().shutdown(wait=True)
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "CollectionPool":
         return self

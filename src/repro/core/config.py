@@ -7,7 +7,6 @@ from enum import Enum
 from typing import Optional
 
 from ..vectordb import DEFAULT_ALPHA, DEFAULT_K, CompactionPolicy
-from .autoscale import AutoscalePolicy
 
 
 class ContextSource(str, Enum):
@@ -154,17 +153,6 @@ class IngestConfig:
     #: flushing thread (the pre-pool behaviour), N >= 1 fans each
     #: micro-batch's parse+collect calls out to N workers.
     collect_workers: Optional[int] = None
-    #: Utilization-driven autoscaling of the collection pool: an
-    #: :class:`~repro.core.autoscale.AutoscalePolicy` enables the control
-    #: loop (grow on sustained high utilization, shrink when idle,
-    #: hysteresis + cooldown against flapping; resizes only at batch
-    #: boundaries, so reports and counters stay identical to a static
-    #: pool).  None (the default) keeps the pool at ``collect_workers``.
-    autoscale: Optional[AutoscalePolicy] = None
-    #: Autoscaler floor: the pool never shrinks below this many workers.
-    collect_workers_min: int = 1
-    #: Autoscaler ceiling: the pool never grows beyond this many workers.
-    collect_workers_max: int = 8
     #: Micro-batches in flight at once: 1 (the default) is the classic
     #: barrier execution — collect and predict of one wave finish before the
     #: next wave starts; N >= 2 double-buffers the two phases, overlapping
@@ -185,33 +173,6 @@ class IngestConfig:
             raise ValueError("collect_workers must be positive (or None for serial)")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be positive")
-        if self.collect_workers_min < 1:
-            raise ValueError("collect_workers_min must be positive")
-        if self.collect_workers_max < self.collect_workers_min:
-            raise ValueError("collect_workers_max must be >= collect_workers_min")
-        if self.autoscale is not None and self.collect_workers is not None:
-            if not (
-                self.collect_workers_min
-                <= self.collect_workers
-                <= self.collect_workers_max
-            ):
-                raise ValueError(
-                    "with autoscaling enabled, collect_workers is the starting "
-                    "size and must lie within "
-                    "[collect_workers_min, collect_workers_max]"
-                )
-
-    def initial_collect_workers(self) -> Optional[int]:
-        """The pool size an ingestor starts with under this config.
-
-        ``collect_workers`` when set; with autoscaling enabled and no
-        explicit start, the autoscaler's floor (the loop grows from there).
-        """
-        if self.collect_workers is not None:
-            return self.collect_workers
-        if self.autoscale is not None:
-            return self.collect_workers_min
-        return None
 
 
 @dataclass

@@ -142,7 +142,7 @@ class RCACopilot:
         stream into ``observe_many`` batches automatically (bounded queue,
         work-conserving flush); see ``examples/streaming_triage.py``.
         ``clock`` injects an alternative time source (tests pass a
-        step-controlled fake so flush and autoscaling paths run
+        step-controlled fake so flush and phase-timing paths run
         deterministically); when omitted the ingestor shares the copilot's
         own clock, so a copilot built for replay streams on the replayed
         timeline without further plumbing.

@@ -52,13 +52,7 @@ One extra caveat in pipelined mode: a future done-callback must not call
 ``flush()`` — the callback runs on the prediction lane, and its wave would
 queue behind itself; ``submit`` and ``record_feedback`` remain safe.
 
-With :attr:`IngestConfig.autoscale` set, a
-:class:`~repro.core.autoscale.PoolAutoscaler` watches each batch's measured
-pool utilization, queue backlog, and phase split, and resizes the
-collection pool between ``collect_workers_min`` and ``collect_workers_max``
-— always at a batch boundary, so the submission-order fold and report
-parity are untouched.  Every timing path (worker polls, phase walls,
-autoscaler cooldown) reads the injected
+Every timing path (worker polls, phase walls) reads the injected
 :class:`~repro.core.clock.Clock`, making the whole control surface
 deterministic under the test harness's fake clock.
 
@@ -90,7 +84,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..incidents import Incident
 from ..monitors import Alert
-from .autoscale import PoolAutoscaler
 from .clock import MONOTONIC_CLOCK, Clock
 from .collect_pool import CollectionPool, CollectResult
 from .config import IngestConfig
@@ -209,12 +202,6 @@ class _StageOccupancy:
     def predict_end(self) -> None:
         self._shift(0, -1)
 
-    def overlap_total(self) -> float:
-        """Cumulative collect/predict overlap, accrued to now."""
-        with self._lock:
-            self._accrue_locked(self._clock.monotonic())
-            return self.overlap
-
     def snapshot(self) -> Dict[str, float]:
         """The occupancy gauges as a flat metric mapping (suffix -> value)."""
         with self._lock:
@@ -244,9 +231,7 @@ class _Wave:
     reason: str
     collect_started: float
     collect_seconds: float
-    pool_size: int
     utilization: float
-    autoscale_metrics: Optional[Dict[str, float]] = None
 
 
 class StreamIngestor:
@@ -261,9 +246,9 @@ class StreamIngestor:
         self.copilot = copilot
         self.config = config or getattr(copilot.config, "ingest", None) or IngestConfig()
         self.hub = copilot.hub
-        #: Time source for the worker's stop poll, phase timings, and the
-        #: autoscaler's cooldown window.  Tests inject a step-controlled
-        #: fake clock so every timing path runs deterministically.
+        #: Time source for the worker's stop poll and phase timings.  Tests
+        #: inject a step-controlled fake clock so every timing path runs
+        #: deterministically.
         self._clock = clock or MONOTONIC_CLOCK
         self._queue: "queue.Queue[Tuple[Alert, Future]]" = queue.Queue(
             maxsize=self.config.queue_capacity
@@ -277,11 +262,11 @@ class StreamIngestor:
         #: Separate from ``_lock`` so submitters never wait on a running
         #: batch just to bump a counter.
         self._stats_lock = threading.Lock()
-        #: Serializes wave *collection* (and pool resizes) across the
-        #: background worker and concurrent manual ``flush()`` callers in
-        #: pipelined mode.  Under barrier execution the ingestion lock
-        #: covers this already; pipelined, collection must not wait behind
-        #: a running prediction, hence the separate lock.
+        #: Serializes wave *collection* across the background worker and
+        #: concurrent manual ``flush()`` callers in pipelined mode.  Under
+        #: barrier execution the ingestion lock covers this already;
+        #: pipelined, collection must not wait behind a running prediction,
+        #: hence the separate lock.
         self._collect_lock = threading.Lock()
         self._worker: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -300,32 +285,15 @@ class StreamIngestor:
         )
         self._pending_lock = threading.Lock()
         self._pending_predictions: List[Future] = []
-        #: (predict_seconds, overlap_seconds) of the last *completed*
-        #: prediction — what the pipelined autoscale observation feeds the
-        #: control loop at the next collect boundary.
-        self._last_predict: Tuple[float, float] = (0.0, 0.0)
         self._occupancy = _StageOccupancy(self._clock)
         #: Collection-phase worker pool (serial when ``collect_workers`` is
         #: None); executors spin up lazily on the first pooled batch and are
-        #: torn down by :meth:`stop`.  With ``config.autoscale`` set, the
-        #: pool starts at ``initial_collect_workers()`` and the autoscaler
-        #: resizes it between micro-batches.
-        initial_workers = self.config.initial_collect_workers()
+        #: torn down by :meth:`stop`.
         self._collect_pool = CollectionPool(
             copilot.collection,
-            workers=initial_workers,
+            workers=self.config.collect_workers,
             clock=self._clock,
         )
-        self._autoscaler: Optional[PoolAutoscaler] = None
-        if self.config.autoscale is not None:
-            self._autoscaler = PoolAutoscaler(
-                self.config.autoscale,
-                minimum=self.config.collect_workers_min,
-                maximum=self.config.collect_workers_max,
-                initial=initial_workers,
-                max_batch=self.config.max_batch,
-                clock=self._clock,
-            )
 
     # ------------------------------------------------------------------ submit
     def submit(self, alert: Alert) -> "Future[DiagnosisReport]":
@@ -524,8 +492,8 @@ class StreamIngestor:
         Returns the successful reports in submission order; alerts whose
         collection failed are resolved through their futures only.  Batches
         are dequeued one ``max_batch`` chunk at a time — not snapshotted up
-        front — so the queue depth the autoscaler (and telemetry) sees at
-        each batch boundary reflects the real remaining backlog; the total
+        front — so the queue depth telemetry sees at each batch boundary
+        reflects the real remaining backlog; the total
         drained is still bounded by the depth at call time, so a concurrent
         producer (or a done-callback that resubmits) cannot keep ``flush``
         from returning.
@@ -588,16 +556,6 @@ class StreamIngestor:
             if wave is None:
                 return []
             reports, predict_error, predict_seconds = self._predict_locked(wave)
-            if self._autoscaler is not None:
-                self._apply_pool_target(
-                    self._autoscaler.observe(
-                        utilization=wave.utilization,
-                        queue_depth=self._queue.qsize(),
-                        collect_seconds=wave.collect_seconds,
-                        predict_seconds=predict_seconds,
-                    )
-                )
-                wave.autoscale_metrics = self._autoscaler.stats_dict()
         return self._finish_wave(wave, reports, predict_error, predict_seconds)
 
     def _pipeline_process(
@@ -605,11 +563,10 @@ class StreamIngestor:
     ) -> "Future[List[DiagnosisReport]]":
         """Pipelined execution: collect now, hand off to the prediction lane.
 
-        Collects the wave under the collection lock (serializing waves and
-        pool resizes against concurrent flushers), applies the autoscale
-        observation fed by the last *completed* prediction, then blocks on
-        a bounded in-flight slot before submitting the wave to the
-        single-slot prediction executor — that acquisition is the
+        Collects the wave under the collection lock (serializing waves
+        against concurrent flushers), then blocks on a bounded in-flight
+        slot before submitting the wave to the single-slot prediction
+        executor — that acquisition is the
         backpressure that makes this a double-buffered pipeline instead of
         an unbounded handoff queue.  The returned wave future resolves to
         the wave's successful reports once prediction, future resolution,
@@ -621,18 +578,6 @@ class StreamIngestor:
                 empty: "Future[List[DiagnosisReport]]" = Future()
                 empty.set_result([])
                 return empty
-            if self._autoscaler is not None:
-                last_predict_seconds, last_overlap_seconds = self._last_predict
-                self._apply_pool_target(
-                    self._autoscaler.observe(
-                        utilization=wave.utilization,
-                        queue_depth=self._queue.qsize(),
-                        collect_seconds=wave.collect_seconds,
-                        predict_seconds=last_predict_seconds,
-                        overlap_seconds=last_overlap_seconds,
-                    )
-                )
-                wave.autoscale_metrics = self._autoscaler.stats_dict()
             assert self._predict_slots is not None
             self._predict_slots.acquire()
             executor = self._predict_executor
@@ -695,10 +640,9 @@ class StreamIngestor:
         """Phase 1: parse + collect one micro-batch into a :class:`_Wave`.
 
         The caller serializes waves — via the ingestion lock (barrier) or
-        the collection lock (pipelined) — so pool resizes only ever happen
-        here, at a collect boundary with no collect task in flight (an
-        earlier wave's *prediction* may still be running; the pool is not
-        involved in it).
+        the collection lock (pipelined) — so the pool runs one wave at a
+        time (an earlier wave's *prediction* may still be running; the pool
+        is not involved in it).
         """
         # Transition every future to RUNNING first: a future whose caller
         # cancelled it while queued is dropped from the batch, and the ones
@@ -710,14 +654,6 @@ class StreamIngestor:
         if not items:
             return None
         alerts = [alert for alert, _ in items]
-        # Collect boundary: no collect task is in flight, so autoscale
-        # resizes are safe here and nowhere else.  The pre-batch decision
-        # reacts to an already-visible backlog (burst grow); the post-batch
-        # observation feeds the loop what a batch measured.
-        if self._autoscaler is not None:
-            self._apply_pool_target(
-                self._autoscaler.before_batch(self._queue.qsize())
-            )
         self._occupancy.collect_start()
         collect_started = self._clock.monotonic()
         # Ids are reserved here, in submission order, so a pooled wave
@@ -726,14 +662,13 @@ class StreamIngestor:
         results = self._collect_pool.run(alerts, incident_ids)
         collect_seconds = self._clock.monotonic() - collect_started
         self._occupancy.collect_end()
-        pool_size = self._collect_pool.pool_size
         # Utilisation counts successful collections only, on every
         # backend: a task that died in a worker has no observable
         # elapsed time (its future carries just the exception), so
         # including serial-side failure timings would make the gauge
         # diverge between pool shapes.
         busy_seconds = sum(result.seconds for result in results if result.ok)
-        lanes = pool_size if pool_size else 1
+        lanes = self._collect_pool.pool_size or 1
         utilization = (
             min(busy_seconds / (lanes * collect_seconds), 1.0)
             if collect_seconds > 0.0
@@ -745,7 +680,6 @@ class StreamIngestor:
             reason=reason,
             collect_started=collect_started,
             collect_seconds=collect_seconds,
-            pool_size=pool_size,
             utilization=utilization,
         )
 
@@ -755,7 +689,6 @@ class StreamIngestor:
         """Phase 2 under the ingestion lock: batched prediction of one wave."""
         succeeded = [result for result in wave.results if result.ok]
         self._occupancy.predict_start()
-        overlap_before = self._occupancy.overlap_total()
         predict_started = self._clock.monotonic()
         predict_error: Optional[Exception] = None
         try:
@@ -770,10 +703,6 @@ class StreamIngestor:
             reports = []
         predict_seconds = self._clock.monotonic() - predict_started
         self._occupancy.predict_end()
-        self._last_predict = (
-            predict_seconds,
-            self._occupancy.overlap_total() - overlap_before,
-        )
         return reports, predict_error, predict_seconds
 
     def _finish_wave(
@@ -819,7 +748,7 @@ class StreamIngestor:
         metrics = {
             "rcacopilot.ingest.queue_depth": float(self._queue.qsize()),
             "rcacopilot.ingest.flush_size": float(len(items)),
-            "rcacopilot.ingest.collect_pool_size": float(wave.pool_size),
+            "rcacopilot.ingest.collect_pool_size": float(self._collect_pool.pool_size),
             "rcacopilot.ingest.collect_seconds": wave.collect_seconds,
             "rcacopilot.ingest.predict_seconds": predict_seconds,
             "rcacopilot.ingest.collect_utilization": wave.utilization,
@@ -836,13 +765,6 @@ class StreamIngestor:
                 for suffix, value in exported.items()
             },
         }
-        if wave.autoscale_metrics is not None:
-            metrics.update(
-                {
-                    f"rcacopilot.ingest.autoscale_{suffix}": value
-                    for suffix, value in wave.autoscale_metrics.items()
-                }
-            )
         self.hub.emit_metrics(
             metrics,
             machine="stream-ingestor",
@@ -887,15 +809,6 @@ class StreamIngestor:
                 stats.worker_errors += 1
                 stats.flush_reasons[reason] = stats.flush_reasons.get(reason, 0) + 1
 
-    def _apply_pool_target(self, target: int) -> None:
-        """Resize the collection pool to the autoscaler's target (if changed).
-
-        Callers hold the ingestion lock and sit at a batch boundary, the
-        only point where no collect task can be in flight.
-        """
-        if target != self._collect_pool.workers:
-            self._collect_pool.resize(target)
-
     # ---------------------------------------------------------------- feedback
     def record_feedback(self, incident: Incident, confirmed_category: str) -> None:
         """Fold OCE feedback into the live index, serialized with the stream.
@@ -929,29 +842,15 @@ class StreamIngestor:
         """The counters as a flat metric mapping.
 
         The :class:`IngestStats` entries are snapshotted under the stats
-        lock exactly as :meth:`stats` does.  With autoscaling enabled, the
-        mapping additionally carries the control loop's ``autoscale_*``
-        entries (current/min/max pool size, utilization EWMA, scale-event
-        counters) — these live here, not in :class:`IngestStats`, because
-        the ingest counters are contractually identical across pool shapes
-        while scale events are by nature specific to the autoscaled run.
-        The autoscale entries are read without the ingestion lock (taking
-        it would block monitoring behind a running batch), so a reader
-        racing a flush may see them mid-update — e.g. a grown pool size
-        whose event counter has not ticked yet; they are exact whenever no
-        batch is in flight.
-
-        The mapping also carries the pipeline gauges: ``predict_inflight``
-        (waves currently on the prediction lane; always 0 in barrier
-        mode), ``pipeline_overlap_seconds`` (cumulative seconds a collect
-        and a predict phase ran concurrently; identically 0 in barrier
-        mode), and the ``collect_busy_fraction``/``predict_busy_fraction``
-        per-stage busy fractions over the stream's active span.
+        lock exactly as :meth:`stats` does.  The mapping also carries the
+        pipeline gauges: ``predict_inflight`` (waves currently on the
+        prediction lane; always 0 in barrier mode),
+        ``pipeline_overlap_seconds`` (cumulative seconds a collect and a
+        predict phase ran concurrently; identically 0 in barrier mode), and
+        the ``collect_busy_fraction``/``predict_busy_fraction`` per-stage
+        busy fractions over the stream's active span.
         """
         flat = self.stats().as_dict()
-        if self._autoscaler is not None:
-            for suffix, value in self._autoscaler.stats_dict().items():
-                flat[f"autoscale_{suffix}"] = value
         with self._pending_lock:
             flat["predict_inflight"] = float(len(self._pending_predictions))
         flat.update(self._occupancy.snapshot())
@@ -966,11 +865,6 @@ class StreamIngestor:
         ingestor's own deadlines and telemetry run on.
         """
         return self._clock
-
-    @property
-    def collect_pool_size(self) -> int:
-        """Current collection pool size (0 = serial collection)."""
-        return self._collect_pool.pool_size
 
     @property
     def queue_depth(self) -> int:

@@ -118,16 +118,6 @@ class TestCollectionPoolClose:
         pool = CollectionPool(copilot.collection, workers=2)
         pool.close()
 
-    def test_close_joins_retired_executors(self):
-        copilot = stu.build_stream_copilot(with_history=False)
-        pool = CollectionPool(copilot.collection, workers=2)
-        pool.run([stu.make_stream_alert(0)], ["INC-X-1"])
-        pool.resize(4)
-        pool.run([stu.make_stream_alert(1)], ["INC-X-2"])
-        pool.close()
-        assert pool._retired == []
-        pool.close()
-
 
 class TestShardedIndexClose:
     def _index(self):

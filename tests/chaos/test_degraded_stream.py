@@ -26,7 +26,6 @@ from repro.chaos import (
     ResilientChatModel,
     RetryPolicy,
 )
-from repro.core.autoscale import AutoscalePolicy, PoolAutoscaler
 from repro.core.errors import InjectedFault
 from repro.llm import SimulatedLLM
 
@@ -288,63 +287,3 @@ class TestBoundedDegradation:
             if thread not in before and thread.is_alive()
         ]
         assert leaked == []
-
-
-class TestAutoscalerDamping:
-    """Satellite of the tentpole: rate-damp the pool against latency spikes."""
-
-    def test_spike_clip_ignores_a_lone_injected_spike(self):
-        policy = AutoscalePolicy(
-            high_utilization=0.6,
-            ewma_alpha=0.9,
-            hysteresis_batches=1,
-            cooldown_seconds=0.0,
-            spike_clip=0.1,
-        )
-        damped = PoolAutoscaler(
-            policy, minimum=1, maximum=8, clock=stu.FakeClock()
-        )
-        undamped = PoolAutoscaler(
-            AutoscalePolicy(
-                high_utilization=0.6,
-                ewma_alpha=0.9,
-                hysteresis_batches=1,
-                cooldown_seconds=0.0,
-            ),
-            minimum=1,
-            maximum=8,
-            clock=stu.FakeClock(),
-        )
-        for scaler in (damped, undamped):
-            for _ in range(4):
-                scaler.observe(0.4, queue_depth=0)
-        # One injected latency spike saturates utilization for a batch.
-        damped.observe(1.0, queue_depth=0)
-        undamped.observe(1.0, queue_depth=0)
-        assert undamped.size > 1  # the classic EWMA flaps on the spike
-        assert damped.size == 1  # the clipped loop holds steady
-        assert damped.ewma <= 0.4 + policy.spike_clip + 1e-9
-
-    def test_spike_clip_still_tracks_a_sustained_shift(self):
-        policy = AutoscalePolicy(
-            high_utilization=0.6,
-            ewma_alpha=0.9,
-            hysteresis_batches=1,
-            cooldown_seconds=0.0,
-            spike_clip=0.1,
-        )
-        scaler = PoolAutoscaler(
-            policy, minimum=1, maximum=8, clock=stu.FakeClock()
-        )
-        scaler.observe(0.3, queue_depth=0)
-        for _ in range(8):
-            scaler.observe(1.0, queue_depth=0)
-        # A genuine load shift walks the clipped EWMA up and still grows.
-        assert scaler.ewma > 0.6
-        assert scaler.size > 1
-
-    def test_spike_clip_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalePolicy(spike_clip=0.0)
-        with pytest.raises(ValueError):
-            AutoscalePolicy(spike_clip=1.5)

@@ -4,11 +4,11 @@ Covers the pool's execution contract directly, without the ingestion front:
 submission-order folding, serial/thread-pool equivalence, per-item crash
 containment (a raising handler fails only its own slot and the pool survives
 the next wave), script-action and handler-less collection on the pool, the
-executor wall-clock budget, the pool's close/rebuild lifecycle, collection
-staying in one process, the sharing of equal section text between the
-reports of a wave and of a replayed burst, and the query results a batch
-shares (a burst collects as one alert at a time would, writes and faults
-between queries included).
+executor wall-clock budget, the pool's close/rebuild lifecycle and its
+worker-second accounting, collection staying in one process, the sharing of
+equal section text between the reports of a wave and of a replayed burst,
+and the query results a batch shares (a burst collects as one alert at a
+time would, writes and faults between queries included).
 """
 
 from __future__ import annotations
@@ -331,6 +331,85 @@ class TestPoolLifecycle:
             assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 6)))
             assert set(collect_threads()) - before
         assert set(collect_threads()) <= before
+
+    def test_worker_seconds_accounts_capacity_not_usage(self):
+        clock = stu.FakeClock()
+        copilot = stu.build_stream_copilot(with_history=False)
+        stu.VIRTUAL_IO["clock"] = clock
+        stu.VIRTUAL_IO["seconds"] = 0.05
+        try:
+            with CollectionPool(copilot.collection, workers=2, clock=clock) as pool:
+                alerts = [stu.make_stream_alert(0, alert_type=stu.BUSY_TYPE)]
+                ids = [copilot.collection.next_incident_id()]
+                results = pool.run(alerts, ids)
+                assert all(result.ok for result in results)
+                # One 0.05s virtual collect on a 2-lane pool: 2 x 0.05
+                # worker-seconds paid for 0.05 used.
+                assert pool.worker_seconds == pytest.approx(0.10)
+                assert results[0].seconds == pytest.approx(0.05)
+        finally:
+            stu.VIRTUAL_IO["clock"] = None
+
+    def test_serial_pool_pays_for_one_lane(self):
+        clock = stu.FakeClock()
+        copilot = stu.build_stream_copilot(with_history=False)
+        stu.VIRTUAL_IO["clock"] = clock
+        stu.VIRTUAL_IO["seconds"] = 0.05
+        try:
+            pool = CollectionPool(copilot.collection, clock=clock)
+            alerts = [stu.make_stream_alert(i, alert_type=stu.BUSY_TYPE) for i in range(2)]
+            ids = [copilot.collection.next_incident_id() for _ in alerts]
+            assert all(result.ok for result in pool.run(alerts, ids))
+            assert pool.worker_seconds == pytest.approx(0.10)
+            assert pool._executor is None  # noqa: SLF001 - serial runs inline
+        finally:
+            stu.VIRTUAL_IO["clock"] = None
+
+    def test_a_failed_wave_is_still_charged_for_its_lanes(self):
+        clock = stu.FakeClock()
+        stage = build_stage(strict=True)
+
+        def failing_collect(incident, queries):
+            clock.advance(0.25)
+            raise RuntimeError("probe outage")
+
+        stage.collect = failing_collect
+        with CollectionPool(stage, workers=2, clock=clock) as pool:
+            clock.advance(1.0)  # time between waves is never charged
+            results = pool.run([stu.make_stream_alert(0)], reserved_ids(stage, 1))
+        assert not results[0].ok
+        assert pool.worker_seconds == pytest.approx(2 * 0.25)
+
+    @pytest.mark.parametrize("workers, size", [(None, 0), (1, 1), (3, 3)])
+    def test_pool_size_is_the_configured_size_across_waves(self, workers, size):
+        stage = build_stage()
+        with CollectionPool(stage, workers=workers) as pool:
+            for wave in range(3):
+                alerts = [stu.make_stream_alert(10 * wave + i) for i in range(4)]
+                assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 4)))
+                assert pool.pool_size == size
+                assert pool.workers == workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_wave_runs_on_exactly_workers_threads(self, workers):
+        """Every collect waits for ``workers`` peers: a wave of 2 x workers
+        alerts completes only if the pool runs that many at once, and a
+        pool never holds more threads than its size."""
+        before = set(collect_threads())
+        stage = build_stage()
+        peers = threading.Barrier(workers, timeout=10.0)
+        original = stage.collect
+
+        def collect_with_peers(incident, queries):
+            peers.wait()
+            return original(incident, queries)
+
+        stage.collect = collect_with_peers
+        with CollectionPool(stage, workers=workers) as pool:
+            alerts = [stu.make_stream_alert(i) for i in range(2 * workers)]
+            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            assert [r.error for r in results] == [None] * len(alerts)
+            assert len(set(collect_threads()) - before) == workers
 
     def test_source_starts_no_worker_processes(self):
         """Collection runs in the ingesting process, serially or on threads.

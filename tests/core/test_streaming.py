@@ -19,7 +19,6 @@ import pytest
 import streamtest_utils as stu
 from repro.cloudsim import TransportService
 from repro.core import (
-    AutoscalePolicy,
     IndexConfig,
     IngestConfig,
     IngestQueueFull,
@@ -288,23 +287,6 @@ class TestBoundedQueue:
             pytest.param({"queue_capacity": 0}, "queue_capacity", id="queue_capacity"),
             pytest.param({"collect_workers": 0}, "collect_workers", id="collect_workers"),
             pytest.param({"pipeline_depth": 0}, "pipeline_depth", id="pipeline_depth"),
-            pytest.param({"collect_workers_min": 0}, "collect_workers_min", id="min"),
-            pytest.param(
-                {"collect_workers_min": 3, "collect_workers_max": 2},
-                "collect_workers_max",
-                id="max_below_min",
-            ),
-            pytest.param(
-                {"autoscale": AutoscalePolicy(), "collect_workers": 1,
-                 "collect_workers_min": 2},
-                "collect_workers is the starting size",
-                id="autoscale_start_below_min",
-            ),
-            pytest.param(
-                {"autoscale": AutoscalePolicy(), "collect_workers": 9},
-                "collect_workers is the starting size",
-                id="autoscale_start_above_max",
-            ),
         ],
     )
     def test_each_rule_names_the_field_it_guards(self, kwargs, field):

@@ -21,12 +21,7 @@ THROUGHPUT = {
     "config": {"quick_mode": False},
     "results": {"1000": {"speedup": 4.0}, "10000": {"speedup": 6.5}},
     "collect_bound": {"speedup": 3.1},
-    "bursty_autoscale": {
-        "autoscaled": {
-            "wall_ratio_vs_best_static": 0.95,
-            "worker_seconds_ratio_vs_best_static": 0.8,
-        }
-    },
+    "pipeline": {"speedup": 1.45, "overlap_seconds": 0.32},
 }
 
 RETRIEVAL = {
@@ -55,7 +50,7 @@ def test_report_renders_trend_across_runs(tmp_path):
     assert "| section | metric | run-a | run-b |" in report
     # Best history-size speedup picks the max across sizes.
     assert "| throughput | batch vs sequential speedup (best history size) | 6.50 | 6.50 |" in report
-    assert "| throughput | autoscaled wall vs best static (bursty) | 0.95 | 0.95 |" in report
+    assert "| throughput | pipelined vs barrier ingest speedup | 1.45 | 1.45 |" in report
     # run-b has no retrieval artifact: its retrieval cells show "—".
     assert "| retrieval | sharded vs full-scan speedup (live) | 3.70 | — |" in report
     assert "| retrieval | scanned shard ratio | 0.05 | — |" in report
@@ -73,14 +68,17 @@ def test_report_survives_garbage_payloads(tmp_path):
 
 
 def test_archives_without_a_block_render_missing_cells(tmp_path):
-    """Regression: archives recorded before the ``replay`` block existed
-    must render "—" for the replay rows, not crash or mis-render."""
-    write_run(tmp_path / "old", throughput=THROUGHPUT)  # no "replay" block
-    replayed = dict(THROUGHPUT, replay={"speed": 1000})
-    write_run(tmp_path / "new", throughput=replayed)
+    """Regression: archives recorded before the ``chaos`` block existed
+    must render "—" for the chaos rows, not crash or mis-render."""
+    write_run(tmp_path / "old", throughput=THROUGHPUT)  # no "chaos" block
+    faulted = dict(THROUGHPUT, chaos={"wall_ratio": 1.25})
+    write_run(tmp_path / "new", throughput=faulted)
     runs = [bench_report.load_run(str(tmp_path / name)) for name in ("old", "new")]
     report = bench_report.render_report(runs)
-    assert "| throughput | replay speed multiplier (flash crowd) | — | 1000 |" in report
+    assert (
+        "| throughput | chaos wall ratio vs healthy (10% LLM timeouts) | — | 1.25 |"
+        in report
+    )
 
 
 def test_cli_writes_output_file(tmp_path, capsys):
