@@ -127,14 +127,14 @@ class IngestConfig:
     ``predict_many`` call, so reports, feedback routing, and ingest counters
     are identical to the serial path.
 
-    With ``pipeline_depth`` >= 2 the two phases run as a double-buffered
-    pipeline: while wave N's prediction runs on a dedicated single-slot
-    prediction executor, the flushing thread already collects wave N+1 on
-    the worker pool.  Predictions stay strictly serialized in submission
-    order (wave N's feedback/index updates commit before wave N+1's
-    prediction reads the index), so reports, feedback effects, and ingest
-    counters remain value-identical to the barrier execution — the pipeline
-    only removes the inter-wave stall.  Each wave is predicted in one
+    ``pipeline_depth`` N lets up to N waves sit between their collection
+    start and their prediction end.  At 1 each wave collects and predicts
+    before the next starts (barrier execution); at N >= 2 wave N+1 collects
+    while wave N predicts on a one-thread prediction lane.  Predictions
+    run in collection order at every depth (wave N's feedback/index
+    updates commit before wave N+1's prediction reads the index), so
+    reports, feedback effects, and ingest counters are value-identical —
+    depth only removes the inter-wave stall.  Each wave is predicted in one
     pass: one batched retrieval, then one batched LLM call over the
     retrieved demonstrations.
     """
@@ -153,13 +153,11 @@ class IngestConfig:
     #: flushing thread (the pre-pool behaviour), N >= 1 fans each
     #: micro-batch's parse+collect calls out to N workers.
     collect_workers: Optional[int] = None
-    #: Micro-batches in flight at once: 1 (the default) is the classic
-    #: barrier execution — collect and predict of one wave finish before the
-    #: next wave starts; N >= 2 double-buffers the two phases, overlapping
-    #: wave N's prediction with the collection of up to N-1 later waves
-    #: (collect results hand off through a bounded in-flight slot with
-    #: backpressure).  Reports, feedback effects, and ingest counters are
-    #: identical at every depth.
+    #: Waves between collection start and prediction end at once: 1 (the
+    #: default) is barrier execution; N >= 2 overlaps a wave's prediction
+    #: with the collection of later ones.  A wave beyond N waits for a slot,
+    #: which is the backpressure.  Reports, feedback effects, and ingest
+    #: counters are identical at every depth.
     pipeline_depth: int = 1
 
     def __post_init__(self) -> None:

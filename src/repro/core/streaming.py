@@ -23,34 +23,35 @@ Two driving modes share all of the batching logic:
 * **manual** — without a worker, ``flush()`` synchronously processes
   whatever is queued (deterministic, used by tests and replay tooling).
 
-Each flushed micro-batch runs in two phases mirroring the paper's
-collection/prediction split: the **collection phase** (alert parsing +
-handler action graphs) optionally fans out to a
+Each flushed micro-batch (a *wave*) runs in two phases mirroring the
+paper's collection/prediction split: the **collection phase** (alert
+parsing + handler action graphs) optionally fans out to a
 :class:`~repro.core.collect_pool.CollectionPool` of threads
-(``IngestConfig.collect_workers``), with incident ids
-pre-reserved in submission order and outcomes folded back in submission
-order; the **prediction phase** then runs once over the whole batch
+(``IngestConfig.collect_workers``), with incident ids pre-reserved in
+submission order and outcomes folded back in submission order; the
+**prediction phase** then runs once over the whole wave
 (``diagnose_collected``: batch embed, one retrieval pass, deduplicated LLM
 batch).  Reports, feedback effects, and ingest counters are therefore
 identical whether collection ran serially or on a pool.  A handler raising
 during the collection phase fails only its own alert's future — the rest of
-the batch still predicts, and the pool survives for the next wave.
+the wave still predicts, and the pool survives for the next wave.
 
-With :attr:`IngestConfig.pipeline_depth` >= 2 the two phases run as a
-**double-buffered pipeline**: each collected wave is handed off through a
-bounded in-flight slot (backpressure) to a dedicated single-slot prediction
-executor, so while wave N's prediction runs, the flushing thread is already
-collecting wave N+1 on the pool.  Predictions stay strictly serialized in
-submission order and take the same ingestion lock as mid-stream feedback —
-wave N's feedback/index updates commit before wave N+1's prediction reads
-the index — so reports, feedback effects, and ingest counters are
-value-identical to the barrier execution; the pipeline removes only the
-inter-wave stall.  (The prediction-phase telemetry exports then run
-concurrently with collect handlers' hub *reads*; handler queries filter by
-metric names the ingestor never emits, so query results are unaffected.)
-One extra caveat in pipelined mode: a future done-callback must not call
-``flush()`` — the callback runs on the prediction lane, and its wave would
-queue behind itself; ``submit`` and ``record_feedback`` remain safe.
+One rule schedules every wave: it holds one of
+:attr:`IngestConfig.pipeline_depth` slots from the start of its collection
+to the end of its prediction, collects under the collection lock and
+predicts under the ingestion lock that ``record_feedback`` also takes.
+Depth N is thus up to N waves between collection start and prediction end.
+At depth 1 the flushing thread predicts its own wave: barrier execution,
+with done-callbacks on the flushing thread.  At depth >= 2 a collected wave
+goes to a one-thread prediction lane, so the next wave collects while it
+predicts.  Waves predict in collection order either way, so reports,
+feedback effects, and ingest counters are value-identical at every depth;
+the lane removes only the inter-wave stall.  (The prediction-phase
+telemetry exports then run concurrently with collect handlers' hub *reads*;
+handler queries filter by metric names the ingestor never emits, so query
+results are unaffected.)  A done-callback may ``submit`` and
+``record_feedback`` at any depth, and ``flush()`` at depth 1 only: at depth
+>= 2 it runs on the lane, and its wave would queue behind itself.
 
 Every timing path (worker polls, phase walls) reads the injected
 :class:`~repro.core.clock.Clock`, making the whole control surface
@@ -78,7 +79,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -149,10 +149,10 @@ class _StageOccupancy:
     Every stage start/end event accrues the interval since the previous
     event to whichever stages were active during it — collect, predict,
     and their overlap — against the injected clock.  Busy fractions are
-    relative to the observed span (first stage event to now), so a barrier
-    execution reports zero overlap while a pipelined one reports exactly
-    the wall clock the pipeline hid.  Thread-safe: the collect side ticks
-    from the flushing thread, the predict side from the prediction lane.
+    relative to the observed span (first stage event to now), so depth 1
+    reports zero overlap while depth >= 2 reports exactly the wall clock
+    the pipeline hid.  Thread-safe: the collect side ticks from the
+    flushing thread, the predict side from it or the prediction lane.
     """
 
     def __init__(self, clock: Clock) -> None:
@@ -234,6 +234,13 @@ class _Wave:
     utilization: float
 
 
+def _resolved(reports: List["DiagnosisReport"]) -> "Future[List[DiagnosisReport]]":
+    """An already-resolved wave future."""
+    done: "Future[List[DiagnosisReport]]" = Future()
+    done.set_result(reports)
+    return done
+
+
 class StreamIngestor:
     """Bounded queue + micro-batching window in front of ``observe_many``."""
 
@@ -253,38 +260,27 @@ class StreamIngestor:
         self._queue: "queue.Queue[Tuple[Alert, Future]]" = queue.Queue(
             maxsize=self.config.queue_capacity
         )
-        #: Serializes batch processing against mid-stream feedback so an
-        #: index update is either fully visible to a micro-batch or not at
-        #: all — never interleaved with it.
-        self._lock = threading.Lock()
-        #: Guards the IngestStats counters, which are mutated from producer
-        #: threads (submit) and the worker thread (_process) concurrently.
-        #: Separate from ``_lock`` so submitters never wait on a running
-        #: batch just to bump a counter.
-        self._stats_lock = threading.Lock()
-        #: Serializes wave *collection* across the background worker and
-        #: concurrent manual ``flush()`` callers in pipelined mode.  Under
-        #: barrier execution the ingestion lock covers this already;
-        #: pipelined, collection must not wait behind a running prediction,
-        #: hence the separate lock.
+        # A wave holds one of ``pipeline_depth`` slots from its collection
+        # start to its prediction end.  It collects under _collect_lock (one
+        # wave on the pool at a time, incident ids reserved in wave order)
+        # and predicts under _lock, which record_feedback also takes.
+        # _stats_lock guards the counters and _predict_inflight.  Lock order:
+        #   slot -> _collect_lock -> _stats_lock or the occupancy lock
+        #   slot -> _lock -> the occupancy lock
+        # No ingestor lock is held while futures resolve, so a done-callback
+        # may re-enter the ingestor.
+        self._wave_slots = threading.BoundedSemaphore(self.config.pipeline_depth)
         self._collect_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._stats_lock = threading.Lock()
         self._worker: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._ingest_stats = IngestStats()
-        #: Pipelined execution (``pipeline_depth`` >= 2): a dedicated
-        #: single-slot executor serializes predictions in submission order,
-        #: and the bounded semaphore caps how many collected waves may be
-        #: in flight toward it — the collecting thread blocks on a slot
-        #: before submitting, which is the pipeline's backpressure.
-        self._pipelined = self.config.pipeline_depth >= 2
+        #: The one-thread prediction lane of depth >= 2, created lazily;
+        #: ``_predict_inflight`` counts the waves handed to it and not yet
+        #: finished.
         self._predict_executor: Optional[ThreadPoolExecutor] = None
-        self._predict_slots: Optional[threading.BoundedSemaphore] = (
-            threading.BoundedSemaphore(self.config.pipeline_depth - 1)
-            if self._pipelined
-            else None
-        )
-        self._pending_lock = threading.Lock()
-        self._pending_predictions: List[Future] = []
+        self._predict_inflight = 0
         self._occupancy = _StageOccupancy(self._clock)
         #: Collection-phase worker pool (serial when ``collect_workers`` is
         #: None); executors spin up lazily on the first pooled batch and are
@@ -431,13 +427,13 @@ class StreamIngestor:
                     self.flush()
                     if self._queue.empty():
                         break
-            # Pipelined: wait out every in-flight prediction (their
-            # per-alert futures resolve inside the prediction lane), then
-            # retire the lane itself; post-stop flush() lazily recreates
-            # it, mirroring the collection pool.
-            self._drain_predictions()
         finally:
-            executor, self._predict_executor = self._predict_executor, None
+            # Retiring the prediction lane waits out every wave on it.  The
+            # collection lock makes a racing flush hand off before the
+            # shutdown or to a new lane; post-stop flush() lazily recreates
+            # it, mirroring the collection pool.
+            with self._collect_lock:
+                executor, self._predict_executor = self._predict_executor, None
             try:
                 if executor is not None:
                     executor.shutdown(wait=True)
@@ -472,18 +468,7 @@ class StreamIngestor:
             except queue.Empty:  # nothing more queued
                 pass
             reason = "size" if len(batch) >= self.config.max_batch else "idle"
-            # Last line of defence: an exception that escapes batch
-            # processing (infrastructure failure outside the per-alert
-            # containment) must neither strand the batch's futures nor
-            # kill the worker loop — later submissions still have a
-            # consumer.
-            try:
-                if self._pipelined:
-                    self._pipeline_process(batch, reason)
-                else:
-                    self._process(batch, reason)
-            except Exception as exc:  # noqa: BLE001 - contained to the batch
-                self._fail_batch(batch, reason, exc)
+            self._process(batch, reason)
 
     # ------------------------------------------------------------------ manual
     def flush(self, reason: str = "manual") -> List["DiagnosisReport"]:
@@ -505,14 +490,12 @@ class StreamIngestor:
         passes ``"size"``/``"latency"``, so a replay's stats are
         bit-identical at every speed.
 
-        Pipelined (``pipeline_depth`` >= 2), the chunks flow through the
-        two-stage pipeline — chunk k+1 collects while chunk k predicts —
-        and ``flush`` gathers the wave futures in submission order before
+        At ``pipeline_depth`` >= 2 chunk k+1 collects while chunk k
+        predicts, and ``flush`` waits for every chunk's wave before
         returning, so its result (and every per-alert future it covers) is
-        exactly the barrier path's.
+        exactly depth 1's.
         """
         budget = self._queue.qsize()
-        reports: List["DiagnosisReport"] = []
         waves: List["Future[List[DiagnosisReport]]"] = []
         while budget > 0:
             batch: List[Tuple[Alert, Future]] = []
@@ -525,124 +508,101 @@ class StreamIngestor:
                 budget -= 1
             if not batch:
                 break
-            try:
-                if self._pipelined:
-                    waves.append(self._pipeline_process(batch, reason))
-                else:
-                    reports.extend(self._process(batch, reason))
-            except Exception as exc:  # noqa: BLE001 - contained to the batch
-                self._fail_batch(batch, reason, exc)
-        for wave_future in waves:
-            reports.extend(wave_future.result())
-        return reports
+            waves.append(self._process(batch, reason))
+        return [report for wave in waves for report in wave.result()]
 
     # ----------------------------------------------------------------- process
     def _process(
         self, items: List[Tuple[Alert, Future]], reason: str
-    ) -> List["DiagnosisReport"]:
-        """Barrier execution: collect and predict one micro-batch back to back.
-
-        Phase 1 (collection) parses and collects every alert — serially or
-        on the collection worker pool, per ``IngestConfig.collect_workers``
-        — with incident ids pre-reserved in submission order and outcomes
-        folded back in submission order.  A per-alert collection failure
-        resolves only that alert's future with the exception.  Phase 2
-        (prediction) runs once over the surviving outcomes through
-        ``diagnose_collected``, exactly as ``observe_many`` would.  The
-        returned list holds the successful reports in submission order.
-        """
-        with self._lock:
-            wave = self._collect_wave(items, reason)
-            if wave is None:
-                return []
-            reports, predict_error, predict_seconds = self._predict_locked(wave)
-        return self._finish_wave(wave, reports, predict_error, predict_seconds)
-
-    def _pipeline_process(
-        self, items: List[Tuple[Alert, Future]], reason: str
     ) -> "Future[List[DiagnosisReport]]":
-        """Pipelined execution: collect now, hand off to the prediction lane.
+        """Run one micro-batch as a wave; the future resolves to its reports.
 
-        Collects the wave under the collection lock (serializing waves
-        against concurrent flushers), then blocks on a bounded in-flight
-        slot before submitting the wave to the single-slot prediction
-        executor — that acquisition is the
-        backpressure that makes this a double-buffered pipeline instead of
-        an unbounded handoff queue.  The returned wave future resolves to
-        the wave's successful reports once prediction, future resolution,
-        stats fold, and telemetry export have all completed.
+        The wave takes a slot and collects under the collection lock.  At
+        depth 1 this thread then predicts and finishes it, and the returned
+        future is already resolved: barrier execution.  At depth >= 2 the
+        wave goes to the prediction lane while the collection lock is still
+        held, so the lane predicts waves in collection order, and the
+        returned future is the lane's.  Either way the slot comes back when
+        the prediction ends.
+
+        Last line of defence: an exception escaping collection or the
+        hand-off (an infrastructure failure outside the per-alert
+        containment) fails the batch's pending futures instead of reaching
+        the caller, so the worker loop keeps running and ``flush`` keeps
+        its other waves.
         """
-        with self._collect_lock:
-            wave = self._collect_wave(items, reason)
-            if wave is None:
-                empty: "Future[List[DiagnosisReport]]" = Future()
-                empty.set_result([])
-                return empty
-            assert self._predict_slots is not None
-            self._predict_slots.acquire()
-            executor = self._predict_executor
-            if executor is None:
-                executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="rcacopilot-predict"
-                )
-                self._predict_executor = executor
-            wave_future = executor.submit(self._predict_wave, wave)
-            with self._pending_lock:
-                self._pending_predictions.append(wave_future)
-            wave_future.add_done_callback(self._forget_prediction)
-            return wave_future
+        self._wave_slots.acquire()
+        try:
+            with self._collect_lock:
+                wave = self._collect_wave(items, reason)
+                if wave is not None and self.config.pipeline_depth > 1:
+                    return self._hand_off(wave)
+        except Exception as exc:  # noqa: BLE001 - contained to the batch
+            self._wave_slots.release()
+            self._fail_batch(items, reason, exc)
+            return _resolved([])
+        if wave is None:
+            self._wave_slots.release()
+            return _resolved([])
+        return _resolved(self._predict_wave(wave))
 
-    def _forget_prediction(self, wave_future: Future) -> None:
-        with self._pending_lock:
-            try:
-                self._pending_predictions.remove(wave_future)
-            except ValueError:  # pragma: no cover - double-removal guard
-                pass
+    def _hand_off(self, wave: _Wave) -> "Future[List[DiagnosisReport]]":
+        """Queue a collected wave on the one-thread prediction lane."""
+        if self._predict_executor is None:
+            self._predict_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="rcacopilot-predict"
+            )
+        with self._stats_lock:
+            self._predict_inflight += 1
+        return self._predict_executor.submit(self._predict_wave, wave)
 
     def _predict_wave(self, wave: _Wave) -> List["DiagnosisReport"]:
-        """Prediction-lane task: predict one wave and finish it.
+        """Phase 2: predict one wave under the ingestion lock, then finish it.
 
-        Takes the ingestion lock only around the prediction itself, so
-        mid-stream feedback serializes with predictions exactly as it does
-        with barrier batches — wave N's feedback/index updates commit
-        before wave N+1's prediction reads the index.  The in-flight slot
-        is released before futures resolve, so a done-callback that
-        submits more alerts can never deadlock the collecting thread.
+        Mid-stream feedback takes the same lock, so wave N's feedback and
+        index updates commit before wave N+1's prediction reads the index.
+        The wave's slot is released when its prediction ends, before its
+        futures resolve, so a done-callback can start the next wave.  An
+        exception out of the prediction or finish path (telemetry export, a
+        done-callback) must not strand the wave's futures: whatever is still
+        pending fails with it, and the wave reports an empty batch.
         """
         try:
-            with self._lock:
-                reports, predict_error, predict_seconds = self._predict_locked(wave)
-        finally:
-            if self._predict_slots is not None:
-                self._predict_slots.release()
-        try:
+            try:
+                with self._lock:
+                    self._occupancy.predict_start()
+                    predict_started = self._clock.monotonic()
+                    predict_error: Optional[Exception] = None
+                    try:
+                        reports = self.copilot.diagnose_collected(
+                            [result.outcome for result in wave.results if result.ok],
+                            started=wave.collect_started,
+                            now=self._clock.monotonic,
+                            timestamp=self._clock.time(),
+                        )
+                    except Exception as exc:  # noqa: BLE001 - failures flow to the futures
+                        predict_error, reports = exc, []
+                    predict_seconds = self._clock.monotonic() - predict_started
+                    self._occupancy.predict_end()
+            finally:
+                self._wave_slots.release()
             return self._finish_wave(wave, reports, predict_error, predict_seconds)
         except Exception as exc:  # noqa: BLE001 - contained to the wave
-            # An exception out of the finish path (telemetry export, a
-            # done-callback) on the prediction lane must not strand the
-            # wave's futures: resolve whatever is still pending and let
-            # the wave future report an empty batch.
             self._fail_batch(wave.items, wave.reason, exc)
             return []
-
-    def _drain_predictions(self) -> None:
-        """Wait until no prediction is in flight (pipelined execution only)."""
-        while True:
-            with self._pending_lock:
-                pending = list(self._pending_predictions)
-            if not pending:
-                return
-            futures_wait(pending)
+        finally:
+            if self.config.pipeline_depth > 1:
+                with self._stats_lock:
+                    self._predict_inflight -= 1
 
     def _collect_wave(
         self, items: List[Tuple[Alert, Future]], reason: str
     ) -> Optional[_Wave]:
         """Phase 1: parse + collect one micro-batch into a :class:`_Wave`.
 
-        The caller serializes waves — via the ingestion lock (barrier) or
-        the collection lock (pipelined) — so the pool runs one wave at a
-        time (an earlier wave's *prediction* may still be running; the pool
-        is not involved in it).
+        Runs under the collection lock, so the pool runs one wave at a time
+        (at depth >= 2 an earlier wave's *prediction* may still be running;
+        the pool is not involved in it).
         """
         # Transition every future to RUNNING first: a future whose caller
         # cancelled it while queued is dropped from the batch, and the ones
@@ -683,28 +643,6 @@ class StreamIngestor:
             utilization=utilization,
         )
 
-    def _predict_locked(
-        self, wave: _Wave
-    ) -> Tuple[List["DiagnosisReport"], Optional[Exception], float]:
-        """Phase 2 under the ingestion lock: batched prediction of one wave."""
-        succeeded = [result for result in wave.results if result.ok]
-        self._occupancy.predict_start()
-        predict_started = self._clock.monotonic()
-        predict_error: Optional[Exception] = None
-        try:
-            reports = self.copilot.diagnose_collected(
-                [result.outcome for result in succeeded],
-                started=wave.collect_started,
-                now=self._clock.monotonic,
-                timestamp=self._clock.time(),
-            )
-        except Exception as exc:  # noqa: BLE001 - failures flow to the futures
-            predict_error = exc
-            reports = []
-        predict_seconds = self._clock.monotonic() - predict_started
-        self._occupancy.predict_end()
-        return reports, predict_error, predict_seconds
-
     def _finish_wave(
         self,
         wave: _Wave,
@@ -714,13 +652,12 @@ class StreamIngestor:
     ) -> List["DiagnosisReport"]:
         """Resolve one wave's futures, fold its stats, export its telemetry.
 
-        Runs outside the ingestion lock — set_result/set_exception run
+        Runs with no ingestor lock held — set_result/set_exception run
         done-callbacks synchronously, and a callback that re-enters the
-        ingestor (record_feedback, submit) would deadlock on the
-        non-reentrant lock.  Barrier and pipelined execution share this
-        path; pipelined, it runs on the single-slot prediction lane, so
-        waves finish — and their stats fold — strictly in submission
-        order, keeping every counter identical to barrier execution.
+        ingestor (record_feedback, submit) would deadlock on a
+        non-reentrant lock.  At depth >= 2 it runs on the one-thread
+        prediction lane, so a flush's waves finish — and their stats fold —
+        in collection order, as they do at depth 1.
         """
         items, results = wave.items, wave.results
         succeeded = [result for result in results if result.ok]
@@ -743,8 +680,7 @@ class StreamIngestor:
                 stats.flush_reasons.get(wave.reason, 0) + 1
             )
             exported = stats.as_dict()
-        with self._pending_lock:
-            predict_inflight = len(self._pending_predictions)
+            predict_inflight = self._predict_inflight
         metrics = {
             "rcacopilot.ingest.queue_depth": float(self._queue.qsize()),
             "rcacopilot.ingest.flush_size": float(len(items)),
@@ -815,10 +751,9 @@ class StreamIngestor:
 
         Takes the same lock as the prediction phase, so the correction is
         guaranteed to be visible to every micro-batch whose prediction
-        starts after this call returns and never lands mid-prediction.
-        Pipelined execution preserves the guarantee: predictions are
-        serialized under this lock even while later waves collect
-        concurrently.
+        starts after this call returns and never lands mid-prediction.  It
+        may land between a wave's collection and its prediction, which
+        reads it; collection reads neither the history nor the index.
         """
         with self._lock:
             self.copilot.record_feedback(incident, confirmed_category)
@@ -844,15 +779,15 @@ class StreamIngestor:
         The :class:`IngestStats` entries are snapshotted under the stats
         lock exactly as :meth:`stats` does.  The mapping also carries the
         pipeline gauges: ``predict_inflight`` (waves currently on the
-        prediction lane; always 0 in barrier mode),
+        prediction lane; always 0 at depth 1),
         ``pipeline_overlap_seconds`` (cumulative seconds a collect and a
-        predict phase ran concurrently; identically 0 in barrier mode), and
+        predict phase ran concurrently; identically 0 at depth 1), and
         the ``collect_busy_fraction``/``predict_busy_fraction`` per-stage
         busy fractions over the stream's active span.
         """
         flat = self.stats().as_dict()
-        with self._pending_lock:
-            flat["predict_inflight"] = float(len(self._pending_predictions))
+        with self._stats_lock:
+            flat["predict_inflight"] = float(self._predict_inflight)
         flat.update(self._occupancy.snapshot())
         return flat
 

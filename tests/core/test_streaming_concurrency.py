@@ -12,6 +12,7 @@ a concurrent submit/flush storm.
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 import time
 
@@ -36,6 +37,11 @@ PARITY_VARIANTS = (None, 1, 4)
 STREAM_ELEMENT = st.tuples(
     st.sampled_from([stu.SLEEPY_TYPE, stu.FLAKY_TYPE]), st.booleans()
 )
+
+
+def predict_lanes():
+    """The live threads of every ingestor's prediction lane."""
+    return [t for t in threading.enumerate() if t.name.startswith("rcacopilot-predict")]
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +264,116 @@ class TestPipelineParity:
         assert batch == alone
 
 
+class TestWaveSlots:
+    """A wave holds one of ``pipeline_depth`` slots from the start of its
+    collection to the end of its prediction: at depth 1 that is barrier
+    execution, whoever flushes."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_depth_one_is_a_barrier(self, depth, monkeypatch):
+        """Two threads flush one ingestor while the first wave predicts.
+
+        Wave 1 (three virtual-I/O alerts, 0.05 s of FakeClock time each)
+        collects and parks in prediction on the closed gate; a second
+        thread then flushes wave 2.  At depth 1 wave 2 may not collect
+        until wave 1's prediction ends, so no collect time overlaps a
+        prediction; at depth 2 it collects meanwhile.  Either way the waves
+        predict in collection order.
+        """
+        model = stu.GateModel()
+        copilot = stu.build_stream_copilot(model=model)
+        clock = stu.FakeClock()
+        ingestor = copilot.stream(
+            stu.ingest_config(None, max_batch=3, pipeline_depth=depth), clock=clock
+        )
+        predicted = []
+        diagnose_collected = copilot.diagnose_collected
+
+        def recording(collections, **kwargs):
+            predicted.append([c.incident.incident_id for c in collections])
+            return diagnose_collected(collections, **kwargs)
+
+        monkeypatch.setattr(copilot, "diagnose_collected", recording)
+        stu.VIRTUAL_IO.update(clock=clock, seconds=0.05, park=False)
+        results = {}
+
+        def flush(name):
+            results[name] = ingestor.flush()
+
+        def submit_wave(first):
+            ingestor.submit_many(
+                [stu.make_stream_alert(first + i, stu.BUSY_TYPE) for i in range(3)]
+            )
+
+        flushers = [threading.Thread(target=flush, args=(n,)) for n in (1, 2)]
+        try:
+            model.close()
+            submit_wave(0)
+            flushers[0].start()
+            assert model.entered.wait(timeout=30.0)  # wave 1 predicts
+            submit_wave(3)
+            flushers[1].start()
+            deadline = time.monotonic() + (30.0 if depth > 1 else 0.2)
+            while clock.monotonic() < 0.25 and time.monotonic() < deadline:
+                time.sleep(0.005)  # wave 2 collects here unless it waits
+            assert clock.monotonic() == pytest.approx(0.15 if depth == 1 else 0.30)
+            model.open()
+            for flusher in flushers:
+                flusher.join(timeout=30.0)
+                assert not flusher.is_alive()
+        finally:
+            model.open()
+            stu.VIRTUAL_IO.update(clock=None)
+            ingestor.stop()
+        assert [len(results[name]) for name in (1, 2)] == [3, 3]
+        overlap = ingestor.stats_dict()["pipeline_overlap_seconds"]
+        if depth == 1:
+            assert overlap == 0.0
+        else:
+            assert overlap == pytest.approx(0.15)
+        assert predicted == [
+            [f"INC-LIVE-{n:06d}" for n in range(first, first + 3)] for first in (1, 4)
+        ]
+
+    def test_slots_and_inflight_balance_under_contention(self):
+        """Four threads submit and flush beside the live worker at depth 2,
+        with a short switch interval: every alert resolves, and every slot
+        and in-flight count comes back."""
+        depth = 2
+        ingestor = cheap_copilot().stream(
+            IngestConfig(max_batch=2, pipeline_depth=depth)
+        ).start()
+        futures = []
+        futures_lock = threading.Lock()
+
+        def submit_and_flush(offset):
+            for index in range(10):
+                future = ingestor.submit(stu.make_stream_alert(offset + index))
+                with futures_lock:
+                    futures.append(future)
+                ingestor.flush()
+
+        threads = [
+            threading.Thread(target=submit_and_flush, args=(10 * i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            ingestor.stop()
+        assert all(future.result(timeout=0) is not None for future in futures)
+        stats = ingestor.stats()
+        assert stats.processed == stats.submitted == 40
+        assert ingestor.stats_dict()["predict_inflight"] == 0.0
+        assert all(ingestor._wave_slots.acquire(blocking=False) for _ in range(depth))
+
+
 class TestCrashContainment:
     @pytest.mark.parametrize("workers", [None, 4])
     def test_worker_failure_fails_only_its_future(self, base_copilot, workers):
@@ -294,14 +410,18 @@ class TestCrashContainment:
         finally:
             ingestor.stop()
 
-    def test_failure_callback_may_reenter_ingestor(self, base_copilot):
+    @pytest.mark.parametrize("flush_too", [False, True], ids=["feedback", "flush"])
+    def test_failure_callback_may_reenter_ingestor(self, base_copilot, flush_too):
         """Futures are resolved outside the ingestion lock.
 
         A done-callback that re-enters the ingestor (here: record_feedback,
-        which takes the same lock as batch processing) must not deadlock the
+        which takes the same lock as prediction) must not deadlock the
         flushing thread — regression for failure futures being resolved
-        while the lock was still held.
+        while the lock was still held.  At ``pipeline_depth`` 1 (the
+        default) callbacks run on the flushing thread and no prediction
+        lane is ever started, so a callback may also submit and flush.
         """
+        lanes_before = set(predict_lanes())
         copilot = copy.deepcopy(base_copilot)
         ingestor = copilot.stream(stu.ingest_config(2))
         try:
@@ -309,9 +429,13 @@ class TestCrashContainment:
             future = ingestor.submit(flaky)
             incident = copilot.history.all()[0]
             reentered = []
+            later = []
 
             def callback(resolved):
                 ingestor.record_feedback(incident, "CallbackConfirmed")
+                if flush_too:
+                    later.append(ingestor.submit(stu.make_stream_alert(1, stu.IDLE_TYPE)))
+                    ingestor.flush()
                 reentered.append(True)
 
             future.add_done_callback(callback)
@@ -320,6 +444,11 @@ class TestCrashContainment:
             with pytest.raises(CollectionError):
                 future.result(timeout=0)
             assert copilot.history.get(incident.incident_id).category == "CallbackConfirmed"
+            if flush_too:
+                assert later[0].result(timeout=0).predicted_label
+                assert ingestor.stats().processed == 2
+            assert ingestor._predict_executor is None
+            assert set(predict_lanes()) <= lanes_before
         finally:
             ingestor.stop()
 
