@@ -5,10 +5,12 @@ log pulls, probe queries, correlation lookups) from *prediction* (embed +
 retrieve + LLM).  Collection is per-incident and latency-bound — one slow
 probe stalls nothing but its own incident — while prediction is throughput-
 bound and wants the whole micro-batch at once.  :class:`CollectionPool`
-exploits that split: each flushed micro-batch's ``parse_alert`` + ``collect``
-calls fan out to a worker pool, and the outcomes are folded back **in
-submission order** so the batched prediction phase (and therefore reports,
-feedback routing, and ingest counters) is identical to the serial path.
+exploits that split: each wave's ``parse_alert`` + ``collect`` calls fan out
+to a worker pool, and the outcomes are folded back **in submission order** so
+the batched prediction phase (and therefore reports, feedback routing, and
+ingest counters) is identical to the serial path.  :meth:`CollectionPool.run`
+is the one collection step: the stream ingestor's waves and
+``RCACopilot.diagnose_many`` batches both run through it.
 
 Two execution modes share one result contract, both inside the ingesting
 process:
@@ -19,15 +21,17 @@ process:
   threads.  Handler queries are read-only over the shared telemetry hub and
   sleep/IO-bound work overlaps even under the GIL.
 
-Every alert of one wave shares one
-:class:`~repro.handlers.CoalescingScope`, in either mode: a built-in query
-one alert of the wave already ran is answered from its result while no
-store it read has been written since (see
-:meth:`~repro.core.collection.CollectionStage.collect_many`).
+Every item of one wave shares one :class:`~repro.handlers.CoalescingScope`,
+in either mode: alerts of one storm ask the hub the same questions (same
+source, window and machine), and a built-in query (``error_logs``,
+``metrics``, ``events``, ``traces``) an earlier item of the wave already ran
+is answered from its result while no store it read has been written since.
+Scripts, probes and ``classify`` callbacks still run per item, so every
+outcome equals collecting the items one at a time.
 
 Failures are contained per item: a handler raising (strict mode,
-wall-budget overrun) marks only that alert's :class:`CollectResult` as
-failed — the rest of the batch still predicts and the pool survives for the
+wall-budget overrun) marks only that item's :class:`CollectResult` as
+failed — the rest of the wave still collects and the pool survives for the
 next wave.
 """
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from ..handlers import CoalescingScope
 from ..incidents import Incident
@@ -46,7 +50,7 @@ from .collection import CollectionOutcome, CollectionStage
 
 @dataclass
 class CollectResult:
-    """Outcome of one alert's parse+collect, tagged with its submission slot.
+    """Outcome of one item's parse+collect, tagged with its submission slot.
 
     Exactly one of (``incident`` and ``outcome``) or ``error`` is set.
     ``seconds`` is the worker-side wall time of the parse+collect call — the
@@ -54,7 +58,6 @@ class CollectResult:
     """
 
     index: int
-    alert: Alert
     incident: Optional[Incident] = None
     outcome: Optional[CollectionOutcome] = None
     error: Optional[BaseException] = None
@@ -62,16 +65,16 @@ class CollectResult:
 
     @property
     def ok(self) -> bool:
-        """True when collection produced an outcome for this alert."""
+        """True when collection produced an outcome for this item."""
         return self.error is None
 
 
 class CollectionPool:
-    """Fans a micro-batch's parse+collect calls out to a thread pool.
+    """Fans a wave's parse+collect calls out to a thread pool.
 
     One pool is owned by one :class:`~repro.core.streaming.StreamIngestor`
     and reused across micro-batches; executors are created lazily on the
-    first pooled batch and torn down by :meth:`close`.
+    first pooled wave and torn down by :meth:`close`.
     """
 
     def __init__(
@@ -97,30 +100,28 @@ class CollectionPool:
         return 0 if self.workers is None else self.workers
 
     # -------------------------------------------------------------------- run
-    def run(
-        self, alerts: Sequence[Alert], incident_ids: Sequence[str]
-    ) -> List[CollectResult]:
-        """Parse + collect every alert; results come back in submission order.
+    def run(self, items: Sequence[Union[Alert, Incident]]) -> List[CollectResult]:
+        """Parse + collect every item; results come back in submission order.
 
-        ``incident_ids`` must be pre-reserved (one per alert, in submission
-        order) so id assignment is independent of worker interleaving.
-        Per-item failures are captured in the results, never raised.  The
-        wave's alerts share one query scope, dropped when the wave ends.
+        An alert reserves the next incident id here, in submission order, so
+        id assignment is independent of worker interleaving, and is parsed
+        inside its task; an incident is collected as it is and reserves no
+        id.  Per-item failures are captured in the results, never raised.
+        The wave's items share one query scope, dropped when the wave ends.
         """
-        if len(alerts) != len(incident_ids):
-            raise ValueError("one pre-reserved incident id is required per alert")
+        stage = self.stage
+        tasks = [
+            (index, item, None if isinstance(item, Incident) else stage.next_incident_id())
+            for index, item in enumerate(items)
+        ]
         wave_started = self.clock.monotonic()
         try:
             queries = CoalescingScope()
-            tasks = list(enumerate(zip(alerts, incident_ids)))
             if self.workers is None:
-                return [
-                    self._collect_guarded(index, *task, queries) for index, task in tasks
-                ]
+                return [self._collect_guarded(*task, queries) for task in tasks]
             executor = self._ensure_executor()
             futures = [
-                executor.submit(self._collect_guarded, index, *task, queries)
-                for index, task in tasks
+                executor.submit(self._collect_guarded, *task, queries) for task in tasks
             ]
             return [future.result() for future in futures]
         finally:
@@ -128,23 +129,25 @@ class CollectionPool:
             self.worker_seconds += lanes * (self.clock.monotonic() - wave_started)
 
     def _collect_guarded(
-        self, index: int, alert: Alert, incident_id: str, queries: CoalescingScope
+        self,
+        index: int,
+        item: Union[Alert, Incident],
+        incident_id: Optional[str],
+        queries: CoalescingScope,
     ) -> CollectResult:
-        """Parse + collect one alert against the live stage, contained per item."""
+        """Parse (an alert) and collect one item, contained per item."""
         started = self.clock.monotonic()
         try:
-            incident = self.stage.parse_alert(alert, incident_id=incident_id)
+            incident = item
+            if incident_id is not None:
+                incident = self.stage.parse_alert(item, incident_id=incident_id)
             outcome = self.stage.collect(incident, queries)
         except Exception as exc:  # noqa: BLE001 - contained per item
             return CollectResult(
-                index=index,
-                alert=alert,
-                error=exc,
-                seconds=self.clock.monotonic() - started,
+                index=index, error=exc, seconds=self.clock.monotonic() - started
             )
         return CollectResult(
             index=index,
-            alert=alert,
             incident=incident,
             outcome=outcome,
             seconds=self.clock.monotonic() - started,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..handlers import CoalescingScope, ExecutionResult, HandlerExecutor, HandlerRegistry
 from ..incidents import Incident
@@ -56,10 +56,10 @@ class CollectionStage:
     def next_incident_id(self) -> str:
         """Reserve the next live incident id.
 
-        The streaming front reserves one id per queued alert *before* fanning
-        parse+collect out to collection workers, so id assignment stays in
-        submission order no matter how the pool interleaves — a prerequisite
-        for serial/pooled parity.
+        :meth:`~repro.core.collect_pool.CollectionPool.run` reserves one id
+        per alert *before* fanning parse+collect out to collection workers,
+        so id assignment stays in submission order no matter how the pool
+        interleaves — a prerequisite for serial/pooled parity.
         """
         return f"INC-LIVE-{next(self._id_counter):06d}"
 
@@ -101,9 +101,9 @@ class CollectionStage:
         report so prediction can still run on the alert information alone
         (the limitation the paper's discussion section acknowledges).
 
-        ``queries`` is the batch's :class:`~repro.handlers.CoalescingScope`
-        (see :meth:`collect_many`); None collects the incident as a batch of
-        one.
+        ``queries`` is the wave's :class:`~repro.handlers.CoalescingScope`
+        (see :class:`~repro.core.collect_pool.CollectionPool`); None collects
+        the incident as a batch of one.
         """
         handler = self.registry.match(incident.alert_type)
         if handler is None:
@@ -125,24 +125,3 @@ class CollectionStage:
         return CollectionOutcome(
             incident=incident, matched_handler=handler.name, execution=execution
         )
-
-    def collect_many(self, incidents: Sequence[Incident]) -> List[CollectionOutcome]:
-        """Run the collection stage for a batch of incidents, in order.
-
-        Each incident walks its own handler's action graph, but the batch
-        shares one :class:`~repro.handlers.CoalescingScope`: alerts of one
-        storm ask the hub the same questions (same source, window and
-        machine), and a built-in query (``error_logs``, ``metrics``,
-        ``events``, ``traces``) an earlier incident of the batch already ran
-        is answered from its result while no store it read has been written
-        since.  Scripts, probes and ``classify`` callbacks still run per
-        incident, so every outcome equals collecting the incidents one at a
-        time.  The scope is dropped when the call returns.
-        """
-        queries = CoalescingScope()
-        return [self.collect(incident, queries) for incident in incidents]
-
-    def handle_alert(self, alert: Alert) -> CollectionOutcome:
-        """Parse an alert and immediately run collection for it."""
-        incident = self.parse_alert(alert)
-        return self.collect(incident)

@@ -105,18 +105,18 @@ class IndexConfig:
 class IngestConfig:
     """Knobs of the streaming micro-batch ingestion front.
 
-    A continuous alert stream is grouped into ``observe_many`` batches
-    automatically.  The live worker is work-conserving: it blocks only for
-    the *first* alert, takes whatever else is already queued (up to
-    ``max_batch``) and processes it at once — batches form while the worker
-    is busy collecting, predicting or blocked on a pipeline slot, never by
-    waiting on a clock.  (Measured at light load only, where batches are
-    ≈1 alert and cost more CPU and LLM requests per alert; the saturated
-    case has no benchmark yet — see README "What flushing when idle
-    bought".)  ``max_latency_seconds`` is not read by the live worker: it
-    is the window bound of :class:`~repro.bus.BusReplayer`, whose recorded
-    timeline carries arrival times but no service times and which therefore
-    still cuts on size or on the oldest pending alert's wait.
+    A continuous alert stream is grouped into micro-batches automatically.
+    The live worker is work-conserving: it blocks only for the *first*
+    alert, takes whatever else is already queued (up to ``max_batch``) and
+    processes it at once — batches form while the worker is busy collecting,
+    predicting or blocked on a pipeline slot, never by waiting on a clock.
+    (Measured at light load only, where batches are ≈1 alert and cost more
+    CPU and LLM requests per alert; the saturated case has no benchmark yet
+    — see README "What flushing when idle bought".) ``max_latency_seconds``
+    is not read by the live worker: it is the window bound of
+    :class:`~repro.bus.BusReplayer`, whose recorded timeline carries arrival
+    times but no service times and which therefore still cuts on size or on
+    the oldest pending alert's wait.
 
     Within a flushed micro-batch the *collection* phase (alert parsing +
     handler action graphs — log pulls, probe queries, correlation lookups)

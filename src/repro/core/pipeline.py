@@ -11,7 +11,10 @@ Wires the two stages together behind one object:
 * ``record_feedback(...)`` — fold the OCE-confirmed label back into the
   history, the continuous-improvement loop the paper deploys;
 * ``stream()`` — a :class:`~repro.core.streaming.StreamIngestor` that
-  micro-batches a continuous alert stream into ``observe_many`` calls.
+  micro-batches a continuous alert stream into the same two stages.
+
+Every diagnosis collects as one
+:meth:`~repro.core.collect_pool.CollectionPool.run` wave.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ..llm import ChatModel, SimulatedLLM
 from ..monitors import Alert
 from ..telemetry import TelemetryHub
 from .clock import MONOTONIC_CLOCK, Clock
+from .collect_pool import CollectionPool
 from .collection import CollectionOutcome, CollectionStage
 from .config import IngestConfig, PipelineConfig
 from .prediction import PredictionOutcome, PredictionStage
@@ -139,7 +143,7 @@ class RCACopilot:
         """A micro-batching ingestion front over this copilot.
 
         The returned :class:`StreamIngestor` groups a continuous alert
-        stream into ``observe_many`` batches automatically (bounded queue,
+        stream into micro-batches automatically (bounded queue,
         work-conserving flush); see ``examples/streaming_triage.py``.
         ``clock`` injects an alternative time source (tests pass a
         step-controlled fake so flush and phase-timing paths run
@@ -159,11 +163,6 @@ class RCACopilot:
         incident = self.collection.parse_alert(alert)
         return self.diagnose(incident)
 
-    def observe_many(self, alerts: List[Alert]) -> List[DiagnosisReport]:
-        """Handle a batch of incoming alerts end to end (batch triage path)."""
-        incidents = [self.collection.parse_alert(alert) for alert in alerts]
-        return self.diagnose_many(incidents)
-
     def diagnose(self, incident: Incident) -> DiagnosisReport:
         """Run both stages for an incident and return the full report.
 
@@ -175,18 +174,25 @@ class RCACopilot:
     def diagnose_many(self, incidents: List[Incident]) -> List[DiagnosisReport]:
         """Diagnose a batch of incidents through the end-to-end batch path.
 
-        Collection runs per incident (handler action graphs are inherently
-        sequential per incident); prediction runs as one batch — batch
-        context build, batch embedding, one matrix–matrix retrieval pass and
-        a deduplicated LLM batch.  Results are identical to diagnosing each
-        incident on its own.  After the batch, the stage's cache hit/miss
-        counters are exported through the telemetry hub.
+        Collection is one wave of a serial
+        :class:`~repro.core.collect_pool.CollectionPool`; prediction runs as
+        one batch — batch context build, batch embedding, one matrix–matrix
+        retrieval pass and a deduplicated LLM batch.  Results are identical
+        to diagnosing each incident on its own.  After the batch, the
+        stage's cache hit/miss counters are exported through the telemetry
+        hub.  A strict-mode collection failure is raised once the whole wave
+        is collected: the first in submission order, with nothing predicted.
         """
         if not incidents:
             return []
         started = self.clock.monotonic()
-        collections = self.collection.collect_many(incidents)
-        return self.diagnose_collected(collections, started=started)
+        results = CollectionPool(self.collection, clock=self.clock).run(incidents)
+        for result in results:
+            if not result.ok:
+                raise result.error
+        return self.diagnose_collected(
+            [result.outcome for result in results], started=started
+        )
 
     def diagnose_collected(
         self,

@@ -1,19 +1,18 @@
 """Streaming micro-batch ingestion front for the always-on deployment.
 
-``RCACopilot.observe_many`` batches alerts the *caller* has already
-collected; a production deployment instead receives a continuous alert
+``RCACopilot.diagnose_many`` batches incidents the *caller* has already
+gathered; a production deployment instead receives a continuous alert
 stream.  :class:`StreamIngestor` closes that gap: alerts are submitted into
-a bounded queue and grouped into ``observe_many`` micro-batches
-automatically.  The live worker is work-conserving: it blocks only for the
-first alert, takes whatever else is already queued (up to
-``IngestConfig.max_batch``) and processes it at once — cut on ``"size"``
-when that filled the batch, else on ``"idle"``.  No alert waits on a timer;
-batches form only while the worker is busy.  That is tested on a fake
-clock, but its effect on a *saturated* worker is unmeasured: the one
-benchmarked live workload runs ≈12% busy, where batches are ≈1 alert and
-the batch economies (one retrieval pass, one deduplicated LLM batch) are
-given up.  ``IngestConfig.max_latency_seconds`` is read only by the
-record/replay bus (:mod:`repro.bus.replayer`).
+a bounded queue and grouped into micro-batches automatically.  The live
+worker is work-conserving: it blocks only for the first alert, takes
+whatever else is already queued (up to ``IngestConfig.max_batch``) and
+processes it at once — cut on ``"size"`` when that filled the batch, else on
+``"idle"``.  No alert waits on a timer; batches form only while the worker
+is busy.  That is tested on a fake clock, but its effect on a *saturated*
+worker is unmeasured: the one benchmarked live workload runs ≈12% busy,
+where batches are ≈1 alert and the batch economies (one retrieval pass, one
+deduplicated LLM batch) are given up.  ``IngestConfig.max_latency_seconds``
+is read only by the record/replay bus (:mod:`repro.bus.replayer`).
 
 Two driving modes share all of the batching logic:
 
@@ -23,18 +22,18 @@ Two driving modes share all of the batching logic:
 * **manual** — without a worker, ``flush()`` synchronously processes
   whatever is queued (deterministic, used by tests and replay tooling).
 
-Each flushed micro-batch (a *wave*) runs in two phases mirroring the
-paper's collection/prediction split: the **collection phase** (alert
-parsing + handler action graphs) optionally fans out to a
+Each flushed micro-batch (a *wave*) runs in two phases mirroring the paper's
+collection/prediction split: the **collection phase** (alert parsing +
+handler action graphs) optionally fans out to a
 :class:`~repro.core.collect_pool.CollectionPool` of threads
-(``IngestConfig.collect_workers``), with incident ids pre-reserved in
-submission order and outcomes folded back in submission order; the
-**prediction phase** then runs once over the whole wave
-(``diagnose_collected``: batch embed, one retrieval pass, deduplicated LLM
-batch).  Reports, feedback effects, and ingest counters are therefore
-identical whether collection ran serially or on a pool.  A handler raising
-during the collection phase fails only its own alert's future — the rest of
-the wave still predicts, and the pool survives for the next wave.
+(``IngestConfig.collect_workers``), which reserves incident ids and folds
+outcomes back in submission order; the **prediction phase** then runs once
+over the whole wave (``diagnose_collected``: batch embed, one retrieval
+pass, deduplicated LLM batch).  Reports, feedback effects, and ingest
+counters are therefore identical whether collection ran serially or on a
+pool.  A handler raising during the collection phase fails only its own
+alert's future — the rest of the wave still predicts, and the pool survives
+for the next wave.
 
 One rule schedules every wave: it holds one of
 :attr:`IngestConfig.pipeline_depth` slots from the start of its collection
@@ -242,7 +241,7 @@ def _resolved(reports: List["DiagnosisReport"]) -> "Future[List[DiagnosisReport]
 
 
 class StreamIngestor:
-    """Bounded queue + micro-batching window in front of ``observe_many``."""
+    """Bounded queue + micro-batching window in front of the copilot's two stages."""
 
     def __init__(
         self,
@@ -613,13 +612,9 @@ class StreamIngestor:
         ]
         if not items:
             return None
-        alerts = [alert for alert, _ in items]
         self._occupancy.collect_start()
         collect_started = self._clock.monotonic()
-        # Ids are reserved here, in submission order, so a pooled wave
-        # numbers its incidents exactly as a serial one does.
-        incident_ids = [self.copilot.collection.next_incident_id() for _ in items]
-        results = self._collect_pool.run(alerts, incident_ids)
+        results = self._collect_pool.run([alert for alert, _ in items])
         collect_seconds = self._clock.monotonic() - collect_started
         self._occupancy.collect_end()
         # Utilisation counts successful collections only, on every

@@ -38,10 +38,9 @@ class CoalescingScope:
 
     Alert storms diagnose many incidents over one window and one machine, so
     the handlers of one batch ask the hub the same questions.  Every alert
-    of a batch (a :meth:`~repro.core.collection.CollectionStage.collect_many`
-    call, one :class:`~repro.core.collect_pool.CollectionPool` wave) runs its
-    handler with the batch's scope, and a query whose key matches an earlier
-    one reuses that result instead of querying the hub again.
+    of a batch (one :class:`~repro.core.collect_pool.CollectionPool` wave)
+    runs its handler with the batch's scope, and a query whose key matches
+    an earlier one reuses that result instead of querying the hub again.
 
     Reuse is exact.  A result is stamped with the ``writes`` count of every
     store it reads, taken before the query runs, and is reused only while

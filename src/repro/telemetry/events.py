@@ -128,18 +128,6 @@ class EventStore:
         candidates = self.query(end=before, kind=kind)
         return candidates[-1] if candidates else None
 
-    def recent_restarts(
-        self, component: str, now: float, window: float = 3600.0
-    ) -> List[SystemEvent]:
-        """Service restarts for ``component`` in the last ``window`` seconds.
-
-        This is the question the Figure 5 handler asks ("Delivery is
-        Restarted Recently?").
-        """
-        return self.query(
-            start=now - window, end=now, kind="service_restart", component=component
-        )
-
     def crash_counts_by_machine(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> Dict[str, int]:
@@ -148,11 +136,3 @@ class EventStore:
         for event in self.query(start=start, end=end, kind="process_crash"):
             counts[event.machine] = counts.get(event.machine, 0) + 1
         return counts
-
-    def deployments_between(self, start: float, end: float) -> List[SystemEvent]:
-        """Deployments (code rollouts) that happened inside the window."""
-        return self.query(start=start, end=end, kind="deployment")
-
-    def config_changes_between(self, start: float, end: float) -> List[SystemEvent]:
-        """Configuration changes that happened inside the window."""
-        return self.query(start=start, end=end, kind="config_change")

@@ -14,7 +14,7 @@ import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .timeindex import TimeColumn
 
@@ -203,15 +203,6 @@ class LogStore:
             records = records[len(records) - limit :]
         return records
 
-    def count_by_level(
-        self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> Dict[str, int]:
-        """Count records per level name inside a time window."""
-        counts: Dict[str, int] = {}
-        for record in self.query(start=start, end=end):
-            counts[record.level.name] = counts.get(record.level.name, 0) + 1
-        return counts
-
     def error_signatures(
         self,
         start: Optional[float] = None,
@@ -254,10 +245,3 @@ def normalize_message(message: str) -> str:
     signature = _HEX_RE.sub("<hex>", signature)
     signature = _NUMBER_RE.sub("<num>", signature)
     return signature.strip()
-
-
-def filter_records(
-    records: Iterable[LogRecord], predicate: Callable[[LogRecord], bool]
-) -> List[LogRecord]:
-    """Filter an iterable of records with an arbitrary predicate."""
-    return [record for record in records if predicate(record)]

@@ -3,8 +3,8 @@
 Metrics "monitor service status or user-perceived metrics, forming time
 series data" (paper Section 2.2).  The store keeps one series per
 (metric name, machine) pair and supports the window aggregations that
-monitors and handler query actions need: latest value, mean, max, rate of
-change, and simple threshold/z-score anomaly detection.
+monitors and handler query actions need: latest value, mean, max, min,
+rate of change, and the top machines of a metric.
 
 Layout: a series is two parallel, time-sorted columns (timestamps, values);
 the store keys its series by (name, machine) and also lists them per metric
@@ -35,7 +35,7 @@ import math
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .timeindex import window_bounds
 
@@ -154,16 +154,6 @@ class MetricSeries:
         values = self.values(start, end)
         return min(values) if values else 0.0
 
-    def stddev(
-        self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> float:
-        """Population standard deviation over the window."""
-        values = self.values(start, end)
-        if len(values) < 2:
-            return 0.0
-        mean = sum(values) / len(values)
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
     def rate(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Average rate of change (units per second) over the window."""
         timestamps, values = self._window(start, end)
@@ -173,27 +163,6 @@ class MetricSeries:
         if dt <= 0:
             return 0.0
         return (values[-1] - values[0]) / dt
-
-    def zscore_anomalies(
-        self,
-        threshold: float = 3.0,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> List[MetricPoint]:
-        """Return samples whose z-score exceeds ``threshold`` within the window."""
-        timestamps, values = self._window(start, end)
-        if len(values) < 3:
-            return []
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        if std == 0:
-            return []
-        return [
-            MetricPoint(t, v)
-            for t, v in zip(timestamps, values)
-            if abs(v - mean) / std > threshold
-        ]
-
 
 class MetricStore:
     """A collection of metric series keyed by (metric name, machine)."""
@@ -256,11 +225,6 @@ class MetricStore:
         """Return every machine's series for a metric name."""
         with self._lock:
             return list(self._by_name.get(name, ()))
-
-    def series_for_machine(self, machine: str) -> List[MetricSeries]:
-        """Return every metric series emitted by a machine."""
-        with self._lock:
-            return list(self._by_machine.get(machine, ()))
 
     def metric_names(self) -> List[str]:
         """Distinct metric names present in the store."""
@@ -325,36 +289,6 @@ class MetricStore:
         aggregated = self.aggregate(name, start=start, end=end, how=how)
         ranked = sorted(aggregated.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:top]
-
-    def threshold_breaches(
-        self,
-        name: str,
-        threshold: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Dict[str, List[MetricPoint]]:
-        """Return, per machine, the samples of ``name`` exceeding ``threshold``."""
-        breaches: Dict[str, List[MetricPoint]] = {}
-        for series in self.series_for_metric(name):
-            window = zip(*series._window(start, end))  # noqa: SLF001 - intra-module
-            over = [MetricPoint(t, v) for t, v in window if v > threshold]
-            if over:
-                breaches[series.machine] = over
-        return breaches
-
-
-def merge_stores(stores: Iterable[MetricStore]) -> MetricStore:
-    """Merge several metric stores into a new one (samples are copied)."""
-    merged = MetricStore()
-    for store in stores:
-        for name in store.metric_names():
-            for series in store.series_for_metric(name):
-                for point in series.points():
-                    merged.record(
-                        name, series.machine, point.timestamp, point.value, unit=series.unit
-                    )
-    return merged
-
 
 def summarize_series(series: MetricSeries, window: Optional[Tuple[float, float]] = None) -> str:
     """Render a one-line textual summary of a series for diagnostic reports."""

@@ -40,10 +40,6 @@ class TimeWindow:
         """True if the timestamp lies inside the window."""
         return self.start <= timestamp <= self.end
 
-    def widened(self, seconds: float) -> "TimeWindow":
-        """Return a new window expanded by ``seconds`` on both sides."""
-        return TimeWindow(self.start - seconds, self.end + seconds)
-
 
 @dataclass
 class TelemetrySnapshot:

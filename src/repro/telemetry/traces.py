@@ -2,9 +2,9 @@
 
 Traces "represent tree-structured data detailing the flow of user requests"
 (paper Section 2.2).  The store keeps spans grouped by trace id, can rebuild
-the span tree, compute critical paths and error paths, and aggregate
-per-service latency — the queries a handler's query action issues when it
-needs to locate which hop of a mail-delivery request failed.
+the span tree, find the erroring traces and aggregate per-service latency —
+the queries a handler's query action issues when it needs to locate which hop
+of a mail-delivery request failed.
 
 Index layout (all maintained by ``TraceStore.add``, under the store's lock):
 
@@ -106,61 +106,9 @@ class Trace:
         end = max(s.end for s in self.spans)
         return end - start
 
-    @property
-    def has_error(self) -> bool:
-        """True if any span in the trace errored."""
-        return any(s.is_error for s in self.spans)
-
     def error_spans(self) -> List[Span]:
         """All spans in an error state."""
         return [s for s in self.spans if s.is_error]
-
-    def critical_path(self) -> List[Span]:
-        """Return the chain of spans with the largest cumulative duration.
-
-        The critical path is computed top-down: starting from the root, at
-        every step descend into the child with the largest subtree duration.
-        """
-        root = self.root
-        if root is None:
-            return []
-        path = [root]
-        current = root
-        while True:
-            children = self.children(current)
-            if not children:
-                break
-            current = max(children, key=lambda s: self._subtree_duration(s))
-            path.append(current)
-        return path
-
-    def _subtree_duration(self, span: Span) -> float:
-        total = span.duration
-        for child in self.children(span):
-            total += self._subtree_duration(child)
-        return total
-
-    def error_path(self) -> List[Span]:
-        """Return the root-to-leaf path ending at the deepest error span, if any."""
-        errors = self.error_spans()
-        if not errors:
-            return []
-        by_id = {s.span_id: s for s in self.spans}
-        deepest = max(errors, key=lambda s: self._depth(s, by_id))
-        path: List[Span] = []
-        cursor: Optional[Span] = deepest
-        while cursor is not None:
-            path.append(cursor)
-            cursor = by_id.get(cursor.parent_id) if cursor.parent_id else None
-        return list(reversed(path))
-
-    def _depth(self, span: Span, by_id: Dict[str, Span]) -> int:
-        depth = 0
-        cursor: Optional[Span] = span
-        while cursor is not None and cursor.parent_id is not None:
-            cursor = by_id.get(cursor.parent_id)
-            depth += 1
-        return depth
 
     def services(self) -> List[str]:
         """Distinct services that participated in this trace."""

@@ -109,7 +109,7 @@ class TestCollectionPoolClose:
     def test_close_twice(self):
         copilot = stu.build_stream_copilot(with_history=False)
         pool = CollectionPool(copilot.collection, workers=2)
-        pool.run([stu.make_stream_alert(0)], ["INC-X-1"])
+        pool.run([stu.make_stream_alert(0)])
         pool.close()
         pool.close()
 

@@ -1,14 +1,16 @@
-"""Unit tests for the collection worker pool behind the stream ingestor.
+"""Unit tests for the collection worker pool behind every diagnosis.
 
 Covers the pool's execution contract directly, without the ingestion front:
-submission-order folding, serial/thread-pool equivalence, per-item crash
-containment (a raising handler fails only its own slot and the pool survives
-the next wave), script-action and handler-less collection on the pool, the
-executor wall-clock budget, the pool's close/rebuild lifecycle and its
-worker-second accounting, collection staying in one process, the sharing of
-equal section text between the reports of a wave and of a replayed burst,
-and the query results a batch shares (a burst collects as one alert at a
-time would, writes and faults between queries included).
+``diagnose_many`` as one serial wave (strict mode collects every incident,
+then raises the first failure; an incident keeps its id), submission-order
+folding, serial/thread-pool equivalence, per-item crash containment (a
+raising handler fails only its own slot and the pool survives the next
+wave), script-action and handler-less collection on the pool, the executor
+wall-clock budget, the pool's close/rebuild lifecycle and its worker-second
+accounting, collection staying in one process, the sharing of equal section
+text between the reports of a wave and of a replayed burst, and the query
+results a batch shares (a burst collects as one alert at a time would,
+writes and faults between queries included).
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def build_stage(strict: bool = True, registry=None, wall_budget=None) -> Collect
         hub,
         CollectionConfig(strict=strict, handler_wall_budget_seconds=wall_budget),
     )
-
-
-def reserved_ids(stage: CollectionStage, count: int):
-    return [stage.next_incident_id() for _ in range(count)]
 
 
 def outcome_fingerprint(result):
@@ -142,25 +140,21 @@ class TestBackendEquivalence:
         )
         queries = [0]
         count_hub_queries(service.hub, queries)
-        ids = reserved_ids(stage, len(alerts))
         alone = [
-            collection_fingerprint(
-                stage.collect(stage.parse_alert(alert, incident_id=id_), EveryQueryRuns())
-            )
-            for alert, id_ in zip(alerts, ids)
+            collection_fingerprint(stage.collect(stage.parse_alert(alert), EveryQueryRuns()))
+            for alert in alerts
         ]
         queried_alone, queries[0] = queries[0], 0
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, ids)
-        assert [collection_fingerprint(r.outcome) for r in results] == alone
-        queried_in_waves, queries[0] = queries[0], 0
-        batch = stage.collect_many(
-            [stage.parse_alert(alert, incident_id=id_) for alert, id_ in zip(alerts, ids)]
-        )
-        assert [collection_fingerprint(outcome) for outcome in batch] == alone
-        assert sum(1 for outcome in batch if outcome.collected) > len(alerts) // 2
-        # The burst asks the hub the same questions: the batch sends fewer.
-        assert queried_in_waves < 0.8 * queried_alone
+            results = pool.run(alerts)
+            assert [collection_fingerprint(r.outcome) for r in results] == alone
+            queried_alerts, queries[0] = queries[0], 0
+            # Already-parsed incidents, as diagnose_many hands them over.
+            batch = pool.run([stage.parse_alert(alert) for alert in alerts])
+        assert [collection_fingerprint(r.outcome) for r in batch] == alone
+        assert sum(1 for r in batch if r.outcome.collected) > len(alerts) // 2
+        # The burst asks the hub the same questions: the wave sends fewer.
+        assert queried_alerts < 0.8 * queried_alone
         assert queries[0] < 0.8 * queried_alone
 
     def test_all_backends_fold_identically(self):
@@ -173,7 +167,7 @@ class TestBackendEquivalence:
             stage = build_stage()
             pool = CollectionPool(stage, workers=workers)
             with pool:
-                results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+                results = pool.run(alerts)
             assert all(r.ok for r in results)
             fingerprints = [outcome_fingerprint(r) for r in results]
             if baselines is None:
@@ -184,19 +178,16 @@ class TestBackendEquivalence:
     def test_results_come_back_in_submission_order(self):
         stage = build_stage()
         alerts = [stu.make_stream_alert(i) for i in range(10)]
-        ids = reserved_ids(stage, len(alerts))
         pool = CollectionPool(stage, workers=4)
         with pool:
-            results = pool.run(alerts, ids)
+            results = pool.run(alerts)
         assert [r.index for r in results] == list(range(10))
-        assert [r.incident.incident_id for r in results] == ids
+        # Ids are reserved in submission order, however the workers interleave.
+        assert [r.incident.incident_id for r in results] == [
+            f"INC-LIVE-{n:06d}" for n in range(1, 11)
+        ]
+        assert stage.next_incident_id() == "INC-LIVE-000011"
         assert all(r.seconds >= 0.0 for r in results)
-
-    def test_id_count_mismatch_rejected(self):
-        stage = build_stage()
-        pool = CollectionPool(stage)
-        with pytest.raises(ValueError):
-            pool.run([stu.make_stream_alert(0)], [])
 
     def test_invalid_pool_parameters_rejected(self):
         stage = build_stage()
@@ -208,6 +199,65 @@ class TestBackendEquivalence:
             CollectionConfig(handler_wall_budget_seconds=0.0)
         with pytest.raises(ValueError):
             CollectionConfig(lookback_seconds=0.0)
+
+
+class TestOneWave:
+    """``diagnose_many`` collects as one serial pool wave, with the wave's rule."""
+
+    def test_a_strict_batch_collects_every_incident_then_raises(self):
+        copilot = stu.build_stream_copilot(strict=True)
+        stage = copilot.collection
+        collected = []
+        original = stage.collect
+
+        def counted(incident, queries=None):
+            collected.append(incident.incident_id)
+            return original(incident, queries)
+
+        stage.collect = counted
+        incidents = [
+            stage.parse_alert(stu.make_stream_alert(i, alert_type=t, flaky=flaky))
+            for i, (t, flaky) in enumerate(
+                [(stu.IDLE_TYPE, False), (stu.FLAKY_TYPE, True), (stu.IDLE_TYPE, False)]
+            )
+        ]
+        with pytest.raises(CollectionError) as raised:
+            copilot.diagnose_many(incidents)
+        assert collected == [incident.incident_id for incident in incidents]
+        assert f"on incident {incidents[1].incident_id}:" in str(raised.value)
+        assert "simulated telemetry outage" in str(raised.value.__cause__)
+        # The failed wave leaves the copilot whole: a clean batch diagnoses.
+        clean = [
+            stage.parse_alert(stu.make_stream_alert(3 + i, alert_type=stu.IDLE_TYPE))
+            for i in range(2)
+        ]
+        reports = copilot.diagnose_many(clean)
+        assert [r.incident for r in reports] == clean
+        assert all(r.collection.collected and r.prediction is not None for r in reports)
+
+    def test_the_first_failure_in_submission_order_is_raised(self):
+        copilot = stu.build_stream_copilot(strict=True, with_history=False)
+        incidents = [
+            copilot.collection.parse_alert(
+                stu.make_stream_alert(i, alert_type=stu.FLAKY_TYPE, flaky=flaky)
+            )
+            for i, flaky in enumerate([False, True, True])
+        ]
+        with pytest.raises(CollectionError, match=f"on incident {incidents[1].incident_id}:"):
+            copilot.diagnose_many(incidents)
+
+    def test_an_incident_keeps_its_id_and_reserves_none(self):
+        copilot = stu.build_stream_copilot(with_history=False)
+        stage = copilot.collection
+        incident = stage.parse_alert(stu.make_stream_alert(0, alert_type=stu.IDLE_TYPE))
+        assert incident.incident_id == "INC-LIVE-000001"
+        with CollectionPool(stage) as pool:
+            results = pool.run([incident, stu.make_stream_alert(1, alert_type=stu.IDLE_TYPE)])
+        assert results[0].incident is incident
+        assert incident.incident_id == "INC-LIVE-000001"
+        assert results[1].incident.incident_id == "INC-LIVE-000002"
+        report = copilot.observe(stu.make_stream_alert(2, alert_type=stu.IDLE_TYPE))
+        assert report.incident.incident_id == "INC-LIVE-000003"
 
 
 class TestCrashContainment:
@@ -223,7 +273,7 @@ class TestCrashContainment:
         ]
         pool = CollectionPool(stage, workers=workers)
         with pool:
-            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            results = pool.run(alerts)
             assert {r.index for r in results if not r.ok} == flaky_positions
             for result in results:
                 if result.ok:
@@ -233,7 +283,7 @@ class TestCrashContainment:
                     assert "simulated telemetry outage" in str(result.error)
             # The pool is still fully operational for the next wave.
             second = [stu.make_stream_alert(100 + i) for i in range(4)]
-            wave2 = pool.run(second, reserved_ids(stage, len(second)))
+            wave2 = pool.run(second)
             assert all(r.ok for r in wave2)
 
     def test_nonstrict_mode_degrades_instead_of_failing(self):
@@ -241,7 +291,7 @@ class TestCrashContainment:
         alerts = [stu.make_stream_alert(0, alert_type=stu.FLAKY_TYPE, flaky=True)]
         pool = CollectionPool(stage, workers=2)
         with pool:
-            results = pool.run(alerts, reserved_ids(stage, 1))
+            results = pool.run(alerts)
         assert results[0].ok
         assert results[0].outcome.matched_handler == "stream-flaky"
         assert results[0].outcome.execution is None
@@ -261,7 +311,7 @@ class TestCrashContainment:
         # wave's own allocations far below the next full collection.
         gc.collect()
         with pool:
-            results = pool.run(alerts, reserved_ids(stage, 2))
+            results = pool.run(alerts)
         assert not results[0].ok
         assert "wall-clock budget" in str(results[0].error)
         assert results[1].ok
@@ -283,7 +333,7 @@ class TestPooledHandlers:
             stu.make_stream_alert(1, alert_type=stu.SLEEPY_TYPE),
         ]
         with CollectionPool(stage, workers=2) as pool:
-            results = pool.run(alerts, reserved_ids(stage, 2))
+            results = pool.run(alerts)
         assert all(r.ok for r in results)
         assert results[0].outcome.matched_handler == "stream-scripted"
 
@@ -295,9 +345,7 @@ class TestPooledHandlers:
             stage = CollectionStage(registry, TelemetryHub(), CollectionConfig(strict=False))
             pool = CollectionPool(stage, workers=workers)
             with pool:
-                results = pool.run(
-                    [stu.make_stream_alert(0)], reserved_ids(stage, 1)
-                )
+                results = pool.run([stu.make_stream_alert(0)])
             assert results[0].ok
             assert results[0].outcome.matched_handler is None
             assert results[0].outcome.execution is None
@@ -312,13 +360,13 @@ class TestPoolLifecycle:
         stage = build_stage()
         pool = CollectionPool(stage, workers=2)
         alerts = [stu.make_stream_alert(i) for i in range(3)]
-        assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 3)))
+        assert all(r.ok for r in pool.run(alerts))
         first = pool._executor  # noqa: SLF001
         assert first is not None
         pool.close()
         pool.close()  # a repeated close is a no-op
         assert pool._executor is None  # noqa: SLF001
-        results = pool.run(alerts, reserved_ids(stage, 3))
+        results = pool.run(alerts)
         assert all(r.ok for r in results)
         assert pool._executor is not None and pool._executor is not first  # noqa: SLF001
         pool.close()
@@ -328,7 +376,7 @@ class TestPoolLifecycle:
         stage = build_stage()
         with CollectionPool(stage, workers=3) as pool:
             alerts = [stu.make_stream_alert(i, alert_type=stu.SLEEPY_TYPE) for i in range(6)]
-            assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 6)))
+            assert all(r.ok for r in pool.run(alerts))
             assert set(collect_threads()) - before
         assert set(collect_threads()) <= before
 
@@ -340,8 +388,7 @@ class TestPoolLifecycle:
         try:
             with CollectionPool(copilot.collection, workers=2, clock=clock) as pool:
                 alerts = [stu.make_stream_alert(0, alert_type=stu.BUSY_TYPE)]
-                ids = [copilot.collection.next_incident_id()]
-                results = pool.run(alerts, ids)
+                results = pool.run(alerts)
                 assert all(result.ok for result in results)
                 # One 0.05s virtual collect on a 2-lane pool: 2 x 0.05
                 # worker-seconds paid for 0.05 used.
@@ -358,8 +405,7 @@ class TestPoolLifecycle:
         try:
             pool = CollectionPool(copilot.collection, clock=clock)
             alerts = [stu.make_stream_alert(i, alert_type=stu.BUSY_TYPE) for i in range(2)]
-            ids = [copilot.collection.next_incident_id() for _ in alerts]
-            assert all(result.ok for result in pool.run(alerts, ids))
+            assert all(result.ok for result in pool.run(alerts))
             assert pool.worker_seconds == pytest.approx(0.10)
             assert pool._executor is None  # noqa: SLF001 - serial runs inline
         finally:
@@ -376,7 +422,7 @@ class TestPoolLifecycle:
         stage.collect = failing_collect
         with CollectionPool(stage, workers=2, clock=clock) as pool:
             clock.advance(1.0)  # time between waves is never charged
-            results = pool.run([stu.make_stream_alert(0)], reserved_ids(stage, 1))
+            results = pool.run([stu.make_stream_alert(0)])
         assert not results[0].ok
         assert pool.worker_seconds == pytest.approx(2 * 0.25)
 
@@ -386,7 +432,7 @@ class TestPoolLifecycle:
         with CollectionPool(stage, workers=workers) as pool:
             for wave in range(3):
                 alerts = [stu.make_stream_alert(10 * wave + i) for i in range(4)]
-                assert all(r.ok for r in pool.run(alerts, reserved_ids(stage, 4)))
+                assert all(r.ok for r in pool.run(alerts))
                 assert pool.pool_size == size
                 assert pool.workers == workers
 
@@ -407,7 +453,7 @@ class TestPoolLifecycle:
         stage.collect = collect_with_peers
         with CollectionPool(stage, workers=workers) as pool:
             alerts = [stu.make_stream_alert(i) for i in range(2 * workers)]
-            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            results = pool.run(alerts)
             assert [r.error for r in results] == [None] * len(alerts)
             assert len(set(collect_threads()) - before) == workers
 
@@ -445,7 +491,7 @@ class TestSectionSharing:
             for i in range(4)
         ]
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            results = pool.run(alerts)
         first, *rest = [section_texts(r) for r in results]
         assert len(first) == 3 and "WinSock error" in first[0][1]
         for other in rest:
@@ -535,11 +581,10 @@ class TestSharedQueries:
         )
         stage = build_stage(registry=registry)
         alerts = self.twin_alerts(3, "StreamWriter")
-        ids = reserved_ids(stage, len(alerts))
         queries = [0]
         count_hub_queries(stage.hub, queries)
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, ids)
+            results = pool.run(alerts)
         counts = [
             tuple(int(r.incident.action_output[f"{step}.error_count"]) for step in ("before", "after"))
             for r in results
@@ -566,21 +611,18 @@ class TestSharedQueries:
     def test_a_handler_step_fault_fires_per_alert_and_is_never_reused(self, workers):
         alerts = self.twin_alerts(6, stu.FLAKY_TYPE)
         reference_stage = build_stage(strict=False)
-        ids = reserved_ids(reference_stage, len(alerts))
         reference = [
             collection_fingerprint(
-                reference_stage.collect(
-                    reference_stage.parse_alert(alert, incident_id=id_), EveryQueryRuns()
-                )
+                reference_stage.collect(reference_stage.parse_alert(alert), EveryQueryRuns())
             )
-            for alert, id_ in zip(alerts, ids)
+            for alert in alerts
         ]
         # Every step fires its site, shared query or not.
         stage = build_stage(strict=False)
         counting = FaultInjector(seed=0).add(FaultConfig(site="handler.step", error=None))
         stage._executor.fault_injector = counting
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, ids)
+            results = pool.run(alerts)
         assert counting.stats_dict()["injections_handler_step"] == 3 * len(alerts)
         assert [collection_fingerprint(r.outcome) for r in results] == reference
         # A fault at one alert's query step stops that alert alone; the
@@ -593,7 +635,7 @@ class TestSharedQueries:
         )
         stage._executor.fault_injector = failing
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, ids)
+            results = pool.run(alerts)
         fingerprints = [collection_fingerprint(r.outcome) for r in results]
         failed = [i for i, f in enumerate(fingerprints) if f[0] and f[1] == ""]
         assert len(failed) == 1 and failing.injections_total == 1
@@ -618,7 +660,7 @@ class TestSharedQueries:
 
         stage.hub.events.query = first_call_fails
         with CollectionPool(stage, workers=workers) as pool:
-            results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+            results = pool.run(alerts)
         assert sum(1 for r in results if not r.ok) == 1
         assert len(calls) >= 2
         ok = [section_texts(r) for r in results if r.ok]
@@ -662,7 +704,7 @@ class TestSharedQueries:
         try:
             writer.start()
             with CollectionPool(stage, workers=8) as pool:
-                results = pool.run(alerts, reserved_ids(stage, len(alerts)))
+                results = pool.run(alerts)
         finally:
             done.set()
             writer.join(timeout=30)

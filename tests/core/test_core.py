@@ -48,10 +48,10 @@ class TestCollectionStage:
         assert outcome.primary_alert is not None
         return outcome.primary_alert
 
-    def test_handle_alert_collects(self, warm_service, registry):
+    def test_a_parsed_alert_collects(self, warm_service, registry):
         stage = CollectionStage(registry, warm_service.hub)
         alert = self._alert(warm_service)
-        outcome = stage.handle_alert(alert)
+        outcome = stage.collect(stage.parse_alert(alert))
         assert outcome.collected
         assert outcome.matched_handler
         assert outcome.incident.incident_id.startswith("INC-")
@@ -59,7 +59,7 @@ class TestCollectionStage:
     def test_unmatched_alert_type_degrades(self, warm_service):
         stage = CollectionStage(HandlerRegistry(), warm_service.hub)
         alert = self._alert(warm_service)
-        outcome = stage.handle_alert(alert)
+        outcome = stage.collect(stage.parse_alert(alert))
         assert not outcome.collected
         assert outcome.matched_handler is None
 
@@ -69,7 +69,7 @@ class TestCollectionStage:
         )
         alert = self._alert(warm_service)
         with pytest.raises(NoHandlerError):
-            stage.handle_alert(alert)
+            stage.collect(stage.parse_alert(alert))
 
     def test_incident_ids_unique(self, warm_service, registry):
         stage = CollectionStage(registry, warm_service.hub)

@@ -1,12 +1,12 @@
 """Tests for the streaming micro-batch ingestion front.
 
 Covers the ingestion contract: a continuous alert stream is grouped into
-``observe_many`` micro-batches automatically (an idle worker takes what is
-queued at once, batches form while it is busy, full batches cut on size;
-bounded queue with backpressure or load-shed), results flow back
-through futures, queue/flush statistics reach the telemetry hub, and OCE
-feedback recorded mid-stream is visible to the very next micro-batch,
-with a fixed shard window and an auto-selected one.
+micro-batches automatically (an idle worker takes what is queued at once,
+batches form while it is busy, full batches cut on size; bounded queue with
+backpressure or load-shed), results flow back through futures, queue/flush
+statistics reach the telemetry hub, and OCE feedback recorded mid-stream is
+visible to the very next micro-batch, with a fixed shard window and an
+auto-selected one.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def build_copilot():
 
 
 class TestManualFlush:
-    def test_flush_matches_observe_many(
+    def test_flush_matches_diagnose_many(
         self, build_copilot, stream_service, alert_feed
     ):
         streamed = build_copilot(stream_service)
@@ -93,7 +93,9 @@ class TestManualFlush:
         ingestor = streamed.stream(IngestConfig(max_batch=64, max_latency_seconds=1.0))
         futures = ingestor.submit_many(alert_feed[:6])
         reports = ingestor.flush()
-        expected = direct.observe_many(alert_feed[:6])
+        expected = direct.diagnose_many(
+            [direct.collection.parse_alert(alert) for alert in alert_feed[:6]]
+        )
         assert [r.predicted_label for r in reports] == [
             r.predicted_label for r in expected
         ]

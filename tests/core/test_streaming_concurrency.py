@@ -93,13 +93,12 @@ def run_stream_variant(base: RCACopilot, spec, workers):
 
 
 class TestSerialPooledParity:
-    def test_pooled_flush_matches_observe_many(self, base_copilot):
+    def test_pooled_flush_matches_diagnose_many(self, base_copilot):
         """The pooled two-phase path equals the plain batch path exactly."""
         spec = [(stu.SLEEPY_TYPE, False), (stu.FLAKY_TYPE, False)] * 3
         direct = copy.deepcopy(base_copilot)
-        expected = [
-            stu.report_fingerprint(r) for r in direct.observe_many(make_stream(spec))
-        ]
+        incidents = [direct.collection.parse_alert(alert) for alert in make_stream(spec)]
+        expected = [stu.report_fingerprint(r) for r in direct.diagnose_many(incidents)]
         pooled = copy.deepcopy(base_copilot)
         ingestor = pooled.stream(stu.ingest_config(4))
         try:

@@ -199,7 +199,8 @@ class TestTokenizer:
         texts = []
         for category in sorted(FAULT_INJECTORS):
             for alert in warm_service.inject_and_detect(category).alerts:
-                texts.append(stage.handle_alert(alert).incident.diagnostic_info())
+                outcome = stage.collect(stage.parse_alert(alert))
+                texts.append(outcome.incident.diagnostic_info())
         assert len(texts) >= len(FAULT_INJECTORS) and max(map(len, texts)) > 2000
         tokenizer = Tokenizer()
         for text in texts:

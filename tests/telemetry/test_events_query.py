@@ -45,24 +45,11 @@ class TestEventStore:
         assert store.last("process_crash").timestamp == 4.0
         assert store.last("deployment") is None
 
-    def test_recent_restarts(self):
-        store = EventStore()
-        store.add(make_event(100.0, kind="service_restart", component="delivery"))
-        assert len(store.recent_restarts("delivery", now=200.0, window=150.0)) == 1
-        assert store.recent_restarts("delivery", now=2000.0, window=100.0) == []
-
     def test_crash_counts_by_machine(self):
         store = EventStore()
         store.extend([make_event(1.0), make_event(2.0), make_event(3.0, machine="m2")])
         counts = store.crash_counts_by_machine()
         assert counts == {"m1": 2, "m2": 1}
-
-    def test_deployments_and_config_changes(self):
-        store = EventStore()
-        store.add(make_event(1.0, kind="deployment"))
-        store.add(make_event(2.0, kind="config_change"))
-        assert len(store.deployments_between(0.0, 5.0)) == 1
-        assert len(store.config_changes_between(0.0, 5.0)) == 1
 
     def test_render(self):
         assert "EVENT" in make_event(1.0).render()
@@ -78,10 +65,6 @@ class TestTimeWindow:
         assert window.duration == 10.0
         assert window.contains(5.0)
         assert not window.contains(11.0)
-
-    def test_widened(self):
-        window = TimeWindow(5.0, 10.0).widened(2.0)
-        assert (window.start, window.end) == (3.0, 12.0)
 
 
 class TestTelemetryHub:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.telemetry import LogLevel, LogRecord, LogStore
-from repro.telemetry.logs import filter_records, normalize_message
+from repro.telemetry.logs import normalize_message
 
 
 def make_record(ts: float, level=LogLevel.ERROR, machine="m1", component="c1", msg="boom"):
@@ -88,15 +88,6 @@ class TestLogStore:
         assert store.machines() == ["a", "b"]
         assert store.components() == ["x", "y"]
 
-    def test_count_by_level(self):
-        store = LogStore()
-        store.append(make_record(1.0, level=LogLevel.ERROR))
-        store.append(make_record(2.0, level=LogLevel.ERROR))
-        store.append(make_record(3.0, level=LogLevel.INFO))
-        counts = store.count_by_level()
-        assert counts["ERROR"] == 2
-        assert counts["INFO"] == 1
-
     def test_error_signatures_group_numbers(self):
         store = LogStore()
         store.append(make_record(1.0, msg="timeout after 30 seconds"))
@@ -124,11 +115,6 @@ class TestNormalization:
     def test_normalize_is_idempotent(self, text):
         once = normalize_message(text)
         assert normalize_message(once) == once
-
-    def test_filter_records(self):
-        records = [make_record(1.0), make_record(2.0, level=LogLevel.INFO)]
-        errors = filter_records(records, lambda r: r.level >= LogLevel.ERROR)
-        assert len(errors) == 1
 
     def test_render_contains_fields(self):
         record = LogRecord(1.0, LogLevel.ERROR, "c", "m", "msg", fields={"k": "v"})

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.telemetry import MetricSeries, MetricStore, summarize_series
-from repro.telemetry.metrics import merge_stores
 
 
 class TestMetricSeries:
@@ -42,7 +41,6 @@ class TestMetricSeries:
         assert series.mean() == pytest.approx(2.5)
         assert series.maximum() == 4.0
         assert series.minimum() == 1.0
-        assert series.stddev() == pytest.approx(1.118, abs=1e-3)
 
     def test_rate(self):
         series = MetricSeries("count", "m1")
@@ -54,21 +52,6 @@ class TestMetricSeries:
         series = MetricSeries("count", "m1")
         series.add(1.0, 5.0)
         assert series.rate() == 0.0
-
-    def test_zscore_anomalies(self):
-        series = MetricSeries("cpu", "m1")
-        for i in range(20):
-            series.add(float(i), 10.0)
-        series.add(20.0, 1000.0)
-        anomalies = series.zscore_anomalies(threshold=3.0)
-        assert len(anomalies) == 1
-        assert anomalies[0].value == 1000.0
-
-    def test_zscore_no_variance(self):
-        series = MetricSeries("cpu", "m1")
-        for i in range(5):
-            series.add(float(i), 1.0)
-        assert series.zscore_anomalies() == []
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_mean_between_min_and_max(self, values):
@@ -124,20 +107,6 @@ class TestMetricStore:
         top = store.top_machines("cpu", top=2)
         assert top[0][0] == "m2"
         assert len(top) == 2
-
-    def test_threshold_breaches(self):
-        store = MetricStore()
-        store.record("disk", "m1", 1.0, 99.0)
-        store.record("disk", "m2", 1.0, 10.0)
-        breaches = store.threshold_breaches("disk", threshold=95.0)
-        assert list(breaches) == ["m1"]
-
-    def test_merge_stores(self):
-        a, b = MetricStore(), MetricStore()
-        a.record("cpu", "m1", 1.0, 1.0)
-        b.record("cpu", "m2", 1.0, 2.0)
-        merged = merge_stores([a, b])
-        assert len(merged) == 2
 
     def test_summarize_series(self):
         series = MetricSeries("cpu", "m1", unit="%")

@@ -36,24 +36,8 @@ class TestTrace:
     def test_error_detection(self):
         clean = Trace("t1", make_trace())
         broken = Trace("t2", make_trace("t2", error_leaf=True))
-        assert not clean.has_error
-        assert broken.has_error
+        assert clean.error_spans() == []
         assert len(broken.error_spans()) == 1
-
-    def test_critical_path_is_root_to_leaf(self):
-        trace = Trace("t1", make_trace())
-        path = trace.critical_path()
-        assert [s.span_id for s in path] == ["t1-root", "t1-route", "t1-deliver"]
-
-    def test_error_path_ends_at_error(self):
-        trace = Trace("t2", make_trace("t2", error_leaf=True))
-        path = trace.error_path()
-        assert path[-1].is_error
-        assert path[0].parent_id is None
-
-    def test_error_path_empty_when_no_error(self):
-        trace = Trace("t1", make_trace())
-        assert trace.error_path() == []
 
     def test_services(self):
         trace = Trace("t1", make_trace())
@@ -63,7 +47,6 @@ class TestTrace:
         trace = Trace("tx", [])
         assert trace.root is None
         assert trace.duration == 0.0
-        assert trace.critical_path() == []
 
 
 class TestTraceStore:
