@@ -189,6 +189,13 @@ class TestBackendEquivalence:
         assert stage.next_incident_id() == "INC-LIVE-000011"
         assert all(r.seconds >= 0.0 for r in results)
 
+    def test_an_empty_wave_reserves_no_id(self):
+        stage = build_stage()
+        for workers in (None, 2):
+            with CollectionPool(stage, workers=workers) as pool:
+                assert pool.run([]) == []
+        assert stage.next_incident_id() == "INC-LIVE-000001"
+
     def test_invalid_pool_parameters_rejected(self):
         stage = build_stage()
         with pytest.raises(ValueError):

@@ -45,11 +45,54 @@ class TestEventStore:
         assert store.last("process_crash").timestamp == 4.0
         assert store.last("deployment") is None
 
+    def test_query_window_is_inclusive_and_filters_combine(self):
+        store = EventStore()
+        store.extend(
+            [
+                make_event(50.0, kind="service_restart", component="delivery"),
+                make_event(100.0, kind="service_restart", component="delivery"),
+                make_event(150.0, kind="service_restart", component="routing"),
+                make_event(200.0, kind="process_crash", component="delivery"),
+            ]
+        )
+        # The restarts of one component in the last 100 s before t=200.
+        restarts = store.query(start=100.0, end=200.0, kind="service_restart", component="delivery")
+        assert [e.timestamp for e in restarts] == [100.0]
+        assert store.query(start=201.0, kind="service_restart") == []
+
+    def test_count_and_last_respect_the_window(self):
+        store = EventStore()
+        store.extend(
+            [
+                make_event(1.0, kind="deployment"),
+                make_event(2.0, kind="config_change"),
+                make_event(6.0, kind="deployment"),
+            ]
+        )
+        assert store.count("deployment", 0.0, 5.0) == 1
+        assert store.count("config_change", 0.0, 5.0) == 1
+        assert store.count("deployment") == 2
+        assert store.last("deployment", before=5.0).timestamp == 1.0
+        assert store.last("config_change", before=1.5) is None
+
     def test_crash_counts_by_machine(self):
         store = EventStore()
         store.extend([make_event(1.0), make_event(2.0), make_event(3.0, machine="m2")])
         counts = store.crash_counts_by_machine()
         assert counts == {"m1": 2, "m2": 1}
+
+    def test_crash_counts_by_machine_in_a_window(self):
+        store = EventStore()
+        store.extend(
+            [
+                make_event(1.0),
+                make_event(5.0),
+                make_event(6.0, machine="m2"),
+                make_event(7.0, kind="service_restart", machine="m3"),
+            ]
+        )
+        assert store.crash_counts_by_machine(start=4.0, end=10.0) == {"m1": 1, "m2": 1}
+        assert store.crash_counts_by_machine(start=8.0) == {}
 
     def test_render(self):
         assert "EVENT" in make_event(1.0).render()
@@ -65,6 +108,12 @@ class TestTimeWindow:
         assert window.duration == 10.0
         assert window.contains(5.0)
         assert not window.contains(11.0)
+
+    def test_zero_length_window_holds_its_instant(self):
+        window = TimeWindow(5.0, 5.0)
+        assert window.duration == 0.0
+        assert window.contains(5.0)
+        assert not window.contains(5.5)
 
 
 class TestTelemetryHub:

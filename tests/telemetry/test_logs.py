@@ -58,6 +58,18 @@ class TestLogStore:
         store.append(make_record(2.0, level=LogLevel.ERROR))
         assert len(store.query(min_level=LogLevel.WARNING)) == 1
 
+    def test_error_level_query_keeps_critical_and_drops_warning(self):
+        store = LogStore()
+        for ts, level in enumerate(
+            [LogLevel.INFO, LogLevel.WARNING, LogLevel.ERROR, LogLevel.ERROR, LogLevel.CRITICAL]
+        ):
+            store.append(make_record(float(ts), level=level))
+        errors = store.query(min_level=LogLevel.ERROR)
+        assert [r.level for r in errors] == [LogLevel.ERROR, LogLevel.ERROR, LogLevel.CRITICAL]
+        assert len(store.query(min_level=LogLevel.CRITICAL)) == 1
+        assert len(store.query(min_level=LogLevel.WARNING)) == 4
+        assert len(store.query(start=3.0, min_level=LogLevel.ERROR)) == 2
+
     def test_query_pattern_case_insensitive(self):
         store = LogStore()
         store.append(make_record(1.0, msg="WinSock error 11001"))
@@ -96,6 +108,18 @@ class TestLogStore:
         assert signatures[0][1] == 2
         assert "<num>" in signatures[0][0]
 
+    def test_error_signatures_window_ties_and_levels(self):
+        store = LogStore()
+        store.append(make_record(1.0, msg="disk 1 full"))
+        store.append(make_record(2.0, msg="bang"))
+        store.append(make_record(3.0, msg="disk 7 full"))
+        store.append(make_record(4.0, level=LogLevel.WARNING, msg="bang"))
+        store.append(make_record(5.0, msg="crash"))
+        # Below ERROR never counts; ties rank by signature text.
+        assert store.error_signatures() == [("disk <num> full", 2), ("bang", 1), ("crash", 1)]
+        assert store.error_signatures(start=2.0, end=3.0) == [("bang", 1), ("disk <num> full", 1)]
+        assert store.error_signatures(top=1) == [("disk <num> full", 2)]
+
     def test_tail(self):
         store = LogStore()
         store.extend(make_record(float(i)) for i in range(10))
@@ -119,3 +143,8 @@ class TestNormalization:
     def test_render_contains_fields(self):
         record = LogRecord(1.0, LogLevel.ERROR, "c", "m", "msg", fields={"k": "v"})
         assert "k=v" in record.render()
+
+    def test_record_matches_is_case_insensitive(self):
+        record = make_record(1.0, msg="WinSock error 11001")
+        assert record.matches("winsock ERROR")
+        assert not record.matches("timeout")

@@ -53,6 +53,18 @@ class TestMetricSeries:
         series.add(1.0, 5.0)
         assert series.rate() == 0.0
 
+    def test_empty_window_aggregates_are_zero(self):
+        series = MetricSeries("cpu", "m1")
+        for t, v in [(1.0, 5.0), (2.0, 7.0)]:
+            series.add(t, v)
+        assert series.values(3.0, 4.0) == []
+        assert (series.mean(3.0, 4.0), series.maximum(3.0, 4.0), series.minimum(3.0, 4.0)) == (
+            0.0,
+            0.0,
+            0.0,
+        )
+        assert series.rate(3.0, 4.0) == 0.0
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_mean_between_min_and_max(self, values):
         series = MetricSeries("x", "m")
@@ -107,6 +119,15 @@ class TestMetricStore:
         top = store.top_machines("cpu", top=2)
         assert top[0][0] == "m2"
         assert len(top) == 2
+
+    def test_top_machines_ranks_ties_by_name_and_honours_how(self):
+        store = MetricStore()
+        for machine, values in [("m3", (90.0, 10.0)), ("m1", (50.0, 50.0)), ("m2", (90.0, 90.0))]:
+            for t, v in enumerate(values):
+                store.record("disk", machine, float(t), v)
+        assert store.top_machines("disk") == [("m2", 90.0), ("m3", 90.0), ("m1", 50.0)]
+        assert store.top_machines("disk", how="mean", top=2) == [("m2", 90.0), ("m1", 50.0)]
+        assert store.top_machines("disk", start=1.0, how="max", top=1) == [("m2", 90.0)]
 
     def test_summarize_series(self):
         series = MetricSeries("cpu", "m1", unit="%")

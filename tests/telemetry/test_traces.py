@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.telemetry import Span, Trace, TraceStore, render_trace
 
 
@@ -29,6 +31,26 @@ class TestTrace:
         assert trace.root.span_id == "t1-root"
         assert len(trace.children(trace.root)) == 1
 
+    def test_children_walk_from_root_reaches_every_span(self):
+        trace = Trace("t1", make_trace())
+        walk, span = [], trace.root
+        while span is not None:
+            walk.append(span.span_id)
+            children = trace.children(span)
+            span = children[0] if children else None
+        assert walk == ["t1-root", "t1-route", "t1-deliver"]
+
+    def test_error_span_parent_chain_reaches_the_root(self):
+        trace = Trace("t2", make_trace("t2", error_leaf=True))
+        by_id = {span.span_id: span for span in trace.spans}
+        (span,) = trace.error_spans()
+        chain = [span.span_id]
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+            chain.append(span.span_id)
+        assert chain == ["t2-deliver", "t2-route", "t2-root"]
+        assert span is trace.root
+
     def test_duration(self):
         trace = Trace("t1", make_trace())
         assert trace.duration == 0.8
@@ -47,6 +69,13 @@ class TestTrace:
         trace = Trace("tx", [])
         assert trace.root is None
         assert trace.duration == 0.0
+
+    def test_trace_without_a_parentless_span_has_no_root(self):
+        orphans = [s for s in make_trace("t3") if s.parent_id is not None]
+        trace = Trace("t3", orphans)
+        assert trace.root is None
+        assert trace.duration == pytest.approx(0.8 - 0.1)
+        assert render_trace(trace).splitlines() == ["trace t3 (700.0 ms)"]
 
 
 class TestTraceStore:
