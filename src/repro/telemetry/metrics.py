@@ -35,7 +35,7 @@ import math
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .timeindex import window_bounds
 
@@ -178,9 +178,9 @@ class MetricStore:
         self.writes = 0
         self._series: Dict[Tuple[str, str], MetricSeries] = {}
         #: Derived from ``_series``: each metric's series ordered by machine,
-        #: each machine's ordered by metric name.
+        #: and the machines that hold any series.
         self._by_name: Dict[str, List[MetricSeries]] = {}
-        self._by_machine: Dict[str, List[MetricSeries]] = {}
+        self._machines: Set[str] = set()
 
     def __len__(self) -> int:
         with self._lock:
@@ -200,8 +200,7 @@ class MetricStore:
     def _index(self, series: MetricSeries) -> None:
         by_name = self._by_name.setdefault(series.name, [])
         bisect.insort(by_name, series, key=attrgetter("machine"))
-        by_machine = self._by_machine.setdefault(series.machine, [])
-        bisect.insort(by_machine, series, key=attrgetter("name"))
+        self._machines.add(series.machine)
 
     def record(
         self, name: str, machine: str, timestamp: float, value: float, unit: str = ""
@@ -234,7 +233,7 @@ class MetricStore:
     def machines(self) -> List[str]:
         """Distinct machines present in the store."""
         with self._lock:
-            return sorted(self._by_machine)
+            return sorted(self._machines)
 
     def latest(self, name: str, machine: str) -> Optional[float]:
         """Latest value of a metric on a machine, or None."""

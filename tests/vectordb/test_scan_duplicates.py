@@ -97,9 +97,9 @@ def run_case(monkeypatch, seed, rows, distinct, categories, k, diverse, alpha,
     fold = _ScanState.fold
     counts = {"folds": 0, "narrowed": 0, "dropped": 0}
 
-    def counting_fold(self, queries, data, scores):
+    def counting_fold(self, queries, block):
         counts["folds"] += 1
-        fold(self, queries, data, scores)
+        fold(self, queries, block)
 
     def counting_winners(self, data, scores, cells):
         kept = winners(self, data, scores, cells)

@@ -714,9 +714,11 @@ def fold_category_argmaxes(self, queries, data, scores):
         self.kth_best[queries] = kth
 
 
-def dense_fold(self, queries, data, scores):
-    """``_ScanState.fold`` without a floor: every block folded dense and merged
-    at once, pools row by row, so the wave's merge finds nothing left."""
+def dense_fold(self, queries, block):
+    """``_ScanState.fold`` without a floor: every block scored whole, folded
+    dense and merged at once, pools row by row, so the wave's merge finds
+    nothing left."""
+    data, scores = block.data, block.scores()
     size = self.pool_size
     block = np.arange(queries.shape[0])[:, None]
     top = top_rows(scores, size)
@@ -739,9 +741,9 @@ def dense_fold(self, queries, data, scores):
 REAL_FOLD = _ScanState.fold
 
 
-def block_merged_fold(self, queries, data, scores):
+def block_merged_fold(self, queries, block):
     """The real fold with its cells merged at once: a merge per block, not per wave."""
-    REAL_FOLD(self, queries, data, scores)
+    REAL_FOLD(self, queries, block)
     self.merge_wave()
 
 
@@ -775,12 +777,12 @@ def traced_search(monkeypatch, index, queries, days, fold=None, **kwargs):
         scans.append(scan)
         return finalize(self, scan, k, diverse)
 
-    def recording(self, queries, data, scores):
+    def recording(self, queries, block):
         floor = self.pool_scores[queries, -1]
         if self.diverse:
             floor = np.minimum(floor, self.kth_best[queries])
         trace.floors.append(floor.copy())
-        real_fold(self, queries, data, scores)
+        real_fold(self, queries, block)
 
     def recording_block_floor(self, data, scores):
         floor = block_floor(self, data, scores)

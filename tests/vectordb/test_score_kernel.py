@@ -16,6 +16,11 @@ inputs:
   ``(Q, N)`` buffer — which on snapped inputs must give the same bits;
 * the grid itself: ``snap`` is idempotent, and it refuses NaN, infinite
   and too-long vectors, which ``augment_queries`` names by row.
+
+A block of two queries, computed as two one-query products into one
+output, must give each query's own bytes.  ``scores_at_least``, which
+scores only the cells of a block that can reach a floor, must keep exactly
+the cells the whole block's scores keep, with their bits.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.vectordb.scoring import (
     augment_queries,
     one_thread_product,
     score_block,
+    scores_at_least,
     snap,
 )
 
@@ -139,6 +145,35 @@ def test_a_strided_view_of_a_wider_buffer_scores_like_its_contiguous_copy(
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 400),
+    spare=st.integers(1, 300),
+    dim=st.sampled_from([1, 3, 16, 64]),
+    norm=st.sampled_from([1e-6, 1.0, 6.0, 45.0]),
+)
+def test_two_queries_score_the_bytes_of_each_alone(seed, rows, spare, dim, norm):
+    """A block of two queries is computed as two one-query products into
+    one output; over a strided view its bytes are each query's own, the
+    integer reference's and a plain two-row product's."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((rows + 2, dim))
+    vectors *= norm / np.linalg.norm(vectors, axis=1, keepdims=True)
+    matrix, query_matrix = vectors[:rows], vectors[rows:]
+    matrix[0] = -query_matrix[1]
+    buffer = np.full((dim + 2, rows + spare), np.nan)
+    assert snap(matrix, buffer[:, :rows]) is None
+    view = buffer[:, :rows]
+    augmented = augment_queries(query_matrix)
+    product = one_thread_product(augmented, view)
+    assert product.shape == (2, rows) and product.flags.c_contiguous
+    alone = [one_thread_product(augmented[row:row + 1], view) for row in range(2)]
+    assert product.tobytes() == np.concatenate(alone).tobytes()
+    assert hexes(product) == hexes(integer_squared_distances(query_matrix, matrix))
+    assert product.tobytes() == (augmented @ np.ascontiguousarray(view)).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -166,6 +201,54 @@ def test_one_product_matches_the_gram_expansion_on_snapped_inputs(
     )
     assert scores.shape == expected.shape
     assert hexes(scores) == hexes(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    queries=st.integers(1, 5),
+    rows=st.integers(1, 300),
+    dim=st.sampled_from([2, 3, 8]),
+    alpha=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_scores_at_least_keeps_exactly_the_cells_at_or_above_the_floor(
+    seed, queries, rows, dim, alpha
+):
+    """Whole-number vectors and days, so squared distances and day gaps tie
+    often; each row's floor is one of its own cells' scores, so cells sit
+    exactly at it, and its bound is the scan's, ``exp(-alpha dt_min)``.
+    The cells kept and their bits are the whole block's."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-2, 3, (rows, dim)).astype(float)
+    query_matrix = rng.integers(-2, 3, (queries, dim)).astype(float)
+    row_days = rng.integers(0, 40, rows).astype(float)
+    query_days = rng.integers(-5, 45, queries).astype(float)
+    block, augmented = store_block(matrix), augment_queries(query_matrix)
+    scores = score_block(block, row_days, augmented, query_days, alpha)
+    floors = scores[np.arange(queries), rng.integers(0, rows, queries)]
+    low, high = row_days.min(), row_days.max()
+    inside = (low <= query_days) & (query_days <= high)
+    gaps = np.where(inside, 0.0, np.minimum(np.abs(query_days - low), np.abs(query_days - high)))
+    bounds = np.exp(-alpha * gaps)
+    cells, taken = scores_at_least(
+        one_thread_product(augmented, block), row_days, query_days, alpha, bounds, floors
+    )
+    expected = np.flatnonzero(scores >= floors[:, None])
+    assert cells.tolist() == expected.tolist()
+    assert hexes(taken) == hexes(scores.ravel()[expected])
+
+
+def test_scores_at_least_needs_its_margin_at_squared_distance_two():
+    """``(1 / s - 1)^2`` rounds to just below 2 for ``s = 1 / (1 + sqrt 2)``:
+    the cell at squared distance 2 scores exactly the floor and is kept."""
+    floor = 1.0 / (1.0 + math.sqrt(2.0))
+    assert (1.0 / floor - 1.0) ** 2 < 2.0
+    squared = np.array([[0.0, 1.0, 2.0, 3.0]])
+    cells, taken = scores_at_least(
+        squared, np.zeros(4), np.zeros(1), 0.3, np.ones(1), np.array([floor])
+    )
+    assert cells.tolist() == [0, 1, 2]
+    assert hexes(taken) == hexes(np.array([1.0, 0.5, floor]))
 
 
 def test_snap_writes_grid_columns_and_is_idempotent():
