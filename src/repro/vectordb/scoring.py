@@ -51,13 +51,6 @@ restore unconditionally.  ``_LIMIT_LOCK`` is held from set to restore, so
 two scoring threads never restore each other's count out of order and
 leave the process pinned at one thread.
 
-A block of exactly two queries is computed as two one-query products into
-one output.  On a cold shard of 3,855 rows (a 200k-entry index, 64
-dimensions) OpenBLAS's two-row product cost 388 µs per block against 272
-µs for the two one-row products; on a block already in cache the split
-costs ≈ 2x (4.7 against 8.5 µs on 80 rows).  Retrieval's large shards are
-the cold ones, and the grid makes both ways the same bits.
-
 **One formula.**  :func:`cell_scores` is the only place the square root, the
 ``+ 1``, the decay and the division are written; :func:`score_block` runs
 it over a whole block and :func:`scores_at_least` over the cells of a
@@ -213,24 +206,14 @@ def one_thread_product(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
     """
     setter = _set_num_threads_local
     if setter is None:
-        return _product(queries, block)
+        return queries @ block
     with _LIMIT_LOCK:
         previous = setter(1)
         try:
-            return _product(queries, block)
+            return queries @ block
         finally:
             if _process_count is None or _process_count() == 1:
                 setter(previous)
-
-
-def _product(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``queries @ block``, two queries as two one-query products (module doc)."""
-    if queries.shape[0] != 2:
-        return queries @ block
-    out = np.empty((2, block.shape[1]))
-    np.matmul(queries[:1], block, out=out[:1])
-    np.matmul(queries[1:], block, out=out[1:])
-    return out
 
 
 def cell_scores(squared: np.ndarray, gaps: np.ndarray, alpha: float) -> np.ndarray:

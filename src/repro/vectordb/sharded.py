@@ -62,10 +62,8 @@ it, so a cell at squared distance above ``((b / floor - 1)(1 + 1e-9))^2``
 scores below the floor; the product's squared distances are compared with
 that limit and only the cells within it get the square root, decay and
 division (:func:`.scoring.scores_at_least`, whose docstring proves the
-margin covers rounding).  The kept cells, their scores and everything
-merged are the bits a whole block's scores give.  On ``index_churn`` (100k
-entries and more, 16-query batches) it cut the bench's ``latency_p50_ms``
-by 10% (medians 3.63 → 3.27 ms over ten alternating pairs, 2-core box).
+margin covers rounding).  The skip is exact: the kept cells, their scores
+and everything merged are the bits a whole block's scores give.
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -674,24 +672,24 @@ class _ScanState:
             floor = np.minimum(floor, self.kth_best[queries])
         if floor.min() >= _SMALLEST_NORMAL:
             cells, taken = block.scores_at_least(floor)
-            scores = None
         else:
             scores = block.scores()
             if floor.min() == -math.inf:
                 floor = np.maximum(floor, self._block_floor(data, scores))
             cells = np.flatnonzero(scores >= floor[:, None])
+            taken = scores.ravel()[cells]
         room = self.pool_size + (self.best_scores.shape[1] if self.diverse else 0)
         if cells.shape[0] > queries.shape[0] * room:
-            if scores is None:
-                # A cell below the floor wins nothing; -inf stands in for it.
-                scores = np.full((queries.shape[0], data.total), -math.inf)
-                scores.flat[cells] = taken
-            cells = self._winners(data, scores, cells)
+            # A cell below its floor wins nothing.  -inf stands in for it,
+            # which moves no kept cell against its row's 2k-th score or its
+            # category's maximum, so _winners keeps the same cells.
+            kept = np.full((queries.shape[0], data.total), -math.inf)
+            kept.ravel()[cells] = taken
+            cells = self._winners(data, kept, cells)
+            taken = kept.ravel()[cells]
         # ``flatnonzero`` then ``divmod``: a 2-D ``nonzero`` costs ~10x more.
         owner, rows = np.divmod(cells, data.total)
         if owner.shape[0]:
-            if scores is not None:
-                taken = scores[owner, rows]
             self._wave.append((
                 queries, owner + self._wave_width, taken,
                 data.seqs[rows], np.full(rows.shape, data.key), rows, data.codes[rows],
