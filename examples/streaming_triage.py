@@ -154,24 +154,12 @@ def main() -> None:
         f"(flush reasons: {ingest.flush_reasons}, "
         f"collect failures: {ingest.collect_failures})"
     )
-    pool_size = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.collect_pool_size", "stream-ingestor"
-    )
-    utilization = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.collect_utilization", "stream-ingestor"
-    )
-    collect_seconds = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.collect_seconds", "stream-ingestor"
-    )
-    predict_seconds = copilot.hub.metrics.latest(
-        "rcacopilot.ingest.predict_seconds", "stream-ingestor"
-    )
-    print(
-        f"collection pool: {int(pool_size)} worker(s), last batch "
-        f"{utilization:.0%} utilised (collect {collect_seconds * 1000:.1f}ms, "
-        f"predict {predict_seconds * 1000:.1f}ms)"
-    )
     flat = ingestor.stats_dict()
+    print(
+        f"collection pool: {config.ingest.collect_workers} worker(s), largest "
+        f"queue depth {int(flat['max_queue_depth'])}, last batch "
+        f"{int(flat['last_flush_size'])} alert(s)"
+    )
     print(
         f"pipeline: {flat['pipeline_overlap_seconds'] * 1000:.1f}ms of "
         f"collect/predict overlap (collect busy "

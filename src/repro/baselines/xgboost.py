@@ -9,7 +9,7 @@ many training examples, weak on the long tail — without the native library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -110,26 +110,6 @@ class GradientBoostingClassifier:
         probabilities = self.predict_proba(texts)
         ids = probabilities.argmax(axis=1)
         return self.encoder.decode(ids)
-
-    def feature_importances(self, top: int = 20) -> Dict[str, int]:
-        """Count how many splits used each vocabulary token (rough importance)."""
-        counts: Dict[int, int] = {}
-
-        def walk(node) -> None:
-            if node is None or node.is_leaf:
-                return
-            counts[node.feature] = counts.get(node.feature, 0) + 1
-            walk(node.left)
-            walk(node.right)
-
-        for round_trees in self._trees:
-            for tree in round_trees:
-                if tree is None:
-                    continue
-                walk(tree._root)  # noqa: SLF001 - intra-package introspection
-        inverse = {index: token for token, index in self.vectorizer.vocabulary.items()}
-        ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:top]
-        return {inverse.get(index, f"f{index}"): count for index, count in ranked}
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ ingest queue / collect      slow or crashing handlers       futures shed per ale
                             via the handler hook
 ==========================  =============================  =========================
 
-Telemetry: injections count into ``rcacopilot.faults.*``
-(:meth:`FaultInjector.export`), retries/trips/degradations into
-``rcacopilot.retry.*`` (:meth:`ResilientChatModel.export`).
+Counters: injections are read from :meth:`FaultInjector.stats_dict`,
+retries/trips/degradations from :meth:`ResilientChatModel.stats_dict`.
+Neither writes into the telemetry hub the handlers diagnose from.
 """
 
 from .injector import NO_FAULTS, FaultConfig, FaultEvent, FaultInjector

@@ -231,17 +231,6 @@ class FaultInjector:
                 flat[f"injections_{site.replace('.', '_')}"] = float(count)
         return flat
 
-    def export(self, hub, machine: str = "chaos-injector") -> None:
-        """Emit ``rcacopilot.faults.*`` counters into a telemetry hub."""
-        hub.emit_metrics(
-            {
-                f"rcacopilot.faults.{suffix}": value
-                for suffix, value in self.stats_dict().items()
-            },
-            machine=machine,
-            timestamp=self.clock.time(),
-        )
-
 
 #: A shared inert injector for call sites that want a non-None default.
 NO_FAULTS = FaultInjector(seed=0)

@@ -21,15 +21,14 @@ A directory written in a retired format (manifest version 3, one
 ``arena.bin``; versions 1 and 2, one ``.npz`` per shard) is reported as
 corruption too, and so is the one ``.npz`` file the retired single-matrix
 index wrote, so both take the same ladder straight to the rebuild rung.
-Every fallback taken is counted into ``rcacopilot.faults.*`` telemetry when
-a hub is provided.
+The returned source (``"primary"`` or ``"rebuilt"``) says which rung
+answered.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from ..core.clock import MONOTONIC_CLOCK, Clock
 from ..core.errors import IndexCorruptionError
 
 
@@ -38,43 +37,19 @@ def load_index_resilient(
     similarity=None,
     compaction=None,
     rebuild: Optional[Callable[[], object]] = None,
-    hub=None,
-    clock: Optional[Clock] = None,
 ) -> Tuple[object, str]:
     """Load a persisted index, degrading through fallbacks on corruption.
 
     Returns ``(index, source)`` where ``source`` is ``"primary"`` or
     ``"rebuilt"``.  Raises the original :class:`IndexCorruptionError`
-    when no ``rebuild`` callback was given.  ``clock`` stamps the
-    recovery-event telemetry (defaults to the real clock); replayed/chaos
-    runs inject theirs so fallback events land on the run's own timeline.
+    when no ``rebuild`` callback was given.
     """
-    clock = clock if clock is not None else MONOTONIC_CLOCK
     from ..vectordb import load_index
 
     try:
-        index = load_index(
-            path,
-            similarity=similarity,
-            compaction=compaction,
-        )
-        return index, "primary"
-    except IndexCorruptionError as exc:
-        corruption = exc
-    _emit(hub, "index_load_corruptions", clock)
-    if rebuild is not None:
-        index = rebuild()
-        _emit(hub, "index_rebuilds", clock)
-        return index, "rebuilt"
-    raise corruption
+        return load_index(path, similarity=similarity, compaction=compaction), "primary"
+    except IndexCorruptionError:
+        if rebuild is None:
+            raise
+    return rebuild(), "rebuilt"
 
-
-def _emit(hub, suffix: str, clock: Clock) -> None:
-    if hub is None:
-        return
-    hub.emit_metric(
-        f"rcacopilot.faults.{suffix}",
-        machine="chaos-recovery",
-        timestamp=clock.time(),
-        value=1.0,
-    )

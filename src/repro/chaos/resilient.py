@@ -201,12 +201,10 @@ class ResilientChatModel:
         policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
         seed: int = 0,
-        hub=None,
     ) -> None:
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.clock = clock or MONOTONIC_CLOCK
-        self.hub = hub
         self._rng = random.Random(f"resilient:{seed}")
         self._lock = threading.Lock()
         self.breaker = CircuitBreaker(
@@ -341,20 +339,6 @@ class ResilientChatModel:
             if self._retry_budget_left is not None:
                 flat["retry_budget_left"] = float(self._retry_budget_left)
         return flat
-
-    def export(self, hub=None, machine: str = "resilient-llm") -> None:
-        """Emit ``rcacopilot.retry.*`` counters into a telemetry hub."""
-        target = hub or self.hub
-        if target is None:
-            raise ValueError("no telemetry hub to export to")
-        target.emit_metrics(
-            {
-                f"rcacopilot.retry.{suffix}": value
-                for suffix, value in self.stats_dict().items()
-            },
-            machine=machine,
-            timestamp=self.clock.time(),
-        )
 
 
 def _corrupt_text(text: str) -> str:

@@ -41,10 +41,6 @@ class Machine:
     #: Mutable operational state used by fault injectors.
     state: Dict[str, float] = field(default_factory=dict)
 
-    def reset_state(self) -> None:
-        """Clear transient operational state (between scenario runs)."""
-        self.state.clear()
-
 
 @dataclass
 class Forest:

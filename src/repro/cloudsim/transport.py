@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..monitors import Alert, MonitorSuite, default_monitor_suite
 from ..telemetry import TelemetryHub, TimeWindow
@@ -123,22 +123,6 @@ class TransportService:
         return InjectionOutcome(fault=record, alerts=relevant or alerts)
 
     # ---------------------------------------------------------------- reporting
-    def detection_rates(self, categories: List[str], trials: int = 3) -> Dict[str, float]:
-        """Fraction of injections per category that produced the expected alert."""
-        rates: Dict[str, float] = {}
-        for category in categories:
-            hits = 0
-            for _ in range(trials):
-                self.warm_up(hours=0.5)
-                outcome = self.inject_and_detect(category)
-                if outcome.primary_alert is not None and (
-                    outcome.primary_alert.alert_type
-                    == outcome.fault.expected_alert_type
-                ):
-                    hits += 1
-            rates[category] = hits / trials if trials else 0.0
-        return rates
-
     def describe(self) -> str:
         """Human-readable one-line description of the simulated deployment."""
         forests = len(self.topology.forests)

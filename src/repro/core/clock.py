@@ -1,20 +1,18 @@
 """Injectable time source for the streaming front.
 
 Everything timing-dependent in the ingestion path — the worker's wait for
-an alert and its stop poll, and the collect/predict phase wall times —
+an alert and its stop poll, stage occupancy and report elapsed times —
 reads time through a :class:`Clock` instead of calling :mod:`time`
 directly.  Production uses :class:`MonotonicClock` (real
 ``time.monotonic``/``time.sleep``); tests inject a step-controlled fake
-(``tests/core/streamtest_utils.FakeClock``) so every flush and
-utilization-window path runs deterministically, without real sleeps or
-wall-clock races.
+(``tests/core/streamtest_utils.FakeClock``) so every flush and timing
+path runs deterministically, without real sleeps or wall-clock races.
 
 The interface is deliberately small:
 
 * :meth:`Clock.monotonic` — the timeline every deadline and duration is
   computed on;
 * :meth:`Clock.sleep` — how a thread waits for that timeline to progress;
-* :meth:`Clock.time` — wall-clock timestamps for telemetry export;
 * :meth:`Clock.wait_queue` — a ``queue.Queue.get`` bounded by *clock* time
   rather than real time.  The real clock delegates to the queue's own
   blocking get (so an arriving item still wakes the worker immediately); a
@@ -41,10 +39,6 @@ class Clock:
         """Monotonic seconds; the basis of all deadlines and durations."""
         raise NotImplementedError
 
-    def time(self) -> float:
-        """Wall-clock seconds since the epoch, for telemetry timestamps."""
-        raise NotImplementedError
-
     def sleep(self, seconds: float) -> None:
         """Block the calling thread until ``seconds`` of clock time pass."""
         raise NotImplementedError
@@ -67,13 +61,10 @@ class Clock:
 
 
 class MonotonicClock(Clock):
-    """The real clock: ``time.monotonic``/``time.time``/``time.sleep``."""
+    """The real clock: ``time.monotonic``/``time.sleep``."""
 
     def monotonic(self) -> float:
         return time.monotonic()
-
-    def time(self) -> float:
-        return time.time()
 
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
@@ -124,10 +115,6 @@ class VirtualClock(Clock):
     def monotonic(self) -> float:
         with self._cond:
             return self._now
-
-    def time(self) -> float:
-        # One timeline: virtual wall clock == virtual monotonic clock.
-        return self.monotonic()
 
     def advance(self, seconds: float) -> None:
         """Move virtual time forward and wake sleepers whose deadline passed."""

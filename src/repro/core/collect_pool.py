@@ -44,7 +44,6 @@ from typing import List, Optional, Sequence, Union
 from ..handlers import CoalescingScope
 from ..incidents import Incident
 from ..monitors import Alert
-from .clock import MONOTONIC_CLOCK, Clock
 from .collection import CollectionOutcome, CollectionStage
 
 
@@ -53,15 +52,12 @@ class CollectResult:
     """Outcome of one item's parse+collect, tagged with its submission slot.
 
     Exactly one of (``incident`` and ``outcome``) or ``error`` is set.
-    ``seconds`` is the worker-side wall time of the parse+collect call — the
-    numerator of the pool utilisation metric.
     """
 
     index: int
     incident: Optional[Incident] = None
     outcome: Optional[CollectionOutcome] = None
     error: Optional[BaseException] = None
-    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -77,22 +73,12 @@ class CollectionPool:
     first pooled wave and torn down by :meth:`close`.
     """
 
-    def __init__(
-        self,
-        stage: CollectionStage,
-        workers: Optional[int] = None,
-        clock: Optional[Clock] = None,
-    ) -> None:
+    def __init__(self, stage: CollectionStage, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be positive (or None for serial)")
         self.stage = stage
         self.workers = workers
-        #: Time source for per-task wall times and worker-second accounting.
-        self.clock = clock or MONOTONIC_CLOCK
         self._executor: Optional[ThreadPoolExecutor] = None
-        #: Σ pool_size × wave wall time: the capacity paid for, whether or
-        #: not it was used (the ``collect_worker_seconds_total`` gauge).
-        self.worker_seconds = 0.0
 
     @property
     def pool_size(self) -> int:
@@ -114,19 +100,14 @@ class CollectionPool:
             (index, item, None if isinstance(item, Incident) else stage.next_incident_id())
             for index, item in enumerate(items)
         ]
-        wave_started = self.clock.monotonic()
-        try:
-            queries = CoalescingScope()
-            if self.workers is None:
-                return [self._collect_guarded(*task, queries) for task in tasks]
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(self._collect_guarded, *task, queries) for task in tasks
-            ]
-            return [future.result() for future in futures]
-        finally:
-            lanes = self.workers if self.workers else 1
-            self.worker_seconds += lanes * (self.clock.monotonic() - wave_started)
+        queries = CoalescingScope()
+        if self.workers is None:
+            return [self._collect_guarded(*task, queries) for task in tasks]
+        executor = self._ensure_executor()
+        futures = [
+            executor.submit(self._collect_guarded, *task, queries) for task in tasks
+        ]
+        return [future.result() for future in futures]
 
     def _collect_guarded(
         self,
@@ -136,22 +117,14 @@ class CollectionPool:
         queries: CoalescingScope,
     ) -> CollectResult:
         """Parse (an alert) and collect one item, contained per item."""
-        started = self.clock.monotonic()
         try:
             incident = item
             if incident_id is not None:
                 incident = self.stage.parse_alert(item, incident_id=incident_id)
             outcome = self.stage.collect(incident, queries)
         except Exception as exc:  # noqa: BLE001 - contained per item
-            return CollectResult(
-                index=index, error=exc, seconds=self.clock.monotonic() - started
-            )
-        return CollectResult(
-            index=index,
-            incident=incident,
-            outcome=outcome,
-            seconds=self.clock.monotonic() - started,
-        )
+            return CollectResult(index=index, error=exc)
+        return CollectResult(index=index, incident=incident, outcome=outcome)
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:

@@ -90,9 +90,9 @@ class RCACopilot:
         self.hub = hub
         self.registry = registry or default_registry()
         self.model = model or SimulatedLLM()
-        # Every telemetry timestamp and elapsed-time measurement reads this
-        # clock; replayed runs inject a VirtualClock so the whole pipeline
-        # lives on the recording's timeline.
+        # Every elapsed-time measurement reads this clock; replayed runs
+        # inject a VirtualClock so the whole pipeline lives on the
+        # recording's timeline.
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
         self.collection = CollectionStage(self.registry, hub, self.config.collection)
         self.prediction = PredictionStage(
@@ -100,7 +100,6 @@ class RCACopilot:
             config=self.config.prediction,
             embedding_backend=self.config.embedding_backend,
             index_config=self.config.index,
-            hub=hub,
             clock=self.clock,
         )
         self.history = IncidentStore()
@@ -178,15 +177,14 @@ class RCACopilot:
         :class:`~repro.core.collect_pool.CollectionPool`; prediction runs as
         one batch — batch context build, batch embedding, one matrix–matrix
         retrieval pass and a deduplicated LLM batch.  Results are identical
-        to diagnosing each incident on its own.  After the batch, the
-        stage's cache hit/miss counters are exported through the telemetry
-        hub.  A strict-mode collection failure is raised once the whole wave
-        is collected: the first in submission order, with nothing predicted.
+        to diagnosing each incident on its own.  A strict-mode collection
+        failure is raised once the whole wave is collected: the first in
+        submission order, with nothing predicted.
         """
         if not incidents:
             return []
         started = self.clock.monotonic()
-        results = CollectionPool(self.collection, clock=self.clock).run(incidents)
+        results = CollectionPool(self.collection).run(incidents)
         for result in results:
             if not result.ok:
                 raise result.error
@@ -199,24 +197,18 @@ class RCACopilot:
         collections: Sequence[CollectionOutcome],
         started: Optional[float] = None,
         now: Optional[Callable[[], float]] = None,
-        timestamp: Optional[float] = None,
     ) -> List[DiagnosisReport]:
         """Run the batched prediction phase over already-collected incidents.
 
         The second half of :meth:`diagnose_many`, split out so callers that
         run the collection phase elsewhere — the stream ingestor's collection
         worker pool fans parse+collect out per alert — can still share the
-        exact prediction/batching/telemetry path.  ``started`` optionally
+        exact prediction/batching path.  ``started`` optionally
         carries the batch's true start time (collection included) so the
         reports' per-incident ``elapsed_seconds`` keeps its meaning; ``now``
         must then read the same clock ``started`` came from (the stream
         ingestor passes its injected clock; the default is the copilot's
         own ``clock.monotonic``, matching :meth:`diagnose_many`).
-        ``timestamp`` stamps the cache/index metric exports — callers on an
-        injected clock pass its wall time so one batch's telemetry lives on
-        a single timeline; the fallback is the copilot clock's wall time,
-        never a direct ``time.time()`` read (which would leak the host's
-        wall clock into replayed runs).
         """
         if not collections:
             return []
@@ -229,10 +221,6 @@ class RCACopilot:
         if self._indexed:
             predictions = list(self.prediction.predict_many(incidents))
         elapsed = (now() - started) / len(incidents)
-        if timestamp is None:
-            timestamp = self.clock.time()
-        self.prediction.export_cache_metrics(self.hub, timestamp=timestamp)
-        self.prediction.export_index_metrics(self.hub, timestamp=timestamp)
         return [
             DiagnosisReport(
                 incident=incident,

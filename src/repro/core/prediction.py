@@ -17,8 +17,8 @@ Pipeline per batch of incoming incidents:
 Because most incidents recur (paper Figure 2), the stage keeps
 content-hash-keyed caches of diagnostic summaries and embeddings; a
 recurring incident costs two hash lookups instead of an LLM round trip and
-an embedding pass.  Hit/miss counters are exported through the
-:class:`~repro.telemetry.TelemetryHub`.
+an embedding pass.  Hit/miss counters are kept in
+:attr:`PredictionStage.cache_stats`, the index's in ``index.stats()``.
 
 The scalar :meth:`PredictionStage.predict` delegates to the batch
 :meth:`PredictionStage.predict_many`, so both paths produce identical
@@ -43,7 +43,6 @@ from ..llm import (
     DiagnosticSummarizer,
     SimulatedLLM,
 )
-from ..telemetry import TelemetryHub
 from ..vectordb import DEFAULT_WINDOW_DAYS, ShardedVectorIndex, SimilarityConfig, VectorIndex
 from .clock import MONOTONIC_CLOCK, Clock
 from .config import ContextSource, IndexConfig, PredictionConfig
@@ -135,20 +134,14 @@ class PredictionStage:
         embedding_backend: str = "fasttext",
         embedder=None,
         index_config: Optional[IndexConfig] = None,
-        hub: Optional[TelemetryHub] = None,
         clock: Optional[Clock] = None,
     ) -> None:
         self.model = model or SimulatedLLM()
         self.config = config or PredictionConfig()
         self.index_config = index_config or IndexConfig()
-        #: Time source for in-stage telemetry timestamps and durations; a
-        #: replayed run injects a VirtualClock so the metrics it emits are
-        #: stamped on the recording's timeline, not the host's wall clock.
+        #: Time source for in-stage durations; a replayed run injects a
+        #: VirtualClock so they are measured on the recording's timeline.
         self._clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
-        #: Optional telemetry hub for decisions taken inside the stage
-        #: (e.g. the automatic ``window_days`` choice); metric/stat exports
-        #: still go through the explicit ``export_*_metrics`` calls.
-        self.hub = hub
         #: The shard window actually used by the live index (set by
         #: :meth:`index_history`; equals the configured value unless the
         #: config left it to the automatic selection).
@@ -266,35 +259,6 @@ class PredictionStage:
             for incident in pending[key]:
                 incident.summary = result.text
 
-    def export_cache_metrics(self, hub: TelemetryHub, timestamp: float) -> None:
-        """Emit the cache hit/miss counters as telemetry metrics."""
-        for suffix, value in self.cache_stats.as_dict().items():
-            hub.emit_metric(
-                f"rcacopilot.cache.{suffix}",
-                machine="prediction-stage",
-                timestamp=timestamp,
-                value=float(value),
-                unit="count",
-            )
-
-    def export_index_metrics(self, hub: TelemetryHub, timestamp: float) -> None:
-        """Emit the retrieval index's layout/scan statistics as telemetry.
-
-        Covers shard counts and sizes plus the scanned-shard/entry ratios, so
-        a deployment can watch how much of the history each query actually
-        touches as the index grows.
-        """
-        if self.index is None:
-            return
-        hub.emit_metrics(
-            {
-                f"rcacopilot.index.{name}": value
-                for name, value in self.index.stats().items()
-            },
-            machine="prediction-stage",
-            timestamp=timestamp,
-        )
-
     # ------------------------------------------------------------------ index
     def index_history(self, history: IncidentStore) -> None:
         """Fit the embedder and index the labelled historical incidents.
@@ -331,25 +295,6 @@ class PredictionStage:
                 history if len(labelled) == len(history) else IncidentStore(labelled)
             )
             window_days = select_window_days(labelled_history)
-            if self.hub is not None:
-                now = self._clock.time()
-                self.hub.emit_metric(
-                    "rcacopilot.index.window_days_auto",
-                    machine="prediction-stage",
-                    timestamp=now,
-                    value=float(window_days),
-                    unit="days",
-                )
-                self.hub.emit_log(
-                    timestamp=now,
-                    level="INFO",
-                    component="prediction-stage",
-                    machine="prediction-stage",
-                    message=(
-                        f"auto-selected window_days={window_days:g} for the "
-                        f"sharded index ({len(labelled)} labelled incidents)"
-                    ),
-                )
         self.resolved_window_days = window_days
         self.index = ShardedVectorIndex(
             similarity=SimilarityConfig(

@@ -45,21 +45,20 @@ with done-callbacks on the flushing thread.  At depth >= 2 a collected wave
 goes to a one-thread prediction lane, so the next wave collects while it
 predicts.  Waves predict in collection order either way, so reports,
 feedback effects, and ingest counters are value-identical at every depth;
-the lane removes only the inter-wave stall.  (The prediction-phase
-telemetry exports then run concurrently with collect handlers' hub *reads*;
-handler queries filter by metric names the ingestor never emits, so query
-results are unaffected.)  A done-callback may ``submit`` and
-``record_feedback`` at any depth, and ``flush()`` at depth 1 only: at depth
->= 2 it runs on the lane, and its wave would queue behind itself.
+the lane removes only the inter-wave stall.  A done-callback may ``submit``
+and ``record_feedback`` at any depth, and ``flush()`` at depth 1 only: at
+depth >= 2 it runs on the lane, and its wave would queue behind itself.
 
-Every timing path (worker polls, phase walls) reads the injected
-:class:`~repro.core.clock.Clock`, making the whole control surface
-deterministic under the test harness's fake clock.
+Every timing path (worker polls, stage occupancy, report elapsed times)
+reads the injected :class:`~repro.core.clock.Clock`, making the whole
+control surface deterministic under the test harness's fake clock.
 
 OCE feedback can be folded in mid-stream through
 :meth:`StreamIngestor.record_feedback`, which serializes with batch
 processing so the updated index is visible to the very next micro-batch.
-Queue depth and flush statistics are exported through the telemetry hub.
+The ingestor's own counters live in :class:`IngestStats` and are read through
+:meth:`StreamIngestor.stats` / :meth:`StreamIngestor.stats_dict`; nothing is
+written into the telemetry hub the handlers diagnose from.
 
 Threading contract: the ingestor serializes *its own* access to the
 copilot (batches and mid-stream feedback never interleave), and
@@ -229,8 +228,6 @@ class _Wave:
     results: List[CollectResult]
     reason: str
     collect_started: float
-    collect_seconds: float
-    utilization: float
 
 
 def _resolved(reports: List["DiagnosisReport"]) -> "Future[List[DiagnosisReport]]":
@@ -251,7 +248,6 @@ class StreamIngestor:
     ) -> None:
         self.copilot = copilot
         self.config = config or getattr(copilot.config, "ingest", None) or IngestConfig()
-        self.hub = copilot.hub
         #: Time source for the worker's stop poll and phase timings.  Tests
         #: inject a step-controlled fake clock so every timing path runs
         #: deterministically.
@@ -285,9 +281,7 @@ class StreamIngestor:
         #: None); executors spin up lazily on the first pooled batch and are
         #: torn down by :meth:`stop`.
         self._collect_pool = CollectionPool(
-            copilot.collection,
-            workers=self.config.collect_workers,
-            clock=self._clock,
+            copilot.collection, workers=self.config.collect_workers
         )
 
     # ------------------------------------------------------------------ submit
@@ -475,12 +469,9 @@ class StreamIngestor:
 
         Returns the successful reports in submission order; alerts whose
         collection failed are resolved through their futures only.  Batches
-        are dequeued one ``max_batch`` chunk at a time — not snapshotted up
-        front — so the queue depth telemetry sees at each batch boundary
-        reflects the real remaining backlog; the total
-        drained is still bounded by the depth at call time, so a concurrent
-        producer (or a done-callback that resubmits) cannot keep ``flush``
-        from returning.
+        are dequeued one ``max_batch`` chunk at a time; the total drained is
+        bounded by the depth at call time, so a concurrent producer (or a
+        done-callback that resubmits) cannot keep ``flush`` from returning.
 
         ``reason`` labels the flush in ``IngestStats.flush_reasons``
         (default ``"manual"``).  An external driver that takes the
@@ -562,30 +553,27 @@ class StreamIngestor:
         index updates commit before wave N+1's prediction reads the index.
         The wave's slot is released when its prediction ends, before its
         futures resolve, so a done-callback can start the next wave.  An
-        exception out of the prediction or finish path (telemetry export, a
-        done-callback) must not strand the wave's futures: whatever is still
-        pending fails with it, and the wave reports an empty batch.
+        exception out of the prediction or finish path must not strand the
+        wave's futures: whatever is still pending fails with it, and the
+        wave reports an empty batch.
         """
         try:
             try:
                 with self._lock:
                     self._occupancy.predict_start()
-                    predict_started = self._clock.monotonic()
                     predict_error: Optional[Exception] = None
                     try:
                         reports = self.copilot.diagnose_collected(
                             [result.outcome for result in wave.results if result.ok],
                             started=wave.collect_started,
                             now=self._clock.monotonic,
-                            timestamp=self._clock.time(),
                         )
                     except Exception as exc:  # noqa: BLE001 - failures flow to the futures
                         predict_error, reports = exc, []
-                    predict_seconds = self._clock.monotonic() - predict_started
                     self._occupancy.predict_end()
             finally:
                 self._wave_slots.release()
-            return self._finish_wave(wave, reports, predict_error, predict_seconds)
+            return self._finish_wave(wave, reports, predict_error)
         except Exception as exc:  # noqa: BLE001 - contained to the wave
             self._fail_batch(wave.items, wave.reason, exc)
             return []
@@ -615,27 +603,9 @@ class StreamIngestor:
         self._occupancy.collect_start()
         collect_started = self._clock.monotonic()
         results = self._collect_pool.run([alert for alert, _ in items])
-        collect_seconds = self._clock.monotonic() - collect_started
         self._occupancy.collect_end()
-        # Utilisation counts successful collections only, on every
-        # backend: a task that died in a worker has no observable
-        # elapsed time (its future carries just the exception), so
-        # including serial-side failure timings would make the gauge
-        # diverge between pool shapes.
-        busy_seconds = sum(result.seconds for result in results if result.ok)
-        lanes = self._collect_pool.pool_size or 1
-        utilization = (
-            min(busy_seconds / (lanes * collect_seconds), 1.0)
-            if collect_seconds > 0.0
-            else 0.0
-        )
         return _Wave(
-            items=items,
-            results=results,
-            reason=reason,
-            collect_started=collect_started,
-            collect_seconds=collect_seconds,
-            utilization=utilization,
+            items=items, results=results, reason=reason, collect_started=collect_started
         )
 
     def _finish_wave(
@@ -643,9 +613,8 @@ class StreamIngestor:
         wave: _Wave,
         reports: List["DiagnosisReport"],
         predict_error: Optional[Exception],
-        predict_seconds: float,
     ) -> List["DiagnosisReport"]:
-        """Resolve one wave's futures, fold its stats, export its telemetry.
+        """Resolve one wave's futures and fold its stats.
 
         Runs with no ingestor lock held — set_result/set_exception run
         done-callbacks synchronously, and a callback that re-enters the
@@ -674,33 +643,6 @@ class StreamIngestor:
             stats.flush_reasons[wave.reason] = (
                 stats.flush_reasons.get(wave.reason, 0) + 1
             )
-            exported = stats.as_dict()
-            predict_inflight = self._predict_inflight
-        metrics = {
-            "rcacopilot.ingest.queue_depth": float(self._queue.qsize()),
-            "rcacopilot.ingest.flush_size": float(len(items)),
-            "rcacopilot.ingest.collect_pool_size": float(self._collect_pool.pool_size),
-            "rcacopilot.ingest.collect_seconds": wave.collect_seconds,
-            "rcacopilot.ingest.predict_seconds": predict_seconds,
-            "rcacopilot.ingest.collect_utilization": wave.utilization,
-            "rcacopilot.ingest.collect_worker_seconds_total": (
-                self._collect_pool.worker_seconds
-            ),
-            "rcacopilot.ingest.predict_inflight": float(predict_inflight),
-            **{
-                f"rcacopilot.ingest.{suffix}": value
-                for suffix, value in self._occupancy.snapshot().items()
-            },
-            **{
-                f"rcacopilot.ingest.{suffix}": value
-                for suffix, value in exported.items()
-            },
-        }
-        self.hub.emit_metrics(
-            metrics,
-            machine="stream-ingestor",
-            timestamp=self._clock.time(),
-        )
         return reports
 
     def _fail_batch(
@@ -792,7 +734,7 @@ class StreamIngestor:
 
         Exposed so external drivers — the record/replay bus's recorder and
         replayer — can timestamp and pace on exactly the timeline the
-        ingestor's own deadlines and telemetry run on.
+        ingestor's own timings run on.
         """
         return self._clock
 

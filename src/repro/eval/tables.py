@@ -103,9 +103,6 @@ class Table3Result:
 
     results: Dict[str, MethodResult] = field(default_factory=dict)
 
-    def best_configuration(self) -> str:
-        return max(self.results.items(), key=lambda kv: kv[1].micro_f1)[0]
-
     def render(self) -> str:
         headers = ["Prompt context", "Micro-F1", "Macro-F1"]
         rows = [

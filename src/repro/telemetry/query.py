@@ -103,22 +103,6 @@ class TelemetryHub:
         """Record a metric sample."""
         self.metrics.record(name, machine, timestamp, value, unit=unit)
 
-    def emit_metrics(
-        self,
-        values: Dict[str, float],
-        machine: str,
-        timestamp: float,
-        unit: str = "",
-    ) -> None:
-        """Record one sample per ``{metric name: value}`` entry.
-
-        Convenience for components that export whole statistics blocks at
-        once (the prediction stage's cache/index stats, the stream
-        ingestor's queue/flush stats).
-        """
-        for name, value in values.items():
-            self.metrics.record(name, machine, timestamp, float(value), unit=unit)
-
     def emit_span(self, span: Span) -> None:
         """Record a trace span."""
         self.traces.add(span)

@@ -136,14 +136,6 @@ class TestGradientBoosting:
         clf.fit(docs, labels)
         assert "rare" in clf.classes  # class exists even without trees
 
-    def test_feature_importances(self):
-        clf = GradientBoostingClassifier(
-            GradientBoostingConfig(n_rounds=4, max_features=50, min_class_count=1)
-        )
-        clf.fit(DOCS, LABELS)
-        importances = clf.feature_importances(top=5)
-        assert importances and all(isinstance(v, int) for v in importances.values())
-
 
 class TestMethodSuite:
     def test_default_suite_names_match_table2(self):

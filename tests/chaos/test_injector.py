@@ -7,7 +7,6 @@ import streamtest_utils as stu
 
 from repro.chaos import FaultConfig, FaultInjector
 from repro.core.errors import InjectedFault, LLMUnavailableError, TransientError
-from repro.telemetry import TelemetryHub
 
 
 def _fire_sequence(injector: FaultInjector, site: str, calls: int) -> list:
@@ -120,22 +119,13 @@ def test_error_class_and_factory_specs():
     assert issubclass(InjectedFault, TransientError)
 
 
-def test_telemetry_export_counts_every_injection():
-    hub = TelemetryHub()
+def test_stats_count_every_injection():
     injector = FaultInjector(seed=0).add(FaultConfig(site="llm.complete", error=None))
     for _ in range(4):
         injector.sample("llm.complete")
-    injector.export(hub)
-    assert (
-        hub.metrics.latest("rcacopilot.faults.injections_total", "chaos-injector")
-        == 4.0
-    )
-    assert (
-        hub.metrics.latest(
-            "rcacopilot.faults.injections_llm_complete", "chaos-injector"
-        )
-        == 4.0
-    )
+    stats = injector.stats_dict()
+    assert stats["injections_total"] == 4.0
+    assert stats["injections_llm_complete"] == 4.0
 
 
 def test_config_validation():

@@ -17,7 +17,6 @@ from repro.core.errors import LLMUnavailableError, SerializationError
 from repro.llm import SimulatedLLM
 from repro.llm.model import ChatMessage, complete_many
 from repro.llm.prompts import build_prediction_prompt, parse_prediction, Demonstration
-from repro.telemetry import TelemetryHub
 
 PREDICTION_MESSAGES = [
     ChatMessage(
@@ -277,15 +276,13 @@ def test_corrupt_fault_degrades_through_the_parser():
     assert parsed.is_unseen  # garbage falls back to the unseen option
 
 
-def test_retry_telemetry_export():
-    hub = TelemetryHub()
+def test_retry_stats_count_the_retry():
     model = ResilientChatModel(
         FlakyNTimesModel(failures=1),
         RetryPolicy(max_attempts=2, base_delay_seconds=0.0),
         clock=_clock(),
-        hub=hub,
     )
     model.complete(PREDICTION_MESSAGES)
-    model.export()
-    assert hub.metrics.latest("rcacopilot.retry.retries", "resilient-llm") == 1.0
-    assert hub.metrics.latest("rcacopilot.retry.successes", "resilient-llm") == 1.0
+    stats = model.stats_dict()
+    assert stats["retries"] == 1.0
+    assert stats["successes"] == 1.0

@@ -122,8 +122,3 @@ class TestTransportService:
         service = TransportService(seed=9)
         alerts = service.advance(1800.0)
         assert isinstance(alerts, list)
-
-    def test_detection_rates(self):
-        service = TransportService(seed=4)
-        rates = service.detection_rates(["HubPortExhaustion"], trials=1)
-        assert rates["HubPortExhaustion"] in (0.0, 1.0)

@@ -346,10 +346,23 @@ def run_waves_behind_a_busy_worker(ingestor, clock, arrivals: int, submit=None) 
         VIRTUAL_IO.update(clock=None, park=False)
 
 
-def flush_sizes(hub: TelemetryHub) -> List[int]:
-    """The size of every micro-batch the ingestor over ``hub`` flushed, in order."""
-    series = hub.metrics.series("rcacopilot.ingest.flush_size", "stream-ingestor")
-    return [int(value) for value in series.values()] if series else []
+def record_flush_sizes(ingestor) -> List[int]:
+    """A list that fills with the size of every wave ``ingestor`` collects.
+
+    Wraps the ingestor's ``CollectionPool.run``, which each wave calls once
+    with its alerts (cancelled ones already dropped); install it before the
+    first wave.
+    """
+    sizes: List[int] = []
+    pool = ingestor._collect_pool  # noqa: SLF001 - a test-side recorder
+    run = pool.run
+
+    def recording_run(alerts):
+        sizes.append(len(alerts))
+        return run(alerts)
+
+    pool.run = recording_run
+    return sizes
 
 
 def report_fingerprint(report: DiagnosisReport) -> Tuple:

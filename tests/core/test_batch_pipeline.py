@@ -136,25 +136,24 @@ class TestContentCaches:
         assert stage.cache_stats.embedding_hits == before.embedding_hits + 1
         assert stage.cache_stats.embedding_misses == before.embedding_misses
 
-    def test_cache_metrics_exported_through_hub(self, parity_setup):
+    def test_cache_stats_count_a_diagnosed_batch(self, parity_setup):
         _, batch = parity_setup
-        hub = TelemetryHub()
-        copilot = RCACopilot(hub, registry=default_registry())
+        copilot = RCACopilot(TelemetryHub(), registry=default_registry())
         history = generate_corpus(
             total_incidents=60, total_categories=18, seed=5, duration_days=90.0
         )
         copilot.index_history(history)
+        before = copy.deepcopy(copilot.prediction.cache_stats)
         copilot.diagnose_many(copy.deepcopy(batch[:4]))
-        names = hub.metrics.metric_names()
-        for suffix in (
+        stats = copilot.prediction.cache_stats
+        assert list(stats.as_dict()) == [
             "summary_hits",
             "summary_misses",
             "embedding_hits",
             "embedding_misses",
-        ):
-            assert f"rcacopilot.cache.{suffix}" in names
-        latest = hub.metrics.latest("rcacopilot.cache.embedding_misses", "prediction-stage")
-        assert latest is not None and latest >= 0.0
+        ]
+        lookups = stats.embedding_hits + stats.embedding_misses
+        assert lookups == before.embedding_hits + before.embedding_misses + 4
 
 
 class TestLiveFeedback:

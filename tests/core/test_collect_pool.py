@@ -187,7 +187,6 @@ class TestBackendEquivalence:
             f"INC-LIVE-{n:06d}" for n in range(1, 11)
         ]
         assert stage.next_incident_id() == "INC-LIVE-000011"
-        assert all(r.seconds >= 0.0 for r in results)
 
     def test_an_empty_wave_reserves_no_id(self):
         stage = build_stage()
@@ -387,52 +386,6 @@ class TestPoolLifecycle:
             assert set(collect_threads()) - before
         assert set(collect_threads()) <= before
 
-    def test_worker_seconds_accounts_capacity_not_usage(self):
-        clock = stu.FakeClock()
-        copilot = stu.build_stream_copilot(with_history=False)
-        stu.VIRTUAL_IO["clock"] = clock
-        stu.VIRTUAL_IO["seconds"] = 0.05
-        try:
-            with CollectionPool(copilot.collection, workers=2, clock=clock) as pool:
-                alerts = [stu.make_stream_alert(0, alert_type=stu.BUSY_TYPE)]
-                results = pool.run(alerts)
-                assert all(result.ok for result in results)
-                # One 0.05s virtual collect on a 2-lane pool: 2 x 0.05
-                # worker-seconds paid for 0.05 used.
-                assert pool.worker_seconds == pytest.approx(0.10)
-                assert results[0].seconds == pytest.approx(0.05)
-        finally:
-            stu.VIRTUAL_IO["clock"] = None
-
-    def test_serial_pool_pays_for_one_lane(self):
-        clock = stu.FakeClock()
-        copilot = stu.build_stream_copilot(with_history=False)
-        stu.VIRTUAL_IO["clock"] = clock
-        stu.VIRTUAL_IO["seconds"] = 0.05
-        try:
-            pool = CollectionPool(copilot.collection, clock=clock)
-            alerts = [stu.make_stream_alert(i, alert_type=stu.BUSY_TYPE) for i in range(2)]
-            assert all(result.ok for result in pool.run(alerts))
-            assert pool.worker_seconds == pytest.approx(0.10)
-            assert pool._executor is None  # noqa: SLF001 - serial runs inline
-        finally:
-            stu.VIRTUAL_IO["clock"] = None
-
-    def test_a_failed_wave_is_still_charged_for_its_lanes(self):
-        clock = stu.FakeClock()
-        stage = build_stage(strict=True)
-
-        def failing_collect(incident, queries):
-            clock.advance(0.25)
-            raise RuntimeError("probe outage")
-
-        stage.collect = failing_collect
-        with CollectionPool(stage, workers=2, clock=clock) as pool:
-            clock.advance(1.0)  # time between waves is never charged
-            results = pool.run([stu.make_stream_alert(0)])
-        assert not results[0].ok
-        assert pool.worker_seconds == pytest.approx(2 * 0.25)
-
     @pytest.mark.parametrize("workers, size", [(None, 0), (1, 1), (3, 3)])
     def test_pool_size_is_the_configured_size_across_waves(self, workers, size):
         stage = build_stage()
@@ -442,6 +395,8 @@ class TestPoolLifecycle:
                 assert all(r.ok for r in pool.run(alerts))
                 assert pool.pool_size == size
                 assert pool.workers == workers
+                # A serial pool runs inline and never builds an executor.
+                assert (pool._executor is None) == (workers is None)  # noqa: SLF001
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_wave_runs_on_exactly_workers_threads(self, workers):

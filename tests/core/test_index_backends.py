@@ -27,6 +27,7 @@ from repro.core import (
     select_window_days,
 )
 from repro.embedding import FastTextConfig, FastTextEmbedder
+from repro.incidents import IncidentStore
 from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
 from repro.vectordb import CompactionPolicy, ShardedVectorIndex
@@ -158,8 +159,6 @@ class TestShardedByDefault:
     """The sharded index is the default fast path for every workload."""
 
     def test_default_config_selects_sharded_with_auto_window(self, corpus_split, fitted):
-        from repro.incidents import IncidentStore
-
         train, _ = corpus_split
         assert IndexConfig().window_days is None
         stage = PredictionStage(
@@ -183,19 +182,17 @@ class TestShardedByDefault:
         stage = build_stage(corpus_split, fitted, window_days=20.0)
         assert stage.resolved_window_days == 20.0
 
-    def test_auto_window_choice_is_logged_through_hub(self, small_corpus, fitted):
+    def test_auto_window_choice_is_kept_on_the_stage(self, small_corpus, fitted):
+        """The choice is read from ``resolved_window_days``; the hub stays empty."""
         hub = TelemetryHub()
         copilot = RCACopilot(hub)
         copilot.prediction.embedder = fitted()
         train, _ = small_corpus.chronological_split(0.75)
         copilot.index_history(train)
-        value = hub.metrics.latest(
-            "rcacopilot.index.window_days_auto", "prediction-stage"
-        )
-        assert value is not None and value >= 1.0
-        assert any(
-            "auto-selected window_days" in record.message for record in hub.logs
-        )
+        window = copilot.prediction.resolved_window_days
+        assert window == select_window_days(IncidentStore(train.labelled()))
+        assert window >= 1.0
+        assert hub.metrics.metric_names() == [] and len(hub.logs) == 0
 
     def test_index_config_passes_window_and_compaction_through(self, corpus_split, fitted):
         policy = CompactionPolicy(min_entries=10, max_entries=50, auto=True)
@@ -238,17 +235,16 @@ class TestShardKeyExtraction:
         assert list(counts) == sorted(counts)
 
 
-class TestIndexTelemetry:
-    def test_index_metrics_exported_through_hub(self, small_corpus, fitted):
-        hub = TelemetryHub()
+class TestIndexStats:
+    def test_index_stats_cover_layout_and_scans(self, small_corpus, fitted):
         config = PipelineConfig(index=IndexConfig(window_days=20.0))
-        copilot = RCACopilot(hub, config=config)
+        copilot = RCACopilot(TelemetryHub(), config=config)
         copilot.prediction.embedder = fitted()
         train, test = small_corpus.chronological_split(0.75)
         copilot.index_history(train)
         copilot.diagnose_many(copy.deepcopy(test.labelled()[:4]))
-        names = hub.metrics.metric_names()
-        for suffix in (
+        stats = copilot.prediction.index.stats()
+        for name in (
             "entries",
             "shard_count",
             "scanned_shard_ratio",
@@ -256,9 +252,9 @@ class TestIndexTelemetry:
             "median_shard_size",
             "compactions",
         ):
-            assert f"rcacopilot.index.{suffix}" in names
-        shard_count = hub.metrics.latest("rcacopilot.index.shard_count", "prediction-stage")
-        assert shard_count is not None and shard_count > 1.0
+            assert name in stats
+        assert stats["shard_count"] > 1.0
+        assert stats["queries"] == 4.0
 
     def test_invalid_index_config_rejected(self):
         with pytest.raises(TypeError):  # one index, no backend to choose

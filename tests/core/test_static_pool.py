@@ -2,15 +2,14 @@
 
 The pool has one size for the ingestor's whole life, set by
 ``IngestConfig.collect_workers`` (serial when None): bursts and idle
-stretches never resize it, the ``collect_pool_size`` gauge reads that size
-on every wave, and ``collect_worker_seconds_total`` charges pool size ×
-wave wall time.  A bursty virtual-I/O stream (busy bursts, idle stretches,
-planted flaky failures) yields the same reports, failures, feedback effects
-and ingest counters at every pool size and pipeline depth.  The knobs of the
+stretches never resize it, and every wave collects on a pool of that size.
+A bursty virtual-I/O stream (busy bursts, idle stretches, planted flaky
+failures) yields the same reports, failures, feedback effects and ingest
+counters at every pool size and pipeline depth.  The knobs of the
 collection-pool autoscaler this pool replaced are rejected, not ignored.
 
 Everything runs on a step-controlled :class:`FakeClock`: busy handlers
-advance it instead of sleeping, so wave wall times are exact.
+advance it instead of sleeping, so no test waits on real time.
 """
 
 from __future__ import annotations
@@ -63,11 +62,6 @@ def static_config(workers, max_batch: int = 1, pipeline_depth: int = 1) -> Inges
         collect_workers=workers,
         pipeline_depth=pipeline_depth,
     )
-
-
-def gauge_values(copilot: RCACopilot, suffix: str):
-    series = copilot.hub.metrics.series(f"rcacopilot.ingest.{suffix}", "stream-ingestor")
-    return series.values() if series is not None else []
 
 
 @pytest.fixture()
@@ -127,38 +121,27 @@ def serial_baseline(base_copilot):
 
 class TestOneSizeForLife:
     @pytest.mark.parametrize("workers", POOL_SIZES)
-    def test_pool_size_gauge_holds_on_every_wave(
+    def test_pool_size_holds_on_every_wave(
         self, base_copilot, virtual_io_clock, workers
     ):
         copilot = copy.deepcopy(base_copilot)
         ingestor = copilot.stream(static_config(workers), clock=virtual_io_clock)
+        pool = ingestor._collect_pool  # noqa: SLF001
+        run, sizes = pool.run, []
+
+        def sized_run(alerts):
+            sizes.append(pool.pool_size)
+            return run(alerts)
+
+        pool.run = sized_run
         try:
             ingestor.submit_many(bursty_alerts())
             ingestor.flush()
-            pool = ingestor._collect_pool  # noqa: SLF001
             assert pool.workers == workers
         finally:
             ingestor.stop()
-        sizes = gauge_values(copilot, "collect_pool_size")
         assert len(sizes) == len(BURSTY_SPEC) == ingestor.stats().batches
-        assert set(sizes) == {float(workers or 0)}
-
-    @pytest.mark.parametrize("workers", POOL_SIZES)
-    def test_worker_seconds_charge_every_lane_for_every_wave(
-        self, base_copilot, virtual_io_clock, workers
-    ):
-        copilot = copy.deepcopy(base_copilot)
-        ingestor = copilot.stream(static_config(workers), clock=virtual_io_clock)
-        try:
-            ingestor.submit_many(bursty_alerts())
-            ingestor.flush()
-            charged = ingestor._collect_pool.worker_seconds  # noqa: SLF001
-        finally:
-            ingestor.stop()
-        # Only busy waves take virtual time; a serial pool is one lane.
-        lanes = workers or 1
-        assert charged == pytest.approx(lanes * BUSY_ALERTS * BUSY_SECONDS)
-        assert gauge_values(copilot, "collect_worker_seconds_total")[-1] == charged
+        assert set(sizes) == {workers or 0}
 
 
 class TestBurstyStreamParity:
@@ -199,9 +182,7 @@ class TestRemovedAutoscaler:
         assert importlib.util.find_spec("repro.core.autoscale") is None
         assert not hasattr(CollectionPool, "resize")
 
-    def test_stats_and_gauges_carry_no_autoscale_keys(
-        self, base_copilot, virtual_io_clock
-    ):
+    def test_stats_carry_no_autoscale_keys(self, base_copilot, virtual_io_clock):
         copilot = copy.deepcopy(base_copilot)
         ingestor = copilot.stream(static_config(2), clock=virtual_io_clock)
         try:
@@ -211,6 +192,3 @@ class TestRemovedAutoscaler:
         finally:
             ingestor.stop()
         assert [key for key in flat if "autoscale" in key] == []
-        assert [
-            name for name in copilot.hub.metrics.metric_names() if "autoscale" in name
-        ] == []

@@ -4,8 +4,9 @@ Covers the ingestion contract: a continuous alert stream is grouped into
 micro-batches automatically (an idle worker takes what is queued at once,
 batches form while it is busy, full batches cut on size; bounded queue with
 backpressure or load-shed), results flow back through futures, queue/flush
-statistics reach the telemetry hub, and OCE feedback recorded mid-stream is
-visible to the very next micro-batch, with a fixed shard window and an
+statistics are read from the ingestor and never written into the telemetry
+hub it diagnoses, and OCE feedback recorded mid-stream is visible to the
+very next micro-batch, with a fixed shard window and an
 auto-selected one.
 """
 
@@ -177,9 +178,10 @@ class TestBackgroundWorker:
         ingestor = copilot.stream(
             IngestConfig(max_batch=3, max_latency_seconds=300.0), clock=clock
         )
+        sizes = stu.record_flush_sizes(ingestor)
         try:
             stu.run_waves_behind_a_busy_worker(ingestor, clock, arrivals)
-            assert stu.flush_sizes(copilot.hub) == waves
+            assert sizes == waves
             assert clock.monotonic() == 0.05
             full = waves.count(3)
             assert ingestor.stats().flush_reasons == {
@@ -296,36 +298,62 @@ class TestBoundedQueue:
             IngestConfig(**kwargs)
 
 
-class TestTelemetryExport:
-    def test_queue_and_flush_metrics_reach_hub(
+class TestSelfMetricsStayOut:
+    def test_queue_and_flush_stats_are_read_from_the_ingestor(
         self, build_copilot, stream_service, alert_feed
     ):
         copilot = build_copilot(stream_service)
         ingestor = copilot.stream(IngestConfig(max_batch=4, max_latency_seconds=1.0))
         ingestor.submit_many(alert_feed[:4])
         ingestor.flush()
-        names = copilot.hub.metrics.metric_names()
-        for suffix in ("queue_depth", "flush_size", "batches", "submitted"):
-            assert f"rcacopilot.ingest.{suffix}" in names
-        flush_size = copilot.hub.metrics.latest(
-            "rcacopilot.ingest.flush_size", "stream-ingestor"
-        )
-        assert flush_size == 4.0
+        flat = ingestor.stats_dict()
+        for suffix, value in (
+            ("submitted", 4.0),
+            ("max_queue_depth", 4.0),
+            ("batches", 1.0),
+            ("last_flush_size", 4.0),
+        ):
+            assert flat[suffix] == value
+        assert ingestor.queue_depth == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 8: the pipeline's own rcacopilot.* gauges share the "
-        "diagnosed hub, and a metric query naming no metric lists them",
-    )
+    def test_the_hub_holds_only_the_simulated_service(self, build_copilot):
+        """Indexing and a stream of waves write nothing into the diagnosed hub.
+
+        The history is indexed with an automatically chosen shard window,
+        a decision the stage keeps in ``resolved_window_days``; the waves
+        run pooled and pipelined.  Every metric name, log record and write
+        in the hub is still the simulated service's own.
+        """
+        service = TransportService(seed=202)
+        service.warm_up(hours=0.5)
+        alerts = [service.inject_and_detect(fault).primary_alert for fault in FAULTS]
+        alerts = [alert for alert in alerts if alert is not None]
+        hub = service.hub
+        names, records = hub.metrics.metric_names(), list(hub.logs)
+        writes = (hub.metrics.writes, hub.logs.writes)
+        copilot = build_copilot(service, window_days=None)
+        assert copilot.prediction.resolved_window_days is not None
+        ingestor = copilot.stream(
+            IngestConfig(max_batch=2, collect_workers=2, pipeline_depth=2),
+            clock=VirtualClock(),
+        )
+        ingestor.submit_many(alerts)
+        reports = ingestor.flush()
+        ingestor.stop()
+        assert len(reports) == len(alerts) >= 3
+        assert ingestor.stats().batches >= 2
+        assert hub.metrics.metric_names() == names
+        assert list(hub.logs) == records
+        assert (hub.metrics.writes, hub.logs.writes) == writes
+
     def test_a_poison_message_report_quotes_no_self_metric(self, build_copilot):
-        """The system's own gauges are not telemetry of the cloud it diagnoses.
+        """The system's own counters are not telemetry of the cloud it diagnoses.
 
         ``poison_message_handler``'s ``routing_metrics`` query names no
-        metric, so it lists every name in the hub: with the ``rcacopilot.*``
-        gauges the ingestor and the prediction stage push there on every
-        wave, each PoisonMessageDetected report quotes ~44 lines such as
-        ``rcacopilot.cache.embedding_hits: max=0.0 on prediction-stage``.
+        metric, so it lists every name in the hub: a counter the ingestor or
+        the prediction stage wrote there would be quoted in the report as a
+        line such as ``rcacopilot.cache.embedding_hits: max=0.0 on
+        prediction-stage``.
         """
         service = TransportService(seed=202)
         service.warm_up(hours=0.5)
@@ -344,7 +372,7 @@ class TestTelemetryExport:
 
 
 class TestPipelineTelemetry:
-    """Satellite: the pipeline gauges reach the hub and ``stats_dict()``."""
+    """Satellite: the pipeline gauges reach ``stats_dict()``."""
 
     PIPELINE_SUFFIXES = (
         "pipeline_overlap_seconds",
@@ -353,7 +381,7 @@ class TestPipelineTelemetry:
         "predict_busy_fraction",
     )
 
-    def test_pipeline_metrics_reach_hub_and_stats(
+    def test_pipeline_gauges_reach_stats(
         self, build_copilot, stream_service, alert_feed
     ):
         copilot = build_copilot(stream_service)
@@ -368,9 +396,6 @@ class TestPipelineTelemetry:
         ingestor.submit_many(alert_feed[:9])
         ingestor.flush()
         ingestor.stop()
-        names = copilot.hub.metrics.metric_names()
-        for suffix in self.PIPELINE_SUFFIXES:
-            assert f"rcacopilot.ingest.{suffix}" in names
         flat = ingestor.stats_dict()
         for suffix in self.PIPELINE_SUFFIXES:
             assert suffix in flat
@@ -379,10 +404,6 @@ class TestPipelineTelemetry:
         assert 0.0 <= flat["predict_busy_fraction"] <= 1.0
         # Everything drained: nothing is left on the prediction lane.
         assert flat["predict_inflight"] == 0.0
-        inflight = copilot.hub.metrics.latest(
-            "rcacopilot.ingest.predict_inflight", "stream-ingestor"
-        )
-        assert inflight >= 0.0
 
     def test_barrier_mode_reports_zero_overlap(
         self, build_copilot, stream_service, alert_feed
@@ -396,12 +417,6 @@ class TestPipelineTelemetry:
         flat = ingestor.stats_dict()
         assert flat["pipeline_overlap_seconds"] == 0.0
         assert flat["predict_inflight"] == 0.0
-        assert (
-            copilot.hub.metrics.latest(
-                "rcacopilot.ingest.pipeline_overlap_seconds", "stream-ingestor"
-            )
-            == 0.0
-        )
 
 
 class TestFeedbackMidStream:

@@ -451,7 +451,7 @@ class TestCrashContainment:
         finally:
             ingestor.stop()
 
-    def test_collect_metrics_reach_hub(self, base_copilot):
+    def test_collect_stats_are_read_from_the_ingestor(self, base_copilot):
         copilot = copy.deepcopy(base_copilot)
         ingestor = copilot.stream(stu.ingest_config(4))
         try:
@@ -459,23 +459,9 @@ class TestCrashContainment:
             ingestor.flush()
         finally:
             ingestor.stop()
-        names = copilot.hub.metrics.metric_names()
-        for suffix in (
-            "collect_pool_size",
-            "collect_seconds",
-            "predict_seconds",
-            "collect_utilization",
-            "collect_failures",
-        ):
-            assert f"rcacopilot.ingest.{suffix}" in names
-        latest = copilot.hub.metrics.latest(
-            "rcacopilot.ingest.collect_pool_size", "stream-ingestor"
-        )
-        assert latest == 4.0
-        utilization = copilot.hub.metrics.latest(
-            "rcacopilot.ingest.collect_utilization", "stream-ingestor"
-        )
-        assert 0.0 <= utilization <= 1.0
+        flat = ingestor.stats_dict()
+        assert (flat["processed"], flat["collect_failures"]) == (4.0, 0.0)
+        assert ingestor._collect_pool.pool_size == 4  # noqa: SLF001
 
 
 def cheap_copilot() -> RCACopilot:

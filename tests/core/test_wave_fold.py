@@ -1,9 +1,9 @@
-"""What one micro-batch leaves behind: ids, futures, counters and gauges.
+"""What one micro-batch leaves behind: ids, futures and counters.
 
 Every wave of :class:`~repro.core.streaming.StreamIngestor` runs through
 one collect step (ids reserved in submission order, cancelled alerts
-dropped first) and one finish step (futures resolved, counters folded,
-gauges exported once).  Barrier and pipelined execution share both steps,
+dropped first) and one finish step (futures resolved, counters folded
+once).  Barrier and pipelined execution share both steps,
 so every case here runs at ``pipeline_depth`` 1 and 2 and must read the
 same.  All alerts ride the sleep-free idle/flaky handlers and are driven by
 manual ``flush()``, so the module takes no real sleeps.
@@ -91,13 +91,14 @@ class TestIncidentIds:
         assert (stats.submitted, stats.processed, stats.batches) == (3, 2, 1)
 
     def test_a_wave_of_only_cancelled_alerts_counts_nothing(self, stream, depth):
-        copilot, ingestor = stream(depth)
+        _, ingestor = stream(depth)
+        sizes = stu.record_flush_sizes(ingestor)
         futures = ingestor.submit_many(idle_alerts(0, 2))
         assert all(future.cancel() for future in futures)
         assert ingestor.flush() == []
         stats = ingestor.stats()
         assert (stats.submitted, stats.processed, stats.batches) == (2, 0, 0)
-        assert stu.flush_sizes(copilot.hub) == []
+        assert sizes == []
         # The ids were never reserved: the next alert takes the first one.
         (future,) = ingestor.submit_many(idle_alerts(2, 1))
         ingestor.flush()
@@ -121,23 +122,24 @@ class TestFinishFold:
         assert stats.worker_errors == 0
         assert stats.flush_reasons == {"size": 0, "latency": 0, "manual": 3}
 
-    def test_every_wave_exports_one_gauge_set(self, stream, depth):
-        copilot, ingestor = stream(depth)
+    def test_every_wave_collects_once_and_folds_once(self, stream, depth):
+        _, ingestor = stream(depth)
+        sizes = stu.record_flush_sizes(ingestor)
         alerts = idle_alerts(0, 7)
         alerts[4] = flaky_alert(4)
         ingestor.submit_many(alerts)
         ingestor.flush()
-        metrics = copilot.hub.metrics
-        assert stu.flush_sizes(copilot.hub) == [3, 3, 1]
+        assert sizes == [3, 3, 1]
+        flat = ingestor.stats_dict()
         for suffix, value in (
             ("processed", 7.0),
             ("batches", 3.0),
             ("collect_failures", 1.0),
             ("flush_reason_manual", 3.0),
-            ("queue_depth", 0.0),
+            ("last_flush_size", 1.0),
         ):
-            assert metrics.latest(f"rcacopilot.ingest.{suffix}", "stream-ingestor") == value
-        assert len(metrics.series("rcacopilot.ingest.batches", "stream-ingestor")) == 3
+            assert flat[suffix] == value
+        assert ingestor.queue_depth == 0
 
     def test_a_prediction_error_fails_the_wave_not_the_stream(
         self, stream, depth, monkeypatch
@@ -164,27 +166,6 @@ class TestFinishFold:
         ingestor.flush()
         assert survivor.result(timeout=30.0).predicted_label
 
-    def test_a_failed_export_neither_strands_nor_double_counts(
-        self, stream, depth, monkeypatch
-    ):
-        """The export runs after the fold: if it raises, every future is
-        already resolved, so the containment finds nothing left to fail."""
-        copilot, ingestor = stream(depth)
-        emit_metrics = copilot.hub.emit_metrics
-
-        def ingest_sink_down(metrics, machine, **kwargs):
-            if machine == "stream-ingestor":
-                raise RuntimeError("telemetry sink down")
-            emit_metrics(metrics, machine=machine, **kwargs)
-
-        monkeypatch.setattr(copilot.hub, "emit_metrics", ingest_sink_down)
-        futures = ingestor.submit_many(idle_alerts(0, 2))
-        assert ingestor.flush() == []
-        assert all(future.result(timeout=30.0).predicted_label for future in futures)
-        stats = ingestor.stats()
-        assert (stats.submitted, stats.processed, stats.batches) == (2, 2, 1)
-        assert stats.worker_errors == 0
-
     def test_flush_is_bounded_by_its_call_time_depth(self, stream, depth):
         """A done-callback that resubmits cannot keep ``flush`` from returning:
         the resubmitted alert waits for the next flush."""
@@ -206,17 +187,14 @@ class TestFinishFold:
 
 class TestFlushReasons:
     @pytest.mark.parametrize("reason", ["size", "latency", "manual"])
-    def test_a_flush_is_counted_and_exported_under_its_reason(self, stream, reason):
-        copilot, ingestor = stream(1)
+    def test_a_flush_is_counted_under_its_reason(self, stream, reason):
+        _, ingestor = stream(1)
         ingestor.submit_many(idle_alerts(0, 2))
         ingestor.flush(reason=reason)
         reasons = ingestor.stats().flush_reasons
         assert reasons[reason] == 1
         assert sum(reasons.values()) == 1
-        gauge = copilot.hub.metrics.latest(
-            f"rcacopilot.ingest.flush_reason_{reason}", "stream-ingestor"
-        )
-        assert gauge == 1.0
+        assert ingestor.stats_dict()[f"flush_reason_{reason}"] == 1.0
 
     def test_an_empty_burst_counts_nothing(self, stream):
         _, ingestor = stream(1)
