@@ -251,6 +251,17 @@ def seed_hub(hub: TelemetryHub) -> None:
         )
 
 
+def hub_state(hub: TelemetryHub) -> Tuple:
+    """What any write into ``hub`` would change: metric names, log records
+    and every store's write counter."""
+    stores = (hub.metrics, hub.logs, hub.events, hub.traces)
+    return (
+        hub.metrics.metric_names(),
+        list(hub.logs),
+        tuple(store.writes for store in stores),
+    )
+
+
 def build_stream_copilot(
     strict: bool = True,
     wall_budget: Optional[float] = None,

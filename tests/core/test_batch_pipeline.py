@@ -155,6 +155,25 @@ class TestContentCaches:
         lookups = stats.embedding_hits + stats.embedding_misses
         assert lookups == before.embedding_hits + before.embedding_misses + 4
 
+    def test_indexing_diagnosis_and_feedback_leave_an_empty_hub_empty(
+        self, parity_setup
+    ):
+        _, batch = parity_setup
+        hub = TelemetryHub()
+        copilot = RCACopilot(hub, registry=default_registry())
+        copilot.index_history(
+            generate_corpus(
+                total_incidents=60, total_categories=18, seed=5, duration_days=90.0
+            )
+        )
+        reports = copilot.diagnose_many(copy.deepcopy(batch[:4]))
+        copilot.record_feedback(reports[0].incident, "ConfirmedCategory")
+        assert copilot.prediction.cache_stats.embedding_misses > 0
+        assert hub.metrics.metric_names() == []
+        assert list(hub.logs) == []
+        stores = (hub.metrics, hub.logs, hub.events, hub.traces)
+        assert [store.writes for store in stores] == [0] * 4
+
 
 class TestLiveFeedback:
     def _copilot(self):

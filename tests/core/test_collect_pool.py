@@ -292,6 +292,21 @@ class TestCrashContainment:
             wave2 = pool.run(second)
             assert all(r.ok for r in wave2)
 
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    def test_a_wave_only_reads_the_hub(self, workers):
+        """Handler queries read the shared hub; a wave, its failed slots
+        included, writes nothing into it."""
+        stage = build_stage(strict=True)
+        before = stu.hub_state(stage.hub)
+        alerts = [
+            stu.make_stream_alert(i, alert_type=stu.FLAKY_TYPE, flaky=(i == 1))
+            for i in range(4)
+        ]
+        with CollectionPool(stage, workers=workers) as pool:
+            results = pool.run(alerts)
+        assert [result.ok for result in results] == [True, False, True, True]
+        assert stu.hub_state(stage.hub) == before
+
     def test_nonstrict_mode_degrades_instead_of_failing(self):
         stage = build_stage(strict=False)
         alerts = [stu.make_stream_alert(0, alert_type=stu.FLAKY_TYPE, flaky=True)]

@@ -85,6 +85,7 @@ def run_bursty_stream(base: RCACopilot, workers, pipeline_depth: int = 1):
     stu.VIRTUAL_IO["seconds"] = BUSY_SECONDS
     try:
         copilot = copy.deepcopy(base)
+        hub_before = stu.hub_state(copilot.hub)
         ingestor = copilot.stream(
             static_config(workers, pipeline_depth=pipeline_depth), clock=clock
         )
@@ -107,6 +108,7 @@ def run_bursty_stream(base: RCACopilot, workers, pipeline_depth: int = 1):
                 "failures2": failures2,
                 "index_state": stu.index_state(copilot, fed_ids),
                 "stats": ingestor.stats(),
+                "hub": (hub_before, stu.hub_state(copilot.hub)),
             }
         finally:
             ingestor.stop()
@@ -142,6 +144,17 @@ class TestOneSizeForLife:
             ingestor.stop()
         assert len(sizes) == len(BURSTY_SPEC) == ingestor.stats().batches
         assert set(sizes) == {workers or 0}
+
+    @pytest.mark.parametrize("workers", POOL_SIZES)
+    def test_waves_and_feedback_leave_the_hub_as_they_found_it(
+        self, base_copilot, workers
+    ):
+        """The pool's size is read from the pool, not from the hub: busy,
+        flaky and idle waves plus mid-stream feedback write nothing there."""
+        run = run_bursty_stream(base_copilot, workers)
+        assert run["failures1"] and run["reports2"]
+        before, after = run["hub"]
+        assert after == before
 
 
 class TestBurstyStreamParity:

@@ -166,6 +166,28 @@ class TestFinishFold:
         ingestor.flush()
         assert survivor.result(timeout=30.0).predicted_label
 
+    def test_no_wave_writes_into_the_hub(self, stream, depth, monkeypatch):
+        """The fold keeps its counters in the ingestor: neither a good wave,
+        a failed collection nor a failed prediction writes into the hub."""
+        copilot, ingestor = stream(depth)
+        before = stu.hub_state(copilot.hub)
+        alerts = idle_alerts(0, 3)
+        alerts[1] = flaky_alert(1)
+        ingestor.submit_many(alerts)
+        ingestor.flush()
+
+        def model_down(collections, **kwargs):
+            raise RuntimeError("prediction backend down")
+
+        monkeypatch.setattr(copilot, "diagnose_collected", model_down)
+        (failed,) = ingestor.submit_many(idle_alerts(3, 1))
+        ingestor.flush()
+        with pytest.raises(RuntimeError, match="prediction backend down"):
+            failed.result(timeout=30.0)
+        stats = ingestor.stats()
+        assert (stats.processed, stats.batches, stats.collect_failures) == (4, 2, 1)
+        assert stu.hub_state(copilot.hub) == before
+
     def test_flush_is_bounded_by_its_call_time_depth(self, stream, depth):
         """A done-callback that resubmits cannot keep ``flush`` from returning:
         the resubmitted alert waits for the next flush."""
