@@ -330,8 +330,9 @@ class _SlowModel:
     releases the GIL, so a prediction phase built on this model genuinely
     overlaps with collection sleeps on other threads.  Deterministic
     (``noise = 0``), so the pipelined run must reproduce the barrier run's
-    labels exactly.  No ``complete_many``: the predictor's sequential
-    fallback charges the latency once per distinct completion.
+    labels exactly.  Its ``complete_many`` loops ``complete``, so a batch
+    is charged the latency once per completion the predictor asks for (one
+    per distinct prompt).
     """
 
     def __init__(self, seconds: float) -> None:
@@ -343,6 +344,9 @@ class _SlowModel:
     def complete(self, messages, temperature: float = 0.0):
         time.sleep(self.seconds)
         return self._inner.complete(messages, temperature=temperature)
+
+    def complete_many(self, conversations, temperature: float = 0.0):
+        return [self.complete(messages, temperature=temperature) for messages in conversations]
 
 
 def _pipeline_copilot() -> RCACopilot:

@@ -1,9 +1,9 @@
 """The compared methods of Table 2, behind one common interface.
 
 Every method implements :class:`RcaMethod`: ``fit(train_store)`` then
-``predict(incident) -> label``.  The evaluation harness times ``fit`` and
-``predict`` to reproduce Table 2's training/inference time columns and scores
-the predicted labels against the ground truth for the F1 columns.
+``predict_many(incidents) -> labels``.  The evaluation harness times ``fit``
+and ``predict_many`` to reproduce Table 2's training/inference time columns
+and scores the predicted labels against the ground truth for the F1 columns.
 
 Methods:
 
@@ -31,9 +31,8 @@ from .xgboost import GradientBoostingClassifier, GradientBoostingConfig
 class RcaMethod(Protocol):
     """Interface shared by every compared method.
 
-    Methods may additionally expose ``predict_many(incidents)``; the
-    evaluation harness uses it when present so replays exercise the batch
-    pipeline.
+    Prediction has one entry point, ``predict_many``: one incident is a
+    batch of one, and replays exercise each method's batch path.
     """
 
     name: str
@@ -42,8 +41,8 @@ class RcaMethod(Protocol):
         """Train / index on the labelled training incidents."""
         ...
 
-    def predict(self, incident: Incident) -> str:
-        """Predict the root-cause category label of one incident."""
+    def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
+        """Predict the root-cause category label of each incident, in order."""
         ...
 
 
@@ -69,9 +68,6 @@ class FastTextBaseline:
             [i.category or "" for i in labelled],
         )
 
-    def predict(self, incident: Incident) -> str:
-        return self._model.predict(_incident_text(incident))
-
     def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
         return self._model.predict_many([_incident_text(i) for i in incidents])
 
@@ -93,9 +89,6 @@ class XGBoostBaseline:
             [i.category or "" for i in labelled],
         )
 
-    def predict(self, incident: Incident) -> str:
-        return self._model.predict([_incident_text(incident)])[0]
-
     def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
         return list(self._model.predict([_incident_text(i) for i in incidents]))
 
@@ -116,11 +109,8 @@ class FineTunedGptBaseline:
         ]
         self._model.finetune(examples)
 
-    def predict(self, incident: Incident) -> str:
-        return self._model.predict_label(_incident_text(incident))
-
     def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
-        return [self.predict(incident) for incident in incidents]
+        return [self._model.predict_label(_incident_text(i)) for i in incidents]
 
 
 class GptPromptVariant:
@@ -139,48 +129,10 @@ class GptPromptVariant:
         # The variant uses no historical demonstrations; nothing to index.
         del train
 
-    def predict(self, incident: Incident) -> str:
-        context = self._stage.build_context(incident)
-        return self._stage.predictor.predict_direct(context).label
-
     def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
         contexts = [self._stage.build_context(incident) for incident in incidents]
         predictions = self._stage.predictor.predict_many([(c, []) for c in contexts])
         return [prediction.label for prediction in predictions]
-
-
-class GptEmbeddingVariant:
-    """GPT-4 Embed.: full pipeline but with the generic hashed embedding."""
-
-    def __init__(self, model: Optional[ChatModel] = None, update_index: bool = True) -> None:
-        self.name = "GPT-4 Embed."
-        self.update_index = update_index
-        self._stage = PredictionStage(
-            model=model or SimulatedLLM(name="simulated-gpt-4"),
-            config=PredictionConfig(),
-            embedding_backend="hashed",
-        )
-
-    def fit(self, train: IncidentStore) -> None:
-        self._stage.index_history(train)
-
-    def predict(self, incident: Incident) -> str:
-        label = self._stage.predict(incident).label
-        if self.update_index and incident.is_labelled():
-            self._stage.add_to_index(incident)
-        return label
-
-    def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
-        """Batch prediction.
-
-        Continuous labelling (``update_index=True``) is order-dependent —
-        each prediction's confirmed label becomes history for the next — so
-        it keeps the sequential replay; otherwise the whole batch goes
-        through the stage's batch pipeline.
-        """
-        if self.update_index:
-            return [self.predict(incident) for incident in incidents]
-        return [outcome.label for outcome in self._stage.predict_many(incidents)]
 
 
 class RcaCopilotMethod:
@@ -208,14 +160,6 @@ class RcaCopilotMethod:
     def fit(self, train: IncidentStore) -> None:
         self._stage.index_history(train)
 
-    def predict(self, incident: Incident) -> str:
-        label = self._stage.predict(incident).label
-        if self.update_index and incident.is_labelled():
-            # OCEs label every incident post-investigation; the confirmed label
-            # becomes history for subsequent incidents (continuous deployment).
-            self._stage.add_to_index(incident)
-        return label
-
     def predict_many(self, incidents: Sequence[Incident]) -> List[str]:
         """Batch prediction.
 
@@ -224,9 +168,30 @@ class RcaCopilotMethod:
         it keeps the sequential replay; otherwise the whole batch goes
         through the stage's batch pipeline.
         """
-        if self.update_index:
-            return [self.predict(incident) for incident in incidents]
-        return [outcome.label for outcome in self._stage.predict_many(incidents)]
+        if not self.update_index:
+            return [outcome.label for outcome in self._stage.predict_many(incidents)]
+        labels = []
+        for incident in incidents:
+            labels.append(self._stage.predict(incident).label)
+            if incident.is_labelled():
+                # OCEs label every incident post-investigation; the confirmed
+                # label becomes history for subsequent incidents (continuous
+                # deployment).
+                self._stage.add_to_index(incident)
+        return labels
+
+
+class GptEmbeddingVariant(RcaCopilotMethod):
+    """GPT-4 Embed.: full pipeline but with the generic hashed embedding."""
+
+    def __init__(self, model: Optional[ChatModel] = None, update_index: bool = True) -> None:
+        self.name = "GPT-4 Embed."
+        self.update_index = update_index
+        self._stage = PredictionStage(
+            model=model or SimulatedLLM(name="simulated-gpt-4"),
+            config=PredictionConfig(),
+            embedding_backend="hashed",
+        )
 
 
 def default_method_suite() -> List[RcaMethod]:

@@ -9,10 +9,10 @@ the live run's timings share one timeline.  Everything else (``flush``, ``stats`
 ``start``/``stop``, context-manager use) passes straight through, so a
 recorder drops into any call site that held the ingestor.
 
-What is recorded is *accepted traffic*: a scalar ``submit`` that sheds load
-(:class:`~repro.core.errors.IngestQueueFull`) records nothing, and a burst
-``submit_many`` that overruns the queue records exactly the enqueued prefix
-carried on the exception — the recording replays the stream the pipeline
+What is recorded is *accepted traffic*: a ``submit_many`` that overruns the
+queue (:class:`~repro.core.errors.IngestQueueFull`) records exactly the
+enqueued prefix carried on the exception, so a one-alert ``submit`` that
+sheds load records nothing — the recording replays the stream the pipeline
 actually saw, not the offered load.
 """
 
@@ -59,11 +59,8 @@ class TrafficRecorder:
 
     # ------------------------------------------------------------------ tapped
     def submit(self, alert: Alert):
-        """Forward one alert; capture it only once it entered the queue."""
-        future = self._ingestor.submit(alert)  # IngestQueueFull → not recorded
-        with self._lock:
-            self._events.append(AlertEvent(self._offset_locked(), alert))
-        return future
+        """Forward one alert: a burst of one through :meth:`submit_many`."""
+        return self.submit_many([alert])[0]
 
     def submit_many(self, alerts: Sequence[Alert]):
         """Forward a burst; on load-shed capture only the enqueued prefix."""

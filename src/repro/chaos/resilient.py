@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.clock import MONOTONIC_CLOCK, Clock
 from ..core.errors import LLMTimeoutError, is_transient
-from ..llm.model import ChatMessage, CompletionResult, complete_many
+from ..llm.model import ChatMessage, CompletionResult
 from .injector import FaultInjector
 
 #: Degraded answer for multiple-choice prediction prompts.  Parses (via
@@ -239,7 +239,9 @@ class ResilientChatModel:
     def complete(
         self, messages: Sequence[ChatMessage], temperature: float = 0.0
     ) -> CompletionResult:
-        return self._call([messages], temperature)[0]
+        # Defined here, not left to __getattr__, which would reach the inner
+        # model's complete with no retry: one conversation is a batch of one.
+        return self.complete_many([messages], temperature=temperature)[0]
 
     def complete_many(
         self,
@@ -275,8 +277,8 @@ class ResilientChatModel:
             error: Optional[BaseException] = None
             results: Optional[List[CompletionResult]] = None
             try:
-                results = complete_many(
-                    self.inner, conversations, temperature=temperature
+                results = self.inner.complete_many(
+                    conversations, temperature=temperature
                 )
             except Exception as exc:  # noqa: BLE001 - classified below
                 error = exc
@@ -375,18 +377,9 @@ class FaultyChatModel:
     def complete(
         self, messages: Sequence[ChatMessage], temperature: float = 0.0
     ) -> CompletionResult:
-        event = self.injector.sample(self.site, detail="complete")
-        if event is not None and event.error is not None:
-            raise event.error
-        result = self.inner.complete(messages, temperature=temperature)
-        if event is not None and event.corrupt:
-            result = CompletionResult(
-                text=_corrupt_text(result.text),
-                prompt_tokens=result.prompt_tokens,
-                completion_tokens=result.completion_tokens,
-                model=result.model,
-            )
-        return result
+        # Defined here, not left to __getattr__, which would reach the inner
+        # model's complete with no fault: one conversation is a batch of one.
+        return self.complete_many([messages], temperature=temperature)[0]
 
     def complete_many(
         self,
@@ -398,7 +391,7 @@ class FaultyChatModel:
         )
         if event is not None and event.error is not None:
             raise event.error
-        results = complete_many(self.inner, conversations, temperature=temperature)
+        results = self.inner.complete_many(conversations, temperature=temperature)
         if event is not None and event.corrupt:
             results = [
                 CompletionResult(

@@ -80,11 +80,6 @@ class CollectionPool:
         self.workers = workers
         self._executor: Optional[ThreadPoolExecutor] = None
 
-    @property
-    def pool_size(self) -> int:
-        """Workers in the pool (0 = serial mode)."""
-        return 0 if self.workers is None else self.workers
-
     # -------------------------------------------------------------------- run
     def run(self, items: Sequence[Union[Alert, Incident]]) -> List[CollectResult]:
         """Parse + collect every item; results come back in submission order.

@@ -129,12 +129,10 @@ class IngestError(RCACopilotError):
 class IngestQueueFull(IngestError, TransientError):
     """Raised when a non-blocking submit hits the bounded ingest queue's cap.
 
-    For a burst submit (``submit_many``), :attr:`enqueued` carries the
-    futures of the prefix that *did* enter the queue before the cap was
-    hit — those alerts stay queued and their futures resolve at the next
-    flush, exactly as if they had been submitted one at a time.  The
-    caller sheds only the rejected suffix.  Scalar ``submit`` leaves the
-    list empty (nothing entered the queue).
+    :attr:`enqueued` carries the futures of the burst's prefix that *did*
+    enter the queue before the cap was hit — those alerts stay queued and
+    their futures resolve at the next flush.  The caller sheds only the
+    rejected suffix; a one-alert ``submit`` has an empty prefix.
     """
 
     def __init__(self, message: str, enqueued=None) -> None:

@@ -203,21 +203,12 @@ class PredictionStage:
         return out
 
     def _summary_for(self, incident: Incident) -> str:
-        """Summary of one incident, through the content-addressed cache."""
+        """Summary of one incident: a one-item :meth:`_warm_summaries`."""
         if incident.summary:
             return incident.summary
         if self.config.summarize and not incident.diagnostic.is_empty():
-            text = incident.diagnostic_info()
-            key = _content_key(text)
-            summary = self._summary_cache.get(key)
-            if summary is None:
-                self.cache_stats.summary_misses += 1
-                summary = self.summarizer.summarize(text).text
-                self._summary_cache[key] = summary
-            else:
-                self.cache_stats.summary_hits += 1
-            incident.summary = summary
-            return summary
+            self._warm_summaries([incident])
+            return incident.summary
         return incident.diagnostic_info() or incident.alert_info()
 
     def _warm_summaries(self, incidents: Sequence[Incident]) -> None:

@@ -286,53 +286,26 @@ class StreamIngestor:
 
     # ------------------------------------------------------------------ submit
     def submit(self, alert: Alert) -> "Future[DiagnosisReport]":
-        """Queue one alert; the future resolves when its micro-batch flushes.
-
-        With ``block_when_full`` (the default) a full queue applies
-        backpressure by blocking the submitter; otherwise
-        :class:`IngestQueueFull` is raised so the caller can shed load.
-        """
-        future: "Future[DiagnosisReport]" = Future()
-        item = (alert, future)
-        # Count the submission *before* enqueueing: once the item is in the
-        # queue a concurrent flush may process it immediately, and a stats
-        # snapshot taken in that window must never show processed >
-        # submitted.  A failed load-shed put rolls the counter back (the
-        # alert never entered the queue).
-        with self._stats_lock:
-            self._ingest_stats.submitted += 1
-        if self.config.block_when_full:
-            self._queue.put(item)
-        else:
-            try:
-                self._queue.put_nowait(item)
-            except queue.Full:
-                with self._stats_lock:
-                    self._ingest_stats.submitted -= 1
-                raise IngestQueueFull(
-                    f"ingest queue full ({self.config.queue_capacity} alerts queued)"
-                ) from None
-        with self._stats_lock:
-            self._ingest_stats.max_queue_depth = max(
-                self._ingest_stats.max_queue_depth, self._queue.qsize()
-            )
-        return future
+        """Queue one alert: a burst of one through :meth:`submit_many`."""
+        return self.submit_many([alert])[0]
 
     def submit_many(self, alerts: Sequence[Alert]) -> List["Future[DiagnosisReport]"]:
         """Queue a burst of alerts, one future per alert.
 
-        Bulk fast path: the whole burst is counted under one stats-lock
-        acquisition (instead of two per alert) and the worker is woken once
-        after the last enqueue.  Counter semantics match per-alert
-        ``submit`` exactly — the burst is counted as submitted *before* any
-        item enters the queue, so a concurrent flush can never observe
-        ``processed > submitted``; a load-shed ``put_nowait`` hitting a
-        full queue rolls back the count of the items that never made it in
-        and raises :class:`IngestQueueFull` carrying the already-enqueued
-        prefix's futures (``exc.enqueued``) — that prefix stays queued and
-        resolves at the next flush, as it would with per-alert submits.
-        A burst is not a batch: a live worker that wakes while the burst is
-        still being enqueued takes what has arrived and starts on it.
+        Each future resolves when its micro-batch flushes.  With
+        ``block_when_full`` (the default) a full queue applies backpressure
+        by blocking the submitter; otherwise a ``put_nowait`` hitting the
+        cap raises :class:`IngestQueueFull` so the caller can shed load.
+        The whole burst is counted under one stats-lock acquisition and the
+        worker is woken once after the last enqueue.  The burst is counted
+        as submitted *before* any item enters the queue, so a concurrent
+        flush can never observe ``processed > submitted``; a load-shed
+        put rolls back the count of the items that never made it in, and
+        the exception carries the already-enqueued prefix's futures
+        (``exc.enqueued``) — that prefix stays queued and resolves at the
+        next flush.  A burst is not a batch: a live worker that wakes while
+        the burst is still being enqueued takes what has arrived and starts
+        on it.
         """
         alerts = list(alerts)
         if not alerts:

@@ -38,10 +38,10 @@ def evaluate_method(
 ) -> MethodResult:
     """Train a method on the training store and score it on the test store.
 
-    Replays route through the method's batch interface when it exposes one
-    (``predict_many``), so the full batch pipeline — batch embedding, one
+    The test split is replayed through the method's one entry point,
+    ``predict_many``, so the full batch pipeline — batch embedding, one
     matrix–matrix retrieval pass, deduplicated LLM batch — is what gets
-    timed; methods without a batch path fall back to a sequential loop.
+    timed.
     """
     labelled_test = test.labelled()
     train_started = time.perf_counter()
@@ -49,12 +49,8 @@ def evaluate_method(
     train_seconds = time.perf_counter() - train_started
 
     truths: List[str] = [incident.category or "" for incident in labelled_test]
-    batch_predict = getattr(method, "predict_many", None)
     infer_started = time.perf_counter()
-    if batch_predict is not None:
-        predictions: List[str] = list(batch_predict(labelled_test))
-    else:
-        predictions = [method.predict(incident) for incident in labelled_test]
+    predictions: List[str] = list(method.predict_many(labelled_test))
     infer_seconds = time.perf_counter() - infer_started
     per_incident = infer_seconds / len(labelled_test) if labelled_test else 0.0
     return MethodResult(
@@ -93,10 +89,6 @@ class RoundsResult:
     def min_micro_f1(self) -> float:
         return min(self.micro_f1_values) if self.rounds else 0.0
 
-    @property
-    def min_macro_f1(self) -> float:
-        return min(self.macro_f1_values) if self.rounds else 0.0
-
 
 def run_rounds(
     method_factory,
@@ -127,12 +119,3 @@ class TimingBreakdown:
     summarization_seconds: float
     retrieval_seconds: float
     prediction_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.collection_seconds
-            + self.summarization_seconds
-            + self.retrieval_seconds
-            + self.prediction_seconds
-        )

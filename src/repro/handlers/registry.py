@@ -102,15 +102,6 @@ class HandlerRegistry:
             f"no handler version {version} for alert type {alert_type!r}"
         )
 
-    def enabled_count(self, team: Optional[str] = None) -> int:
-        """Number of enabled handler versions (optionally for one team)."""
-        count = 0
-        for versions in self._versions.values():
-            for entry in versions:
-                if entry.enabled and (team is None or entry.team == team):
-                    count += 1
-        return count
-
     def teams(self) -> List[str]:
         """Teams owning at least one handler."""
         names = {

@@ -12,7 +12,7 @@ on-call engineers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, List, Optional
 
@@ -170,10 +170,6 @@ class Incident:
     def is_labelled(self) -> bool:
         """True when on-call engineers have assigned a ground-truth category."""
         return self.category is not None
-
-    def with_prediction(self, category: str, explanation: str) -> "Incident":
-        """Return a copy of the incident carrying a prediction."""
-        return replace(self, predicted_category=category, explanation=explanation)
 
     @classmethod
     def from_alert(

@@ -8,7 +8,6 @@ from .model import (
     CompletionResult,
     SimulatedLLM,
     UsageTracker,
-    complete_many,
 )
 from .prompts import (
     Demonstration,
@@ -22,7 +21,7 @@ from .prompts import (
     parse_direct_prediction,
     parse_prediction,
 )
-from .summarize import DiagnosticSummarizer, SummaryResult, summarize_incident
+from .summarize import DiagnosticSummarizer, SummaryResult
 from .tokenizer import DEFAULT_TOKENIZER, Tokenizer, count_tokens, truncate_tokens
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "CompletionResult",
     "SimulatedLLM",
     "UsageTracker",
-    "complete_many",
     "Demonstration",
     "ParsedPrediction",
     "PredictionPrompt",
@@ -49,7 +47,6 @@ __all__ = [
     "parse_prediction",
     "DiagnosticSummarizer",
     "SummaryResult",
-    "summarize_incident",
     "DEFAULT_TOKENIZER",
     "Tokenizer",
     "count_tokens",

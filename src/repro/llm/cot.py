@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .model import ChatMessage, ChatModel, complete_many
+from .model import ChatMessage, ChatModel
 from .prompts import (
     Demonstration,
     ParsedPrediction,
@@ -66,31 +66,6 @@ class ChainOfThoughtPredictor:
         self.model = model
         self.temperature = temperature
 
-    def predict(
-        self, incident_text: str, demonstrations: Sequence[Demonstration]
-    ) -> CategoryPrediction:
-        """Predict the category of an incident from its neighbours.
-
-        With an empty demonstration list the predictor degenerates to the
-        direct (zero-shot) prompt — the GPT-4 Prompt variant of Table 2.
-        """
-        if not demonstrations:
-            return self.predict_direct(incident_text)
-        prompt = build_prediction_prompt(incident_text, demonstrations)
-        completion = self.model.complete(
-            [ChatMessage(role="user", content=prompt.text)],
-            temperature=self.temperature,
-        )
-        parsed: ParsedPrediction = parse_prediction(completion.text, prompt)
-        return CategoryPrediction(
-            category=parsed.category,
-            is_unseen=parsed.is_unseen,
-            new_category=parsed.new_category,
-            explanation=parsed.explanation,
-            chosen_letter=parsed.letter,
-            demonstrations=list(demonstrations),
-        )
-
     def _deterministic(self) -> bool:
         """Whether identical prompts are guaranteed identical completions."""
         return self.temperature == 0.0 and getattr(self.model, "noise", 0.0) == 0.0
@@ -100,14 +75,17 @@ class ChainOfThoughtPredictor:
     ) -> List[CategoryPrediction]:
         """Predict categories for a batch of (incident_text, demonstrations).
 
+        The one place a prediction prompt is built, completed and parsed;
+        a single incident is a batch of one.  An item with an empty
+        demonstration list gets the direct (zero-shot) prompt — the GPT-4
+        Prompt variant of Table 2.
+
         Recurring incidents — identical context with identical neighbour
         demonstrations — are collapsed to one prompt build, one completion
         and one parse when the model is deterministic (temperature 0, no
         simulated noise), mirroring the request deduplication of a real
         batched serving endpoint.  The remaining distinct prompts are
         completed through the model's batch interface in input order.
-        Per-item results are identical to calling :meth:`predict` item by
-        item.
         """
         dedup = self._deterministic()
         unique_index: dict = {}
@@ -139,8 +117,7 @@ class ChainOfThoughtPredictor:
                 direct_prompts.append(build_direct_prediction_prompt(incident_text))
         unique_results: List[Optional[CategoryPrediction]] = [None] * len(unique_items)
         if fewshot_prompts:
-            completions = complete_many(
-                self.model,
+            completions = self.model.complete_many(
                 [[ChatMessage(role="user", content=p.text)] for p in fewshot_prompts],
                 temperature=self.temperature,
             )
@@ -155,8 +132,7 @@ class ChainOfThoughtPredictor:
                     demonstrations=list(unique_items[index][1]),
                 )
         if direct_prompts:
-            completions = complete_many(
-                self.model,
+            completions = self.model.complete_many(
                 [[ChatMessage(role="user", content=p)] for p in direct_prompts],
                 temperature=self.temperature,
             )
@@ -176,19 +152,3 @@ class ChainOfThoughtPredictor:
             fan_out_prediction(unique_results[position], demonstrations)  # type: ignore[arg-type]
             for position, (_, demonstrations) in zip(item_of, items)
         ]
-
-    def predict_direct(self, incident_text: str) -> CategoryPrediction:
-        """Zero-shot prediction without demonstrations (baseline variant)."""
-        prompt = build_direct_prediction_prompt(incident_text)
-        completion = self.model.complete(
-            [ChatMessage(role="user", content=prompt)], temperature=self.temperature
-        )
-        category, explanation = parse_direct_prediction(completion.text)
-        return CategoryPrediction(
-            category=category,
-            is_unseen=category is None,
-            new_category=category,
-            explanation=explanation,
-            chosen_letter="-",
-            demonstrations=[],
-        )

@@ -118,6 +118,12 @@ class FineTunedModel:
             model=self.name,
         )
 
+    def complete_many(
+        self, conversations: Sequence[Sequence[ChatMessage]], temperature: float = 0.0
+    ) -> List[CompletionResult]:
+        """Answer a batch of conversations in order."""
+        return [self.complete(messages, temperature=temperature) for messages in conversations]
+
     @property
     def labels(self) -> List[str]:
         """Labels known to the fine-tuned model."""

@@ -50,14 +50,14 @@ class CompletionResult:
     completion_tokens: int
     model: str
 
-    @property
-    def total_tokens(self) -> int:
-        """Prompt plus completion tokens."""
-        return self.prompt_tokens + self.completion_tokens
-
 
 class ChatModel(Protocol):
-    """Interface every chat model (simulated or real) implements."""
+    """Interface every chat model (simulated or real) implements.
+
+    The pipeline calls only ``complete_many``: every summary and prediction
+    is one item of a batch call, so a model implements ``complete_many``
+    itself (a minimal one loops ``complete`` in order).
+    """
 
     name: str
 
@@ -70,25 +70,6 @@ class ChatModel(Protocol):
     ) -> List["CompletionResult"]:
         """Produce completions for a batch of conversations."""
         ...
-
-
-def complete_many(
-    model: "ChatModel",
-    conversations: Sequence[Sequence[ChatMessage]],
-    temperature: float = 0.0,
-) -> List[CompletionResult]:
-    """Batch-complete through a model, falling back to a sequential loop.
-
-    ``complete_many`` is part of the :class:`ChatModel` contract; this
-    helper exists as a compatibility adapter for minimal models (test
-    doubles, legacy integrations) that only implement ``complete`` — they
-    are driven one conversation at a time, preserving call order.  New
-    models should implement ``complete_many`` themselves.
-    """
-    batch = getattr(model, "complete_many", None)
-    if batch is not None:
-        return batch(conversations, temperature=temperature)
-    return [model.complete(messages, temperature=temperature) for messages in conversations]
 
 
 @dataclass

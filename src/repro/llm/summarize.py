@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .model import ChatMessage, ChatModel, complete_many
+from .model import ChatMessage, ChatModel
 from .prompts import build_summarization_prompt
 
 
@@ -44,25 +44,15 @@ class DiagnosticSummarizer:
         self.max_words = max_words
 
     def summarize(self, diagnostic_text: str) -> SummaryResult:
-        """Summarize one incident's diagnostic information.
-
-        Very short inputs (already below the budget) are passed through
-        unchanged — there is nothing to compress and an LLM call would only
-        add latency and noise.
-        """
-        words = diagnostic_text.split()
-        if len(words) <= self.max_words:
-            return SummaryResult(text=diagnostic_text.strip(), word_count=len(words))
-        prompt = build_summarization_prompt(diagnostic_text)
-        completion = self.model.complete([ChatMessage(role="user", content=prompt)])
-        summary = self._enforce_budget(completion.text)
-        return SummaryResult(text=summary, word_count=len(summary.split()))
+        """Summarize one incident's diagnostic information: a batch of one."""
+        return self.summarize_many([diagnostic_text])[0]
 
     def summarize_many(self, diagnostic_texts: Sequence[str]) -> List[SummaryResult]:
         """Summarize a batch of diagnostic reports with one batched LLM call.
 
-        Texts already inside the word budget pass through unchanged exactly
-        as in :meth:`summarize`; the remaining texts are completed through
+        Very short inputs (already inside the word budget) pass through
+        unchanged — there is nothing to compress and an LLM call would only
+        add latency and noise.  The remaining texts are completed through
         the model's batch interface (which deduplicates identical prompts
         for deterministic models), so a batch of recurring incidents costs
         one LLM completion per distinct report.
@@ -81,7 +71,7 @@ class DiagnosticSummarizer:
                 [ChatMessage(role="user", content=build_summarization_prompt(text))]
             )
         if pending_prompts:
-            completions = complete_many(self.model, pending_prompts)
+            completions = self.model.complete_many(pending_prompts)
             for index, completion in zip(pending_indices, completions):
                 summary = self._enforce_budget(completion.text)
                 results[index] = SummaryResult(
@@ -94,11 +84,3 @@ class DiagnosticSummarizer:
         if len(words) > self.max_words:
             words = words[: self.max_words]
         return sys.intern(" ".join(words).strip())
-
-
-def summarize_incident(
-    model: ChatModel, diagnostic_text: str, summarizer: Optional[DiagnosticSummarizer] = None
-) -> str:
-    """Convenience wrapper returning just the summary text."""
-    summarizer = summarizer or DiagnosticSummarizer(model)
-    return summarizer.summarize(diagnostic_text).text

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 class AlertScope(str, Enum):
@@ -162,7 +162,3 @@ class AlertRouter:
         self._last_seen[key] = alert.timestamp
         self._routed.append(alert)
         return alert
-
-    def submit_all(self, alerts: Iterable[Alert]) -> List[Alert]:
-        """Submit many alerts; return only those that were routed."""
-        return [routed for a in alerts if (routed := self.submit(a)) is not None]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import (
     FastTextBaseline,
     FineTunedGptBaseline,
+    GptEmbeddingVariant,
     GptPromptVariant,
     GradientBoostingClassifier,
     GradientBoostingConfig,
@@ -154,5 +155,20 @@ class TestMethodSuite:
         train, test = tiny_corpus.chronological_split(0.75)
         for method in (FastTextBaseline(), FineTunedGptBaseline(), GptPromptVariant()):
             method.fit(train)
-            label = method.predict(test.all()[0])
-            assert isinstance(label, str) and label
+            labels = method.predict_many(test.all()[:3])
+            assert len(labels) == 3
+            assert all(isinstance(label, str) and label for label in labels)
+
+    def test_continuous_labelling_indexes_each_labelled_incident(self, tiny_corpus):
+        train, test = tiny_corpus.chronological_split(0.75)
+        incidents = test.labelled()[:4]
+        live, frozen = GptEmbeddingVariant(), GptEmbeddingVariant(update_index=False)
+        for method in (live, frozen):
+            method.fit(train)
+        before = len(live.stage.index)
+        live_labels = live.predict_many(incidents)
+        frozen_labels = frozen.predict_many(incidents)
+        assert len(live.stage.index) == before + len(incidents)
+        assert len(frozen.stage.index) == before
+        # The first incident sees the same history either way.
+        assert live_labels[0] == frozen_labels[0]

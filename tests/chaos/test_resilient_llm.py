@@ -15,7 +15,7 @@ from repro.chaos import (
 )
 from repro.core.errors import LLMUnavailableError, SerializationError
 from repro.llm import SimulatedLLM
-from repro.llm.model import ChatMessage, complete_many
+from repro.llm.model import ChatMessage
 from repro.llm.prompts import build_prediction_prompt, parse_prediction, Demonstration
 
 PREDICTION_MESSAGES = [
@@ -101,7 +101,7 @@ def test_attempts_exhausted_degrades_instead_of_raising():
     result = model.complete(PREDICTION_MESSAGES)
     assert result.text == DEGRADED_PREDICTION_TEXT
     assert result.model.endswith("-degraded")
-    assert result.total_tokens == 0
+    assert (result.prompt_tokens, result.completion_tokens) == (0, 0)
     stats = model.stats_dict()
     assert stats["degraded"] == 1.0
     assert stats["retries"] == 2.0  # max_attempts - 1
@@ -242,7 +242,7 @@ def test_healthy_wrapper_is_value_identical_to_bare_model():
     """The parity contract: no faults, closed breaker => wholesale delegation."""
     conversations = [PREDICTION_MESSAGES, SUMMARY_MESSAGES, PREDICTION_MESSAGES]
     bare = SimulatedLLM()
-    expected = complete_many(bare, conversations)
+    expected = bare.complete_many(conversations)
 
     injector = FaultInjector(seed=0)  # nothing configured: inert
     inner = SimulatedLLM()
@@ -286,3 +286,19 @@ def test_retry_stats_count_the_retry():
     stats = model.stats_dict()
     assert stats["retries"] == 1.0
     assert stats["successes"] == 1.0
+
+
+def test_scalar_complete_is_a_batch_of_one_through_both_wrappers():
+    """Both adapters' ``complete`` is a one-item ``complete_many``: the
+    injected fault fires, the wrapper retries it, and the answer is the bare
+    model's."""
+    injector = FaultInjector(seed=0).add(FaultConfig(site="llm.complete", max_injections=1))
+    model = ResilientChatModel(
+        FaultyChatModel(SimulatedLLM(), injector),
+        RetryPolicy(max_attempts=2, base_delay_seconds=0.0),
+        clock=_clock(),
+    )
+    result = model.complete(PREDICTION_MESSAGES)
+    assert result.text == SimulatedLLM().complete_many([PREDICTION_MESSAGES])[0].text
+    stats = model.stats_dict()
+    assert (stats["retries"], stats["successes"], stats["degraded"]) == (1.0, 1.0, 0.0)

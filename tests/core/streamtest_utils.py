@@ -126,6 +126,8 @@ IDLE_TYPE = "StreamIdle"
 #: With ``park`` set the call *waits* on the clock instead of advancing it:
 #: the calling worker stays busy inside the handler until the test advances
 #: virtual time past the duration (``wait_for_sleepers`` says when it is in).
+#: A wake (every ``submit`` issues one) unparks it, so it parks again until
+#: the clock reaches the end of its I/O.
 VIRTUAL_IO: Dict[str, Optional[object]] = {
     "clock": None,
     "seconds": 0.05,
@@ -137,9 +139,14 @@ VIRTUAL_IO: Dict[str, Optional[object]] = {
 def virtual_io_classifier(context, table) -> str:
     """Spend virtual time on the installed FakeClock: simulated I/O wait."""
     clock = VIRTUAL_IO["clock"]
-    if clock is not None:
-        spend = clock.sleep if VIRTUAL_IO["park"] else clock.advance
-        spend(VIRTUAL_IO["seconds"])
+    if clock is None:
+        return "default"
+    if not VIRTUAL_IO["park"]:
+        clock.advance(VIRTUAL_IO["seconds"])
+        return "default"
+    done_at = clock.monotonic() + VIRTUAL_IO["seconds"]
+    while clock.monotonic() < done_at:
+        clock.sleep(done_at - clock.monotonic())
     return "default"
 
 
@@ -333,8 +340,8 @@ def run_waves_behind_a_busy_worker(ingestor, clock, arrivals: int, submit=None) 
 
     The first (``BUSY_TYPE``) alert's handler parks in 50 ms of virtual I/O;
     with the worker inside it, ``arrivals`` idle alerts are submitted
-    (``submit(alert, position)``, default ``ingestor.submit``; no wake), the
-    I/O is completed by advancing the clock, and every future is awaited.
+    (``submit(alert, position)``, default ``ingestor.submit``), the I/O is
+    completed by advancing the clock, and every future is awaited.
     Returns with the worker parked on the empty queue again — all stats
     folded — and virtual time at exactly 0.05.  Zero real sleeps.
     """

@@ -132,7 +132,7 @@ class TestOneSizeForLife:
         run, sizes = pool.run, []
 
         def sized_run(alerts):
-            sizes.append(pool.pool_size)
+            sizes.append(pool.workers)
             return run(alerts)
 
         pool.run = sized_run
@@ -143,7 +143,7 @@ class TestOneSizeForLife:
         finally:
             ingestor.stop()
         assert len(sizes) == len(BURSTY_SPEC) == ingestor.stats().batches
-        assert set(sizes) == {workers or 0}
+        assert set(sizes) == {workers}
 
     @pytest.mark.parametrize("workers", POOL_SIZES)
     def test_waves_and_feedback_leave_the_hub_as_they_found_it(

@@ -164,6 +164,27 @@ class TestBackgroundWorker:
         finally:
             ingestor.stop()
 
+    def test_submit_wakes_a_worker_parked_on_a_virtual_clock(
+        self, build_copilot, stream_service, alert_feed
+    ):
+        """``submit`` is a burst of one through ``submit_many``, so it wakes a
+        worker parked on a virtual clock exactly as a burst does; nothing
+        advances the clock here, so an unwoken worker would never resolve
+        the future."""
+        copilot = build_copilot(stream_service)
+        clock = VirtualClock()
+        ingestor = copilot.stream(
+            IngestConfig(max_batch=1000, max_latency_seconds=300.0), clock=clock
+        )
+        try:
+            ingestor.start()
+            clock.wait_for_sleepers(1)  # parked on the empty queue
+            future = ingestor.submit(alert_feed[0])
+            assert future.result(timeout=10.0).predicted_label
+            assert clock.monotonic() == 0.0
+        finally:
+            ingestor.stop()
+
     @pytest.mark.parametrize("arrivals,waves", [(2, [1, 2]), (3, [1, 3]), (5, [1, 3, 2])])
     def test_batches_form_while_the_worker_is_busy(self, arrivals, waves):
         """Alerts arriving during a wave ride together in the next one.
@@ -217,7 +238,8 @@ class TestBackgroundWorker:
         FakeClock nobody advances, that park never expires by itself, so
         stop() has to wake it — and the worker must then see the stop signal
         before parking again, or join() never returns.  An alert submitted
-        while it was parked (no wake) is processed on the way out.
+        while it was parked wakes it, and the worker parks again once the
+        alert is done.
         """
         copilot = build_copilot(stream_service)
         clock = stu.FakeClock()
@@ -227,6 +249,8 @@ class TestBackgroundWorker:
         ingestor.start()
         clock.wait_for_sleepers(1)  # parked in the (virtual) stop poll
         future = ingestor.submit(alert_feed[0])
+        future.result(timeout=10.0)
+        clock.wait_for_sleepers(1)  # parked again
         ingestor.stop()  # deadlocks here without the stop-signal guard
         assert future.done()
         assert future.result(timeout=0).predicted_label

@@ -461,7 +461,7 @@ class TestCrashContainment:
             ingestor.stop()
         flat = ingestor.stats_dict()
         assert (flat["processed"], flat["collect_failures"]) == (4.0, 0.0)
-        assert ingestor._collect_pool.pool_size == 4  # noqa: SLF001
+        assert ingestor._collect_pool.workers == 4  # noqa: SLF001
 
 
 def cheap_copilot() -> RCACopilot:

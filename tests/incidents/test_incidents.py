@@ -77,12 +77,6 @@ class TestIncidentModel:
         incident.action_output = {"b": "2", "a": "1"}
         assert incident.action_output_info().splitlines() == ["a: 1", "b: 2"]
 
-    def test_with_prediction_copies(self):
-        incident = make_incident()
-        predicted = incident.with_prediction("CatB", "because")
-        assert predicted.predicted_category == "CatB"
-        assert incident.predicted_category is None
-
     def test_created_day(self):
         assert make_incident(day=3.0).created_day == pytest.approx(3.0)
 

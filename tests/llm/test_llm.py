@@ -305,7 +305,7 @@ class TestSimulatedLLM:
             ),
         ]
         predictor = ChainOfThoughtPredictor(model)
-        prediction = predictor.predict(DIAG_TEXT, demos)
+        [prediction] = predictor.predict_many([(DIAG_TEXT, demos)])
         assert prediction.category == "HubPortExhaustion"
         assert not prediction.is_unseen
         assert prediction.explanation
@@ -321,13 +321,13 @@ class TestSimulatedLLM:
             "at DiagnosticsLog.Write QueueManager.Persist worker crashed IO exceptions"
         )
         predictor = ChainOfThoughtPredictor(model)
-        prediction = predictor.predict(disk_text, demos)
+        [prediction] = predictor.predict_many([(disk_text, demos)])
         assert prediction.is_unseen
         assert prediction.new_category  # e.g. IoBottleneck
         assert prediction.label == prediction.new_category
 
     def test_direct_prediction_without_demos(self):
-        prediction = ChainOfThoughtPredictor(SimulatedLLM()).predict(DIAG_TEXT, [])
+        [prediction] = ChainOfThoughtPredictor(SimulatedLLM()).predict_many([(DIAG_TEXT, [])])
         assert prediction.chosen_letter == "-"
         assert prediction.label
 
@@ -343,7 +343,7 @@ class TestSimulatedLLM:
             Demonstration("INC-1", "WinSock socket exhaustion Transport.exe", "HubPortExhaustion"),
             Demonstration("INC-2", "disk full IOException", "FullDisk"),
         ]
-        prediction = ChainOfThoughtPredictor(noisy).predict(DIAG_TEXT, demos)
+        [prediction] = ChainOfThoughtPredictor(noisy).predict_many([(DIAG_TEXT, demos)])
         # With noise=1.0 the runner-up is always taken instead of the best.
         assert prediction.category != "HubPortExhaustion" or prediction.is_unseen
 
@@ -355,6 +355,9 @@ class StubModel:
 
     def complete(self, messages, temperature=0.0):
         return CompletionResult(" ".join(["word"] * 300), 0, 0, self.name)
+
+    def complete_many(self, conversations, temperature=0.0):
+        return [self.complete(messages, temperature) for messages in conversations]
 
 
 class TestDiagnosticSummarizer:
@@ -411,6 +414,9 @@ class TestFineTunedModel:
         model.finetune([FineTuneExample("a b c", "X"), FineTuneExample("d e f", "Y")])
         result = model.complete([ChatMessage("user", "a b c")])
         assert result.text == "Category: X"
+        conversations = [[ChatMessage("user", "a b c")], [ChatMessage("user", "d e f")]]
+        batch = model.complete_many(conversations)
+        assert batch == [model.complete(messages) for messages in conversations]
 
     def test_empty_finetune_rejected(self):
         with pytest.raises(ValueError):

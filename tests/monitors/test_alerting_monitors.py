@@ -64,12 +64,6 @@ class TestAlertRouter:
         router.submit(make_alert(router, machine="m1"))
         assert router.submit(make_alert(router, machine="m2")) is not None
 
-    def test_submit_all(self):
-        router = AlertRouter()
-        alerts = [make_alert(router, ts=100.0), make_alert(router, ts=150.0)]
-        routed = router.submit_all(alerts)
-        assert len(routed) == 1
-
     def test_alert_summary_mentions_type(self):
         router = AlertRouter()
         alert = make_alert(router)
